@@ -1,6 +1,7 @@
 package bayeslsh
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -240,10 +241,14 @@ func (ix *Index) SaveFileV3(path string) error {
 	e := ix.engine()
 	bitFill, minFill := ix.fillDepths()
 	if bitFill > 0 {
-		e.bitSigStore().EnsureAllParallel(bitFill, e.workers())
+		if err := e.bitSigStore().EnsureAllCtx(context.Background(), bitFill, e.workers()); err != nil {
+			return err
+		}
 	}
 	if minFill > 0 {
-		e.minSigStore().EnsureAllParallel(minFill, e.workers())
+		if err := e.minSigStore().EnsureAllCtx(context.Background(), minFill, e.workers()); err != nil {
+			return err
+		}
 	}
 	bits, _ := ix.bits.(*lshindex.BitsTables)
 	mins, _ := ix.mins.(*lshindex.MinhashTables)

@@ -122,8 +122,9 @@
 // randomized component derives its stream from the configured Seed
 // per work item (per hash block, per band, per pair) rather than per
 // worker, so for a fixed Seed the result set is bit-for-bit identical
-// at any parallelism level — including Parallelism 1, the fully
-// sequential fallback. See docs/TUNING.md for how to set the knobs.
+// at any parallelism level — including Parallelism 1, where the same
+// pipeline runs every stage on the calling goroutine. See
+// docs/TUNING.md for how to set the knobs.
 //
 // # Layout
 //

@@ -124,11 +124,14 @@ func (e *Engine) BuildIndex(opts Options) (*Index, error) {
 
 // BuildIndexContext is BuildIndex with cooperative cancellation:
 // signature fills, candidate enumeration (the prior-fitting step of
-// the Jaccard Bayes pipelines) and verifier construction all poll ctx,
-// so a long build — for example a background LiveIndex merge — aborts
-// promptly once ctx is done. A canceled build returns an error
-// wrapping context.Canceled or context.DeadlineExceeded; for a ctx
-// that is never canceled the index is bit-identical to BuildIndex's.
+// the Jaccard Bayes pipelines) and verifier construction poll ctx, so
+// a long build — for example a background LiveIndex merge — aborts
+// between and inside those steps once ctx is done. The candidate
+// structure itself (the banded hash tables, or the AllPairs inverted
+// index) is not polled: it is linear in the corpus and runs to
+// completion once started. A canceled build returns an error wrapping
+// context.Canceled or context.DeadlineExceeded; for a ctx that is
+// never canceled the index is bit-identical to BuildIndex's.
 func (e *Engine) BuildIndexContext(ctx context.Context, opts Options) (*Index, error) {
 	ix, err := e.buildIndexCtx(ctx, opts, nil)
 	if err != nil {

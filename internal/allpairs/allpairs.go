@@ -281,7 +281,7 @@ const fpSlack = 1e-9
 
 // measureInput maps a measure to the preprocessed collection and the
 // cosine threshold the AllPairs scan runs at (see SearchMeasure for
-// the preprocessing rules). Both the sequential and sharded entry
+// the preprocessing rules). Both the interleaved and sharded entry
 // points go through this one mapping, so they cannot drift apart.
 func measureInput(c *vector.Collection, m exact.Measure, t float64) (*vector.Collection, float64, error) {
 	switch m {

@@ -10,31 +10,32 @@ import (
 	"bayeslsh/internal/vector"
 )
 
-// Context-aware and streaming forms of the AllPairs scan. All of them
-// run the build-then-probe split of parallel.go (which reproduces the
-// sequential stream exactly), because it gives natural abort points:
-// cancellation is polled between indexed vectors during the build and
-// between posting lists during each probe, and the probe batches go
-// through shard.RunCtx/StreamCtx so no new probe starts once the
-// context is done. A canceled call returns (nil, ctx.Err()) with all
-// workers drained; a non-cancelable ctx takes the plain code paths.
+// Sharded and streaming forms of the AllPairs scan. All of them run
+// the build-then-probe split of parallel.go (which reproduces the
+// interleaved stream exactly): cancellation is polled between indexed
+// vectors during the build and between posting lists during each
+// probe, and the probe batches go through shard.RunCtx/StreamCtx so
+// no new probe starts once the context is done. A canceled call
+// returns (nil, ctx.Err()) with all workers drained.
 
-// runParallelCtx is runParallel with cooperative cancellation (the
-// collect contract is unchanged; collected output must be discarded by
-// the caller when an error is returned).
-func (s *searcher) runParallelCtx(ctx context.Context, workers int, collect func(slot int, x, y int32, acc float64)) error {
-	stop := shard.NewStopper(ctx)
-	defer stop.Close()
+// buildThenProbe builds the inverted index to completion in processing
+// order and returns the batch body of the probe phase: probe(lo, hi,
+// collect) replays the probes of processing-order positions [lo, hi)
+// against the finished index, calling collect(slot, x, y, acc) for
+// every candidate of the vector at position slot. collect must only
+// touch state owned by that slot; what it gathered must be discarded
+// by the caller once stop has tripped.
+func (s *searcher) buildThenProbe(stop *shard.Stopper) (probe func(lo, hi int, collect func(slot int, x, y int32, acc float64)), err error) {
 	for _, xid := range s.order {
 		if stop.Stopped() {
-			return ctx.Err()
+			return nil, stop.Err()
 		}
 		s.indexVector(xid)
 	}
-	pool := sync.Pool{New: func() any {
+	pool := &sync.Pool{New: func() any {
 		return &probeState{accs: make([]float64, len(s.c.Vecs))}
 	}}
-	return shard.RunCtx(ctx, len(s.order), workers, shard.Chunk(len(s.order), workers, 16), func(lo, hi, _ int) {
+	return func(lo, hi int, collect func(slot int, x, y int32, acc float64)) {
 		ps := pool.Get().(*probeState)
 		for p := lo; p < hi; p++ {
 			if stop.Stopped() {
@@ -46,15 +47,28 @@ func (s *searcher) runParallelCtx(ctx context.Context, workers int, collect func
 			})
 		}
 		pool.Put(ps)
+	}, nil
+}
+
+// runCtx runs the build-then-probe scan with the probe phase sharded
+// over workers goroutines, gathering candidates through collect (the
+// buildThenProbe contract).
+func (s *searcher) runCtx(ctx context.Context, workers int, collect func(slot int, x, y int32, acc float64)) error {
+	stop := shard.NewStopper(ctx)
+	defer stop.Close()
+	probe, err := s.buildThenProbe(stop)
+	if err != nil {
+		return err
+	}
+	return shard.RunCtx(ctx, len(s.order), workers, shard.Chunk(len(s.order), workers, 16), func(lo, hi, _ int) {
+		probe(lo, hi, collect)
 	})
 }
 
-// CandidatesMeasureCtx is CandidatesMeasureParallel with cooperative
-// cancellation.
+// CandidatesMeasureCtx is CandidatesMeasure with the probe phase
+// sharded over workers goroutines; it returns the exact candidate
+// stream of the interleaved scan, in the same order.
 func CandidatesMeasureCtx(ctx context.Context, c *vector.Collection, m exact.Measure, t float64, workers int) ([]pair.Pair, error) {
-	if ctx.Done() == nil {
-		return CandidatesMeasureParallel(c, m, t, workers)
-	}
 	in, tc, err := measureInput(c, m, t)
 	if err != nil {
 		return nil, err
@@ -64,7 +78,7 @@ func CandidatesMeasureCtx(ctx context.Context, c *vector.Collection, m exact.Mea
 		return nil, err
 	}
 	perX := make([][]pair.Pair, len(s.order))
-	if err := s.runParallelCtx(ctx, workers, func(slot int, x, y int32, _ float64) {
+	if err := s.runCtx(ctx, workers, func(slot int, x, y int32, _ float64) {
 		perX[slot] = append(perX[slot], pair.Make(x, y))
 	}); err != nil {
 		return nil, err
@@ -76,12 +90,10 @@ func CandidatesMeasureCtx(ctx context.Context, c *vector.Collection, m exact.Mea
 	return out, nil
 }
 
-// SearchMeasureCtx is SearchMeasureParallel with cooperative
-// cancellation.
+// SearchMeasureCtx is SearchMeasure with the probe and verification
+// phases sharded over workers goroutines; it returns the exact result
+// stream of the interleaved scan, in the same order.
 func SearchMeasureCtx(ctx context.Context, c *vector.Collection, m exact.Measure, t float64, workers, batch int) ([]pair.Result, error) {
-	if ctx.Done() == nil {
-		return SearchMeasureParallel(c, m, t, workers, batch)
-	}
 	switch m {
 	case exact.Cosine:
 		s, err := newSearcher(c, t)
@@ -89,7 +101,7 @@ func SearchMeasureCtx(ctx context.Context, c *vector.Collection, m exact.Measure
 			return nil, err
 		}
 		perX := make([][]pair.Result, len(s.order))
-		if err := s.runParallelCtx(ctx, workers, func(slot int, x, y int32, acc float64) {
+		if err := s.runCtx(ctx, workers, func(slot int, x, y int32, acc float64) {
 			if r, ok := s.finish(x, y, acc); ok {
 				perX[slot] = append(perX[slot], r)
 			}
@@ -102,6 +114,9 @@ func SearchMeasureCtx(ctx context.Context, c *vector.Collection, m exact.Measure
 		}
 		return out, nil
 	default:
+		// Binary measures (and the unknown-measure error) go through
+		// the shared candidate mapping, then verify under the
+		// requested measure — mirroring SearchMeasure.
 		cands, err := CandidatesMeasureCtx(ctx, c, m, t, workers)
 		if err != nil {
 			return nil, err
@@ -110,7 +125,7 @@ func SearchMeasureCtx(ctx context.Context, c *vector.Collection, m exact.Measure
 	}
 }
 
-// SearchMeasureStream is the streaming form of SearchMeasureParallel:
+// SearchMeasureStream is the streaming form of SearchMeasureCtx:
 // each probe batch's verified results go to emit as the batch
 // completes (shard.StreamCtx contract). For the binary measures the
 // candidate set is still materialized — the scan's correctness depends
@@ -137,30 +152,17 @@ func SearchMeasureStream(ctx context.Context, c *vector.Collection, m exact.Meas
 func (s *searcher) streamResults(ctx context.Context, workers int, emit func([]pair.Result) error) error {
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
-	for _, xid := range s.order {
-		if stop.Stopped() {
-			return ctx.Err()
-		}
-		s.indexVector(xid)
+	probe, err := s.buildThenProbe(stop)
+	if err != nil {
+		return err
 	}
-	pool := sync.Pool{New: func() any {
-		return &probeState{accs: make([]float64, len(s.c.Vecs))}
-	}}
 	return shard.StreamCtx(ctx, len(s.order), workers, shard.Chunk(len(s.order), workers, 16), func(lo, hi int) []pair.Result {
-		ps := pool.Get().(*probeState)
 		var out []pair.Result
-		for p := lo; p < hi; p++ {
-			if stop.Stopped() {
-				break
+		probe(lo, hi, func(_ int, x, y int32, acc float64) {
+			if r, ok := s.finish(x, y, acc); ok {
+				out = append(out, r)
 			}
-			xid := s.order[p]
-			s.probeFull(xid, ps, stop, func(y int32, acc float64) {
-				if r, ok := s.finish(int32(xid), y, acc); ok {
-					out = append(out, r)
-				}
-			})
-		}
-		pool.Put(ps)
+		})
 		return out
 	}, emit)
 }

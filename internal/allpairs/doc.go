@@ -35,14 +35,15 @@
 // t_cos = t (binary cosine), as the BayesLSH paper's binary
 // experiments do (§5.1).
 //
-// # Sequential and sharded scans
+// # Interleaved and sharded scans
 //
-// The classic scan is inherently sequential: each vector probes the
-// index built from the vectors processed before it. The *Parallel
-// variants split the scan into a sequential index-build phase (linear
-// in the input) and a probe phase sharded over a worker pool, where
-// each vector probes the completed index filtered to entries indexed
-// before it — reproducing the sequential candidate stream exactly,
-// pair for pair, at any worker count (see parallel.go for the
-// argument).
+// The classic scan (Search, Candidates) is inherently sequential: each
+// vector probes the index built from the vectors processed before it.
+// It is kept as the reference the tests compare against. The engine
+// runs the build-then-probe form (the *Ctx and *Stream functions): a
+// sequential index-build phase (linear in the input) and a probe phase
+// sharded over a worker pool, where each vector probes the completed
+// index filtered to entries indexed before it — reproducing the
+// interleaved candidate stream exactly, pair for pair, at any worker
+// count (see parallel.go for the argument).
 package allpairs

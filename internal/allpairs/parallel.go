@@ -1,35 +1,32 @@
-// Sharded AllPairs: the sequential algorithm interleaves probing and
-// indexing (each vector probes the index of the vectors processed
-// before it), which serializes the expensive probe phase. The parallel
-// scan splits the two: first the inverted index is built to completion
-// in processing order (cheap — indexing is linear in the input), then
-// every vector probes the finished index on a worker pool. A probe
-// against the full index reproduces the sequential probe exactly by
-// filtering postings to vectors earlier in the processing order:
-// postings are appended in processing order, so the entries a vector
-// saw sequentially are precisely the prefix of each list with an
-// earlier position, and the lazy minsize head-truncation is replayed
-// statelessly by skipping the leading entries below the probe's own
-// bound (the bound is monotone over the processing order, so entries
-// truncated sequentially are exactly those skipped here). Each probe
-// writes candidates into its own slot of a per-vector table, which is
+// Sharded AllPairs: the original algorithm (Search, Candidates)
+// interleaves probing and indexing (each vector probes the index of
+// the vectors processed before it), which serializes the expensive
+// probe phase. The build-then-probe scan (ctx.go) splits the two:
+// first the inverted index is built to completion in processing order
+// (cheap — indexing is linear in the input), then every vector probes
+// the finished index on a worker pool. A probe against the full index
+// reproduces the interleaved probe exactly by filtering postings to
+// vectors earlier in the processing order: postings are appended in
+// processing order, so the entries a vector saw in the interleaved
+// scan are precisely the prefix of each list with an earlier position,
+// and the lazy minsize head-truncation is replayed statelessly by
+// skipping the leading entries below the probe's own bound (the bound
+// is monotone over the processing order, so entries truncated by the
+// interleaved scan are exactly those skipped here). Each probe writes
+// candidates into its own slot of a per-vector table, which is
 // concatenated in processing order afterwards — the emitted stream is
-// identical, pair for pair, to the sequential scan for any worker
+// identical, pair for pair, to the interleaved scan for any worker
 // count.
 
 package allpairs
 
 import (
 	"math"
-	"sync"
 
-	"bayeslsh/internal/exact"
-	"bayeslsh/internal/pair"
 	"bayeslsh/internal/shard"
-	"bayeslsh/internal/vector"
 )
 
-// probeState is the per-worker scratch of the parallel probe phase.
+// probeState is the per-worker scratch of the probe phase.
 type probeState struct {
 	accs    []float64
 	touched []int32
@@ -92,110 +89,4 @@ func (s *searcher) probeFull(xid int, ps *probeState, stop *shard.Stopper, emit 
 		}
 	}
 	ps.touched = touched
-}
-
-// runParallel builds the index sequentially, then shards the probe
-// phase over workers goroutines. collect(slot, y, acc) receives the
-// candidates of the vector at processing-order position slot and must
-// only touch state owned by that slot.
-func (s *searcher) runParallel(workers int, collect func(slot int, x, y int32, acc float64)) {
-	for _, xid := range s.order {
-		s.indexVector(xid)
-	}
-	pool := sync.Pool{New: func() any {
-		return &probeState{accs: make([]float64, len(s.c.Vecs))}
-	}}
-	shard.Run(len(s.order), workers, shard.Chunk(len(s.order), workers, 16), func(lo, hi, _ int) {
-		ps := pool.Get().(*probeState)
-		for p := lo; p < hi; p++ {
-			xid := s.order[p]
-			s.probeFull(xid, ps, nil, func(y int32, acc float64) {
-				collect(p, int32(xid), y, acc)
-			})
-		}
-		pool.Put(ps)
-	})
-}
-
-// CandidatesParallel is Candidates with the probe phase sharded over
-// workers goroutines; it returns the exact candidate stream of the
-// sequential scan, in the same order. workers <= 1 falls back to the
-// sequential scan.
-func CandidatesParallel(c *vector.Collection, t float64, workers int) ([]pair.Pair, error) {
-	if workers <= 1 {
-		return Candidates(c, t)
-	}
-	s, err := newSearcher(c, t)
-	if err != nil {
-		return nil, err
-	}
-	perX := make([][]pair.Pair, len(s.order))
-	s.runParallel(workers, func(slot int, x, y int32, _ float64) {
-		perX[slot] = append(perX[slot], pair.Make(x, y))
-	})
-	var out []pair.Pair
-	for _, ps := range perX {
-		out = append(out, ps...)
-	}
-	return out, nil
-}
-
-// SearchParallel is Search with the probe phase sharded over workers
-// goroutines; it returns the exact result stream of the sequential
-// scan, in the same order.
-func SearchParallel(c *vector.Collection, t float64, workers int) ([]pair.Result, error) {
-	if workers <= 1 {
-		return Search(c, t)
-	}
-	s, err := newSearcher(c, t)
-	if err != nil {
-		return nil, err
-	}
-	perX := make([][]pair.Result, len(s.order))
-	s.runParallel(workers, func(slot int, x, y int32, acc float64) {
-		if r, ok := s.finish(x, y, acc); ok {
-			perX[slot] = append(perX[slot], r)
-		}
-	})
-	var out []pair.Result
-	for _, rs := range perX {
-		out = append(out, rs...)
-	}
-	return out, nil
-}
-
-// CandidatesMeasureParallel generates AllPairs candidates under the
-// given measure with the probe phase sharded over workers goroutines
-// (see SearchMeasure for preprocessing rules).
-func CandidatesMeasureParallel(c *vector.Collection, m exact.Measure, t float64, workers int) ([]pair.Pair, error) {
-	if workers <= 1 {
-		return CandidatesMeasure(c, m, t)
-	}
-	in, tc, err := measureInput(c, m, t)
-	if err != nil {
-		return nil, err
-	}
-	return CandidatesParallel(in, tc, workers)
-}
-
-// SearchMeasureParallel runs exact AllPairs under the given measure
-// with the probe and verification phases sharded over workers
-// goroutines (see SearchMeasure for preprocessing rules).
-func SearchMeasureParallel(c *vector.Collection, m exact.Measure, t float64, workers, batch int) ([]pair.Result, error) {
-	if workers <= 1 {
-		return SearchMeasure(c, m, t)
-	}
-	switch m {
-	case exact.Cosine:
-		return SearchParallel(c, t, workers)
-	default:
-		// Binary measures (and the unknown-measure error) go through
-		// the shared candidate mapping, then verify under the
-		// requested measure — mirroring SearchMeasure.
-		cands, err := CandidatesMeasureParallel(c, m, t, workers)
-		if err != nil {
-			return nil, err
-		}
-		return exact.VerifyParallel(c, m, t, cands, workers, batch), nil
-	}
 }

@@ -1,8 +1,9 @@
 // Package ctxflow enforces the cancellation contract PR 4 plumbed
 // through every layer: once a function has a context.Context, that
 // context (or one derived from it) must flow into every callee that
-// can accept one. Calling the ctx-less twin of a ...Context API, or
-// passing a fresh context.Background()/TODO(), silently detaches the
+// can accept one. Calling the ctx-less twin of a ...Context (public
+// API) or ...Ctx (internal layers) function, or passing a fresh
+// context.Background()/TODO(), silently detaches the
 // callee from the caller's deadline and cancellation — the exact
 // "dropped ctx" bug the server and cluster layers had to plumb
 // around by hand.
@@ -21,7 +22,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "a function holding a ctx must pass it on: no context.Background()/TODO() and no ctx-less twin calls\n" +
 		"Inside any function (or closure) that has a context.Context in scope, calls\n" +
 		"to context.Background()/context.TODO() and calls to a callee F when an\n" +
-		"FContext variant exists are flagged: both detach the callee from the\n" +
+		"FContext or FCtx variant exists are flagged: both detach the callee from the\n" +
 		"caller's cancellation and deadline. Deliberate detach points (drain\n" +
 		"timers, background supervisors) take //apsslint:allow ctxflow <reason>.",
 	Run: run,
@@ -87,28 +88,33 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	})
 }
 
-// contextTwin returns the FContext sibling of fn — a function or
-// method of the same package/receiver named fn.Name()+"Context"
-// whose signature takes a context.Context — or nil.
+// twinSuffixes are the two spellings of "the same operation, taking a
+// ctx": the public API's and the internal layers'.
+var twinSuffixes = []string{"Context", "Ctx"}
+
+// contextTwin returns the FContext or FCtx sibling of fn — a function
+// or method of the same package/receiver named fn.Name() plus one of
+// twinSuffixes whose signature takes a context.Context — or nil.
 func contextTwin(info *types.Info, fn *types.Func) *types.Func {
 	if fn.Pkg() == nil {
 		return nil
 	}
-	name := fn.Name() + "Context"
 	sig := fn.Type().(*types.Signature)
-	var obj types.Object
-	if recv := sig.Recv(); recv != nil {
-		obj, _, _ = types.LookupFieldOrMethod(recv.Type(), true, fn.Pkg(), name)
-	} else {
-		obj = fn.Pkg().Scope().Lookup(name)
+	for _, suffix := range twinSuffixes {
+		name := fn.Name() + suffix
+		var obj types.Object
+		if recv := sig.Recv(); recv != nil {
+			obj, _, _ = types.LookupFieldOrMethod(recv.Type(), true, fn.Pkg(), name)
+		} else {
+			obj = fn.Pkg().Scope().Lookup(name)
+		}
+		twin, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		if tsig, ok := twin.Type().(*types.Signature); ok && analysis.HasContextParam(tsig) {
+			return twin
+		}
 	}
-	twin, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	tsig, ok := twin.Type().(*types.Signature)
-	if !ok || !analysis.HasContextParam(tsig) {
-		return nil
-	}
-	return twin
+	return nil
 }

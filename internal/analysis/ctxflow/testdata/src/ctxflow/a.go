@@ -1,6 +1,6 @@
 // Package ctxflow is analyzer testdata: functions holding a ctx must
 // pass it on — no context.Background()/TODO(), no ctx-less twin calls
-// when a ...Context variant exists.
+// when a ...Context or ...Ctx variant exists.
 package ctxflow
 
 import "context"
@@ -16,6 +16,21 @@ func (DB) QueryContext(ctx context.Context, q string) error { return nil }
 func Fetch(url string) error                             { return nil }
 func FetchContext(ctx context.Context, url string) error { return nil }
 
+// Scan / ScanCtx and Store.Fill / Store.FillCtx spell the twin the way
+// the internal layers do.
+func Scan(n int) error                         { return nil }
+func ScanCtx(ctx context.Context, n int) error { return nil }
+
+type Store struct{}
+
+func (*Store) Fill(n int) error                         { return nil }
+func (*Store) FillCtx(ctx context.Context, n int) error { return nil }
+
+// Probe has a sibling named ProbeCtx that takes no context, so it is
+// not a twin.
+func Probe(n int) error    { return nil }
+func ProbeCtx(n int) error { return nil }
+
 // Lone has no ...Context sibling, so calling it is fine anywhere.
 func Lone(s string) error { return nil }
 
@@ -25,6 +40,14 @@ func bad(ctx context.Context, db DB) error {
 
 func badFunc(ctx context.Context) error {
 	return Fetch("http://a") // want `calling Fetch drops the in-scope ctx`
+}
+
+func badCtxFunc(ctx context.Context) error {
+	return Scan(1) // want `calling Scan drops the in-scope ctx: call ScanCtx`
+}
+
+func badCtxMethod(ctx context.Context, s *Store) error {
+	return s.Fill(1) // want `calling Fill drops the in-scope ctx: call FillCtx`
 }
 
 func badBackground(ctx context.Context, db DB) error {
@@ -46,6 +69,16 @@ func good(ctx context.Context, db DB) error {
 		return err
 	}
 	return FetchContext(ctx, "http://a")
+}
+
+func goodCtx(ctx context.Context, s *Store) error {
+	if err := ScanCtx(ctx, 1); err != nil {
+		return err
+	}
+	if err := Probe(1); err != nil {
+		return err
+	}
+	return s.FillCtx(ctx, 1)
 }
 
 func goodDerived(ctx context.Context) error {

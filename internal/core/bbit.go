@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"bayeslsh/internal/pair"
-	"bayeslsh/internal/sighash"
-)
+import "fmt"
 
 // OneBitJaccardVerifier extends BayesLSH to 1-bit minwise hashing
 // (b-bit minhash with b = 1; Li and König, WWW 2010), realizing the
@@ -20,10 +15,8 @@ import (
 // truncated-support machinery of the cosine instantiation with the
 // linear transform J = 2r − 1 in place of r2c.
 type OneBitJaccardVerifier struct {
-	params Params
-	sigs   [][]uint64
-	tr     float64 // threshold mapped to collision-probability space
-	k      *kernel
+	kernel
+	tr float64 // threshold mapped to collision-probability space
 }
 
 // jToR maps a Jaccard similarity to the 1-bit collision probability.
@@ -55,22 +48,11 @@ func NewOneBitJaccard(sigs [][]uint64, sigBits int, p Params) (*OneBitJaccardVer
 			return nil, fmt.Errorf("core: signature %d has %d bits, need %d", i, len(s)*64, params.MaxHashes)
 		}
 	}
-	v := &OneBitJaccardVerifier{
-		params: params,
-		sigs:   sigs,
-		tr:     jToR(params.Threshold),
-	}
-	v.k = newKernel(params,
-		func(m, n int) bool { return v.probAboveThreshold(m, n) >= params.Epsilon },
-		func(a, b int32, from, to int) int { return sighash.MatchCount(sigs[a], sigs[b], from, to) },
-		v.Estimate,
-		v.concentrated,
-	)
+	v := &OneBitJaccardVerifier{tr: jToR(params.Threshold)}
+	v.kernel = bitsKernel(sigs, v.Estimate, v.concentrated)
+	v.init(params, v.probAboveThreshold)
 	return v, nil
 }
-
-// Params returns the validated parameters in effect.
-func (v *OneBitJaccardVerifier) Params() Params { return v.params }
 
 // probAboveThreshold computes Pr[J >= t | M(m, n)] as the ratio of
 // posterior upper tails at jToR(t) and at the support floor 1/2.
@@ -110,26 +92,4 @@ func (v *OneBitJaccardVerifier) concentrated(m, n int) bool {
 	}
 	num := upperTail(lo, m, n) - upperTail(hi, m, n)
 	return num/den >= 1-v.params.Gamma
-}
-
-// Verify runs BayesLSH (Algorithm 1) over the candidate pairs.
-func (v *OneBitJaccardVerifier) Verify(cands []pair.Pair) ([]pair.Result, Stats) {
-	return v.k.verify(cands)
-}
-
-// VerifyLite runs BayesLSH-Lite (Algorithm 2) over 1-bit signatures.
-func (v *OneBitJaccardVerifier) VerifyLite(cands []pair.Pair, h int, sim ExactSimFunc) ([]pair.Result, Stats) {
-	return v.k.verifyLite(cands, h, sim)
-}
-
-// VerifyParallel runs BayesLSH over a pool of workers goroutines in
-// batches of batch pairs, producing the same results as Verify.
-func (v *OneBitJaccardVerifier) VerifyParallel(cands []pair.Pair, workers, batch int) ([]pair.Result, Stats) {
-	return v.k.verifyParallel(cands, workers, batch)
-}
-
-// VerifyLiteParallel runs BayesLSH-Lite over a pool of workers
-// goroutines, producing the same results as VerifyLite.
-func (v *OneBitJaccardVerifier) VerifyLiteParallel(cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int) ([]pair.Result, Stats) {
-	return v.k.verifyLiteParallel(cands, h, sim, workers, batch)
 }

@@ -80,7 +80,7 @@ func TestOneBitJaccardEndToEnd(t *testing.T) {
 	if len(truth) < 20 {
 		t.Fatalf("corpus too sparse: %d true pairs", len(truth))
 	}
-	out, st := v.Verify(cands)
+	out, st := verifySeq(t, v, cands)
 	if recall := testutil.Recall(out, truth); recall < 0.9 {
 		t.Errorf("1-bit recall = %v", recall)
 	}
@@ -116,7 +116,7 @@ func TestOneBitJaccardLite(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := exact.Search(c, exact.Jaccard, th)
-	out, _ := v.VerifyLite(cands, 256, func(a, b int32) float64 {
+	out, _ := verifyLiteSeq(t, v, cands, 256, func(a, b int32) float64 {
 		return vector.Jaccard(c.Vecs[a], c.Vecs[b])
 	})
 	tm := testutil.ResultKeySet(truth)
@@ -151,7 +151,7 @@ func TestOneBitDisjointPairPrunedIdenticalAccepted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, st := v.Verify([]pair.Pair{pair.Make(0, 1), pair.Make(0, 2)})
+	out, st := verifySeq(t, v, []pair.Pair{pair.Make(0, 1), pair.Make(0, 2)})
 	if st.Pruned != 1 {
 		t.Errorf("disjoint pair not pruned: %+v", st)
 	}

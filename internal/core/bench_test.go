@@ -46,34 +46,6 @@ func benchFixture(nVecs int) ([][]uint32, []pair.Pair) {
 	return sigs, cands
 }
 
-func BenchmarkJaccardVerify(b *testing.B) {
-	sigs, cands := benchFixture(512)
-	v, err := NewJaccard(sigs, stats.Beta{Alpha: 1, Beta: 1},
-		Params{Threshold: 0.7, Epsilon: 0.03, Delta: 0.05, Gamma: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Verify(cands)
-	}
-	b.ReportMetric(float64(len(cands)), "pairs/op")
-}
-
-func BenchmarkJaccardVerifyLite(b *testing.B) {
-	sigs, cands := benchFixture(512)
-	v, err := NewJaccard(sigs, stats.Beta{Alpha: 1, Beta: 1},
-		Params{Threshold: 0.7, Epsilon: 0.03, Delta: 0.05, Gamma: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim := func(a, c int32) float64 { return 0.5 }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.VerifyLite(cands, 64, sim)
-	}
-}
-
 // BenchmarkAblationPriorLearnedVsUniform compares verification work
 // under an informative prior (fit to the candidate similarity
 // distribution, which is mostly near zero) against the uniform prior —
@@ -96,7 +68,7 @@ func BenchmarkAblationPriorLearnedVsUniform(b *testing.B) {
 			var hashes int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st := v.Verify(cands)
+				_, st := verifySeq(b, v, cands)
 				hashes = st.HashesCompared
 			}
 			b.ReportMetric(float64(hashes), "hashes/op")
@@ -116,7 +88,7 @@ func BenchmarkAblationConcCache(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			v.Verify(cands)
+			verifySeq(b, v, cands)
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
@@ -124,10 +96,10 @@ func BenchmarkAblationConcCache(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		v.Verify(cands) // populate the cache
+		verifySeq(b, v, cands) // populate the cache
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v.Verify(cands)
+			verifySeq(b, v, cands)
 		}
 	})
 }

@@ -170,30 +170,21 @@ type ExactSimFunc func(a, b int32) float64
 // Jaccard instantiations of BayesLSH. All verifiers are safe for
 // concurrent use after construction (signature stores supplied via
 // Params.Ensure must be too; the library's stores are).
+//
+// Candidates are verified in batches of batch pairs on workers
+// goroutines. The result set, result order and all Stats counters
+// except the CacheHits/InferenceCalls split are identical for any
+// worker count and batch size. No batch starts after ctx is done and
+// the round loop polls cancellation between rounds.
 type Verifier interface {
-	// Verify runs BayesLSH (Algorithm 1): prune and estimate.
-	Verify(cands []pair.Pair) ([]pair.Result, Stats)
-	// VerifyLite runs BayesLSH-Lite (Algorithm 2): prune within the
-	// first h hashes, then verify survivors exactly with sim, keeping
-	// pairs with similarity >= t.
-	VerifyLite(cands []pair.Pair, h int, sim ExactSimFunc) ([]pair.Result, Stats)
-	// VerifyParallel is Verify sharded over workers goroutines in
-	// batches of batch pairs. The result set, result order and all
-	// Stats counters except the CacheHits/InferenceCalls split are
-	// identical to Verify for any worker count. workers <= 1 falls
-	// back to the sequential Verify.
-	VerifyParallel(cands []pair.Pair, workers, batch int) ([]pair.Result, Stats)
-	// VerifyLiteParallel is VerifyLite sharded over workers goroutines;
-	// sim must be safe for concurrent use.
-	VerifyLiteParallel(cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int) ([]pair.Result, Stats)
-	// VerifyParallelCtx is VerifyParallel with cooperative
-	// cancellation: no batch starts after ctx is done, the round loop
-	// polls cancellation between rounds, and a canceled run returns
-	// (nil, Stats{}, ctx.Err()) with all workers drained. A
-	// non-cancelable ctx takes VerifyParallel's code path unchanged.
+	// VerifyParallelCtx runs BayesLSH (Algorithm 1): prune and
+	// estimate. A canceled run returns (nil, Stats{}, ctx.Err()) with
+	// all workers drained.
 	VerifyParallelCtx(ctx context.Context, cands []pair.Pair, workers, batch int) ([]pair.Result, Stats, error)
-	// VerifyLiteParallelCtx is VerifyLiteParallel under the
-	// VerifyParallelCtx contract.
+	// VerifyLiteParallelCtx runs BayesLSH-Lite (Algorithm 2): prune
+	// within the first h hashes, then verify survivors exactly with
+	// sim (which must be safe for concurrent use), keeping pairs with
+	// similarity >= t. Cancellation as VerifyParallelCtx.
 	VerifyLiteParallelCtx(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int) ([]pair.Result, Stats, error)
 	// VerifyStream runs BayesLSH over the candidates and delivers each
 	// batch's accepted results to emit (on the calling goroutine, in
@@ -201,6 +192,6 @@ type Verifier interface {
 	// accumulating one result slice. emit returning a non-nil error or
 	// ctx being canceled stops the run (shard.StreamCtx contract).
 	VerifyStream(ctx context.Context, cands []pair.Pair, workers, batch int, emit func([]pair.Result) error) error
-	// VerifyLiteStream is the streaming form of VerifyLite.
+	// VerifyLiteStream is the streaming form of VerifyLiteParallelCtx.
 	VerifyLiteStream(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int, emit func([]pair.Result) error) error
 }

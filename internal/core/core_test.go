@@ -153,7 +153,7 @@ func TestVerifyEmptyCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, st := v.Verify(nil)
+	out, st := verifySeq(t, v, nil)
 	if len(out) != 0 || st.Candidates != 0 || st.Pruned != 0 {
 		t.Errorf("empty verify: %v %+v", out, st)
 	}
@@ -170,7 +170,7 @@ func TestIdenticalSignaturesAcceptedWithHighEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, st := v.Verify([]pair.Pair{pair.Make(0, 1)})
+	out, st := verifySeq(t, v, []pair.Pair{pair.Make(0, 1)})
 	if len(out) != 1 {
 		t.Fatalf("identical pair pruned: %+v", st)
 	}
@@ -191,7 +191,7 @@ func TestDisjointSignaturesPrunedEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, st := v.Verify([]pair.Pair{pair.Make(0, 1)})
+	out, st := verifySeq(t, v, []pair.Pair{pair.Make(0, 1)})
 	if len(out) != 0 || st.Pruned != 1 {
 		t.Errorf("disjoint pair not pruned: %v %+v", out, st)
 	}
@@ -227,7 +227,7 @@ func TestSurvivorsByRoundNonIncreasing(t *testing.T) {
 	for j := 1; j < 20; j++ {
 		cands = append(cands, pair.Make(0, int32(j)))
 	}
-	_, st := v.Verify(cands)
+	_, st := verifySeq(t, v, cands)
 	for r := 1; r < len(st.SurvivorsByRound); r++ {
 		if st.SurvivorsByRound[r] > st.SurvivorsByRound[r-1] {
 			t.Errorf("survivors increased at round %d: %v", r, st.SurvivorsByRound)
@@ -256,8 +256,8 @@ func TestCacheReducesInference(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands := []pair.Pair{pair.Make(0, 1)}
-	out1, st1 := v.Verify(cands)
-	out2, st2 := v.Verify(cands)
+	out1, st1 := verifySeq(t, v, cands)
+	out2, st2 := verifySeq(t, v, cands)
 	if st1.InferenceCalls == 0 {
 		t.Error("first run performed no inference")
 	}

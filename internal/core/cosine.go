@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"bayeslsh/internal/pair"
 	"bayeslsh/internal/sighash"
 	"bayeslsh/internal/stats"
 )
@@ -15,10 +14,8 @@ import (
 // r^m (1−r)^(n−m) truncated to [0.5, 1] — and results are transformed
 // back to cosine space with r2c(r) = cos(π(1−r)).
 type CosineVerifier struct {
-	params Params
-	sigs   [][]uint64
-	tr     float64 // threshold mapped to r-space
-	k      *kernel
+	kernel
+	tr float64 // threshold mapped to r-space
 }
 
 // NewCosine builds a verifier over packed bit signatures of at least
@@ -36,22 +33,25 @@ func NewCosine(sigs [][]uint64, sigBits int, p Params) (*CosineVerifier, error) 
 			return nil, fmt.Errorf("core: signature %d has %d bits, need %d", i, len(s)*64, params.MaxHashes)
 		}
 	}
-	v := &CosineVerifier{
-		params: params,
-		sigs:   sigs,
-		tr:     sighash.CosineToR(params.Threshold),
-	}
-	v.k = newKernel(params,
-		func(m, n int) bool { return v.probAboveThreshold(m, n) >= params.Epsilon },
-		func(a, b int32, from, to int) int { return sighash.MatchCount(sigs[a], sigs[b], from, to) },
-		v.Estimate,
-		v.concentrated,
-	)
+	v := &CosineVerifier{tr: sighash.CosineToR(params.Threshold)}
+	v.kernel = bitsKernel(sigs, v.Estimate, v.concentrated)
+	v.init(params, v.probAboveThreshold)
 	return v, nil
 }
 
-// Params returns the validated parameters in effect.
-func (v *CosineVerifier) Params() Params { return v.params }
+// bitsKernel returns a kernel with the hooks of a verifier over packed
+// bit signatures (cosine hyperplane bits, 1-bit minhashes): hashes are
+// compared by XOR + popcount against q.Bits or another corpus vector.
+func bitsKernel(sigs [][]uint64, estimate func(m, n int) float64, concentrated func(m, n int) bool) kernel {
+	return kernel{
+		match: func(a, b int32, from, to int) int { return sighash.MatchCount(sigs[a], sigs[b], from, to) },
+		qmatch: func(q QuerySig) func(id int32, from, to int) int {
+			return func(id int32, from, to int) int { return sighash.MatchCount(q.Bits, sigs[id], from, to) }
+		},
+		estimate:     estimate,
+		concentrated: concentrated,
+	}
+}
 
 // upperTail returns Pr[R >= x] under the untruncated Beta(m+1, n−m+1)
 // law, computed as I_{1−x}(n−m+1, m+1) to avoid the cancellation of
@@ -106,27 +106,4 @@ func (v *CosineVerifier) concentrated(m, n int) bool {
 	}
 	num := upperTail(lo, m, n) - upperTail(hi, m, n)
 	return num/den >= 1-v.params.Gamma
-}
-
-// Verify runs BayesLSH (Algorithm 1) over the candidate pairs.
-func (v *CosineVerifier) Verify(cands []pair.Pair) ([]pair.Result, Stats) {
-	return v.k.verify(cands)
-}
-
-// VerifyLite runs BayesLSH-Lite (Algorithm 2): prune within the first
-// h hashes, then compute exact similarities for survivors.
-func (v *CosineVerifier) VerifyLite(cands []pair.Pair, h int, sim ExactSimFunc) ([]pair.Result, Stats) {
-	return v.k.verifyLite(cands, h, sim)
-}
-
-// VerifyParallel runs BayesLSH over a pool of workers goroutines in
-// batches of batch pairs, producing the same results as Verify.
-func (v *CosineVerifier) VerifyParallel(cands []pair.Pair, workers, batch int) ([]pair.Result, Stats) {
-	return v.k.verifyParallel(cands, workers, batch)
-}
-
-// VerifyLiteParallel runs BayesLSH-Lite over a pool of workers
-// goroutines, producing the same results as VerifyLite.
-func (v *CosineVerifier) VerifyLiteParallel(cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int) ([]pair.Result, Stats) {
-	return v.k.verifyLiteParallel(cands, h, sim, workers, batch)
 }

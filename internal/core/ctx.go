@@ -7,39 +7,29 @@ import (
 	"bayeslsh/internal/shard"
 )
 
-// Context-aware and streaming forms of batch verification. The round
-// loop polls a shard.Stopper between rounds (see verifyOne), the batch
-// dispatch stops at the first done check (shard.RunCtx/StreamCtx), and
-// partial work is discarded once cancellation is observed — so the
-// ctx-aware entry points either return the exact output of their
-// plain counterparts or (nil, Stats{}, ctx.Err()), never something in
-// between. A non-cancelable context (ctx.Done() == nil) takes the
-// plain code paths unchanged.
+// Batch verification drivers. The round loop polls a shard.Stopper
+// between rounds (see verifyOne), the batch dispatch stops at the
+// first done check (shard.RunCtx/StreamCtx), and partial work is
+// discarded once cancellation is observed — so the collecting entry
+// points either return the complete output or (nil, Stats{},
+// ctx.Err()), never something in between.
+//
+// Each batch accumulates its own result slice and Stats, merged in
+// batch order afterwards, so the output is identical for any worker
+// count and batch size (per-pair decisions are pure functions of the
+// pair's hash matches). Only the CacheHits/InferenceCalls split
+// depends on scheduling: a decision another worker has not yet cached
+// is recomputed — harmlessly, to the same value.
 
-// verifyParallelCtx is verifyParallel with cooperative cancellation.
-func (kr *kernel) verifyParallelCtx(ctx context.Context, cands []pair.Pair, workers, batch int) ([]pair.Result, Stats, error) {
-	if ctx.Done() == nil {
-		out, st := kr.verifyParallel(cands, workers, batch)
-		return out, st, nil
-	}
-	if batch < 1 {
-		batch = 1
-	}
+// collectBatches runs body over the candidates in batches of batch
+// pairs on workers goroutines and merges the per-batch outputs.
+func collectBatches(ctx context.Context, cands []pair.Pair, workers, batch int, body batchFunc) ([]pair.Result, Stats, error) {
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
 	outs := make([][]pair.Result, shard.Count(len(cands), batch))
 	stats := make([]Stats, len(outs))
 	err := shard.RunCtx(ctx, len(cands), workers, batch, func(lo, hi, slot int) {
-		st := Stats{SurvivorsByRound: make([]int, len(kr.ns))}
-		out := make([]pair.Result, 0, (hi-lo)/8+1)
-		for _, c := range cands[lo:hi] {
-			if stop.Stopped() {
-				return
-			}
-			kr.verifyOne(c, stop, &st, &out)
-		}
-		outs[slot] = out
-		stats[slot] = st
+		outs[slot], stats[slot] = body(cands[lo:hi], stop)
 	})
 	if err != nil {
 		return nil, Stats{}, err
@@ -50,159 +40,37 @@ func (kr *kernel) verifyParallelCtx(ctx context.Context, cands []pair.Pair, work
 	return out, st, nil
 }
 
-// verifyLiteParallelCtx is verifyLiteParallel with cooperative
-// cancellation.
-func (kr *kernel) verifyLiteParallelCtx(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int) ([]pair.Result, Stats, error) {
-	if ctx.Done() == nil {
-		out, st := kr.verifyLiteParallel(cands, h, sim, workers, batch)
-		return out, st, nil
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	nRounds := liteRounds(h, kr.params.K, len(kr.ns))
-	stop := shard.NewStopper(ctx)
-	defer stop.Close()
-	outs := make([][]pair.Result, shard.Count(len(cands), batch))
-	stats := make([]Stats, len(outs))
-	err := shard.RunCtx(ctx, len(cands), workers, batch, func(lo, hi, slot int) {
-		st := Stats{SurvivorsByRound: make([]int, nRounds)}
-		var out []pair.Result
-		for _, c := range cands[lo:hi] {
-			if stop.Stopped() {
-				return
-			}
-			if !kr.verifyOneLite(c, nRounds, stop, &st) {
-				continue
-			}
-			st.ExactVerified++
-			if s := sim(c.A, c.B); s >= kr.params.Threshold {
-				out = append(out, pair.Result{A: c.A, B: c.B, Sim: s})
-			}
-		}
-		outs[slot] = out
-		stats[slot] = st
-	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	out, st := mergeBatches(outs, stats)
-	st.Candidates = len(cands)
-	st.Accepted = len(out)
-	return out, st, nil
-}
-
-// verifyStream runs Algorithm 1 over the candidates, delivering each
-// batch's accepted results to emit as the batch completes (the
-// shard.StreamCtx contract): results leave through emit instead of
-// accumulating, which is what bounds the memory of a huge join.
-func (kr *kernel) verifyStream(ctx context.Context, cands []pair.Pair, workers, batch int, emit func([]pair.Result) error) error {
-	if batch < 1 {
-		batch = 1
-	}
+// streamBatches runs body over the candidates like collectBatches but
+// delivers each batch's accepted results to emit as the batch
+// completes (the shard.StreamCtx contract): results leave through emit
+// instead of accumulating, which is what bounds the memory of a huge
+// join.
+func streamBatches(ctx context.Context, cands []pair.Pair, workers, batch int, body batchFunc, emit func([]pair.Result) error) error {
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
 	return shard.StreamCtx(ctx, len(cands), workers, batch, func(lo, hi int) []pair.Result {
-		st := Stats{SurvivorsByRound: make([]int, len(kr.ns))}
-		out := make([]pair.Result, 0, (hi-lo)/8+1)
-		for _, c := range cands[lo:hi] {
-			if stop.Stopped() {
-				return nil
-			}
-			kr.verifyOne(c, stop, &st, &out)
-		}
+		out, _ := body(cands[lo:hi], stop)
 		return out
 	}, emit)
 }
 
-// verifyLiteStream is the streaming form of Algorithm 2.
-func (kr *kernel) verifyLiteStream(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int, emit func([]pair.Result) error) error {
-	if batch < 1 {
-		batch = 1
-	}
-	nRounds := liteRounds(h, kr.params.K, len(kr.ns))
-	stop := shard.NewStopper(ctx)
-	defer stop.Close()
-	return shard.StreamCtx(ctx, len(cands), workers, batch, func(lo, hi int) []pair.Result {
-		st := Stats{SurvivorsByRound: make([]int, nRounds)}
-		var out []pair.Result
-		for _, c := range cands[lo:hi] {
-			if stop.Stopped() {
-				return nil
-			}
-			if !kr.verifyOneLite(c, nRounds, stop, &st) {
-				continue
-			}
-			if s := sim(c.A, c.B); s >= kr.params.Threshold {
-				out = append(out, pair.Result{A: c.A, B: c.B, Sim: s})
-			}
-		}
-		return out
-	}, emit)
+// VerifyParallelCtx runs BayesLSH (Algorithm 1) over the candidates.
+func (kr *kernel) VerifyParallelCtx(ctx context.Context, cands []pair.Pair, workers, batch int) ([]pair.Result, Stats, error) {
+	return collectBatches(ctx, cands, workers, batch, kr.verifyBatch)
 }
 
-// Interface delegations: the ctx-aware batch entry points of the three
-// verifier instantiations, all backed by the shared kernel above.
-
-// VerifyParallelCtx is VerifyParallel with cooperative cancellation.
-func (v *JaccardVerifier) VerifyParallelCtx(ctx context.Context, cands []pair.Pair, workers, batch int) ([]pair.Result, Stats, error) {
-	return v.k.verifyParallelCtx(ctx, cands, workers, batch)
-}
-
-// VerifyLiteParallelCtx is VerifyLiteParallel with cooperative
-// cancellation.
-func (v *JaccardVerifier) VerifyLiteParallelCtx(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int) ([]pair.Result, Stats, error) {
-	return v.k.verifyLiteParallelCtx(ctx, cands, h, sim, workers, batch)
+// VerifyLiteParallelCtx runs BayesLSH-Lite (Algorithm 2) over the
+// candidates.
+func (kr *kernel) VerifyLiteParallelCtx(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int) ([]pair.Result, Stats, error) {
+	return collectBatches(ctx, cands, workers, batch, kr.liteBatch(h, sim))
 }
 
 // VerifyStream streams BayesLSH verification batch by batch.
-func (v *JaccardVerifier) VerifyStream(ctx context.Context, cands []pair.Pair, workers, batch int, emit func([]pair.Result) error) error {
-	return v.k.verifyStream(ctx, cands, workers, batch, emit)
+func (kr *kernel) VerifyStream(ctx context.Context, cands []pair.Pair, workers, batch int, emit func([]pair.Result) error) error {
+	return streamBatches(ctx, cands, workers, batch, kr.verifyBatch, emit)
 }
 
 // VerifyLiteStream streams BayesLSH-Lite verification batch by batch.
-func (v *JaccardVerifier) VerifyLiteStream(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int, emit func([]pair.Result) error) error {
-	return v.k.verifyLiteStream(ctx, cands, h, sim, workers, batch, emit)
-}
-
-// VerifyParallelCtx is VerifyParallel with cooperative cancellation.
-func (v *CosineVerifier) VerifyParallelCtx(ctx context.Context, cands []pair.Pair, workers, batch int) ([]pair.Result, Stats, error) {
-	return v.k.verifyParallelCtx(ctx, cands, workers, batch)
-}
-
-// VerifyLiteParallelCtx is VerifyLiteParallel with cooperative
-// cancellation.
-func (v *CosineVerifier) VerifyLiteParallelCtx(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int) ([]pair.Result, Stats, error) {
-	return v.k.verifyLiteParallelCtx(ctx, cands, h, sim, workers, batch)
-}
-
-// VerifyStream streams BayesLSH verification batch by batch.
-func (v *CosineVerifier) VerifyStream(ctx context.Context, cands []pair.Pair, workers, batch int, emit func([]pair.Result) error) error {
-	return v.k.verifyStream(ctx, cands, workers, batch, emit)
-}
-
-// VerifyLiteStream streams BayesLSH-Lite verification batch by batch.
-func (v *CosineVerifier) VerifyLiteStream(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int, emit func([]pair.Result) error) error {
-	return v.k.verifyLiteStream(ctx, cands, h, sim, workers, batch, emit)
-}
-
-// VerifyParallelCtx is VerifyParallel with cooperative cancellation.
-func (v *OneBitJaccardVerifier) VerifyParallelCtx(ctx context.Context, cands []pair.Pair, workers, batch int) ([]pair.Result, Stats, error) {
-	return v.k.verifyParallelCtx(ctx, cands, workers, batch)
-}
-
-// VerifyLiteParallelCtx is VerifyLiteParallel with cooperative
-// cancellation.
-func (v *OneBitJaccardVerifier) VerifyLiteParallelCtx(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int) ([]pair.Result, Stats, error) {
-	return v.k.verifyLiteParallelCtx(ctx, cands, h, sim, workers, batch)
-}
-
-// VerifyStream streams BayesLSH verification batch by batch.
-func (v *OneBitJaccardVerifier) VerifyStream(ctx context.Context, cands []pair.Pair, workers, batch int, emit func([]pair.Result) error) error {
-	return v.k.verifyStream(ctx, cands, workers, batch, emit)
-}
-
-// VerifyLiteStream streams BayesLSH-Lite verification batch by batch.
-func (v *OneBitJaccardVerifier) VerifyLiteStream(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int, emit func([]pair.Result) error) error {
-	return v.k.verifyLiteStream(ctx, cands, h, sim, workers, batch, emit)
+func (kr *kernel) VerifyLiteStream(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int, emit func([]pair.Result) error) error {
+	return streamBatches(ctx, cands, workers, batch, kr.liteBatch(h, sim), emit)
 }

@@ -115,15 +115,15 @@ func TestConcentrationImprovesWithData(t *testing.T) {
 func TestMinMatchesTableMonotoneAcrossRounds(t *testing.T) {
 	for _, th := range []float64{0.3, 0.5, 0.7, 0.9} {
 		jv := mustJaccard(t, stats.Beta{Alpha: 1, Beta: 1}, th)
-		for i := 1; i < len(jv.k.minM); i++ {
-			if jv.k.minM[i] < jv.k.minM[i-1] {
+		for i := 1; i < len(jv.minM); i++ {
+			if jv.minM[i] < jv.minM[i-1] {
 				t.Errorf("t=%v: minMatches decreased from round %d (%d) to %d (%d)",
-					th, i-1, jv.k.minM[i-1], i, jv.k.minM[i])
+					th, i-1, jv.minM[i-1], i, jv.minM[i])
 			}
 		}
 		cv := mustCosine(t, th)
-		for i := 1; i < len(cv.k.minM); i++ {
-			if cv.k.minM[i] < cv.k.minM[i-1] {
+		for i := 1; i < len(cv.minM); i++ {
+			if cv.minM[i] < cv.minM[i-1] {
 				t.Errorf("cosine t=%v: minMatches decreased at round %d", th, i)
 			}
 		}
@@ -134,10 +134,10 @@ func TestMinMatchesTableMonotoneAcrossRounds(t *testing.T) {
 func TestMinMatchesIncreasesWithThreshold(t *testing.T) {
 	lo := mustCosine(t, 0.5)
 	hi := mustCosine(t, 0.9)
-	for i := range lo.k.minM {
-		if hi.k.minM[i] < lo.k.minM[i] {
+	for i := range lo.minM {
+		if hi.minM[i] < lo.minM[i] {
 			t.Errorf("round %d: t=0.9 requires %d matches but t=0.5 requires %d",
-				i, hi.k.minM[i], lo.k.minM[i])
+				i, hi.minM[i], lo.minM[i])
 		}
 	}
 }
@@ -184,8 +184,8 @@ func TestOneBitInferenceProperties(t *testing.T) {
 	if got := v.Estimate(64, 128); got != 0 {
 		t.Errorf("Estimate(n/2,n) = %v", got)
 	}
-	for i := 1; i < len(v.k.minM); i++ {
-		if v.k.minM[i] < v.k.minM[i-1] {
+	for i := 1; i < len(v.minM); i++ {
+		if v.minM[i] < v.minM[i-1] {
 			t.Errorf("1-bit minMatches decreased at round %d", i)
 		}
 	}

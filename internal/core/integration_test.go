@@ -41,7 +41,7 @@ func TestJaccardBayesLSHRecallAndAccuracy(t *testing.T) {
 	if len(truth) < 20 {
 		t.Fatalf("only %d true pairs; corpus too sparse for the test", len(truth))
 	}
-	out, st := v.Verify(cands)
+	out, st := verifySeq(t, v, cands)
 
 	// Guarantee 1 (recall): the paper reports recall >= ~97% at ε=0.03.
 	recall := testutil.Recall(out, truth)
@@ -89,7 +89,7 @@ func TestPruningEffectivenessOnNoisyCandidates(t *testing.T) {
 		}
 	}
 	truth := exact.Search(c, exact.Jaccard, th)
-	out, st := v.Verify(cands)
+	out, st := verifySeq(t, v, cands)
 	if st.Pruned < int(0.9*float64(st.Candidates)) {
 		t.Errorf("pruned only %d of %d noisy candidates", st.Pruned, st.Candidates)
 	}
@@ -126,7 +126,7 @@ func TestJaccardLiteMatchesExactOnSurvivors(t *testing.T) {
 	th := 0.5
 	c, cands, v := jaccardSetup(t, 400, 32, th)
 	truth := exact.Search(c, exact.Jaccard, th)
-	out, st := v.VerifyLite(cands, 64, func(a, b int32) float64 {
+	out, st := verifyLiteSeq(t, v, cands, 64, func(a, b int32) float64 {
 		return vector.Jaccard(c.Vecs[a], c.Vecs[b])
 	})
 	// Lite similarities are exact: every output pair must be a true
@@ -175,7 +175,7 @@ func TestCosineBayesLSHRecallAndAccuracy(t *testing.T) {
 	if len(truth) < 20 {
 		t.Fatalf("only %d true pairs; corpus too sparse for the test", len(truth))
 	}
-	out, st := v.Verify(cands)
+	out, st := verifySeq(t, v, cands)
 
 	if recall := testutil.Recall(out, truth); recall < 0.93 {
 		t.Errorf("recall = %v, want >= 0.93", recall)
@@ -203,7 +203,7 @@ func TestCosineLiteMatchesExactOnSurvivors(t *testing.T) {
 	th := 0.6
 	c, cands, v := cosineSetup(t, 400, 34, th)
 	truth := exact.Search(c, exact.Cosine, th)
-	out, _ := v.VerifyLite(cands, 128, func(a, b int32) float64 {
+	out, _ := verifyLiteSeq(t, v, cands, 128, func(a, b int32) float64 {
 		return vector.Cosine(c.Vecs[a], c.Vecs[b])
 	})
 	tm := testutil.ResultKeySet(truth)

@@ -15,10 +15,8 @@ import (
 // similarity, and a Beta(m+α, n−m+β) posterior after observing the
 // event M(m, n).
 type JaccardVerifier struct {
-	params Params
-	prior  stats.Beta
-	sigs   [][]uint32
-	k      *kernel
+	kernel
+	prior stats.Beta
 }
 
 // NewJaccard builds a verifier over precomputed minhash signatures.
@@ -41,18 +39,18 @@ func NewJaccard(sigs [][]uint32, prior stats.Beta, p Params) (*JaccardVerifier, 
 			return nil, fmt.Errorf("core: signature %d has %d hashes, need %d", i, len(s), params.MaxHashes)
 		}
 	}
-	v := &JaccardVerifier{params: params, prior: prior, sigs: sigs}
-	v.k = newKernel(params,
-		func(m, n int) bool { return v.probAboveThreshold(m, n) >= params.Epsilon },
-		func(a, b int32, from, to int) int { return minhash.Matches(sigs[a], sigs[b], from, to) },
-		v.Estimate,
-		v.concentrated,
-	)
+	v := &JaccardVerifier{prior: prior}
+	v.kernel = kernel{
+		match: func(a, b int32, from, to int) int { return minhash.Matches(sigs[a], sigs[b], from, to) },
+		qmatch: func(q QuerySig) func(id int32, from, to int) int {
+			return func(id int32, from, to int) int { return minhash.Matches(q.Min, sigs[id], from, to) }
+		},
+		estimate:     v.Estimate,
+		concentrated: v.concentrated,
+	}
+	v.init(params, v.probAboveThreshold)
 	return v, nil
 }
-
-// Params returns the validated parameters in effect.
-func (v *JaccardVerifier) Params() Params { return v.params }
 
 // posterior returns the Beta posterior after the event M(m, n).
 func (v *JaccardVerifier) posterior(m, n int) stats.Beta {
@@ -77,29 +75,6 @@ func (v *JaccardVerifier) concentrated(m, n int) bool {
 	post := v.posterior(m, n)
 	est := post.Mode()
 	return post.IntervalProb(est-v.params.Delta, est+v.params.Delta) >= 1-v.params.Gamma
-}
-
-// Verify runs BayesLSH (Algorithm 1) over the candidate pairs.
-func (v *JaccardVerifier) Verify(cands []pair.Pair) ([]pair.Result, Stats) {
-	return v.k.verify(cands)
-}
-
-// VerifyLite runs BayesLSH-Lite (Algorithm 2): prune within the first
-// h hashes, then compute exact similarities for survivors.
-func (v *JaccardVerifier) VerifyLite(cands []pair.Pair, h int, sim ExactSimFunc) ([]pair.Result, Stats) {
-	return v.k.verifyLite(cands, h, sim)
-}
-
-// VerifyParallel runs BayesLSH over a pool of workers goroutines in
-// batches of batch pairs, producing the same results as Verify.
-func (v *JaccardVerifier) VerifyParallel(cands []pair.Pair, workers, batch int) ([]pair.Result, Stats) {
-	return v.k.verifyParallel(cands, workers, batch)
-}
-
-// VerifyLiteParallel runs BayesLSH-Lite over a pool of workers
-// goroutines, producing the same results as VerifyLite.
-func (v *JaccardVerifier) VerifyLiteParallel(cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int) ([]pair.Result, Stats) {
-	return v.k.verifyLiteParallel(cands, h, sim, workers, batch)
 }
 
 // liteRounds converts the Lite hash budget h into a round count,

@@ -7,10 +7,13 @@ import (
 
 // kernel is the measure-independent engine of BayesLSH verification:
 // the round loop of Algorithms 1 and 2 with the §4.3 optimizations
-// (minMatches pruning table, concentration cache). The three verifier
-// instantiations (Jaccard, Cosine, 1-bit Jaccard) differ only in how
-// hashes are compared and how the posterior is evaluated, which they
-// supply as the match/estimate/concentrated hooks.
+// (minMatches pruning table, concentration cache), and every
+// verification entry point built on it. The three verifier
+// instantiations (Jaccard, Cosine, 1-bit Jaccard) embed a kernel and
+// differ only in how hashes are compared and how the posterior is
+// evaluated, which they supply as the match/qmatch/estimate/
+// concentrated hooks; the kernel's exported methods are their whole
+// verification API (see Verifier and QueryVerifier).
 //
 // A kernel is safe for concurrent use: minM and ns are immutable after
 // construction, the concentration cache uses atomic cells (decisions
@@ -27,6 +30,9 @@ type kernel struct {
 	// match counts matching hashes of vectors a and b over hash
 	// positions [from, to).
 	match func(a, b int32, from, to int) int
+	// qmatch binds a query signature into the one-sided form of match:
+	// matching hashes of the query and corpus vector id over [from, to).
+	qmatch func(q QuerySig) func(id int32, from, to int) int
 	// estimate is the MAP similarity estimate after the event M(m, n).
 	estimate func(m, n int) float64
 	// concentrated reports whether the posterior after M(m, n) is
@@ -34,26 +40,18 @@ type kernel struct {
 	concentrated func(m, n int) bool
 }
 
-// newKernel builds the round schedule, pruning table and concentration
-// cache for params. survive(m, n) must report Pr[S >= t | M(m, n)] >= ε
-// and be monotone non-decreasing in m for fixed n.
-func newKernel(params Params,
-	survive func(m, n int) bool,
-	match func(a, b int32, from, to int) int,
-	estimate func(m, n int) float64,
-	concentrated func(m, n int) bool,
-) *kernel {
-	k := &kernel{
-		params:       params,
-		ns:           rounds(params),
-		match:        match,
-		estimate:     estimate,
-		concentrated: concentrated,
-	}
-	k.minM = minMatchesTable(k.ns, survive)
-	k.conc = newConcCache(k.ns, params.K)
-	return k
+// init builds the round schedule, pruning table and concentration
+// cache for params, once the hooks are set. probAbove(m, n) must return
+// Pr[S >= t | M(m, n)] and be monotone non-decreasing in m for fixed n.
+func (kr *kernel) init(params Params, probAbove func(m, n int) float64) {
+	kr.params = params
+	kr.ns = rounds(params)
+	kr.minM = minMatchesTable(kr.ns, func(m, n int) bool { return probAbove(m, n) >= params.Epsilon })
+	kr.conc = newConcCache(kr.ns, params.K)
 }
+
+// Params returns the validated parameters in effect.
+func (kr *kernel) Params() Params { return kr.params }
 
 // verifyOne runs the full BayesLSH round loop (Algorithm 1) for one
 // candidate pair, updating st and appending accepted pairs to out.
@@ -134,79 +132,38 @@ func (kr *kernel) verifyOneLite(c pair.Pair, nRounds int, stop *shard.Stopper, s
 	return true
 }
 
-// verify runs BayesLSH (Algorithm 1) sequentially.
-func (kr *kernel) verify(cands []pair.Pair) ([]pair.Result, Stats) {
-	st := Stats{Candidates: len(cands), SurvivorsByRound: make([]int, len(kr.ns))}
+// batchFunc verifies one batch of candidates, returning its accepted
+// results and statistics. stop follows the verifyOne contract; a
+// stopped batch's output is discarded by the drivers.
+type batchFunc func(cands []pair.Pair, stop *shard.Stopper) ([]pair.Result, Stats)
+
+// verifyBatch is the batch body of BayesLSH (Algorithm 1).
+func (kr *kernel) verifyBatch(cands []pair.Pair, stop *shard.Stopper) ([]pair.Result, Stats) {
+	st := Stats{SurvivorsByRound: make([]int, len(kr.ns))}
 	out := make([]pair.Result, 0, len(cands)/8+1)
 	for _, c := range cands {
-		kr.verifyOne(c, nil, &st, &out)
+		if stop.Stopped() {
+			return nil, Stats{}
+		}
+		kr.verifyOne(c, stop, &st, &out)
 	}
-	st.Accepted = len(out)
 	return out, st
 }
 
-// verifyLite runs BayesLSH-Lite (Algorithm 2) sequentially.
-func (kr *kernel) verifyLite(cands []pair.Pair, h int, sim ExactSimFunc) ([]pair.Result, Stats) {
+// liteBatch returns the batch body of BayesLSH-Lite (Algorithm 2):
+// prune within the first h hashes, then verify survivors exactly with
+// sim, which must be safe for concurrent use (exact similarity over
+// the immutable collection is).
+func (kr *kernel) liteBatch(h int, sim ExactSimFunc) batchFunc {
 	nRounds := liteRounds(h, kr.params.K, len(kr.ns))
-	st := Stats{Candidates: len(cands), SurvivorsByRound: make([]int, nRounds)}
-	var out []pair.Result
-	for _, c := range cands {
-		if !kr.verifyOneLite(c, nRounds, nil, &st) {
-			continue
-		}
-		st.ExactVerified++
-		if s := sim(c.A, c.B); s >= kr.params.Threshold {
-			out = append(out, pair.Result{A: c.A, B: c.B, Sim: s})
-		}
-	}
-	st.Accepted = len(out)
-	return out, st
-}
-
-// verifyParallel runs BayesLSH over the candidates with a pool of
-// workers, feeding batches of batch pairs through a channel. Each
-// batch accumulates into its own result slice and Stats, merged in
-// batch order afterwards, so the output is identical to the sequential
-// verify for any worker count (per-pair decisions are pure functions
-// of the pair's hash matches). Only the CacheHits/InferenceCalls split
-// depends on scheduling: a decision another worker has not yet cached
-// is recomputed — harmlessly, to the same value.
-func (kr *kernel) verifyParallel(cands []pair.Pair, workers, batch int) ([]pair.Result, Stats) {
-	if workers <= 1 || len(cands) <= batch {
-		return kr.verify(cands)
-	}
-	outs := make([][]pair.Result, shard.Count(len(cands), batch))
-	stats := make([]Stats, len(outs))
-	shard.Run(len(cands), workers, batch, func(lo, hi, slot int) {
-		st := Stats{SurvivorsByRound: make([]int, len(kr.ns))}
-		out := make([]pair.Result, 0, (hi-lo)/8+1)
-		for _, c := range cands[lo:hi] {
-			kr.verifyOne(c, nil, &st, &out)
-		}
-		outs[slot] = out
-		stats[slot] = st
-	})
-	out, st := mergeBatches(outs, stats)
-	st.Candidates = len(cands)
-	st.Accepted = len(out)
-	return out, st
-}
-
-// verifyLiteParallel is the sharded version of verifyLite, with the
-// same determinism guarantee as verifyParallel. sim must be safe for
-// concurrent use (exact similarity over the immutable collection is).
-func (kr *kernel) verifyLiteParallel(cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int) ([]pair.Result, Stats) {
-	if workers <= 1 || len(cands) <= batch {
-		return kr.verifyLite(cands, h, sim)
-	}
-	nRounds := liteRounds(h, kr.params.K, len(kr.ns))
-	outs := make([][]pair.Result, shard.Count(len(cands), batch))
-	stats := make([]Stats, len(outs))
-	shard.Run(len(cands), workers, batch, func(lo, hi, slot int) {
+	return func(cands []pair.Pair, stop *shard.Stopper) ([]pair.Result, Stats) {
 		st := Stats{SurvivorsByRound: make([]int, nRounds)}
 		var out []pair.Result
-		for _, c := range cands[lo:hi] {
-			if !kr.verifyOneLite(c, nRounds, nil, &st) {
+		for _, c := range cands {
+			if stop.Stopped() {
+				return nil, Stats{}
+			}
+			if !kr.verifyOneLite(c, nRounds, stop, &st) {
 				continue
 			}
 			st.ExactVerified++
@@ -214,13 +171,8 @@ func (kr *kernel) verifyLiteParallel(cands []pair.Pair, h int, sim ExactSimFunc,
 				out = append(out, pair.Result{A: c.A, B: c.B, Sim: s})
 			}
 		}
-		outs[slot] = out
-		stats[slot] = st
-	})
-	out, st := mergeBatches(outs, stats)
-	st.Candidates = len(cands)
-	st.Accepted = len(out)
-	return out, st
+		return out, st
+	}
 }
 
 // mergeBatches concatenates per-batch results in batch order and sums

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"bayeslsh/internal/pair"
@@ -56,7 +57,7 @@ func TestLazyHashingOnlyDeepensForSurvivors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, st := v.Verify([]pair.Pair{pair.Make(0, 1), pair.Make(2, 3)})
+	out, st := verifySeq(t, v, []pair.Pair{pair.Make(0, 1), pair.Make(2, 3)})
 	if len(out) != 1 || out[0].Pair() != pair.Make(0, 1) {
 		t.Fatalf("expected only the similar pair accepted, got %v (stats %+v)", out, st)
 	}
@@ -101,15 +102,17 @@ func TestVerifyWithAndWithoutEnsureAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazyOut, _ := lazyV.Verify(cands)
+	lazyOut, _ := verifySeq(t, lazyV, cands)
 
 	eagerStore := sighash.NewStore(c, sighash.NewBlockFamily(dim, 512, 128, 21))
-	eagerStore.EnsureAll(512)
+	if err := eagerStore.EnsureAllCtx(context.Background(), 512, 1); err != nil {
+		t.Fatal(err)
+	}
 	eagerV, err := NewCosine(eagerStore.Sigs(), eagerStore.MaxBits(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eagerOut, _ := eagerV.Verify(cands)
+	eagerOut, _ := verifySeq(t, eagerV, cands)
 
 	if len(lazyOut) != len(eagerOut) {
 		t.Fatalf("lazy %d results, eager %d", len(lazyOut), len(eagerOut))

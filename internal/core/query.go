@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bayeslsh/internal/minhash"
 	"bayeslsh/internal/pair"
 	"bayeslsh/internal/shard"
-	"bayeslsh/internal/sighash"
 )
 
 // One-sided verification: the batch verifiers compare the signatures
@@ -31,26 +29,25 @@ type QuerySimFunc func(id int32) float64
 // QueryVerifier extends Verifier with the one-sided (query versus
 // corpus) verification entry points. All verifiers in this package
 // implement it; query calls are safe concurrently with each other and
-// with batch Verify calls.
+// with batch verification calls.
 type QueryVerifier interface {
 	Verifier
 	// Params returns the validated parameters in effect.
 	Params() Params
-	// VerifyQuery runs the BayesLSH round loop (Algorithm 1) for the
-	// query signature against each candidate corpus id, returning
-	// accepted hits in candidate order.
+	// VerifyQuery is VerifyQueryStop with no stopper: it cannot be
+	// canceled.
 	VerifyQuery(q QuerySig, ids []int32) ([]pair.Hit, Stats)
-	// VerifyQueryLite runs the pruning rounds of BayesLSH-Lite
-	// (Algorithm 2) within the first h hashes, then verifies survivors
-	// exactly with sim, keeping hits with similarity >= t.
-	VerifyQueryLite(q QuerySig, ids []int32, h int, sim QuerySimFunc) ([]pair.Hit, Stats)
-	// VerifyQueryStop is VerifyQuery with cooperative cancellation:
-	// stop (nil for "not cancelable") is polled between candidates and
-	// between rounds; once it trips, partial output is discarded and
-	// stop.Err() is returned.
+	// VerifyQueryStop runs the BayesLSH round loop (Algorithm 1) for
+	// the query signature against each candidate corpus id, returning
+	// accepted hits in candidate order. stop (nil for "not
+	// cancelable") is polled between candidates and between rounds;
+	// once it trips, partial output is discarded and stop.Err() is
+	// returned.
 	VerifyQueryStop(q QuerySig, ids []int32, stop *shard.Stopper) ([]pair.Hit, Stats, error)
-	// VerifyQueryLiteStop is VerifyQueryLite with cooperative
-	// cancellation, under the VerifyQueryStop contract.
+	// VerifyQueryLiteStop runs the pruning rounds of BayesLSH-Lite
+	// (Algorithm 2) within the first h hashes, then verifies survivors
+	// exactly with sim, keeping hits with similarity >= t, under the
+	// VerifyQueryStop cancellation contract.
 	VerifyQueryLiteStop(q QuerySig, ids []int32, h int, sim QuerySimFunc, stop *shard.Stopper) ([]pair.Hit, Stats, error)
 }
 
@@ -173,96 +170,23 @@ func (kr *kernel) verifyQueryLite(ids []int32, h int, qmatch func(id int32, from
 	return out, st
 }
 
-// qmatch builds the Jaccard one-sided match hook.
-func (v *JaccardVerifier) qmatch(q QuerySig) func(id int32, from, to int) int {
-	return func(id int32, from, to int) int {
-		return minhash.Matches(q.Min, v.sigs[id], from, to)
-	}
+// VerifyQuery runs BayesLSH for the query signature against the
+// candidate corpus ids; it cannot be canceled.
+func (kr *kernel) VerifyQuery(q QuerySig, ids []int32) ([]pair.Hit, Stats) {
+	return kr.verifyQuery(ids, kr.qmatch(q), nil)
 }
 
-// VerifyQuery runs BayesLSH for the query minhash signature (q.Min,
-// at least MaxHashes hashes) against the candidate corpus ids.
-func (v *JaccardVerifier) VerifyQuery(q QuerySig, ids []int32) ([]pair.Hit, Stats) {
-	return v.k.verifyQuery(ids, v.qmatch(q), nil)
+// VerifyQueryStop is VerifyQuery with cooperative cancellation. The
+// query signature (q.Min for Jaccard, q.Bits otherwise) must cover at
+// least MaxHashes hashes.
+func (kr *kernel) VerifyQueryStop(q QuerySig, ids []int32, stop *shard.Stopper) ([]pair.Hit, Stats, error) {
+	hits, st := kr.verifyQuery(ids, kr.qmatch(q), stop)
+	return stopResultHits(hits, st, stop)
 }
 
-// VerifyQueryLite runs BayesLSH-Lite pruning for the query minhash
+// VerifyQueryLiteStop runs BayesLSH-Lite pruning for the query
 // signature, then verifies survivors exactly with sim.
-func (v *JaccardVerifier) VerifyQueryLite(q QuerySig, ids []int32, h int, sim QuerySimFunc) ([]pair.Hit, Stats) {
-	return v.k.verifyQueryLite(ids, h, v.qmatch(q), sim, nil)
-}
-
-// VerifyQueryStop is VerifyQuery with cooperative cancellation.
-func (v *JaccardVerifier) VerifyQueryStop(q QuerySig, ids []int32, stop *shard.Stopper) ([]pair.Hit, Stats, error) {
-	hits, st := v.k.verifyQuery(ids, v.qmatch(q), stop)
-	return stopResultHits(hits, st, stop)
-}
-
-// VerifyQueryLiteStop is VerifyQueryLite with cooperative cancellation.
-func (v *JaccardVerifier) VerifyQueryLiteStop(q QuerySig, ids []int32, h int, sim QuerySimFunc, stop *shard.Stopper) ([]pair.Hit, Stats, error) {
-	hits, st := v.k.verifyQueryLite(ids, h, v.qmatch(q), sim, stop)
-	return stopResultHits(hits, st, stop)
-}
-
-// qmatch builds the cosine one-sided match hook.
-func (v *CosineVerifier) qmatch(q QuerySig) func(id int32, from, to int) int {
-	return func(id int32, from, to int) int {
-		return sighash.MatchCount(q.Bits, v.sigs[id], from, to)
-	}
-}
-
-// VerifyQuery runs BayesLSH for the query bit signature (q.Bits, at
-// least MaxHashes bits) against the candidate corpus ids.
-func (v *CosineVerifier) VerifyQuery(q QuerySig, ids []int32) ([]pair.Hit, Stats) {
-	return v.k.verifyQuery(ids, v.qmatch(q), nil)
-}
-
-// VerifyQueryLite runs BayesLSH-Lite pruning for the query bit
-// signature, then verifies survivors exactly with sim.
-func (v *CosineVerifier) VerifyQueryLite(q QuerySig, ids []int32, h int, sim QuerySimFunc) ([]pair.Hit, Stats) {
-	return v.k.verifyQueryLite(ids, h, v.qmatch(q), sim, nil)
-}
-
-// VerifyQueryStop is VerifyQuery with cooperative cancellation.
-func (v *CosineVerifier) VerifyQueryStop(q QuerySig, ids []int32, stop *shard.Stopper) ([]pair.Hit, Stats, error) {
-	hits, st := v.k.verifyQuery(ids, v.qmatch(q), stop)
-	return stopResultHits(hits, st, stop)
-}
-
-// VerifyQueryLiteStop is VerifyQueryLite with cooperative cancellation.
-func (v *CosineVerifier) VerifyQueryLiteStop(q QuerySig, ids []int32, h int, sim QuerySimFunc, stop *shard.Stopper) ([]pair.Hit, Stats, error) {
-	hits, st := v.k.verifyQueryLite(ids, h, v.qmatch(q), sim, stop)
-	return stopResultHits(hits, st, stop)
-}
-
-// qmatch builds the 1-bit Jaccard one-sided match hook (the query's
-// minhashes packed to one bit each, see minhash.PackOneBit).
-func (v *OneBitJaccardVerifier) qmatch(q QuerySig) func(id int32, from, to int) int {
-	return func(id int32, from, to int) int {
-		return sighash.MatchCount(q.Bits, v.sigs[id], from, to)
-	}
-}
-
-// VerifyQuery runs BayesLSH for the packed 1-bit query signature
-// (q.Bits) against the candidate corpus ids.
-func (v *OneBitJaccardVerifier) VerifyQuery(q QuerySig, ids []int32) ([]pair.Hit, Stats) {
-	return v.k.verifyQuery(ids, v.qmatch(q), nil)
-}
-
-// VerifyQueryLite runs BayesLSH-Lite pruning over packed 1-bit query
-// signatures, then verifies survivors exactly with sim.
-func (v *OneBitJaccardVerifier) VerifyQueryLite(q QuerySig, ids []int32, h int, sim QuerySimFunc) ([]pair.Hit, Stats) {
-	return v.k.verifyQueryLite(ids, h, v.qmatch(q), sim, nil)
-}
-
-// VerifyQueryStop is VerifyQuery with cooperative cancellation.
-func (v *OneBitJaccardVerifier) VerifyQueryStop(q QuerySig, ids []int32, stop *shard.Stopper) ([]pair.Hit, Stats, error) {
-	hits, st := v.k.verifyQuery(ids, v.qmatch(q), stop)
-	return stopResultHits(hits, st, stop)
-}
-
-// VerifyQueryLiteStop is VerifyQueryLite with cooperative cancellation.
-func (v *OneBitJaccardVerifier) VerifyQueryLiteStop(q QuerySig, ids []int32, h int, sim QuerySimFunc, stop *shard.Stopper) ([]pair.Hit, Stats, error) {
-	hits, st := v.k.verifyQueryLite(ids, h, v.qmatch(q), sim, stop)
+func (kr *kernel) VerifyQueryLiteStop(q QuerySig, ids []int32, h int, sim QuerySimFunc, stop *shard.Stopper) ([]pair.Hit, Stats, error) {
+	hits, st := kr.verifyQueryLite(ids, h, kr.qmatch(q), sim, stop)
 	return stopResultHits(hits, st, stop)
 }

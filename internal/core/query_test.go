@@ -59,7 +59,7 @@ func TestVerifyQueryMatchesVerify(t *testing.T) {
 				cands = append(cands, pair.Pair{A: i, B: j})
 				ids = append(ids, j)
 			}
-			batch, bst := tc.v.Verify(cands)
+			batch, bst := verifySeq(t, tc.v, cands)
 			hits, qst := tc.v.VerifyQuery(tc.sig(i), ids)
 			if len(batch) != len(hits) {
 				t.Fatalf("%s query %d: %d hits, batch %d", tc.name, i, len(hits), len(batch))
@@ -99,9 +99,12 @@ func TestVerifyQueryLiteMatchesVerifyLite(t *testing.T) {
 			cands = append(cands, pair.Pair{A: i, B: j})
 			ids = append(ids, j)
 		}
-		batch, bst := jv.VerifyLite(cands, 64, exact)
-		hits, qst := jv.VerifyQueryLite(QuerySig{Min: min[i]}, ids, 64,
-			func(id int32) float64 { return exact(i, id) })
+		batch, bst := verifyLiteSeq(t, jv, cands, 64, exact)
+		hits, qst, err := jv.VerifyQueryLiteStop(QuerySig{Min: min[i]}, ids, 64,
+			func(id int32) float64 { return exact(i, id) }, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(batch) != len(hits) {
 			t.Fatalf("query %d: %d hits, batch %d", i, len(hits), len(batch))
 		}

@@ -8,18 +8,20 @@ import (
 	"bayeslsh/internal/vector"
 )
 
-// Context-aware and streaming forms of the exact scans. Cancellation
-// is polled between row/candidate blocks by the shard dispatch and
-// between individual rows (a row of the O(n²) scan compares against
-// every later vector, so rows are the natural abort points within a
-// block). A canceled call returns (nil, ctx.Err()) with all workers
-// drained; a non-cancelable ctx takes the plain code paths.
+// Sharded and streaming forms of the exact scans: work is divided into
+// blocks over a worker pool and reassembled in block order, so the
+// output is identical to Search/Verify for any worker count.
+// Cancellation is polled between row/candidate blocks by the shard
+// dispatch and between individual rows (a row of the O(n²) scan
+// compares against every later vector, so rows are the natural abort
+// points within a block). A canceled call returns (nil, ctx.Err())
+// with all workers drained.
 
-// SearchCtx is SearchParallel with cooperative cancellation.
+// SearchCtx is Search with the row scan sharded over workers
+// goroutines. Small row blocks load-balance the triangular cost
+// profile (early rows compare against many more partners than late
+// rows).
 func SearchCtx(ctx context.Context, c *vector.Collection, m Measure, t float64, workers int) ([]pair.Result, error) {
-	if ctx.Done() == nil {
-		return SearchParallel(c, m, t, workers), nil
-	}
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
 	n := len(c.Vecs)
@@ -50,11 +52,9 @@ func searchRows(c *vector.Collection, m Measure, t float64, lo, hi int, stop *sh
 	return out
 }
 
-// VerifyCtx is VerifyParallel with cooperative cancellation.
+// VerifyCtx is Verify with the candidate list sharded over workers
+// goroutines in blocks of batch pairs.
 func VerifyCtx(ctx context.Context, c *vector.Collection, m Measure, t float64, cands []pair.Pair, workers, batch int) ([]pair.Result, error) {
-	if ctx.Done() == nil {
-		return VerifyParallel(c, m, t, cands, workers, batch), nil
-	}
 	if batch < 1 {
 		batch = 1024
 	}
@@ -79,7 +79,7 @@ func verifyBlock(c *vector.Collection, m Measure, t float64, cands []pair.Pair, 
 	return out
 }
 
-// SearchStream is the streaming form of SearchParallel: each row
+// SearchStream is the streaming form of SearchCtx: each row
 // block's results go to emit as the block completes (shard.StreamCtx
 // contract), so no full result set is ever resident.
 func SearchStream(ctx context.Context, c *vector.Collection, m Measure, t float64, workers int, emit func([]pair.Result) error) error {
@@ -91,7 +91,7 @@ func SearchStream(ctx context.Context, c *vector.Collection, m Measure, t float6
 	}, emit)
 }
 
-// VerifyStream is the streaming form of VerifyParallel.
+// VerifyStream is the streaming form of VerifyCtx.
 func VerifyStream(ctx context.Context, c *vector.Collection, m Measure, t float64, cands []pair.Pair, workers, batch int, emit func([]pair.Result) error) error {
 	if batch < 1 {
 		batch = 1024

@@ -11,8 +11,8 @@
 //
 // Search examines all O(n²) pairs; Verify computes exact similarities
 // for a candidate list and keeps those meeting the threshold. Both
-// have sharded variants (SearchParallel, VerifyParallel) that divide
-// work into batches over a worker pool and reassemble results in
-// batch order, so their output is identical to the sequential scans
-// for any worker count.
+// have sharded, cancelable forms (SearchCtx, VerifyCtx) and streaming
+// forms (SearchStream, VerifyStream) that divide work into blocks over
+// a worker pool and reassemble results in block order, so their output
+// is identical to the sequential scans for any worker count.
 package exact

@@ -2,7 +2,6 @@ package exact
 
 import (
 	"bayeslsh/internal/pair"
-	"bayeslsh/internal/shard"
 	"bayeslsh/internal/vector"
 )
 
@@ -47,7 +46,9 @@ func (m Measure) Sim(a, b vector.Vector) float64 {
 }
 
 // Search returns every pair of vectors with similarity >= t by
-// examining all O(n²) pairs. Use only on modest collections.
+// examining all O(n²) pairs on the calling goroutine — the ground
+// truth the tests compare every other scan against. Use only on
+// modest collections; SearchCtx is the sharded, cancelable form.
 func Search(c *vector.Collection, m Measure, t float64) []pair.Result {
 	var out []pair.Result
 	for i := 0; i < len(c.Vecs); i++ {
@@ -64,7 +65,8 @@ func Search(c *vector.Collection, m Measure, t float64) []pair.Result {
 }
 
 // Verify computes exact similarities for candidate pairs and keeps
-// those meeting the threshold.
+// those meeting the threshold, on the calling goroutine (the
+// reference for VerifyCtx).
 func Verify(c *vector.Collection, m Measure, t float64, cands []pair.Pair) []pair.Result {
 	var out []pair.Result
 	for _, p := range cands {
@@ -73,53 +75,4 @@ func Verify(c *vector.Collection, m Measure, t float64, cands []pair.Pair) []pai
 		}
 	}
 	return out
-}
-
-// SearchParallel is Search with the row scan sharded over workers
-// goroutines in row batches; results are assembled in batch order, so
-// the output is identical to Search for any worker count. workers <= 1
-// falls back to the sequential scan.
-func SearchParallel(c *vector.Collection, m Measure, t float64, workers int) []pair.Result {
-	if workers <= 1 {
-		return Search(c, m, t)
-	}
-	n := len(c.Vecs)
-	// Small row batches load-balance the triangular cost profile (early
-	// rows compare against many more partners than late rows).
-	return shard.Collect(n, workers, 16, func(lo, hi int) []pair.Result {
-		var out []pair.Result
-		for i := lo; i < hi; i++ {
-			if c.Vecs[i].Len() == 0 {
-				continue
-			}
-			for j := i + 1; j < n; j++ {
-				if s := m.Sim(c.Vecs[i], c.Vecs[j]); s >= t {
-					out = append(out, pair.Result{A: int32(i), B: int32(j), Sim: s})
-				}
-			}
-		}
-		return out
-	})
-}
-
-// VerifyParallel is Verify with the candidate list sharded over
-// workers goroutines in batches of batch pairs; results are assembled
-// in batch order, so the output is identical to Verify for any worker
-// count.
-func VerifyParallel(c *vector.Collection, m Measure, t float64, cands []pair.Pair, workers, batch int) []pair.Result {
-	if batch < 1 {
-		batch = 1024
-	}
-	if workers <= 1 || len(cands) <= batch {
-		return Verify(c, m, t, cands)
-	}
-	return shard.Collect(len(cands), workers, batch, func(lo, hi int) []pair.Result {
-		var out []pair.Result
-		for _, p := range cands[lo:hi] {
-			if s := m.Sim(c.Vecs[p.A], c.Vecs[p.B]); s >= t {
-				out = append(out, pair.Result{A: p.A, B: p.B, Sim: s})
-			}
-		}
-		return out
-	})
 }

@@ -1,6 +1,7 @@
 package lshindex
 
 import (
+	"context"
 	"testing"
 
 	"bayeslsh/internal/rng"
@@ -19,40 +20,12 @@ func benchBitSigs(n, words int, seed uint64) [][]uint64 {
 	return sigs
 }
 
-func BenchmarkCandidatesBits(b *testing.B) {
-	sigs := benchBitSigs(2000, 16, 3) // 1024 bits each
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CandidatesBits(sigs, 8, 64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCandidatesBitsMultiProbe(b *testing.B) {
 	sigs := benchBitSigs(2000, 16, 3)
 	// Multi-probe reaches comparable recall from ~8x fewer tables.
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CandidatesBitsMultiProbe(sigs, 8, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCandidatesMinhash(b *testing.B) {
-	src := rng.New(5)
-	sigs := make([][]uint32, 2000)
-	for i := range sigs {
-		s := make([]uint32, 256)
-		for j := range s {
-			s[j] = src.Uint32() % 64 // collisions on purpose
-		}
-		sigs[i] = s
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CandidatesMinhash(sigs, 3, 80); err != nil {
+		if _, err := CandidatesBitsMultiProbeCtx(context.Background(), sigs, 8, 8, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,10 +18,11 @@
 //
 // # Sharded banding
 //
-// The l hash tables are mutually independent, so the *Parallel
-// variants assign each band to a worker: a band buckets every
-// signature, enumerates its within-band collisions into its own list,
-// and the lists are deduplicated across bands afterwards. Band keys
-// depend only on the signatures and the band index, so the candidate
-// set is identical to the sequential scan for any worker count.
+// The l hash tables are mutually independent, so batch candidate
+// generation (the Candidates*Ctx functions) assigns each band to a
+// worker: a band buckets every signature, enumerates its within-band
+// collisions into its own list, and the lists are deduplicated across
+// bands as they complete. Band keys depend only on the signatures and
+// the band index, so the candidate set is identical for any worker
+// count.
 package lshindex

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"bayeslsh/internal/pair"
 	"bayeslsh/internal/shard"
 )
 
@@ -62,24 +61,6 @@ func bitsBand(sig []uint64, from, k int) uint64 {
 	return v
 }
 
-// CandidatesBits generates candidate pairs from packed bit signatures
-// (cosine hyperplane hashes). Band j covers bits [j*k, (j+1)*k). It
-// returns an error if the signatures are too short for l bands of k
-// bits. k must be in [1, 64].
-func CandidatesBits(sigs [][]uint64, k, l int) ([]pair.Pair, error) {
-	if err := validateBits(sigs, k, l); err != nil {
-		return nil, err
-	}
-	set := pair.NewSet(len(sigs))
-	buckets := make(map[uint64][]int32)
-	for band := 0; band < l; band++ {
-		clear(buckets)
-		fillBitsBuckets(buckets, sigs, band, k)
-		collectBuckets(set, buckets)
-	}
-	return set.Pairs(), nil
-}
-
 // fillBitsBuckets buckets band band of every packed bit signature by
 // its raw k-bit band value.
 func fillBitsBuckets(buckets map[uint64][]int32, sigs [][]uint64, band, k int) {
@@ -90,25 +71,6 @@ func fillBitsBuckets(buckets map[uint64][]int32, sigs [][]uint64, band, k int) {
 	}
 }
 
-// CandidatesMinhash generates candidate pairs from minhash signatures.
-// Band j covers hash positions [j*k, (j+1)*k); the band key is a
-// 64-bit hash of those k values. It returns an error if signatures
-// are too short.
-func CandidatesMinhash(sigs [][]uint32, k, l int) ([]pair.Pair, error) {
-	if err := validateMinhash(sigs, k, l); err != nil {
-		return nil, err
-	}
-	set := pair.NewSet(len(sigs))
-	buckets := make(map[uint64][]int32)
-	scratch := make([]uint64, (k+1)/2)
-	for band := 0; band < l; band++ {
-		clear(buckets)
-		fillMinhashBuckets(buckets, sigs, band, k, scratch)
-		collectBuckets(set, buckets)
-	}
-	return set.Pairs(), nil
-}
-
 // fillMinhashBuckets hashes band band of every signature into buckets.
 func fillMinhashBuckets(buckets map[uint64][]int32, sigs [][]uint32, band, k int, scratch []uint64) {
 	for id, sig := range sigs {
@@ -117,16 +79,12 @@ func fillMinhashBuckets(buckets map[uint64][]int32, sigs [][]uint32, band, k int
 	}
 }
 
-func collectBuckets(set *pair.Set, buckets map[uint64][]int32) {
-	forBucketPairs(buckets, nil, func(a, b int32) { set.Add(a, b) })
-}
-
 // forBucketPairs enumerates every within-bucket pair of ids. Each id
 // appears in exactly one bucket, so no pair is emitted twice. stop
 // (nil for "not cancelable") is polled between buckets and between
 // rows of one bucket's quadratic enumeration — the stage whose volume
 // explodes as the threshold drops; an aborted enumeration's output is
-// discarded by the ctx-aware callers.
+// discarded by the callers.
 func forBucketPairs(buckets map[uint64][]int32, stop *shard.Stopper, emit func(a, b int32)) {
 	for _, ids := range buckets {
 		if len(ids) < 2 {

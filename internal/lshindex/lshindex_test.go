@@ -1,6 +1,7 @@
 package lshindex
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestCandidatesBitsRecall(t *testing.T) {
 	l := NumTables(p, k, 0.03)
 	fam := sighash.NewFamily(c.Dim, k*l, 77)
 	sigs := fam.SignatureAll(c)
-	cands, err := CandidatesBits(sigs, k, l)
+	cands, err := CandidatesBitsCtx(context.Background(), sigs, k, l, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestCandidatesMinhashRecall(t *testing.T) {
 	l := NumTables(th, k, 0.03)
 	fam := minhash.NewFamily(k*l, 88)
 	sigs := fam.SignatureAll(c)
-	cands, err := CandidatesMinhash(sigs, k, l)
+	cands, err := CandidatesMinhashCtx(context.Background(), sigs, k, l, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,25 +113,25 @@ func TestCandidatesMinhashRecall(t *testing.T) {
 }
 
 func TestCandidatesErrorsOnShortSignatures(t *testing.T) {
-	if _, err := CandidatesBits([][]uint64{{0}}, 32, 3); err == nil {
+	if _, err := CandidatesBitsCtx(context.Background(), [][]uint64{{0}}, 32, 3, 1); err == nil {
 		t.Error("short bit signatures accepted")
 	}
-	if _, err := CandidatesMinhash([][]uint32{{1, 2}}, 2, 2); err == nil {
+	if _, err := CandidatesMinhashCtx(context.Background(), [][]uint32{{1, 2}}, 2, 2, 1); err == nil {
 		t.Error("short minhash signatures accepted")
 	}
-	if _, err := CandidatesBits([][]uint64{{0}}, 0, 1); err == nil {
+	if _, err := CandidatesBitsCtx(context.Background(), [][]uint64{{0}}, 0, 1, 1); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := CandidatesBits([][]uint64{{0}}, 65, 1); err == nil {
+	if _, err := CandidatesBitsCtx(context.Background(), [][]uint64{{0}}, 65, 1, 1); err == nil {
 		t.Error("k=65 accepted")
 	}
-	if _, err := CandidatesBits([][]uint64{{0}}, 8, 0); err == nil {
+	if _, err := CandidatesBitsCtx(context.Background(), [][]uint64{{0}}, 8, 0, 1); err == nil {
 		t.Error("l=0 accepted")
 	}
-	if _, err := CandidatesMinhash([][]uint32{{1, 2}}, 0, 1); err == nil {
+	if _, err := CandidatesMinhashCtx(context.Background(), [][]uint32{{1, 2}}, 0, 1, 1); err == nil {
 		t.Error("minhash k=0 accepted")
 	}
-	if _, err := CandidatesMinhash([][]uint32{{1, 2}}, 1, 0); err == nil {
+	if _, err := CandidatesMinhashCtx(context.Background(), [][]uint32{{1, 2}}, 1, 0, 1); err == nil {
 		t.Error("minhash l=0 accepted")
 	}
 }
@@ -139,7 +140,7 @@ func TestCandidatesBitsNoDuplicatesNoSelf(t *testing.T) {
 	c := testutil.SmallTextCorpus(t, 150, 23)
 	fam := sighash.NewFamily(c.Dim, 64, 5)
 	sigs := fam.SignatureAll(c)
-	cands, err := CandidatesBits(sigs, 8, 8)
+	cands, err := CandidatesBitsCtx(context.Background(), sigs, 8, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestCandidatesBitsNoDuplicatesNoSelf(t *testing.T) {
 
 func TestIdenticalSignaturesAlwaysCandidates(t *testing.T) {
 	sigs := [][]uint64{{0xdeadbeef}, {0xdeadbeef}, {0x12345678}}
-	cands, err := CandidatesBits(sigs, 16, 2)
+	cands, err := CandidatesBitsCtx(context.Background(), sigs, 16, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

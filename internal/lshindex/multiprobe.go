@@ -3,7 +3,6 @@ package lshindex
 import (
 	"math"
 
-	"bayeslsh/internal/pair"
 	"bayeslsh/internal/shard"
 )
 
@@ -39,28 +38,6 @@ func NumTablesMultiProbe(p float64, k int, eps float64) int {
 		return 1
 	}
 	return int(l)
-}
-
-// CandidatesBitsMultiProbe generates candidate pairs from packed bit
-// signatures with 1-step multi-probing: each signature is inserted
-// into its own bucket and additionally probes the k buckets whose
-// band key differs in one bit. Pairs whose band keys are within
-// Hamming distance one therefore collide. k must be in [1, 64].
-func CandidatesBitsMultiProbe(sigs [][]uint64, k, l int) ([]pair.Pair, error) {
-	if err := validateBits(sigs, k, l); err != nil {
-		return nil, err
-	}
-	set := pair.NewSet(len(sigs))
-	buckets := make(map[uint64][]int32)
-	for band := 0; band < l; band++ {
-		clear(buckets)
-		fillBitsBuckets(buckets, sigs, band, k)
-		// Exact-key collisions.
-		collectBuckets(set, buckets)
-		// One-bit probes.
-		forProbePairs(buckets, k, nil, func(a, b int32) { set.Add(a, b) })
-	}
-	return set.Pairs(), nil
 }
 
 // forProbePairs pairs each bucket's occupants with the occupants of

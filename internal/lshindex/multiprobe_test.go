@@ -1,6 +1,7 @@
 package lshindex
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -51,11 +52,11 @@ func TestMultiProbeSupersetOfPlainBands(t *testing.T) {
 	c := testutil.SmallTextCorpus(t, 200, 41)
 	fam := sighash.NewFamily(c.Dim, 128, 3)
 	sigs := fam.SignatureAll(c)
-	plain, err := CandidatesBits(sigs, 8, 16)
+	plain, err := CandidatesBitsCtx(context.Background(), sigs, 8, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := CandidatesBitsMultiProbe(sigs, 8, 16)
+	mp, err := CandidatesBitsMultiProbeCtx(context.Background(), sigs, 8, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestMultiProbeRecallWithFewerTables(t *testing.T) {
 	}
 	fam := sighash.NewFamily(c.Dim, k*l, 43)
 	sigs := fam.SignatureAll(c)
-	cands, err := CandidatesBitsMultiProbe(sigs, k, l)
+	cands, err := CandidatesBitsMultiProbeCtx(context.Background(), sigs, k, l, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,16 +105,16 @@ func TestMultiProbeRecallWithFewerTables(t *testing.T) {
 }
 
 func TestMultiProbeValidation(t *testing.T) {
-	if _, err := CandidatesBitsMultiProbe([][]uint64{{0}}, 0, 1); err == nil {
+	if _, err := CandidatesBitsMultiProbeCtx(context.Background(), [][]uint64{{0}}, 0, 1, 1); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := CandidatesBitsMultiProbe([][]uint64{{0}}, 65, 1); err == nil {
+	if _, err := CandidatesBitsMultiProbeCtx(context.Background(), [][]uint64{{0}}, 65, 1, 1); err == nil {
 		t.Error("k=65 accepted")
 	}
-	if _, err := CandidatesBitsMultiProbe([][]uint64{{0}}, 8, 0); err == nil {
+	if _, err := CandidatesBitsMultiProbeCtx(context.Background(), [][]uint64{{0}}, 8, 0, 1); err == nil {
 		t.Error("l=0 accepted")
 	}
-	if _, err := CandidatesBitsMultiProbe([][]uint64{{0}}, 32, 9); err == nil {
+	if _, err := CandidatesBitsMultiProbeCtx(context.Background(), [][]uint64{{0}}, 32, 9, 1); err == nil {
 		t.Error("short signatures accepted")
 	}
 }
@@ -122,7 +123,7 @@ func TestMultiProbeHammingOneCollides(t *testing.T) {
 	// Signatures whose single band differs in exactly one bit must
 	// become candidates under multi-probe (and not under plain bands).
 	sigs := [][]uint64{{0b10110010}, {0b10110011}, {0b01001100}}
-	plain, err := CandidatesBits(sigs, 8, 1)
+	plain, err := CandidatesBitsCtx(context.Background(), sigs, 8, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestMultiProbeHammingOneCollides(t *testing.T) {
 			t.Fatal("plain banding should not collide Hamming-1 keys")
 		}
 	}
-	mp, err := CandidatesBitsMultiProbe(sigs, 8, 1)
+	mp, err := CandidatesBitsMultiProbeCtx(context.Background(), sigs, 8, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,12 @@
 package lshindex
 
 import (
+	"context"
+	"errors"
+	"math/bits"
+	"runtime"
 	"testing"
+	"time"
 
 	"bayeslsh/internal/minhash"
 	"bayeslsh/internal/pair"
@@ -23,62 +28,145 @@ func requireSamePairSet(t *testing.T, got, want []pair.Pair) {
 	}
 }
 
+// bandCollisions is the oracle of the banding tests: every pair of the
+// n signatures that collides in at least one of the l bands, found by
+// comparing all pairs band by band.
+func bandCollisions(n, l int, collide func(i, j, band int) bool) []pair.Pair {
+	var out []pair.Pair
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			for band := 0; band < l; band++ {
+				if collide(i, j, band) {
+					out = append(out, pair.Make(int32(i), int32(j)))
+					break
+				}
+			}
+		}
+	}
+	return out
+}
+
+// requireBandingInvariant checks that gen returns the oracle's
+// candidate set for every worker count and kind of never-canceled
+// context.
+func requireBandingInvariant(t *testing.T, want []pair.Pair, gen func(ctx context.Context, workers int) ([]pair.Pair, error)) {
+	t.Helper()
+	if len(want) == 0 {
+		t.Fatal("oracle found no collisions; the corpus exercises nothing")
+	}
+	for name, ctx := range testutil.Contexts(t) {
+		for _, workers := range []int{1, 2, 4, 7} {
+			got, err := gen(ctx, workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			requireSamePairSet(t, got, want)
+		}
+	}
+}
+
 func TestCandidatesBitsParallelMatchesSequential(t *testing.T) {
 	c := testutil.SmallTextCorpus(t, 300, 21)
-	fam := sighash.NewFamily(c.Dim, 256, 77)
-	sigs := fam.SignatureAll(c)
-	want, err := CandidatesBits(sigs, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 9} {
-		got, err := CandidatesBitsParallel(sigs, 8, 16, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSamePairSet(t, got, want)
-	}
+	sigs := sighash.NewFamily(c.Dim, 256, 77).SignatureAll(c)
+	const k, l = 8, 16
+	want := bandCollisions(len(sigs), l, func(i, j, band int) bool {
+		return bitsBand(sigs[i], band*k, k) == bitsBand(sigs[j], band*k, k)
+	})
+	requireBandingInvariant(t, want, func(ctx context.Context, workers int) ([]pair.Pair, error) {
+		return CandidatesBitsCtx(ctx, sigs, k, l, workers)
+	})
 }
 
 func TestCandidatesBitsMultiProbeParallelMatchesSequential(t *testing.T) {
 	c := testutil.SmallTextCorpus(t, 300, 22)
-	fam := sighash.NewFamily(c.Dim, 256, 78)
-	sigs := fam.SignatureAll(c)
-	want, err := CandidatesBitsMultiProbe(sigs, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CandidatesBitsMultiProbeParallel(sigs, 8, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSamePairSet(t, got, want)
+	sigs := sighash.NewFamily(c.Dim, 256, 78).SignatureAll(c)
+	const k, l = 8, 8
+	want := bandCollisions(len(sigs), l, func(i, j, band int) bool {
+		return bits.OnesCount64(bitsBand(sigs[i], band*k, k)^bitsBand(sigs[j], band*k, k)) <= 1
+	})
+	requireBandingInvariant(t, want, func(ctx context.Context, workers int) ([]pair.Pair, error) {
+		return CandidatesBitsMultiProbeCtx(ctx, sigs, k, l, workers)
+	})
 }
 
 func TestCandidatesMinhashParallelMatchesSequential(t *testing.T) {
 	c := testutil.SmallBinaryCorpus(t, 300, 23)
-	fam := minhash.NewFamily(96, 79)
-	sigs := fam.SignatureAll(c)
-	want, err := CandidatesMinhash(sigs, 3, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CandidatesMinhashParallel(sigs, 3, 32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSamePairSet(t, got, want)
+	sigs := minhash.NewFamily(96, 79).SignatureAll(c)
+	const k, l = 3, 32
+	a, b := make([]uint64, (k+1)/2), make([]uint64, (k+1)/2)
+	want := bandCollisions(len(sigs), l, func(i, j, band int) bool {
+		return minhashBandKey(sigs[i], band, k, a) == minhashBandKey(sigs[j], band, k, b)
+	})
+	requireBandingInvariant(t, want, func(ctx context.Context, workers int) ([]pair.Pair, error) {
+		return CandidatesMinhashCtx(ctx, sigs, k, l, workers)
+	})
 }
 
 func TestParallelValidation(t *testing.T) {
+	ctx := context.Background()
 	sigs := [][]uint64{{0}, {1}}
-	if _, err := CandidatesBitsParallel(sigs, 8, 100, 4); err == nil {
+	if _, err := CandidatesBitsCtx(ctx, sigs, 8, 100, 4); err == nil {
 		t.Error("short signatures accepted")
 	}
-	if _, err := CandidatesBitsMultiProbeParallel(sigs, 70, 1, 4); err == nil {
+	if _, err := CandidatesBitsMultiProbeCtx(ctx, sigs, 70, 1, 4); err == nil {
 		t.Error("k > 64 accepted")
 	}
-	if _, err := CandidatesMinhashParallel([][]uint32{{1}}, 3, 100, 4); err == nil {
+	if _, err := CandidatesMinhashCtx(ctx, [][]uint32{{1}}, 3, 100, 4); err == nil {
 		t.Error("short minhash signatures accepted")
+	}
+}
+
+// identicalBitSigs returns n copies of one signature: every band puts
+// all n ids in one bucket, so a full enumeration costs l·n²/2 pairs —
+// far longer than the tests below let it run.
+func identicalBitSigs(n, words int) [][]uint64 {
+	sigs := make([][]uint64, n)
+	for i := range sigs {
+		sigs[i] = make([]uint64, words)
+	}
+	return sigs
+}
+
+func TestCandidatesPreCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sigs := identicalBitSigs(1500, 16)
+	start := time.Now()
+	for _, gen := range []func() ([]pair.Pair, error){
+		func() ([]pair.Pair, error) { return CandidatesBitsCtx(ctx, sigs, 8, 128, 4) },
+		func() ([]pair.Pair, error) { return CandidatesBitsMultiProbeCtx(ctx, sigs, 8, 128, 4) },
+		func() ([]pair.Pair, error) {
+			return CandidatesMinhashCtx(ctx, [][]uint32{make([]uint32, 96), make([]uint32, 96)}, 3, 32, 4)
+		},
+	} {
+		if out, err := gen(); !errors.Is(err, context.Canceled) || out != nil {
+			t.Errorf("dead context: %d candidates, err %v", len(out), err)
+		}
+	}
+	// No band may have been enumerated: one band alone is >1M pairs.
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("dead-context calls took %v — work was done", d)
+	}
+}
+
+// TestCandidatesCancelMidRun lets the deadline expire inside the
+// collision enumeration and requires ctx.Err(), no partial candidate
+// set and every band worker drained.
+func TestCandidatesCancelMidRun(t *testing.T) {
+	sigs := identicalBitSigs(1500, 16)
+	for name, gen := range map[string]func(context.Context) ([]pair.Pair, error){
+		"bits": func(ctx context.Context) ([]pair.Pair, error) { return CandidatesBitsCtx(ctx, sigs, 8, 128, 4) },
+		"multiprobe": func(ctx context.Context) ([]pair.Pair, error) {
+			return CandidatesBitsMultiProbeCtx(ctx, sigs, 8, 128, 4)
+		},
+	} {
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		out, err := gen(ctx)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || out != nil {
+			t.Errorf("%s: %d candidates, err %v", name, len(out), err)
+		}
+		testutil.RequireNoGoroutineLeak(t, base)
 	}
 }

@@ -30,7 +30,7 @@ type BitsTables struct {
 // signatures, sharding table construction over workers goroutines.
 // multiProbe enables 1-step multi-probe at query time (each probe also
 // inspects the k buckets whose band key differs in one bit), matching
-// CandidatesBitsMultiProbe's collision condition.
+// CandidatesBitsMultiProbeCtx's collision condition.
 func BuildBits(sigs [][]uint64, k, l, workers int, multiProbe bool) (*BitsTables, error) {
 	if err := validateBits(sigs, k, l); err != nil {
 		return nil, err

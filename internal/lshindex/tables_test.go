@@ -1,6 +1,7 @@
 package lshindex
 
 import (
+	"context"
 	"testing"
 
 	"bayeslsh/internal/pair"
@@ -89,7 +90,7 @@ func requireProbeMatches(t *testing.T, n int, probe func(id int) []int32, batch 
 func TestBitsTablesProbeMatchesCandidates(t *testing.T) {
 	const n, k, l = 60, 4, 6
 	sigs := randomBitSigs(n, k*l, 11)
-	cands, err := CandidatesBits(sigs, k, l)
+	cands, err := CandidatesBitsCtx(context.Background(), sigs, k, l, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestBitsTablesProbeMatchesCandidates(t *testing.T) {
 func TestBitsTablesMultiProbeMatchesCandidates(t *testing.T) {
 	const n, k, l = 60, 5, 4
 	sigs := randomBitSigs(n, k*l, 12)
-	cands, err := CandidatesBitsMultiProbe(sigs, k, l)
+	cands, err := CandidatesBitsMultiProbeCtx(context.Background(), sigs, k, l, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestBitsTablesMultiProbeMatchesCandidates(t *testing.T) {
 func TestMinhashTablesProbeMatchesCandidates(t *testing.T) {
 	const n, k, l = 50, 3, 5
 	sigs := randomMinSigs(n, k*l, 13)
-	cands, err := CandidatesMinhash(sigs, k, l)
+	cands, err := CandidatesMinhashCtx(context.Background(), sigs, k, l, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,58 @@
 package minhash
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"bayeslsh/internal/testutil"
 )
 
-// TestConcurrentEnsureMatchesSequential fills one store from many
-// goroutines with overlapping, ragged depths and checks the signatures
-// equal a sequentially filled store hash-for-hash.
+// ensureAll fills every signature of s to n hashes on the calling
+// goroutine — the one-worker oracle of the fill tests.
+func ensureAll(t *testing.T, s *Store, n int) {
+	t.Helper()
+	if err := s.EnsureAllCtx(context.Background(), n, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireSameSigs fails unless got is filled to 256 hashes and equals
+// want hash for hash.
+func requireSameSigs(t *testing.T, got, want *Store) {
+	t.Helper()
+	for id := range want.Sigs() {
+		if got.FilledHashes(int32(id)) != 256 {
+			t.Fatalf("vector %d filled to %d hashes", id, got.FilledHashes(int32(id)))
+		}
+		s, p := want.Sigs()[id], got.Sigs()[id]
+		for i := range s {
+			if s[i] != p[i] {
+				t.Fatalf("vector %d hash %d: sharded %d, one worker %d", id, i, p[i], s[i])
+			}
+		}
+	}
+}
+
+// TestConcurrentEnsureMatchesSequential: EnsureAllCtx at any worker
+// count and under either kind of never-canceled context, and a store
+// filled from many goroutines with overlapping, ragged depths, equal a
+// store filled by one worker hash for hash.
 func TestConcurrentEnsureMatchesSequential(t *testing.T) {
 	c := testutil.SmallBinaryCorpus(t, 200, 42)
 
 	seq := NewStore(c, NewFamily(256, 6), 32)
-	seq.EnsureAll(256)
+	ensureAll(t, seq, 256)
+
+	for name, ctx := range testutil.Contexts(t) {
+		for _, workers := range []int{1, 2, 4, 7} {
+			st := NewStore(c, NewFamily(256, 6), 32)
+			if err := st.EnsureAllCtx(ctx, 256, workers); err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			requireSameSigs(t, st, seq)
+		}
+	}
 
 	par := NewStore(c, NewFamily(256, 6), 32)
 	var wg sync.WaitGroup
@@ -29,17 +67,8 @@ func TestConcurrentEnsureMatchesSequential(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	par.EnsureAllParallel(256, 4)
-
-	for id := range seq.Sigs() {
-		if par.FilledHashes(int32(id)) != 256 {
-			t.Fatalf("vector %d filled to %d hashes", id, par.FilledHashes(int32(id)))
-		}
-		s, p := seq.Sigs()[id], par.Sigs()[id]
-		for i := range s {
-			if s[i] != p[i] {
-				t.Fatalf("vector %d hash %d: concurrent %d, sequential %d", id, i, p[i], s[i])
-			}
-		}
+	if err := par.EnsureAllCtx(context.Background(), 256, 4); err != nil {
+		t.Fatal(err)
 	}
+	requireSameSigs(t, par, seq)
 }

@@ -18,8 +18,8 @@
 // many times as is necessary" (§4.3). The store is safe for concurrent
 // use by the engine's verification workers: per-vector fills serialize
 // on striped locks, readers synchronize through atomic fill counters,
-// and EnsureAllParallel shards bulk fills over a worker pool with
-// results identical to a sequential fill.
+// and EnsureAllCtx shards bulk fills over a worker pool with results
+// identical for any worker count.
 //
 // # 1-bit signatures
 //

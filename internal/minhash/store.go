@@ -130,37 +130,12 @@ func (s *Store) Adopt(id int32, sig []uint32, n int) {
 	s.fill.Restore(id, n)
 }
 
-// EnsureAll fills every vector's signature up to n hashes.
-func (s *Store) EnsureAll(n int) {
-	for id := range s.sigs {
-		s.Ensure(int32(id), n)
-	}
-}
-
-// EnsureAllParallel fills every vector's signature up to n hashes
-// using a pool of workers goroutines, producing signatures identical
-// to a sequential fill for any worker count.
-func (s *Store) EnsureAllParallel(n, workers int) {
-	if workers <= 1 {
-		s.EnsureAll(n)
-		return
-	}
-	shard.Run(len(s.sigs), workers, shard.Chunk(len(s.sigs), workers, 16), func(lo, hi, _ int) {
-		for id := lo; id < hi; id++ {
-			s.Ensure(int32(id), n)
-		}
-	})
-}
-
-// EnsureAllCtx is EnsureAllParallel with cooperative cancellation,
-// polled between vectors. Vectors already filled stay filled — the
-// lazy fill state remains consistent — so a later call resumes where
-// a canceled one stopped.
+// EnsureAllCtx fills every vector's signature up to n hashes using a
+// pool of workers goroutines, producing identical signatures for any
+// worker count. Cancellation is polled between vectors. Vectors
+// already filled stay filled — the lazy fill state remains consistent
+// — so a later call resumes where a canceled one stopped.
 func (s *Store) EnsureAllCtx(ctx context.Context, n, workers int) error {
-	if ctx.Done() == nil {
-		s.EnsureAllParallel(n, workers)
-		return nil
-	}
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
 	return shard.RunCtx(ctx, len(s.sigs), workers, shard.Chunk(len(s.sigs), workers, 16), func(lo, hi, _ int) {

@@ -39,7 +39,7 @@ func TestMinhashStoreMatchesEagerFamily(t *testing.T) {
 	fam := NewFamily(96, 9)
 	s := NewStore(c, fam, 32)
 	s.Ensure(0, 50) // partial first
-	s.EnsureAll(96)
+	ensureAll(t, s, 96)
 	for id, v := range c.Vecs {
 		want := fam.Signature(v)
 		got := s.Sigs()[id]

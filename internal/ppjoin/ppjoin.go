@@ -27,16 +27,10 @@ type entry struct {
 
 // Search performs an exact all-pairs similarity join on the index
 // sets of c under measure m (Jaccard or BinaryCosine) with threshold
-// t in (0, 1]. Weights are ignored.
+// t in (0, 1]. Weights are ignored. It is SearchCtx under
+// context.Background() — it cannot be canceled.
 func Search(c *vector.Collection, m exact.Measure, t float64) ([]pair.Result, error) {
-	var out []pair.Result
-	if err := scan(c, m, t, nil, func(r pair.Result) bool {
-		out = append(out, r)
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return SearchCtx(context.Background(), c, m, t)
 }
 
 // SearchCtx is Search with cooperative cancellation: the scan is
@@ -44,9 +38,6 @@ func Search(c *vector.Collection, m exact.Measure, t float64) ([]pair.Result, er
 // before it), so cancellation is polled between probing records and
 // between posting lists, and a canceled call returns (nil, ctx.Err()).
 func SearchCtx(ctx context.Context, c *vector.Collection, m exact.Measure, t float64) ([]pair.Result, error) {
-	if ctx.Done() == nil {
-		return Search(c, m, t)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -11,9 +11,10 @@
 //     complete, bounding resident results to the batches in flight.
 //
 // All three drain their worker goroutines before returning: a canceled
-// call leaves nothing running. Contexts that can never be canceled
-// (ctx.Done() == nil, e.g. context.Background()) take the exact
-// zero-overhead code paths of Run/Collect.
+// call leaves nothing running. There is one implementation per
+// primitive: a context that can never be canceled (for example
+// context.Background()) runs the same code, and pays one load of a
+// flag that never trips per check.
 
 package shard
 
@@ -70,18 +71,25 @@ func (s *Stopper) Close() {
 	}
 }
 
-// RunCtx is Run with cooperative cancellation: no batch starts after
-// ctx is done, and RunCtx returns ctx.Err() with every worker
-// goroutine drained. Batches already in flight run to completion
-// unless f itself polls a Stopper; whatever f wrote for completed or
-// abandoned batches must be discarded by the caller when RunCtx
-// returns an error. A non-cancelable ctx takes Run's code path
-// unchanged.
+// RunCtx divides n items into contiguous batches of size batch and
+// calls f(lo, hi, slot) for each batch covering items [lo, hi), where
+// slot is the batch index in 0..Count(n, batch)-1 (batches are
+// contiguous and in order: slot s covers [s*batch, min((s+1)*batch,
+// n))). With workers <= 1 the batches run sequentially on the calling
+// goroutine; otherwise they are distributed over min(workers, batches)
+// goroutines through a channel, so short batches load-balance
+// dynamically.
+//
+// f must be safe for concurrent invocation when workers > 1; writing
+// only to state owned by its slot (plus atomic or worker-local state)
+// is the intended pattern.
+//
+// Cancellation is cooperative: no batch starts after ctx is done, and
+// RunCtx returns ctx.Err() with every worker goroutine drained.
+// Batches already in flight run to completion unless f itself polls a
+// Stopper; whatever f wrote for completed or abandoned batches must be
+// discarded by the caller when RunCtx returns an error.
 func RunCtx(ctx context.Context, n, workers, batch int, f func(lo, hi, slot int)) error {
-	if ctx.Done() == nil {
-		Run(n, workers, batch, f)
-		return nil
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -135,15 +143,11 @@ dispatch:
 	return ctx.Err()
 }
 
-// CollectCtx is Collect with cooperative cancellation (the RunCtx
-// contract). On cancellation it returns nil results and ctx.Err().
+// CollectCtx runs f over batches of n items (the RunCtx contract) and
+// concatenates the per-batch result slices in batch order, so the
+// combined output is identical to a sequential pass regardless of
+// scheduling. On cancellation it returns nil results and ctx.Err().
 func CollectCtx[T any](ctx context.Context, n, workers, batch int, f func(lo, hi int) []T) ([]T, error) {
-	if ctx.Done() == nil {
-		return Collect(n, workers, batch, f), nil
-	}
-	if batch < 1 {
-		batch = 1
-	}
 	outs := make([][]T, Count(n, batch))
 	if err := RunCtx(ctx, n, workers, batch, func(lo, hi, slot int) {
 		outs[slot] = f(lo, hi)

@@ -2,35 +2,37 @@
 // the library's parallel pipelines — both the batch search and the
 // query-serving index are built on them.
 //
-// # Run and Collect
+// # RunCtx, CollectCtx, StreamCtx
 //
-// Run divides n work items into contiguous batches and feeds batch
+// RunCtx divides n work items into contiguous batches and feeds batch
 // indices through a channel to a fixed pool of workers; every batch
 // knows its slot, so callers write results into slot-owned state and
 // reassemble them in input order regardless of worker scheduling.
-// Collect wraps the common gather pattern: per-batch result slices
-// concatenated in batch order. Chunk picks a batch size that divides
-// work into roughly four batches per worker when no natural unit
-// exists.
+// CollectCtx wraps the common gather pattern: per-batch result slices
+// concatenated in batch order. StreamCtx inverts it: instead of
+// gathering all batch outputs it hands each one to an emit callback
+// on the calling goroutine as the batch completes, which is what
+// bounds resident results in the streaming search API. Chunk picks a
+// batch size that divides work into roughly four batches per worker
+// when no natural unit exists.
 //
 // All parallel stages (LSH banding, AllPairs probing, signature
 // hashing, BayesLSH verification, exact verification, batch querying)
-// go through Run, which is what keeps them deterministic for a fixed
+// go through these, which is what keeps them deterministic for a fixed
 // seed: the work a batch performs never depends on which worker
 // executes it or when — only the batch's position in the input does.
 //
-// # Cancellation and streaming (RunCtx, CollectCtx, StreamCtx, Stopper)
+// # Cancellation (Stopper)
 //
-// Every primitive has a context-aware form that stops dispatching
-// batches the moment the context is done, drains its workers, and
-// returns ctx.Err(). For abort points finer than a batch, a Stopper
-// turns the context into an atomic flag (set by context.AfterFunc)
-// that hot loops poll between individual items at ~1 ns per check —
-// the per-round and per-posting abort points of the verification and
-// candidate-generation kernels. StreamCtx inverts Collect: instead of
-// gathering all batch outputs it hands each one to an emit callback
-// on the calling goroutine as the batch completes, which is what
-// bounds resident results in the streaming search API.
+// Every primitive stops dispatching batches the moment its context is
+// done, drains its workers, and returns ctx.Err(). For abort points
+// finer than a batch, a Stopper turns the context into an atomic flag
+// (set by context.AfterFunc) that hot loops poll between individual
+// items at ~1 ns per check — the per-round and per-posting abort
+// points of the verification and candidate-generation kernels.
+// NewStopper is the one place that knows whether a context can be
+// canceled at all; Run is RunCtx under context.Background() for the
+// few callers that have no context.
 //
 // # Fill
 //

@@ -1,6 +1,6 @@
 package shard
 
-import "sync"
+import "context"
 
 // Count returns the number of batches of size batch needed for n
 // items. It is 0 when n <= 0 and batch is clamped to at least 1.
@@ -14,101 +14,11 @@ func Count(n, batch int) int {
 	return (n + batch - 1) / batch
 }
 
-// Run divides n items into contiguous batches of size batch and calls
-// f(lo, hi, slot) for each batch covering items [lo, hi), where slot
-// is the batch index in 0..Count(n, batch)-1 (batches are contiguous
-// and in order: slot s covers [s*batch, min((s+1)*batch, n))). With
-// workers <= 1 the batches run sequentially on the calling goroutine;
-// otherwise they are distributed over min(workers, batches) goroutines
-// through a channel, so short batches load-balance dynamically. Run
-// returns when every batch has completed.
-//
-// f must be safe for concurrent invocation when workers > 1; writing
-// only to state owned by its slot (plus atomic or worker-local state)
-// is the intended pattern.
+// Run is RunCtx under context.Background(), for callers with no
+// context to honor: it cannot be canceled and returns when every batch
+// has completed.
 func Run(n, workers, batch int, f func(lo, hi, slot int)) {
-	if batch < 1 {
-		batch = 1
-	}
-	nb := Count(n, batch)
-	if nb == 0 {
-		return
-	}
-	if workers > nb {
-		workers = nb
-	}
-	if workers <= 1 {
-		for s := 0; s < nb; s++ {
-			lo := s * batch
-			hi := lo + batch
-			if hi > n {
-				hi = n
-			}
-			f(lo, hi, s)
-		}
-		return
-	}
-	jobs := make(chan int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range jobs {
-				lo := s * batch
-				hi := lo + batch
-				if hi > n {
-					hi = n
-				}
-				f(lo, hi, s)
-			}
-		}()
-	}
-	for s := 0; s < nb; s++ {
-		jobs <- s
-	}
-	close(jobs)
-	wg.Wait()
-}
-
-// Collect runs f over batches of n items on workers goroutines (the
-// same contract as Run) and concatenates the per-batch result slices
-// in batch order, so the combined output is identical to a sequential
-// pass regardless of scheduling. f must be safe for concurrent
-// invocation when workers > 1.
-func Collect[T any](n, workers, batch int, f func(lo, hi int) []T) []T {
-	nb := Count(n, batch)
-	if nb == 0 {
-		return nil
-	}
-	if workers <= 1 || nb == 1 {
-		if batch < 1 {
-			batch = 1
-		}
-		var out []T
-		for s := 0; s < nb; s++ {
-			lo := s * batch
-			hi := lo + batch
-			if hi > n {
-				hi = n
-			}
-			out = append(out, f(lo, hi)...)
-		}
-		return out
-	}
-	outs := make([][]T, nb)
-	Run(n, workers, batch, func(lo, hi, slot int) {
-		outs[slot] = f(lo, hi)
-	})
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	out := make([]T, 0, total)
-	for _, o := range outs {
-		out = append(out, o...)
-	}
-	return out
+	_ = RunCtx(context.Background(), n, workers, batch, f) // Background never errors
 }
 
 // Chunk returns a batch size that divides n items into roughly

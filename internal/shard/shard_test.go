@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,7 +93,10 @@ func TestCollectMatchesSequential(t *testing.T) {
 	want := square(0, 137)
 	for _, workers := range []int{0, 1, 4, 9} {
 		for _, batch := range []int{1, 7, 64, 1000} {
-			got := Collect(137, workers, batch, square)
+			got, err := CollectCtx(context.Background(), 137, workers, batch, square)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(got) != len(want) {
 				t.Fatalf("workers=%d batch=%d: %d items, want %d", workers, batch, len(got), len(want))
 			}
@@ -103,8 +107,8 @@ func TestCollectMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	if out := Collect(0, 4, 8, square); out != nil {
-		t.Errorf("Collect over 0 items returned %v", out)
+	if out, err := CollectCtx(context.Background(), 0, 4, 8, square); err != nil || len(out) != 0 {
+		t.Errorf("CollectCtx over 0 items returned %v, %v", out, err)
 	}
 }
 

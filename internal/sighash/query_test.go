@@ -13,7 +13,7 @@ func TestSignatureNMatchesStore(t *testing.T) {
 	c := testutil.SmallTextCorpus(t, 40, 21)
 	fam := NewBlockFamily(c.Dim, 512, 128, 99)
 	st := NewStore(c, fam)
-	st.EnsureAll(512)
+	ensureAll(t, st, 512)
 	for _, nbits := range []int{128, 256, 512} {
 		for i, v := range c.Vecs {
 			q := fam.SignatureN(v, nbits)

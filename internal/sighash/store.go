@@ -260,39 +260,14 @@ func (s *Store) Adopt(id int32, sig []uint64, nbits int) {
 	s.fill.Restore(id, nbits)
 }
 
-// EnsureAll fills every vector's signature up to nbits bits.
-func (s *Store) EnsureAll(nbits int) {
-	for id := range s.sigs {
-		s.Ensure(int32(id), nbits)
-	}
-}
-
-// EnsureAllParallel fills every vector's signature up to nbits bits
-// using a pool of workers goroutines. Hash blocks derive from streams
-// keyed by (seed, feature, block), so the signatures are identical to
-// a sequential fill for any worker count.
-func (s *Store) EnsureAllParallel(nbits, workers int) {
-	if workers <= 1 {
-		s.EnsureAll(nbits)
-		return
-	}
-	shard.Run(len(s.sigs), workers, shard.Chunk(len(s.sigs), workers, 16), func(lo, hi, _ int) {
-		for id := lo; id < hi; id++ {
-			s.Ensure(int32(id), nbits)
-		}
-	})
-}
-
-// EnsureAllCtx is EnsureAllParallel with cooperative cancellation,
-// polled between vectors. Vectors already filled stay filled — the
-// lazy fill state remains consistent — so a later call resumes where
-// a canceled one stopped, and a canceled fill wastes at most the
-// blocks in flight.
+// EnsureAllCtx fills every vector's signature up to nbits bits using a
+// pool of workers goroutines. Hash blocks derive from streams keyed by
+// (seed, feature, block), so the signatures are identical for any
+// worker count. Cancellation is polled between vectors. Vectors
+// already filled stay filled — the lazy fill state remains consistent
+// — so a later call resumes where a canceled one stopped, and a
+// canceled fill wastes at most the blocks in flight.
 func (s *Store) EnsureAllCtx(ctx context.Context, nbits, workers int) error {
-	if ctx.Done() == nil {
-		s.EnsureAllParallel(nbits, workers)
-		return nil
-	}
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
 	return shard.RunCtx(ctx, len(s.sigs), workers, shard.Chunk(len(s.sigs), workers, 16), func(lo, hi, _ int) {

@@ -84,7 +84,7 @@ func TestStoreOrderIndependent(t *testing.T) {
 	c := storeCorpus(10, 40, 9)
 	fam1 := NewBlockFamily(40, 384, 128, 5)
 	s1 := NewStore(c, fam1)
-	s1.EnsureAll(384)
+	ensureAll(t, s1, 384)
 
 	fam2 := NewBlockFamily(40, 384, 128, 5)
 	s2 := NewStore(c, fam2)
@@ -92,8 +92,8 @@ func TestStoreOrderIndependent(t *testing.T) {
 	s2.Ensure(7, 384)
 	s2.Ensure(3, 128)
 	s2.Ensure(3, 384)
-	s2.EnsureAll(256)
-	s2.EnsureAll(384)
+	ensureAll(t, s2, 256)
+	ensureAll(t, s2, 384)
 
 	for id := range c.Vecs {
 		a, b := s1.Sigs()[id], s2.Sigs()[id]
@@ -119,7 +119,7 @@ func TestStoreMatchesLSHProperty(t *testing.T) {
 	c := &vector.Collection{Dim: 32, Vecs: []vector.Vector{dense(), dense()}}
 	const bits = 4096
 	s := NewStore(c, NewBlockFamily(32, bits, 128, 11))
-	s.EnsureAll(bits)
+	ensureAll(t, s, bits)
 	want := CosineToR(vector.Cosine(c.Vecs[0], c.Vecs[1]))
 	got := float64(MatchCount(s.Sigs()[0], s.Sigs()[1], 0, bits)) / bits
 	if diff := got - want; diff > 0.05 || diff < -0.05 {
@@ -131,8 +131,8 @@ func TestStoreExactOptionAgreesWithQuantized(t *testing.T) {
 	c := storeCorpus(5, 30, 13)
 	q := NewStore(c, NewBlockFamily(30, 256, 128, 17))
 	e := NewStore(c, NewBlockFamily(30, 256, 128, 17, Exact()))
-	q.EnsureAll(256)
-	e.EnsureAll(256)
+	ensureAll(t, q, 256)
+	ensureAll(t, e, 256)
 	for id := range c.Vecs {
 		agree := MatchCount(q.Sigs()[id], e.Sigs()[id], 0, 256)
 		if agree < 250 {

@@ -1,11 +1,14 @@
 // Package testutil provides shared helpers for the integration tests
 // of the candidate-generation and verification packages: small random
-// corpora with planted similar pairs, and comparisons of result sets
-// against the brute-force oracle.
+// corpora with planted similar pairs, comparisons of result sets
+// against the brute-force oracle, and the cancellation-test fixtures.
 package testutil
 
 import (
+	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"bayeslsh/internal/dataset"
 	"bayeslsh/internal/pair"
@@ -81,6 +84,21 @@ func RequireSameResults(t *testing.T, got, want []pair.Result, tol float64) {
 	}
 }
 
+// RequireSameSequence fails the test unless got equals want element
+// for element, order included — the guarantee of the sharded scans
+// whose output is reassembled in input order.
+func RequireSameSequence[T comparable](t *testing.T, label string, got, want []T) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d items, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: item %d is %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
 // Recall returns |got ∩ want| / |want| over result pairs; 1 if want is
 // empty.
 func Recall(got, want []pair.Result) float64 {
@@ -95,4 +113,32 @@ func Recall(got, want []pair.Result) float64 {
 		}
 	}
 	return float64(hit) / float64(len(want))
+}
+
+// Contexts returns the two kinds of context that never end during a
+// test — one that cannot be canceled and one that could be but is only
+// canceled at cleanup. Every sharded operation must give the same
+// output under both.
+func Contexts(t *testing.T) map[string]context.Context {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return map[string]context.Context{"background": context.Background(), "cancelable": ctx}
+}
+
+// RequireNoGoroutineLeak polls until the goroutine count returns to
+// the baseline recorded before the call under test, dumping all stacks
+// on timeout. (Counts can transiently exceed the baseline while
+// canceled workers drain; they must settle.)
+func RequireNoGoroutineLeak(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutine leak: %d goroutines, baseline %d\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

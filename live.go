@@ -764,11 +764,8 @@ func (li *LiveIndex) QueryContext(ctx context.Context, q Vec, opts QueryOptions)
 	if err := ctx.Err(); err != nil {
 		return nil, ctxWrap(err)
 	}
-	var stop *shard.Stopper
-	if ctx.Done() != nil {
-		stop = shard.NewStopper(ctx)
-		defer stop.Close()
-	}
+	stop := shard.NewStopper(ctx)
+	defer stop.Close()
 	ms, err := li.queryStop(gen, q, t, stop)
 	if err != nil {
 		return nil, ctxWrap(err)
@@ -864,11 +861,8 @@ func (li *LiveIndex) TopKContext(ctx context.Context, q Vec, k int) ([]Match, er
 	if q.Len() == 0 {
 		return nil, nil
 	}
-	var stop *shard.Stopper
-	if ctx.Done() != nil {
-		stop = shard.NewStopper(ctx)
-		defer stop.Close()
-	}
+	stop := shard.NewStopper(ctx)
+	defer stop.Close()
 	gen := li.gen.Load()
 	ix := gen.base
 	if err := ix.ready(true); err != nil {
@@ -937,11 +931,8 @@ func (li *LiveIndex) QueryBatchContext(ctx context.Context, queries []Vec, opts 
 	if err := gen.base.ready(false); err != nil {
 		return nil, err
 	}
-	var stop *shard.Stopper
-	if ctx.Done() != nil {
-		stop = shard.NewStopper(ctx)
-		defer stop.Close()
-	}
+	stop := shard.NewStopper(ctx)
+	defer stop.Close()
 	out := make([][]Match, len(queries))
 	workers := gen.base.engine().workers()
 	err = shard.RunCtx(ctx, len(queries), workers, shard.Chunk(len(queries), workers, 1), func(lo, hi, _ int) {

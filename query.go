@@ -202,17 +202,14 @@ func (ix *Index) QueryContext(ctx context.Context, q Vec, opts QueryOptions) ([]
 	if err := ctx.Err(); err != nil {
 		return nil, ctxWrap(err)
 	}
-	var stop *shard.Stopper
-	if ctx.Done() != nil {
-		stop = shard.NewStopper(ctx)
-		defer stop.Close()
-	}
+	stop := shard.NewStopper(ctx)
+	defer stop.Close()
 	return ix.queryStop(q, t, stop)
 }
 
 // queryStop runs one threshold query at the resolved threshold t.
-// stop is nil for "not cancelable", or a watcher owned by the caller
-// (QueryContext per query, QueryBatchContext shared across a batch).
+// stop is a watcher owned by the caller (QueryContext per query,
+// QueryBatchContext shared across a batch).
 func (ix *Index) queryStop(q Vec, t float64, stop *shard.Stopper) ([]Match, error) {
 	if q.Len() == 0 {
 		return nil, nil
@@ -277,9 +274,8 @@ func (ix *Index) segment(qs querySigs) segView {
 
 // verify runs the built algorithm's verification over the candidate
 // ids at the built threshold, returning hits in candidate (ascending
-// id) order. stop (nil for "not cancelable") is polled between
-// candidates; a stopped verification returns the context's error and
-// no hits.
+// id) order. stop is polled between candidates; a stopped verification
+// returns the context's error and no hits.
 func (ix *Index) verify(qs querySigs, ids []int32, stop *shard.Stopper) ([]pair.Hit, error) {
 	return ix.verifySeg(ix.segment(qs), qs, ids, stop)
 }
@@ -392,11 +388,8 @@ func (ix *Index) TopKContext(ctx context.Context, q Vec, k int) ([]Match, error)
 	if err := ix.ready(true); err != nil {
 		return nil, err
 	}
-	var stop *shard.Stopper
-	if ctx.Done() != nil {
-		stop = shard.NewStopper(ctx)
-		defer stop.Close()
-	}
+	stop := shard.NewStopper(ctx)
+	defer stop.Close()
 	qs := ix.prepare(q, true)
 	ids := ix.candidates(qs)
 	hits := make([]pair.Hit, 0, len(ids))
@@ -445,11 +438,8 @@ func (ix *Index) QueryBatchContext(ctx context.Context, queries []Vec, opts Quer
 	if err := ix.ready(false); err != nil {
 		return nil, err
 	}
-	var stop *shard.Stopper
-	if ctx.Done() != nil {
-		stop = shard.NewStopper(ctx)
-		defer stop.Close()
-	}
+	stop := shard.NewStopper(ctx)
+	defer stop.Close()
 	out := make([][]Match, len(queries))
 	workers := ix.engine().workers()
 	err = shard.RunCtx(ctx, len(queries), workers, shard.Chunk(len(queries), workers, 1), func(lo, hi, _ int) {

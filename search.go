@@ -288,7 +288,7 @@ func (e *Engine) searchTwoPhase(ctx context.Context, o Options, out *Output) err
 		if err != nil {
 			return err
 		}
-		out.Results = rs
+		out.Results = fromResults(rs)
 		out.HashesCompared = int64(len(cands)) * int64(used)
 
 	case AllPairsBayesLSH, LSHBayesLSH:
@@ -372,9 +372,8 @@ func fillStats(out *Output, st core.Stats) {
 // approxEstimator prepares the classical LSH estimation of §3: it
 // clamps the requested hash count to the signature budget, fills every
 // signature that deep (cancelable between vectors), and returns the
-// per-pair estimator plus the hash count actually used. Batch,
-// ctx-aware and streaming estimation all share this one setup so they
-// cannot drift.
+// per-pair estimator plus the hash count actually used. Collecting
+// and streaming estimation share this one setup so they cannot drift.
 func (e *Engine) approxEstimator(ctx context.Context, o Options) (func(pair.Pair) float64, int, error) {
 	workers := e.workers()
 	if e.measure == Jaccard {
@@ -400,37 +399,39 @@ func (e *Engine) approxEstimator(ctx context.Context, o Options) (func(pair.Pair
 }
 
 // approxVerifyCtx runs §3 fixed-hash estimation over the candidates,
-// keeping pairs whose estimate meets the threshold, with cooperative
-// cancellation (polled per pair). It returns the results and the hash
-// count actually used. Estimation shards over the engine's worker
-// pool; each pair's estimate depends only on its two signatures, so
-// the output matches the sequential scan exactly.
-func (e *Engine) approxVerifyCtx(ctx context.Context, o Options, cands []pair.Pair) ([]Result, int, error) {
+// keeping pairs whose estimate meets the threshold. It returns the
+// results and the hash count actually used. Estimation shards over
+// the engine's worker pool; each pair's estimate depends only on its
+// two signatures and batches are concatenated in order, so the output
+// is independent of scheduling.
+func (e *Engine) approxVerifyCtx(ctx context.Context, o Options, cands []pair.Pair) ([]pair.Result, int, error) {
 	est, n, err := e.approxEstimator(ctx, o)
 	if err != nil {
 		return nil, 0, err
 	}
-	if ctx.Done() == nil {
-		return e.estimateBatches(cands, est, o.Threshold), n, nil
-	}
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
-	rs, err := shard.CollectCtx(ctx, len(cands), e.workers(), e.cfg.BatchSize, func(lo, hi int) []Result {
-		var out []Result
-		for _, p := range cands[lo:hi] {
-			if stop.Stopped() {
-				return nil
-			}
-			if s := est(p); s >= o.Threshold {
-				out = append(out, Result{A: int(p.A), B: int(p.B), Sim: s})
-			}
-		}
-		return out
+	rs, err := shard.CollectCtx(ctx, len(cands), e.workers(), e.cfg.BatchSize, func(lo, hi int) []pair.Result {
+		return estimateBatch(cands[lo:hi], est, o.Threshold, stop)
 	})
-	if err != nil {
-		return nil, 0, err
+	return rs, n, err
+}
+
+// estimateBatch applies est to one batch of candidates, keeping pairs
+// whose estimate meets the threshold — the batch body shared by the
+// collecting and streaming LSHApprox pipelines. Cancellation is polled
+// per pair; a stopped batch's output is discarded.
+func estimateBatch(cands []pair.Pair, est func(pair.Pair) float64, t float64, stop *shard.Stopper) []pair.Result {
+	var out []pair.Result
+	for _, p := range cands {
+		if stop.Stopped() {
+			return nil
+		}
+		if s := est(p); s >= t {
+			out = append(out, pair.Result{A: p.A, B: p.B, Sim: s})
+		}
 	}
-	return rs, n, nil
+	return out
 }
 
 // approxJaccardEstimate is the §3 maximum-likelihood Jaccard estimate
@@ -443,22 +444,6 @@ func approxJaccardEstimate(m, n int) float64 { return float64(m) / float64(n) }
 // to cosine space.
 func approxCosineEstimate(m, n int) float64 {
 	return sighash.RToCosine(clamp(float64(m)/float64(n), 0.5, 1))
-}
-
-// estimateBatches applies est to every candidate over the engine's
-// worker pool, keeping pairs whose estimate meets the threshold.
-// Batches are concatenated in order, so the result is independent of
-// scheduling.
-func (e *Engine) estimateBatches(cands []pair.Pair, est func(pair.Pair) float64, t float64) []Result {
-	return shard.Collect(len(cands), e.workers(), e.cfg.BatchSize, func(lo, hi int) []Result {
-		var out []Result
-		for _, p := range cands[lo:hi] {
-			if s := est(p); s >= t {
-				out = append(out, Result{A: int(p.A), B: int(p.B), Sim: s})
-			}
-		}
-		return out
-	})
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -513,13 +513,17 @@ func (ix *Index) rewire() error {
 			if max := e.minSigStore().MaxHashes(); n > max {
 				n = max
 			}
-			e.minSigStore().EnsureAllParallel(n, e.workers())
+			if err := e.minSigStore().EnsureAllCtx(context.Background(), n, e.workers()); err != nil {
+				return err
+			}
 			ix.verifyMin = n
 		} else {
 			if max := e.bitSigStore().MaxBits(); n > max {
 				n = max
 			}
-			e.bitSigStore().EnsureAllParallel(n, e.workers())
+			if err := e.bitSigStore().EnsureAllCtx(context.Background(), n, e.workers()); err != nil {
+				return err
+			}
 			ix.verifyBits = n
 		}
 		ix.approxN = n

@@ -154,15 +154,6 @@ func (e *Engine) approxStream(ctx context.Context, o Options, cands []pair.Pair,
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
 	return shard.StreamCtx(ctx, len(cands), e.workers(), e.cfg.BatchSize, func(lo, hi int) []pair.Result {
-		var out []pair.Result
-		for _, p := range cands[lo:hi] {
-			if stop.Stopped() {
-				return nil
-			}
-			if s := est(p); s >= o.Threshold {
-				out = append(out, pair.Result{A: p.A, B: p.B, Sim: s})
-			}
-		}
-		return out
+		return estimateBatch(cands[lo:hi], est, o.Threshold, stop)
 	}, emit)
 }
