@@ -86,6 +86,7 @@ type Engine struct {
 	measure Measure
 	cfg     EngineConfig
 
+	bitFam   *sighash.BlockFamily
 	bitStore *sighash.Store
 	minStore *minhash.Store
 	pln      *planner.Planner
@@ -123,17 +124,34 @@ func (e *Engine) Measure() Measure { return e.measure }
 // (1 means fully sequential).
 func (e *Engine) workers() int { return e.cfg.Parallelism }
 
-// bitFamily constructs the engine's seeded hyperplane family. Factored
-// out of bitSigStore so the disk-open path (which wires a fixed store
-// over mapped signatures) derives its family from exactly the same
-// parameters as a heap build — the construction the determinism
-// contract hangs off.
+// bitFamily returns the engine's seeded hyperplane family, constructing
+// it on first use. Factored out of bitSigStore so the disk-open path
+// (which wires a fixed store over mapped signatures) derives its family
+// from exactly the same parameters as a heap build — the construction
+// the determinism contract hangs off.
 func (e *Engine) bitFamily() *sighash.BlockFamily {
-	var opts []sighash.Option
-	if e.cfg.ExactProjections {
-		opts = append(opts, sighash.Exact())
+	if e.bitFam == nil {
+		var opts []sighash.Option
+		if e.cfg.ExactProjections {
+			opts = append(opts, sighash.Exact())
+		}
+		e.bitFam = sighash.NewBlockFamily(e.work.Dim, e.cfg.SignatureBits, 128, rng.Derive(e.cfg.Seed, 1), opts...)
 	}
-	return sighash.NewBlockFamily(e.work.Dim, e.cfg.SignatureBits, 128, rng.Derive(e.cfg.Seed, 1), opts...)
+	return e.bitFam
+}
+
+// keepBitFamily makes e hash with prev's hyperplane family — and so
+// with every projection row prev's lifetime already materialized —
+// when e would construct an identical one: a family is a pure function
+// of (dim, SignatureBits, Seed, ExactProjections). Must run before e's
+// first bitFamily call.
+func (e *Engine) keepBitFamily(prev *Engine) {
+	if prev.bitFam != nil && prev.work.Dim == e.work.Dim &&
+		prev.cfg.SignatureBits == e.cfg.SignatureBits &&
+		prev.cfg.Seed == e.cfg.Seed &&
+		prev.cfg.ExactProjections == e.cfg.ExactProjections {
+		e.bitFam = prev.bitFam
+	}
 }
 
 // minFamily constructs the engine's seeded minwise family; see
@@ -143,8 +161,8 @@ func (e *Engine) minFamily() *minhash.Family {
 }
 
 // bitSigStore lazily constructs the cosine bit-signature store. The
-// store materializes hash blocks per vector only as verification
-// demands them — the paper's "each point is only hashed as many times
+// store extends each vector's signature only as deep as verification
+// demands — the paper's "each point is only hashed as many times
 // as is necessary".
 func (e *Engine) bitSigStore() *sighash.Store {
 	if e.bitStore == nil {

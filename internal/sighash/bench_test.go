@@ -57,15 +57,3 @@ func BenchmarkMatchCount64Bits(b *testing.B) {
 		MatchCount(x, y, 32, 96)
 	}
 }
-
-func BenchmarkStoreEnsureBlock(b *testing.B) {
-	const dim = 2048
-	c := &vector.Collection{Dim: dim, Vecs: []vector.Vector{benchVector(100, dim, 5)}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := NewStore(c, NewBlockFamily(dim, 128, 128, uint64(i)))
-		b.StartTimer()
-		s.Ensure(0, 128)
-	}
-}

@@ -21,16 +21,30 @@
 // # Lazy, deterministic hashing
 //
 // Two family types serve the two access patterns. Family materializes
-// all projections up front. BlockFamily generates hash functions in
-// blocks (rounded to 64-bit words), materializing a block's
-// projections only when some signature first needs it — the paper's
-// "each point is only hashed as many times as is necessary" — and
-// Store caches per-vector signatures over a BlockFamily, extending
-// them block-by-block as verification demands deeper prefixes. Every
-// block derives from an independent stream keyed by (seed, feature,
-// block), so signatures are bit-identical regardless of which
-// goroutine materializes what in which order; Store is safe for
-// concurrent use (synchronization via shard.Fill).
+// all projections up front. BlockFamily groups hash functions in
+// blocks (rounded to 64-bit words) and materializes projections by
+// row, not by block: the row of feature f in block b — f's coefficient
+// for each hash function of b — is generated when the first vector
+// containing f is hashed through b. A feature no vector uses, or a
+// deep block only a few vectors reach, costs nothing: the paper's
+// "each point is only hashed as many times as is necessary", applied
+// to the hash functions as well as the points. Store caches per-vector
+// signatures over a BlockFamily, extending them block-by-block as
+// verification demands deeper prefixes. Every row derives from an
+// independent stream keyed by (seed, feature, block), so signatures
+// are bit-identical regardless of which goroutine materializes what
+// in which order; rows of one block are generated concurrently (under
+// a feature-striped lock, so never twice) and published to lock-free
+// readers. Store is safe for concurrent use (synchronization via
+// shard.Fill).
+//
+// Whoever touches a row first pays for it (blockBits Gaussian draws):
+// a cold batch join pays during its fill, a serving index during its
+// build or warm-up, and afterwards an Add or query pays only for
+// features — or depths — the process has not hashed before. A family
+// is a pure function of its parameters, so it outlives the engine
+// that created it: a live index's merged base keeps the outgoing
+// base's family instead of starting from an empty one.
 //
 // # Query hashing
 //

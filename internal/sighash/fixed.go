@@ -28,10 +28,6 @@ func NewFixedStore(fam *BlockFamily, sigs [][]uint64, nbits int) *Store {
 		panic("sighash: NewFixedStore needs a word-aligned depth within the family")
 	}
 	s := &Store{fam: fam, sigs: sigs, fill: shard.NewFill(len(sigs))}
-	s.scratch.New = func() any {
-		acc := make([]float64, fam.blockBits)
-		return &acc
-	}
 	for id := range sigs {
 		s.fill.Restore(int32(id), nbits)
 	}

@@ -12,32 +12,58 @@ import (
 )
 
 // BlockFamily generates random-hyperplane hash functions in blocks of
-// blockBits, materializing each block's projection coefficients only
-// when some signature first needs it. Block b of feature f is derived
-// from an independent deterministic stream keyed by (seed, f, b), so
-// the family is identical regardless of materialization order — this
-// per-work-item stream discipline is what keeps parallel hashing
-// deterministic. BlockFamily is safe for concurrent use; distinct
-// blocks materialize concurrently under per-block locks.
+// blockBits and materializes their projection coefficients one row at
+// a time: the row of feature f in block b — f's coefficient for each
+// of the block's hash functions — is generated the first time some
+// vector containing f is hashed through block b, and never otherwise.
+// A row is derived from an independent deterministic stream keyed by
+// (seed, f, b), so the family is identical regardless of who
+// materializes what in which order — this per-work-item stream
+// discipline is what keeps parallel hashing deterministic. A family is
+// a pure function of (dim, maxBits, blockBits, seed, quantization), so
+// engines over the same parameters may share one and with it every
+// row already paid for. BlockFamily is safe for concurrent use.
 type BlockFamily struct {
 	dim, maxBits, blockBits int
 	seed                    uint64
 	quantized               bool
-	// qblocks[b] (or fblocks[b]) is a flattened dim × blockBits matrix
-	// of projection coefficients for hash functions
-	// [b·blockBits, (b+1)·blockBits). ready[b] is set (with release
-	// semantics) once block b is materialized; readers that observe it
-	// may read the block without holding mus[b].
-	mus     []sync.Mutex
-	ready   []atomic.Bool
-	qblocks [][]uint16
-	fblocks [][]float64
+
+	mu     sync.Mutex                  // guards creation of block tables
+	blocks []atomic.Pointer[blockRows] // nil until a block is first touched
+	acc    sync.Pool                   // per-call accumulator, *[]float64 of blockBits
+}
+
+const (
+	// chunkRows is the arena's allocation unit: rows are appended in
+	// first-touch order into chunks of this many.
+	chunkRows = 256
+	// rowStripes is the number of generation locks per block. A row is
+	// generated under stripes[feature%rowStripes], so workers hashing
+	// through the same block generate different rows concurrently and
+	// no row is generated twice.
+	rowStripes = 64
+)
+
+// blockRows is one block's table of materialized rows: an append-only
+// chunked arena plus a per-feature slot index into it. A reader that
+// observes a non-zero slot (an acquire load) may read that row, and
+// the chunk pointer it lives in, without any lock.
+type blockRows struct {
+	slot    []atomic.Int32 // per feature: 1 + its arena row, 0 while unmaterialized
+	stripes [rowStripes]sync.Mutex
+	mu      sync.Mutex // guards n and chunk allocation
+	n       int        // arena rows reserved, each generated exactly once by its reserver
+	// Chunk c holds arena rows [c·chunkRows, (c+1)·chunkRows), blockBits
+	// coefficients each; q for the quantized layout, x for Exact().
+	q [][]uint16
+	x [][]float64
 }
 
 // NewBlockFamily creates a lazily-materialized family of maxBits hash
-// functions over dim features. blockBits controls materialization
-// granularity (it is rounded up to a multiple of 64 so signature
-// blocks align with words).
+// functions over dim features. blockBits is the granularity at which
+// signatures are extended (it is rounded up to a multiple of 64 so
+// signature blocks align with words). Construction allocates nothing
+// proportional to dim.
 func NewBlockFamily(dim, maxBits, blockBits int, seed uint64, opts ...Option) *BlockFamily {
 	if dim <= 0 || maxBits <= 0 || blockBits <= 0 {
 		panic("sighash: NewBlockFamily needs positive dim, maxBits, blockBits")
@@ -53,11 +79,11 @@ func NewBlockFamily(dim, maxBits, blockBits int, seed uint64, opts ...Option) *B
 		o(probe)
 	}
 	f.quantized = probe.quantized
-	n := maxBits / blockBits
-	f.mus = make([]sync.Mutex, n)
-	f.ready = make([]atomic.Bool, n)
-	f.qblocks = make([][]uint16, n)
-	f.fblocks = make([][]float64, n)
+	f.blocks = make([]atomic.Pointer[blockRows], maxBits/blockBits)
+	f.acc.New = func() any {
+		acc := make([]float64, blockBits)
+		return &acc
+	}
 	return f
 }
 
@@ -67,69 +93,117 @@ func (f *BlockFamily) MaxBits() int { return f.maxBits }
 // Dim returns the feature-space dimensionality the family hashes.
 func (f *BlockFamily) Dim() int { return f.dim }
 
-// BlockBits returns the materialization granularity.
+// BlockBits returns the granularity of signature extension.
 func (f *BlockFamily) BlockBits() int { return f.blockBits }
 
-// ensureBlock materializes block b's projection rows. Safe for
-// concurrent use: the first caller materializes under the block's
-// lock, later callers return on the atomic fast path, and different
-// blocks materialize in parallel.
-func (f *BlockFamily) ensureBlock(b int) {
-	if f.ready[b].Load() {
-		return
+// Rows returns how many projection rows the family has materialized
+// so far, over all blocks. It only grows.
+func (f *BlockFamily) Rows() int {
+	n := 0
+	for b := range f.blocks {
+		if t := f.blocks[b].Load(); t != nil {
+			t.mu.Lock()
+			n += t.n
+			t.mu.Unlock()
+		}
 	}
-	f.mus[b].Lock()
-	defer f.mus[b].Unlock()
-	if f.ready[b].Load() {
-		return
+	return n
+}
+
+// block returns block b's row table, creating the empty table (a slot
+// index and a chunk directory, no coefficients) on first touch.
+func (f *BlockFamily) block(b int) *blockRows {
+	if t := f.blocks[b].Load(); t != nil {
+		return t
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	t := f.blocks[b].Load()
+	if t == nil {
+		t = &blockRows{slot: make([]atomic.Int32, f.dim)}
+		chunks := (f.dim + chunkRows - 1) / chunkRows
+		if f.quantized {
+			t.q = make([][]uint16, chunks)
+		} else {
+			t.x = make([][]float64, chunks)
+		}
+		f.blocks[b].Store(t)
+	}
+	return t
+}
+
+// row returns the arena row of feature feat in block b, materializing
+// it if this is the first time any vector reads it.
+func (f *BlockFamily) row(t *blockRows, b int, feat uint32) int {
+	if s := t.slot[feat].Load(); s != 0 {
+		return int(s) - 1
+	}
+	return f.materialize(t, b, feat)
+}
+
+// materialize generates one row from its (seed, feature, block) stream.
+// Generation runs under the feature's stripe only; the block lock is
+// held just long enough to reserve an arena row, and the release store
+// of the slot publishes the finished coefficients to lock-free readers.
+func (f *BlockFamily) materialize(t *blockRows, b int, feat uint32) int {
+	stripe := &t.stripes[feat%rowStripes]
+	stripe.Lock()
+	defer stripe.Unlock()
+	if s := t.slot[feat].Load(); s != 0 {
+		return int(s) - 1
+	}
+	bb := f.blockBits
+	t.mu.Lock()
+	r := t.n
+	t.n++
+	c, off := r/chunkRows, r%chunkRows*bb
+	if off == 0 {
+		if f.quantized {
+			t.q[c] = make([]uint16, chunkRows*bb)
+		} else {
+			t.x[c] = make([]float64, chunkRows*bb)
+		}
+	}
+	t.mu.Unlock()
+	src := rng.New(rng.Mix64(f.seed ^ (uint64(feat) + 1) ^ uint64(b+1)<<40))
 	if f.quantized {
-		rows := make([]uint16, f.dim*f.blockBits)
-		for feat := 0; feat < f.dim; feat++ {
-			src := rng.New(rng.Mix64(f.seed ^ uint64(feat+1) ^ uint64(b+1)<<40))
-			row := rows[feat*f.blockBits : (feat+1)*f.blockBits]
-			for i := range row {
-				row[i] = Quantize(src.NormFloat64())
-			}
+		row := t.q[c][off : off+bb]
+		for i := range row {
+			row[i] = Quantize(src.NormFloat64())
 		}
-		f.qblocks[b] = rows
 	} else {
-		rows := make([]float64, f.dim*f.blockBits)
-		for feat := 0; feat < f.dim; feat++ {
-			src := rng.New(rng.Mix64(f.seed ^ uint64(feat+1) ^ uint64(b+1)<<40))
-			row := rows[feat*f.blockBits : (feat+1)*f.blockBits]
-			for i := range row {
-				row[i] = src.NormFloat64()
-			}
+		row := t.x[c][off : off+bb]
+		for i := range row {
+			row[i] = src.NormFloat64()
 		}
-		f.fblocks[b] = rows
 	}
-	f.ready[b].Store(true)
+	t.slot[feat].Store(int32(r) + 1)
+	return r
 }
 
 // signBlock computes the signature bits of block b for v and writes
 // them into sig (whose capacity covers the whole signature).
 func (f *BlockFamily) signBlock(v vector.Vector, b int, sig []uint64, acc []float64) {
-	f.ensureBlock(b)
+	t := f.block(b)
 	bb := f.blockBits
 	for i := range acc[:bb] {
 		acc[i] = 0
 	}
 	if f.quantized {
-		rows := f.qblocks[b]
 		for i, ind := range v.Ind {
 			w := v.Val[i]
-			row := rows[int(ind)*bb : (int(ind)+1)*bb]
-			for j, q := range row {
+			r := f.row(t, b, ind)
+			off := r % chunkRows * bb
+			for j, q := range t.q[r/chunkRows][off : off+bb] {
 				acc[j] += w * (float64(q)/4096 - 8)
 			}
 		}
 	} else {
-		rows := f.fblocks[b]
 		for i, ind := range v.Ind {
 			w := v.Val[i]
-			row := rows[int(ind)*bb : (int(ind)+1)*bb]
-			for j, g := range row {
+			r := f.row(t, b, ind)
+			off := r % chunkRows * bb
+			for j, g := range t.x[r/chunkRows][off : off+bb] {
 				acc[j] += w * g
 			}
 		}
@@ -144,7 +218,7 @@ func (f *BlockFamily) signBlock(v vector.Vector, b int, sig []uint64, acc []floa
 
 // SignatureN computes bits [0, nbits) of v's signature in one call,
 // the hashing path for out-of-corpus query vectors. nbits is rounded
-// up to whole blocks and must not exceed MaxBits. Blocks derive from
+// up to whole blocks and must not exceed MaxBits. Rows derive from
 // the same (seed, feature, block) streams the lazy Store fills use, so
 // a query vector equal to a corpus vector yields a prefix bit-identical
 // to that vector's stored signature.
@@ -155,11 +229,18 @@ func (f *BlockFamily) SignatureN(v vector.Vector, nbits int) []uint64 {
 		panic("sighash: SignatureN beyond family capacity")
 	}
 	sig := make([]uint64, to*bb/64)
-	acc := make([]float64, bb)
-	for b := 0; b < to; b++ {
-		f.signBlock(v, b, sig, acc)
-	}
+	f.signBlocks(v, 0, to, sig)
 	return sig
+}
+
+// signBlocks fills blocks [from, to) of v's signature into sig with a
+// pooled accumulator.
+func (f *BlockFamily) signBlocks(v vector.Vector, from, to int, sig []uint64) {
+	accp := f.acc.Get().(*[]float64)
+	for b := from; b < to; b++ {
+		f.signBlock(v, b, sig, *accp)
+	}
+	f.acc.Put(accp)
 }
 
 // Store lazily computes and caches packed bit signatures per vector,
@@ -170,11 +251,10 @@ func (f *BlockFamily) SignatureN(v vector.Vector, nbits int) []uint64 {
 // another goroutine did the fill — may read bits [0, n) of sigs[id]
 // without further locking.
 type Store struct {
-	fam     *BlockFamily
-	c       *vector.Collection
-	sigs    [][]uint64 // full capacity allocated; filled lazily
-	fill    *shard.Fill
-	scratch sync.Pool // per-fill accumulator, []float64 of blockBits
+	fam  *BlockFamily
+	c    *vector.Collection
+	sigs [][]uint64 // full capacity allocated; filled lazily
+	fill *shard.Fill
 }
 
 // NewStore creates a signature store over the collection.
@@ -185,10 +265,6 @@ func NewStore(c *vector.Collection, fam *BlockFamily) *Store {
 		c:    c,
 		sigs: make([][]uint64, len(c.Vecs)),
 		fill: shard.NewFill(len(c.Vecs)),
-	}
-	s.scratch.New = func() any {
-		acc := make([]float64, fam.blockBits)
-		return &acc
 	}
 	backing := make([]uint64, words*len(c.Vecs))
 	for i := range s.sigs {
@@ -228,12 +304,7 @@ func (s *Store) Ensure(id int32, nbits int) {
 		if to*bb > s.fam.maxBits {
 			panic("sighash: Ensure beyond family capacity")
 		}
-		v := s.c.Vecs[id]
-		accp := s.scratch.Get().(*[]float64)
-		for b := from / bb; b < to; b++ {
-			s.fam.signBlock(v, b, s.sigs[id], *accp)
-		}
-		s.scratch.Put(accp)
+		s.fam.signBlocks(s.c.Vecs[id], from/bb, to, s.sigs[id])
 		return to * bb
 	})
 }

@@ -552,10 +552,12 @@ func (li *LiveIndex) collect(gen *liveGen, skip int, view live.View) compactSrc 
 
 // compactEngine builds an engine over the compacted corpus and adopts
 // every already-computed signature prefix from the base stores and
-// the memtable, so nothing is hashed twice. The engine is exactly
-// what a cold NewEngine over the equivalent corpus constructs —
-// adopted prefixes are bit-identical to what its lazy fills would
-// compute, deeper demand resumes hashing where the prefix ends.
+// the memtable, so nothing is hashed twice, and keeps hashing with the
+// base engine's hyperplane family, so no projection row is generated
+// twice either. The engine answers exactly as a cold NewEngine over
+// the equivalent corpus would — adopted prefixes are bit-identical to
+// what its lazy fills would compute, deeper demand resumes hashing
+// where the prefix ends.
 func (li *LiveIndex) compactEngine(cfg EngineConfig, gen *liveGen, src compactSrc, view live.View, extra *live.Entry) (*Engine, error) {
 	// A disk-backed base's mapped bytes are dereferenced below (the
 	// compacted collection aliases them; signature prefixes are adopted
@@ -574,6 +576,7 @@ func (li *LiveIndex) compactEngine(cfg EngineConfig, gen *liveGen, src compactSr
 		return nil, err
 	}
 	be := gen.base.engine()
+	e2.keepBitFamily(be)
 	if be.minStore != nil {
 		st := e2.minSigStore()
 		for i := range src.vecs {

@@ -48,8 +48,9 @@ func benchLive(b *testing.B, lc bayeslsh.LiveConfig) (*bayeslsh.LiveIndex, *baye
 func BenchmarkLiveAdd(b *testing.B) {
 	li, _, pool := benchLive(b, bayeslsh.LiveConfig{MaxDelta: -1, MaxRatio: -1})
 	defer li.Close()
-	// Warm the lazily-materialized hash-family blocks (a one-time,
-	// corpus-independent cost) so iterations measure steady ingest.
+	// One untimed Add pays the one-time first-ingest costs, so
+	// iterations measure steady ingest. The pool repeats, so projection
+	// rows for its features are generated on the first lap only.
 	if _, err := li.Add(pool[0]); err != nil {
 		b.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"bayeslsh/internal/sighash"
 	"bayeslsh/internal/vector"
 )
 
@@ -259,6 +260,101 @@ func TestLiveAutoMerge(t *testing.T) {
 	}
 	cold := s.coldEquivalent(pool.Dim(), Cosine, cfg, opts)
 	s.checkEquivalent(cold, s.liveQueries(nil), "auto-merge")
+}
+
+// TestLiveMergeKeepsHashFamily pins what a merge carries over besides
+// signatures: the base engine's hyperplane family, with every
+// projection row already materialized. Across an explicit Compact and
+// across policy-triggered merges the family is the same object and
+// its row count never drops — so the first mutation or query after a
+// merge regenerates nothing — while answers stay cold-equivalent.
+func TestLiveMergeKeepsHashFamily(t *testing.T) {
+	const seedN, poolN = 80, 140
+	pool := smallDataset(t, poolN).TfIdf().Normalize()
+	seed := &Dataset{c: &vector.Collection{Dim: pool.Dim(), Vecs: pool.c.Vecs[:seedN]}}
+	opts := Options{Algorithm: LSHBayesLSH, Threshold: 0.7}
+	cfg := EngineConfig{Seed: 7, SignatureBits: 1024}
+	li, err := NewLiveIndex(seed, Cosine, cfg, opts, LiveConfig{MaxDelta: 8, MaxRatio: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer li.Close()
+	s := &liveScript{t: t, li: li}
+	for i := 0; i < seedN; i++ {
+		s.ids = append(s.ids, i)
+		s.vecs = append(s.vecs, seed.c.Vecs[i])
+	}
+	family := func() *sighash.BlockFamily { return li.gen.Load().base.engine().bitSigStore().Family() }
+	fam, rows := family(), family().Rows()
+	if rows == 0 {
+		t.Fatal("the build hashed the seed corpus without materializing a row")
+	}
+	check := func(label string, wantMerges int64) {
+		t.Helper()
+		if st := li.Stats(); st.Merges < wantMerges {
+			t.Fatalf("%s: %d merges, want at least %d", label, st.Merges, wantMerges)
+		}
+		if got := family(); got != fam {
+			t.Fatalf("%s: merged base hashes with a new family %p, want the outgoing base's %p", label, got, fam)
+		}
+		if got := fam.Rows(); got < rows {
+			t.Fatalf("%s: family holds %d rows, held %d before the merge", label, got, rows)
+		}
+		rows = fam.Rows()
+	}
+
+	for i := seedN; i < seedN+3; i++ { // below MaxDelta: only Compact merges
+		s.add(pool.Vector(i))
+	}
+	li.Compact()
+	check("Compact", 1)
+
+	for i := seedN + 3; i < poolN; i++ {
+		s.add(pool.Vector(i))
+	}
+	s.del(s.ids[len(s.ids)/2])
+	li.Compact() // quiesce the policy-triggered merges
+	check("policy-triggered merges", 3)
+
+	cold := s.coldEquivalent(pool.Dim(), Cosine, cfg, opts)
+	s.checkEquivalent(cold, s.liveQueries(nil), "kept-family")
+}
+
+// TestKeepBitFamilyNeedsIdenticalParameters covers the guard on the
+// hand-over. No live path changes them today (SetRuntime moves only
+// Parallelism and BatchSize, which keep the family), but an engine
+// whose family would differ in any parameter must build its own.
+func TestKeepBitFamilyNeedsIdenticalParameters(t *testing.T) {
+	ds := smallDataset(t, 20).TfIdf().Normalize()
+	base := EngineConfig{Seed: 7, SignatureBits: 1024}
+	prev, err := NewEngine(ds, Cosine, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam := prev.bitSigStore().Family()
+	wider := &Dataset{c: &vector.Collection{Dim: ds.Dim() + 1, Vecs: ds.c.Vecs}}
+	for _, c := range []struct {
+		name string
+		ds   *Dataset
+		cfg  EngineConfig
+		keep bool
+	}{
+		{"identical", ds, base, true},
+		{"runtime knobs", ds, EngineConfig{Seed: 7, SignatureBits: 1024, Parallelism: 3, BatchSize: 5}, true},
+		{"seed", ds, EngineConfig{Seed: 8, SignatureBits: 1024}, false},
+		{"signature bits", ds, EngineConfig{Seed: 7, SignatureBits: 512}, false},
+		{"exact projections", ds, EngineConfig{Seed: 7, SignatureBits: 1024, ExactProjections: true}, false},
+		{"dimension", wider, base, false},
+	} {
+		e, err := NewEngine(c.ds, Cosine, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.keepBitFamily(prev)
+		if got := e.bitSigStore().Family(); (got == fam) != c.keep {
+			t.Errorf("%s: kept the previous family = %v, want %v", c.name, got == fam, c.keep)
+		}
+	}
 }
 
 // TestLiveConcurrent hammers a live index with concurrent queries
