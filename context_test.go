@@ -106,6 +106,32 @@ func TestSearchContextPreCanceled(t *testing.T) {
 	}
 }
 
+// TestStreamPreCanceledSkipsPlanning: a pre-canceled Stream with
+// AutoPipeline on a fresh engine is refused before planning — the
+// O(1) refusal, not a corpus-statistics pass — exactly as
+// SearchContext refuses it.
+func TestStreamPreCanceledSkipsPlanning(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	eng := cancelTestEngine(t, Cosine, 200, 2)
+	seen := 0
+	for r, err := range eng.Stream(ctx, Options{AutoPipeline: true, Threshold: 0.7}) {
+		seen++
+		if r != (Result{}) {
+			t.Errorf("pre-canceled Stream yielded a pair: %+v", r)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("pre-canceled Stream yielded %v, want an error wrapping context.Canceled", err)
+		}
+	}
+	if seen != 1 {
+		t.Errorf("pre-canceled Stream yielded %d elements, want exactly 1 error", seen)
+	}
+	if eng.pln != nil {
+		t.Error("pre-canceled Stream collected corpus statistics for AutoPipeline")
+	}
+}
+
 // TestSearchCancelableContextEqualsSearch: a live (cancelable but
 // never canceled) context must not change anything — the ctx-aware
 // code paths produce bit-identical Output for every pipeline.

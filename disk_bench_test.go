@@ -4,11 +4,11 @@
 //
 //	go test -bench 'OpenVsLoad|MmapQuery' -benchmem
 //
-// CI parses the output into BENCH_disk.json. The acceptance criterion
-// of the disk subsystem shows up in OpenVsLoad's B/op column:
-// OpenIndexFile allocates a few row-header slices over the mapping
-// while ReadIndex materializes the whole corpus — orders of magnitude
-// apart on the same snapshot, and the gap grows with corpus size.
+// The acceptance criterion of the disk subsystem shows up in
+// OpenVsLoad's B/op column: OpenIndexFile allocates a few row-header
+// slices over the mapping while ReadIndex materializes the whole
+// corpus — orders of magnitude apart on the same snapshot, and the gap
+// grows with corpus size.
 // docs/PERSISTENCE.md and docs/TUNING.md quote a reference run.
 package bayeslsh_test
 

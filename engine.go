@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"bayeslsh/internal/allpairs"
 	"bayeslsh/internal/core"
 	"bayeslsh/internal/lshindex"
 	"bayeslsh/internal/minhash"
@@ -261,13 +260,6 @@ func (e *Engine) lshCandidates(ctx context.Context, o Options) ([]pair.Pair, err
 		return lshindex.CandidatesBitsMultiProbeCtx(ctx, e.bitSigStore().Sigs(), k, l, w)
 	}
 	return lshindex.CandidatesBitsCtx(ctx, e.bitSigStore().Sigs(), k, l, w)
-}
-
-// allPairsCandidates generates AllPairs candidates at the options'
-// threshold, sharding the probe phase when the engine is parallel and
-// polling cancellation between indexed vectors and posting lists.
-func (e *Engine) allPairsCandidates(ctx context.Context, o Options) ([]pair.Pair, error) {
-	return allpairs.CandidatesMeasureCtx(ctx, e.workInput(), toExactMeasure(e.measure), o.Threshold, e.workers())
 }
 
 // workInput returns the collection in the representation AllPairs and

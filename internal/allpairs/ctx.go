@@ -10,13 +10,13 @@ import (
 	"bayeslsh/internal/vector"
 )
 
-// Sharded and streaming forms of the AllPairs scan. All of them run
-// the build-then-probe split of parallel.go (which reproduces the
-// interleaved stream exactly): cancellation is polled between indexed
-// vectors during the build and between posting lists during each
-// probe, and the probe batches go through shard.RunCtx/StreamCtx so
-// no new probe starts once the context is done. A canceled call
-// returns (nil, ctx.Err()) with all workers drained.
+// Sharded forms of the AllPairs scan: the candidate generator and the
+// streaming search. Both run the build-then-probe split of parallel.go
+// (which reproduces the interleaved stream exactly): cancellation is
+// polled between indexed vectors during the build and between posting
+// lists during each probe, and the probe batches go through
+// shard.RunCtx/StreamCtx so no new probe starts once the context is
+// done. A canceled call returns ctx.Err() with all workers drained.
 
 // buildThenProbe builds the inverted index to completion in processing
 // order and returns the batch body of the probe phase: probe(lo, hi,
@@ -50,21 +50,6 @@ func (s *searcher) buildThenProbe(stop *shard.Stopper) (probe func(lo, hi int, c
 	}, nil
 }
 
-// runCtx runs the build-then-probe scan with the probe phase sharded
-// over workers goroutines, gathering candidates through collect (the
-// buildThenProbe contract).
-func (s *searcher) runCtx(ctx context.Context, workers int, collect func(slot int, x, y int32, acc float64)) error {
-	stop := shard.NewStopper(ctx)
-	defer stop.Close()
-	probe, err := s.buildThenProbe(stop)
-	if err != nil {
-		return err
-	}
-	return shard.RunCtx(ctx, len(s.order), workers, shard.Chunk(len(s.order), workers, 16), func(lo, hi, _ int) {
-		probe(lo, hi, collect)
-	})
-}
-
 // CandidatesMeasureCtx is CandidatesMeasure with the probe phase
 // sharded over workers goroutines; it returns the exact candidate
 // stream of the interleaved scan, in the same order.
@@ -77,9 +62,17 @@ func CandidatesMeasureCtx(ctx context.Context, c *vector.Collection, m exact.Mea
 	if err != nil {
 		return nil, err
 	}
+	stop := shard.NewStopper(ctx)
+	defer stop.Close()
+	probe, err := s.buildThenProbe(stop)
+	if err != nil {
+		return nil, err
+	}
 	perX := make([][]pair.Pair, len(s.order))
-	if err := s.runCtx(ctx, workers, func(slot int, x, y int32, _ float64) {
-		perX[slot] = append(perX[slot], pair.Make(x, y))
+	if err := shard.RunCtx(ctx, len(s.order), workers, shard.Chunk(len(s.order), workers, 16), func(lo, hi, _ int) {
+		probe(lo, hi, func(slot int, x, y int32, _ float64) {
+			perX[slot] = append(perX[slot], pair.Make(x, y))
+		})
 	}); err != nil {
 		return nil, err
 	}
@@ -90,47 +83,16 @@ func CandidatesMeasureCtx(ctx context.Context, c *vector.Collection, m exact.Mea
 	return out, nil
 }
 
-// SearchMeasureCtx is SearchMeasure with the probe and verification
-// phases sharded over workers goroutines; it returns the exact result
-// stream of the interleaved scan, in the same order.
-func SearchMeasureCtx(ctx context.Context, c *vector.Collection, m exact.Measure, t float64, workers, batch int) ([]pair.Result, error) {
-	switch m {
-	case exact.Cosine:
-		s, err := newSearcher(c, t)
-		if err != nil {
-			return nil, err
-		}
-		perX := make([][]pair.Result, len(s.order))
-		if err := s.runCtx(ctx, workers, func(slot int, x, y int32, acc float64) {
-			if r, ok := s.finish(x, y, acc); ok {
-				perX[slot] = append(perX[slot], r)
-			}
-		}); err != nil {
-			return nil, err
-		}
-		var out []pair.Result
-		for _, rs := range perX {
-			out = append(out, rs...)
-		}
-		return out, nil
-	default:
-		// Binary measures (and the unknown-measure error) go through
-		// the shared candidate mapping, then verify under the
-		// requested measure — mirroring SearchMeasure.
-		cands, err := CandidatesMeasureCtx(ctx, c, m, t, workers)
-		if err != nil {
-			return nil, err
-		}
-		return exact.VerifyCtx(ctx, c, m, t, cands, workers, batch)
-	}
-}
-
-// SearchMeasureStream is the streaming form of SearchMeasureCtx:
-// each probe batch's verified results go to emit as the batch
-// completes (shard.StreamCtx contract). For the binary measures the
-// candidate set is still materialized — the scan's correctness depends
-// on the full candidate stream — and only verification streams.
-func SearchMeasureStream(ctx context.Context, c *vector.Collection, m exact.Measure, t float64, workers, batch int, emit func([]pair.Result) error) error {
+// SearchMeasureStream is SearchMeasure with the probe and verification
+// phases sharded over workers goroutines: each probe (cosine) or
+// verification (binary measures) batch's results go to emit with the
+// batch's slot as the batch completes (shard.StreamCtx contract).
+// Collected in slot order (shard.Slots) they are the exact result
+// stream of the interleaved scan, in the same order. For the binary
+// measures the candidate set is still materialized — the scan's
+// correctness depends on the full candidate stream — and only
+// verification streams.
+func SearchMeasureStream(ctx context.Context, c *vector.Collection, m exact.Measure, t float64, workers, batch int, emit func(slot int, rs []pair.Result) error) error {
 	switch m {
 	case exact.Cosine:
 		s, err := newSearcher(c, t)
@@ -139,6 +101,9 @@ func SearchMeasureStream(ctx context.Context, c *vector.Collection, m exact.Meas
 		}
 		return s.streamResults(ctx, workers, emit)
 	default:
+		// Binary measures (and the unknown-measure error) go through
+		// the shared candidate mapping, then verify under the
+		// requested measure — mirroring SearchMeasure.
 		cands, err := CandidatesMeasureCtx(ctx, c, m, t, workers)
 		if err != nil {
 			return err
@@ -148,8 +113,9 @@ func SearchMeasureStream(ctx context.Context, c *vector.Collection, m exact.Meas
 }
 
 // streamResults runs the build-then-probe scan, delivering each probe
-// batch's results through emit instead of accumulating them.
-func (s *searcher) streamResults(ctx context.Context, workers int, emit func([]pair.Result) error) error {
+// batch's results, in processing order within the batch, through emit
+// instead of accumulating them.
+func (s *searcher) streamResults(ctx context.Context, workers int, emit func(slot int, rs []pair.Result) error) error {
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
 	probe, err := s.buildThenProbe(stop)

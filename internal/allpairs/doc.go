@@ -40,10 +40,13 @@
 // The classic scan (Search, Candidates) is inherently sequential: each
 // vector probes the index built from the vectors processed before it.
 // It is kept as the reference the tests compare against. The engine
-// runs the build-then-probe form (the *Ctx and *Stream functions): a
-// sequential index-build phase (linear in the input) and a probe phase
-// sharded over a worker pool, where each vector probes the completed
-// index filtered to entries indexed before it — reproducing the
-// interleaved candidate stream exactly, pair for pair, at any worker
-// count (see parallel.go for the argument).
+// runs the build-then-probe form (CandidatesMeasureCtx and
+// SearchMeasureStream): a sequential index-build phase (linear in the
+// input) and a probe phase sharded over a worker pool, where each
+// vector probes the completed index filtered to entries indexed before
+// it — reproducing the interleaved candidate stream exactly, pair for
+// pair, at any worker count (see parallel.go for the argument). The
+// search streams its results per probe batch, tagged with the batch's
+// slot; collected in slot order they are the interleaved scan's result
+// stream.
 package allpairs

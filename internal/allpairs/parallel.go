@@ -12,11 +12,11 @@
 // and the lazy minsize head-truncation is replayed statelessly by
 // skipping the leading entries below the probe's own bound (the bound
 // is monotone over the processing order, so entries truncated by the
-// interleaved scan are exactly those skipped here). Each probe writes
-// candidates into its own slot of a per-vector table, which is
-// concatenated in processing order afterwards — the emitted stream is
-// identical, pair for pair, to the interleaved scan for any worker
-// count.
+// interleaved scan are exactly those skipped here). Each probe's output
+// is kept under its position (candidates) or its probe batch's slot
+// (search results) and concatenated in processing order afterwards —
+// the stream is identical, pair for pair, to the interleaved scan for
+// any worker count.
 
 package allpairs
 

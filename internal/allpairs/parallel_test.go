@@ -10,6 +10,7 @@ import (
 	"bayeslsh/internal/dataset"
 	"bayeslsh/internal/exact"
 	"bayeslsh/internal/pair"
+	"bayeslsh/internal/shard"
 	"bayeslsh/internal/testutil"
 	"bayeslsh/internal/vector"
 )
@@ -36,8 +37,18 @@ func TestCandidatesParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// searchCollect runs SearchMeasureStream collected in slot order
+// through the shard sink; a failed search returns (nil, err).
+func searchCollect(ctx context.Context, c *vector.Collection, m exact.Measure, th float64, workers, batch int) ([]pair.Result, error) {
+	var sink shard.Slots[pair.Result]
+	if err := SearchMeasureStream(ctx, c, m, th, workers, batch, sink.Put); err != nil {
+		return nil, err
+	}
+	return sink.Flat(), nil
+}
+
 // TestSearchParallelMatchesSequential is the same guarantee for the
-// verified result stream, collected and streamed.
+// verified result stream collected in slot order.
 func TestSearchParallelMatchesSequential(t *testing.T) {
 	c := testutil.SmallTextCorpus(t, 400, 10)
 	for _, th := range []float64{0.5, 0.7, 0.9} {
@@ -45,25 +56,13 @@ func TestSearchParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sorted := append([]pair.Result(nil), want...)
-		pair.SortResults(sorted)
 		for name, ctx := range testutil.Contexts(t) {
 			for _, workers := range []int{1, 2, 4, 7} {
-				got, err := SearchMeasureCtx(ctx, c, exact.Cosine, th, workers, 64)
+				got, err := searchCollect(ctx, c, exact.Cosine, th, workers, 64)
 				if err != nil {
 					t.Fatal(err)
 				}
 				testutil.RequireSameSequence(t, name, got, want)
-
-				var streamed []pair.Result
-				if err := SearchMeasureStream(ctx, c, exact.Cosine, th, workers, 64, func(rs []pair.Result) error {
-					streamed = append(streamed, rs...)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				pair.SortResults(streamed)
-				testutil.RequireSameSequence(t, name+" stream", streamed, sorted)
 			}
 		}
 	}
@@ -79,7 +78,7 @@ func TestSearchMeasureParallelMatchesBruteForce(t *testing.T) {
 		for _, ctx := range testutil.Contexts(t) {
 			for _, workers := range []int{1, 2, 4, 7} {
 				for _, batch := range []int{1, 64, 1 << 20} {
-					got, err := SearchMeasureCtx(ctx, c, m, th, workers, batch)
+					got, err := searchCollect(ctx, c, m, th, workers, batch)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -96,15 +95,16 @@ func TestParallelRejectsBadInput(t *testing.T) {
 	if _, err := CandidatesMeasureCtx(ctx, c, exact.Cosine, 1.5, 4); err == nil {
 		t.Error("threshold 1.5 accepted")
 	}
-	if _, err := SearchMeasureCtx(ctx, c, exact.Cosine, 0, 4, 64); err == nil {
+	if _, err := searchCollect(ctx, c, exact.Cosine, 0, 4, 64); err == nil {
 		t.Error("threshold 0 accepted")
 	}
-	if _, err := SearchMeasureCtx(ctx, c, exact.Measure(9), 0.5, 4, 64); err == nil {
+	if _, err := searchCollect(ctx, c, exact.Measure(9), 0.5, 4, 64); err == nil {
 		t.Error("unknown measure accepted")
 	}
 }
 
-// scanDrivers are the three sharded entry points with a uniform shape.
+// scanDrivers are the sharded entry points, and the search collected
+// and streamed, with a uniform shape.
 func scanDrivers(c *vector.Collection, th float64) map[string]func(context.Context) (int, error) {
 	return map[string]func(context.Context) (int, error){
 		"candidates": func(ctx context.Context) (int, error) {
@@ -112,12 +112,12 @@ func scanDrivers(c *vector.Collection, th float64) map[string]func(context.Conte
 			return len(ps), err
 		},
 		"search": func(ctx context.Context) (int, error) {
-			rs, err := SearchMeasureCtx(ctx, c, exact.Cosine, th, 4, 64)
+			rs, err := searchCollect(ctx, c, exact.Cosine, th, 4, 64)
 			return len(rs), err
 		},
 		"stream": func(ctx context.Context) (int, error) {
 			n := 0
-			err := SearchMeasureStream(ctx, c, exact.Cosine, th, 4, 64, func(rs []pair.Result) error {
+			err := SearchMeasureStream(ctx, c, exact.Cosine, th, 4, 64, func(_ int, rs []pair.Result) error {
 				n += len(rs)
 				return nil
 			})

@@ -1,7 +1,7 @@
 // Package gohygiene flags raw go statements outside the sanctioned
 // concurrency layer. Every goroutine in the serving path must run
-// inside the internal/shard pool primitives (Run/RunCtx/Collect/
-// CollectCtx/StreamCtx, Coalescer), which carry the cancellation and
+// inside the internal/shard pool primitives (Run/RunCtx/StreamCtx,
+// Coalescer), which carry the cancellation and
 // goroutine-leak accounting the PR 4 and PR 6 harnesses verify; a
 // raw `go` statement anywhere else escapes that accounting.
 package gohygiene
@@ -29,7 +29,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "goroutines only via internal/shard pools (leak accounting); raw go statements elsewhere need //apsslint:allow\n" +
 		"Raw go statements outside internal/shard escape the pool's cancellation and\n" +
 		"goroutine-leak accounting that the serving harnesses verify. Use shard.Run/\n" +
-		"RunCtx/Collect/CollectCtx/StreamCtx or shard.NewCoalescer, or justify the\n" +
+		"RunCtx/StreamCtx or shard.NewCoalescer, or justify the\n" +
 		"exception with //apsslint:allow gohygiene <reason>. _test.go files are exempt:\n" +
 		"test harnesses drive concurrency on purpose.",
 	Run: run,
@@ -50,7 +50,7 @@ func run(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				pass.Reportf(g.Pos(),
-					"raw go statement outside internal/shard: use the shard pool primitives (Run/RunCtx/Collect/StreamCtx, Coalescer) so the goroutine is counted and canceled, or add //apsslint:allow gohygiene <reason>")
+					"raw go statement outside internal/shard: use the shard pool primitives (Run/RunCtx/StreamCtx, Coalescer) so the goroutine is counted and canceled, or add //apsslint:allow gohygiene <reason>")
 			}
 			return true
 		})

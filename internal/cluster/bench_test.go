@@ -14,8 +14,8 @@ import (
 // BenchmarkShardedQuery measures the scatter-gather query path at 1
 // shard (pure router overhead over a single LiveIndex) and 4 shards
 // (fan-out, per-shard contexts, k-way gather), reporting req/s with
-// p50/p99 latencies — the cluster entry of the BENCH_*.json perf
-// trajectory (CI parses it into BENCH_shard.json).
+// p50/p99 latencies. It runs by hand; the gated sharded-serving
+// numbers are bench/'s serve_sharded workload.
 func BenchmarkShardedQuery(b *testing.B) {
 	ds, maps := harness.Corpus(b, bayeslsh.Cosine, 1000)
 	opts := bayeslsh.Options{Algorithm: bayeslsh.LSHBayesLSH, Threshold: 0.6}

@@ -172,26 +172,19 @@ type ExactSimFunc func(a, b int32) float64
 // Params.Ensure must be too; the library's stores are).
 //
 // Candidates are verified in batches of batch pairs on workers
-// goroutines. The result set, result order and all Stats counters
-// except the CacheHits/InferenceCalls split are identical for any
-// worker count and batch size. No batch starts after ctx is done and
-// the round loop polls cancellation between rounds.
+// goroutines, and each batch's accepted results go to emit, with the
+// batch's slot, as soon as the batch finishes (the shard.StreamCtx
+// contract). Collected in slot order (as VerifyParallelCtx and
+// VerifyLiteParallelCtx do) the results, and all returned Stats except
+// the CacheHits/InferenceCalls split, are identical for any worker
+// count and batch size. An emit error or a canceled ctx stops the run
+// and is returned with Stats{}.
 type Verifier interface {
-	// VerifyParallelCtx runs BayesLSH (Algorithm 1): prune and
-	// estimate. A canceled run returns (nil, Stats{}, ctx.Err()) with
-	// all workers drained.
-	VerifyParallelCtx(ctx context.Context, cands []pair.Pair, workers, batch int) ([]pair.Result, Stats, error)
-	// VerifyLiteParallelCtx runs BayesLSH-Lite (Algorithm 2): prune
-	// within the first h hashes, then verify survivors exactly with
-	// sim (which must be safe for concurrent use), keeping pairs with
-	// similarity >= t. Cancellation as VerifyParallelCtx.
-	VerifyLiteParallelCtx(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int) ([]pair.Result, Stats, error)
-	// VerifyStream runs BayesLSH over the candidates and delivers each
-	// batch's accepted results to emit (on the calling goroutine, in
-	// batch completion order) as soon as the batch finishes, instead of
-	// accumulating one result slice. emit returning a non-nil error or
-	// ctx being canceled stops the run (shard.StreamCtx contract).
-	VerifyStream(ctx context.Context, cands []pair.Pair, workers, batch int, emit func([]pair.Result) error) error
-	// VerifyLiteStream is the streaming form of VerifyLiteParallelCtx.
-	VerifyLiteStream(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int, emit func([]pair.Result) error) error
+	// VerifyStream runs BayesLSH (Algorithm 1): prune and estimate.
+	VerifyStream(ctx context.Context, cands []pair.Pair, workers, batch int, emit func(slot int, rs []pair.Result) error) (Stats, error)
+	// VerifyLiteStream runs BayesLSH-Lite (Algorithm 2): prune within
+	// the first h hashes, then verify survivors exactly with sim (which
+	// must be safe for concurrent use), keeping pairs with similarity
+	// >= t.
+	VerifyLiteStream(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int, emit func(slot int, rs []pair.Result) error) (Stats, error)
 }

@@ -7,70 +7,76 @@ import (
 	"bayeslsh/internal/shard"
 )
 
-// Batch verification drivers. The round loop polls a shard.Stopper
-// between rounds (see verifyOne), the batch dispatch stops at the
-// first done check (shard.RunCtx/StreamCtx), and partial work is
-// discarded once cancellation is observed — so the collecting entry
-// points either return the complete output or (nil, Stats{},
-// ctx.Err()), never something in between.
-//
-// Each batch accumulates its own result slice and Stats, merged in
-// batch order afterwards, so the output is identical for any worker
-// count and batch size (per-pair decisions are pure functions of the
-// pair's hash matches). Only the CacheHits/InferenceCalls split
-// depends on scheduling: a decision another worker has not yet cached
-// is recomputed — harmlessly, to the same value.
+// The batch verification driver. The round loop polls a
+// shard.Stopper between rounds (see verifyOne), the batch dispatch
+// stops at the first done check (shard.StreamCtx), and partial work is
+// discarded once cancellation is observed — so a canceled run returns
+// (Stats{}, ctx.Err()), never something in between. Only the
+// CacheHits/InferenceCalls split depends on scheduling: a decision
+// another worker has not yet cached is recomputed — harmlessly, to the
+// same value.
 
-// collectBatches runs body over the candidates in batches of batch
-// pairs on workers goroutines and merges the per-batch outputs.
-func collectBatches(ctx context.Context, cands []pair.Pair, workers, batch int, body batchFunc) ([]pair.Result, Stats, error) {
+// streamBatches runs body over the candidates in batches of batch
+// pairs on workers goroutines, delivering each batch's accepted
+// results to emit with its slot as the batch completes (the
+// shard.StreamCtx contract). Per-batch Stats are summed on the calling
+// goroutine, so the totals do not depend on completion order.
+func streamBatches(ctx context.Context, cands []pair.Pair, workers, batch int, body batchFunc, emit func(slot int, rs []pair.Result) error) (Stats, error) {
+	type batchOut struct {
+		rs []pair.Result
+		st Stats
+	}
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
-	outs := make([][]pair.Result, shard.Count(len(cands), batch))
-	stats := make([]Stats, len(outs))
-	err := shard.RunCtx(ctx, len(cands), workers, batch, func(lo, hi, slot int) {
-		outs[slot], stats[slot] = body(cands[lo:hi], stop)
+	st := Stats{Candidates: len(cands)}
+	err := shard.StreamCtx(ctx, len(cands), workers, batch, func(lo, hi int) batchOut {
+		rs, bst := body(cands[lo:hi], stop)
+		return batchOut{rs, bst}
+	}, func(slot int, b batchOut) error {
+		st.add(b.st)
+		st.Accepted += len(b.rs)
+		return emit(slot, b.rs)
 	})
 	if err != nil {
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
-	out, st := mergeBatches(outs, stats)
-	st.Candidates = len(cands)
-	st.Accepted = len(out)
-	return out, st, nil
+	return st, nil
 }
 
-// streamBatches runs body over the candidates like collectBatches but
-// delivers each batch's accepted results to emit as the batch
-// completes (the shard.StreamCtx contract): results leave through emit
-// instead of accumulating, which is what bounds the memory of a huge
-// join.
-func streamBatches(ctx context.Context, cands []pair.Pair, workers, batch int, body batchFunc, emit func([]pair.Result) error) error {
-	stop := shard.NewStopper(ctx)
-	defer stop.Close()
-	return shard.StreamCtx(ctx, len(cands), workers, batch, func(lo, hi int) []pair.Result {
-		out, _ := body(cands[lo:hi], stop)
-		return out
-	}, emit)
-}
-
-// VerifyParallelCtx runs BayesLSH (Algorithm 1) over the candidates.
-func (kr *kernel) VerifyParallelCtx(ctx context.Context, cands []pair.Pair, workers, batch int) ([]pair.Result, Stats, error) {
-	return collectBatches(ctx, cands, workers, batch, kr.verifyBatch)
-}
-
-// VerifyLiteParallelCtx runs BayesLSH-Lite (Algorithm 2) over the
-// candidates.
-func (kr *kernel) VerifyLiteParallelCtx(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int) ([]pair.Result, Stats, error) {
-	return collectBatches(ctx, cands, workers, batch, kr.liteBatch(h, sim))
-}
-
-// VerifyStream streams BayesLSH verification batch by batch.
-func (kr *kernel) VerifyStream(ctx context.Context, cands []pair.Pair, workers, batch int, emit func([]pair.Result) error) error {
+// VerifyStream runs BayesLSH (Algorithm 1) over the candidates.
+func (kr *kernel) VerifyStream(ctx context.Context, cands []pair.Pair, workers, batch int, emit func(slot int, rs []pair.Result) error) (Stats, error) {
 	return streamBatches(ctx, cands, workers, batch, kr.verifyBatch, emit)
 }
 
-// VerifyLiteStream streams BayesLSH-Lite verification batch by batch.
-func (kr *kernel) VerifyLiteStream(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int, emit func([]pair.Result) error) error {
+// VerifyLiteStream runs BayesLSH-Lite (Algorithm 2) over the
+// candidates.
+func (kr *kernel) VerifyLiteStream(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int, emit func(slot int, rs []pair.Result) error) (Stats, error) {
 	return streamBatches(ctx, cands, workers, batch, kr.liteBatch(h, sim), emit)
+}
+
+// VerifyParallelCtx is VerifyStream collected in candidate order. A
+// canceled run returns (nil, Stats{}, ctx.Err()) with all workers
+// drained.
+func (kr *kernel) VerifyParallelCtx(ctx context.Context, cands []pair.Pair, workers, batch int) ([]pair.Result, Stats, error) {
+	return collect(func(emit func(int, []pair.Result) error) (Stats, error) {
+		return kr.VerifyStream(ctx, cands, workers, batch, emit)
+	})
+}
+
+// VerifyLiteParallelCtx is VerifyLiteStream collected in candidate
+// order, under the VerifyParallelCtx cancellation contract.
+func (kr *kernel) VerifyLiteParallelCtx(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int) ([]pair.Result, Stats, error) {
+	return collect(func(emit func(int, []pair.Result) error) (Stats, error) {
+		return kr.VerifyLiteStream(ctx, cands, h, sim, workers, batch, emit)
+	})
+}
+
+// collect runs a verification stream into a slot sink.
+func collect(run func(emit func(int, []pair.Result) error) (Stats, error)) ([]pair.Result, Stats, error) {
+	var sink shard.Slots[pair.Result]
+	st, err := run(sink.Put)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return sink.Flat(), st, nil
 }

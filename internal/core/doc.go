@@ -36,14 +36,17 @@
 // # Concurrency
 //
 // Verifiers are safe for concurrent use, and batch verification
-// (VerifyParallelCtx, VerifyLiteParallelCtx and their streaming forms)
-// is sharded: candidates flow to a pool of workers in batches, each
-// batch accumulates its own results and statistics, and batches are
-// merged in input order. Because the per-pair decision is a pure
-// function of the pair's hash matches (the concentration cache is
-// idempotent and accessed atomically), the result set is identical for
-// any worker count and batch size — the property that makes the
-// engine's sharded pipeline deterministic under a fixed seed. One
-// batch body per algorithm serves every driver, and cancellation is
-// polled between candidates and between hash rounds.
+// (VerifyStream, VerifyLiteStream) is sharded: candidates flow to a
+// pool of workers in batches, each batch accumulates its own results
+// and statistics, results leave batch by batch tagged with their slot,
+// and statistics are summed as batches complete. The collecting forms
+// (VerifyParallelCtx, VerifyLiteParallelCtx) are the stream with a
+// slot sink, which merges batches in input order. Because the per-pair
+// decision is a pure function of the pair's hash matches (the
+// concentration cache is idempotent and accessed atomically), the
+// collected results are identical for any worker count and batch size
+// — the property that makes the engine's sharded pipeline
+// deterministic under a fixed seed. One driver runs one batch body per
+// algorithm, and cancellation is polled between candidates and between
+// hash rounds.
 package core

@@ -13,7 +13,8 @@ import (
 // differ only in how hashes are compared and how the posterior is
 // evaluated, which they supply as the match/qmatch/estimate/
 // concentrated hooks; the kernel's exported methods are their whole
-// verification API (see Verifier and QueryVerifier).
+// verification API (see Verifier and QueryVerifier, plus the
+// collecting VerifyParallelCtx and VerifyLiteParallelCtx).
 //
 // A kernel is safe for concurrent use: minM and ns are immutable after
 // construction, the concentration cache uses atomic cells (decisions
@@ -175,30 +176,18 @@ func (kr *kernel) liteBatch(h int, sim ExactSimFunc) batchFunc {
 	}
 }
 
-// mergeBatches concatenates per-batch results in batch order and sums
-// per-batch statistics.
-func mergeBatches(outs [][]pair.Result, stats []Stats) ([]pair.Result, Stats) {
-	total := 0
-	for _, o := range outs {
-		total += len(o)
+// add sums one batch's counters into st, in any batch order. A batch
+// abandoned on cancellation carries zero Stats, harmlessly.
+func (st *Stats) add(s Stats) {
+	st.Pruned += s.Pruned
+	st.ExactVerified += s.ExactVerified
+	st.HashesCompared += s.HashesCompared
+	st.InferenceCalls += s.InferenceCalls
+	st.CacheHits += s.CacheHits
+	if grow := len(s.SurvivorsByRound) - len(st.SurvivorsByRound); grow > 0 {
+		st.SurvivorsByRound = append(st.SurvivorsByRound, make([]int, grow)...)
 	}
-	out := make([]pair.Result, 0, total)
-	for _, o := range outs {
-		out = append(out, o...)
+	for i, v := range s.SurvivorsByRound {
+		st.SurvivorsByRound[i] += v
 	}
-	var st Stats
-	for _, s := range stats {
-		st.Pruned += s.Pruned
-		st.ExactVerified += s.ExactVerified
-		st.HashesCompared += s.HashesCompared
-		st.InferenceCalls += s.InferenceCalls
-		st.CacheHits += s.CacheHits
-		if st.SurvivorsByRound == nil {
-			st.SurvivorsByRound = make([]int, len(s.SurvivorsByRound))
-		}
-		for i, v := range s.SurvivorsByRound {
-			st.SurvivorsByRound[i] += v
-		}
-	}
-	return out, st
 }

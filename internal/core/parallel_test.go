@@ -10,29 +10,40 @@ import (
 
 	"bayeslsh/internal/minhash"
 	"bayeslsh/internal/pair"
+	"bayeslsh/internal/shard"
 	"bayeslsh/internal/testutil"
 	"bayeslsh/internal/vector"
 )
+
+// batchVerifier is a Verifier with its collecting forms, which every
+// verifier in this package has.
+type batchVerifier interface {
+	Verifier
+	VerifyParallelCtx(ctx context.Context, cands []pair.Pair, workers, batch int) ([]pair.Result, Stats, error)
+	VerifyLiteParallelCtx(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int) ([]pair.Result, Stats, error)
+}
 
 // verifySeq is the oracle of the batch tests: Algorithm 1 on the
 // calling goroutine, all candidates in one batch, not cancelable.
 func verifySeq(t testing.TB, v Verifier, cands []pair.Pair) ([]pair.Result, Stats) {
 	t.Helper()
-	out, st, err := v.VerifyParallelCtx(context.Background(), cands, 1, len(cands))
+	var sink shard.Slots[pair.Result]
+	st, err := v.VerifyStream(context.Background(), cands, 1, len(cands), sink.Put)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, st
+	return sink.Flat(), st
 }
 
 // verifyLiteSeq is verifySeq for Algorithm 2.
 func verifyLiteSeq(t testing.TB, v Verifier, cands []pair.Pair, h int, sim ExactSimFunc) ([]pair.Result, Stats) {
 	t.Helper()
-	out, st, err := v.VerifyLiteParallelCtx(context.Background(), cands, h, sim, 1, len(cands))
+	var sink shard.Slots[pair.Result]
+	st, err := v.VerifyLiteStream(context.Background(), cands, h, sim, 1, len(cands), sink.Put)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, st
+	return sink.Flat(), st
 }
 
 // requireSameVerification fails unless two (results, stats) outcomes
@@ -64,30 +75,31 @@ func requireSameVerification(t *testing.T, seqR, parR []pair.Result, seqS, parS 
 	}
 }
 
-// batchDriver is one collecting entry point with its algorithm's
-// arguments bound; stream is its streaming twin.
+// batchDriver is one streaming entry point with its algorithm's
+// arguments bound; collect is the same stream gathered through the
+// slot sink.
 type batchDriver struct {
 	collect func(ctx context.Context, workers, batch int) ([]pair.Result, Stats, error)
-	stream  func(ctx context.Context, workers, batch int, emit func([]pair.Result) error) error
+	stream  func(ctx context.Context, workers, batch int, emit func(int, []pair.Result) error) (Stats, error)
 }
 
-func bayesDriver(v Verifier, cands []pair.Pair) batchDriver {
+func bayesDriver(v batchVerifier, cands []pair.Pair) batchDriver {
 	return batchDriver{
 		collect: func(ctx context.Context, workers, batch int) ([]pair.Result, Stats, error) {
 			return v.VerifyParallelCtx(ctx, cands, workers, batch)
 		},
-		stream: func(ctx context.Context, workers, batch int, emit func([]pair.Result) error) error {
+		stream: func(ctx context.Context, workers, batch int, emit func(int, []pair.Result) error) (Stats, error) {
 			return v.VerifyStream(ctx, cands, workers, batch, emit)
 		},
 	}
 }
 
-func liteDriver(v Verifier, cands []pair.Pair, h int, sim ExactSimFunc) batchDriver {
+func liteDriver(v batchVerifier, cands []pair.Pair, h int, sim ExactSimFunc) batchDriver {
 	return batchDriver{
 		collect: func(ctx context.Context, workers, batch int) ([]pair.Result, Stats, error) {
 			return v.VerifyLiteParallelCtx(ctx, cands, h, sim, workers, batch)
 		},
-		stream: func(ctx context.Context, workers, batch int, emit func([]pair.Result) error) error {
+		stream: func(ctx context.Context, workers, batch int, emit func(int, []pair.Result) error) (Stats, error) {
 			return v.VerifyLiteStream(ctx, cands, h, sim, workers, batch, emit)
 		},
 	}
@@ -96,7 +108,8 @@ func liteDriver(v Verifier, cands []pair.Pair, h int, sim ExactSimFunc) batchDri
 // requireDriverInvariant checks the determinism guarantee of the batch
 // drivers: for every worker count, batch size and kind of
 // never-canceled context the collected output equals the one-worker,
-// one-batch oracle exactly, and the streamed output equals it as a set.
+// one-batch oracle exactly, and the stream in arrival order equals it
+// as a set, with the same Stats.
 func requireDriverInvariant(t *testing.T, d batchDriver, n int) {
 	t.Helper()
 	wantR, wantS, err := d.collect(context.Background(), 1, n)
@@ -113,16 +126,17 @@ func requireDriverInvariant(t *testing.T, d batchDriver, n int) {
 				requireSameVerification(t, wantR, gotR, wantS, gotS)
 
 				var streamed []pair.Result
-				if err := d.stream(ctx, workers, batch, func(rs []pair.Result) error {
+				streamS, err := d.stream(ctx, workers, batch, func(_ int, rs []pair.Result) error {
 					streamed = append(streamed, rs...)
 					return nil
-				}); err != nil {
+				})
+				if err != nil {
 					t.Fatalf("%s workers=%d batch=%d: stream: %v", name, workers, batch, err)
 				}
 				pair.SortResults(streamed)
 				sorted := append([]pair.Result(nil), wantR...)
 				pair.SortResults(sorted)
-				requireSameVerification(t, sorted, streamed, Stats{}, Stats{})
+				requireSameVerification(t, sorted, streamed, wantS, streamS)
 			}
 		}
 	}
@@ -211,7 +225,7 @@ func TestVerifyPreCanceled(t *testing.T) {
 	v := newLazyJaccard(t, c, cands, 0.5, func() { ensures.Add(1) })
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	emit := func([]pair.Result) error {
+	emit := func(int, []pair.Result) error {
 		t.Error("emit ran under a dead context")
 		return nil
 	}
@@ -223,8 +237,8 @@ func TestVerifyPreCanceled(t *testing.T) {
 		if !errors.Is(err, context.Canceled) || out != nil || st.Candidates != 0 {
 			t.Errorf("%s: collect under a dead context = (%d results, %+v, %v)", name, len(out), st, err)
 		}
-		if err := d.stream(ctx, 4, 32, emit); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: stream under a dead context = %v", name, err)
+		if st, err := d.stream(ctx, 4, 32, emit); !errors.Is(err, context.Canceled) || st.Candidates != 0 {
+			t.Errorf("%s: stream under a dead context = (%+v, %v)", name, st, err)
 		}
 	}
 	if n := ensures.Load(); n != 0 {
@@ -238,7 +252,7 @@ func TestVerifyPreCanceled(t *testing.T) {
 func TestVerifyCancelMidRun(t *testing.T) {
 	c, cands, _ := jaccardSetup(t, 300, 11, 0.5)
 	for _, name := range []string{"bayes", "lite"} {
-		driver := func(v Verifier) batchDriver {
+		driver := func(v batchVerifier) batchDriver {
 			if name == "lite" {
 				return liteDriver(v, cands, 64, jaccardSim(c))
 			}

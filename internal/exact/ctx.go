@@ -8,26 +8,24 @@ import (
 	"bayeslsh/internal/vector"
 )
 
-// Sharded and streaming forms of the exact scans: work is divided into
-// blocks over a worker pool and reassembled in block order, so the
-// output is identical to Search/Verify for any worker count.
-// Cancellation is polled between row/candidate blocks by the shard
-// dispatch and between individual rows (a row of the O(n²) scan
-// compares against every later vector, so rows are the natural abort
-// points within a block). A canceled call returns (nil, ctx.Err())
-// with all workers drained.
+// Sharded streaming forms of the exact scans: each block's results go
+// to emit with the block's slot as the block completes (the
+// shard.StreamCtx contract). Cancellation is polled between blocks by
+// the shard dispatch and between individual rows or pairs (a row of
+// the O(n²) scan compares against every later vector, so rows are the
+// natural abort points within a block); a canceled call returns
+// ctx.Err() with all workers drained.
 
-// SearchCtx is Search with the row scan sharded over workers
+// SearchStream is Search with the row scan sharded over workers
 // goroutines. Small row blocks load-balance the triangular cost
 // profile (early rows compare against many more partners than late
 // rows).
-func SearchCtx(ctx context.Context, c *vector.Collection, m Measure, t float64, workers int) ([]pair.Result, error) {
+func SearchStream(ctx context.Context, c *vector.Collection, m Measure, t float64, workers int, emit func(slot int, rs []pair.Result) error) error {
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
-	n := len(c.Vecs)
-	return shard.CollectCtx(ctx, n, workers, 16, func(lo, hi int) []pair.Result {
+	return shard.StreamCtx(ctx, len(c.Vecs), workers, 16, func(lo, hi int) []pair.Result {
 		return searchRows(c, m, t, lo, hi, stop)
-	})
+	}, emit)
 }
 
 // searchRows scans rows [lo, hi) of the triangular all-pairs matrix,
@@ -52,17 +50,17 @@ func searchRows(c *vector.Collection, m Measure, t float64, lo, hi int, stop *sh
 	return out
 }
 
-// VerifyCtx is Verify with the candidate list sharded over workers
+// VerifyStream is Verify with the candidate list sharded over workers
 // goroutines in blocks of batch pairs.
-func VerifyCtx(ctx context.Context, c *vector.Collection, m Measure, t float64, cands []pair.Pair, workers, batch int) ([]pair.Result, error) {
+func VerifyStream(ctx context.Context, c *vector.Collection, m Measure, t float64, cands []pair.Pair, workers, batch int, emit func(slot int, rs []pair.Result) error) error {
 	if batch < 1 {
 		batch = 1024
 	}
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
-	return shard.CollectCtx(ctx, len(cands), workers, batch, func(lo, hi int) []pair.Result {
+	return shard.StreamCtx(ctx, len(cands), workers, batch, func(lo, hi int) []pair.Result {
 		return verifyBlock(c, m, t, cands[lo:hi], stop)
-	})
+	}, emit)
 }
 
 // verifyBlock verifies one candidate block, polling stop per pair.
@@ -77,28 +75,4 @@ func verifyBlock(c *vector.Collection, m Measure, t float64, cands []pair.Pair, 
 		}
 	}
 	return out
-}
-
-// SearchStream is the streaming form of SearchCtx: each row
-// block's results go to emit as the block completes (shard.StreamCtx
-// contract), so no full result set is ever resident.
-func SearchStream(ctx context.Context, c *vector.Collection, m Measure, t float64, workers int, emit func([]pair.Result) error) error {
-	stop := shard.NewStopper(ctx)
-	defer stop.Close()
-	n := len(c.Vecs)
-	return shard.StreamCtx(ctx, n, workers, 16, func(lo, hi int) []pair.Result {
-		return searchRows(c, m, t, lo, hi, stop)
-	}, emit)
-}
-
-// VerifyStream is the streaming form of VerifyCtx.
-func VerifyStream(ctx context.Context, c *vector.Collection, m Measure, t float64, cands []pair.Pair, workers, batch int, emit func([]pair.Result) error) error {
-	if batch < 1 {
-		batch = 1024
-	}
-	stop := shard.NewStopper(ctx)
-	defer stop.Close()
-	return shard.StreamCtx(ctx, len(cands), workers, batch, func(lo, hi int) []pair.Result {
-		return verifyBlock(c, m, t, cands[lo:hi], stop)
-	}, emit)
 }

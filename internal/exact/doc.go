@@ -10,9 +10,9 @@
 // and the final step of BayesLSH-Lite).
 //
 // Search examines all O(n²) pairs; Verify computes exact similarities
-// for a candidate list and keeps those meeting the threshold. Both
-// have sharded, cancelable forms (SearchCtx, VerifyCtx) and streaming
-// forms (SearchStream, VerifyStream) that divide work into blocks over
-// a worker pool and reassemble results in block order, so their output
-// is identical to the sequential scans for any worker count.
+// for a candidate list and keeps those meeting the threshold. Each has
+// one sharded, cancelable form (SearchStream, VerifyStream) that
+// divides work into blocks over a worker pool and emits each block's
+// results with its slot; collected in slot order (shard.Slots) the
+// output is identical to the sequential scan for any worker count.
 package exact

@@ -48,7 +48,7 @@ func (m Measure) Sim(a, b vector.Vector) float64 {
 // Search returns every pair of vectors with similarity >= t by
 // examining all O(n²) pairs on the calling goroutine — the ground
 // truth the tests compare every other scan against. Use only on
-// modest collections; SearchCtx is the sharded, cancelable form.
+// modest collections; SearchStream is the sharded, cancelable form.
 func Search(c *vector.Collection, m Measure, t float64) []pair.Result {
 	var out []pair.Result
 	for i := 0; i < len(c.Vecs); i++ {
@@ -66,7 +66,7 @@ func Search(c *vector.Collection, m Measure, t float64) []pair.Result {
 
 // Verify computes exact similarities for candidate pairs and keeps
 // those meeting the threshold, on the calling goroutine (the
-// reference for VerifyCtx).
+// reference for VerifyStream).
 func Verify(c *vector.Collection, m Measure, t float64, cands []pair.Pair) []pair.Result {
 	var out []pair.Result
 	for _, p := range cands {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bayeslsh/internal/pair"
+	"bayeslsh/internal/shard"
 	"bayeslsh/internal/testutil"
 	"bayeslsh/internal/vector"
 )
@@ -71,24 +72,20 @@ func TestVerifyFilters(t *testing.T) {
 	}
 }
 
-// collectStream gathers a streaming scan's output in (A, B) order.
-func collectStream(t *testing.T, run func(emit func([]pair.Result) error) error) []pair.Result {
-	t.Helper()
-	var out []pair.Result
-	if err := run(func(rs []pair.Result) error {
-		out = append(out, rs...)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+// collect gathers a streaming scan's output through the slot sink,
+// in batch order; a failed scan returns (nil, err).
+func collect(run func(emit func(int, []pair.Result) error) error) ([]pair.Result, error) {
+	var sink shard.Slots[pair.Result]
+	if err := run(sink.Put); err != nil {
+		return nil, err
 	}
-	pair.SortResults(out)
-	return out
+	return sink.Flat(), nil
 }
 
 // TestShardedScansMatchSequential: for every worker count, block size
-// and kind of never-canceled context, SearchCtx and VerifyCtx return
-// exactly what Search and Verify return, and the streaming forms the
-// same set.
+// and kind of never-canceled context, SearchStream and VerifyStream
+// collected in slot order return exactly what Search and Verify
+// return, in the same order.
 func TestShardedScansMatchSequential(t *testing.T) {
 	c := testutil.SmallBinaryCorpus(t, 200, 4)
 	const th = 0.3
@@ -108,26 +105,22 @@ func TestShardedScansMatchSequential(t *testing.T) {
 		wantV := Verify(c, m, th, cands)
 		for name, ctx := range testutil.Contexts(t) {
 			for _, workers := range []int{1, 2, 4, 7} {
-				got, err := SearchCtx(ctx, c, m, th, workers)
+				got, err := collect(func(emit func(int, []pair.Result) error) error {
+					return SearchStream(ctx, c, m, th, workers, emit)
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				testutil.RequireSameSequence(t, name+" search", got, want)
-				testutil.RequireSameSequence(t, name+" search stream", collectStream(t, func(emit func([]pair.Result) error) error {
-					return SearchStream(ctx, c, m, th, workers, emit)
-				}), want)
 
 				for _, batch := range []int{1, 64, len(cands)} {
-					got, err := VerifyCtx(ctx, c, m, th, cands, workers, batch)
+					got, err := collect(func(emit func(int, []pair.Result) error) error {
+						return VerifyStream(ctx, c, m, th, cands, workers, batch, emit)
+					})
 					if err != nil {
 						t.Fatal(err)
 					}
 					testutil.RequireSameSequence(t, name+" verify", got, wantV)
-					sorted := append([]pair.Result(nil), wantV...)
-					pair.SortResults(sorted)
-					testutil.RequireSameSequence(t, name+" verify stream", collectStream(t, func(emit func([]pair.Result) error) error {
-						return VerifyStream(ctx, c, m, th, cands, workers, batch, emit)
-					}), sorted)
 				}
 			}
 		}
@@ -141,15 +134,9 @@ func TestScansPreCanceled(t *testing.T) {
 	cands := []pair.Pair{pair.Make(0, 1), pair.Make(2, 3)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	emit := func([]pair.Result) error {
+	emit := func(int, []pair.Result) error {
 		t.Error("emit ran under a dead context")
 		return nil
-	}
-	if out, err := SearchCtx(ctx, c, Jaccard, 0.3, 4); !errors.Is(err, context.Canceled) || out != nil {
-		t.Errorf("SearchCtx: %d results, err %v", len(out), err)
-	}
-	if out, err := VerifyCtx(ctx, c, Jaccard, 0.3, cands, 4, 1); !errors.Is(err, context.Canceled) || out != nil {
-		t.Errorf("VerifyCtx: %d results, err %v", len(out), err)
 	}
 	if err := SearchStream(ctx, c, Jaccard, 0.3, 4, emit); !errors.Is(err, context.Canceled) {
 		t.Errorf("SearchStream: err %v", err)
@@ -160,21 +147,25 @@ func TestScansPreCanceled(t *testing.T) {
 }
 
 // TestScansCancelMidRun lets a deadline expire inside scans that take
-// far longer than the deadline, and requires ctx.Err(), no output and
-// every worker drained.
+// far longer than the deadline, and requires ctx.Err(), no collected
+// output and every worker drained.
 func TestScansCancelMidRun(t *testing.T) {
 	c := testutil.SmallTextCorpus(t, 3000, 6) // 4.5M pairs: seconds of brute force
 	cands := make([]pair.Pair, 0, 1<<21)
 	for i := int32(0); len(cands) < cap(cands); i = (i + 1) % 2999 {
 		cands = append(cands, pair.Make(i, i+1))
 	}
-	for name, run := range map[string]func(context.Context) ([]pair.Result, error){
-		"search": func(ctx context.Context) ([]pair.Result, error) { return SearchCtx(ctx, c, Cosine, 0.5, 4) },
-		"verify": func(ctx context.Context) ([]pair.Result, error) { return VerifyCtx(ctx, c, Cosine, 0.5, cands, 4, 256) },
+	for name, run := range map[string]func(context.Context, func(int, []pair.Result) error) error{
+		"search": func(ctx context.Context, emit func(int, []pair.Result) error) error {
+			return SearchStream(ctx, c, Cosine, 0.5, 4, emit)
+		},
+		"verify": func(ctx context.Context, emit func(int, []pair.Result) error) error {
+			return VerifyStream(ctx, c, Cosine, 0.5, cands, 4, 256, emit)
+		},
 	} {
 		base := runtime.NumGoroutine()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		out, err := run(ctx)
+		out, err := collect(func(emit func(int, []pair.Result) error) error { return run(ctx, emit) })
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) || out != nil {
 			t.Errorf("%s: %d results, err %v", name, len(out), err)

@@ -27,40 +27,26 @@ type entry struct {
 
 // Search performs an exact all-pairs similarity join on the index
 // sets of c under measure m (Jaccard or BinaryCosine) with threshold
-// t in (0, 1]. Weights are ignored. It is SearchCtx under
-// context.Background() — it cannot be canceled.
+// t in (0, 1]. Weights are ignored. It is SearchStream under
+// context.Background(), collected in scan order — it cannot be
+// canceled.
 func Search(c *vector.Collection, m exact.Measure, t float64) ([]pair.Result, error) {
-	return SearchCtx(context.Background(), c, m, t)
+	var sink shard.Slots[pair.Result]
+	if err := SearchStream(context.Background(), c, m, t, sink.Put); err != nil {
+		return nil, err
+	}
+	return sink.Flat(), nil
 }
 
-// SearchCtx is Search with cooperative cancellation: the scan is
-// inherently sequential (each record probes the index of the records
-// before it), so cancellation is polled between probing records and
-// between posting lists, and a canceled call returns (nil, ctx.Err()).
-func SearchCtx(ctx context.Context, c *vector.Collection, m exact.Measure, t float64) ([]pair.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	stop := shard.NewStopper(ctx)
-	defer stop.Close()
-	var out []pair.Result
-	if err := scan(c, m, t, stop, func(r pair.Result) bool {
-		out = append(out, r)
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SearchStream is the streaming form of Search: each probing record's
-// verified results go to emit as the record completes, so no full
-// result set is ever resident. emit runs on the calling goroutine; a
+// SearchStream runs the join with cooperative cancellation, delivering
+// verified results to emit in blocks as the scan produces them, so no
+// full result set is ever resident. The scan is inherently sequential
+// (each record probes the index of the records before it), so blocks
+// arrive in scan order on the calling goroutine, numbered by slot
+// 0, 1, 2, …; cancellation is polled between probing records and
+// between posting lists, and a canceled call returns ctx.Err(). A
 // non-nil error from emit stops the scan and is returned.
-func SearchStream(ctx context.Context, c *vector.Collection, m exact.Measure, t float64, emit func([]pair.Result) error) error {
+func SearchStream(ctx context.Context, c *vector.Collection, m exact.Measure, t float64, emit func(slot int, rs []pair.Result) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -73,12 +59,14 @@ func SearchStream(ctx context.Context, c *vector.Collection, m exact.Measure, t 
 	const block = 1024
 	var (
 		buf     []pair.Result
+		slot    int
 		emitErr error
 	)
 	err := scan(c, m, t, stop, func(r pair.Result) bool {
 		buf = append(buf, r)
 		if len(buf) >= block {
-			emitErr = emit(buf)
+			emitErr = emit(slot, buf)
+			slot++
 			buf = nil // emit may have retained the slice
 		}
 		return emitErr == nil
@@ -92,7 +80,7 @@ func SearchStream(ctx context.Context, c *vector.Collection, m exact.Measure, t 
 		return ctx.Err()
 	}
 	if len(buf) > 0 {
-		if err := emit(buf); err != nil {
+		if err := emit(slot, buf); err != nil {
 			return err
 		}
 	}

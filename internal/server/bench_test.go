@@ -16,9 +16,8 @@ import (
 // BenchmarkServeQuery measures the full serving path — HTTP request,
 // JSON decode, wire-grammar parse, LiveIndex query, NDJSON encode —
 // for one client issuing point queries back to back, and reports
-// req/s with p50/p99 request latencies. This is the serving-layer
-// entry of the BENCH_*.json perf trajectory (CI parses it into
-// BENCH_serve.json).
+// req/s with p50/p99 request latencies. It runs by hand; the gated
+// serving numbers are bench/'s serve_* workloads.
 func BenchmarkServeQuery(b *testing.B) {
 	ds, maps := corpus(b, bayeslsh.Cosine, 1000)
 	li, err := bayeslsh.NewLiveIndex(ds, bayeslsh.Cosine,

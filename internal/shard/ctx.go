@@ -1,7 +1,7 @@
 // Cooperative cancellation for the sharded pipeline. Three layers of
 // granularity share one mechanism:
 //
-//   - RunCtx / CollectCtx stop dispatching batches once the context is
+//   - RunCtx / StreamCtx stop dispatching batches once the context is
 //     done, so a canceled search never starts new units of work;
 //   - a Stopper turns the context into an atomic flag that hot loops
 //     poll between individual items (a ~1 ns load, against the mutex a
@@ -10,9 +10,9 @@
 //   - StreamCtx delivers per-batch outputs to the caller as they
 //     complete, bounding resident results to the batches in flight.
 //
-// All three drain their worker goroutines before returning: a canceled
-// call leaves nothing running. There is one implementation per
-// primitive: a context that can never be canceled (for example
+// Both dispatchers drain their worker goroutines before returning: a
+// canceled call leaves nothing running. There is one implementation
+// per primitive: a context that can never be canceled (for example
 // context.Background()) runs the same code, and pays one load of a
 // flag that never trips per check.
 
@@ -143,34 +143,14 @@ dispatch:
 	return ctx.Err()
 }
 
-// CollectCtx runs f over batches of n items (the RunCtx contract) and
-// concatenates the per-batch result slices in batch order, so the
-// combined output is identical to a sequential pass regardless of
-// scheduling. On cancellation it returns nil results and ctx.Err().
-func CollectCtx[T any](ctx context.Context, n, workers, batch int, f func(lo, hi int) []T) ([]T, error) {
-	outs := make([][]T, Count(n, batch))
-	if err := RunCtx(ctx, n, workers, batch, func(lo, hi, slot int) {
-		outs[slot] = f(lo, hi)
-	}); err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	out := make([]T, 0, total)
-	for _, o := range outs {
-		out = append(out, o...)
-	}
-	return out, nil
-}
-
 // StreamCtx runs f over contiguous batches of n items on a worker pool
-// (the Run contract) and delivers each batch's output to emit on the
-// calling goroutine, in batch completion order — not batch order — as
-// soon as it is ready. At most about `workers` undelivered outputs are
-// resident at once, which is what bounds the memory of the streaming
-// search pipeline: results leave through emit instead of accumulating.
+// (the RunCtx contract) and delivers each batch's output to emit on the
+// calling goroutine, with the batch's slot, in batch completion order —
+// not batch order — as soon as it is ready. At most about `workers`
+// undelivered outputs are resident at once, which is what bounds the
+// memory of the streaming search pipeline: results leave through emit
+// instead of accumulating. A caller that needs batch order stores
+// outputs by slot (Slots); no batch ever waits for an earlier one.
 //
 // emit runs on the calling goroutine only, so it needs no
 // synchronization. If emit returns an error, no further batch starts,
@@ -178,7 +158,7 @@ func CollectCtx[T any](ctx context.Context, n, workers, batch int, f func(lo, hi
 // If ctx is canceled, StreamCtx stops dispatching and returns
 // ctx.Err(). Either way every worker goroutine is drained before
 // StreamCtx returns.
-func StreamCtx[T any](ctx context.Context, n, workers, batch int, f func(lo, hi int) T, emit func(T) error) error {
+func StreamCtx[T any](ctx context.Context, n, workers, batch int, f func(lo, hi int) T, emit func(slot int, v T) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -201,7 +181,7 @@ func StreamCtx[T any](ctx context.Context, n, workers, batch int, f func(lo, hi 
 			}
 			lo := s * batch
 			hi := min(lo+batch, n)
-			if err := emit(f(lo, hi)); err != nil {
+			if err := emit(s, f(lo, hi)); err != nil {
 				return err
 			}
 		}
@@ -216,7 +196,11 @@ func StreamCtx[T any](ctx context.Context, n, workers, batch int, f func(lo, hi 
 	defer st.Close()
 
 	jobs := make(chan int, workers)
-	outputs := make(chan T, workers)
+	type output struct {
+		slot int
+		v    T
+	}
+	outputs := make(chan output, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -230,7 +214,7 @@ func StreamCtx[T any](ctx context.Context, n, workers, batch int, f func(lo, hi 
 				hi := min(lo+batch, n)
 				v := f(lo, hi)
 				select {
-				case outputs <- v:
+				case outputs <- output{s, v}:
 				case <-inner.Done():
 				}
 			}
@@ -252,11 +236,11 @@ func StreamCtx[T any](ctx context.Context, n, workers, batch int, f func(lo, hi 
 	}()
 
 	var emitErr error
-	for v := range outputs {
+	for o := range outputs {
 		if emitErr != nil || st.Stopped() {
 			continue // drain
 		}
-		if err := emit(v); err != nil {
+		if err := emit(o.slot, o.v); err != nil {
 			emitErr = err
 			cancel()
 		}
@@ -265,4 +249,34 @@ func StreamCtx[T any](ctx context.Context, n, workers, batch int, f func(lo, hi 
 		return emitErr
 	}
 	return ctx.Err()
+}
+
+// Slots is the collecting sink of StreamCtx: Put stores each batch's
+// output under its slot as it arrives, in any order, and Flat
+// concatenates them in slot order — so a collected stream equals a
+// sequential pass regardless of scheduling. The zero value is ready to
+// use. Like emit, Put runs on one goroutine at a time.
+type Slots[T any] struct{ outs [][]T }
+
+// Put stores v as the output of batch slot. It never fails; the error
+// result lets Put serve directly as an emit callback.
+func (s *Slots[T]) Put(slot int, v []T) error {
+	if slot >= len(s.outs) {
+		s.outs = append(s.outs, make([][]T, slot+1-len(s.outs))...)
+	}
+	s.outs[slot] = v
+	return nil
+}
+
+// Flat returns every stored output concatenated in slot order.
+func (s *Slots[T]) Flat() []T {
+	total := 0
+	for _, o := range s.outs {
+		total += len(o)
+	}
+	out := make([]T, 0, total)
+	for _, o := range s.outs {
+		out = append(out, o...)
+	}
+	return out
 }

@@ -50,17 +50,19 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	}
 }
 
-func TestCollectCtx(t *testing.T) {
-	got, err := CollectCtx(context.Background(), 10, 2, 3, func(lo, hi int) []int {
+func TestSlotsCollect(t *testing.T) {
+	var sink Slots[int]
+	err := StreamCtx(context.Background(), 10, 2, 3, func(lo, hi int) []int {
 		var out []int
 		for i := lo; i < hi; i++ {
 			out = append(out, i)
 		}
 		return out
-	})
+	}, sink.Put)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := sink.Flat()
 	if len(got) != 10 {
 		t.Fatalf("collected %d items, want 10", len(got))
 	}
@@ -71,12 +73,62 @@ func TestCollectCtx(t *testing.T) {
 	}
 }
 
+// TestSlotsReassembleCompletionOrder holds slot 0 back until every
+// other batch has been emitted, so outputs reach the sink in
+// completion order with the first batch last; the sink must still
+// reassemble batch order.
+func TestSlotsReassembleCompletionOrder(t *testing.T) {
+	const n = 50
+	for _, workers := range []int{1, 2, 4, 7} {
+		for _, batch := range []int{1, 3, n} {
+			nb := Count(n, batch)
+			release := make(chan struct{})
+			var (
+				sink    Slots[int]
+				emitted int
+				order   []int
+			)
+			err := StreamCtx(context.Background(), n, workers, batch, func(lo, hi int) []int {
+				if lo == 0 && workers > 1 && nb > 1 {
+					<-release // slow slot 0: finishes after every other batch
+				}
+				var out []int
+				for i := lo; i < hi; i++ {
+					out = append(out, i)
+				}
+				return out
+			}, func(slot int, v []int) error {
+				order = append(order, slot)
+				if emitted++; emitted == nb-1 && workers > 1 && nb > 1 {
+					close(release)
+				}
+				return sink.Put(slot, v)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers > 1 && nb > 1 && order[len(order)-1] != 0 {
+				t.Fatalf("workers=%d batch=%d: emit order %v, want slot 0 last", workers, batch, order)
+			}
+			got := sink.Flat()
+			if len(got) != n {
+				t.Fatalf("workers=%d batch=%d: collected %d items, want %d", workers, batch, len(got), n)
+			}
+			for i, v := range got {
+				if v != i {
+					t.Fatalf("workers=%d batch=%d: got[%d] = %d; batch order broken", workers, batch, i, v)
+				}
+			}
+		}
+	}
+}
+
 func TestStreamCtxDeliversAll(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var sum int
 		err := StreamCtx(context.Background(), 100, workers, 9, func(lo, hi int) int {
 			return hi - lo
-		}, func(n int) error {
+		}, func(_, n int) error {
 			sum += n
 			return nil
 		})
@@ -96,7 +148,7 @@ func TestStreamCtxEmitErrorAborts(t *testing.T) {
 		err := StreamCtx(context.Background(), 1000, workers, 1, func(lo, hi int) int {
 			time.Sleep(100 * time.Microsecond)
 			return lo
-		}, func(int) error {
+		}, func(int, int) error {
 			emitted++
 			if emitted == 3 {
 				return sentinel
@@ -118,7 +170,7 @@ func TestStreamCtxCancel(t *testing.T) {
 	err := StreamCtx(ctx, 1000, 4, 1, func(lo, hi int) int {
 		time.Sleep(200 * time.Microsecond)
 		return lo
-	}, func(int) error {
+	}, func(int, int) error {
 		if emitted.Add(1) == 2 {
 			cancel()
 		}

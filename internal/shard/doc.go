@@ -2,17 +2,18 @@
 // the library's parallel pipelines — both the batch search and the
 // query-serving index are built on them.
 //
-// # RunCtx, CollectCtx, StreamCtx
+// # RunCtx, StreamCtx, Slots
 //
 // RunCtx divides n work items into contiguous batches and feeds batch
 // indices through a channel to a fixed pool of workers; every batch
 // knows its slot, so callers write results into slot-owned state and
 // reassemble them in input order regardless of worker scheduling.
-// CollectCtx wraps the common gather pattern: per-batch result slices
-// concatenated in batch order. StreamCtx inverts it: instead of
-// gathering all batch outputs it hands each one to an emit callback
-// on the calling goroutine as the batch completes, which is what
-// bounds resident results in the streaming search API. Chunk picks a
+// StreamCtx hands each batch's output, with its slot, to an emit
+// callback on the calling goroutine as the batch completes, which is
+// what bounds resident results in the streaming search API. Gathering
+// is a sink on the stream, not a second dispatcher: Slots stores
+// outputs by slot in any arrival order and concatenates them in batch
+// order, so the batch search is the stream collected. Chunk picks a
 // batch size that divides work into roughly four batches per worker
 // when no natural unit exists.
 //

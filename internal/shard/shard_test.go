@@ -82,6 +82,15 @@ func max(a, b int) int {
 	return b
 }
 
+// collect runs f over n items through StreamCtx into a Slots sink.
+func collect(n, workers, batch int, f func(lo, hi int) []int) ([]int, error) {
+	var sink Slots[int]
+	if err := StreamCtx(context.Background(), n, workers, batch, f, sink.Put); err != nil {
+		return nil, err
+	}
+	return sink.Flat(), nil
+}
+
 func TestCollectMatchesSequential(t *testing.T) {
 	square := func(lo, hi int) []int {
 		var out []int
@@ -93,7 +102,7 @@ func TestCollectMatchesSequential(t *testing.T) {
 	want := square(0, 137)
 	for _, workers := range []int{0, 1, 4, 9} {
 		for _, batch := range []int{1, 7, 64, 1000} {
-			got, err := CollectCtx(context.Background(), 137, workers, batch, square)
+			got, err := collect(137, workers, batch, square)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,8 +116,8 @@ func TestCollectMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	if out, err := CollectCtx(context.Background(), 0, 4, 8, square); err != nil || len(out) != 0 {
-		t.Errorf("CollectCtx over 0 items returned %v, %v", out, err)
+	if out, err := collect(0, 4, 8, square); err != nil || len(out) != 0 {
+		t.Errorf("collecting 0 items returned %v, %v", out, err)
 	}
 }
 

@@ -1,6 +1,5 @@
-// Benchmarks of the live (ingest-while-serving) index — the numbers
-// the CI perf artifact tracks (see .github/workflows/ci.yml and
-// cmd/benchjson):
+// Benchmarks of the live (ingest-while-serving) index, run by hand
+// (the gated live-serving numbers are bench/'s serve_mixed workload):
 //
 //	go test -bench Live -benchmem
 //

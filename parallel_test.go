@@ -2,25 +2,41 @@ package bayeslsh
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
 // parallelTestDataset prepares a trimmed corpus for the measure, as
-// the pipelines expect it. 1000 vectors keep every pipeline (including
-// BruteForce) fast enough for the race detector while still producing
-// tens of thousands of candidates.
+// the pipelines expect it, once per measure: engines never modify
+// their dataset, so the invariance grid shares one per measure. 1000
+// vectors keep every pipeline (including BruteForce) fast enough for
+// the race detector while still producing tens of thousands of
+// candidates.
 func parallelTestDataset(t *testing.T, m Measure) *Dataset {
 	t.Helper()
+	parallelDatasets.Lock()
+	defer parallelDatasets.Unlock()
+	if ds, ok := parallelDatasets.m[m]; ok {
+		return ds
+	}
 	ds := smallDataset(t, 1000)
 	if m == Cosine {
-		return ds.TfIdf().Normalize()
+		ds = ds.TfIdf().Normalize()
+	} else {
+		ds = ds.Binarize()
 	}
-	return ds.Binarize()
+	parallelDatasets.m[m] = ds
+	return ds
 }
 
-// searchWith runs one search on a fresh engine with the given worker
-// count (and default BatchSize unless batch > 0).
-func searchWith(t *testing.T, m Measure, opts Options, workers, batch int) *Output {
+var parallelDatasets = struct {
+	sync.Mutex
+	m map[Measure]*Dataset
+}{m: map[Measure]*Dataset{}}
+
+// newParallelEngine builds an engine over the measure's test corpus
+// with the given worker count (and default BatchSize unless batch > 0).
+func newParallelEngine(t *testing.T, m Measure, workers, batch int) *Engine {
 	t.Helper()
 	eng, err := NewEngine(parallelTestDataset(t, m), m, EngineConfig{
 		Seed:        42,
@@ -30,7 +46,14 @@ func searchWith(t *testing.T, m Measure, opts Options, workers, batch int) *Outp
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := eng.Search(opts)
+	return eng
+}
+
+// searchWith runs one search on a fresh engine with the given worker
+// count (and default BatchSize unless batch > 0).
+func searchWith(t *testing.T, m Measure, opts Options, workers, batch int) *Output {
+	t.Helper()
+	out, err := newParallelEngine(t, m, workers, batch).Search(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,32 +96,66 @@ func requireIdentical(t *testing.T, seq, par *Output) {
 	}
 }
 
-// TestParallelMatchesSequential verifies the sharded pipeline's core
-// guarantee: for a fixed Seed, every pipeline produces identical
-// results (pairs, order, similarities, and cost counters) at
-// Parallelism 1 and Parallelism 4.
-func TestParallelMatchesSequential(t *testing.T) {
-	cases := []struct {
-		measure Measure
-		t       float64
-	}{
-		{Cosine, 0.7},
-		{Jaccard, 0.5},
-		{BinaryCosine, 0.7},
-	}
-	for _, tc := range cases {
+// parallelCases is the measure × threshold matrix of the invariance
+// tests; Algorithms(measure) + BruteForce then covers every pipeline,
+// PPJoin included for the binary measures.
+var parallelCases = []struct {
+	measure Measure
+	t       float64
+}{
+	{Cosine, 0.7},
+	{Jaccard, 0.5},
+	{BinaryCosine, 0.7},
+}
+
+// requireInvariant runs every measure × pipeline at each workers ×
+// batch setting (batch 0 = the default BatchSize) and requires output
+// identical — results in order and every counter — to the one-worker,
+// default-batch run. With fresh set every setting builds its own
+// engine, so signature hashing is under test too; otherwise each
+// setting copies the reference engine with only the runtime knobs
+// changed (as Index.SetRuntime does), sharing its filled signatures.
+func requireInvariant(t *testing.T, workers, batches []int, fresh bool) {
+	for _, tc := range parallelCases {
 		for _, alg := range append(Algorithms(tc.measure), BruteForce) {
-			if alg == PPJoin {
-				continue // PPJoin has no parallel path yet
-			}
 			t.Run(fmt.Sprintf("%v/%v", tc.measure, alg), func(t *testing.T) {
 				opts := Options{Algorithm: alg, Threshold: tc.t}
-				seq := searchWith(t, tc.measure, opts, 1, 0)
-				par := searchWith(t, tc.measure, opts, 4, 0)
-				requireIdentical(t, seq, par)
+				ref := newParallelEngine(t, tc.measure, 1, 0)
+				want, err := ref.Search(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range workers {
+					for _, b := range batches {
+						var eng *Engine
+						if fresh {
+							eng = newParallelEngine(t, tc.measure, w, b)
+						} else {
+							own := *ref
+							own.cfg.Parallelism, own.cfg.BatchSize = w, b
+							own.cfg = own.cfg.withDefaults()
+							eng = &own
+						}
+						got, err := eng.Search(opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireIdentical(t, want, got)
+					}
+				}
 			})
 		}
 	}
+}
+
+// TestParallelMatchesSequential verifies the sharded pipeline's core
+// guarantee: for a fixed Seed, every pipeline produces identical
+// results (pairs, order, similarities, and cost counters) at
+// Parallelism 1, 2 and 4. Search collects the streamed batches by
+// slot, so this is also the gate on batch-order reassembly under
+// completion-order delivery.
+func TestParallelMatchesSequential(t *testing.T) {
+	requireInvariant(t, []int{2, 4}, []int{0}, true)
 }
 
 // TestParallelMatchesSequentialOptions covers the option paths that
@@ -120,12 +177,9 @@ func TestParallelMatchesSequentialOptions(t *testing.T) {
 }
 
 // TestParallelBatchSizeInvariance verifies that the verification batch
-// size never changes results, only scheduling granularity.
+// size never changes results, only scheduling granularity, at every
+// worker count. Hashing under parallelism is covered above, so the
+// settings share the reference engine's signatures.
 func TestParallelBatchSizeInvariance(t *testing.T) {
-	opts := Options{Algorithm: LSHBayesLSH, Threshold: 0.7}
-	want := searchWith(t, Cosine, opts, 4, 0)
-	for _, batch := range []int{1, 7, 64} {
-		got := searchWith(t, Cosine, opts, 4, batch)
-		requireIdentical(t, want, got)
-	}
+	requireInvariant(t, []int{1, 2, 4}, []int{1, 7, 64}, false)
 }

@@ -9,10 +9,9 @@ import (
 	"bayeslsh/internal/rescache"
 )
 
-// The planner/cache perf artifact (BENCH_plan.json): what one plan
-// decision costs, and what a served query costs when the result cache
-// answers it. Both are gated against the committed baseline by
-// benchjson -baseline in CI.
+// Planner/cache micro-benchmarks, run by hand: what one plan decision
+// costs, and what a served query costs when the result cache answers
+// it.
 
 // BenchmarkAutoPlan measures one ChoosePlan decision over real
 // collected statistics — the price every AutoPipeline build or

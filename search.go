@@ -8,10 +8,8 @@ import (
 
 	"bayeslsh/internal/allpairs"
 	"bayeslsh/internal/core"
-	"bayeslsh/internal/exact"
 	"bayeslsh/internal/minhash"
 	"bayeslsh/internal/pair"
-	"bayeslsh/internal/ppjoin"
 	"bayeslsh/internal/shard"
 	"bayeslsh/internal/sighash"
 )
@@ -180,64 +178,47 @@ func (e *Engine) Search(opts Options) (*Output, error) {
 // context.DeadlineExceeded, with no partial Output and every pipeline
 // goroutine drained. For a ctx that is never canceled the Output is
 // bit-identical to Search's.
+//
+// SearchContext is Stream's pipeline collected: the same run, with
+// every result batch stored under its slot and the batches
+// concatenated in batch order, so Results come back in the pipeline's
+// canonical order (candidate order for the two-phase pipelines, scan
+// order for AllPairs, PPJoin and BruteForce) at every Parallelism and
+// BatchSize.
 func (e *Engine) SearchContext(ctx context.Context, opts Options) (*Output, error) {
-	o, err := opts.withDefaults(e.measure)
+	o, err := e.prepare(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
+	out := &Output{Algorithm: o.Algorithm, Threshold: o.Threshold}
+	hashBefore := e.hashElapsed()
+	var sink shard.Slots[pair.Result]
+	if err := e.stream(ctx, o, out, sink.Put); err != nil {
 		return nil, ctxWrap(err)
+	}
+	out.Results = fromResults(sink.Flat())
+	out.HashTime = e.hashElapsed() - hashBefore
+	out.Total = out.CandGenTime + out.VerifyTime
+	return out, nil
+}
+
+// prepare is the prologue shared by SearchContext and Stream: it
+// validates the options and fills their defaults, refuses a done ctx
+// before any work — in particular before AutoPipeline's first use
+// collects corpus statistics — and resolves AutoPipeline to a concrete
+// Algorithm.
+func (e *Engine) prepare(ctx context.Context, opts Options) (Options, error) {
+	o, err := opts.withDefaults(e.measure)
+	if err != nil {
+		return o, err
+	}
+	if err := ctx.Err(); err != nil {
+		return o, ctxWrap(err)
 	}
 	if o.AutoPipeline {
 		o, _ = e.resolveAuto(o, false)
 	}
-	out := &Output{Algorithm: o.Algorithm, Threshold: o.Threshold}
-	hashBefore := e.hashElapsed()
-
-	switch o.Algorithm {
-	case BruteForce:
-		start := time.Now()
-		rs, err := exact.SearchCtx(ctx, e.workInput(), toExactMeasure(e.measure), o.Threshold, e.workers())
-		if err != nil {
-			return nil, ctxWrap(err)
-		}
-		out.VerifyTime = time.Since(start)
-		out.Results = fromResults(rs)
-		out.ExactVerified = e.ds.Len() * (e.ds.Len() - 1) / 2
-
-	case AllPairs:
-		start := time.Now()
-		rs, err := allpairs.SearchMeasureCtx(ctx, e.workInput(), toExactMeasure(e.measure), o.Threshold, e.workers(), e.cfg.BatchSize)
-		if err != nil {
-			return nil, ctxWrap(err)
-		}
-		out.VerifyTime = time.Since(start)
-		out.Results = fromResults(rs)
-
-	case PPJoin:
-		if e.measure == Cosine {
-			return nil, fmt.Errorf("bayeslsh: PPJoin supports binary measures only")
-		}
-		start := time.Now()
-		rs, err := ppjoin.SearchCtx(ctx, e.workInput(), toExactMeasure(e.measure), o.Threshold)
-		if err != nil {
-			return nil, ctxWrap(err)
-		}
-		out.VerifyTime = time.Since(start)
-		out.Results = fromResults(rs)
-
-	case AllPairsBayesLSH, AllPairsBayesLSHLite, LSH, LSHApprox, LSHBayesLSH, LSHBayesLSHLite:
-		if err := e.searchTwoPhase(ctx, o, out); err != nil {
-			return nil, ctxWrap(err)
-		}
-
-	default:
-		return nil, fmt.Errorf("bayeslsh: unknown algorithm %v", o.Algorithm)
-	}
-
-	out.HashTime = e.hashElapsed() - hashBefore
-	out.Total = out.CandGenTime + out.VerifyTime
-	return out, nil
+	return o, nil
 }
 
 // ctxWrap moves a cancellation error into the library's error space,
@@ -250,93 +231,22 @@ func ctxWrap(err error) error {
 	return err
 }
 
-// searchTwoPhase runs the candidate-generation + verification
-// pipelines. Both phases shard over the engine's worker pool when
-// EngineConfig.Parallelism exceeds one; candidates are sorted between
-// the phases so that everything downstream of generation (prior
-// sampling, verification order, output order) is deterministic for a
-// fixed Seed regardless of worker count — and of Go's map iteration
-// order, which already shuffled the banded-LSH candidate stream
-// run-to-run in the sequential pipeline. Cancellation aborts either
-// phase (raw ctx errors; SearchContext wraps them).
-func (e *Engine) searchTwoPhase(ctx context.Context, o Options, out *Output) error {
-	// Phase 1: candidates.
-	start := time.Now()
-	cands, err := e.candidates(ctx, o)
-	if err != nil {
-		return err
-	}
-	pair.SortPairs(cands)
-	out.CandGenTime = time.Since(start)
-	out.Candidates = len(cands)
-
-	workers, batch := e.workers(), e.cfg.BatchSize
-
-	// Phase 2: verification.
-	start = time.Now()
-	switch o.Algorithm {
-	case LSH:
-		rs, err := exact.VerifyCtx(ctx, e.workInput(), toExactMeasure(e.measure), o.Threshold, cands, workers, batch)
-		if err != nil {
-			return err
-		}
-		out.Results = fromResults(rs)
-		out.ExactVerified = len(cands)
-
-	case LSHApprox:
-		rs, used, err := e.approxVerifyCtx(ctx, o, cands)
-		if err != nil {
-			return err
-		}
-		out.Results = fromResults(rs)
-		out.HashesCompared = int64(len(cands)) * int64(used)
-
-	case AllPairsBayesLSH, LSHBayesLSH:
-		v, err := e.bayesVerifier(ctx, o, cands)
-		if err != nil {
-			return err
-		}
-		rs, st, err := v.VerifyParallelCtx(ctx, cands, workers, batch)
-		if err != nil {
-			return err
-		}
-		if o.Algorithm == AllPairsBayesLSH {
-			rs = e.dropSubThreshold(rs, o.Threshold, &st)
-		}
-		out.Results = fromResults(rs)
-		fillStats(out, st)
-
-	case AllPairsBayesLSHLite, LSHBayesLSHLite:
-		v, err := e.bayesVerifier(ctx, o, cands)
-		if err != nil {
-			return err
-		}
-		rs, st, err := v.VerifyLiteParallelCtx(ctx, cands, o.LiteHashes, e.exactSim, workers, batch)
-		if err != nil {
-			return err
-		}
-		out.Results = fromResults(rs)
-		fillStats(out, st)
-	}
-	out.VerifyTime = time.Since(start)
-	return ctx.Err()
-}
-
 // candidates runs the two-phase pipelines' candidate-generation phase
-// for the options' algorithm: the AllPairs scan for the AP pipelines,
-// banded LSH otherwise. Shared by SearchContext, Stream and
+// for the options' algorithm: the AllPairs scan for the AP pipelines
+// (its probe phase sharded over the engine's workers), banded LSH
+// otherwise. Shared by the search pipeline (Engine.stream) and
 // BuildIndex so the candidate stream cannot drift between them.
 func (e *Engine) candidates(ctx context.Context, o Options) ([]pair.Pair, error) {
 	switch o.Algorithm {
 	case AllPairsBayesLSH, AllPairsBayesLSHLite:
-		return e.allPairsCandidates(ctx, o)
+		return allpairs.CandidatesMeasureCtx(ctx, e.workInput(), toExactMeasure(e.measure), o.Threshold, e.workers())
 	default:
 		return e.lshCandidates(ctx, o)
 	}
 }
 
 // dropSubThreshold removes accepted pairs whose exact similarity is
-// below the threshold, counting each exact computation in st. The
+// below the threshold, counting each exact computation in checked. The
 // AllPairs candidate stream is the one direction-dependent stage of
 // the two-phase pipelines: the batch scan evaluates the cheap
 // candidate bound in processing order, while a query probe evaluates
@@ -350,10 +260,10 @@ func (e *Engine) candidates(ctx context.Context, o Options) ([]pair.Pair, error)
 // Accepted survivors keep their estimated similarity — acceptance,
 // not reporting, uses the exact value. See Index.verify for the
 // query-side twin of this filter, and docs/QUERYING.md.
-func (e *Engine) dropSubThreshold(rs []pair.Result, t float64, st *core.Stats) []pair.Result {
+func (e *Engine) dropSubThreshold(rs []pair.Result, t float64, checked *int) []pair.Result {
 	kept := rs[:0]
 	for _, r := range rs {
-		st.ExactVerified++
+		*checked++
 		if e.exactSim(r.A, r.B) >= t {
 			kept = append(kept, r)
 		}
@@ -372,8 +282,9 @@ func fillStats(out *Output, st core.Stats) {
 // approxEstimator prepares the classical LSH estimation of §3: it
 // clamps the requested hash count to the signature budget, fills every
 // signature that deep (cancelable between vectors), and returns the
-// per-pair estimator plus the hash count actually used. Collecting
-// and streaming estimation share this one setup so they cannot drift.
+// per-pair estimator plus the hash count actually used. Each estimate
+// depends only on the pair's two signatures, so the LSHApprox output
+// is independent of scheduling.
 func (e *Engine) approxEstimator(ctx context.Context, o Options) (func(pair.Pair) float64, int, error) {
 	workers := e.workers()
 	if e.measure == Jaccard {
@@ -396,42 +307,6 @@ func (e *Engine) approxEstimator(ctx context.Context, o Options) (func(pair.Pair
 	return func(p pair.Pair) float64 {
 		return approxCosineEstimate(sighash.MatchCount(sigs[p.A], sigs[p.B], 0, n), n)
 	}, n, nil
-}
-
-// approxVerifyCtx runs §3 fixed-hash estimation over the candidates,
-// keeping pairs whose estimate meets the threshold. It returns the
-// results and the hash count actually used. Estimation shards over
-// the engine's worker pool; each pair's estimate depends only on its
-// two signatures and batches are concatenated in order, so the output
-// is independent of scheduling.
-func (e *Engine) approxVerifyCtx(ctx context.Context, o Options, cands []pair.Pair) ([]pair.Result, int, error) {
-	est, n, err := e.approxEstimator(ctx, o)
-	if err != nil {
-		return nil, 0, err
-	}
-	stop := shard.NewStopper(ctx)
-	defer stop.Close()
-	rs, err := shard.CollectCtx(ctx, len(cands), e.workers(), e.cfg.BatchSize, func(lo, hi int) []pair.Result {
-		return estimateBatch(cands[lo:hi], est, o.Threshold, stop)
-	})
-	return rs, n, err
-}
-
-// estimateBatch applies est to one batch of candidates, keeping pairs
-// whose estimate meets the threshold — the batch body shared by the
-// collecting and streaming LSHApprox pipelines. Cancellation is polled
-// per pair; a stopped batch's output is discarded.
-func estimateBatch(cands []pair.Pair, est func(pair.Pair) float64, t float64, stop *shard.Stopper) []pair.Result {
-	var out []pair.Result
-	for _, p := range cands {
-		if stop.Stopped() {
-			return nil
-		}
-		if s := est(p); s >= t {
-			out = append(out, pair.Result{A: p.A, B: p.B, Sim: s})
-		}
-	}
-	return out
 }
 
 // approxJaccardEstimate is the §3 maximum-likelihood Jaccard estimate
