@@ -311,14 +311,49 @@ func TestStreamCancelAndBreak(t *testing.T) {
 	})
 }
 
-// TestQueryContextCancellation: the query-serving entry points under
-// pre-canceled and live contexts, for an LSH Bayes index and an
-// AllPairs index (the two candidate sources).
+// querySurface is the query API Index and LiveIndex share.
+type querySurface interface {
+	Query(Vec, QueryOptions) ([]Match, error)
+	QueryContext(context.Context, Vec, QueryOptions) ([]Match, error)
+	TopK(Vec, int) ([]Match, error)
+	TopKContext(context.Context, Vec, int) ([]Match, error)
+	QueryBatch([]Vec, QueryOptions) ([][]Match, error)
+	QueryBatchContext(context.Context, []Vec, QueryOptions) ([][]Match, error)
+}
+
+// namedSurface labels a querySurface for t.Run.
+type namedSurface struct {
+	name string
+	q    querySurface
+}
+
+// querySurfaces returns ix and a live index over it whose delta is
+// non-empty and masked: it holds copies of the listed corpus vectors,
+// the first of them deleted again. Query-contract tests run every case
+// over both, so each entry point of both types is covered.
+func querySurfaces(t *testing.T, ix *Index, copies ...int) []namedSurface {
+	t.Helper()
+	li, err := LiveFrom(ix, LiveConfig{MaxDelta: -1, MaxRatio: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(li.Close)
+	for i, row := range copies {
+		id, err := li.Add(ix.Dataset().Vector(row))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && !li.Delete(id) {
+			t.Fatalf("Delete(%d) reported absent", id)
+		}
+	}
+	return []namedSurface{{"index", ix}, {"live", li}}
+}
+
+// TestQueryContextCancellation: the query-serving entry points of
+// Index and LiveIndex under pre-canceled and live contexts, for an LSH
+// Bayes index and an AllPairs index (the two candidate sources).
 func TestQueryContextCancellation(t *testing.T) {
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	live, cancelLive := context.WithCancel(context.Background())
-	defer cancelLive()
 	cases := []struct {
 		name    string
 		measure Measure
@@ -334,54 +369,70 @@ func TestQueryContextCancellation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			q := ix.Dataset().Vector(7)
-			queries := []Vec{ix.Dataset().Vector(1), ix.Dataset().Vector(2), q}
-
-			// Pre-canceled: every entry point refuses immediately.
-			if _, err := ix.QueryContext(canceled, q, QueryOptions{}); true {
-				requireCanceled(t, err)
-			}
-			if _, err := ix.TopKContext(canceled, q, 5); true {
-				requireCanceled(t, err)
-			}
-			if _, err := ix.QueryBatchContext(canceled, queries, QueryOptions{}); true {
-				requireCanceled(t, err)
-			}
-
-			// Live context: bit-identical to the non-ctx calls.
-			want, err := ix.Query(q, QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ix.QueryContext(live, q, QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameMatchList(t, got, want)
-			wantK, err := ix.TopK(q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotK, err := ix.TopKContext(live, q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameMatchList(t, gotK, wantK)
-			wantB, err := ix.QueryBatch(queries, QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotB, err := ix.QueryBatchContext(live, queries, QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(wantB) != len(gotB) {
-				t.Fatalf("batch sizes differ: %d vs %d", len(gotB), len(wantB))
-			}
-			for i := range wantB {
-				requireSameMatchList(t, gotB[i], wantB[i])
+			for _, s := range querySurfaces(t, ix, 2, 1, 7, 11) {
+				t.Run(s.name, func(t *testing.T) {
+					checkQueryContext(t, s.q, ix.Dataset())
+				})
 			}
 		})
+	}
+}
+
+// checkQueryContext asserts the cancellation contract of one query
+// surface: a pre-canceled ctx is refused by every entry point, and a
+// live one answers bit-identically to the non-ctx calls.
+func checkQueryContext(t *testing.T, ix querySurface, ds *Dataset) {
+	t.Helper()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	live, cancelLive := context.WithCancel(context.Background())
+	defer cancelLive()
+	q := ds.Vector(7)
+	queries := []Vec{ds.Vector(1), ds.Vector(2), q}
+
+	// Pre-canceled: every entry point refuses immediately.
+	if _, err := ix.QueryContext(canceled, q, QueryOptions{}); true {
+		requireCanceled(t, err)
+	}
+	if _, err := ix.TopKContext(canceled, q, 5); true {
+		requireCanceled(t, err)
+	}
+	if _, err := ix.QueryBatchContext(canceled, queries, QueryOptions{}); true {
+		requireCanceled(t, err)
+	}
+
+	// Live context: bit-identical to the non-ctx calls.
+	want, err := ix.Query(q, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ix.QueryContext(live, q, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameMatchList(t, got, want)
+	wantK, err := ix.TopK(q, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotK, err := ix.TopKContext(live, q, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameMatchList(t, gotK, wantK)
+	wantB, err := ix.QueryBatch(queries, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotB, err := ix.QueryBatchContext(live, queries, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantB) != len(gotB) {
+		t.Fatalf("batch sizes differ: %d vs %d", len(gotB), len(wantB))
+	}
+	for i := range wantB {
+		requireSameMatchList(t, gotB[i], wantB[i])
 	}
 }
 

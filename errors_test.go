@@ -30,10 +30,10 @@ func TestDegenerateDatasets(t *testing.T) {
 	}
 }
 
-// TestDegenerateQueries drives every public query entry point with
-// empty and degenerate inputs across the candidate sources: empty
-// results where that is the semantics, typed errors otherwise, and
-// never a panic.
+// TestDegenerateQueries drives every public query entry point of
+// Index and LiveIndex with empty and degenerate inputs across the
+// candidate sources: empty results where that is the semantics, typed
+// errors otherwise, and never a panic.
 func TestDegenerateQueries(t *testing.T) {
 	ds := smallDataset(t, 100).TfIdf().Normalize()
 	for _, alg := range []Algorithm{BruteForce, AllPairs, LSH, LSHBayesLSH, AllPairsBayesLSHLite} {
@@ -44,56 +44,67 @@ func TestDegenerateQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			empties := []struct {
-				name string
-				q    Vec
-			}{
-				{"NewVec(nil)", NewVec(nil)},
-				{"NewVec(empty map)", NewVec(map[uint32]float64{})},
-				{"NewVec(zero weights)", NewVec(map[uint32]float64{3: 0})},
-				{"NewSetVec(nil)", NewSetVec(nil)},
-				{"zero Vec", Vec{}},
-			}
-			for _, e := range empties {
-				if e.q.Len() != 0 {
-					t.Fatalf("%s: Len = %d, want 0", e.name, e.q.Len())
-				}
-				if ms, err := ix.Query(e.q, QueryOptions{}); err != nil || len(ms) != 0 {
-					t.Fatalf("%s: Query = %v, %v; want empty, nil", e.name, ms, err)
-				}
-				if ms, err := ix.TopK(e.q, 3); err != nil || len(ms) != 0 {
-					t.Fatalf("%s: TopK = %v, %v; want empty, nil", e.name, ms, err)
-				}
-			}
-
-			for _, k := range []int{0, -1, -100} {
-				if _, err := ix.TopK(ds.Vector(0), k); !errors.Is(err, ErrBadK) {
-					t.Fatalf("TopK(%d): %v, want ErrBadK", k, err)
-				}
-			}
-
-			// A batch mixing real, empty and out-of-vocabulary queries:
-			// per-slot semantics, no cross-contamination.
-			oov := NewVec(map[uint32]float64{uint32(ds.Dim()) + 5: 1})
-			got, err := ix.QueryBatch([]Vec{ds.Vector(0), NewVec(nil), oov}, QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != 3 {
-				t.Fatalf("batch returned %d results", len(got))
-			}
-			if len(got[0]) == 0 {
-				t.Fatal("self query found nothing")
-			}
-			if len(got[1]) != 0 || len(got[2]) != 0 {
-				t.Fatalf("empty/OOV queries matched: %v, %v", got[1], got[2])
-			}
-
-			// Zero-length batches are fine too.
-			if got, err := ix.QueryBatch(nil, QueryOptions{}); err != nil || len(got) != 0 {
-				t.Fatalf("nil batch: %v, %v", got, err)
+			for _, s := range querySurfaces(t, ix, 0, 1, 2) {
+				t.Run(s.name, func(t *testing.T) {
+					checkDegenerateQueries(t, s.q, ds)
+				})
 			}
 		})
+	}
+}
+
+// checkDegenerateQueries asserts the degenerate-input contract of one
+// query surface over ds.
+func checkDegenerateQueries(t *testing.T, ix querySurface, ds *Dataset) {
+	t.Helper()
+	empties := []struct {
+		name string
+		q    Vec
+	}{
+		{"NewVec(nil)", NewVec(nil)},
+		{"NewVec(empty map)", NewVec(map[uint32]float64{})},
+		{"NewVec(zero weights)", NewVec(map[uint32]float64{3: 0})},
+		{"NewSetVec(nil)", NewSetVec(nil)},
+		{"zero Vec", Vec{}},
+	}
+	for _, e := range empties {
+		if e.q.Len() != 0 {
+			t.Fatalf("%s: Len = %d, want 0", e.name, e.q.Len())
+		}
+		if ms, err := ix.Query(e.q, QueryOptions{}); err != nil || len(ms) != 0 {
+			t.Fatalf("%s: Query = %v, %v; want empty, nil", e.name, ms, err)
+		}
+		if ms, err := ix.TopK(e.q, 3); err != nil || len(ms) != 0 {
+			t.Fatalf("%s: TopK = %v, %v; want empty, nil", e.name, ms, err)
+		}
+	}
+
+	for _, k := range []int{0, -1, -100} {
+		if _, err := ix.TopK(ds.Vector(0), k); !errors.Is(err, ErrBadK) {
+			t.Fatalf("TopK(%d): %v, want ErrBadK", k, err)
+		}
+	}
+
+	// A batch mixing real, empty and out-of-vocabulary queries:
+	// per-slot semantics, no cross-contamination.
+	oov := NewVec(map[uint32]float64{uint32(ds.Dim()) + 5: 1})
+	got, err := ix.QueryBatch([]Vec{ds.Vector(0), NewVec(nil), oov}, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("batch returned %d results", len(got))
+	}
+	if len(got[0]) == 0 {
+		t.Fatal("self query found nothing")
+	}
+	if len(got[1]) != 0 || len(got[2]) != 0 {
+		t.Fatalf("empty/OOV queries matched: %v, %v", got[1], got[2])
+	}
+
+	// Zero-length batches are fine too.
+	if got, err := ix.QueryBatch(nil, QueryOptions{}); err != nil || len(got) != 0 {
+		t.Fatalf("nil batch: %v, %v", got, err)
 	}
 }
 

@@ -37,6 +37,9 @@ import (
 // query equal to dataset vector i returns, apart from the self-match,
 // exactly the pairs involving i that the batch search finds at the
 // same threshold, for every pipeline (see docs/QUERYING.md).
+//
+// Queries run one loop shared with LiveIndex (query.go): an Index is
+// the one-segment cut of it, with identity ids and nothing masked.
 type Index struct {
 	// eng is the engine view serving this index's queries. It is an
 	// atomic pointer so SetRuntime can swap in a detached view (with

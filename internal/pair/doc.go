@@ -16,7 +16,7 @@
 // SortPairs and SortResults order by (A, B) — the canonical order the
 // engine sorts candidates into between the generation and
 // verification phases, which is what makes everything downstream of
-// generation deterministic. SortHitsBySim is the top-k equivalent:
-// decreasing similarity, ties by ascending id (threshold query hits
-// are already produced in ascending id order and need no sort).
+// generation deterministic. Query hits need no sort here: verification
+// produces them in ascending id order, and the query path orders its
+// top-k results itself.
 package pair

@@ -35,17 +35,6 @@ type Hit struct {
 	Sim float64
 }
 
-// SortHitsBySim orders hits by decreasing similarity, breaking ties by
-// ascending corpus id — the canonical order of top-k query results.
-func SortHitsBySim(hs []Hit) {
-	sort.Slice(hs, func(i, j int) bool {
-		if hs[i].Sim != hs[j].Sim {
-			return hs[i].Sim > hs[j].Sim
-		}
-		return hs[i].ID < hs[j].ID
-	})
-}
-
 // Pair returns the normalized pair of the result.
 func (r Result) Pair() Pair { return Make(r.A, r.B) }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +16,6 @@ import (
 	"bayeslsh/internal/minhash"
 	"bayeslsh/internal/pair"
 	"bayeslsh/internal/shard"
-	"bayeslsh/internal/sighash"
 	"bayeslsh/internal/stats"
 	"bayeslsh/internal/vector"
 )
@@ -40,7 +38,10 @@ import (
 // signatures adopted rather than re-hashed) and publishes it by an
 // atomic epoch swap: in-flight queries finish on the generation they
 // pinned, and the query hot path takes no lock beyond one atomic
-// pointer load plus a read-lock on the delta tables.
+// pointer load plus a read-lock on the delta tables. Queries run the
+// same loop as Index queries, over the pinned generation as a
+// two-segment cut (base, then delta) with deleted ids masked and
+// base rows mapped to external ids.
 //
 // Determinism contract: after any interleaving of Add, Delete and
 // merges, query results are bit-identical to a cold Index built with
@@ -648,7 +649,8 @@ func (li *LiveIndex) applyPrior(ng *liveGen, prior stats.Beta) error {
 // withPrior returns a view of the index that verifies with the given
 // prior and verifier, sharing every other field — the live index's
 // prior-refit path, which must not rebuild tables or re-hash
-// anything.
+// anything. The atomic engine pointer rules out a struct copy, so a
+// field added to Index must be added here too.
 func (ix *Index) withPrior(p stats.Beta, vq core.QueryVerifier) *Index {
 	n := &Index{
 		opts:       ix.opts,
@@ -665,6 +667,8 @@ func (ix *Index) withPrior(p stats.Beta, vq core.QueryVerifier) *Index {
 		packOneBit: ix.packOneBit,
 		approxN:    ix.approxN,
 		stats:      ix.stats,
+		cstats:     ix.cstats,
+		plan:       ix.plan,
 	}
 	n.eng.Store(ix.engine())
 	return n
@@ -730,22 +734,10 @@ func (li *LiveIndex) deltaVerifier(gen *liveGen) (core.QueryVerifier, error) {
 	return vq, nil
 }
 
-// deltaSeg wraps the generation's delta segment in the verification
-// surface Index.verifySeg runs — the same switch, the same
-// per-candidate decisions as the base segment and as a cold index.
-func (li *LiveIndex) deltaSeg(gen *liveGen, view live.View, vq core.QueryVerifier, qs querySigs) segView {
-	em := toExactMeasure(li.measure)
-	n := gen.base.approxN
-	return segView{
-		vq:  vq,
-		sim: func(slot int32) float64 { return em.Sim(qs.raw, view.Raw[slot]) },
-		est: func(slot int32) float64 {
-			if li.measure == Jaccard {
-				return approxJaccardEstimate(minhash.Matches(qs.min, view.Min[slot], 0, n), n)
-			}
-			return approxCosineEstimate(sighash.MatchCount(qs.bits, view.Bits[slot], 0, n), n)
-		},
-	}
+// cut pins the current generation for one query call.
+func (li *LiveIndex) cut() cut {
+	gen := li.gen.Load()
+	return cut{ix: gen.base, li: li, gen: gen}
 }
 
 // Query returns the live vectors similar to q at the index's
@@ -759,91 +751,7 @@ func (li *LiveIndex) Query(q Vec, opts QueryOptions) ([]Match, error) {
 // QueryContext is Query with cooperative cancellation, under the
 // Index.QueryContext contract.
 func (li *LiveIndex) QueryContext(ctx context.Context, q Vec, opts QueryOptions) ([]Match, error) {
-	gen := li.gen.Load()
-	t, err := gen.base.queryThreshold(opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, ctxWrap(err)
-	}
-	stop := shard.NewStopper(ctx)
-	defer stop.Close()
-	ms, err := li.queryStop(gen, q, t, stop)
-	if err != nil {
-		return nil, ctxWrap(err)
-	}
-	return ms, nil
-}
-
-// queryStop runs one threshold query against a pinned generation:
-// both segments probed and verified with the built algorithm, the
-// tombstone mask applied between candidate generation and
-// verification, results mapped to external ids.
-func (li *LiveIndex) queryStop(gen *liveGen, q Vec, t float64, stop *shard.Stopper) ([]Match, error) {
-	if q.Len() == 0 {
-		return nil, nil
-	}
-	ix := gen.base
-	if err := ix.ready(false); err != nil {
-		return nil, err
-	}
-	qs := ix.prepare(q, false)
-
-	bids := li.filterBase(gen, ix.candidates(qs))
-	bhits, err := ix.verify(qs, bids, stop)
-	if err != nil {
-		return nil, err
-	}
-
-	dids := li.filterDelta(gen, gen.mem.Candidates(qs.bits, qs.min, qs.work, gen.memN))
-	var dhits []pair.Hit
-	if len(dids) > 0 {
-		vq, err := li.deltaVerifier(gen)
-		if err != nil {
-			return nil, err
-		}
-		view := gen.mem.View(gen.memN)
-		dhits, err = ix.verifySeg(li.deltaSeg(gen, view, vq, qs), qs, dids, stop)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	out := make([]Match, 0, len(bhits)+len(dhits))
-	for _, h := range bhits {
-		if t <= ix.opts.Threshold || h.Sim >= t {
-			out = append(out, Match{ID: gen.baseIDs[h.ID], Sim: h.Sim})
-		}
-	}
-	for _, h := range dhits {
-		if t <= ix.opts.Threshold || h.Sim >= t {
-			out = append(out, Match{ID: gen.start + int(h.ID), Sim: h.Sim})
-		}
-	}
-	return out, nil
-}
-
-// filterBase drops deleted base candidates, in place.
-func (li *LiveIndex) filterBase(gen *liveGen, ids []int32) []int32 {
-	kept := ids[:0]
-	for _, id := range ids {
-		if !gen.deleted(li.tombs, gen.baseIDs[id]) {
-			kept = append(kept, id)
-		}
-	}
-	return kept
-}
-
-// filterDelta drops deleted delta candidates, in place.
-func (li *LiveIndex) filterDelta(gen *liveGen, slots []int32) []int32 {
-	kept := slots[:0]
-	for _, s := range slots {
-		if !gen.deleted(li.tombs, gen.start+int(s)) {
-			kept = append(kept, s)
-		}
-	}
-	return kept
+	return li.cut().query(ctx, q, opts)
 }
 
 // TopK returns the k live vectors most similar to q among the index's
@@ -855,55 +763,7 @@ func (li *LiveIndex) TopK(q Vec, k int) ([]Match, error) {
 
 // TopKContext is TopK with cooperative cancellation.
 func (li *LiveIndex) TopKContext(ctx context.Context, q Vec, k int) ([]Match, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("%w (got %d)", ErrBadK, k)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, ctxWrap(err)
-	}
-	if q.Len() == 0 {
-		return nil, nil
-	}
-	stop := shard.NewStopper(ctx)
-	defer stop.Close()
-	gen := li.gen.Load()
-	ix := gen.base
-	if err := ix.ready(true); err != nil {
-		return nil, err
-	}
-	qs := ix.prepare(q, true)
-	em := toExactMeasure(li.measure)
-
-	bids := li.filterBase(gen, ix.candidates(qs))
-	dids := li.filterDelta(gen, gen.mem.Candidates(qs.bits, qs.min, qs.work, gen.memN))
-	view := gen.mem.View(gen.memN)
-	ms := make([]Match, 0, len(bids)+len(dids))
-	for _, id := range bids {
-		if stop.Stopped() {
-			return nil, ctxWrap(stop.Err())
-		}
-		if s := ix.exactSim(qs.raw, id); s >= li.opts.Threshold {
-			ms = append(ms, Match{ID: gen.baseIDs[id], Sim: s})
-		}
-	}
-	for _, s := range dids {
-		if stop.Stopped() {
-			return nil, ctxWrap(stop.Err())
-		}
-		if sim := em.Sim(qs.raw, view.Raw[s]); sim >= li.opts.Threshold {
-			ms = append(ms, Match{ID: gen.start + int(s), Sim: sim})
-		}
-	}
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Sim != ms[j].Sim {
-			return ms[i].Sim > ms[j].Sim
-		}
-		return ms[i].ID < ms[j].ID
-	})
-	if len(ms) > k {
-		ms = ms[:k]
-	}
-	return ms, nil
+	return li.cut().topK(ctx, q, k)
 }
 
 // QueryBatch answers many queries over one consistent generation,
@@ -921,35 +781,7 @@ func (li *LiveIndex) QueryBatch(queries []Vec, opts QueryOptions) ([][]Match, er
 // QueryBatchContext is QueryBatch with cooperative cancellation,
 // under the Index.QueryBatchContext contract (all-or-nothing).
 func (li *LiveIndex) QueryBatchContext(ctx context.Context, queries []Vec, opts QueryOptions) ([][]Match, error) {
-	gen := li.gen.Load()
-	t, err := gen.base.queryThreshold(opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, ctxWrap(err)
-	}
-	// Surface a disk-backed base's first-touch verification failure as
-	// the batch's error; inside the fan-out it would be swallowed.
-	if err := gen.base.ready(false); err != nil {
-		return nil, err
-	}
-	stop := shard.NewStopper(ctx)
-	defer stop.Close()
-	out := make([][]Match, len(queries))
-	workers := gen.base.engine().workers()
-	err = shard.RunCtx(ctx, len(queries), workers, shard.Chunk(len(queries), workers, 1), func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			if stop.Stopped() {
-				return
-			}
-			out[i], _ = li.queryStop(gen, queries[i], t, stop)
-		}
-	})
-	if err != nil {
-		return nil, ctxWrap(err)
-	}
-	return out, nil
+	return li.cut().queryBatch(ctx, queries, opts)
 }
 
 // mergeRun is the background merge: cut the current generation, build

@@ -3,6 +3,8 @@ package bayeslsh
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -61,38 +63,46 @@ func (s *liveScript) coldEquivalent(dim int, m Measure, cfg EngineConfig, opts O
 
 // checkEquivalent asserts that the live index answers Query, TopK and
 // QueryBatch bit-identically (modulo the external-id map) to the cold
-// index over the equivalent corpus, for every supplied query.
+// index over the equivalent corpus, for every supplied query: at the
+// built threshold and one raised above it, and with TopK both clamped
+// to a small k and asked for more than the corpus holds.
 func (s *liveScript) checkEquivalent(cold *Index, queries []Vec, label string) {
 	s.t.Helper()
-	batchLive, err := s.li.QueryBatch(queries, QueryOptions{})
-	if err != nil {
-		s.t.Fatalf("%s: live QueryBatch: %v", label, err)
+	for _, opts := range []QueryOptions{{}, {Threshold: cold.Threshold() + 0.1}} {
+		label := fmt.Sprintf("%s@%v", label, opts.Threshold)
+		batchLive, err := s.li.QueryBatch(queries, opts)
+		if err != nil {
+			s.t.Fatalf("%s: live QueryBatch: %v", label, err)
+		}
+		batchCold, err := cold.QueryBatch(queries, opts)
+		if err != nil {
+			s.t.Fatalf("%s: cold QueryBatch: %v", label, err)
+		}
+		for qi, q := range queries {
+			lm, err := s.li.Query(q, opts)
+			if err != nil {
+				s.t.Fatalf("%s: live Query %d: %v", label, qi, err)
+			}
+			cm, err := cold.Query(q, opts)
+			if err != nil {
+				s.t.Fatalf("%s: cold Query %d: %v", label, qi, err)
+			}
+			s.compareMatches(lm, cm, fmt.Sprintf("%s: Query %d", label, qi))
+			s.compareMatches(batchLive[qi], batchCold[qi], fmt.Sprintf("%s: QueryBatch %d", label, qi))
+		}
 	}
-	batchCold, err := cold.QueryBatch(queries, QueryOptions{})
-	if err != nil {
-		s.t.Fatalf("%s: cold QueryBatch: %v", label, err)
-	}
-	for qi, q := range queries {
-		lm, err := s.li.Query(q, QueryOptions{})
-		if err != nil {
-			s.t.Fatalf("%s: live Query %d: %v", label, qi, err)
+	for _, k := range []int{5, len(s.ids) + 1} {
+		for qi, q := range queries {
+			lt, err := s.li.TopK(q, k)
+			if err != nil {
+				s.t.Fatalf("%s: live TopK(%d) %d: %v", label, k, qi, err)
+			}
+			ct, err := cold.TopK(q, k)
+			if err != nil {
+				s.t.Fatalf("%s: cold TopK(%d) %d: %v", label, k, qi, err)
+			}
+			s.compareMatches(lt, ct, fmt.Sprintf("%s: TopK(%d) %d", label, k, qi))
 		}
-		cm, err := cold.Query(q, QueryOptions{})
-		if err != nil {
-			s.t.Fatalf("%s: cold Query %d: %v", label, qi, err)
-		}
-		s.compareMatches(lm, cm, fmt.Sprintf("%s: Query %d", label, qi))
-		s.compareMatches(batchLive[qi], batchCold[qi], fmt.Sprintf("%s: QueryBatch %d", label, qi))
-
-		lt, err := s.li.TopK(q, 5)
-		if err != nil {
-			s.t.Fatalf("%s: live TopK %d: %v", label, qi, err)
-		}
-		ct, err := cold.TopK(q, 5)
-		if err != nil {
-			s.t.Fatalf("%s: cold TopK %d: %v", label, qi, err)
-		}
-		s.compareMatches(lt, ct, fmt.Sprintf("%s: TopK %d", label, qi))
 	}
 }
 
@@ -225,6 +235,67 @@ func TestLiveVariants(t *testing.T) {
 			li.Compact()
 			cold = s.coldEquivalent(pool.Dim(), c.measure, c.cfg, c.opts)
 			s.checkEquivalent(cold, s.liveQueries(nil), "post-merge")
+		})
+	}
+}
+
+// TestLivePriorRefitKeepsBaseMetadata: under the prior-bearing
+// pipelines every Add and Delete republishes the base with a refit
+// verifier. The republished base must keep the build's pipeline
+// decision and corpus statistics, and a snapshot cut before the next
+// merge must persist them.
+func TestLivePriorRefitKeepsBaseMetadata(t *testing.T) {
+	const seedN, poolN = 80, 90
+	pool := smallDataset(t, poolN).Binarize()
+	seed := &Dataset{c: &vector.Collection{Dim: pool.Dim(), Vecs: pool.c.Vecs[:seedN]}}
+	for _, alg := range []Algorithm{LSHBayesLSH, LSHBayesLSHLite, AllPairsBayesLSH, AllPairsBayesLSHLite} {
+		t.Run(alg.String(), func(t *testing.T) {
+			li, err := NewLiveIndex(seed, Jaccard, EngineConfig{Seed: 8}, Options{Algorithm: alg, Threshold: 0.4},
+				LiveConfig{MaxDelta: -1, MaxRatio: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer li.Close()
+			if !li.priorBearing() {
+				t.Fatalf("%v over Jaccard is not prior-bearing", alg)
+			}
+			plan, cstats, prior := li.Plan(), li.CorpusStats(), li.gen.Load().prior
+			if cstats.Vectors != seedN {
+				t.Fatalf("CorpusStats().Vectors = %d before any mutation, want %d", cstats.Vectors, seedN)
+			}
+			check := func(label string) {
+				t.Helper()
+				if got := li.Plan(); !reflect.DeepEqual(got, plan) {
+					t.Fatalf("after %s: Plan() = %+v, want %+v", label, got, plan)
+				}
+				if got := li.CorpusStats(); got != cstats {
+					t.Fatalf("after %s: CorpusStats() = %+v, want %+v", label, got, cstats)
+				}
+			}
+			for i := seedN; i < poolN; i++ {
+				if _, err := li.Add(pool.Vector(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("Add")
+			if !li.Delete(3) {
+				t.Fatal("Delete(3) reported absent")
+			}
+			check("Delete")
+			if li.gen.Load().prior == prior {
+				t.Fatal("no mutation refit the prior; the test exercises nothing")
+			}
+			path := filepath.Join(t.TempDir(), "live.snap")
+			if err := li.SaveFile(path); err != nil {
+				t.Fatal(err)
+			}
+			info, err := InspectFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Stats != cstats {
+				t.Fatalf("snapshot Stats = %+v, want %+v", info.Stats, cstats)
+			}
 		})
 	}
 }

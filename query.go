@@ -1,9 +1,11 @@
 package bayeslsh
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"bayeslsh/internal/core"
@@ -169,13 +171,6 @@ func (ix *Index) candidates(qs querySigs) []int32 {
 	}
 }
 
-// exactSim computes the exact similarity of the raw query to corpus
-// vector id under the index's measure.
-func (ix *Index) exactSim(qraw vector.Vector, id int32) float64 {
-	e := ix.engine()
-	return toExactMeasure(e.measure).Sim(qraw, e.ds.c.Vecs[id])
-}
-
 // Query returns the corpus vectors similar to q at the index's
 // threshold (or opts.Threshold, if higher), in ascending id order. It
 // runs candidate generation against the prebuilt index followed by
@@ -195,164 +190,7 @@ func (ix *Index) Query(q Vec, opts QueryOptions) ([]Match, error) {
 // matches. For a ctx that is never canceled the result is
 // bit-identical to Query's.
 func (ix *Index) QueryContext(ctx context.Context, q Vec, opts QueryOptions) ([]Match, error) {
-	t, err := ix.queryThreshold(opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, ctxWrap(err)
-	}
-	stop := shard.NewStopper(ctx)
-	defer stop.Close()
-	return ix.queryStop(q, t, stop)
-}
-
-// queryStop runs one threshold query at the resolved threshold t.
-// stop is a watcher owned by the caller (QueryContext per query,
-// QueryBatchContext shared across a batch).
-func (ix *Index) queryStop(q Vec, t float64, stop *shard.Stopper) ([]Match, error) {
-	if q.Len() == 0 {
-		return nil, nil
-	}
-	// First touch of a disk-backed index verifies the sections this
-	// query shape reads (checksum + deep structural walk, once per
-	// section for the life of the mapping).
-	if err := ix.ready(false); err != nil {
-		return nil, err
-	}
-	qs := ix.prepare(q, false)
-	hits, err := ix.verify(qs, ix.candidates(qs), stop)
-	if err != nil {
-		return nil, ctxWrap(err)
-	}
-	if t > ix.opts.Threshold {
-		kept := hits[:0]
-		for _, h := range hits {
-			if h.Sim >= t {
-				kept = append(kept, h)
-			}
-		}
-		hits = kept
-	}
-	return toMatches(hits), nil
-}
-
-// queryThreshold resolves and validates the per-query threshold.
-func (ix *Index) queryThreshold(opts QueryOptions) (float64, error) {
-	t := opts.Threshold
-	if t == 0 {
-		return ix.opts.Threshold, nil
-	}
-	if t < ix.opts.Threshold || t > 1 {
-		return 0, fmt.Errorf("%w: %v outside [%v, 1]", ErrBadThreshold, t, ix.opts.Threshold)
-	}
-	return t, nil
-}
-
-// segView is the verification surface of one index segment: the Bayes
-// verifier over that segment's signatures (nil for the pipelines that
-// verify without one), the exact similarity of the current query to
-// segment id, and the fixed-hash estimate (LSHApprox only). The base
-// corpus and a LiveIndex's delta segment both present one, so the two
-// run the built algorithm's verification through the same switch and
-// per-candidate decisions cannot drift between segments.
-type segView struct {
-	vq  core.QueryVerifier
-	sim func(id int32) float64
-	est func(id int32) float64
-}
-
-// segment wraps the index's own corpus in a segView for the prepared
-// query qs.
-func (ix *Index) segment(qs querySigs) segView {
-	return segView{
-		vq:  ix.vq,
-		sim: func(id int32) float64 { return ix.exactSim(qs.raw, id) },
-		est: func(id int32) float64 { return ix.approxEstimate(qs, id, ix.approxN) },
-	}
-}
-
-// verify runs the built algorithm's verification over the candidate
-// ids at the built threshold, returning hits in candidate (ascending
-// id) order. stop is polled between candidates; a stopped verification
-// returns the context's error and no hits.
-func (ix *Index) verify(qs querySigs, ids []int32, stop *shard.Stopper) ([]pair.Hit, error) {
-	return ix.verifySeg(ix.segment(qs), qs, ids, stop)
-}
-
-// verifySeg is verify over an explicit segment view.
-func (ix *Index) verifySeg(sv segView, qs querySigs, ids []int32, stop *shard.Stopper) ([]pair.Hit, error) {
-	o := ix.opts
-	switch o.Algorithm {
-	case BruteForce, AllPairs, LSH:
-		var hits []pair.Hit
-		for _, id := range ids {
-			if stop.Stopped() {
-				return nil, stop.Err()
-			}
-			if s := sv.sim(id); s >= o.Threshold {
-				hits = append(hits, pair.Hit{ID: id, Sim: s})
-			}
-		}
-		return hits, nil
-
-	case LSHApprox:
-		var hits []pair.Hit
-		for _, id := range ids {
-			if stop.Stopped() {
-				return nil, stop.Err()
-			}
-			s := sv.est(id)
-			if s >= o.Threshold {
-				hits = append(hits, pair.Hit{ID: id, Sim: s})
-			}
-		}
-		return hits, nil
-
-	case AllPairsBayesLSH, LSHBayesLSH:
-		hits, _, err := sv.vq.VerifyQueryStop(core.QuerySig{Bits: qs.bits, Min: qs.min}, ids, stop)
-		if err != nil {
-			return nil, err
-		}
-		if o.Algorithm == AllPairsBayesLSH {
-			// The AllPairs probe and the batch scan evaluate the cheap
-			// candidate bound from different sides, so their candidate
-			// sets can differ on (and only on) sub-threshold pairs.
-			// Exact-verifying the accepted hits removes those from both
-			// paths — the query-side twin of Engine.dropSubThreshold —
-			// so query results equal batch results strictly. Survivors
-			// keep their estimated similarity.
-			kept := hits[:0]
-			for _, h := range hits {
-				if stop.Stopped() {
-					return nil, stop.Err()
-				}
-				if sv.sim(h.ID) >= o.Threshold {
-					kept = append(kept, h)
-				}
-			}
-			hits = kept
-		}
-		return hits, nil
-
-	default: // AllPairsBayesLSHLite, LSHBayesLSHLite
-		hits, _, err := sv.vq.VerifyQueryLiteStop(core.QuerySig{Bits: qs.bits, Min: qs.min}, ids, o.LiteHashes,
-			sv.sim, stop)
-		if err != nil {
-			return nil, err
-		}
-		return hits, nil
-	}
-}
-
-// approxEstimate is the classical fixed-n LSH estimator of §3 for one
-// query-candidate pair, sharing the batch approxVerify formulas.
-func (ix *Index) approxEstimate(qs querySigs, id int32, n int) float64 {
-	e := ix.engine()
-	if e.measure == Jaccard {
-		return approxJaccardEstimate(minhash.Matches(qs.min, e.minSigStore().Sigs()[id], 0, n), n)
-	}
-	return approxCosineEstimate(sighash.MatchCount(qs.bits, e.bitSigStore().Sigs()[id], 0, n), n)
+	return cut{ix: ix}.query(ctx, q, opts)
 }
 
 // TopK returns the k corpus vectors most similar to q, among those
@@ -376,36 +214,7 @@ func (ix *Index) TopK(q Vec, k int) ([]Match, error) {
 // TopKContext is TopK with cooperative cancellation, under the
 // QueryContext contract.
 func (ix *Index) TopKContext(ctx context.Context, q Vec, k int) ([]Match, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("%w (got %d)", ErrBadK, k)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, ctxWrap(err)
-	}
-	if q.Len() == 0 {
-		return nil, nil
-	}
-	if err := ix.ready(true); err != nil {
-		return nil, err
-	}
-	stop := shard.NewStopper(ctx)
-	defer stop.Close()
-	qs := ix.prepare(q, true)
-	ids := ix.candidates(qs)
-	hits := make([]pair.Hit, 0, len(ids))
-	for _, id := range ids {
-		if stop.Stopped() {
-			return nil, ctxWrap(stop.Err())
-		}
-		if s := ix.exactSim(qs.raw, id); s >= ix.opts.Threshold {
-			hits = append(hits, pair.Hit{ID: id, Sim: s})
-		}
-	}
-	pair.SortHitsBySim(hits)
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	return toMatches(hits), nil
+	return cut{ix: ix}.topK(ctx, q, k)
 }
 
 // QueryBatch answers many queries, sharding them over the engine's
@@ -426,22 +235,308 @@ func (ix *Index) QueryBatch(queries []Vec, opts QueryOptions) ([][]Match, error)
 // batch is one request, so partial delivery would be
 // indistinguishable from empty result sets.
 func (ix *Index) QueryBatchContext(ctx context.Context, queries []Vec, opts QueryOptions) ([][]Match, error) {
-	t, err := ix.queryThreshold(opts)
+	return cut{ix: ix}.queryBatch(ctx, queries, opts)
+}
+
+// cut is the consistent corpus one query call runs over: a base Index
+// plus, for a LiveIndex, the generation the call pinned, which
+// supplies the delta memtable, the base-row → external-id map and the
+// deletion mask. A plain Index is the cut with no generation — one
+// segment, identity ids, nothing masked. Every query entry point of
+// both types runs the methods below, so per-candidate decisions, the
+// raised-threshold filter, the TopK order and the batch contract are
+// one code path.
+type cut struct {
+	ix  *Index
+	li  *LiveIndex // gen's owner (tombstones, delta verifier cache); nil without gen
+	gen *liveGen
+}
+
+// segment is one verifiable part of a cut. It carries data, not
+// per-query closures: the raw vectors exact similarity reads, the
+// signature rows the LSHApprox estimator reads (min under Jaccard,
+// bits under the cosine measures), the Bayes verifier over the
+// segment's signatures (nil for the pipelines that verify without
+// one), and the map from segment id to external id.
+type segment struct {
+	raw  []vector.Vector
+	min  [][]uint32
+	bits [][]uint64
+	vq   core.QueryVerifier
+
+	ext   []int // segment id -> external id; nil maps id to start+id
+	start int
+}
+
+// extID maps segment id id to its external id.
+func (s *segment) extID(id int32) int {
+	if s.ext != nil {
+		return s.ext[id]
+	}
+	return s.start + int(id)
+}
+
+// segments returns the number of segments in the cut: the base, plus
+// a live generation's delta.
+func (c cut) segments() int {
+	if c.gen == nil {
+		return 1
+	}
+	return 2
+}
+
+// segment returns segment i of the cut (0 the base corpus, 1 a live
+// generation's delta) and the query's candidates in it, in ascending
+// id order with deleted ids masked. verifier asks for the segment's
+// Bayes verifier; TopK verifies exactly and skips building the
+// delta's.
+func (c cut) segment(i int, qs querySigs, verifier bool) (segment, []int32, error) {
+	if i == 0 {
+		ix := c.ix
+		e := ix.engine()
+		seg := segment{raw: e.ds.c.Vecs, vq: ix.vq}
+		if ix.opts.Algorithm == LSHApprox {
+			if e.measure == Jaccard {
+				seg.min = e.minSigStore().Sigs()
+			} else {
+				seg.bits = e.bitSigStore().Sigs()
+			}
+		}
+		if c.gen != nil {
+			seg.ext = c.gen.baseIDs
+		}
+		return seg, c.mask(&seg, ix.candidates(qs)), nil
+	}
+	gen := c.gen
+	seg := segment{start: gen.start}
+	ids := c.mask(&seg, gen.mem.Candidates(qs.bits, qs.min, qs.work, gen.memN))
+	if len(ids) == 0 {
+		return seg, ids, nil
+	}
+	view := gen.mem.View(gen.memN)
+	seg.raw, seg.min, seg.bits = view.Raw, view.Min, view.Bits
+	if verifier {
+		var err error
+		if seg.vq, err = c.li.deltaVerifier(gen); err != nil {
+			return segment{}, nil, err
+		}
+	}
+	return seg, ids, nil
+}
+
+// mask drops the candidates deleted in the cut, in place.
+func (c cut) mask(seg *segment, ids []int32) []int32 {
+	if c.gen == nil {
+		return ids
+	}
+	kept := ids[:0]
+	for _, id := range ids {
+		if !c.gen.deleted(c.li.tombs, seg.extID(id)) {
+			kept = append(kept, id)
+		}
+	}
+	return kept
+}
+
+// threshold is the prologue of the threshold entry points: it resolves
+// and validates the per-query threshold, then refuses a done ctx.
+func (c cut) threshold(ctx context.Context, opts QueryOptions) (float64, error) {
+	built, t := c.ix.opts.Threshold, opts.Threshold
+	if t == 0 {
+		t = built
+	} else if t < built || t > 1 {
+		return 0, fmt.Errorf("%w: %v outside [%v, 1]", ErrBadThreshold, t, built)
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, ctxWrap(err)
+	}
+	return t, nil
+}
+
+// query is the threshold query behind both QueryContext methods.
+func (c cut) query(ctx context.Context, q Vec, opts QueryOptions) ([]Match, error) {
+	t, err := c.threshold(ctx, opts)
 	if err != nil {
 		return nil, err
+	}
+	stop := shard.NewStopper(ctx)
+	defer stop.Close()
+	return c.run(q, t, false, stop)
+}
+
+// run is the one query loop. It answers q over every segment of the
+// cut — probe, mask, verify, map to external ids — appending hits in
+// segment order, which is ascending external id (a live delta's ids
+// all follow its base's). A threshold query verifies with the built
+// algorithm and filters at the resolved threshold t; a TopK query
+// (topK, t the built threshold) verifies exactly and leaves ordering
+// to its caller. stop is a watcher owned by the caller (one per call,
+// or shared across a batch).
+func (c cut) run(q Vec, t float64, topK bool, stop *shard.Stopper) ([]Match, error) {
+	if q.Len() == 0 {
+		return nil, nil
+	}
+	// First touch of a disk-backed index verifies the sections this
+	// query shape reads (checksum + deep structural walk, once per
+	// section for the life of the mapping).
+	if err := c.ix.ready(topK); err != nil {
+		return nil, err
+	}
+	qs := c.ix.prepare(q, topK)
+	out := make([]Match, 0)
+	for i := range c.segments() {
+		seg, ids, err := c.segment(i, qs, !topK)
+		switch {
+		case err != nil || len(ids) == 0:
+		case topK:
+			out, err = c.exact(slices.Grow(out, len(ids)), &seg, qs, ids, t, stop)
+		default:
+			out, err = c.verify(out, &seg, qs, ids, t, stop)
+		}
+		if err != nil {
+			return nil, ctxWrap(err)
+		}
+	}
+	return out, nil
+}
+
+// verify runs the built algorithm's verification over one segment's
+// candidate ids at the built threshold and appends the hits to out in
+// candidate order, through add. stop is polled between candidates; a
+// stopped verification returns the context's error.
+func (c cut) verify(out []Match, seg *segment, qs querySigs, ids []int32, t float64, stop *shard.Stopper) ([]Match, error) {
+	o := c.ix.opts
+	m := c.ix.engine().measure
+	switch o.Algorithm {
+	case BruteForce, AllPairs, LSH:
+		return c.exact(out, seg, qs, ids, t, stop)
+
+	case LSHApprox:
+		// The classical fixed-n LSH estimator of §3, sharing the batch
+		// approxVerify formulas.
+		n := c.ix.approxN
+		for _, id := range ids {
+			if stop.Stopped() {
+				return nil, stop.Err()
+			}
+			var s float64
+			if m == Jaccard {
+				s = approxJaccardEstimate(minhash.Matches(qs.min, seg.min[id], 0, n), n)
+			} else {
+				s = approxCosineEstimate(sighash.MatchCount(qs.bits, seg.bits[id], 0, n), n)
+			}
+			if s >= o.Threshold {
+				out = c.add(out, seg, id, s, t)
+			}
+		}
+		return out, nil
+
+	default: // the Bayes pipelines
+		em := toExactMeasure(m)
+		sig := core.QuerySig{Bits: qs.bits, Min: qs.min}
+		var (
+			hits []pair.Hit
+			err  error
+		)
+		if o.Algorithm == AllPairsBayesLSH || o.Algorithm == LSHBayesLSH {
+			hits, _, err = seg.vq.VerifyQueryStop(sig, ids, stop)
+		} else {
+			raw, qraw := seg.raw, qs.raw
+			hits, _, err = seg.vq.VerifyQueryLiteStop(sig, ids, o.LiteHashes,
+				func(id int32) float64 { return em.Sim(qraw, raw[id]) }, stop)
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = slices.Grow(out, len(hits))
+		for _, h := range hits {
+			if o.Algorithm == AllPairsBayesLSH {
+				// The AllPairs probe and the batch scan evaluate the cheap
+				// candidate bound from different sides, so their candidate
+				// sets can differ on (and only on) sub-threshold pairs.
+				// Exact-verifying the accepted hits removes those from both
+				// paths — the query-side twin of Engine.dropSubThreshold —
+				// so query results equal batch results strictly. Survivors
+				// keep their estimated similarity.
+				if stop.Stopped() {
+					return nil, stop.Err()
+				}
+				if em.Sim(qs.raw, seg.raw[h.ID]) < o.Threshold {
+					continue
+				}
+			}
+			out = c.add(out, seg, h.ID, h.Sim, t)
+		}
+		return out, nil
+	}
+}
+
+// exact appends, through add, the candidates whose exact similarity to
+// the query meets the built threshold: the verification of the exact
+// pipelines and of every TopK.
+func (c cut) exact(out []Match, seg *segment, qs querySigs, ids []int32, t float64, stop *shard.Stopper) ([]Match, error) {
+	em := toExactMeasure(c.ix.engine().measure)
+	for _, id := range ids {
+		if stop.Stopped() {
+			return nil, stop.Err()
+		}
+		if s := em.Sim(qs.raw, seg.raw[id]); s >= c.ix.opts.Threshold {
+			out = c.add(out, seg, id, s, t)
+		}
+	}
+	return out, nil
+}
+
+// add appends a hit of segment id id to out under its external id,
+// unless a per-query threshold t above the built one filters it — the
+// one raised-threshold filter of every entry point. For the
+// estimate-reporting pipelines it filters the estimates.
+func (c cut) add(out []Match, seg *segment, id int32, sim, t float64) []Match {
+	if t > c.ix.opts.Threshold && sim < t {
+		return out
+	}
+	return append(out, Match{ID: seg.extID(id), Sim: sim})
+}
+
+// topK is the k-nearest query behind both TopKContext methods.
+func (c cut) topK(ctx context.Context, q Vec, k int) ([]Match, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("%w (got %d)", ErrBadK, k)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, ctxWrap(err)
 	}
+	stop := shard.NewStopper(ctx)
+	defer stop.Close()
+	out, err := c.run(q, c.ix.opts.Threshold, true, stop)
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(out, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(b.Sim, a.Sim), cmp.Compare(a.ID, b.ID))
+	})
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out, nil
+}
+
+// queryBatch is the all-or-nothing fan-out behind both
+// QueryBatchContext methods: every query runs over the same cut.
+func (c cut) queryBatch(ctx context.Context, queries []Vec, opts QueryOptions) ([][]Match, error) {
+	t, err := c.threshold(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
 	// Surface a disk-backed index's first-touch verification failure as
 	// the batch's error; inside the fan-out it would be swallowed.
-	if err := ix.ready(false); err != nil {
+	if err := c.ix.ready(false); err != nil {
 		return nil, err
 	}
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
 	out := make([][]Match, len(queries))
-	workers := ix.engine().workers()
+	workers := c.ix.engine().workers()
 	err = shard.RunCtx(ctx, len(queries), workers, shard.Chunk(len(queries), workers, 1), func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			if stop.Stopped() {
@@ -450,19 +545,11 @@ func (ix *Index) QueryBatchContext(ctx context.Context, queries []Vec, opts Quer
 			// Per-query errors cannot occur here: the threshold was
 			// validated above, readiness was checked above, and
 			// cancellation surfaces via RunCtx.
-			out[i], _ = ix.queryStop(queries[i], t, stop)
+			out[i], _ = c.run(queries[i], t, false, stop)
 		}
 	})
 	if err != nil {
 		return nil, ctxWrap(err)
 	}
 	return out, nil
-}
-
-func toMatches(hits []pair.Hit) []Match {
-	out := make([]Match, len(hits))
-	for i, h := range hits {
-		out[i] = Match{ID: int(h.ID), Sim: h.Sim}
-	}
-	return out
 }
