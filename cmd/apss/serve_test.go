@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -110,11 +111,28 @@ func wireVec(v map[uint32]float64) string {
 	return b.String()
 }
 
-// serveProc is a running "apss serve -http" child process.
+// serveProc is a running "apss serve -http" child process. Its stderr
+// is copied into log by a reader goroutine, which closes done at EOF.
 type serveProc struct {
-	cmd    *exec.Cmd
-	addr   string
-	stderr *strings.Builder
+	cmd  *exec.Cmd
+	addr string
+	mu   sync.Mutex
+	log  strings.Builder
+	done chan struct{}
+}
+
+// stderr returns what the process has written to stderr so far.
+func (p *serveProc) stderr() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.log.String()
+}
+
+// wait reads stderr to EOF, then reaps the process: exec.Cmd.Wait
+// closes the pipe, so calling it first could drop the last lines.
+func (p *serveProc) wait() error {
+	<-p.done
+	return p.cmd.Wait()
 }
 
 // startServe launches the binary and waits for the listening line.
@@ -128,13 +146,16 @@ func startServe(t *testing.T, bin string, args ...string) *serveProc {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	p := &serveProc{cmd: cmd, stderr: &strings.Builder{}}
+	p := &serveProc{cmd: cmd, done: make(chan struct{})}
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(p.done)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
-			fmt.Fprintln(p.stderr, line)
+			p.mu.Lock()
+			fmt.Fprintln(&p.log, line)
+			p.mu.Unlock()
 			if _, a, ok := strings.Cut(line, "http listening on "); ok {
 				select {
 				case addrCh <- a:
@@ -147,13 +168,13 @@ func startServe(t *testing.T, bin string, args ...string) *serveProc {
 	select {
 	case a, ok := <-addrCh:
 		if !ok {
-			cmd.Wait()
-			t.Fatalf("serve exited before listening:\n%s", p.stderr)
+			p.wait()
+			t.Fatalf("serve exited before listening:\n%s", p.stderr())
 		}
 		p.addr = a
 	case <-time.After(30 * time.Second):
 		cmd.Process.Kill()
-		t.Fatalf("timed out waiting for listening line:\n%s", p.stderr)
+		t.Fatalf("timed out waiting for listening line:\n%s", p.stderr())
 	}
 	return p
 }
@@ -337,11 +358,11 @@ func TestServeHTTPIntegration(t *testing.T) {
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.cmd.Wait(); err != nil {
-		t.Fatalf("serve exited %v after SIGTERM:\n%s", err, p.stderr)
+	if err := p.wait(); err != nil {
+		t.Fatalf("serve exited %v after SIGTERM:\n%s", err, p.stderr())
 	}
-	if !strings.Contains(p.stderr.String(), "drained") {
-		t.Fatalf("no drain message in stderr:\n%s", p.stderr)
+	if !strings.Contains(p.stderr(), "drained") {
+		t.Fatalf("no drain message in stderr:\n%s", p.stderr())
 	}
 
 	// The drain snapshot resumes to the served state: same length,
@@ -398,8 +419,8 @@ func TestServeShardedIntegration(t *testing.T) {
 		"-file", corpusPath, "-t", "0.7", "-parallel", "2", "-shards", "3",
 		"-http", "127.0.0.1:0", "-drain-save", manifest)
 	defer p.cmd.Process.Kill()
-	if !strings.Contains(p.stderr.String(), "sharded 3 ways") {
-		t.Fatalf("no sharding banner in stderr:\n%s", p.stderr)
+	if !strings.Contains(p.stderr(), "sharded 3 ways") {
+		t.Fatalf("no sharding banner in stderr:\n%s", p.stderr())
 	}
 
 	for _, i := range []int{0, 7, 31, 59} {
@@ -460,8 +481,8 @@ func TestServeShardedIntegration(t *testing.T) {
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.cmd.Wait(); err != nil {
-		t.Fatalf("sharded serve exited %v after SIGTERM:\n%s", err, p.stderr)
+	if err := p.wait(); err != nil {
+		t.Fatalf("sharded serve exited %v after SIGTERM:\n%s", err, p.stderr())
 	}
 	if _, err := os.Stat(manifest); err != nil {
 		t.Fatalf("no cluster manifest after drain: %v", err)
@@ -486,9 +507,9 @@ func TestServeShardedIntegration(t *testing.T) {
 	}
 	lresp.Body.Close()
 	if lresp.StatusCode != http.StatusOK || loaded.Live != li.Len() {
-		t.Fatalf("load status %d live %d, want 200 live %d:\n%s", lresp.StatusCode, loaded.Live, li.Len(), p2.stderr)
+		t.Fatalf("load status %d live %d, want 200 live %d:\n%s", lresp.StatusCode, loaded.Live, li.Len(), p2.stderr())
 	}
 	wantMatches(t, "restored sharded query", httpMatches(t, p2.url("/v1/query"), string(body)), served)
 	p2.cmd.Process.Signal(syscall.SIGTERM)
-	p2.cmd.Wait()
+	p2.wait()
 }

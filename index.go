@@ -216,7 +216,6 @@ func (e *Engine) buildIndexCtx(ctx context.Context, opts Options, prior *stats.B
 				if err != nil {
 					return nil, err
 				}
-				pair.SortPairs(cands)
 				ix.stats.PriorCandidates = len(cands)
 			}
 			ix.prior = e.fitPrior(o, cands)

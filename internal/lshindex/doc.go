@@ -18,11 +18,16 @@
 //
 // # Sharded banding
 //
-// The l hash tables are mutually independent, so batch candidate
-// generation (the Candidates*Ctx functions) assigns each band to a
-// worker: a band buckets every signature, enumerates its within-band
-// collisions into its own list, and the lists are deduplicated across
-// bands as they complete. Band keys depend only on the signatures and
-// the band index, so the candidate set is identical for any worker
-// count.
+// Batch candidate generation (the Candidates*Ctx functions) runs in
+// two sharded phases and returns the candidates deduplicated and in
+// ascending (A, B) order, the canonical order verification reads.
+// Bands → runs: the l hash tables are mutually independent, so each
+// band is built on its own worker, bucketing every signature and
+// laying the buckets out as sorted runs of ids. Rows → pairs:
+// contiguous batches of rows run on the worker pool, row a collecting
+// the ids after it in its runs across all bands, deduplicated by a
+// per-worker stamp array and sorted, and the batches are concatenated
+// in row order. Band keys depend only on the signatures and the band
+// index, so the candidates — set and order — are identical for any
+// worker count.
 package lshindex

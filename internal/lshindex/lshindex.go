@@ -3,13 +3,13 @@ package lshindex
 import (
 	"fmt"
 	"math"
-
-	"bayeslsh/internal/shard"
 )
 
 // NumTables returns l = ⌈log ε / log(1 − p^k)⌉, the number of banded
 // hash tables required so that a pair with per-hash collision
-// probability p is missed with probability at most eps.
+// probability p is missed with probability at most eps, saturated at
+// math.MaxInt32 (also when p^k is too small for 1 − p^k to differ
+// from 1).
 func NumTables(p float64, k int, eps float64) int {
 	if p <= 0 {
 		return 1
@@ -24,9 +24,29 @@ func NumTables(p float64, k int, eps float64) int {
 	if pk >= 1 {
 		return 1
 	}
-	l := math.Ceil(math.Log(eps) / math.Log(1-pk))
+	return tablesFor(eps, pk)
+}
+
+// maxTables is the saturated table count: the formula's value is
+// clamped to it, so a plan asking for more tables than any signature
+// holds is cut to the signature budget by the caller, never wrapped.
+const maxTables = math.MaxInt32
+
+// tablesFor returns ⌈log ε / log(1 − q)⌉ for a per-band collision
+// probability q in [0, 1), saturated at maxTables. Below q ≈ 2⁻⁵³,
+// 1 − q rounds to 1 and no finite table count is enough, so the count
+// saturates there too.
+func tablesFor(eps, q float64) int {
+	d := math.Log(1 - q)
+	if d == 0 {
+		return maxTables
+	}
+	l := math.Ceil(math.Log(eps) / d)
 	if l < 1 {
 		return 1
+	}
+	if l > maxTables {
+		return maxTables
 	}
 	return int(l)
 }
@@ -76,28 +96,6 @@ func fillMinhashBuckets(buckets map[uint64][]int32, sigs [][]uint32, band, k int
 	for id, sig := range sigs {
 		key := minhashBandKey(sig, band, k, scratch)
 		buckets[key] = append(buckets[key], int32(id))
-	}
-}
-
-// forBucketPairs enumerates every within-bucket pair of ids. Each id
-// appears in exactly one bucket, so no pair is emitted twice. stop
-// (nil for "not cancelable") is polled between buckets and between
-// rows of one bucket's quadratic enumeration — the stage whose volume
-// explodes as the threshold drops; an aborted enumeration's output is
-// discarded by the callers.
-func forBucketPairs(buckets map[uint64][]int32, stop *shard.Stopper, emit func(a, b int32)) {
-	for _, ids := range buckets {
-		if len(ids) < 2 {
-			continue
-		}
-		for i := 0; i < len(ids); i++ {
-			if stop.Stopped() {
-				return
-			}
-			for j := i + 1; j < len(ids); j++ {
-				emit(ids[i], ids[j])
-			}
-		}
 	}
 }
 

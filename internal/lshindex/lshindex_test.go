@@ -36,6 +36,38 @@ func TestNumTablesFormula(t *testing.T) {
 	}
 }
 
+// TestNumTablesSaturates pins the table count's behaviour where p^k is
+// too small for 1 − p^k to differ from 1: it must saturate, not fall
+// back to one table, so the count never increases with p.
+func TestNumTablesSaturates(t *testing.T) {
+	for _, c := range []struct {
+		p float64
+		k int
+	}{{0.5, 64}, {0.2, 32}} {
+		if got := NumTables(c.p, c.k, 0.03); got < 32 {
+			t.Errorf("NumTables(%v, %d, 0.03) = %d, want >= 32", c.p, c.k, got)
+		}
+	}
+	ps := []float64{1e-300, 1e-20, 1e-10, 1e-5}
+	for i := 1; i < 1000; i++ {
+		ps = append(ps, float64(i)/1000)
+	}
+	for name, f := range map[string]func(float64, int, float64) int{
+		"plain": NumTables, "multiprobe": NumTablesMultiProbe,
+	} {
+		for k := 1; k <= 64; k++ {
+			prev := math.MaxInt
+			for _, p := range ps {
+				l := f(p, k, 0.03)
+				if l < 1 || l > prev {
+					t.Fatalf("%s k=%d: l(%v) = %d after %d", name, k, p, l, prev)
+				}
+				prev = l
+			}
+		}
+	}
+}
+
 func TestNumTablesPanicsOnBadArgs(t *testing.T) {
 	for _, f := range []func(){
 		func() { NumTables(0.5, 0, 0.03) },

@@ -1,10 +1,6 @@
 package lshindex
 
-import (
-	"math"
-
-	"bayeslsh/internal/shard"
-)
+import "math"
 
 // Multi-probe LSH (Lv, Josephson, Wang, Charikar, Li, VLDB 2007 —
 // reference [17] of the BayesLSH paper) trades probes for tables:
@@ -20,7 +16,7 @@ import (
 // per signature per band.
 
 // NumTablesMultiProbe returns l = ⌈log ε / log(1 − p₁)⌉ for 1-step
-// multi-probe banding.
+// multi-probe banding, saturated like NumTables.
 func NumTablesMultiProbe(p float64, k int, eps float64) int {
 	if p <= 0 || p >= 1 {
 		return 1
@@ -33,38 +29,5 @@ func NumTablesMultiProbe(p float64, k int, eps float64) int {
 	if p1 >= 1 {
 		return 1
 	}
-	l := math.Ceil(math.Log(eps) / math.Log(1-p1))
-	if l < 1 {
-		return 1
-	}
-	return int(l)
-}
-
-// forProbePairs pairs each bucket's occupants with the occupants of
-// every bucket at Hamming distance one from its key. Each unordered
-// (key, key^bit) bucket pair is handled once, from the lower-key side,
-// and two keys differ in exactly one bit position, so no pair is
-// emitted twice. stop (nil for "not cancelable") is polled between
-// bucket neighbor pairs, under the forBucketPairs contract.
-func forProbePairs(buckets map[uint64][]int32, k int, stop *shard.Stopper, emit func(a, b int32)) {
-	for key, ids := range buckets {
-		for b := 0; b < k; b++ {
-			if stop.Stopped() {
-				return
-			}
-			neighbor := key ^ (1 << b)
-			if neighbor < key {
-				continue
-			}
-			others, ok := buckets[neighbor]
-			if !ok {
-				continue
-			}
-			for _, a := range ids {
-				for _, o := range others {
-					emit(a, o)
-				}
-			}
-		}
-	}
+	return tablesFor(eps, p1)
 }

@@ -3,6 +3,7 @@ package lshindex
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/bits"
 	"runtime"
 	"testing"
@@ -14,23 +15,9 @@ import (
 	"bayeslsh/internal/testutil"
 )
 
-// requireSamePairSet fails unless got and want contain the same pairs.
-func requireSamePairSet(t *testing.T, got, want []pair.Pair) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%d candidates, want %d", len(got), len(want))
-	}
-	gs := testutil.PairKeySet(got)
-	for _, p := range want {
-		if _, ok := gs[p.Key()]; !ok {
-			t.Fatalf("missing candidate %v", p)
-		}
-	}
-}
-
 // bandCollisions is the oracle of the banding tests: every pair of the
 // n signatures that collides in at least one of the l bands, found by
-// comparing all pairs band by band.
+// comparing all pairs band by band, in ascending (A, B) order.
 func bandCollisions(n, l int, collide func(i, j, band int) bool) []pair.Pair {
 	var out []pair.Pair
 	for i := 0; i < n; i++ {
@@ -47,8 +34,8 @@ func bandCollisions(n, l int, collide func(i, j, band int) bool) []pair.Pair {
 }
 
 // requireBandingInvariant checks that gen returns the oracle's
-// candidate set for every worker count and kind of never-canceled
-// context.
+// candidates, in the oracle's canonical (A, B) order, for every worker
+// count and kind of never-canceled context.
 func requireBandingInvariant(t *testing.T, want []pair.Pair, gen func(ctx context.Context, workers int) ([]pair.Pair, error)) {
 	t.Helper()
 	if len(want) == 0 {
@@ -60,7 +47,7 @@ func requireBandingInvariant(t *testing.T, want []pair.Pair, gen func(ctx contex
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
-			requireSamePairSet(t, got, want)
+			testutil.RequireSameSequence(t, fmt.Sprintf("%s workers=%d", name, workers), got, want)
 		}
 	}
 }
@@ -118,13 +105,46 @@ func TestParallelValidation(t *testing.T) {
 
 // identicalBitSigs returns n copies of one signature: every band puts
 // all n ids in one bucket, so a full enumeration costs l·n²/2 pairs —
-// far longer than the tests below let it run.
+// far longer than the cancellation tests below let it run.
 func identicalBitSigs(n, words int) [][]uint64 {
 	sigs := make([][]uint64, n)
 	for i := range sigs {
 		sigs[i] = make([]uint64, words)
 	}
 	return sigs
+}
+
+// identicalMinSigs is identicalBitSigs for minhash signatures.
+func identicalMinSigs(n, hashes int) [][]uint32 {
+	sigs := make([][]uint32, n)
+	for i := range sigs {
+		sigs[i] = make([]uint32, hashes)
+	}
+	return sigs
+}
+
+// TestCandidatesIdenticalSignatures bands signatures that collide in
+// every band: each pair must come out exactly once, in (A, B) order,
+// however many bands it collides in.
+func TestCandidatesIdenticalSignatures(t *testing.T) {
+	const n, k, l = 40, 8, 16
+	want := bandCollisions(n, 1, func(_, _, _ int) bool { return true })
+	bits, mins := identicalBitSigs(n, 2), identicalMinSigs(n, k*l)
+	for name, gen := range map[string]func(workers int) ([]pair.Pair, error){
+		"bits": func(w int) ([]pair.Pair, error) { return CandidatesBitsCtx(context.Background(), bits, k, l, w) },
+		"multiprobe": func(w int) ([]pair.Pair, error) {
+			return CandidatesBitsMultiProbeCtx(context.Background(), bits, k, l, w)
+		},
+		"minhash": func(w int) ([]pair.Pair, error) { return CandidatesMinhashCtx(context.Background(), mins, k, l, w) },
+	} {
+		for _, workers := range []int{1, 3} {
+			got, err := gen(workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			testutil.RequireSameSequence(t, fmt.Sprintf("%s workers=%d", name, workers), got, want)
+		}
+	}
 }
 
 func TestCandidatesPreCanceled(t *testing.T) {
@@ -153,12 +173,13 @@ func TestCandidatesPreCanceled(t *testing.T) {
 // collision enumeration and requires ctx.Err(), no partial candidate
 // set and every band worker drained.
 func TestCandidatesCancelMidRun(t *testing.T) {
-	sigs := identicalBitSigs(1500, 16)
+	sigs, mins := identicalBitSigs(1500, 16), identicalMinSigs(1500, 3*128)
 	for name, gen := range map[string]func(context.Context) ([]pair.Pair, error){
 		"bits": func(ctx context.Context) ([]pair.Pair, error) { return CandidatesBitsCtx(ctx, sigs, 8, 128, 4) },
 		"multiprobe": func(ctx context.Context) ([]pair.Pair, error) {
 			return CandidatesBitsMultiProbeCtx(ctx, sigs, 8, 128, 4)
 		},
+		"minhash": func(ctx context.Context) ([]pair.Pair, error) { return CandidatesMinhashCtx(ctx, mins, 3, 128, 4) },
 	} {
 		base := runtime.NumGoroutine()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)

@@ -1,6 +1,6 @@
 // Built hash tables for query serving: the candidate-generation
-// functions in this package enumerate within-bucket pairs and discard
-// the tables, which is right for one batch join but wasteful when the
+// functions in this package enumerate colliding pairs and discard
+// their bands, which is right for one batch join but wasteful when the
 // same corpus answers many point queries. BitsTables and MinhashTables
 // keep the l banded tables resident so a single out-of-corpus
 // signature can be probed against them: the query's band keys are

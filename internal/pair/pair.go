@@ -1,6 +1,10 @@
 package pair
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Pair identifies two distinct vectors by their collection indices,
 // normalized so that A < B.
@@ -48,45 +52,46 @@ func SortResults(rs []Result) {
 	})
 }
 
-// SortPairs orders pairs by (A, B).
+// SortPairs orders pairs by (A, B). Sorted input costs one scan. When
+// the ids span no more values than there are pairs — a dense candidate
+// set over a corpus — it runs two stable counting-sort passes, by B and
+// then by A, linear in the pairs; otherwise it compares packed keys,
+// whose order is (A, B) because ids are non-negative.
 func SortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].A != ps[j].A {
-			return ps[i].A < ps[j].A
+	var top int32
+	sorted := true
+	for i, p := range ps {
+		top = max(top, p.A, p.B)
+		if i > 0 && p.Key() < ps[i-1].Key() {
+			sorted = false
 		}
-		return ps[i].B < ps[j].B
-	})
-}
-
-// Set is a deduplicating collector of pairs.
-type Set struct {
-	seen map[uint64]struct{}
-	list []Pair
-}
-
-// NewSet returns an empty set with capacity hint n.
-func NewSet(n int) *Set {
-	return &Set{seen: make(map[uint64]struct{}, n)}
-}
-
-// Add inserts the normalized pair (a, b) if not already present and
-// reports whether it was added. Self-pairs are ignored.
-func (s *Set) Add(a, b int32) bool {
-	if a == b {
-		return false
 	}
-	p := Make(a, b)
-	if _, dup := s.seen[p.Key()]; dup {
-		return false
+	if sorted {
+		return
 	}
-	s.seen[p.Key()] = struct{}{}
-	s.list = append(s.list, p)
-	return true
+	if int(top) >= len(ps) {
+		slices.SortFunc(ps, func(x, y Pair) int { return cmp.Compare(x.Key(), y.Key()) })
+		return
+	}
+	tmp := make([]Pair, len(ps))
+	starts := make([]int, top+2)
+	countingPass(tmp, ps, starts, func(p Pair) int32 { return p.B })
+	countingPass(ps, tmp, starts, func(p Pair) int32 { return p.A })
 }
 
-// Len returns the number of distinct pairs collected.
-func (s *Set) Len() int { return len(s.list) }
-
-// Pairs returns the collected pairs in insertion order. The returned
-// slice is owned by the set; callers must not modify it.
-func (s *Set) Pairs() []Pair { return s.list }
+// countingPass stably places src into dst in ascending key order;
+// starts has room for every key plus one.
+func countingPass(dst, src []Pair, starts []int, key func(Pair) int32) {
+	clear(starts)
+	for _, p := range src {
+		starts[key(p)+1]++
+	}
+	for k := 1; k < len(starts); k++ {
+		starts[k] += starts[k-1]
+	}
+	for _, p := range src {
+		k := key(p)
+		dst[starts[k]] = p
+		starts[k]++
+	}
+}

@@ -1,6 +1,10 @@
 package pair
 
-import "testing"
+import (
+	"math/rand/v2"
+	"slices"
+	"testing"
+)
 
 func TestMakeNormalizes(t *testing.T) {
 	if got := Make(5, 2); got != (Pair{A: 2, B: 5}) {
@@ -24,29 +28,6 @@ func TestKeyUnique(t *testing.T) {
 	}
 }
 
-func TestSetDedupsAndSkipsSelf(t *testing.T) {
-	s := NewSet(4)
-	if !s.Add(3, 1) {
-		t.Error("first Add returned false")
-	}
-	if s.Add(1, 3) {
-		t.Error("reversed duplicate accepted")
-	}
-	if s.Add(2, 2) {
-		t.Error("self pair accepted")
-	}
-	if !s.Add(1, 2) {
-		t.Error("new pair rejected")
-	}
-	if s.Len() != 2 {
-		t.Errorf("Len = %d, want 2", s.Len())
-	}
-	ps := s.Pairs()
-	if ps[0] != Make(1, 3) || ps[1] != Make(1, 2) {
-		t.Errorf("Pairs = %v", ps)
-	}
-}
-
 func TestSortResultsAndPairs(t *testing.T) {
 	rs := []Result{{A: 3, B: 4}, {A: 1, B: 9}, {A: 1, B: 2}}
 	SortResults(rs)
@@ -57,6 +38,30 @@ func TestSortResultsAndPairs(t *testing.T) {
 	SortPairs(ps)
 	if ps[0] != (Pair{A: 1, B: 2}) || ps[2] != (Pair{A: 3, B: 4}) {
 		t.Errorf("SortPairs = %v", ps)
+	}
+}
+
+// TestSortPairsBothPaths checks SortPairs against a comparison sort on
+// (A, B), over id ranges that take the counting-sort path (dense: ids
+// span fewer values than there are pairs) and the comparison path.
+func TestSortPairsBothPaths(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	for _, c := range []struct{ pairs, ids int }{{2000, 50}, {2000, 1999}, {2000, 2001}, {300, 100000}, {1, 1}, {0, 1}} {
+		ps := make([]Pair, c.pairs)
+		for i := range ps {
+			ps[i] = Make(int32(r.IntN(c.ids)), int32(r.IntN(c.ids)))
+		}
+		want := slices.Clone(ps)
+		slices.SortStableFunc(want, func(x, y Pair) int {
+			if x.A != y.A {
+				return int(x.A - y.A)
+			}
+			return int(x.B - y.B)
+		})
+		SortPairs(ps)
+		if !slices.Equal(ps, want) {
+			t.Errorf("%d pairs over %d ids: SortPairs differs from the comparison sort", c.pairs, c.ids)
+		}
 	}
 }
 

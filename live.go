@@ -14,7 +14,6 @@ import (
 	"bayeslsh/internal/live"
 	"bayeslsh/internal/lshindex"
 	"bayeslsh/internal/minhash"
-	"bayeslsh/internal/pair"
 	"bayeslsh/internal/shard"
 	"bayeslsh/internal/stats"
 	"bayeslsh/internal/vector"
@@ -611,9 +610,10 @@ func (li *LiveIndex) compactEngine(cfg EngineConfig, gen *liveGen, src compactSr
 
 // coldPrior computes the Jaccard Beta prior a cold build over the
 // generation's live corpus (plus extra, the vector an Add is about to
-// ingest) would fit: the same candidate enumeration, the same sort,
-// the same sampling stream — so live verification prunes with exactly
-// the prior a cold index over the equivalent corpus would use.
+// ingest) would fit: the same candidate enumeration in the same
+// canonical order, the same sampling stream — so live verification
+// prunes with exactly the prior a cold index over the equivalent corpus
+// would use.
 func (li *LiveIndex) coldPrior(gen *liveGen, src compactSrc, view live.View, extra *live.Entry) (stats.Beta, error) {
 	// Called under mu, so reading li.cfg here is race-free.
 	e2, err := li.compactEngine(li.cfg, gen, src, view, extra)
@@ -624,7 +624,6 @@ func (li *LiveIndex) coldPrior(gen *liveGen, src compactSrc, view live.View, ext
 	if err != nil {
 		return stats.Beta{}, err
 	}
-	pair.SortPairs(cands)
 	return e2.fitPrior(li.opts, cands), nil
 }
 

@@ -1,7 +1,9 @@
 package bayeslsh
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -174,6 +176,58 @@ func TestParallelMatchesSequentialOptions(t *testing.T) {
 			searchWith(t, Cosine, opts, 1, 0),
 			searchWith(t, Cosine, opts, 4, 0))
 	})
+}
+
+// TestCandidatesCanonicalOrder pins Engine.candidates' contract, which
+// the verification phase relies on instead of sorting: every two-phase
+// pipeline's candidates come out strictly ascending in (A, B) —
+// deduplicated and normalized — and identical at any worker count. It
+// covers banded LSH (plain, multi-probe, under 1-bit minhash) and the
+// AllPairs branch.
+func TestCandidatesCanonicalOrder(t *testing.T) {
+	ctx := context.Background()
+	twoPhase := []Algorithm{LSH, LSHApprox, AllPairsBayesLSH, AllPairsBayesLSHLite, LSHBayesLSH, LSHBayesLSHLite}
+	for _, tc := range parallelCases {
+		seq := newParallelEngine(t, tc.measure, 1, 0)
+		par := *seq
+		par.cfg.Parallelism = 3
+		for _, alg := range twoPhase {
+			variants := []Options{{}}
+			if tc.measure == Jaccard {
+				variants = append(variants, Options{OneBitMinhash: true})
+			} else {
+				variants = append(variants, Options{MultiProbe: true})
+			}
+			for _, v := range variants {
+				v.Algorithm, v.Threshold = alg, tc.t
+				t.Run(fmt.Sprintf("%v/%v/multiprobe=%v/onebit=%v", tc.measure, alg, v.MultiProbe, v.OneBitMinhash), func(t *testing.T) {
+					o, err := v.withDefaults(tc.measure)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := seq.candidates(ctx, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(want) == 0 {
+						t.Fatal("no candidates; the corpus exercises nothing")
+					}
+					for i, p := range want {
+						if p.A >= p.B || i > 0 && want[i-1].Key() >= p.Key() {
+							t.Fatalf("candidate %d = %+v after %+v: not strictly ascending", i, p, want[max(i-1, 0)])
+						}
+					}
+					got, err := par.candidates(ctx, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("3 workers: %d candidates differ from 1 worker's %d", len(got), len(want))
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestParallelBatchSizeInvariance verifies that the verification batch

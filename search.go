@@ -232,14 +232,22 @@ func ctxWrap(err error) error {
 }
 
 // candidates runs the two-phase pipelines' candidate-generation phase
-// for the options' algorithm: the AllPairs scan for the AP pipelines
+// for the options' algorithm — the AllPairs scan for the AP pipelines
 // (its probe phase sharded over the engine's workers), banded LSH
-// otherwise. Shared by the search pipeline (Engine.stream) and
-// BuildIndex so the candidate stream cannot drift between them.
+// otherwise — and returns the candidates in ascending (A, B) order,
+// the canonical order that makes everything downstream of generation
+// (prior sampling, verification order, output order) deterministic
+// for a fixed Seed at any worker count. Banded LSH emits that order
+// directly; the AllPairs scan emits in its own scan order, which the
+// AllPairs pipeline streams in, so its candidates are sorted here.
+// Shared by the search pipeline (Engine.stream), BuildIndex and the
+// live prior refit so the candidate stream cannot drift between them.
 func (e *Engine) candidates(ctx context.Context, o Options) ([]pair.Pair, error) {
 	switch o.Algorithm {
 	case AllPairsBayesLSH, AllPairsBayesLSHLite:
-		return allpairs.CandidatesMeasureCtx(ctx, e.workInput(), toExactMeasure(e.measure), o.Threshold, e.workers())
+		cands, err := allpairs.CandidatesMeasureCtx(ctx, e.workInput(), toExactMeasure(e.measure), o.Threshold, e.workers())
+		pair.SortPairs(cands)
+		return cands, err
 	default:
 		return e.lshCandidates(ctx, o)
 	}

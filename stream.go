@@ -39,10 +39,10 @@ import (
 // just not all of them (the partial-results caveat of
 // docs/CONTEXTS.md).
 //
-// The candidate phase still materializes the candidate set (sorted,
-// as in Search): candidates are pairs that *might* match and cannot
-// be verified before they are enumerated. Stream bounds the results,
-// not the candidates.
+// The candidate phase still materializes the candidate set (in
+// canonical (A, B) order, as in Search): candidates are pairs that
+// *might* match and cannot be verified before they are enumerated.
+// Stream bounds the results, not the candidates.
 func (e *Engine) Stream(ctx context.Context, opts Options) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
 		o, err := e.prepare(ctx, opts)
@@ -113,13 +113,12 @@ func (e *Engine) stream(ctx context.Context, o Options, out *Output, emit func(s
 
 // streamTwoPhase runs the candidate-generation + verification
 // pipelines. Both phases shard over the engine's worker pool when
-// EngineConfig.Parallelism exceeds one; candidates are sorted between
-// the phases so that everything downstream of generation (prior
-// sampling, verification order, output order) is deterministic for a
-// fixed Seed regardless of worker count — and of Go's map iteration
-// order, which already shuffled the banded-LSH candidate stream
-// run-to-run in the sequential pipeline. Verification then streams
-// batch by batch, with batch slots in candidate order.
+// EngineConfig.Parallelism exceeds one. Candidates arrive in canonical
+// (A, B) order (Engine.candidates' contract), so everything downstream
+// of generation (prior sampling, verification order, output order) is
+// deterministic for a fixed Seed regardless of worker count.
+// Verification then streams batch by batch, with batch slots in
+// candidate order.
 func (e *Engine) streamTwoPhase(ctx context.Context, o Options, out *Output, emit func(slot int, rs []pair.Result) error) error {
 	// Phase 1: candidates.
 	start := time.Now()
@@ -127,7 +126,6 @@ func (e *Engine) streamTwoPhase(ctx context.Context, o Options, out *Output, emi
 	if err != nil {
 		return err
 	}
-	pair.SortPairs(cands)
 	out.CandGenTime = time.Since(start)
 	out.Candidates = len(cands)
 
