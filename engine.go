@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"bayeslsh/internal/core"
@@ -253,13 +254,37 @@ func (e *Engine) lshCandidates(ctx context.Context, o Options) ([]pair.Pair, err
 		return nil, err
 	}
 	w := e.workers()
-	if e.measure == Jaccard {
-		return lshindex.CandidatesMinhashCtx(ctx, e.minSigStore().Sigs(), k, l, w)
+	var cands []pair.Pair
+	switch {
+	case e.measure == Jaccard:
+		cands, err = lshindex.CandidatesMinhashCtx(ctx, e.minSigStore().Sigs(), k, l, w)
+	case o.MultiProbe:
+		cands, err = lshindex.CandidatesBitsMultiProbeCtx(ctx, e.bitSigStore().Sigs(), k, l, w)
+	default:
+		cands, err = lshindex.CandidatesBitsCtx(ctx, e.bitSigStore().Sigs(), k, l, w)
 	}
-	if o.MultiProbe {
-		return lshindex.CandidatesBitsMultiProbeCtx(ctx, e.bitSigStore().Sigs(), k, l, w)
+	return e.dropEmpty(cands), err
+}
+
+// dropEmpty removes, in place, the candidate pairs that touch a vector
+// with no features. Such a vector's exact similarity to anything is 0,
+// but its signature is a constant — every hyperplane bit set, every
+// minhash Empty — so two of them collide on every hash and an
+// estimating pipeline would report them as a similarity-1 pair. The
+// query path drops them the same way (cut.mask). Corpora without empty
+// vectors pay one scan of the vector headers.
+func (e *Engine) dropEmpty(cands []pair.Pair) []pair.Pair {
+	vecs := e.work.Vecs
+	if !slices.ContainsFunc(vecs, func(v vector.Vector) bool { return v.Len() == 0 }) {
+		return cands
 	}
-	return lshindex.CandidatesBitsCtx(ctx, e.bitSigStore().Sigs(), k, l, w)
+	kept := cands[:0]
+	for _, p := range cands {
+		if vecs[p.A].Len() > 0 && vecs[p.B].Len() > 0 {
+			kept = append(kept, p)
+		}
+	}
+	return kept
 }
 
 // workInput returns the collection in the representation AllPairs and

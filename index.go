@@ -70,10 +70,11 @@ type Index struct {
 	// without re-enumerating the candidate stream.
 	prior stats.Beta
 
-	// Query-signature depths, split by representation and use so each
-	// call hashes only what it reads: banding depths feed the table
-	// probes, verification depths feed the per-candidate verifier
-	// (TopK skips the latter entirely). 0 means unused.
+	// Query-signature depths, split by representation and use: every
+	// query is hashed to the banding depth for the table probes, and
+	// verification may deepen it up to the verification depth, only
+	// as far as its candidates' rounds read (TopK never does). 0 means
+	// unused.
 	bandBits, verifyBits int  // packed-bit depths (cosine measures)
 	bandMin, verifyMin   int  // minhash depths (Jaccard)
 	packOneBit           bool // queries additionally pack minhashes to 1-bit

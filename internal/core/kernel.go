@@ -21,7 +21,8 @@ import (
 // are pure functions of (m, n), so racing writers store the same
 // value), and the hooks must be pure (they are — they read only
 // immutable verifier state and signature prefixes guarded by
-// params.Ensure).
+// params.Ensure, plus, one-sided, the calling query's own signature
+// prefix guarded by QuerySig.Ensure).
 type kernel struct {
 	params Params
 	ns     []int

@@ -16,10 +16,20 @@ import (
 
 // QuerySig carries a query's signature in whichever representation
 // the verifier compares: packed bits (cosine and 1-bit Jaccard) or
-// minhashes (Jaccard). Exactly one field is consulted per verifier.
+// minhashes (Jaccard). Exactly one of Bits and Min is consulted per
+// verifier.
+//
+// Ensure is the query-side twin of Params.Ensure: when non-nil, the
+// verifier calls Ensure(n) before each round reads hashes [n−K, n), so
+// a signature that is extended lazily (sighash.QuerySig,
+// minhash.QuerySig) is hashed only as deep as the deepest round any
+// candidate reaches. With Ensure nil the signature must already cover
+// MaxHashes. A query verifies on one goroutine, so Ensure needs no
+// synchronization of its own.
 type QuerySig struct {
-	Bits []uint64
-	Min  []uint32
+	Bits   []uint64
+	Min    []uint32
+	Ensure func(n int)
 }
 
 // QuerySimFunc computes the exact similarity of the query to corpus
@@ -61,12 +71,13 @@ func stopResultHits(hits []pair.Hit, st Stats, stop *shard.Stopper) ([]pair.Hit,
 }
 
 // verifyQueryOne runs the full round loop for one candidate id against
-// the query, mirroring verifyOne with qmatch in place of the two-sided
-// match hook. Only the corpus side goes through params.Ensure; the
-// query signature is precomputed to MaxHashes by the caller. stop
-// (nil for "not cancelable") follows the verifyOne contract: polled
-// between rounds, output discarded by the caller on cancellation.
-func (kr *kernel) verifyQueryOne(id int32, qmatch func(id int32, from, to int) int, stop *shard.Stopper, st *Stats, out *[]pair.Hit) {
+// the query, mirroring verifyOne with qmatch (kr.qmatch(q)) in place of
+// the two-sided match hook. Before each round reads [n−K, n) the query
+// side is extended through q.Ensure and the corpus side through
+// params.Ensure. stop (nil for "not cancelable") follows the verifyOne
+// contract: polled between rounds, output discarded by the caller on
+// cancellation.
+func (kr *kernel) verifyQueryOne(id int32, q QuerySig, qmatch func(id int32, from, to int) int, stop *shard.Stopper, st *Stats, out *[]pair.Hit) {
 	k := kr.params.K
 	m := 0
 	pruned := false
@@ -75,9 +86,7 @@ func (kr *kernel) verifyQueryOne(id int32, qmatch func(id int32, from, to int) i
 		if stop.Stopped() {
 			return
 		}
-		if ensure := kr.params.Ensure; ensure != nil {
-			ensure(id, n)
-		}
+		kr.ensureQuery(q, id, n)
 		m += qmatch(id, n-k, n)
 		st.HashesCompared += int64(k)
 		if m < kr.minM[round] {
@@ -112,14 +121,15 @@ func (kr *kernel) verifyQueryOne(id int32, qmatch func(id int32, from, to int) i
 // stop is polled between candidates and rounds; on cancellation the
 // partial output must be discarded by the caller (VerifyQueryStop
 // does).
-func (kr *kernel) verifyQuery(ids []int32, qmatch func(id int32, from, to int) int, stop *shard.Stopper) ([]pair.Hit, Stats) {
+func (kr *kernel) verifyQuery(q QuerySig, ids []int32, stop *shard.Stopper) ([]pair.Hit, Stats) {
 	st := Stats{Candidates: len(ids), SurvivorsByRound: make([]int, len(kr.ns))}
 	out := make([]pair.Hit, 0, len(ids)/8+1)
+	qmatch := kr.qmatch(q)
 	for _, id := range ids {
 		if stop.Stopped() {
 			break
 		}
-		kr.verifyQueryOne(id, qmatch, stop, &st, &out)
+		kr.verifyQueryOne(id, q, qmatch, stop, &st, &out)
 	}
 	st.Accepted = len(out)
 	return out, st
@@ -127,11 +137,12 @@ func (kr *kernel) verifyQuery(ids []int32, qmatch func(id int32, from, to int) i
 
 // verifyQueryLite runs the one-sided pruning rounds, then exact
 // verification of survivors. stop follows the verifyQuery contract.
-func (kr *kernel) verifyQueryLite(ids []int32, h int, qmatch func(id int32, from, to int) int, sim QuerySimFunc, stop *shard.Stopper) ([]pair.Hit, Stats) {
+func (kr *kernel) verifyQueryLite(q QuerySig, ids []int32, h int, sim QuerySimFunc, stop *shard.Stopper) ([]pair.Hit, Stats) {
 	k := kr.params.K
 	nRounds := liteRounds(h, k, len(kr.ns))
 	st := Stats{Candidates: len(ids), SurvivorsByRound: make([]int, nRounds)}
 	var out []pair.Hit
+	qmatch := kr.qmatch(q)
 	for _, id := range ids {
 		if stop.Stopped() {
 			break
@@ -146,9 +157,7 @@ func (kr *kernel) verifyQueryLite(ids []int32, h int, qmatch func(id int32, from
 				return out, st
 			}
 			n := kr.ns[round]
-			if ensure := kr.params.Ensure; ensure != nil {
-				ensure(id, n)
-			}
+			kr.ensureQuery(q, id, n)
 			m += qmatch(id, n-k, n)
 			st.HashesCompared += int64(k)
 			if m < kr.minM[round] {
@@ -170,23 +179,35 @@ func (kr *kernel) verifyQueryLite(ids []int32, h int, qmatch func(id int32, from
 	return out, st
 }
 
+// ensureQuery extends both sides of a one-sided comparison to n
+// hashes: the query's signature through q.Ensure, candidate id's
+// through params.Ensure. Either hook may be nil (already deep enough).
+func (kr *kernel) ensureQuery(q QuerySig, id int32, n int) {
+	if q.Ensure != nil {
+		q.Ensure(n)
+	}
+	if ensure := kr.params.Ensure; ensure != nil {
+		ensure(id, n)
+	}
+}
+
 // VerifyQuery runs BayesLSH for the query signature against the
 // candidate corpus ids; it cannot be canceled.
 func (kr *kernel) VerifyQuery(q QuerySig, ids []int32) ([]pair.Hit, Stats) {
-	return kr.verifyQuery(ids, kr.qmatch(q), nil)
+	return kr.verifyQuery(q, ids, nil)
 }
 
 // VerifyQueryStop is VerifyQuery with cooperative cancellation. The
-// query signature (q.Min for Jaccard, q.Bits otherwise) must cover at
-// least MaxHashes hashes.
+// query signature (q.Min for Jaccard, q.Bits otherwise) must cover
+// MaxHashes hashes or extend itself through q.Ensure.
 func (kr *kernel) VerifyQueryStop(q QuerySig, ids []int32, stop *shard.Stopper) ([]pair.Hit, Stats, error) {
-	hits, st := kr.verifyQuery(ids, kr.qmatch(q), stop)
+	hits, st := kr.verifyQuery(q, ids, stop)
 	return stopResultHits(hits, st, stop)
 }
 
 // VerifyQueryLiteStop runs BayesLSH-Lite pruning for the query
 // signature, then verifies survivors exactly with sim.
 func (kr *kernel) VerifyQueryLiteStop(q QuerySig, ids []int32, h int, sim QuerySimFunc, stop *shard.Stopper) ([]pair.Hit, Stats, error) {
-	hits, st := kr.verifyQueryLite(ids, h, kr.qmatch(q), sim, stop)
+	hits, st := kr.verifyQueryLite(q, ids, h, sim, stop)
 	return stopResultHits(hits, st, stop)
 }

@@ -19,6 +19,28 @@ func queryTestSigs(t *testing.T) ([][]uint32, [][]uint64) {
 	return min, bits
 }
 
+// lazyMin and lazyBits hand the verifier a query signature that reads
+// as zero past the depth of the last Ensure, the way a lazily hashed
+// query signature fills: a round that read past its Ensure would see
+// zeros and change its decision.
+func lazyMin(full []uint32) QuerySig {
+	buf := make([]uint32, len(full))
+	return QuerySig{Min: buf, Ensure: func(n int) {
+		copy(buf, full[:n])
+		clear(buf[n:])
+	}}
+}
+
+func lazyBits(full []uint64) QuerySig {
+	buf := make([]uint64, len(full))
+	return QuerySig{Bits: buf, Ensure: func(n int) {
+		copy(buf, full)
+		for b := n; b < 64*len(buf); b++ {
+			buf[b/64] &^= 1 << (b % 64)
+		}
+	}}
+}
+
 // TestVerifyQueryMatchesVerify checks the one-sided round loop
 // against the two-sided one: verifying candidates (i, j) with i's
 // signature as the query must reproduce the batch accept/prune
@@ -50,6 +72,8 @@ func TestVerifyQueryMatchesVerify(t *testing.T) {
 		{"jaccard", jv, func(i int32) QuerySig { return QuerySig{Min: min[i]} }},
 		{"cosine", cv, func(i int32) QuerySig { return QuerySig{Bits: bits[i]} }},
 		{"onebit", ov, func(i int32) QuerySig { return QuerySig{Bits: packed[i]} }},
+		{"jaccard, lazy", jv, func(i int32) QuerySig { return lazyMin(min[i]) }},
+		{"cosine, lazy", cv, func(i int32) QuerySig { return lazyBits(bits[i]) }},
 	} {
 		// Candidates: pair vector 0..9 against everything after it.
 		for i := int32(0); i < 10; i++ {
@@ -79,8 +103,15 @@ func TestVerifyQueryMatchesVerify(t *testing.T) {
 }
 
 // TestVerifyQueryLiteMatchesVerifyLite does the same for the Lite
-// (prune + exact verify) loop.
+// (prune + exact verify) loop, with the query signature precomputed
+// and extended lazily.
 func TestVerifyQueryLiteMatchesVerifyLite(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		testVerifyQueryLite(t, lazy)
+	}
+}
+
+func testVerifyQueryLite(t *testing.T, lazy bool) {
 	min, _ := queryTestSigs(t)
 	jv, err := NewJaccard(min, stats.Beta{Alpha: 1, Beta: 1},
 		Params{Threshold: 0.4, Epsilon: 0.03, Delta: 0.05, Gamma: 0.03})
@@ -100,7 +131,11 @@ func TestVerifyQueryLiteMatchesVerifyLite(t *testing.T) {
 			ids = append(ids, j)
 		}
 		batch, bst := verifyLiteSeq(t, jv, cands, 64, exact)
-		hits, qst, err := jv.VerifyQueryLiteStop(QuerySig{Min: min[i]}, ids, 64,
+		sig := QuerySig{Min: min[i]}
+		if lazy {
+			sig = lazyMin(min[i])
+		}
+		hits, qst, err := jv.VerifyQueryLiteStop(sig, ids, 64,
 			func(id int32) float64 { return exact(i, id) }, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -21,6 +21,17 @@
 // and EnsureAllCtx shards bulk fills over a worker pool with results
 // identical for any worker count.
 //
+// # Query hashing
+//
+// A query follows the same rule. Family.NewQuerySig starts a QuerySig
+// — the query, a full-capacity buffer and its filled prefix — and
+// QuerySig.Ensure hashes only the range not yet filled, with the same
+// loop as SignatureN and Store. The engine's query-serving index
+// ensures the banding depth before the table probe and lets
+// verification deepen it round by round, so a query whose candidates
+// all prune early never computes the deep hashes. SignatureN is the
+// one-shot form, for vectors whose depth is known up front.
+//
 // # 1-bit signatures
 //
 // PackOneBit/PackOneBitAll compress full minhash signatures to their

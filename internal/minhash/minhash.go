@@ -57,40 +57,84 @@ func (f *Family) Signature(v vector.Vector) []uint32 {
 	return f.SignatureN(v, len(f.seeds))
 }
 
-// SignatureN computes the first n hashes of v's signature — the
-// query-hashing path, which only pays for the depth a probe or
-// verification actually reads. Hash i depends only on its own seed,
-// so the result is the corresponding prefix of the full Signature.
+// SignatureN computes the first n hashes of v's signature in one call,
+// for a vector whose depth is known up front; a query, whose depth
+// depends on how far its candidates' rounds read, grows a QuerySig
+// instead. Hash i depends only on its own seed, so the result is the
+// corresponding prefix of the full Signature.
 func (f *Family) SignatureN(v vector.Vector, n int) []uint32 {
 	if n > len(f.seeds) {
 		panic("minhash: SignatureN beyond family capacity")
 	}
 	sig := make([]uint32, n)
-	if v.Len() == 0 {
-		for i := range sig {
-			sig[i] = Empty
-		}
-		return sig
-	}
-	// One pass per element rather than per hash: mix each element once
-	// per hash function, tracking minima for all functions.
-	mins := make([]uint64, n)
-	for i := range mins {
-		mins[i] = math.MaxUint64
+	f.hashRange(v, 0, n, sig)
+	return sig
+}
+
+// hashRange writes hashes [from, to) of v's signature into sig[from:to]
+// — the one hashing loop behind SignatureN, QuerySig and Store. It makes
+// one pass per element rather than per hash, mixing each element once
+// per hash function and tracking every function's minimum. Keeping the
+// high 32 bits of each mix before taking the minimum equals taking them
+// after (the shift is monotone), and the minima start at Empty, which
+// is what an empty set keeps.
+func (f *Family) hashRange(v vector.Vector, from, to int, sig []uint32) {
+	out := sig[from:to]
+	for i := range out {
+		out[i] = Empty
 	}
 	for _, ind := range v.Ind {
 		e := (uint64(ind) + 1) * 0x9e3779b97f4a7c15
-		for i, seed := range f.seeds[:n] {
-			if h := rng.Mix64(seed ^ e); h < mins[i] {
-				mins[i] = h
+		for i, seed := range f.seeds[from:to] {
+			if h := uint32(rng.Mix64(seed^e) >> 32); h < out[i] {
+				out[i] = h
 			}
 		}
 	}
-	for i, m := range mins {
-		sig[i] = uint32(m >> 32)
-	}
-	return sig
 }
+
+// QuerySig is one out-of-corpus vector's signature, hashed only as
+// deep as its reader has asked for — the query-side twin of a Store
+// row. It holds the family, the vector, a buffer sized for the
+// family's full capacity and the filled prefix; Ensure hashes just the
+// missing range into that buffer in place, with SignatureN's loop, so
+// every prefix is identical to SignatureN's (the empty set's included:
+// all Empty). A QuerySig belongs to one query, which extends and reads
+// it on one goroutine, so it takes no locks and is not safe for
+// concurrent use.
+type QuerySig struct {
+	fam    *Family
+	v      vector.Vector
+	sig    []uint32
+	filled int
+}
+
+// NewQuerySig starts v's signature with nothing hashed.
+func (f *Family) NewQuerySig(v vector.Vector) QuerySig {
+	return QuerySig{fam: f, v: v, sig: make([]uint32, len(f.seeds))}
+}
+
+// Ensure hashes the signature up to at least n hashes; a prefix
+// already hashed costs nothing. It panics beyond the family's size,
+// like SignatureN.
+func (q *QuerySig) Ensure(n int) {
+	if n <= q.filled {
+		return
+	}
+	if n > len(q.sig) {
+		panic("minhash: QuerySig.Ensure beyond family capacity")
+	}
+	q.fam.hashRange(q.v, q.filled, n, q.sig)
+	q.filled = n
+}
+
+// Hashes returns the signature buffer. Hashes [0, Filled()) are
+// computed; the rest stay zero until Ensure reaches them. The slice is
+// stable for the QuerySig's lifetime.
+func (q *QuerySig) Hashes() []uint32 { return q.sig }
+
+// Filled returns how many hashes are computed.
+func (q *QuerySig) Filled() int { return q.filled }
 
 // SignatureAll computes signatures for every vector in the collection.
 func (f *Family) SignatureAll(c *vector.Collection) [][]uint32 {

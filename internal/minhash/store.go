@@ -2,10 +2,8 @@ package minhash
 
 import (
 	"context"
-	"math"
 	"time"
 
-	"bayeslsh/internal/rng"
 	"bayeslsh/internal/shard"
 	"bayeslsh/internal/vector"
 )
@@ -57,7 +55,7 @@ func (s *Store) Sigs() [][]uint32 { return s.sigs }
 func (s *Store) MaxHashes() int { return s.fam.Size() }
 
 // Family returns the store's hash family, for hashing out-of-corpus
-// query vectors with the same seeds (see Family.Signature).
+// vectors with the same seeds (see QuerySig and Family.SignatureN).
 func (s *Store) Family() *Family { return s.fam }
 
 // FilledHashes returns how many hashes of vector id are computed.
@@ -81,29 +79,7 @@ func (s *Store) Ensure(id int32, n int) {
 		if n > to {
 			panic("minhash: Ensure beyond family capacity")
 		}
-		v := s.c.Vecs[id]
-		sig := s.sigs[id]
-		if v.Len() == 0 {
-			for i := from; i < to; i++ {
-				sig[i] = Empty
-			}
-			return to
-		}
-		mins := make([]uint64, to-from)
-		for i := range mins {
-			mins[i] = math.MaxUint64
-		}
-		for _, ind := range v.Ind {
-			e := (uint64(ind) + 1) * 0x9e3779b97f4a7c15
-			for i := from; i < to; i++ {
-				if h := rng.Mix64(s.fam.seeds[i] ^ e); h < mins[i-from] {
-					mins[i-from] = h
-				}
-			}
-		}
-		for i := from; i < to; i++ {
-			sig[i] = uint32(mins[i-from] >> 32)
-		}
+		s.fam.hashRange(s.c.Vecs[id], from, to, s.sigs[id])
 		return to
 	})
 }

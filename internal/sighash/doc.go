@@ -48,8 +48,15 @@
 //
 // # Query hashing
 //
-// BlockFamily.SignatureN hashes a single out-of-corpus vector against
-// the same streams, the entry point of the engine's query-serving
-// index: a query equal to a corpus vector hashes to exactly that
-// vector's stored signature prefix.
+// A query follows the same rule as a corpus vector: it is hashed only
+// as deep as something reads. BlockFamily.NewQuerySig starts a
+// QuerySig — the query, a full-capacity buffer and its filled prefix —
+// and QuerySig.Ensure hashes only the blocks not yet filled. The
+// engine's query-serving index ensures the banding depth before the
+// table probe and lets verification deepen it round by round, so a
+// query whose candidates all prune early never pays for the deep
+// blocks. BlockFamily.SignatureN is the one-shot form, for vectors
+// whose depth is known up front. Both hash against the same streams,
+// so a query equal to a corpus vector hashes to exactly that vector's
+// stored signature prefix.
 package sighash

@@ -2,6 +2,7 @@ package sighash
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -217,11 +218,13 @@ func (f *BlockFamily) signBlock(v vector.Vector, b int, sig []uint64, acc []floa
 }
 
 // SignatureN computes bits [0, nbits) of v's signature in one call,
-// the hashing path for out-of-corpus query vectors. nbits is rounded
-// up to whole blocks and must not exceed MaxBits. Rows derive from
-// the same (seed, feature, block) streams the lazy Store fills use, so
-// a query vector equal to a corpus vector yields a prefix bit-identical
-// to that vector's stored signature.
+// the hashing path for an out-of-corpus vector whose depth is known up
+// front (a live index's ingested entries); a query, whose depth
+// depends on how far its candidates' rounds read, grows a QuerySig
+// instead. nbits is rounded up to whole blocks and must not exceed
+// MaxBits. Rows derive from the same (seed, feature, block) streams the
+// lazy Store fills use, so a vector equal to a corpus vector yields a
+// prefix bit-identical to that vector's stored signature.
 func (f *BlockFamily) SignatureN(v vector.Vector, nbits int) []uint64 {
 	bb := f.blockBits
 	to := (nbits + bb - 1) / bb
@@ -232,6 +235,59 @@ func (f *BlockFamily) SignatureN(v vector.Vector, nbits int) []uint64 {
 	f.signBlocks(v, 0, to, sig)
 	return sig
 }
+
+// QuerySig is one out-of-corpus vector's signature, hashed only as
+// deep as its reader has asked for — the query-side twin of a Store
+// row. It holds the family, the vector (restricted to the family's
+// feature space), a buffer sized for the family's full capacity and
+// the filled prefix; Ensure hashes just the missing blocks into that
+// buffer in place, through the same signBlocks as SignatureN and
+// Store, so every prefix is bit-identical to SignatureN's. A QuerySig
+// belongs to one query, which extends and reads it on one goroutine,
+// so it takes no locks and is not safe for concurrent use.
+type QuerySig struct {
+	fam    *BlockFamily
+	v      vector.Vector
+	sig    []uint64
+	filled int // bits hashed, a whole number of blocks
+}
+
+// NewQuerySig starts v's signature with nothing hashed. Features at or
+// above Dim are dropped: no vector the family hashes for the corpus
+// carries them, so they add nothing to any dot product the signature
+// stands for (exact verification still sees the full vector).
+func (f *BlockFamily) NewQuerySig(v vector.Vector) QuerySig {
+	if v.Len() > 0 && int(v.Ind[v.Len()-1]) >= f.dim {
+		// Indices strictly increase, so the restriction is a prefix.
+		k := sort.Search(v.Len(), func(i int) bool { return int(v.Ind[i]) >= f.dim })
+		v = vector.Vector{Ind: v.Ind[:k], Val: v.Val[:k]}
+	}
+	return QuerySig{fam: f, v: v, sig: make([]uint64, f.maxBits/64)}
+}
+
+// Ensure hashes the signature up to at least nbits bits, rounded up to
+// whole blocks; a prefix already hashed costs nothing. It panics beyond
+// MaxBits, like SignatureN.
+func (q *QuerySig) Ensure(nbits int) {
+	if nbits <= q.filled {
+		return
+	}
+	bb := q.fam.blockBits
+	to := (nbits + bb - 1) / bb
+	if to*bb > q.fam.maxBits {
+		panic("sighash: QuerySig.Ensure beyond family capacity")
+	}
+	q.fam.signBlocks(q.v, q.filled/bb, to, q.sig)
+	q.filled = to * bb
+}
+
+// Bits returns the signature buffer. Bits [0, Filled()) are hashed;
+// the rest stay zero until Ensure reaches them. The slice is stable
+// for the QuerySig's lifetime.
+func (q *QuerySig) Bits() []uint64 { return q.sig }
+
+// Filled returns how many bits are hashed.
+func (q *QuerySig) Filled() int { return q.filled }
 
 // signBlocks fills blocks [from, to) of v's signature into sig with a
 // pooled accumulator.
@@ -282,7 +338,7 @@ func (s *Store) Sigs() [][]uint64 { return s.sigs }
 func (s *Store) MaxBits() int { return s.fam.maxBits }
 
 // Family returns the store's hash family, for hashing out-of-corpus
-// query vectors against the same streams (see SignatureN).
+// vectors against the same streams (see QuerySig and SignatureN).
 func (s *Store) Family() *BlockFamily { return s.fam }
 
 // FilledBits returns how many hash bits of vector id are computed.

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"bayeslsh/internal/core"
 	"bayeslsh/internal/minhash"
@@ -93,12 +92,16 @@ type QueryOptions struct {
 
 // querySigs carries one query's preprocessed forms: the raw vector
 // (exact similarity), the measure-transformed vector (AllPairs
-// probing), and whichever hash signatures the index compares.
+// probing), and whichever hash signatures the index compares, each
+// hashed only as deep as something has read it. A querySigs belongs to
+// one query call, which probes and verifies every segment of its cut
+// on one goroutine, so the lazily-extended signatures take no locks.
 type querySigs struct {
 	raw  vector.Vector
 	work vector.Vector
-	bits []uint64
-	min  []uint32
+	bits sighash.QuerySig // cosine measures; zero when unused
+	min  minhash.QuerySig // Jaccard; zero when unused
+	one  []uint64         // 1-bit packed minhashes, packed on first verification
 }
 
 // prepare transforms and hashes the query the way the corpus was
@@ -106,59 +109,59 @@ type querySigs struct {
 // (idempotent if already unit-norm), for the binary measures it is
 // binarized and normalized; signatures derive from the engine's
 // seeded families, so a query equal to corpus vector i hashes to
-// exactly i's stored signature prefix. Only the depth the call reads
-// is hashed: banding depth always, verification depth unless the
-// caller (TopK) verifies with exact similarities only.
-func (ix *Index) prepare(q Vec, topK bool) querySigs {
+// exactly i's stored signature prefix. prepare hashes the banding
+// depth only — all a probe, and so all a TopK, reads. Verification
+// deepens the signatures as its rounds read them (see verifySig);
+// LSHApprox ensures its fixed depth before its loop.
+func (ix *Index) prepare(q Vec) *querySigs {
 	e := ix.engine()
-	qs := querySigs{raw: q.v}
+	qs := &querySigs{raw: q.v}
 	if e.measure == Cosine {
 		qs.work = q.v.Clone().Normalize()
 	} else {
 		qs.work = q.v.Binarize().Normalize()
 	}
-	minDepth, bitsDepth := ix.bandMin, ix.bandBits
-	if !topK {
-		minDepth = max(minDepth, ix.verifyMin)
-		bitsDepth = max(bitsDepth, ix.verifyBits)
+	if max(ix.bandMin, ix.verifyMin) > 0 {
+		qs.min = e.minSigStore().Family().NewQuerySig(qs.work)
+		qs.min.Ensure(ix.bandMin)
 	}
-	if minDepth > 0 {
-		qs.min = e.minSigStore().Family().SignatureN(qs.work, minDepth)
-	}
-	if ix.packOneBit && !topK {
-		qs.bits = minhash.PackOneBit(qs.min)
-	} else if bitsDepth > 0 {
-		fam := e.bitSigStore().Family()
-		// Features outside the corpus dimensionality contribute nothing
-		// to any dot product with a corpus vector, so the hyperplane
-		// family hashes the query's projection onto the corpus feature
-		// space; exact verification still uses the full vector.
-		qs.bits = fam.SignatureN(restrictToDim(qs.work, fam.Dim()), bitsDepth)
+	if max(ix.bandBits, ix.verifyBits) > 0 {
+		qs.bits = e.bitSigStore().Family().NewQuerySig(qs.work)
+		qs.bits.Ensure(ix.bandBits)
 	}
 	return qs
 }
 
-// restrictToDim returns v limited to features below dim, sharing the
-// input's backing arrays. Vectors carry strictly increasing indices,
-// so the restriction is a prefix.
-func restrictToDim(v vector.Vector, dim int) vector.Vector {
-	if v.Len() == 0 || int(v.Ind[v.Len()-1]) < dim {
-		return v
+// verifySig returns the query's signature in the Bayes verifier's
+// representation. Minhashes and hyperplane bits come with the ensure
+// hook, so the rounds hash the query only as deep as the deepest one
+// any candidate reaches; the 1-bit packing has no such hook and is
+// hashed and packed to verification depth once, on first use.
+func (ix *Index) verifySig(qs *querySigs) core.QuerySig {
+	switch {
+	case ix.packOneBit:
+		if qs.one == nil {
+			qs.min.Ensure(ix.verifyMin)
+			qs.one = minhash.PackOneBit(qs.min.Hashes()[:qs.min.Filled()])
+		}
+		return core.QuerySig{Bits: qs.one}
+	case ix.engine().measure == Jaccard:
+		return core.QuerySig{Min: qs.min.Hashes(), Ensure: qs.min.Ensure}
+	default:
+		return core.QuerySig{Bits: qs.bits.Bits(), Ensure: qs.bits.Ensure}
 	}
-	k := sort.Search(v.Len(), func(i int) bool { return int(v.Ind[i]) >= dim })
-	return vector.Vector{Ind: v.Ind[:k], Val: v.Val[:k]}
 }
 
 // candidates generates the query's candidate corpus ids from the
 // prebuilt structure, in ascending id order.
-func (ix *Index) candidates(qs querySigs) []int32 {
+func (ix *Index) candidates(qs *querySigs) []int32 {
 	switch {
 	case ix.ap != nil:
 		return ix.ap.Probe(qs.work)
 	case ix.mins != nil:
-		return ix.mins.Probe(qs.min)
+		return ix.mins.Probe(qs.min.Hashes())
 	case ix.bits != nil:
-		return ix.bits.Probe(qs.bits)
+		return ix.bits.Probe(qs.bits.Bits())
 	default: // BruteForce: every non-empty corpus vector
 		vecs := ix.engine().ds.c.Vecs
 		ids := make([]int32, 0, len(vecs))
@@ -287,10 +290,10 @@ func (c cut) segments() int {
 
 // segment returns segment i of the cut (0 the base corpus, 1 a live
 // generation's delta) and the query's candidates in it, in ascending
-// id order with deleted ids masked. verifier asks for the segment's
+// id order with masked ids dropped. verifier asks for the segment's
 // Bayes verifier; TopK verifies exactly and skips building the
 // delta's.
-func (c cut) segment(i int, qs querySigs, verifier bool) (segment, []int32, error) {
+func (c cut) segment(i int, qs *querySigs, verifier bool) (segment, []int32, error) {
 	if i == 0 {
 		ix := c.ix
 		e := ix.engine()
@@ -309,12 +312,15 @@ func (c cut) segment(i int, qs querySigs, verifier bool) (segment, []int32, erro
 	}
 	gen := c.gen
 	seg := segment{start: gen.start}
-	ids := c.mask(&seg, gen.mem.Candidates(qs.bits, qs.min, qs.work, gen.memN))
+	ids := gen.mem.Candidates(qs.bits.Bits(), qs.min.Hashes(), qs.work, gen.memN)
 	if len(ids) == 0 {
 		return seg, ids, nil
 	}
 	view := gen.mem.View(gen.memN)
 	seg.raw, seg.min, seg.bits = view.Raw, view.Min, view.Bits
+	if ids = c.mask(&seg, ids); len(ids) == 0 {
+		return seg, ids, nil
+	}
 	if verifier {
 		var err error
 		if seg.vq, err = c.li.deltaVerifier(gen); err != nil {
@@ -324,14 +330,16 @@ func (c cut) segment(i int, qs querySigs, verifier bool) (segment, []int32, erro
 	return seg, ids, nil
 }
 
-// mask drops the candidates deleted in the cut, in place.
+// mask drops, in place, the candidates deleted in the cut and those
+// with no features. An empty vector's exact similarity to anything is
+// 0, but its signature is a constant (all hyperplane bits set, every
+// minhash Empty), which the estimating pipelines would read as a
+// match — so, as in the batch join (Engine.dropEmpty), it is never a
+// candidate.
 func (c cut) mask(seg *segment, ids []int32) []int32 {
-	if c.gen == nil {
-		return ids
-	}
 	kept := ids[:0]
 	for _, id := range ids {
-		if !c.gen.deleted(c.li.tombs, seg.extID(id)) {
+		if seg.raw[id].Len() > 0 && (c.gen == nil || !c.gen.deleted(c.li.tombs, seg.extID(id))) {
 			kept = append(kept, id)
 		}
 	}
@@ -382,7 +390,15 @@ func (c cut) run(q Vec, t float64, topK bool, stop *shard.Stopper) ([]Match, err
 	if err := c.ix.ready(topK); err != nil {
 		return nil, err
 	}
-	qs := c.ix.prepare(q, topK)
+	if int(q.v.Ind[0]) >= c.ix.Dim() {
+		// Every corpus and delta vector lies below Dim, so a query with no
+		// feature there shares nothing with any of them and nothing
+		// matches. Under the cosine measures it would also hash as the
+		// empty vector (features at or above Dim are dropped), whose
+		// constant signature the estimating pipelines would misread.
+		return nil, nil
+	}
+	qs := c.ix.prepare(q)
 	out := make([]Match, 0)
 	for i := range c.segments() {
 		seg, ids, err := c.segment(i, qs, !topK)
@@ -404,7 +420,7 @@ func (c cut) run(q Vec, t float64, topK bool, stop *shard.Stopper) ([]Match, err
 // candidate ids at the built threshold and appends the hits to out in
 // candidate order, through add. stop is polled between candidates; a
 // stopped verification returns the context's error.
-func (c cut) verify(out []Match, seg *segment, qs querySigs, ids []int32, t float64, stop *shard.Stopper) ([]Match, error) {
+func (c cut) verify(out []Match, seg *segment, qs *querySigs, ids []int32, t float64, stop *shard.Stopper) ([]Match, error) {
 	o := c.ix.opts
 	m := c.ix.engine().measure
 	switch o.Algorithm {
@@ -415,15 +431,20 @@ func (c cut) verify(out []Match, seg *segment, qs querySigs, ids []int32, t floa
 		// The classical fixed-n LSH estimator of §3, sharing the batch
 		// approxVerify formulas.
 		n := c.ix.approxN
+		if m == Jaccard {
+			qs.min.Ensure(n)
+		} else {
+			qs.bits.Ensure(n)
+		}
 		for _, id := range ids {
 			if stop.Stopped() {
 				return nil, stop.Err()
 			}
 			var s float64
 			if m == Jaccard {
-				s = approxJaccardEstimate(minhash.Matches(qs.min, seg.min[id], 0, n), n)
+				s = approxJaccardEstimate(minhash.Matches(qs.min.Hashes(), seg.min[id], 0, n), n)
 			} else {
-				s = approxCosineEstimate(sighash.MatchCount(qs.bits, seg.bits[id], 0, n), n)
+				s = approxCosineEstimate(sighash.MatchCount(qs.bits.Bits(), seg.bits[id], 0, n), n)
 			}
 			if s >= o.Threshold {
 				out = c.add(out, seg, id, s, t)
@@ -433,7 +454,7 @@ func (c cut) verify(out []Match, seg *segment, qs querySigs, ids []int32, t floa
 
 	default: // the Bayes pipelines
 		em := toExactMeasure(m)
-		sig := core.QuerySig{Bits: qs.bits, Min: qs.min}
+		sig := c.ix.verifySig(qs)
 		var (
 			hits []pair.Hit
 			err  error
@@ -474,7 +495,7 @@ func (c cut) verify(out []Match, seg *segment, qs querySigs, ids []int32, t floa
 // exact appends, through add, the candidates whose exact similarity to
 // the query meets the built threshold: the verification of the exact
 // pipelines and of every TopK.
-func (c cut) exact(out []Match, seg *segment, qs querySigs, ids []int32, t float64, stop *shard.Stopper) ([]Match, error) {
+func (c cut) exact(out []Match, seg *segment, qs *querySigs, ids []int32, t float64, stop *shard.Stopper) ([]Match, error) {
 	em := toExactMeasure(c.ix.engine().measure)
 	for _, id := range ids {
 		if stop.Stopped() {
