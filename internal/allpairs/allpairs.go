@@ -1,26 +1,35 @@
 package allpairs
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"bayeslsh/internal/exact"
 	"bayeslsh/internal/pair"
+	"bayeslsh/internal/shard"
 	"bayeslsh/internal/vector"
 )
 
-// posting is one inverted-index entry: vector id and its weight for
-// the posting's feature.
+// posting is one inverted-index entry: vector id, its position in the
+// processing order and its weight for the posting's feature. pos rides
+// in what would otherwise be padding; it is derived at build and load
+// time and never serialized.
 type posting struct {
-	id int32
-	w  float64
+	id  int32
+	pos int32
+	w   float64
 }
 
-// postingList supports lazy head-truncation for the minsize filter.
+// postingList is one feature's postings in processing order. reach[i]
+// is the largest partner size among entries[:i+1]: a monotone key, so
+// a probe finds the first entry meeting its size bound by binary
+// search instead of walking past the short vectors at the head.
 type postingList struct {
 	entries []posting
-	start   int // entries[:start] have been pruned
+	reach   []int32
+	start   int // interleaved scan only: entries[:start] have been pruned
 }
 
 type searcher struct {
@@ -33,7 +42,7 @@ type searcher struct {
 	unidxMax []float64       // max weight of the unindexed prefix
 	sizes    []int           // full lengths, for the minsize filter
 	order    []int           // processing order (decreasing maxweight)
-	pos      []int           // position of each id in the processing order
+	pos      []int32         // position of each id in the processing order
 }
 
 func newSearcher(c *vector.Collection, t float64) (*searcher, error) {
@@ -50,12 +59,14 @@ func newSearcher(c *vector.Collection, t float64) (*searcher, error) {
 		sizes:    make([]int, len(c.Vecs)),
 	}
 	df := make([]int32, c.Dim)
+	vmax := make([]float64, len(c.Vecs))
 	for i, v := range c.Vecs {
 		s.sizes[i] = v.Len()
+		vmax[i] = v.MaxVal()
 		// The minsize and upper-bound pruning rules assume unit-norm,
 		// non-negative vectors; on other inputs they would silently
 		// drop qualifying pairs, so reject such inputs outright.
-		if n := v.Norm(); v.Len() > 0 && math.Abs(n-1) > 1e-6 {
+		if n := v.Norm(); v.Len() > 0 && math.Abs(n-1) > normTol {
 			return nil, fmt.Errorf("allpairs: vector %d has norm %v; AllPairs requires unit-normalized input (call Normalize first)", i, n)
 		}
 		for j, ind := range v.Ind {
@@ -73,7 +84,7 @@ func newSearcher(c *vector.Collection, t float64) (*searcher, error) {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	sort.SliceStable(perm, func(a, b int) bool { return df[perm[a]] > df[perm[b]] })
+	slices.SortStableFunc(perm, func(a, b int32) int { return cmp.Compare(df[b], df[a]) })
 	s.rank = make([]int32, c.Dim)
 	for r, f := range perm {
 		s.rank[f] = int32(r)
@@ -84,27 +95,29 @@ func newSearcher(c *vector.Collection, t float64) (*searcher, error) {
 	for i := range s.order {
 		s.order[i] = i
 	}
-	sort.SliceStable(s.order, func(a, b int) bool {
-		return c.Vecs[s.order[a]].MaxVal() > c.Vecs[s.order[b]].MaxVal()
-	})
-	s.pos = make([]int, len(c.Vecs))
+	slices.SortStableFunc(s.order, func(a, b int) int { return cmp.Compare(vmax[b], vmax[a]) })
+	s.pos = make([]int32, len(c.Vecs))
 	for p, id := range s.order {
-		s.pos[id] = p
+		s.pos[id] = int32(p)
 	}
 	return s, nil
 }
 
-// featuresByRank returns the positions of v's features sorted by the
-// global decreasing-df rank.
-func (s *searcher) featuresByRank(v vector.Vector) []int {
-	idx := make([]int, v.Len())
-	for i := range idx {
-		idx[i] = i
+// minSize is the size filter: the fewest features a unit-norm,
+// non-negative partner y needs before its dot product with a vector of
+// maximum weight xmax can reach t. Two bounds apply, and the tighter
+// wins: Bayardo's dot ≤ xmax·|y| (every y_i ≤ 1) and Cauchy–Schwarz's
+// dot ≤ xmax·Σy ≤ xmax·√|y|, so |y| ≥ (t/xmax)². Both are relaxed so
+// rounding cannot bump the ceiling past a partner sitting exactly at
+// the bound, the squared one also by the norm deviation newSearcher
+// admits.
+func minSize(t, xmax float64) int32 {
+	if xmax <= 0 {
+		return 0
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return s.rank[v.Ind[idx[a]]] < s.rank[v.Ind[idx[b]]]
-	})
-	return idx
+	r := (t - fpSlack) / (xmax * (1 + normTol))
+	sq := math.Ceil(r * r * (1 - fpSlack))
+	return int32(math.Min(math.Max(math.Ceil(t/xmax-fpSlack), sq), math.MaxInt32))
 }
 
 // run executes the AllPairs scan. For every probing vector x it calls
@@ -112,6 +125,7 @@ func (s *searcher) featuresByRank(v vector.Vector) []int {
 // check, where A is the accumulated dot product over y's indexed
 // features. emit receives ids in collection numbering.
 func (s *searcher) run(emit func(x, y int32, acc float64)) {
+	cut := s.plan()
 	accs := make([]float64, len(s.c.Vecs))
 	var touched []int32
 	for _, xid := range s.order {
@@ -120,12 +134,7 @@ func (s *searcher) run(emit func(x, y int32, acc float64)) {
 			continue
 		}
 		xmax := x.MaxVal()
-		minsize := 0
-		if xmax > 0 {
-			// Relaxed by fpSlack: rounding in t/xmax must not bump the
-			// ceiling past a partner sitting exactly at the bound.
-			minsize = int(math.Ceil(s.t/xmax - fpSlack))
-		}
+		minsize := int(minSize(s.t, xmax))
 		touched = touched[:0]
 		// Probe the postings lists of x's features.
 		for j, f := range x.Ind {
@@ -154,41 +163,137 @@ func (s *searcher) run(emit func(x, y int32, acc float64)) {
 				emit(int32(xid), y, a)
 			}
 		}
-		s.indexVector(xid)
+		s.indexVector(xid, cut)
 	}
 }
 
-// indexVector appends x's features to the inverted index, keeping a
-// prefix unindexed while b < t. The bound is relaxed by fpSlack:
-// rounding in b must never leave a vector whose mass can reach the
-// threshold entirely unindexed (e.g. an exact duplicate at t = 1).
-func (s *searcher) indexVector(xid int) {
+// plan prepares an index build without sorting, returning every
+// vector's cut: the rank of its first indexed feature.
+//
+// Partial indexing keeps a feature out of the index while b = Σ
+// x_i·maxw_i, summed in rank order, stays below the threshold. The
+// bound is relaxed by fpSlack: rounding in b must never leave a vector
+// whose mass can reach the threshold entirely unindexed (e.g. an exact
+// duplicate at t = 1). b only grows, so a vector's unindexed features
+// are exactly those ranked before its cut (all of them if b never
+// reaches the bound), and both halves can be filtered out of the
+// vector in index order.
+//
+// Finding the cuts needs every vector's features in rank order. One
+// counting transpose buckets every entry under its feature; sweeping
+// the buckets in rank order then visits each vector's features in rank
+// order, accumulating every b in the same order a per-vector sort
+// would. The sweep also counts each list's postings and each prefix's
+// length, so plan fills unidx and reserves each postings list at its
+// exact capacity, and indexVector only appends.
+func (s *searcher) plan() []int32 {
+	vecs, dim := s.c.Vecs, s.c.Dim
+	bucket := make([]int, dim+1)
+	for _, v := range vecs {
+		for _, f := range v.Ind {
+			bucket[f+1]++
+		}
+	}
+	for f := 0; f < dim; f++ {
+		bucket[f+1] += bucket[f]
+	}
+	type entry struct{ id, j int32 }
+	tr := make([]entry, bucket[dim])
+	next := append([]int(nil), bucket[:dim]...)
+	for i, v := range vecs {
+		for j, f := range v.Ind {
+			tr[next[f]] = entry{int32(i), int32(j)}
+			next[f]++
+		}
+	}
+	perm := make([]int32, dim)
+	for f, r := range s.rank {
+		perm[r] = int32(f)
+	}
+	cut := make([]int32, len(vecs))
+	for i := range cut {
+		cut[i] = math.MaxInt32 // not reached: every feature stays unindexed
+	}
+	b, ulen, count := make([]float64, len(vecs)), make([]int32, len(vecs)), make([]int, dim)
+	indexed, unindexed := 0, 0
+	for r, f := range perm {
+		for _, e := range tr[bucket[f]:bucket[f+1]] {
+			if cut[e.id] == math.MaxInt32 {
+				b[e.id] += vecs[e.id].Val[e.j] * s.maxw[f]
+				if b[e.id] < s.t-fpSlack {
+					ulen[e.id]++
+					unindexed++
+					continue
+				}
+				cut[e.id] = int32(r)
+			}
+			count[f]++
+			indexed++
+		}
+	}
+
+	// The unindexed prefixes, in index order, share one allocation; so
+	// do the postings lists.
+	uind, uval := make([]uint32, unindexed), make([]float64, unindexed)
+	for i, v := range vecs {
+		n := int(ulen[i])
+		if n == 0 {
+			continue
+		}
+		u := vector.Vector{Ind: uind[:0:n], Val: uval[:0:n]}
+		uind, uval = uind[n:], uval[n:]
+		for j, f := range v.Ind {
+			if s.rank[f] < cut[i] {
+				u.Ind = append(u.Ind, f)
+				u.Val = append(u.Val, v.Val[j])
+			}
+		}
+		s.unidx[i] = u
+		s.unidxMax[i] = u.MaxVal()
+	}
+	entries, reach := make([]posting, indexed), make([]int32, indexed)
+	for f, n := range count {
+		s.lists[f].entries = entries[:0:n]
+		s.lists[f].reach = reach[:0:n]
+		entries, reach = entries[n:], reach[n:]
+	}
+	return cut
+}
+
+// indexVector appends the features of x ranked at or after its cut to
+// the inverted index.
+func (s *searcher) indexVector(xid int, cut []int32) {
 	x := s.c.Vecs[xid]
-	if x.Len() == 0 {
-		return
-	}
-	b := 0.0
-	var keepInd []uint32
-	var keepVal []float64
-	for _, fi := range s.featuresByRank(x) {
-		f, w := x.Ind[fi], x.Val[fi]
-		b += w * s.maxw[f]
-		if b >= s.t-fpSlack {
-			s.lists[f].entries = append(s.lists[f].entries, posting{id: int32(xid), w: w})
-		} else {
-			keepInd = append(keepInd, f)
-			keepVal = append(keepVal, w)
+	for j, f := range x.Ind {
+		if s.rank[f] >= cut[xid] {
+			s.add(f, int32(xid), x.Val[j])
 		}
 	}
-	// Store the unindexed prefix in sorted index order for Dot.
-	if len(keepInd) > 0 {
-		es := make([]vector.Entry, len(keepInd))
-		for i := range keepInd {
-			es[i] = vector.Entry{Ind: keepInd[i], Val: keepVal[i]}
-		}
-		s.unidx[xid] = vector.New(es)
-		s.unidxMax[xid] = s.unidx[xid].MaxVal()
+}
+
+// add appends vector id's posting to feature f's list, extending the
+// list's prefix size key.
+func (s *searcher) add(f uint32, id int32, w float64) {
+	l := &s.lists[f]
+	key := int32(s.sizes[id])
+	if n := len(l.reach); n > 0 && l.reach[n-1] > key {
+		key = l.reach[n-1]
 	}
+	l.entries = append(l.entries, posting{id: id, pos: s.pos[id], w: w})
+	l.reach = append(l.reach, key)
+}
+
+// index builds the whole inverted index in processing order, polling
+// stop (nil for "not cancelable") between vectors.
+func (s *searcher) index(stop *shard.Stopper) error {
+	cut := s.plan()
+	for _, xid := range s.order {
+		if stop.Stopped() {
+			return stop.Err()
+		}
+		s.indexVector(xid, cut)
+	}
+	return nil
 }
 
 // Search performs exact all-pairs cosine similarity search with
@@ -278,6 +383,9 @@ func SearchMeasure(c *vector.Collection, m exact.Measure, t float64) ([]pair.Res
 // sitting exactly at the threshold cannot be lost to floating-point
 // rounding in the internal bounds.
 const fpSlack = 1e-9
+
+// normTol is how far from 1 an input vector's norm may be.
+const normTol = 1e-6
 
 // measureInput maps a measure to the preprocessed collection and the
 // cosine threshold the AllPairs scan runs at (see SearchMeasure for

@@ -1,9 +1,11 @@
 package allpairs
 
 import (
+	"context"
 	"testing"
 
 	"bayeslsh/internal/dataset"
+	"bayeslsh/internal/exact"
 )
 
 func BenchmarkSearchCosine(b *testing.B) {
@@ -37,6 +39,32 @@ func BenchmarkCandidatesCosine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Candidates(w, 0.7); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCandidatesJaccardGraph is the candidate scan of the Jaccard
+// pipelines on an Orkut-shaped corpus, build and probe phases on one
+// worker.
+func BenchmarkCandidatesJaccardGraph(b *testing.B) {
+	c := graphCorpus(b, 8000, 76, 7)
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CandidatesMeasureCtx(ctx, c, exact.Jaccard, 0.5, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildIndexJaccardGraph is the sequential half alone: input
+// mapping, ranks and processing order, and the index build.
+func BenchmarkBuildIndexJaccardGraph(b *testing.B) {
+	c := graphCorpus(b, 8000, 76, 7)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildIndexMeasure(c, exact.Jaccard, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}

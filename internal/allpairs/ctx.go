@@ -26,11 +26,8 @@ import (
 // touch state owned by that slot; what it gathered must be discarded
 // by the caller once stop has tripped.
 func (s *searcher) buildThenProbe(stop *shard.Stopper) (probe func(lo, hi int, collect func(slot int, x, y int32, acc float64)), err error) {
-	for _, xid := range s.order {
-		if stop.Stopped() {
-			return nil, stop.Err()
-		}
-		s.indexVector(xid)
+	if err := s.index(stop); err != nil {
+		return nil, err
 	}
 	pool := &sync.Pool{New: func() any {
 		return &probeState{accs: make([]float64, len(s.c.Vecs))}
@@ -42,7 +39,7 @@ func (s *searcher) buildThenProbe(stop *shard.Stopper) (probe func(lo, hi int, c
 				break
 			}
 			xid := s.order[p]
-			s.probeFull(xid, ps, stop, func(y int32, acc float64) {
+			s.probe(s.c.Vecs[xid], int32(p), ps, stop, func(y int32, acc float64) {
 				collect(p, int32(xid), y, acc)
 			})
 		}

@@ -16,16 +16,29 @@
 //     The unindexed prefix x' is stored so that exact similarities can
 //     be completed as s = A[y] + dot(x, y').
 //   - Size filter (minsize): while probing with x, indexed vectors y
-//     with |y| < t / maxweight(x) cannot reach the threshold and are
-//     lazily removed from the postings lists (vectors are processed in
-//     decreasing maxweight order, so the bound only tightens).
+//     too short to reach the threshold are skipped at the head of each
+//     postings list (vectors are processed in decreasing maxweight
+//     order, so the bound only tightens). Besides Bayardo's
+//     |y| ≥ t / maxweight(x), the filter applies the tighter
+//     Cauchy–Schwarz bound |y| ≥ (t / maxweight(x))²: for unit-norm,
+//     non-negative y, dot(x, y) ≤ maxweight(x)·Σy ≤ maxweight(x)·√|y|.
+//     On binary vectors the upper-bound check below can pass at most
+//     √(|y|/|x|) = maxweight(x)·√|y|, so every partner the squared
+//     filter skips is one the check would have rejected: Jaccard and
+//     binary-cosine candidate sets are unchanged, pair for pair. On
+//     weighted vectors the filter drops only candidates whose exact
+//     similarity is below t. Each list keeps the prefix maximum of its
+//     partners' sizes, a monotone key, so the head skip is a binary
+//     search.
 //   - Upper-bound check: a candidate is exactly verified only if
 //     A[y] + min(|x|, |y'|)·maxweight(x)·maxweight(y') ≥ t.
 //
 // Features are ordered by decreasing document frequency when building
 // the unindexed prefix, so the most common features (the longest
 // postings lists) are preferentially kept out of the index — the
-// ordering heuristic the original paper recommends.
+// ordering heuristic the original paper recommends. The build visits
+// every vector's features in that order without sorting any vector:
+// one counting transpose of the collection, swept in rank order.
 //
 // # Measures
 //

@@ -12,18 +12,23 @@
 // and the lazy minsize head-truncation is replayed statelessly by
 // skipping the leading entries below the probe's own bound (the bound
 // is monotone over the processing order, so entries truncated by the
-// interleaved scan are exactly those skipped here). Each probe's output
-// is kept under its position (candidates) or its probe batch's slot
-// (search results) and concatenated in processing order afterwards —
-// the stream is identical, pair for pair, to the interleaved scan for
-// any worker count.
+// interleaved scan are exactly those skipped here). The skip is a
+// binary search over each list's prefix maximum of partner size: the
+// first entry whose prefix maximum meets the bound is the first entry
+// that does. Each probe's output is kept under its position
+// (candidates) or its probe batch's slot (search results) and
+// concatenated in processing order afterwards — the stream is
+// identical, pair for pair, to the interleaved scan for any worker
+// count.
 
 package allpairs
 
 import (
 	"math"
+	"slices"
 
 	"bayeslsh/internal/shard"
+	"bayeslsh/internal/vector"
 )
 
 // probeState is the per-worker scratch of the probe phase.
@@ -32,25 +37,20 @@ type probeState struct {
 	touched []int32
 }
 
-// probeFull replays x's sequential probe against the fully built
-// index, calling emit(y, acc) for every candidate that passes the
-// upper-bound check. stop (nil for "not cancelable") is polled between
-// the probe's posting lists; an aborted probe emits nothing but still
-// zeroes its accumulators, so a pooled probeState stays clean for
-// whoever draws it next.
-func (s *searcher) probeFull(xid int, ps *probeState, stop *shard.Stopper, emit func(y int32, acc float64)) {
-	x := s.c.Vecs[xid]
+// probe replays x's sequential probe against the fully built index,
+// calling emit(y, acc) for every candidate that passes the upper-bound
+// check. x sees the postings of vectors at processing positions before
+// xpos: a corpus vector passes its own position, a query
+// math.MaxInt32, since it sees the whole corpus. stop (nil for "not
+// cancelable") is polled between the probe's posting lists; an aborted
+// probe emits nothing but still zeroes its accumulators, so a pooled
+// probeState stays clean for whoever draws it next.
+func (s *searcher) probe(x vector.Vector, xpos int32, ps *probeState, stop *shard.Stopper, emit func(y int32, acc float64)) {
 	if x.Len() == 0 {
 		return
 	}
 	xmax := x.MaxVal()
-	minsize := 0
-	if xmax > 0 {
-		// Relaxed by fpSlack: rounding in t/xmax must not bump the
-		// ceiling past a partner sitting exactly at the bound.
-		minsize = int(math.Ceil(s.t/xmax - fpSlack))
-	}
-	xpos := s.pos[xid]
+	minsize := minSize(s.t, xmax)
 	touched := ps.touched[:0]
 	aborted := false
 	for j, f := range x.Ind {
@@ -58,17 +58,18 @@ func (s *searcher) probeFull(xid int, ps *probeState, stop *shard.Stopper, emit 
 			aborted = true
 			break
 		}
+		if int(f) >= len(s.lists) {
+			continue // feature outside the corpus dimensionality
+		}
 		w := x.Val[j]
-		skipping := true
-		for _, p := range s.lists[f].entries {
-			if s.pos[p.id] >= xpos {
+		list := &s.lists[f]
+		if n := len(list.reach); n == 0 || list.reach[n-1] < minsize {
+			continue // every partner in the list is too short
+		}
+		head, _ := slices.BinarySearch(list.reach, minsize)
+		for _, p := range list.entries[head:] {
+			if p.pos >= xpos {
 				break // indexed after x; the sequential probe never saw it
-			}
-			if skipping {
-				if s.sizes[p.id] < minsize {
-					continue
-				}
-				skipping = false
 			}
 			if ps.accs[p.id] == 0 {
 				touched = append(touched, p.id)

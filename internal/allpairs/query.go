@@ -42,8 +42,8 @@ func BuildIndex(c *vector.Collection, t float64) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, xid := range s.order {
-		s.indexVector(xid)
+	if err := s.index(nil); err != nil {
+		return nil, err
 	}
 	return newIndex(s), nil
 }
@@ -96,56 +96,9 @@ func (ix *Index) Threshold() float64 { return ix.s.t }
 // measure.
 func (ix *Index) Probe(q vector.Vector) []int32 {
 	var ids []int32
-	ix.probe(q, func(y int32, _ float64) { ids = append(ids, y) })
+	ps := ix.pool.Get().(*probeState)
+	ix.s.probe(q, math.MaxInt32, ps, nil, func(y int32, _ float64) { ids = append(ids, y) })
+	ix.pool.Put(ps)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// probe runs the index scan for q, calling emit(y, acc) for every
-// corpus vector passing the upper-bound check, where acc is the dot
-// product accumulated over y's indexed features. Unlike the corpus
-// probe it does not filter by processing-order position: a query sees
-// the whole corpus.
-func (ix *Index) probe(q vector.Vector, emit func(y int32, acc float64)) {
-	if q.Len() == 0 {
-		return
-	}
-	s := ix.s
-	ps := ix.pool.Get().(*probeState)
-	defer ix.pool.Put(ps)
-	qmax := q.MaxVal()
-	minsize := 0
-	if qmax > 0 {
-		minsize = int(math.Ceil(s.t/qmax - fpSlack))
-	}
-	touched := ps.touched[:0]
-	for j, f := range q.Ind {
-		if int(f) >= len(s.lists) {
-			continue // feature outside the corpus dimensionality
-		}
-		w := q.Val[j]
-		skipping := true
-		for _, p := range s.lists[f].entries {
-			if skipping {
-				if s.sizes[p.id] < minsize {
-					continue
-				}
-				skipping = false
-			}
-			if ps.accs[p.id] == 0 {
-				touched = append(touched, p.id)
-			}
-			ps.accs[p.id] += w * p.w
-		}
-	}
-	for _, y := range touched {
-		a := ps.accs[y]
-		ps.accs[y] = 0
-		yu := s.unidx[y]
-		bound := a + math.Min(float64(q.Len()), float64(yu.Len()))*qmax*s.unidxMax[y]
-		if bound >= s.t-fpSlack {
-			emit(y, a)
-		}
-	}
-	ps.touched = touched
 }

@@ -2,9 +2,15 @@
 // reads is the postings lists and the unindexed prefixes — the output
 // of the indexing pass — so that is what a snapshot carries. The
 // scan's derived state (feature ranks, processing order, minsize
-// sizes, per-feature maxima) is a handful of cheap deterministic sorts
-// over the collection, recomputed at load by the same newSearcher the
-// build uses, so the two can never disagree.
+// sizes, per-feature maxima) is two deterministic sorts over the
+// collection — features by document frequency, vectors by maximum
+// weight — recomputed at load by the same newSearcher the build uses,
+// so the two can never disagree. The per-vector rank ordering the
+// build derives by counting transpose is not needed at load: the
+// postings already carry its result. Each posting's processing
+// position and each list's prefix size key are in-memory only and are
+// rebuilt as the postings are decoded, so the bytes are those of the
+// plain (id, weight) lists.
 
 package allpairs
 
@@ -70,8 +76,9 @@ func ReadIndexSnapshot(r *snapshot.Reader, c *vector.Collection, m exact.Measure
 		if ne == 0 {
 			continue
 		}
-		entries := make([]posting, ne)
-		for i := range entries {
+		s.lists[f].entries = make([]posting, 0, ne)
+		s.lists[f].reach = make([]int32, 0, ne)
+		for i := 0; i < ne; i++ {
 			id := int32(r.U32())
 			wgt := r.F64()
 			if r.Err() != nil {
@@ -83,9 +90,8 @@ func ReadIndexSnapshot(r *snapshot.Reader, c *vector.Collection, m exact.Measure
 			if math.IsNaN(wgt) || math.IsInf(wgt, 0) {
 				return nil, snapshot.Failf(r, "list %d: bad posting weight %v", f, wgt)
 			}
-			entries[i] = posting{id: id, w: wgt}
+			s.add(uint32(f), id, wgt)
 		}
-		s.lists[f].entries = entries
 	}
 	nu := r.Len(16)
 	if r.Err() == nil && nu != len(s.unidx) {

@@ -178,7 +178,9 @@ func (v *View) Validate() error {
 
 // Probe mirrors Index.Probe over the mapped postings: same entry
 // order, same accumulation order, same bound arithmetic, so the
-// emitted candidate set is bit-identical.
+// emitted candidate set is bit-identical. The varint stream cannot be
+// binary-searched, so the minsize head skip walks the leading entries;
+// it lands on the entry Index.Probe's search finds.
 func (v *View) Probe(q vector.Vector) []int32 {
 	var ids []int32
 	if q.Len() == 0 {
@@ -187,10 +189,7 @@ func (v *View) Probe(q vector.Vector) []int32 {
 	ps := v.pool.Get().(*probeState)
 	defer v.pool.Put(ps)
 	qmax := q.MaxVal()
-	minsize := 0
-	if qmax > 0 {
-		minsize = int(math.Ceil(v.t/qmax - fpSlack))
-	}
+	minsize := minSize(v.t, qmax)
 	touched := ps.touched[:0]
 	for j, f := range q.Ind {
 		if int(f) >= v.dim {
@@ -207,7 +206,7 @@ func (v *View) Probe(q vector.Vector) []int32 {
 			pw := math.Float64frombits(binary.LittleEndian.Uint64(v.blob[off+uint64(k):]))
 			off += uint64(k) + 8
 			if skipping {
-				if int(v.sizes[id]) < minsize {
+				if int32(v.sizes[id]) < minsize {
 					continue
 				}
 				skipping = false
