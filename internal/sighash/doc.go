@@ -18,6 +18,30 @@
 // normal samples essentially never leave (−8, 8); the Exact option
 // switches back to float64 projections for ablations.
 //
+// The quantized rows stay two bytes per coefficient in memory, not
+// just on the wire: float32 rows dequantized up front would be exact
+// too, but would double the row arena, which is most of a cold cosine
+// join's memory. Instead the hashing kernel dequantizes by table — a
+// package-level 2¹⁶-entry array (512 KB) holding Dequantize(q) for
+// every q, equal to float64(q)/4096 − 8 bit for bit — and adds four
+// features per pass over a block's accumulators: it reads the rows of
+// features i..i+3, then for each hash function j loads acc[j], adds the
+// four products in ascending feature order and stores it once. Every
+// sum thus sees the same additions in the same order, with the same
+// roundings, as a loop over one feature at a time; the signature bits
+// are unchanged, and memory traffic on the accumulators drops
+// fourfold. A vector whose length is not a multiple of four finishes
+// with a one-feature tail.
+//
+// No multiply-add in the hashing kernel is fused. The Go spec lets a
+// compiler compute x*y + z with one rounding instead of two, and arm64
+// code generation does; so every product is written float64(w*g),
+// an explicit conversion that rounds it first, and the table is built
+// from float64(q−32768)/4096, which has no multiply-add at all. The
+// same bits therefore come out of every architecture, and a CI step
+// cross-compiles for arm64 and rejects any fused instruction in this
+// package's code.
+//
 // # Lazy, deterministic hashing
 //
 // Two family types serve the two access patterns. Family materializes

@@ -2,6 +2,7 @@ package sighash
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -9,34 +10,54 @@ import (
 	"bayeslsh/internal/vector"
 )
 
-// oracleSignature hashes v through blocks [0, blocks) without a
-// family: every coefficient is regenerated straight from its
-// (seed, feature, block) stream at the moment it is multiplied — the
-// definition the row-lazy family must reproduce bit for bit.
+// oracleSums returns v's projections onto the bb hyperplanes of block
+// b without a family: every coefficient is regenerated straight from
+// its (seed, feature, block) stream at the moment it is multiplied, and
+// the features are added one at a time — the definition the row-lazy,
+// register-blocked kernel must reproduce bit for bit.
+func oracleSums(seed uint64, v vector.Vector, b, bb int, quantized bool) []float64 {
+	acc := make([]float64, bb)
+	for i, feat := range v.Ind {
+		src := rng.New(rng.Mix64(seed ^ (uint64(feat) + 1) ^ uint64(b+1)<<40))
+		for j := range acc {
+			g := src.NormFloat64()
+			if quantized {
+				g = Dequantize(Quantize(g))
+			}
+			acc[j] += float64(v.Val[i] * g)
+		}
+	}
+	return acc
+}
+
+// oracleSignature hashes v through blocks [0, blocks) from oracleSums.
 func oracleSignature(seed uint64, v vector.Vector, blocks, bb int, quantized bool) []uint64 {
 	sig := make([]uint64, blocks*bb/64)
-	acc := make([]float64, bb)
 	for b := 0; b < blocks; b++ {
-		for j := range acc {
-			acc[j] = 0
-		}
-		for i, feat := range v.Ind {
-			src := rng.New(rng.Mix64(seed ^ (uint64(feat) + 1) ^ uint64(b+1)<<40))
-			for j := range acc {
-				g := src.NormFloat64()
-				if quantized {
-					g = Dequantize(Quantize(g))
-				}
-				acc[j] += v.Val[i] * g
-			}
-		}
-		for j, a := range acc {
+		for j, a := range oracleSums(seed, v, b, bb, quantized) {
 			if a >= 0 {
 				sig[(b*bb+j)/64] |= 1 << ((b*bb + j) % 64)
 			}
 		}
 	}
 	return sig
+}
+
+// edgeVectors returns vectors of every length 0–5, so the empty vector
+// and every remainder of the kernel's 4-feature group are hashed, and
+// one vector of 2·chunkRows+3 distinct features, whose rows span three
+// arena chunks of every block it touches.
+func edgeVectors(dim int, seed uint64) []vector.Vector {
+	src := rng.New(seed)
+	var vs []vector.Vector
+	for _, l := range []int{0, 1, 2, 3, 4, 5, 2*chunkRows + 3} {
+		m := map[uint32]float64{}
+		for len(m) < l {
+			m[uint32(src.Intn(dim))] = src.NormFloat64()
+		}
+		vs = append(vs, vector.FromMap(m))
+	}
+	return vs
 }
 
 // signItem is one unit of hashing work: block b of vector id.
@@ -74,12 +95,14 @@ func signInOrder(fam *BlockFamily, c *vector.Collection, items []signItem, worke
 // one computed directly from the streams.
 func TestRowLazyMatchesStreamOracle(t *testing.T) {
 	const (
-		n, dim = 240, 600
+		dim    = 600
 		bb     = 128
 		blocks = 4
 		seed   = 77
 	)
-	c := storeCorpus(n, dim, 31)
+	c := storeCorpus(240, dim, 31)
+	c.Vecs = append(c.Vecs, edgeVectors(dim, 13)...)
+	n := len(c.Vecs)
 
 	var asc, desc, deepFirst []signItem
 	for id := 0; id < n; id++ {
@@ -128,6 +151,83 @@ func TestRowLazyMatchesStreamOracle(t *testing.T) {
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestKernelSumsMatchStreamOracle compares the kernel's sums, not just
+// their signs, with the one-feature-at-a-time oracle, bit for bit: a
+// reordered or fused addition changes a sum's last bit far more often
+// than it flips a signature bit.
+func TestKernelSumsMatchStreamOracle(t *testing.T) {
+	const (
+		dim    = 1000
+		bb     = 128
+		blocks = 3
+		seed   = 59
+	)
+	vs := append(edgeVectors(dim, 19), storeCorpus(200, dim, 37).Vecs...)
+	for _, quantized := range []bool{true, false} {
+		var opts []Option
+		if !quantized {
+			opts = append(opts, Exact())
+		}
+		fam := NewBlockFamily(dim, blocks*bb, bb, seed, opts...)
+		sig := make([]uint64, blocks*bb/64)
+		acc := make([]float64, bb)
+		for _, v := range vs {
+			for b := 0; b < blocks; b++ {
+				fam.signBlock(v, b, sig, acc)
+				for j, want := range oracleSums(seed, v, b, bb, quantized) {
+					if math.Float64bits(acc[j]) != math.Float64bits(want) {
+						t.Fatalf("quantized=%v: vector of %d features, block %d, hyperplane %d: sum %v, stream oracle %v",
+							quantized, v.Len(), b, j, acc[j], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEveryHashingPathMatchesStreamOracle checks the three callers of
+// the hashing kernel — a Store fill, a one-shot SignatureN and a
+// QuerySig deepened one block at a time — against the stream oracle on
+// the edge lengths, in both coefficient layouts, each on a fresh
+// family so every path also materializes the rows it reads.
+func TestEveryHashingPathMatchesStreamOracle(t *testing.T) {
+	const (
+		dim    = 1000
+		bb     = 128
+		blocks = 3
+		seed   = 61
+	)
+	c := &vector.Collection{Dim: dim, Vecs: edgeVectors(dim, 17)}
+	for _, quantized := range []bool{true, false} {
+		var opts []Option
+		if !quantized {
+			opts = append(opts, Exact())
+		}
+		fam := func() *BlockFamily { return NewBlockFamily(dim, blocks*bb, bb, seed, opts...) }
+		st := NewStore(c, fam())
+		ensureAll(t, st, blocks*bb)
+		one, lazy := fam(), fam()
+		for id, v := range c.Vecs {
+			want := oracleSignature(seed, v, blocks, bb, quantized)
+			q := lazy.NewQuerySig(v)
+			for b := 1; b <= blocks; b++ {
+				q.Ensure(b*bb - bb/2)
+			}
+			for _, p := range []struct {
+				name string
+				sig  []uint64
+			}{{"Store.Ensure", st.Sigs()[id]}, {"SignatureN", one.SignatureN(v, blocks*bb)}, {"QuerySig.Ensure", q.Bits()}} {
+				for w := range want {
+					if p.sig[w] != want[w] {
+						t.Fatalf("quantized=%v %s: vector of %d features, word %d: %x, stream oracle %x",
+							quantized, p.name, v.Len(), w, p.sig[w], want[w])
+					}
+				}
 			}
 		}
 	}

@@ -9,21 +9,34 @@ import (
 )
 
 // Quantize maps a float in (−8, 8) to the paper's 2-byte fixed-point
-// representation.
+// representation. Values outside clamp to the end codes, and so do the
+// few just below 8 whose scaled value rounds up to 2¹⁶.
 func Quantize(x float64) uint16 {
 	if x <= -8 {
 		return 0
 	}
-	if x >= 8 {
-		return math.MaxUint16
+	if s := (x + 8) * 4096; s < 1<<16 {
+		return uint16(s)
 	}
-	return uint16((x + 8) * 4096)
+	return math.MaxUint16
 }
 
 // Dequantize inverts Quantize up to the scheme's quantization error
-// (at most 1/4096 ≈ 0.000244).
+// (at most 1/4096 ≈ 0.000244). It equals float64(q)/4096 − 8 exactly,
+// written without a multiply-add a compiler could fuse.
 func Dequantize(q uint16) float64 {
-	return float64(q)/4096 - 8
+	return float64(int(q)-32768) / 4096
+}
+
+// dequant holds Dequantize(q) for every q, so the hashing loops replace
+// a conversion, a scale and a shift per coefficient with one load. It
+// is static data (512 KB), outside the garbage-collected heap.
+var dequant [1 << 16]float64
+
+func init() {
+	for q := range dequant {
+		dequant[q] = Dequantize(uint16(q))
+	}
 }
 
 // Family is a set of random-hyperplane hash functions over a fixed
@@ -97,12 +110,14 @@ func (f *Family) Words() int { return (f.nbits + 63) / 64 }
 // drop empty vectors before indexing.
 func (f *Family) Signature(v vector.Vector) []uint64 {
 	acc := make([]float64, f.nbits)
+	// float64(w*g) rounds each product before the add, so no
+	// architecture fuses the two (see the package doc).
 	if f.quantized {
 		for i, ind := range v.Ind {
 			w := v.Val[i]
 			row := f.qrows[ind]
 			for b, q := range row {
-				acc[b] += w * (float64(q)/4096 - 8)
+				acc[b] += float64(w * dequant[q])
 			}
 		}
 	} else {
@@ -110,7 +125,7 @@ func (f *Family) Signature(v vector.Vector) []uint64 {
 			w := v.Val[i]
 			row := f.frows[ind]
 			for b, g := range row {
-				acc[b] += w * g
+				acc[b] += float64(w * g)
 			}
 		}
 	}

@@ -37,6 +37,50 @@ func TestQuantizeClampsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestQuantizeEdges pins Quantize at the ends of its range and just
+// inside them: Nextafter(8, 0) scales to a value that rounds up to
+// 2¹⁶ and must clamp to the top code instead of wrapping to 0.
+func TestQuantizeEdges(t *testing.T) {
+	for _, c := range []struct {
+		x    float64
+		want uint16
+	}{
+		{math.Inf(-1), 0},
+		{math.Nextafter(-8, -9), 0},
+		{-8, 0},
+		{math.Nextafter(-8, 0), 0},
+		{-8 + 1.0/4096, 1},
+		{-1, 28672},
+		{0, 32768},
+		{0.5 / 4096, 32768},
+		{1, 36864},
+		{8 - 1.0/4096, 65535},
+		{math.Nextafter(8, 0), math.MaxUint16},
+		{8, math.MaxUint16},
+		{math.Inf(1), math.MaxUint16},
+	} {
+		if got := Quantize(c.x); got != c.want {
+			t.Errorf("Quantize(%v) = %d, want %d", c.x, got, c.want)
+		}
+	}
+}
+
+// TestDequantizeTable checks the hashing kernel's table exhaustively:
+// for every code q it holds exactly float64(q)/4096 − 8 — the product
+// w·table[q] is then the one the formula gives — and Dequantize agrees
+// with it and is inverted by Quantize.
+func TestDequantizeTable(t *testing.T) {
+	for q := 0; q < 1<<16; q++ {
+		want := float64(q)/4096 - 8
+		if dequant[q] != want || Dequantize(uint16(q)) != want {
+			t.Fatalf("q=%d: table %v, Dequantize %v, want %v", q, dequant[q], Dequantize(uint16(q)), want)
+		}
+		if got := Quantize(want); got != uint16(q) {
+			t.Fatalf("Quantize(Dequantize(%d)) = %d", q, got)
+		}
+	}
+}
+
 func TestNewFamilyPanics(t *testing.T) {
 	for _, c := range []struct{ dim, bits int }{{dim: 0, bits: 8}, {dim: 8, bits: 0}} {
 		func() {

@@ -187,34 +187,63 @@ func (f *BlockFamily) materialize(t *blockRows, b int, feat uint32) int {
 func (f *BlockFamily) signBlock(v vector.Vector, b int, sig []uint64, acc []float64) {
 	t := f.block(b)
 	bb := f.blockBits
-	for i := range acc[:bb] {
-		acc[i] = 0
-	}
+	acc = acc[:bb]
+	clear(acc)
 	if f.quantized {
-		for i, ind := range v.Ind {
-			w := v.Val[i]
-			r := f.row(t, b, ind)
-			off := r % chunkRows * bb
-			for j, q := range t.q[r/chunkRows][off : off+bb] {
-				acc[j] += w * (float64(q)/4096 - 8)
-			}
-		}
+		f.accumulate(t, b, v, acc)
 	} else {
 		for i, ind := range v.Ind {
 			w := v.Val[i]
 			r := f.row(t, b, ind)
 			off := r % chunkRows * bb
 			for j, g := range t.x[r/chunkRows][off : off+bb] {
-				acc[j] += w * g
+				acc[j] += float64(w * g)
 			}
 		}
 	}
 	base := b * bb
-	for j := 0; j < bb; j++ {
-		if acc[j] >= 0 {
+	for j, a := range acc {
+		if a >= 0 {
 			sig[(base+j)/64] |= 1 << ((base + j) % 64)
 		}
 	}
+}
+
+// accumulate adds v's projections onto block b's hyperplanes into acc,
+// four features per pass over acc: each acc[j] is loaded once, takes
+// the four products in ascending feature order and is stored once, so
+// every sum is rounded exactly as the one-feature-at-a-time loop
+// rounds it. Each product is rounded by float64(·) before its add, so
+// no architecture fuses the two (see the package doc).
+func (f *BlockFamily) accumulate(t *blockRows, b int, v vector.Vector, acc []float64) {
+	ind, val := v.Ind, v.Val[:len(v.Ind)]
+	i := 0
+	for ; i+4 <= len(ind); i += 4 {
+		q0, q1 := f.qrow(t, b, ind[i])[:len(acc)], f.qrow(t, b, ind[i+1])[:len(acc)]
+		q2, q3 := f.qrow(t, b, ind[i+2])[:len(acc)], f.qrow(t, b, ind[i+3])[:len(acc)]
+		w0, w1, w2, w3 := val[i], val[i+1], val[i+2], val[i+3]
+		for j := range acc {
+			a := acc[j]
+			a += float64(w0 * dequant[q0[j]])
+			a += float64(w1 * dequant[q1[j]])
+			a += float64(w2 * dequant[q2[j]])
+			a += float64(w3 * dequant[q3[j]])
+			acc[j] = a
+		}
+	}
+	for ; i < len(ind); i++ {
+		q, w := f.qrow(t, b, ind[i])[:len(acc)], val[i]
+		for j := range acc {
+			acc[j] += float64(w * dequant[q[j]])
+		}
+	}
+}
+
+// qrow returns feature feat's quantized row in block b.
+func (f *BlockFamily) qrow(t *blockRows, b int, feat uint32) []uint16 {
+	r := f.row(t, b, feat)
+	off := r % chunkRows * f.blockBits
+	return t.q[r/chunkRows][off : off+f.blockBits]
 }
 
 // SignatureN computes bits [0, nbits) of v's signature in one call,
