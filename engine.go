@@ -14,6 +14,7 @@ import (
 	"bayeslsh/internal/pair"
 	"bayeslsh/internal/planner"
 	"bayeslsh/internal/rng"
+	"bayeslsh/internal/shard"
 	"bayeslsh/internal/sighash"
 	"bayeslsh/internal/stats"
 	"bayeslsh/internal/vector"
@@ -47,7 +48,13 @@ type EngineConfig struct {
 	// under the same rule as Parallelism: 0 selects the default 1024,
 	// negative clamps to single-pair batches. Smaller batches balance
 	// load better; larger batches amortize scheduling overhead over
-	// more pairs.
+	// more pairs. It batches the pipelines whose candidates are
+	// materialized — the AllPairs pipelines and Jaccard BayesLSH(-Lite)
+	// over full minhashes, whose prior is fitted from the whole
+	// candidate set. The other banded-LSH pipelines verify each batch
+	// of candidate rows inside the row phase that enumerates it, in
+	// row batches sized by the corpus and Parallelism, so BatchSize
+	// does not affect them.
 	BatchSize int
 }
 
@@ -244,47 +251,73 @@ func (e *Engine) lshPlan(ctx context.Context, o Options) (bandK, l int, err erro
 	return o.BandK, l, nil
 }
 
-// lshCandidates generates banded-LSH candidates at the options'
-// threshold, with the table count from lshPlan. Cancellation is
-// polled throughout: between per-vector signature fills inside
-// lshPlan, then between bands and within the collision enumeration.
-func (e *Engine) lshCandidates(ctx context.Context, o Options) ([]pair.Pair, error) {
+// lshBanding runs banded LSH's band phase at the options' threshold,
+// with the table count from lshPlan. Cancellation is polled
+// throughout: between per-vector signature fills inside lshPlan, then
+// between bands.
+func (e *Engine) lshBanding(ctx context.Context, o Options) (*lshindex.Banding, error) {
 	k, l, err := e.lshPlan(ctx, o)
 	if err != nil {
 		return nil, err
 	}
-	w := e.workers()
-	var cands []pair.Pair
-	switch {
-	case e.measure == Jaccard:
-		cands, err = lshindex.CandidatesMinhashCtx(ctx, e.minSigStore().Sigs(), k, l, w)
-	case o.MultiProbe:
-		cands, err = lshindex.CandidatesBitsMultiProbeCtx(ctx, e.bitSigStore().Sigs(), k, l, w)
-	default:
-		cands, err = lshindex.CandidatesBitsCtx(ctx, e.bitSigStore().Sigs(), k, l, w)
+	if e.measure == Jaccard {
+		return lshindex.BandMinhashCtx(ctx, e.minSigStore().Sigs(), k, l, e.workers())
 	}
-	return e.dropEmpty(cands), err
+	return lshindex.BandBitsCtx(ctx, e.bitSigStore().Sigs(), k, l, o.MultiProbe, e.workers())
 }
 
-// dropEmpty removes, in place, the candidate pairs that touch a vector
-// with no features. Such a vector's exact similarity to anything is 0,
-// but its signature is a constant — every hyperplane bit set, every
-// minhash Empty — so two of them collide on every hash and an
-// estimating pipeline would report them as a similarity-1 pair. The
-// query path drops them the same way (cut.mask). Corpora without empty
-// vectors pay one scan of the vector headers.
-func (e *Engine) dropEmpty(cands []pair.Pair) []pair.Pair {
+// lshCandidates materializes the banded-LSH candidates at the options'
+// threshold, empty vectors dropped (nonEmpty), in canonical (A, B)
+// order: the band phase, then a row phase that collects the pairs.
+// Cancellation is also polled within the row enumeration.
+func (e *Engine) lshCandidates(ctx context.Context, o Options) ([]pair.Pair, error) {
+	b, err := e.lshBanding(ctx, o)
+	if err != nil {
+		return nil, err
+	}
+	keep := e.nonEmpty()
+	var sink shard.Slots[pair.Pair]
+	err = lshindex.StreamRows(ctx, b, e.workers(), func(rows pair.Rows, _ *shard.Stopper) []pair.Pair {
+		return pair.AppendRows(nil, keep(rows))
+	}, sink.Put)
+	if err != nil {
+		return nil, err
+	}
+	return sink.Flat(), nil
+}
+
+// nonEmpty returns the filter that drops, from candidate rows, every
+// pair touching a vector with no features. Such a vector's exact
+// similarity to anything is 0, but its signature is a constant — every
+// hyperplane bit set, every minhash Empty — so two of them collide on
+// every hash and an estimating pipeline would report them as a
+// similarity-1 pair. The query path drops them the same way (cut.mask).
+// Corpora without empty vectors pay one scan of the vector headers and
+// get their rows back untouched; otherwise partners are filtered in
+// place and rows left with none are skipped.
+func (e *Engine) nonEmpty() func(pair.Rows) pair.Rows {
 	vecs := e.work.Vecs
 	if !slices.ContainsFunc(vecs, func(v vector.Vector) bool { return v.Len() == 0 }) {
-		return cands
+		return func(rows pair.Rows) pair.Rows { return rows }
 	}
-	kept := cands[:0]
-	for _, p := range cands {
-		if vecs[p.A].Len() > 0 && vecs[p.B].Len() > 0 {
-			kept = append(kept, p)
+	return func(rows pair.Rows) pair.Rows {
+		return func(yield func(int32, []int32) bool) {
+			for a, bs := range rows {
+				if vecs[a].Len() == 0 {
+					continue
+				}
+				kept := bs[:0]
+				for _, b := range bs {
+					if vecs[b].Len() > 0 {
+						kept = append(kept, b)
+					}
+				}
+				if len(kept) > 0 && !yield(a, kept) {
+					return
+				}
+			}
 		}
 	}
-	return kept
 }
 
 // workInput returns the collection in the representation AllPairs and
@@ -295,21 +328,19 @@ func (e *Engine) workInput() *vector.Collection {
 	return e.ds.c
 }
 
-// bayesVerifier constructs the measure-appropriate core verifier,
-// fitting the Jaccard Beta prior from the candidate stream when the
-// pipeline needs one. The returned verifier also serves the one-sided
-// query path (see core.QueryVerifier); batch search uses only the
-// Verifier half. ctx cancels the signature fills the construction may
-// trigger (the 1-bit packing path).
-func (e *Engine) bayesVerifier(ctx context.Context, o Options, cands []pair.Pair) (core.QueryVerifier, error) {
-	return e.bayesVerifierWithPrior(ctx, o, e.fitPrior(o, cands))
+// needsPrior reports whether o's verifier under measure m prunes with
+// a Jaccard Beta prior fitted from the candidate set (§4.1): BayesLSH
+// under Jaccard over full minhashes. Such a pipeline must materialize
+// its candidates before verifying any.
+func needsPrior(m Measure, o Options) bool {
+	return m == Jaccard && !o.OneBitMinhash && o.Algorithm.UsesBayes()
 }
 
 // fitPrior learns the Jaccard Beta prior from the candidate stream,
 // exactly as §4.1 prescribes. Configurations whose verifier takes no
 // prior (cosine measures, 1-bit minhash) get the uniform placeholder.
 func (e *Engine) fitPrior(o Options, cands []pair.Pair) stats.Beta {
-	if e.measure != Jaccard || o.OneBitMinhash {
+	if !needsPrior(e.measure, o) {
 		return stats.Beta{Alpha: 1, Beta: 1}
 	}
 	return core.FitJaccardPrior(e.work, cands, o.PriorSample, rng.Derive(e.cfg.Seed, 3))

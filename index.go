@@ -208,7 +208,7 @@ func (e *Engine) buildIndexCtx(ctx context.Context, opts Options, prior *stats.B
 			ix.prior = *prior
 		} else {
 			var cands []pair.Pair
-			if e.measure == Jaccard && !o.OneBitMinhash {
+			if needsPrior(e.measure, o) {
 				// The Jaccard verifier's pruning table depends on the Beta
 				// prior, which the batch pipeline fits from its candidate
 				// stream. Reproduce that stream once at build so every

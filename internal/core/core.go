@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"bayeslsh/internal/pair"
+	"bayeslsh/internal/shard"
 )
 
 // Params configures a BayesLSH verifier.
@@ -171,20 +172,32 @@ type ExactSimFunc func(a, b int32) float64
 // concurrent use after construction (signature stores supplied via
 // Params.Ensure must be too; the library's stores are).
 //
-// Candidates are verified in batches of batch pairs on workers
-// goroutines, and each batch's accepted results go to emit, with the
-// batch's slot, as soon as the batch finishes (the shard.StreamCtx
-// contract). Collected in slot order (as VerifyParallelCtx and
+// Verification reads candidates as rows (pair.Rows): each row's left
+// vector a is the query of the one-sided round loop, compared against
+// its partners. VerifyRows and VerifyRowsLite verify one batch of rows
+// on the calling goroutine — the form banded LSH calls from the worker
+// that enumerated the rows. The pair-slice forms cut candidate batches
+// of batch pairs into rows, verify them on workers goroutines, and
+// send each batch's accepted results to emit, with the batch's slot,
+// as soon as the batch finishes (the shard.StreamCtx contract).
+// Collected in slot order (as VerifyParallelCtx and
 // VerifyLiteParallelCtx do) the results, and all returned Stats except
 // the CacheHits/InferenceCalls split, are identical for any worker
-// count and batch size. An emit error or a canceled ctx stops the run
-// and is returned with Stats{}.
+// count, batch size and row cut. An emit error or a canceled ctx stops
+// the run and is returned with Stats{}.
 type Verifier interface {
-	// VerifyStream runs BayesLSH (Algorithm 1): prune and estimate.
+	// VerifyRows runs BayesLSH (Algorithm 1), prune and estimate, over
+	// one batch of rows, returning accepted pairs in row order. stop
+	// (nil for "not cancelable") is polled between pairs and between
+	// rounds; a stopped batch returns (nil, Stats{}).
+	VerifyRows(rows pair.Rows, stop *shard.Stopper) ([]pair.Result, Stats)
+	// VerifyRowsLite runs BayesLSH-Lite (Algorithm 2) over one batch of
+	// rows: prune within the first h hashes, then verify survivors
+	// exactly with sim (which must be safe for concurrent use), keeping
+	// pairs with similarity >= t. stop follows VerifyRows.
+	VerifyRowsLite(rows pair.Rows, h int, sim ExactSimFunc, stop *shard.Stopper) ([]pair.Result, Stats)
+	// VerifyStream is VerifyRows over a candidate slice.
 	VerifyStream(ctx context.Context, cands []pair.Pair, workers, batch int, emit func(slot int, rs []pair.Result) error) (Stats, error)
-	// VerifyLiteStream runs BayesLSH-Lite (Algorithm 2): prune within
-	// the first h hashes, then verify survivors exactly with sim (which
-	// must be safe for concurrent use), keeping pairs with similarity
-	// >= t.
+	// VerifyLiteStream is VerifyRowsLite over a candidate slice.
 	VerifyLiteStream(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int, emit func(slot int, rs []pair.Result) error) (Stats, error)
 }

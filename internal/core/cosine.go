@@ -41,13 +41,11 @@ func NewCosine(sigs [][]uint64, sigBits int, p Params) (*CosineVerifier, error) 
 
 // bitsKernel returns a kernel with the hooks of a verifier over packed
 // bit signatures (cosine hyperplane bits, 1-bit minhashes): hashes are
-// compared by XOR + popcount against q.Bits or another corpus vector.
+// compared by XOR + popcount.
 func bitsKernel(sigs [][]uint64, estimate func(m, n int) float64, concentrated func(m, n int) bool) kernel {
 	return kernel{
-		match: func(a, b int32, from, to int) int { return sighash.MatchCount(sigs[a], sigs[b], from, to) },
-		qmatch: func(q QuerySig) func(id int32, from, to int) int {
-			return func(id int32, from, to int) int { return sighash.MatchCount(q.Bits, sigs[id], from, to) }
-		},
+		stored:       func(id int32) QuerySig { return QuerySig{Bits: sigs[id]} },
+		qmatch:       func(q *QuerySig, id int32, from, to int) int { return sighash.MatchCount(q.Bits, sigs[id], from, to) },
 		estimate:     estimate,
 		concentrated: concentrated,
 	}

@@ -7,7 +7,9 @@ import (
 	"bayeslsh/internal/shard"
 )
 
-// The batch verification driver. The round loop polls a
+// The pair-slice verification driver, for candidate sets that are
+// materialized (AllPairs, and banded LSH where a Jaccard prior must be
+// fitted from the whole set first). The round loop polls a
 // shard.Stopper between rounds (see verifyOne), the batch dispatch
 // stops at the first done check (shard.StreamCtx), and partial work is
 // discarded once cancellation is observed — so a canceled run returns
@@ -17,24 +19,24 @@ import (
 // same value.
 
 // streamBatches runs body over the candidates in batches of batch
-// pairs on workers goroutines, delivering each batch's accepted
-// results to emit with its slot as the batch completes (the
-// shard.StreamCtx contract). Per-batch Stats are summed on the calling
-// goroutine, so the totals do not depend on completion order.
-func streamBatches(ctx context.Context, cands []pair.Pair, workers, batch int, body batchFunc, emit func(slot int, rs []pair.Result) error) (Stats, error) {
+// pairs on workers goroutines, each batch cut into rows at every change
+// of A (pair.RowsOf), and delivers each batch's accepted results to
+// emit with its slot as the batch completes (the shard.StreamCtx
+// contract). Per-batch Stats are summed on the calling goroutine, so
+// the totals do not depend on completion order.
+func streamBatches(ctx context.Context, cands []pair.Pair, workers, batch int, body func(pair.Rows, *shard.Stopper) ([]pair.Result, Stats), emit func(slot int, rs []pair.Result) error) (Stats, error) {
 	type batchOut struct {
 		rs []pair.Result
 		st Stats
 	}
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
-	st := Stats{Candidates: len(cands)}
+	var st Stats
 	err := shard.StreamCtx(ctx, len(cands), workers, batch, func(lo, hi int) batchOut {
-		rs, bst := body(cands[lo:hi], stop)
+		rs, bst := body(pair.RowsOf(cands[lo:hi]), stop)
 		return batchOut{rs, bst}
 	}, func(slot int, b batchOut) error {
-		st.add(b.st)
-		st.Accepted += len(b.rs)
+		st.Add(b.st)
 		return emit(slot, b.rs)
 	})
 	if err != nil {
@@ -45,13 +47,15 @@ func streamBatches(ctx context.Context, cands []pair.Pair, workers, batch int, b
 
 // VerifyStream runs BayesLSH (Algorithm 1) over the candidates.
 func (kr *kernel) VerifyStream(ctx context.Context, cands []pair.Pair, workers, batch int, emit func(slot int, rs []pair.Result) error) (Stats, error) {
-	return streamBatches(ctx, cands, workers, batch, kr.verifyBatch, emit)
+	return streamBatches(ctx, cands, workers, batch, kr.VerifyRows, emit)
 }
 
 // VerifyLiteStream runs BayesLSH-Lite (Algorithm 2) over the
 // candidates.
 func (kr *kernel) VerifyLiteStream(ctx context.Context, cands []pair.Pair, h int, sim ExactSimFunc, workers, batch int, emit func(slot int, rs []pair.Result) error) (Stats, error) {
-	return streamBatches(ctx, cands, workers, batch, kr.liteBatch(h, sim), emit)
+	return streamBatches(ctx, cands, workers, batch, func(rows pair.Rows, stop *shard.Stopper) ([]pair.Result, Stats) {
+		return kr.VerifyRowsLite(rows, h, sim, stop)
+	}, emit)
 }
 
 // VerifyParallelCtx is VerifyStream collected in candidate order. A

@@ -33,20 +33,33 @@
 // table replacing the pruning inference, and an (m, n)-indexed cache
 // for the concentration inference.
 //
+// # Rows
+//
+// Verification reads its candidates as rows (pair.Rows): a corpus
+// vector a and its partners. The round loop is one-sided — it is the
+// query-serving loop, with a's stored signature as the query — so a
+// row deepens a's signature only when a round goes deeper than the row
+// has reached, and every per-pair decision is the one a query equal to
+// a would make. VerifyRows and VerifyRowsLite verify one batch of rows
+// on the calling goroutine; banded LSH calls them from the worker that
+// enumerated the rows, so its candidates are never collected. The
+// pair-slice forms (VerifyStream, VerifyLiteStream, and their
+// collecting VerifyParallelCtx, VerifyLiteParallelCtx) serve
+// candidate sets that must be materialized — AllPairs, and Jaccard
+// candidates a prior is fitted from (FitJaccardPrior) — by cutting
+// each batch of pairs into rows at every change of A.
+//
 // # Concurrency
 //
-// Verifiers are safe for concurrent use, and batch verification
-// (VerifyStream, VerifyLiteStream) is sharded: candidates flow to a
-// pool of workers in batches, each batch accumulates its own results
-// and statistics, results leave batch by batch tagged with their slot,
-// and statistics are summed as batches complete. The collecting forms
-// (VerifyParallelCtx, VerifyLiteParallelCtx) are the stream with a
-// slot sink, which merges batches in input order. Because the per-pair
-// decision is a pure function of the pair's hash matches (the
-// concentration cache is idempotent and accessed atomically), the
-// collected results are identical for any worker count and batch size
-// — the property that makes the engine's sharded pipeline
-// deterministic under a fixed seed. One driver runs one batch body per
-// algorithm, and cancellation is polled between candidates and between
-// hash rounds.
+// Verifiers are safe for concurrent use. The pair-slice forms are
+// sharded: candidates flow to a pool of workers in batches, each batch
+// accumulates its own results and statistics, results leave batch by
+// batch tagged with their slot, and statistics are summed as batches
+// complete. Because the per-pair decision is a pure function of the
+// pair's hash matches (the concentration cache is idempotent and
+// accessed atomically), results collected in slot order are identical
+// for any worker count, batch size and row cut — the property that
+// makes the engine's sharded pipeline deterministic under a fixed
+// seed. Cancellation is polled between candidates and between hash
+// rounds.
 package core

@@ -41,10 +41,8 @@ func NewJaccard(sigs [][]uint32, prior stats.Beta, p Params) (*JaccardVerifier, 
 	}
 	v := &JaccardVerifier{prior: prior}
 	v.kernel = kernel{
-		match: func(a, b int32, from, to int) int { return minhash.Matches(sigs[a], sigs[b], from, to) },
-		qmatch: func(q QuerySig) func(id int32, from, to int) int {
-			return func(id int32, from, to int) int { return minhash.Matches(q.Min, sigs[id], from, to) }
-		},
+		stored:       func(id int32) QuerySig { return QuerySig{Min: sigs[id]} },
+		qmatch:       func(q *QuerySig, id int32, from, to int) int { return minhash.Matches(q.Min, sigs[id], from, to) },
 		estimate:     v.Estimate,
 		concentrated: v.concentrated,
 	}

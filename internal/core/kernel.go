@@ -8,33 +8,36 @@ import (
 // kernel is the measure-independent engine of BayesLSH verification:
 // the round loop of Algorithms 1 and 2 with the §4.3 optimizations
 // (minMatches pruning table, concentration cache), and every
-// verification entry point built on it. The three verifier
-// instantiations (Jaccard, Cosine, 1-bit Jaccard) embed a kernel and
-// differ only in how hashes are compared and how the posterior is
-// evaluated, which they supply as the match/qmatch/estimate/
-// concentrated hooks; the kernel's exported methods are their whole
-// verification API (see Verifier and QueryVerifier, plus the
-// collecting VerifyParallelCtx and VerifyLiteParallelCtx).
+// verification entry point built on it. The loop is one-sided: it
+// compares a query signature against corpus vectors, and a candidate
+// row (a, partners) is verified with a's stored signature as the
+// query. The three verifier instantiations (Jaccard, Cosine, 1-bit
+// Jaccard) embed a kernel and differ only in how signatures are read
+// and compared and how the posterior is evaluated, which they supply
+// as the stored/qmatch/estimate/concentrated hooks; the kernel's
+// exported methods are their whole verification API (see Verifier and
+// QueryVerifier, plus the collecting VerifyParallelCtx and
+// VerifyLiteParallelCtx).
 //
 // A kernel is safe for concurrent use: minM and ns are immutable after
 // construction, the concentration cache uses atomic cells (decisions
 // are pure functions of (m, n), so racing writers store the same
 // value), and the hooks must be pure (they are — they read only
 // immutable verifier state and signature prefixes guarded by
-// params.Ensure, plus, one-sided, the calling query's own signature
-// prefix guarded by QuerySig.Ensure).
+// params.Ensure, plus the calling query's own signature prefix guarded
+// by QuerySig.Ensure).
 type kernel struct {
 	params Params
 	ns     []int
 	minM   []int
 	conc   *concCache
 
-	// match counts matching hashes of vectors a and b over hash
-	// positions [from, to).
-	match func(a, b int32, from, to int) int
-	// qmatch binds a query signature into the one-sided form of match:
-	// matching hashes of the query and corpus vector id over [from, to).
-	qmatch func(q QuerySig) func(id int32, from, to int) int
+	// stored returns corpus vector id's signature in query form, with
+	// no Ensure: the query of the row whose left vector is id.
+	stored func(id int32) QuerySig
+	// qmatch counts matching hashes of the query q and corpus vector id
+	// over hash positions [from, to).
+	qmatch func(q *QuerySig, id int32, from, to int) int
 	// estimate is the MAP similarity estimate after the event M(m, n).
 	estimate func(m, n int) float64
 	// concentrated reports whether the posterior after M(m, n) is
@@ -55,63 +58,70 @@ func (kr *kernel) init(params Params, probAbove func(m, n int) float64) {
 // Params returns the validated parameters in effect.
 func (kr *kernel) Params() Params { return kr.params }
 
-// verifyOne runs the full BayesLSH round loop (Algorithm 1) for one
-// candidate pair, updating st and appending accepted pairs to out.
-// stop (nil for "not cancelable") is polled between rounds; a stopped
-// pair is abandoned mid-loop, which is safe because the caller
-// discards all output once it observes the cancellation.
-func (kr *kernel) verifyOne(c pair.Pair, stop *shard.Stopper, st *Stats, out *[]pair.Result) {
+// ensure extends both sides of a comparison to n hashes before a round
+// reads [n−K, n): the query through q.Ensure, called only when the
+// round goes deeper than any earlier round of this query did, and
+// corpus vector id through params.Ensure. Either hook may be nil
+// (already deep enough).
+func (kr *kernel) ensure(q *QuerySig, id int32, n int) {
+	if q.Ensure != nil && n > q.depth {
+		q.Ensure(n)
+		q.depth = n
+	}
+	if ensure := kr.params.Ensure; ensure != nil {
+		ensure(id, n)
+	}
+}
+
+// verifyOne runs the BayesLSH round loop (Algorithm 1) for corpus
+// vector id against the query q, updating st, and reports whether the
+// pair is accepted and with which estimate. stop (nil for "not
+// cancelable") is polled between rounds; a stopped pair is abandoned
+// unaccepted, which is safe because the caller discards all output
+// once it observes the cancellation.
+func (kr *kernel) verifyOne(q *QuerySig, id int32, stop *shard.Stopper, st *Stats) (float64, bool) {
 	k := kr.params.K
 	m := 0
-	pruned := false
-	accepted := false
 	for round, n := range kr.ns {
 		if stop.Stopped() {
-			return
+			return 0, false
 		}
-		if ensure := kr.params.Ensure; ensure != nil {
-			ensure(c.A, n)
-			ensure(c.B, n)
-		}
-		m += kr.match(c.A, c.B, n-k, n)
+		kr.ensure(q, id, n)
+		m += kr.qmatch(q, id, n-k, n)
 		st.HashesCompared += int64(k)
 		if m < kr.minM[round] {
-			pruned = true
-			st.Pruned++
 			// Rounds not reached count this pair as gone.
-			break
+			st.Pruned++
+			return 0, false
 		}
 		st.SurvivorsByRound[round]++
-		if cached, ok := kr.conc.lookup(round, m); ok {
+		accepted, ok := kr.conc.lookup(round, m)
+		if ok {
 			st.CacheHits++
-			accepted = cached
 		} else {
 			st.InferenceCalls++
-			cv := kr.concentrated(m, n)
-			kr.conc.store(round, m, cv)
-			accepted = cv
+			accepted = kr.concentrated(m, n)
+			kr.conc.store(round, m, accepted)
 		}
 		if accepted {
-			*out = append(*out, pair.Result{A: c.A, B: c.B, Sim: kr.estimate(m, n)})
 			// Later rounds still count an accepted pair as a survivor
 			// (it reached the output set).
 			for r := round + 1; r < len(kr.ns); r++ {
 				st.SurvivorsByRound[r]++
 			}
-			break
+			return kr.estimate(m, n), true
 		}
 	}
-	if !pruned && !accepted {
-		// Ran out of hashes: accept with the current estimate.
-		*out = append(*out, pair.Result{A: c.A, B: c.B, Sim: kr.estimate(m, kr.params.MaxHashes)})
-	}
+	// Ran out of hashes: accept with the current estimate.
+	return kr.estimate(m, kr.params.MaxHashes), true
 }
 
-// verifyOneLite runs the pruning-only round loop of BayesLSH-Lite
-// (Algorithm 2) for one candidate pair over nRounds rounds, updating
-// st. It reports whether the pair survived pruning (and so needs exact
-// verification). stop follows the verifyOne contract.
-func (kr *kernel) verifyOneLite(c pair.Pair, nRounds int, stop *shard.Stopper, st *Stats) bool {
+// survivesLite runs the pruning-only round loop of BayesLSH-Lite
+// (Algorithm 2) for corpus vector id against the query q over nRounds
+// rounds, updating st. It reports whether the pair survived pruning
+// (and so needs exact verification). stop follows the verifyOne
+// contract.
+func (kr *kernel) survivesLite(q *QuerySig, id int32, nRounds int, stop *shard.Stopper, st *Stats) bool {
 	k := kr.params.K
 	m := 0
 	for round := 0; round < nRounds; round++ {
@@ -119,11 +129,8 @@ func (kr *kernel) verifyOneLite(c pair.Pair, nRounds int, stop *shard.Stopper, s
 			return false
 		}
 		n := kr.ns[round]
-		if ensure := kr.params.Ensure; ensure != nil {
-			ensure(c.A, n)
-			ensure(c.B, n)
-		}
-		m += kr.match(c.A, c.B, n-k, n)
+		kr.ensure(q, id, n)
+		m += kr.qmatch(q, id, n-k, n)
 		st.HashesCompared += int64(k)
 		if m < kr.minM[round] {
 			st.Pruned++
@@ -134,53 +141,91 @@ func (kr *kernel) verifyOneLite(c pair.Pair, nRounds int, stop *shard.Stopper, s
 	return true
 }
 
-// batchFunc verifies one batch of candidates, returning its accepted
-// results and statistics. stop follows the verifyOne contract; a
-// stopped batch's output is discarded by the drivers.
-type batchFunc func(cands []pair.Pair, stop *shard.Stopper) ([]pair.Result, Stats)
-
-// verifyBatch is the batch body of BayesLSH (Algorithm 1).
-func (kr *kernel) verifyBatch(cands []pair.Pair, stop *shard.Stopper) ([]pair.Result, Stats) {
-	st := Stats{SurvivorsByRound: make([]int, len(kr.ns))}
-	out := make([]pair.Result, 0, len(cands)/8+1)
-	for _, c := range cands {
-		if stop.Stopped() {
-			return nil, Stats{}
-		}
-		kr.verifyOne(c, stop, &st, &out)
+// rowQuery returns the query form of a row's left vector a, for one
+// batch of rows: a's stored signature, deepened through
+// params.Ensure(a, ·). Each call reuses one QuerySig, so a batch
+// allocates its query state once, not once per row.
+func (kr *kernel) rowQuery() func(a int32) *QuerySig {
+	var q QuerySig
+	var left int32
+	var deepen func(n int)
+	if ensure := kr.params.Ensure; ensure != nil {
+		deepen = func(n int) { ensure(left, n) }
 	}
-	return out, st
+	return func(a int32) *QuerySig {
+		q, left = kr.stored(a), a
+		q.Ensure = deepen
+		return &q
+	}
 }
 
-// liteBatch returns the batch body of BayesLSH-Lite (Algorithm 2):
-// prune within the first h hashes, then verify survivors exactly with
-// sim, which must be safe for concurrent use (exact similarity over
-// the immutable collection is).
-func (kr *kernel) liteBatch(h int, sim ExactSimFunc) batchFunc {
-	nRounds := liteRounds(h, kr.params.K, len(kr.ns))
-	return func(cands []pair.Pair, stop *shard.Stopper) ([]pair.Result, Stats) {
-		st := Stats{SurvivorsByRound: make([]int, nRounds)}
-		var out []pair.Result
-		for _, c := range cands {
+// VerifyRows runs BayesLSH (Algorithm 1) over a batch of candidate
+// rows, each row's left vector verified as the query against its
+// partners, and returns the accepted pairs in row order with the
+// batch's statistics. stop (nil for "not cancelable") is polled between
+// pairs and between rounds; a stopped batch returns (nil, Stats{}).
+func (kr *kernel) VerifyRows(rows pair.Rows, stop *shard.Stopper) ([]pair.Result, Stats) {
+	st := Stats{SurvivorsByRound: make([]int, len(kr.ns))}
+	var out []pair.Result
+	query := kr.rowQuery()
+	for a, bs := range rows {
+		q := query(a)
+		st.Candidates += len(bs)
+		for _, b := range bs {
 			if stop.Stopped() {
 				return nil, Stats{}
 			}
-			if !kr.verifyOneLite(c, nRounds, stop, &st) {
+			if sim, ok := kr.verifyOne(q, b, stop, &st); ok {
+				out = append(out, pair.Result{A: a, B: b, Sim: sim})
+			}
+		}
+	}
+	if stop.Stopped() {
+		return nil, Stats{}
+	}
+	st.Accepted = len(out)
+	return out, st
+}
+
+// VerifyRowsLite runs BayesLSH-Lite (Algorithm 2) over a batch of
+// candidate rows: prune within the first h hashes, then verify
+// survivors exactly with sim (which must be safe for concurrent use),
+// keeping pairs with similarity >= t. stop follows the VerifyRows
+// contract.
+func (kr *kernel) VerifyRowsLite(rows pair.Rows, h int, sim ExactSimFunc, stop *shard.Stopper) ([]pair.Result, Stats) {
+	nRounds := liteRounds(h, kr.params.K, len(kr.ns))
+	st := Stats{SurvivorsByRound: make([]int, nRounds)}
+	var out []pair.Result
+	query := kr.rowQuery()
+	for a, bs := range rows {
+		q := query(a)
+		st.Candidates += len(bs)
+		for _, b := range bs {
+			if stop.Stopped() {
+				return nil, Stats{}
+			}
+			if !kr.survivesLite(q, b, nRounds, stop, &st) {
 				continue
 			}
 			st.ExactVerified++
-			if s := sim(c.A, c.B); s >= kr.params.Threshold {
-				out = append(out, pair.Result{A: c.A, B: c.B, Sim: s})
+			if s := sim(a, b); s >= kr.params.Threshold {
+				out = append(out, pair.Result{A: a, B: b, Sim: s})
 			}
 		}
-		return out, st
 	}
+	if stop.Stopped() {
+		return nil, Stats{}
+	}
+	st.Accepted = len(out)
+	return out, st
 }
 
-// add sums one batch's counters into st, in any batch order. A batch
+// Add sums one batch's counters into st, in any batch order. A batch
 // abandoned on cancellation carries zero Stats, harmlessly.
-func (st *Stats) add(s Stats) {
+func (st *Stats) Add(s Stats) {
+	st.Candidates += s.Candidates
 	st.Pruned += s.Pruned
+	st.Accepted += s.Accepted
 	st.ExactVerified += s.ExactVerified
 	st.HashesCompared += s.HashesCompared
 	st.InferenceCalls += s.InferenceCalls

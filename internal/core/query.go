@@ -5,14 +5,13 @@ import (
 	"bayeslsh/internal/shard"
 )
 
-// One-sided verification: the batch verifiers compare the signatures
-// of two corpus vectors; the query-serving path compares one
-// out-of-corpus query signature against corpus signatures. The round
-// loop, pruning table and concentration cache are identical — only
-// the match hook changes — so for a query whose signature equals
-// corpus vector i's, every per-candidate decision (prune round, accept
-// round, estimate) is bit-identical to the batch verification of the
-// corresponding pair.
+// One-sided verification: the query-serving path compares one
+// out-of-corpus query signature against corpus signatures, and batch
+// verification runs the same loop once per candidate row, with the
+// row's left vector as the query (kernel.rowQuery). So for a query
+// whose signature equals corpus vector i's, every per-candidate
+// decision (prune round, accept round, estimate) is bit-identical to
+// the batch verification of the corresponding pair.
 
 // QuerySig carries a query's signature in whichever representation
 // the verifier compares: packed bits (cosine and 1-bit Jaccard) or
@@ -20,8 +19,9 @@ import (
 // verifier.
 //
 // Ensure is the query-side twin of Params.Ensure: when non-nil, the
-// verifier calls Ensure(n) before each round reads hashes [n−K, n), so
-// a signature that is extended lazily (sighash.QuerySig,
+// verifier calls Ensure(n) before a round reads hashes [n−K, n) deeper
+// than any earlier round of the same verification call did, so a
+// signature that is extended lazily (sighash.QuerySig,
 // minhash.QuerySig) is hashed only as deep as the deepest round any
 // candidate reaches. With Ensure nil the signature must already cover
 // MaxHashes. A query verifies on one goroutine, so Ensure needs no
@@ -30,6 +30,8 @@ type QuerySig struct {
 	Bits   []uint64
 	Min    []uint32
 	Ensure func(n int)
+
+	depth int // deepest n Ensure was called with by this verification
 }
 
 // QuerySimFunc computes the exact similarity of the query to corpus
@@ -70,53 +72,6 @@ func stopResultHits(hits []pair.Hit, st Stats, stop *shard.Stopper) ([]pair.Hit,
 	return hits, st, nil
 }
 
-// verifyQueryOne runs the full round loop for one candidate id against
-// the query, mirroring verifyOne with qmatch (kr.qmatch(q)) in place of
-// the two-sided match hook. Before each round reads [n−K, n) the query
-// side is extended through q.Ensure and the corpus side through
-// params.Ensure. stop (nil for "not cancelable") follows the verifyOne
-// contract: polled between rounds, output discarded by the caller on
-// cancellation.
-func (kr *kernel) verifyQueryOne(id int32, q QuerySig, qmatch func(id int32, from, to int) int, stop *shard.Stopper, st *Stats, out *[]pair.Hit) {
-	k := kr.params.K
-	m := 0
-	pruned := false
-	accepted := false
-	for round, n := range kr.ns {
-		if stop.Stopped() {
-			return
-		}
-		kr.ensureQuery(q, id, n)
-		m += qmatch(id, n-k, n)
-		st.HashesCompared += int64(k)
-		if m < kr.minM[round] {
-			pruned = true
-			st.Pruned++
-			break
-		}
-		st.SurvivorsByRound[round]++
-		if cached, ok := kr.conc.lookup(round, m); ok {
-			st.CacheHits++
-			accepted = cached
-		} else {
-			st.InferenceCalls++
-			cv := kr.concentrated(m, n)
-			kr.conc.store(round, m, cv)
-			accepted = cv
-		}
-		if accepted {
-			*out = append(*out, pair.Hit{ID: id, Sim: kr.estimate(m, n)})
-			for r := round + 1; r < len(kr.ns); r++ {
-				st.SurvivorsByRound[r]++
-			}
-			break
-		}
-	}
-	if !pruned && !accepted {
-		*out = append(*out, pair.Hit{ID: id, Sim: kr.estimate(m, kr.params.MaxHashes)})
-	}
-}
-
 // verifyQuery runs the one-sided BayesLSH loop over all candidate ids.
 // stop is polled between candidates and rounds; on cancellation the
 // partial output must be discarded by the caller (VerifyQueryStop
@@ -124,12 +79,13 @@ func (kr *kernel) verifyQueryOne(id int32, q QuerySig, qmatch func(id int32, fro
 func (kr *kernel) verifyQuery(q QuerySig, ids []int32, stop *shard.Stopper) ([]pair.Hit, Stats) {
 	st := Stats{Candidates: len(ids), SurvivorsByRound: make([]int, len(kr.ns))}
 	out := make([]pair.Hit, 0, len(ids)/8+1)
-	qmatch := kr.qmatch(q)
 	for _, id := range ids {
 		if stop.Stopped() {
 			break
 		}
-		kr.verifyQueryOne(id, q, qmatch, stop, &st, &out)
+		if sim, ok := kr.verifyOne(&q, id, stop, &st); ok {
+			out = append(out, pair.Hit{ID: id, Sim: sim})
+		}
 	}
 	st.Accepted = len(out)
 	return out, st
@@ -138,36 +94,14 @@ func (kr *kernel) verifyQuery(q QuerySig, ids []int32, stop *shard.Stopper) ([]p
 // verifyQueryLite runs the one-sided pruning rounds, then exact
 // verification of survivors. stop follows the verifyQuery contract.
 func (kr *kernel) verifyQueryLite(q QuerySig, ids []int32, h int, sim QuerySimFunc, stop *shard.Stopper) ([]pair.Hit, Stats) {
-	k := kr.params.K
-	nRounds := liteRounds(h, k, len(kr.ns))
+	nRounds := liteRounds(h, kr.params.K, len(kr.ns))
 	st := Stats{Candidates: len(ids), SurvivorsByRound: make([]int, nRounds)}
 	var out []pair.Hit
-	qmatch := kr.qmatch(q)
 	for _, id := range ids {
 		if stop.Stopped() {
 			break
 		}
-		m := 0
-		survived := true
-		for round := 0; round < nRounds; round++ {
-			if stop.Stopped() {
-				// Abandon mid-candidate; the caller discards the
-				// partial output (stopResultHits).
-				st.Accepted = len(out)
-				return out, st
-			}
-			n := kr.ns[round]
-			kr.ensureQuery(q, id, n)
-			m += qmatch(id, n-k, n)
-			st.HashesCompared += int64(k)
-			if m < kr.minM[round] {
-				st.Pruned++
-				survived = false
-				break
-			}
-			st.SurvivorsByRound[round]++
-		}
-		if !survived {
+		if !kr.survivesLite(&q, id, nRounds, stop, &st) {
 			continue
 		}
 		st.ExactVerified++
@@ -177,18 +111,6 @@ func (kr *kernel) verifyQueryLite(q QuerySig, ids []int32, h int, sim QuerySimFu
 	}
 	st.Accepted = len(out)
 	return out, st
-}
-
-// ensureQuery extends both sides of a one-sided comparison to n
-// hashes: the query's signature through q.Ensure, candidate id's
-// through params.Ensure. Either hook may be nil (already deep enough).
-func (kr *kernel) ensureQuery(q QuerySig, id int32, n int) {
-	if q.Ensure != nil {
-		q.Ensure(n)
-	}
-	if ensure := kr.params.Ensure; ensure != nil {
-		ensure(id, n)
-	}
 }
 
 // VerifyQuery runs BayesLSH for the query signature against the

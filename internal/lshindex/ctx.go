@@ -1,30 +1,35 @@
-// Batch candidate generation in two parallel phases, producing the
+// Batch candidate generation in two parallel phases, enumerating the
 // candidate set deduplicated and already in ascending (A, B) order — the
 // canonical order the verifier reads — so no global set and no sort of
 // the whole set is ever needed.
 //
-//   - Bands → runs. The l bands are independent, so each band is built
-//     on its own worker: every id's band key is bucketed, and the
-//     buckets are laid out as sorted runs (bandRuns) — ids ascending
-//     within each bucket, plus every id's bucket and position.
-//   - Rows → pairs. Row a's candidates are the ids b > a that share a
-//     bucket with a in some band (with multi-probe, also a bucket whose
-//     key differs in one bit): in a's own bucket these are simply the
-//     run members after a. A per-worker stamp array, tagged a+1,
-//     deduplicates them across bands, and the row is sorted and
-//     emitted as (a, b) pairs. Contiguous row batches run on the worker
-//     pool and are concatenated in batch order.
+//   - Bands → runs (Band*Ctx). The l bands are independent, so each
+//     band is built on its own worker: every id's band key is
+//     bucketed, and the buckets are laid out as sorted runs (bandRuns)
+//     — ids ascending within each bucket, plus every id's bucket and
+//     position.
+//   - Rows (StreamRows). Row a's candidates are the ids b > a that
+//     share a bucket with a in some band (with multi-probe, also a
+//     bucket whose key differs in one bit): in a's own bucket these are
+//     simply the run members after a. A per-worker stamp array, tagged
+//     a+1, deduplicates them across bands, and the row is put in
+//     ascending order. Contiguous row batches run on the worker pool,
+//     and each batch's rows go, as they are enumerated, to the caller's
+//     batch body on the same worker; the bodies' outputs leave by slot.
 //
-// Band keys depend only on the signatures and the band index, and rows
-// are concatenated in row order, so the output is identical for any
-// worker count. Peak memory is the runs (three int32s per id per band)
-// plus the candidate pairs.
+// The Candidates*Ctx functions are the row phase with a body that
+// collects pairs. Band keys depend only on the signatures and the band
+// index, and row batches are numbered in row order, so outputs
+// collected by slot are identical for any worker count. Peak memory is
+// the runs (three int32s per id per band), one stamp array per worker,
+// and whatever the bodies keep — the candidate pairs only for the
+// collecting form.
 //
 // Cancellation is polled between bands by the band dispatch, between
 // row batches by the row dispatch, and between bands within a row — a
 // bucket holding every id costs l·n per row, the paper's §5 worst case
 // that a canceled low-threshold join most needs to escape. A canceled
-// call returns (nil, ctx.Err()) with every worker drained.
+// call returns ctx.Err() with every worker drained.
 
 package lshindex
 
@@ -37,52 +42,91 @@ import (
 	"bayeslsh/internal/shard"
 )
 
-// CandidatesBitsCtx generates candidate pairs from packed bit
-// signatures (cosine hyperplane hashes), sharded over workers
-// goroutines, in ascending (A, B) order. Band j covers bits
-// [j*k, (j+1)*k). It returns an error if the signatures are too short
-// for l bands of k bits. k must be in [1, 64].
-func CandidatesBitsCtx(ctx context.Context, sigs [][]uint64, k, l, workers int) ([]pair.Pair, error) {
+// Banding is the band phase of a batch banded join over n ids: the l
+// bands as sorted runs, ready for the row phase (StreamRows). It is
+// immutable, so any number of row phases may read it.
+type Banding struct {
+	n, probeBits int
+	runs         []bandRuns
+}
+
+// BandBitsCtx runs the band phase over packed bit signatures (cosine
+// hyperplane hashes), sharded over workers goroutines. Band j covers
+// bits [j*k, (j+1)*k). With multiProbe, the row phase also pairs ids
+// whose band keys differ in one bit (1-step multi-probe). It returns an
+// error if the signatures are too short for l bands of k bits. k must
+// be in [1, 64].
+func BandBitsCtx(ctx context.Context, sigs [][]uint64, k, l int, multiProbe bool, workers int) (*Banding, error) {
 	if err := validateBits(sigs, k, l); err != nil {
 		return nil, err
 	}
-	return bandedCandidates(ctx, len(sigs), l, 0, workers, bitsKeys(sigs, k))
-}
-
-// CandidatesBitsMultiProbeCtx is CandidatesBitsCtx with 1-step
-// multi-probing: each signature is inserted into its own bucket and
-// additionally probes the k buckets whose band key differs in one
-// bit. Pairs whose band keys are within Hamming distance one therefore
-// collide.
-func CandidatesBitsMultiProbeCtx(ctx context.Context, sigs [][]uint64, k, l, workers int) ([]pair.Pair, error) {
-	if err := validateBits(sigs, k, l); err != nil {
-		return nil, err
+	probeBits := 0
+	if multiProbe {
+		probeBits = k
 	}
-	return bandedCandidates(ctx, len(sigs), l, k, workers, bitsKeys(sigs, k))
+	return band(ctx, len(sigs), l, probeBits, workers, func(band int) func(id int) uint64 {
+		from := band * k
+		return func(id int) uint64 { return bitsBand(sigs[id], from, k) }
+	})
 }
 
-// CandidatesMinhashCtx generates candidate pairs from minhash
-// signatures, sharded over workers goroutines, in ascending (A, B)
-// order. Band j covers hash positions [j*k, (j+1)*k); the band key is a
-// 64-bit hash of those k values. It returns an error if signatures are
-// too short.
-func CandidatesMinhashCtx(ctx context.Context, sigs [][]uint32, k, l, workers int) ([]pair.Pair, error) {
+// BandMinhashCtx runs the band phase over minhash signatures, sharded
+// over workers goroutines. Band j covers hash positions [j*k, (j+1)*k);
+// the band key is a 64-bit hash of those k values. It returns an error
+// if signatures are too short.
+func BandMinhashCtx(ctx context.Context, sigs [][]uint32, k, l, workers int) (*Banding, error) {
 	if err := validateMinhash(sigs, k, l); err != nil {
 		return nil, err
 	}
-	return bandedCandidates(ctx, len(sigs), l, 0, workers, func(band int) func(id int) uint64 {
+	return band(ctx, len(sigs), l, 0, workers, func(band int) func(id int) uint64 {
 		scratch := make([]uint64, (k+1)/2)
 		return func(id int) uint64 { return minhashBandKey(sigs[id], band, k, scratch) }
 	})
 }
 
-// bitsKeys returns the per-band key function of packed bit signatures:
-// band j's key is bits [j*k, (j+1)*k).
-func bitsKeys(sigs [][]uint64, k int) func(band int) func(id int) uint64 {
-	return func(band int) func(id int) uint64 {
-		from := band * k
-		return func(id int) uint64 { return bitsBand(sigs[id], from, k) }
+// CandidatesBitsCtx generates candidate pairs from packed bit
+// signatures, sharded over workers goroutines, in ascending (A, B)
+// order: BandBitsCtx and a row phase that collects the pairs.
+func CandidatesBitsCtx(ctx context.Context, sigs [][]uint64, k, l, workers int) ([]pair.Pair, error) {
+	b, err := BandBitsCtx(ctx, sigs, k, l, false, workers)
+	if err != nil {
+		return nil, err
 	}
+	return collect(ctx, b, workers)
+}
+
+// CandidatesBitsMultiProbeCtx is CandidatesBitsCtx with 1-step
+// multi-probing: pairs whose band keys are within Hamming distance one
+// also collide.
+func CandidatesBitsMultiProbeCtx(ctx context.Context, sigs [][]uint64, k, l, workers int) ([]pair.Pair, error) {
+	b, err := BandBitsCtx(ctx, sigs, k, l, true, workers)
+	if err != nil {
+		return nil, err
+	}
+	return collect(ctx, b, workers)
+}
+
+// CandidatesMinhashCtx generates candidate pairs from minhash
+// signatures, sharded over workers goroutines, in ascending (A, B)
+// order: BandMinhashCtx and a row phase that collects the pairs.
+func CandidatesMinhashCtx(ctx context.Context, sigs [][]uint32, k, l, workers int) ([]pair.Pair, error) {
+	b, err := BandMinhashCtx(ctx, sigs, k, l, workers)
+	if err != nil {
+		return nil, err
+	}
+	return collect(ctx, b, workers)
+}
+
+// collect runs the row phase of b and collects every row's pairs in
+// slot order.
+func collect(ctx context.Context, b *Banding, workers int) ([]pair.Pair, error) {
+	var out shard.Slots[pair.Pair]
+	if err := StreamRows(ctx, b, workers, func(rows pair.Rows, _ *shard.Stopper) []pair.Pair {
+		return pair.AppendRows(nil, rows)
+	}, out.Put); err != nil {
+		return nil, err
+	}
+	return out.Flat(), nil
 }
 
 // bandRuns is one band's buckets as sorted runs: bucket b's members,
@@ -165,80 +209,96 @@ func appendUnstamped(row, ids, stamp []int32, tag int32) []int32 {
 	return row
 }
 
-// appendRow appends row a's pairs (a, b) to ps in ascending b. row
-// holds the partners in collection order; after is the stamp array
-// from id a+1 on, where exactly the partners carry the tag a+1. A row
-// dense enough that sorting it would cost more than one pass over
-// after is read back off the stamps in id order instead.
-func appendRow(ps []pair.Pair, a int32, row, after []int32) []pair.Pair {
-	if need := len(row) + 1; cap(ps)-len(ps) < need {
-		ps = slices.Grow(ps, max(need, len(ps))) // doubling: each pair is copied about once
+// rowScratch is one worker's row-phase state: the stamp array, the
+// row being assembled, and the ascending partners read off the stamps
+// of a dense row.
+type rowScratch struct{ stamp, row, dense []int32 }
+
+// ascending returns row a's partners in ascending order. s.row holds
+// them in collection order, and exactly they carry the tag a+1 in the
+// stamp array after a. A row dense enough that sorting it would cost
+// more than one pass over those stamps is read back off them in id
+// order instead.
+func (s *rowScratch) ascending(a int32) []int32 {
+	after := s.stamp[a+1:]
+	if len(s.row)*bits.Len(uint(len(s.row))) < len(after)/8 {
+		slices.Sort(s.row)
+		return s.row
 	}
-	dst := ps[len(ps) : len(ps)+len(row)+1]
-	if len(row)*bits.Len(uint(len(row))) < len(after)/8 {
-		slices.Sort(row)
-		for i, b := range row {
-			dst[i] = pair.Pair{A: a, B: b}
-		}
-	} else {
-		// Branch-free: every id is written to the next slot, which only
-		// advances past a partner (tags are non-negative, so
-		// tag^(a+1)-1 has its top bit set exactly when tag == a+1).
-		// The spare slot absorbs the write after the last partner.
-		j := 0
-		for i, tag := range after {
-			dst[j] = pair.Pair{A: a, B: a + 1 + int32(i)}
-			j += int((uint32(tag^(a+1)) - 1) >> 31)
-		}
+	// Branch-free: every id is written to the next slot, which only
+	// advances past a partner (tags are non-negative, so tag^(a+1)-1
+	// has its top bit set exactly when tag == a+1). The spare slot
+	// absorbs the write after the last partner.
+	s.dense = slices.Grow(s.dense[:0], len(s.row)+1)[:len(s.row)+1]
+	j := 0
+	for i, tag := range after {
+		s.dense[j] = a + 1 + int32(i)
+		j += int((uint32(tag^(a+1)) - 1) >> 31)
 	}
-	return ps[:len(ps)+len(row)]
+	return s.dense[:len(s.row)]
 }
 
-// rowScratch is one worker's row-phase state: the stamp array and the
-// row being assembled.
-type rowScratch struct{ stamp, row []int32 }
-
-// bandedCandidates runs both phases over n ids and l bands. bandKey
-// returns band band's key function; it is called once per band, so the
-// key function may own per-band scratch.
-func bandedCandidates(ctx context.Context, n, l, probeBits, workers int, bandKey func(band int) func(id int) uint64) ([]pair.Pair, error) {
-	runs := make([]bandRuns, l)
+// band builds the runs of l bands over n ids. bandKey returns band
+// band's key function; it is called once per band, so the key function
+// may own per-band scratch.
+func band(ctx context.Context, n, l, probeBits, workers int, bandKey func(band int) func(id int) uint64) (*Banding, error) {
+	b := &Banding{n: n, probeBits: probeBits, runs: make([]bandRuns, l)}
 	if err := shard.RunCtx(ctx, l, workers, 1, func(_, _, band int) {
-		runs[band] = newBandRuns(n, bandKey(band), probeBits > 0)
+		b.runs[band] = newBandRuns(n, bandKey(band), probeBits > 0)
 	}); err != nil {
 		return nil, err
 	}
+	return b, nil
+}
 
+// StreamRows runs the row phase of a banding on workers goroutines, in
+// contiguous batches of rows. Each batch's rows — every id a with at
+// least one partner, in ascending a, its partners the ids b > a that
+// collide with a in some band, ascending and deduplicated (see
+// pair.Rows for who owns the slice) — go to body as they are
+// enumerated, on the worker that enumerates them, together with the
+// run's stopper, which body may poll to abandon a batch early. Each
+// body's output goes to emit with its batch's slot, under the
+// shard.StreamCtx contract, so outputs concatenated in slot order follow
+// ascending a at any worker count. A batch whose enumeration was cut
+// short by cancellation is discarded, not emitted.
+func StreamRows[T any](ctx context.Context, b *Banding, workers int, body func(rows pair.Rows, stop *shard.Stopper) T, emit func(slot int, v T) error) error {
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
 	// At most max(workers, 1) row batches run at once, so the pool never
 	// holds more scratch than that and a put never blocks. Tags are row
 	// ids, unique within this call, so a reused stamp needs no clearing.
 	free := make(chan *rowScratch, max(workers, 1))
-	var out shard.Slots[pair.Pair]
-	err := shard.StreamCtx(ctx, n, workers, shard.Chunk(n, workers, 64), func(lo, hi int) []pair.Pair {
+	// Row costs are very uneven — a row's partners number from none to
+	// thousands, and in a cold join the first rows to reach a signature
+	// depth pay for hashing it — so batches are small, about 64 per
+	// worker, for the pool to balance them.
+	return shard.StreamCtx(ctx, b.n, workers, shard.Chunk(b.n, 16*workers, 16), func(lo, hi int) T {
 		var s *rowScratch
 		select {
 		case s = <-free:
 		default:
-			s = &rowScratch{stamp: make([]int32, n)}
+			s = &rowScratch{stamp: make([]int32, b.n)}
 		}
 		defer func() { free <- s }()
-		var ps []pair.Pair
-		for a := int32(lo); a < int32(hi); a++ {
-			s.row = s.row[:0]
-			for j := range runs {
-				if stop.Stopped() {
-					return nil // a stopped batch's output is discarded
+		v := body(func(yield func(int32, []int32) bool) {
+			for a := int32(lo); a < int32(hi); a++ {
+				s.row = s.row[:0]
+				for j := range b.runs {
+					if stop.Stopped() {
+						return
+					}
+					s.row = b.runs[j].appendPartners(s.row, a, b.probeBits, s.stamp, a+1)
 				}
-				s.row = runs[j].appendPartners(s.row, a, probeBits, s.stamp, a+1)
+				if len(s.row) > 0 && !yield(a, s.ascending(a)) {
+					return
+				}
 			}
-			ps = appendRow(ps, a, s.row, s.stamp[a+1:])
+		}, stop)
+		if stop.Stopped() {
+			var discarded T
+			return discarded
 		}
-		return ps
-	}, out.Put)
-	if err != nil {
-		return nil, err
-	}
-	return out.Flat(), nil
+		return v
+	}, emit)
 }

@@ -18,16 +18,19 @@
 //
 // # Sharded banding
 //
-// Batch candidate generation (the Candidates*Ctx functions) runs in
-// two sharded phases and returns the candidates deduplicated and in
-// ascending (A, B) order, the canonical order verification reads.
-// Bands → runs: the l hash tables are mutually independent, so each
-// band is built on its own worker, bucketing every signature and
-// laying the buckets out as sorted runs of ids. Rows → pairs:
-// contiguous batches of rows run on the worker pool, row a collecting
-// the ids after it in its runs across all bands, deduplicated by a
-// per-worker stamp array and sorted, and the batches are concatenated
-// in row order. Band keys depend only on the signatures and the band
-// index, so the candidates — set and order — are identical for any
-// worker count.
+// A batch banded join runs in two sharded phases. Bands → runs
+// (BandBitsCtx, BandMinhashCtx): the l hash tables are mutually
+// independent, so each band is built on its own worker, bucketing
+// every signature and laying the buckets out as sorted runs of ids.
+// Rows (StreamRows): contiguous batches of rows run on the worker
+// pool, row a collecting the ids after it in its runs across all
+// bands, deduplicated by a per-worker stamp array and put in ascending
+// order, and each batch's rows go straight to the caller's batch body
+// on the same worker — the engine verifies them there, so a join's
+// candidates are never collected. Batch outputs leave tagged with
+// their slot, in row order. The Candidates*Ctx functions are the same
+// two phases with a body that collects the pairs, deduplicated and in
+// ascending (A, B) order, the canonical order verification reads. Band
+// keys depend only on the signatures and the band index, so the
+// candidates — set and order — are identical for any worker count.
 package lshindex

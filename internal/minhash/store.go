@@ -68,6 +68,9 @@ func (s *Store) Elapsed() time.Duration { return s.fill.Elapsed() }
 
 // Ensure fills vector id's signature up to at least n hashes.
 func (s *Store) Ensure(id int32, n int) {
+	if s.fill.Filled(id) >= n {
+		return // already deep enough: skip building the fill closure
+	}
 	s.fill.Ensure(id, n, func(from int) int {
 		if s.c == nil {
 			panic("minhash: fixed store cannot hash deeper than its persisted depth")

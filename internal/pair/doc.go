@@ -9,7 +9,9 @@
 // order. Result is a pair that passed verification, carrying its exact
 // or estimated similarity. Hit is the one-sided counterpart for the
 // query-serving path: a corpus id similar to an (out-of-corpus) query
-// vector.
+// vector. Rows groups a candidate stream by its left id — the form
+// banded LSH enumerates and verification reads — and RowsOf and
+// AppendRows convert between pairs and rows.
 //
 // # Ordering
 //

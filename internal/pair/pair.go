@@ -2,6 +2,7 @@ package pair
 
 import (
 	"cmp"
+	"iter"
 	"slices"
 	"sort"
 )
@@ -41,6 +42,44 @@ type Hit struct {
 
 // Pair returns the normalized pair of the result.
 func (r Result) Pair() Pair { return Make(r.A, r.B) }
+
+// Rows is a candidate stream grouped by left id: each element is a
+// row, an id a and the partners b it is paired with. The partner slice
+// belongs to the producer — it is valid only until the next element —
+// and the consumer may overwrite it, to filter it in place. Banded LSH
+// yields each row's partners as the ascending ids b > a that collide
+// with a; RowsOf cuts any pair slice into rows.
+type Rows = iter.Seq2[int32, []int32]
+
+// RowsOf cuts ps into rows, one per maximal run of pairs sharing A,
+// with partners in pair order, so the pairs of the rows in row order
+// are ps again. Sorted input gives one row per distinct A.
+func RowsOf(ps []Pair) Rows {
+	return func(yield func(int32, []int32) bool) {
+		var bs []int32
+		for i := 0; i < len(ps); {
+			a := ps[i].A
+			bs = bs[:0]
+			for ; i < len(ps) && ps[i].A == a; i++ {
+				bs = append(bs, ps[i].B)
+			}
+			if !yield(a, bs) {
+				return
+			}
+		}
+	}
+}
+
+// AppendRows appends the pairs (a, b) of every row to ps, in row
+// order.
+func AppendRows(ps []Pair, rows Rows) []Pair {
+	for a, bs := range rows {
+		for _, b := range bs {
+			ps = append(ps, Pair{A: a, B: b})
+		}
+	}
+	return ps
+}
 
 // SortResults orders results by (A, B) for deterministic output.
 func SortResults(rs []Result) {

@@ -71,3 +71,31 @@ func TestResultPair(t *testing.T) {
 		t.Errorf("Result.Pair = %+v", r.Pair())
 	}
 }
+
+// TestRowsOfRoundTrips checks that RowsOf cuts a pair slice at every
+// change of A — unsorted input included, so one A can head two rows —
+// that AppendRows flattens the rows back to the same pairs, and that a
+// consumer may stop early.
+func TestRowsOfRoundTrips(t *testing.T) {
+	ps := []Pair{{3, 4}, {3, 9}, {1, 2}, {3, 5}, {3, 6}, {7, 8}}
+	var heads []int32
+	var sizes []int
+	for a, bs := range RowsOf(ps) {
+		heads, sizes = append(heads, a), append(sizes, len(bs))
+	}
+	if !slices.Equal(heads, []int32{3, 1, 3, 7}) || !slices.Equal(sizes, []int{2, 1, 2, 1}) {
+		t.Errorf("rows headed %v with %v partners, want [3 1 3 7] with [2 1 2 1]", heads, sizes)
+	}
+	if got := AppendRows(nil, RowsOf(ps)); !slices.Equal(got, ps) {
+		t.Errorf("AppendRows(RowsOf(ps)) = %v, want %v", got, ps)
+	}
+	if got := AppendRows(nil, RowsOf(nil)); len(got) != 0 {
+		t.Errorf("no pairs gave %v", got)
+	}
+	for a := range RowsOf(ps) {
+		if a != 3 {
+			t.Fatalf("first row headed %d", a)
+		}
+		break
+	}
+}

@@ -158,6 +158,13 @@ func MatchCount(a, b []uint64, from, to int) int {
 		return 0
 	}
 	firstWord, lastWord := from/64, (to-1)/64
+	if firstWord == lastWord {
+		// The range lies inside one word, as every round of K <= 64
+		// word-aligned hashes does: shift it to the top of the word,
+		// dropping the bits on either side.
+		x := (a[firstWord] ^ b[firstWord]) >> (from % 64) << (64 - (to - from))
+		return (to - from) - bits.OnesCount64(x)
+	}
 	mismatches := 0
 	for w := firstWord; w <= lastWord; w++ {
 		x := a[w] ^ b[w]

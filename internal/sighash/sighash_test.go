@@ -193,6 +193,32 @@ func TestMatchCountSubrangesAgainstNaive(t *testing.T) {
 	}
 }
 
+// TestMatchCountEveryRangeAgainstBits checks MatchCount — its
+// single-word path and its multi-word loop alike — against a
+// bit-by-bit count for every range 0 <= from <= to <= 192, over random
+// words and over all-zeros and all-ones words (which agree with
+// themselves everywhere and with each other nowhere).
+func TestMatchCountEveryRangeAgainstBits(t *testing.T) {
+	src := rng.New(78)
+	zeros, ones := make([]uint64, 3), []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
+	random := func() []uint64 { return []uint64{src.Uint64(), src.Uint64(), src.Uint64()} }
+	pairs := [][2][]uint64{{random(), random()}, {random(), random()}, {zeros, ones}, {ones, ones}, {zeros, zeros}, {ones, random()}}
+	for pi, p := range pairs {
+		a, b := p[0], p[1]
+		for from := 0; from <= 192; from++ {
+			want := 0
+			for to := from; to <= 192; to++ {
+				if to > from && Bit(a, to-1) == Bit(b, to-1) {
+					want++
+				}
+				if got := MatchCount(a, b, from, to); got != want {
+					t.Fatalf("pair %d: MatchCount(%d, %d) = %d, bit by bit %d", pi, from, to, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestMatchCountPropertyAgainstNaive(t *testing.T) {
 	f := func(aw, bw [4]uint64, fromRaw, toRaw uint8) bool {
 		a, b := aw[:], bw[:]

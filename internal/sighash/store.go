@@ -380,6 +380,9 @@ func (s *Store) Elapsed() time.Duration { return s.fill.Elapsed() }
 
 // Ensure fills vector id's signature up to at least nbits bits.
 func (s *Store) Ensure(id int32, nbits int) {
+	if s.fill.Filled(id) >= nbits {
+		return // already deep enough: skip building the fill closure
+	}
 	s.fill.Ensure(id, nbits, func(from int) int {
 		if s.c == nil {
 			panic("sighash: fixed store cannot hash deeper than its persisted depth")

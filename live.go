@@ -481,13 +481,7 @@ func (li *LiveIndex) maybeMerge(gen *liveGen) {
 // priorBearing reports whether the built pipeline's verification
 // depends on the corpus-fitted Jaccard Beta prior — the one
 // corpus-global quantity mutations must keep in sync (see Add).
-func (li *LiveIndex) priorBearing() bool {
-	switch li.opts.Algorithm {
-	case AllPairsBayesLSH, AllPairsBayesLSHLite, LSHBayesLSH, LSHBayesLSHLite:
-		return li.measure == Jaccard && !li.opts.OneBitMinhash
-	}
-	return false
-}
+func (li *LiveIndex) priorBearing() bool { return needsPrior(li.measure, li.opts) }
 
 // prepareEntry builds a memtable entry for q: the work representation
 // the measure indexes and the signature prefixes the built pipeline

@@ -334,7 +334,7 @@ func (c cut) segment(i int, qs *querySigs, verifier bool) (segment, []int32, err
 // with no features. An empty vector's exact similarity to anything is
 // 0, but its signature is a constant (all hyperplane bits set, every
 // minhash Empty), which the estimating pipelines would read as a
-// match — so, as in the batch join (Engine.dropEmpty), it is never a
+// match — so, as in the batch join (Engine.nonEmpty), it is never a
 // candidate.
 func (c cut) mask(seg *segment, ids []int32) []int32 {
 	kept := ids[:0]

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"bayeslsh/internal/allpairs"
-	"bayeslsh/internal/core"
 	"bayeslsh/internal/minhash"
 	"bayeslsh/internal/pair"
 	"bayeslsh/internal/shard"
@@ -150,6 +149,12 @@ type Output struct {
 
 	// CandGenTime and VerifyTime are the wall-clock costs of the two
 	// phases; Total is their sum (the paper's "full execution time").
+	// Where verification runs inside the banded-LSH row phase (every
+	// LSH pipeline but Jaccard BayesLSH over full minhashes, which
+	// materializes its candidates to fit a prior), CandGenTime covers
+	// the banding runs — hashing to the band depth and bucketing every
+	// band — and VerifyTime the verifier's construction plus the fused
+	// row phase, which enumerates and verifies each row together.
 	// HashTime is the portion of those phases spent computing hash
 	// signatures (lazy signature blocks are materialized inside the
 	// phase that first needs them, so HashTime is part of Total, not
@@ -240,8 +245,11 @@ func ctxWrap(err error) error {
 // for a fixed Seed at any worker count. Banded LSH emits that order
 // directly; the AllPairs scan emits in its own scan order, which the
 // AllPairs pipeline streams in, so its candidates are sorted here.
-// Shared by the search pipeline (Engine.stream), BuildIndex and the
-// live prior refit so the candidate stream cannot drift between them.
+// Shared by the pipelines that materialize their candidates
+// (Engine.streamTwoPhase), BuildIndex and the live prior refit so the
+// candidate stream cannot drift between them; the fused banded-LSH
+// pipelines enumerate the same rows through the same lshBanding and
+// nonEmpty, without collecting them.
 func (e *Engine) candidates(ctx context.Context, o Options) ([]pair.Pair, error) {
 	switch o.Algorithm {
 	case AllPairsBayesLSH, AllPairsBayesLSHLite:
@@ -279,21 +287,13 @@ func (e *Engine) dropSubThreshold(rs []pair.Result, t float64, checked *int) []p
 	return kept
 }
 
-// fillStats copies verifier statistics into the output.
-func fillStats(out *Output, st core.Stats) {
-	out.Pruned = st.Pruned
-	out.ExactVerified = st.ExactVerified
-	out.HashesCompared = st.HashesCompared
-	out.SurvivorsByRound = st.SurvivorsByRound
-}
-
 // approxEstimator prepares the classical LSH estimation of §3: it
 // clamps the requested hash count to the signature budget, fills every
 // signature that deep (cancelable between vectors), and returns the
 // per-pair estimator plus the hash count actually used. Each estimate
 // depends only on the pair's two signatures, so the LSHApprox output
 // is independent of scheduling.
-func (e *Engine) approxEstimator(ctx context.Context, o Options) (func(pair.Pair) float64, int, error) {
+func (e *Engine) approxEstimator(ctx context.Context, o Options) (func(a, b int32) float64, int, error) {
 	workers := e.workers()
 	if e.measure == Jaccard {
 		st := e.minSigStore()
@@ -302,8 +302,8 @@ func (e *Engine) approxEstimator(ctx context.Context, o Options) (func(pair.Pair
 			return nil, 0, err
 		}
 		sigs := st.Sigs()
-		return func(p pair.Pair) float64 {
-			return approxJaccardEstimate(minhash.Matches(sigs[p.A], sigs[p.B], 0, n), n)
+		return func(a, b int32) float64 {
+			return approxJaccardEstimate(minhash.Matches(sigs[a], sigs[b], 0, n), n)
 		}, n, nil
 	}
 	st := e.bitSigStore()
@@ -312,8 +312,8 @@ func (e *Engine) approxEstimator(ctx context.Context, o Options) (func(pair.Pair
 		return nil, 0, err
 	}
 	sigs := st.Sigs()
-	return func(p pair.Pair) float64 {
-		return approxCosineEstimate(sighash.MatchCount(sigs[p.A], sigs[p.B], 0, n), n)
+	return func(a, b int32) float64 {
+		return approxCosineEstimate(sighash.MatchCount(sigs[a], sigs[b], 0, n), n)
 	}, n, nil
 }
 

@@ -8,10 +8,13 @@ import (
 	"time"
 
 	"bayeslsh/internal/allpairs"
+	"bayeslsh/internal/core"
 	"bayeslsh/internal/exact"
+	"bayeslsh/internal/lshindex"
 	"bayeslsh/internal/pair"
 	"bayeslsh/internal/ppjoin"
 	"bayeslsh/internal/shard"
+	"bayeslsh/internal/stats"
 )
 
 // Stream runs one search and yields verified result pairs as
@@ -39,10 +42,16 @@ import (
 // just not all of them (the partial-results caveat of
 // docs/CONTEXTS.md).
 //
-// The candidate phase still materializes the candidate set (in
-// canonical (A, B) order, as in Search): candidates are pairs that
-// *might* match and cannot be verified before they are enumerated.
-// Stream bounds the results, not the candidates.
+// Candidate memory depends on the pipeline. The banded-LSH pipelines
+// whose verifier needs no fitted prior — all of them under Cosine and
+// BinaryCosine, and LSH, LSHApprox or OneBitMinhash under Jaccard —
+// verify each batch of candidate rows as banding enumerates it, so
+// their candidate memory is bounded by the row batches in flight. The
+// AllPairs pipelines and Jaccard BayesLSH over full minhashes (whose
+// prior is fitted from the whole candidate set) still materialize
+// their candidates, in canonical (A, B) order as in Search, before
+// verifying any: for them Stream bounds the results, not the
+// candidates.
 func (e *Engine) Stream(ctx context.Context, opts Options) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
 		o, err := e.prepare(ctx, opts)
@@ -111,80 +120,147 @@ func (e *Engine) stream(ctx context.Context, o Options, out *Output, emit func(s
 	return err
 }
 
+// rowsFunc verifies one batch of candidate rows, returning the
+// accepted pairs in row order and the batch's counters; stop is polled
+// between pairs, and a stopped batch returns (nil, core.Stats{}).
+type rowsFunc func(rows pair.Rows, stop *shard.Stopper) ([]pair.Result, core.Stats)
+
+// verifiedBatch is one verified batch on its way to emit.
+type verifiedBatch struct {
+	rs []pair.Result
+	st core.Stats
+}
+
 // streamTwoPhase runs the candidate-generation + verification
-// pipelines. Both phases shard over the engine's worker pool when
-// EngineConfig.Parallelism exceeds one. Candidates arrive in canonical
-// (A, B) order (Engine.candidates' contract), so everything downstream
-// of generation (prior sampling, verification order, output order) is
-// deterministic for a fixed Seed regardless of worker count.
-// Verification then streams batch by batch, with batch slots in
-// candidate order.
+// pipelines, both phases sharded over the engine's worker pool when
+// EngineConfig.Parallelism exceeds one. Verification is one call per
+// batch of candidate rows (rowVerifier), fed one of two ways:
+//
+//   - fused: a banded-LSH pipeline whose verifier needs no fitted prior
+//     verifies each row batch inside the row phase, on the worker that
+//     enumerated it, and no candidate slice is ever built;
+//   - materialized: the AllPairs pipelines, and Jaccard BayesLSH over
+//     full minhashes (its prior is fitted from the whole candidate
+//     set), collect their candidates in canonical (A, B) order first
+//     (Engine.candidates) and verify them in batches of BatchSize
+//     pairs, each cut into rows.
+//
+// Either way the batch slots follow canonical (A, B) order, so
+// everything downstream of generation (prior sampling, verification
+// order, output order) is deterministic for a fixed Seed regardless of
+// worker count, and both ways give the same results and counters.
 func (e *Engine) streamTwoPhase(ctx context.Context, o Options, out *Output, emit func(slot int, rs []pair.Result) error) error {
-	// Phase 1: candidates.
 	start := time.Now()
-	cands, err := e.candidates(ctx, o)
+	workers := e.workers()
+	var run func(verify rowsFunc, sink func(int, verifiedBatch) error) error
+	prior := stats.Beta{Alpha: 1, Beta: 1} // fitted below where the verifier takes one
+	allPairs := o.Algorithm == AllPairsBayesLSH || o.Algorithm == AllPairsBayesLSHLite
+	if !allPairs && !needsPrior(e.measure, o) {
+		b, err := e.lshBanding(ctx, o)
+		if err != nil {
+			return err
+		}
+		keep := e.nonEmpty()
+		run = func(verify rowsFunc, sink func(int, verifiedBatch) error) error {
+			return lshindex.StreamRows(ctx, b, workers, func(rows pair.Rows, stop *shard.Stopper) verifiedBatch {
+				rs, st := verify(keep(rows), stop)
+				return verifiedBatch{rs, st}
+			}, sink)
+		}
+	} else {
+		cands, err := e.candidates(ctx, o)
+		if err != nil {
+			return err
+		}
+		prior = e.fitPrior(o, cands)
+		run = func(verify rowsFunc, sink func(int, verifiedBatch) error) error {
+			stop := shard.NewStopper(ctx)
+			defer stop.Close()
+			return shard.StreamCtx(ctx, len(cands), workers, e.cfg.BatchSize, func(lo, hi int) verifiedBatch {
+				rs, st := verify(pair.RowsOf(cands[lo:hi]), stop)
+				return verifiedBatch{rs, st}
+			}, sink)
+		}
+	}
+	out.CandGenTime = time.Since(start)
+
+	verifyStart := time.Now()
+	defer func() { out.VerifyTime = time.Since(verifyStart) }()
+	verify, err := e.rowVerifier(ctx, o, prior)
 	if err != nil {
 		return err
 	}
-	out.CandGenTime = time.Since(start)
-	out.Candidates = len(cands)
+	var st core.Stats
+	err = run(verify, func(slot int, b verifiedBatch) error {
+		st.Add(b.st)
+		return emit(slot, b.rs)
+	})
+	out.Candidates = st.Candidates
+	out.Pruned = st.Pruned
+	out.ExactVerified = st.ExactVerified
+	out.HashesCompared = st.HashesCompared
+	out.SurvivorsByRound = st.SurvivorsByRound
+	return err
+}
 
-	// Phase 2: verification.
-	verifyStart := time.Now()
-	defer func() { out.VerifyTime = time.Since(verifyStart) }()
-	workers, batch := e.workers(), e.cfg.BatchSize
+// rowVerifier returns the verification stage of o's two-phase pipeline
+// as one call per batch of candidate rows: exact similarity (LSH), the
+// fixed-hash estimate (LSHApprox), or BayesLSH / BayesLSH-Lite under
+// prior (ignored by verifiers that take none).
+func (e *Engine) rowVerifier(ctx context.Context, o Options, prior stats.Beta) (rowsFunc, error) {
 	switch o.Algorithm {
 	case LSH:
-		out.ExactVerified = len(cands)
-		return exact.VerifyStream(ctx, e.workInput(), toExactMeasure(e.measure), o.Threshold, cands, workers, batch, emit)
+		return scoreRows(o.Threshold, e.exactSim, core.Stats{ExactVerified: 1}), nil
 
 	case LSHApprox:
 		est, used, err := e.approxEstimator(ctx, o)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out.HashesCompared = int64(len(cands)) * int64(used)
-		stop := shard.NewStopper(ctx)
-		defer stop.Close()
-		return shard.StreamCtx(ctx, len(cands), workers, batch, func(lo, hi int) []pair.Result {
-			var rs []pair.Result
-			for _, p := range cands[lo:hi] {
-				if stop.Stopped() {
-					return nil // a stopped batch's output is discarded
-				}
-				if s := est(p); s >= o.Threshold {
-					rs = append(rs, pair.Result{A: p.A, B: p.B, Sim: s})
-				}
-			}
-			return rs
-		}, emit)
+		return scoreRows(o.Threshold, est, core.Stats{HashesCompared: int64(used)}), nil
+	}
 
-	case AllPairsBayesLSH, LSHBayesLSH:
-		v, err := e.bayesVerifier(ctx, o, cands)
-		if err != nil {
-			return err
-		}
-		checked := 0
-		if o.Algorithm == AllPairsBayesLSH {
-			// dropSubThreshold is per-pair, so applying it batch by
-			// batch filters exactly the pairs a whole-set pass would.
-			inner := emit
-			emit = func(slot int, rs []pair.Result) error {
-				return inner(slot, e.dropSubThreshold(rs, o.Threshold, &checked))
-			}
-		}
-		st, err := v.VerifyStream(ctx, cands, workers, batch, emit)
-		st.ExactVerified += checked
-		fillStats(out, st)
-		return err
-
+	v, err := e.bayesVerifierWithPrior(ctx, o, prior)
+	if err != nil {
+		return nil, err
+	}
+	switch o.Algorithm {
+	case AllPairsBayesLSH:
+		return func(rows pair.Rows, stop *shard.Stopper) ([]pair.Result, core.Stats) {
+			rs, st := v.VerifyRows(rows, stop)
+			checked := 0
+			rs = e.dropSubThreshold(rs, o.Threshold, &checked)
+			st.ExactVerified += checked
+			return rs, st
+		}, nil
+	case LSHBayesLSH:
+		return v.VerifyRows, nil
 	default: // AllPairsBayesLSHLite, LSHBayesLSHLite
-		v, err := e.bayesVerifier(ctx, o, cands)
-		if err != nil {
-			return err
+		return func(rows pair.Rows, stop *shard.Stopper) ([]pair.Result, core.Stats) {
+			return v.VerifyRowsLite(rows, o.LiteHashes, e.exactSim, stop)
+		}, nil
+	}
+}
+
+// scoreRows is the verification of the estimate-free pipelines: every
+// candidate pair is scored by sim — its exact similarity (LSH) or its
+// fixed-hash estimate (LSHApprox) — and kept at or above t. perPair is
+// one pair's share of the cost counters.
+func scoreRows(t float64, sim func(a, b int32) float64, perPair core.Stats) rowsFunc {
+	return func(rows pair.Rows, stop *shard.Stopper) ([]pair.Result, core.Stats) {
+		var rs []pair.Result
+		n := 0
+		for a, bs := range rows {
+			for _, b := range bs {
+				if stop.Stopped() {
+					return nil, core.Stats{}
+				}
+				if s := sim(a, b); s >= t {
+					rs = append(rs, pair.Result{A: a, B: b, Sim: s})
+				}
+			}
+			n += len(bs)
 		}
-		st, err := v.VerifyLiteStream(ctx, cands, o.LiteHashes, e.exactSim, workers, batch, emit)
-		fillStats(out, st)
-		return err
+		return rs, core.Stats{Candidates: n, ExactVerified: n * perPair.ExactVerified, HashesCompared: int64(n) * perPair.HashesCompared}
 	}
 }
