@@ -18,8 +18,11 @@
 package allpairs
 
 import (
-	"sort"
+	"fmt"
+	"slices"
+	"sync"
 
+	"bayeslsh/internal/pair"
 	"bayeslsh/internal/vector"
 )
 
@@ -27,40 +30,42 @@ import (
 // delta segment's vectors (in the index's work representation).
 type Delta struct {
 	lists map[uint32][]int32
+	last  int32 // the last id added, -1 before the first
 }
 
 // NewDelta returns an empty delta index.
-func NewDelta() *Delta { return &Delta{lists: make(map[uint32][]int32)} }
+func NewDelta() *Delta { return &Delta{lists: make(map[uint32][]int32), last: -1} }
 
 // Add indexes vector id under every one of its features. Ids must be
-// appended in increasing order so posting lists stay sorted.
+// appended in increasing order so posting lists stay sorted; Add
+// panics on any other id.
 func (d *Delta) Add(id int32, v vector.Vector) {
+	if id <= d.last {
+		panic(fmt.Sprintf("allpairs: Delta.Add(%d) after id %d: ids must increase", id, d.last))
+	}
+	d.last = id
 	for _, f := range v.Ind {
 		d.lists[f] = append(d.lists[f], id)
 	}
 }
 
+// deltaSets pools the id-sets Delta probes deduplicate in; each is
+// returned empty.
+var deltaSets = sync.Pool{New: func() any { return new(pair.IDSet) }}
+
 // Probe returns the ids < n of delta vectors sharing at least one
 // feature with q, deduplicated and in ascending id order — a lossless
 // superset of the corpus vectors whose similarity to q meets any
-// positive threshold.
+// positive threshold. Posting lists are ascending, so each is cut at n
+// by binary search.
 func (d *Delta) Probe(q vector.Vector, n int32) []int32 {
-	seen := make(map[int32]struct{})
+	s := deltaSets.Get().(*pair.IDSet)
 	for _, f := range q.Ind {
-		for _, id := range d.lists[f] {
-			if id >= n {
-				break
-			}
-			seen[id] = struct{}{}
-		}
+		list := d.lists[f]
+		end, _ := slices.BinarySearch(list, n)
+		s.AddAll(list[:end])
 	}
-	if len(seen) == 0 {
-		return nil
-	}
-	ids := make([]int32, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := s.Ascending()
+	deltaSets.Put(s)
 	return ids
 }

@@ -27,14 +27,17 @@ import (
 	"math"
 	"slices"
 
+	"bayeslsh/internal/pair"
 	"bayeslsh/internal/shard"
 	"bayeslsh/internal/vector"
 )
 
-// probeState is the per-worker scratch of the probe phase.
+// probeState is the per-worker scratch of the probe phase; a point
+// query also reads its candidates out ascending through ids.
 type probeState struct {
 	accs    []float64
 	touched []int32
+	ids     pair.IDSet
 }
 
 // probe replays x's sequential probe against the fully built index,

@@ -18,7 +18,6 @@ package allpairs
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"bayeslsh/internal/exact"
@@ -93,12 +92,13 @@ func (ix *Index) Threshold() float64 { return ix.s.t }
 // index's representation (see BuildIndexMeasure/TransformQuery). The
 // id set is a superset of the corpus vectors whose similarity to q
 // meets the built threshold; callers verify survivors under their
-// measure.
+// measure. The probe emits distinct ids in accumulation order; the
+// pooled probe state's id-set reads them out ascending into the one
+// exact-size result.
 func (ix *Index) Probe(q vector.Vector) []int32 {
-	var ids []int32
 	ps := ix.pool.Get().(*probeState)
-	ix.s.probe(q, math.MaxInt32, ps, nil, func(y int32, _ float64) { ids = append(ids, y) })
+	ix.s.probe(q, math.MaxInt32, ps, nil, func(y int32, _ float64) { ps.ids.Add(y) })
+	ids := ps.ids.Ascending()
 	ix.pool.Put(ps)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }

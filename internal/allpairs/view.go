@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"bayeslsh/internal/snapshot"
@@ -182,7 +181,6 @@ func (v *View) Validate() error {
 // binary-searched, so the minsize head skip walks the leading entries;
 // it lands on the entry Index.Probe's search finds.
 func (v *View) Probe(q vector.Vector) []int32 {
-	var ids []int32
 	if q.Len() == 0 {
 		return nil
 	}
@@ -222,10 +220,9 @@ func (v *View) Probe(q vector.Vector) []int32 {
 		ps.accs[y] = 0
 		bound := a + math.Min(float64(q.Len()), float64(v.unidxLen[y]))*qmax*v.unidxMax[y]
 		if bound >= v.t-fpSlack {
-			ids = append(ids, y)
+			ps.ids.Add(y)
 		}
 	}
 	ps.touched = touched
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return ps.ids.Ascending()
 }

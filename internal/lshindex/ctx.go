@@ -11,19 +11,20 @@
 //   - Rows (StreamRows). Row a's candidates are the ids b > a that
 //     share a bucket with a in some band (with multi-probe, also a
 //     bucket whose key differs in one bit): in a's own bucket these are
-//     simply the run members after a. A per-worker stamp array, tagged
-//     a+1, deduplicates them across bands, and the row is put in
-//     ascending order. Contiguous row batches run on the worker pool,
-//     and each batch's rows go, as they are enumerated, to the caller's
-//     batch body on the same worker; the bodies' outputs leave by slot.
+//     simply the run members after a. A per-worker id-set (pair.IDSet)
+//     deduplicates them across bands and reads the row out in
+//     ascending order, emptying itself. Contiguous row batches run on
+//     the worker pool, and each batch's rows go, as they are
+//     enumerated, to the caller's batch body on the same worker; the
+//     bodies' outputs leave by slot.
 //
 // The Candidates*Ctx functions are the row phase with a body that
 // collects pairs. Band keys depend only on the signatures and the band
 // index, and row batches are numbered in row order, so outputs
 // collected by slot are identical for any worker count. Peak memory is
-// the runs (three int32s per id per band), one stamp array per worker,
-// and whatever the bodies keep — the candidate pairs only for the
-// collecting form.
+// the runs (three int32s per id per band), per worker one id-set (a
+// bit per id, n/8 bytes) and two row-long id buffers, and whatever the
+// bodies keep — the candidate pairs only for the collecting form.
 //
 // Cancellation is polled between bands by the band dispatch, between
 // row batches by the row dispatch, and between bands within a row — a
@@ -35,7 +36,6 @@ package lshindex
 
 import (
 	"context"
-	"math/bits"
 	"slices"
 
 	"bayeslsh/internal/pair"
@@ -179,12 +179,12 @@ func newBandRuns(n int, key func(id int) uint64, probe bool) bandRuns {
 	return r
 }
 
-// appendPartners appends to row every id b > a that collides with a in
-// this band and is not yet stamped with tag, stamping it. probeBits is
-// the band width k under multi-probe and 0 otherwise.
-func (r *bandRuns) appendPartners(row []int32, a int32, probeBits int, stamp []int32, tag int32) []int32 {
+// addPartners adds to ids every id b > a that collides with a in this
+// band. probeBits is the band width k under multi-probe and 0
+// otherwise.
+func (r *bandRuns) addPartners(ids *pair.IDSet, a int32, probeBits int) {
 	b := r.bucket[a]
-	row = appendUnstamped(row, r.members[r.pos[a]+1:r.start[b+1]], stamp, tag)
+	ids.AddAll(r.members[r.pos[a]+1 : r.start[b+1]])
 	for bit := range probeBits {
 		nb, ok := r.index[r.keys[b]^(1<<bit)]
 		if !ok {
@@ -192,50 +192,16 @@ func (r *bandRuns) appendPartners(row []int32, a int32, probeBits int, stamp []i
 		}
 		run := r.members[r.start[nb]:r.start[nb+1]]
 		after, _ := slices.BinarySearch(run, a) // a is not in run: the first member > a
-		row = appendUnstamped(row, run[after:], stamp, tag)
+		ids.AddAll(run[after:])
 	}
-	return row
 }
 
-// appendUnstamped appends to row the ids not yet stamped with tag,
-// stamping them.
-func appendUnstamped(row, ids, stamp []int32, tag int32) []int32 {
-	for _, id := range ids {
-		if stamp[id] != tag {
-			stamp[id] = tag
-			row = append(row, id)
-		}
-	}
-	return row
-}
-
-// rowScratch is one worker's row-phase state: the stamp array, the
-// row being assembled, and the ascending partners read off the stamps
-// of a dense row.
-type rowScratch struct{ stamp, row, dense []int32 }
-
-// ascending returns row a's partners in ascending order. s.row holds
-// them in collection order, and exactly they carry the tag a+1 in the
-// stamp array after a. A row dense enough that sorting it would cost
-// more than one pass over those stamps is read back off them in id
-// order instead.
-func (s *rowScratch) ascending(a int32) []int32 {
-	after := s.stamp[a+1:]
-	if len(s.row)*bits.Len(uint(len(s.row))) < len(after)/8 {
-		slices.Sort(s.row)
-		return s.row
-	}
-	// Branch-free: every id is written to the next slot, which only
-	// advances past a partner (tags are non-negative, so tag^(a+1)-1
-	// has its top bit set exactly when tag == a+1). The spare slot
-	// absorbs the write after the last partner.
-	s.dense = slices.Grow(s.dense[:0], len(s.row)+1)[:len(s.row)+1]
-	j := 0
-	for i, tag := range after {
-		s.dense[j] = a + 1 + int32(i)
-		j += int((uint32(tag^(a+1)) - 1) >> 31)
-	}
-	return s.dense[:len(s.row)]
+// rowScratch is one worker's row-phase state: the id-set that
+// deduplicates a row's partners across bands, and the row they are
+// read out into, ascending.
+type rowScratch struct {
+	ids pair.IDSet
+	row []int32
 }
 
 // band builds the runs of l bands over n ids. bandKey returns band
@@ -266,8 +232,8 @@ func StreamRows[T any](ctx context.Context, b *Banding, workers int, body func(r
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
 	// At most max(workers, 1) row batches run at once, so the pool never
-	// holds more scratch than that and a put never blocks. Tags are row
-	// ids, unique within this call, so a reused stamp needs no clearing.
+	// holds more scratch than that and a put never blocks. Every row
+	// leaves its id-set empty, so a reused scratch needs no clearing.
 	free := make(chan *rowScratch, max(workers, 1))
 	// Row costs are very uneven — a row's partners number from none to
 	// thousands, and in a cold join the first rows to reach a signature
@@ -278,19 +244,23 @@ func StreamRows[T any](ctx context.Context, b *Banding, workers int, body func(r
 		select {
 		case s = <-free:
 		default:
-			s = &rowScratch{stamp: make([]int32, b.n)}
+			s = new(rowScratch)
 		}
 		defer func() { free <- s }()
 		v := body(func(yield func(int32, []int32) bool) {
 			for a := int32(lo); a < int32(hi); a++ {
-				s.row = s.row[:0]
 				for j := range b.runs {
 					if stop.Stopped() {
+						s.row = s.ids.AppendAscending(s.row[:0]) // empty the set for the next batch
 						return
 					}
-					s.row = b.runs[j].appendPartners(s.row, a, b.probeBits, s.stamp, a+1)
+					b.runs[j].addPartners(&s.ids, a, b.probeBits)
 				}
-				if len(s.row) > 0 && !yield(a, s.ascending(a)) {
+				if s.ids.Len() == 0 {
+					continue
+				}
+				s.row = s.ids.AppendAscending(s.row[:0])
+				if !yield(a, s.row) {
 					return
 				}
 			}

@@ -11,8 +11,15 @@
 // each other and with Probe calls (the live memtable wraps them in its
 // RWMutex). Probe takes the visible id bound n so a reader pinned to
 // an older generation never sees vectors appended after its snapshot.
+// Add panics unless ids increase, so every bucket stays ascending and
+// a probe can cut each bucket at n by binary search.
 
 package lshindex
+
+import (
+	"fmt"
+	"slices"
+)
 
 // BitsDelta is an incrementally grown set of l banded hash tables over
 // packed bit signatures.
@@ -20,6 +27,7 @@ type BitsDelta struct {
 	k, l       int
 	multiProbe bool
 	tables     []map[uint64][]int32
+	last       int32 // the last id added, -1 before the first
 }
 
 // NewBitsDelta creates empty delta tables under the banding plan
@@ -30,13 +38,14 @@ func NewBitsDelta(k, l int, multiProbe bool) *BitsDelta {
 	for i := range t {
 		t[i] = make(map[uint64][]int32)
 	}
-	return &BitsDelta{k: k, l: l, multiProbe: multiProbe, tables: t}
+	return &BitsDelta{k: k, l: l, multiProbe: multiProbe, tables: t, last: -1}
 }
 
 // Add inserts vector id with signature sig (covering at least k*l
 // bits) into every band's bucket. Ids must be appended in increasing
-// order so bucket lists stay sorted.
+// order so bucket lists stay sorted; Add panics on any other id.
 func (d *BitsDelta) Add(id int32, sig []uint64) {
+	d.last = checkIncreasing("BitsDelta", d.last, id)
 	for band := 0; band < d.l; band++ {
 		key := bitsBand(sig, band*d.k, d.k)
 		d.tables[band][key] = append(d.tables[band][key], id)
@@ -48,17 +57,17 @@ func (d *BitsDelta) Add(id int32, sig []uint64) {
 // sig's band key), deduplicated and in ascending id order — the delta
 // twin of BitsTables.Probe.
 func (d *BitsDelta) Probe(sig []uint64, n int32) []int32 {
-	seen := make(map[int32]struct{})
+	s := probePool.Get().(*probeScratch)
 	for band := 0; band < d.l; band++ {
 		key := bitsBand(sig, band*d.k, d.k)
-		collectDeltaBucket(seen, d.tables[band][key], n)
+		s.ids.AddAll(visible(d.tables[band][key], n))
 		if d.multiProbe {
 			for b := 0; b < d.k; b++ {
-				collectDeltaBucket(seen, d.tables[band][key^(1<<b)], n)
+				s.ids.AddAll(visible(d.tables[band][key^(1<<b)], n))
 			}
 		}
 	}
-	return sortedIDs(seen)
+	return s.release()
 }
 
 // MinhashDelta is an incrementally grown set of l banded hash tables
@@ -66,6 +75,7 @@ func (d *BitsDelta) Probe(sig []uint64, n int32) []int32 {
 type MinhashDelta struct {
 	k, l   int
 	tables []map[uint64][]int32
+	last   int32 // the last id added, -1 before the first
 }
 
 // NewMinhashDelta creates empty delta tables under the banding plan
@@ -75,13 +85,14 @@ func NewMinhashDelta(k, l int) *MinhashDelta {
 	for i := range t {
 		t[i] = make(map[uint64][]int32)
 	}
-	return &MinhashDelta{k: k, l: l, tables: t}
+	return &MinhashDelta{k: k, l: l, tables: t, last: -1}
 }
 
 // Add inserts vector id with signature sig (covering at least k*l
 // hashes) into every band's bucket. Ids must be appended in increasing
-// order so bucket lists stay sorted.
+// order so bucket lists stay sorted; Add panics on any other id.
 func (d *MinhashDelta) Add(id int32, sig []uint32) {
+	d.last = checkIncreasing("MinhashDelta", d.last, id)
 	scratch := make([]uint64, (d.k+1)/2)
 	for band := 0; band < d.l; band++ {
 		key := minhashBandKey(sig, band, d.k, scratch)
@@ -93,23 +104,26 @@ func (d *MinhashDelta) Add(id int32, sig []uint32) {
 // deduplicated and in ascending id order — the delta twin of
 // MinhashTables.Probe.
 func (d *MinhashDelta) Probe(sig []uint32, n int32) []int32 {
-	seen := make(map[int32]struct{})
-	scratch := make([]uint64, (d.k+1)/2)
+	s := probePool.Get().(*probeScratch)
+	words := s.keyWords(d.k)
 	for band := 0; band < d.l; band++ {
-		key := minhashBandKey(sig, band, d.k, scratch)
-		collectDeltaBucket(seen, d.tables[band][key], n)
+		s.ids.AddAll(visible(d.tables[band][minhashBandKey(sig, band, d.k, words)], n))
 	}
-	return sortedIDs(seen)
+	return s.release()
 }
 
-// collectDeltaBucket adds the bucket's ids below the visibility bound
-// n to the seen-set. Buckets are appended in id order, so the suffix
-// beyond the first id >= n is invisible by construction.
-func collectDeltaBucket(seen map[int32]struct{}, bucket []int32, n int32) {
-	for _, id := range bucket {
-		if id >= n {
-			return
-		}
-		seen[id] = struct{}{}
+// visible returns the bucket's ids below the visibility bound n.
+// Buckets are appended in id order, so they are a prefix.
+func visible(bucket []int32, n int32) []int32 {
+	end, _ := slices.BinarySearch(bucket, n)
+	return bucket[:end]
+}
+
+// checkIncreasing returns id if it follows last, the previous id added
+// to the named delta, and panics otherwise.
+func checkIncreasing(delta string, last, id int32) int32 {
+	if id <= last {
+		panic(fmt.Sprintf("lshindex: %s.Add(%d) after id %d: ids must increase", delta, id, last))
 	}
+	return id
 }

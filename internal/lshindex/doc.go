@@ -24,7 +24,7 @@
 // every signature and laying the buckets out as sorted runs of ids.
 // Rows (StreamRows): contiguous batches of rows run on the worker
 // pool, row a collecting the ids after it in its runs across all
-// bands, deduplicated by a per-worker stamp array and put in ascending
+// bands, deduplicated by a per-worker id-set and read out in ascending
 // order, and each batch's rows go straight to the caller's batch body
 // on the same worker — the engine verifies them there, so a join's
 // candidates are never collected. Batch outputs leave tagged with
@@ -33,4 +33,15 @@
 // ascending (A, B) order, the canonical order verification reads. Band
 // keys depend only on the signatures and the band index, so the
 // candidates — set and order — are identical for any worker count.
+//
+// # Point probes
+//
+// BitsTables and MinhashTables (heap), BitsView and MinhashView
+// (mapped v3 sections) and BitsDelta and MinhashDelta (the live
+// index's memtable) answer one query signature with the ids sharing a
+// bucket with it, ascending and deduplicated. Every probe draws its
+// id-set and decode scratch from one package pool, adds each probed
+// bucket to the set, and reads the set out into its one exact-size
+// result — no map and no comparison sort per candidate — so a probe
+// costs about its buckets' length and allocates once.
 package lshindex

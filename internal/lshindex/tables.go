@@ -13,8 +13,10 @@
 package lshindex
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
+	"bayeslsh/internal/pair"
 	"bayeslsh/internal/shard"
 )
 
@@ -53,23 +55,20 @@ func (t *BitsTables) BandK() int { return t.k }
 // Probe returns the ids of corpus vectors sharing a bucket with sig in
 // any band (plus, with multi-probe, any bucket at Hamming distance one
 // from sig's band key), deduplicated and in ascending id order. sig
-// must cover at least k*l bits.
+// must cover at least k*l bits. The buckets are deduplicated in a
+// pooled id-set; the result is the probe's one allocation.
 func (t *BitsTables) Probe(sig []uint64) []int32 {
-	seen := make(map[int32]struct{})
+	s := probePool.Get().(*probeScratch)
 	for band := 0; band < t.l; band++ {
 		key := bitsBand(sig, band*t.k, t.k)
-		for _, id := range t.tables[band][key] {
-			seen[id] = struct{}{}
-		}
+		s.ids.AddAll(t.tables[band][key])
 		if t.multiProbe {
 			for b := 0; b < t.k; b++ {
-				for _, id := range t.tables[band][key^(1<<b)] {
-					seen[id] = struct{}{}
-				}
+				s.ids.AddAll(t.tables[band][key^(1<<b)])
 			}
 		}
 	}
-	return sortedIDs(seen)
+	return s.release()
 }
 
 // MinhashTables is a built set of l banded hash tables over minhash
@@ -106,15 +105,12 @@ func (t *MinhashTables) BandK() int { return t.k }
 // any band, deduplicated and in ascending id order. sig must cover at
 // least k*l hashes.
 func (t *MinhashTables) Probe(sig []uint32) []int32 {
-	seen := make(map[int32]struct{})
-	scratch := make([]uint64, (t.k+1)/2)
+	s := probePool.Get().(*probeScratch)
+	words := s.keyWords(t.k)
 	for band := 0; band < t.l; band++ {
-		key := minhashBandKey(sig, band, t.k, scratch)
-		for _, id := range t.tables[band][key] {
-			seen[id] = struct{}{}
-		}
+		s.ids.AddAll(t.tables[band][minhashBandKey(sig, band, t.k, words)])
 	}
-	return sortedIDs(seen)
+	return s.release()
 }
 
 // minhashBandKey computes the band key of hash positions
@@ -131,15 +127,32 @@ func minhashBandKey(sig []uint32, band, k int, scratch []uint64) uint64 {
 	return fnv1a64(uint64(band)+1, scratch)
 }
 
-// sortedIDs flattens a seen-set into an ascending id slice.
-func sortedIDs(seen map[int32]struct{}) []int32 {
-	if len(seen) == 0 {
-		return nil
-	}
-	ids := make([]int32, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// probeScratch is one point probe's working state, drawn from
+// probePool: the id-set that deduplicates the probed buckets, a buffer
+// the mapped views decode bucket runs into, and the minhash band-key
+// words. Sets grow to the largest id any probe has added and are
+// always returned empty, so probes of any table, view or delta share
+// the pool.
+type probeScratch struct {
+	ids pair.IDSet
+	buf []int32
+	key []uint64
+}
+
+var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
+
+// keyWords returns the scratch words minhashBandKey packs a band of k
+// minhashes into.
+func (s *probeScratch) keyWords(k int) []uint64 {
+	s.key = slices.Grow(s.key[:0], (k+1)/2)[:(k+1)/2]
+	return s.key
+}
+
+// release reads the probed ids out ascending into one exact-size slice
+// (nil when there are none) and returns the scratch, empty, to the
+// pool.
+func (s *probeScratch) release() []int32 {
+	ids := s.ids.Ascending()
+	probePool.Put(s)
 	return ids
 }

@@ -3,8 +3,9 @@
 // a sorted bucket run — a sorted key array, a cumulative-end
 // directory, and one delta+varint-compressed id blob — and BitsView /
 // MinhashView probe it in place by binary search over the mapped
-// bytes. Probe results are dedup'd and sorted exactly like the heap
-// tables', so the two serve bit-identical candidates.
+// bytes. A probe decodes each probed run into pooled scratch and
+// deduplicates the runs in the same pooled id-set as the heap tables,
+// so the two serve bit-identical candidates, ascending.
 //
 // Section layout (offsets relative to the section start, which is
 // page- and therefore 8-aligned):
@@ -21,7 +22,7 @@ package lshindex
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"bayeslsh/internal/snapshot"
 )
@@ -52,8 +53,8 @@ type bandRun struct {
 
 // lookup appends bucket key's ids (if present) to dst.
 func (b *bandRun) lookup(key uint64, dst []int32, n int) []int32 {
-	i := sort.Search(len(b.keys), func(i int) bool { return b.keys[i] >= key })
-	if i == len(b.keys) || b.keys[i] != key {
+	i, found := slices.BinarySearch(b.keys, key)
+	if !found {
 		return dst
 	}
 	start := uint64(0)
@@ -122,7 +123,7 @@ func writeFixedBuckets(w *snapshot.Writer, k, l int, flags uint32, tables []map[
 			//apsslint:allow mapiter keys are sorted below; map order never reaches the stream
 			b.keys = append(b.keys, key)
 		}
-		sort.Slice(b.keys, func(i, j int) bool { return b.keys[i] < b.keys[j] })
+		slices.Sort(b.keys)
 		for _, key := range b.keys {
 			b.blob = snapshot.AppendDeltaI32s(b.blob, buckets[key])
 			b.ends = append(b.ends, uint64(len(b.blob)))
@@ -242,22 +243,21 @@ func (t *BitsView) Validate() error {
 
 // Probe mirrors BitsTables.Probe over the mapped runs: same band
 // keys, same multi-probe neighborhood, same dedup'd ascending result.
+// Each band's runs are decoded into the pooled probe scratch and
+// deduplicated in its id-set, so the result is the one allocation.
 func (t *BitsView) Probe(sig []uint64) []int32 {
-	seen := make(map[int32]struct{})
-	var scratch []int32
+	s := probePool.Get().(*probeScratch)
 	for band := 0; band < t.l; band++ {
 		key := bitsBand(sig, band*t.k, t.k)
-		scratch = t.bands[band].lookup(key, scratch[:0], t.n)
+		s.buf = t.bands[band].lookup(key, s.buf[:0], t.n)
 		if t.multiProbe {
 			for b := 0; b < t.k; b++ {
-				scratch = t.bands[band].lookup(key^(1<<b), scratch, t.n)
+				s.buf = t.bands[band].lookup(key^(1<<b), s.buf, t.n)
 			}
 		}
-		for _, id := range scratch {
-			seen[id] = struct{}{}
-		}
+		s.ids.AddAll(s.buf)
 	}
-	return sortedIDs(seen)
+	return s.release()
 }
 
 // MinhashView is BitsView for minhash band tables.
@@ -306,17 +306,14 @@ func (t *MinhashView) Validate() error {
 	return nil
 }
 
-// Probe mirrors MinhashTables.Probe over the mapped runs.
+// Probe mirrors MinhashTables.Probe over the mapped runs, with
+// BitsView.Probe's pooled scratch.
 func (t *MinhashView) Probe(sig []uint32) []int32 {
-	seen := make(map[int32]struct{})
-	scratch := make([]uint64, (t.k+1)/2)
-	var ids []int32
+	s := probePool.Get().(*probeScratch)
+	words := s.keyWords(t.k)
 	for band := 0; band < t.l; band++ {
-		key := minhashBandKey(sig, band, t.k, scratch)
-		ids = t.bands[band].lookup(key, ids[:0], t.n)
-		for _, id := range ids {
-			seen[id] = struct{}{}
-		}
+		s.buf = t.bands[band].lookup(minhashBandKey(sig, band, t.k, words), s.buf[:0], t.n)
+		s.ids.AddAll(s.buf)
 	}
-	return sortedIDs(seen)
+	return s.release()
 }

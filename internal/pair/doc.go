@@ -11,7 +11,11 @@
 // query-serving path: a corpus id similar to an (out-of-corpus) query
 // vector. Rows groups a candidate stream by its left id — the form
 // banded LSH enumerates and verification reads — and RowsOf and
-// AppendRows convert between pairs and rows.
+// AppendRows convert between pairs and rows. IDSet deduplicates ids
+// and reads them out ascending: a bitset plus the list of ids added,
+// sorted when sparse and scanned word by word when dense, left empty
+// for reuse. Every point probe and the banding row phase collect their
+// candidate ids in one.
 //
 // # Ordering
 //
