@@ -188,8 +188,9 @@ type ExactSimFunc func(a, b int32) float64
 type Verifier interface {
 	// VerifyRows runs BayesLSH (Algorithm 1), prune and estimate, over
 	// one batch of rows, returning accepted pairs in row order. stop
-	// (nil for "not cancelable") is polled between pairs and between
-	// rounds; a stopped batch returns (nil, Stats{}).
+	// (nil for "not cancelable") is polled between rounds and every
+	// 1,024 partners within a round; a stopped batch returns
+	// (nil, Stats{}).
 	VerifyRows(rows pair.Rows, stop *shard.Stopper) ([]pair.Result, Stats)
 	// VerifyRowsLite runs BayesLSH-Lite (Algorithm 2) over one batch of
 	// rows: prune within the first h hashes, then verify survivors

@@ -44,8 +44,10 @@ func NewCosine(sigs [][]uint64, sigBits int, p Params) (*CosineVerifier, error) 
 // compared by XOR + popcount.
 func bitsKernel(sigs [][]uint64, estimate func(m, n int) float64, concentrated func(m, n int) bool) kernel {
 	return kernel{
-		stored:       func(id int32) QuerySig { return QuerySig{Bits: sigs[id]} },
-		qmatch:       func(q *QuerySig, id int32, from, to int) int { return sighash.MatchCount(q.Bits, sigs[id], from, to) },
+		stored: func(id int32) QuerySig { return QuerySig{Bits: sigs[id]} },
+		qmatchAll: func(q *QuerySig, ids []int32, from, to int, m []int32) {
+			sighash.MatchCounts(q.Bits, sigs, ids, from, to, m)
+		},
 		estimate:     estimate,
 		concentrated: concentrated,
 	}

@@ -10,7 +10,7 @@ import (
 // The pair-slice verification driver, for candidate sets that are
 // materialized (AllPairs, and banded LSH where a Jaccard prior must be
 // fitted from the whole set first). The round loop polls a
-// shard.Stopper between rounds (see verifyOne), the batch dispatch
+// shard.Stopper between rounds (see kernel.run), the batch dispatch
 // stops at the first done check (shard.StreamCtx), and partial work is
 // discarded once cancellation is observed — so a canceled run returns
 // (Stats{}, ctx.Err()), never something in between. Only the

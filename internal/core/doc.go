@@ -21,6 +21,22 @@
 // fixed budget of h hashes, after which survivors are verified
 // exactly.
 //
+// One loop (kernel.run) implements both algorithms, and it runs
+// round-major: for one query and its candidate ids, round r compares
+// every candidate still alive, the survivors are compacted in
+// candidate order, and only then does round r+1 run. Most candidates
+// die in the first round (§4's premise), so the first round is one
+// tight pass over the whole candidate list — for bit signatures one
+// XOR and popcount per candidate (sighash.MatchCounts), with the loads
+// of different candidates independent of each other — and later rounds
+// pass over the few survivors. Accepted pairs are reported in
+// candidate order, and every decision, signature depth and counter
+// (but the scheduling-dependent CacheHits/InferenceCalls split) is the
+// one a pair-by-pair loop would produce. The loop's working set
+// (alive ids, their positions and match counts, the accepted pairs)
+// comes from a per-verifier sync.Pool, so a warm call allocates only
+// its results.
+//
 // # Instantiations
 //
 // Three instantiations are provided: Jaccard (package-level minhash
@@ -60,6 +76,6 @@
 // accessed atomically), results collected in slot order are identical
 // for any worker count, batch size and row cut — the property that
 // makes the engine's sharded pipeline deterministic under a fixed
-// seed. Cancellation is polled between candidates and between hash
-// rounds.
+// seed. Cancellation is polled between hash rounds and every 1,024
+// candidates within a round (and within Lite's exact verification).
 package core

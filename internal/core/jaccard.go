@@ -41,8 +41,12 @@ func NewJaccard(sigs [][]uint32, prior stats.Beta, p Params) (*JaccardVerifier, 
 	}
 	v := &JaccardVerifier{prior: prior}
 	v.kernel = kernel{
-		stored:       func(id int32) QuerySig { return QuerySig{Min: sigs[id]} },
-		qmatch:       func(q *QuerySig, id int32, from, to int) int { return minhash.Matches(q.Min, sigs[id], from, to) },
+		stored: func(id int32) QuerySig { return QuerySig{Min: sigs[id]} },
+		qmatchAll: func(q *QuerySig, ids []int32, from, to int, m []int32) {
+			for i, id := range ids {
+				m[i] += int32(minhash.Matches(q.Min, sigs[id], from, to))
+			}
+		},
 		estimate:     v.Estimate,
 		concentrated: v.concentrated,
 	}

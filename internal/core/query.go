@@ -8,7 +8,8 @@ import (
 // One-sided verification: the query-serving path compares one
 // out-of-corpus query signature against corpus signatures, and batch
 // verification runs the same loop once per candidate row, with the
-// row's left vector as the query (kernel.rowQuery). So for a query
+// row's left vector as the query (kernel.rowQuery), through the one
+// round loop kernel.run. So for a query
 // whose signature equals corpus vector i's, every per-candidate
 // decision (prune round, accept round, estimate) is bit-identical to
 // the batch verification of the corresponding pair.
@@ -52,9 +53,9 @@ type QueryVerifier interface {
 	// VerifyQueryStop runs the BayesLSH round loop (Algorithm 1) for
 	// the query signature against each candidate corpus id, returning
 	// accepted hits in candidate order. stop (nil for "not
-	// cancelable") is polled between candidates and between rounds;
-	// once it trips, partial output is discarded and stop.Err() is
-	// returned.
+	// cancelable") is polled between rounds and every 1,024 candidates
+	// within a round; once it trips, partial output is discarded and
+	// stop.Err() is returned.
 	VerifyQueryStop(q QuerySig, ids []int32, stop *shard.Stopper) ([]pair.Hit, Stats, error)
 	// VerifyQueryLiteStop runs the pruning rounds of BayesLSH-Lite
 	// (Algorithm 2) within the first h hashes, then verifies survivors
@@ -73,19 +74,18 @@ func stopResultHits(hits []pair.Hit, st Stats, stop *shard.Stopper) ([]pair.Hit,
 }
 
 // verifyQuery runs the one-sided BayesLSH loop over all candidate ids.
-// stop is polled between candidates and rounds; on cancellation the
-// partial output must be discarded by the caller (VerifyQueryStop
-// does).
+// stop follows the kernel.run contract; on cancellation the partial
+// output must be discarded by the caller (VerifyQueryStop does).
 func (kr *kernel) verifyQuery(q QuerySig, ids []int32, stop *shard.Stopper) ([]pair.Hit, Stats) {
 	st := Stats{Candidates: len(ids), SurvivorsByRound: make([]int, len(kr.ns))}
-	out := make([]pair.Hit, 0, len(ids)/8+1)
-	for _, id := range ids {
-		if stop.Stopped() {
-			break
-		}
-		if sim, ok := kr.verifyOne(&q, id, stop, &st); ok {
-			out = append(out, pair.Hit{ID: id, Sim: sim})
-		}
+	sc := kr.getScratch()
+	defer kr.scratch.Put(sc)
+	if _, ok := kr.run(&q, ids, len(kr.ns), false, sc, stop, &st); !ok {
+		return nil, st
+	}
+	out := make([]pair.Hit, len(sc.acc))
+	for i, ac := range sc.acc {
+		out[i] = pair.Hit{ID: ids[ac.pos], Sim: ac.est}
 	}
 	st.Accepted = len(out)
 	return out, st
@@ -96,13 +96,16 @@ func (kr *kernel) verifyQuery(q QuerySig, ids []int32, stop *shard.Stopper) ([]p
 func (kr *kernel) verifyQueryLite(q QuerySig, ids []int32, h int, sim QuerySimFunc, stop *shard.Stopper) ([]pair.Hit, Stats) {
 	nRounds := liteRounds(h, kr.params.K, len(kr.ns))
 	st := Stats{Candidates: len(ids), SurvivorsByRound: make([]int, nRounds)}
+	sc := kr.getScratch()
+	defer kr.scratch.Put(sc)
+	survivors, ok := kr.run(&q, ids, nRounds, true, sc, stop, &st)
+	if !ok {
+		return nil, st
+	}
 	var out []pair.Hit
-	for _, id := range ids {
-		if stop.Stopped() {
-			break
-		}
-		if !kr.survivesLite(&q, id, nRounds, stop, &st) {
-			continue
+	for i, id := range survivors {
+		if i%partnerChunk == 0 && stop.Stopped() {
+			return nil, st
 		}
 		st.ExactVerified++
 		if s := sim(id); s >= kr.params.Threshold {

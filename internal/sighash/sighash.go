@@ -181,6 +181,33 @@ func MatchCount(a, b []uint64, from, to int) int {
 	return (to - from) - mismatches
 }
 
+// MatchCounts adds to counts[i] the number of agreeing bits of q and
+// sigs[ids[i]] in the bit range [from, to), for every i: the batched
+// MatchCount of a query against many signatures. When the range lies
+// inside one word, as every round of K <= 64 word-aligned hashes does,
+// each id costs one XOR and one popcount, and the loads of different
+// ids do not depend on each other. It panics if the range exceeds q or
+// any of the signatures.
+func MatchCounts(q []uint64, sigs [][]uint64, ids []int32, from, to int, counts []int32) {
+	if from < 0 || from > to || to > 64*len(q) {
+		panic("sighash: MatchCounts range out of bounds")
+	}
+	counts = counts[:len(ids)]
+	w := from / 64
+	if from == to || w != (to-1)/64 {
+		for i, id := range ids {
+			counts[i] += int32(MatchCount(q, sigs[id], from, to))
+		}
+		return
+	}
+	// Shift the range to the top of the word, dropping the bits on
+	// either side, as MatchCount does.
+	qw, shift, keep, width := q[w], uint(from%64), uint(64-(to-from)), int32(to-from)
+	for i, id := range ids {
+		counts[i] += width - int32(bits.OnesCount64((qw^sigs[id][w])>>shift<<keep))
+	}
+}
+
 // Bit returns bit i of signature sig.
 func Bit(sig []uint64, i int) uint64 { return (sig[i/64] >> (i % 64)) & 1 }
 

@@ -219,6 +219,35 @@ func TestMatchCountEveryRangeAgainstBits(t *testing.T) {
 	}
 }
 
+// TestMatchCountsEveryRangeAgainstMatchCount checks the batched
+// MatchCounts — its single-word loop and its multi-word fallback alike
+// — against MatchCount for every range 0 <= from <= to <= 192, over
+// random, all-zeros and all-ones signatures, with ids repeated and out
+// of order, and checks that it adds to the counts it is given.
+func TestMatchCountsEveryRangeAgainstMatchCount(t *testing.T) {
+	src := rng.New(79)
+	zeros, ones := make([]uint64, 3), []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
+	random := func() []uint64 { return []uint64{src.Uint64(), src.Uint64(), src.Uint64()} }
+	sigs := [][]uint64{random(), zeros, ones, random(), random()}
+	ids := []int32{3, 0, 2, 2, 1, 4, 0, 3, 1}
+	counts := make([]int32, len(ids))
+	for qi, q := range [][]uint64{random(), zeros, ones} {
+		for from := 0; from <= 192; from++ {
+			for to := from; to <= 192; to++ {
+				for i := range counts {
+					counts[i] = int32(i)
+				}
+				MatchCounts(q, sigs, ids, from, to, counts)
+				for i, id := range ids {
+					if want := int32(i + MatchCount(q, sigs[id], from, to)); counts[i] != want {
+						t.Fatalf("query %d, id %d at %d: MatchCounts(%d, %d) added up to %d, want %d", qi, id, i, from, to, counts[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMatchCountPropertyAgainstNaive(t *testing.T) {
 	f := func(aw, bw [4]uint64, fromRaw, toRaw uint8) bool {
 		a, b := aw[:], bw[:]

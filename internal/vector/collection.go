@@ -38,7 +38,7 @@ func (c *Collection) Stats() Stats {
 	s.AvgLen = float64(s.Nnz) / float64(len(c.Vecs))
 	for _, v := range c.Vecs {
 		d := float64(v.Len()) - s.AvgLen
-		s.LenVar += d * d
+		s.LenVar += float64(d * d)
 	}
 	s.LenVar /= float64(len(c.Vecs))
 	return s

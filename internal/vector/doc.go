@@ -18,6 +18,13 @@
 // Jaccard, BinaryCosine, Overlap) are pure merges, symmetric to the
 // last bit — which is what lets the query-serving index reproduce
 // batch similarities exactly with the argument order reversed.
+// No multiply-add is fused: the Go spec lets a compiler compute
+// x*y + z with one rounding instead of two, and arm64 code generation
+// does, so Dot, Norm and Stats write each product float64(a*b), an
+// explicit conversion that rounds it first. Exact similarities are
+// therefore the same bits on every architecture, and a CI step
+// cross-compiles for arm64 and rejects any fused instruction in this
+// package's code.
 // Collection adds corpus-level transforms (TfIdf, Normalize,
 // Binarize), statistics matching Table 1 of the BayesLSH paper, and
 // the plain-text serialization format shared by the CLI tools

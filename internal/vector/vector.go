@@ -93,7 +93,9 @@ func Dot(a, b Vector) float64 {
 	for i < len(a.Ind) && j < len(b.Ind) {
 		switch {
 		case a.Ind[i] == b.Ind[j]:
-			sum += a.Val[i] * b.Val[j]
+			// float64(·) rounds the product before the add, so no
+			// architecture fuses the two (see the package doc).
+			sum += float64(a.Val[i] * b.Val[j])
 			i++
 			j++
 		case a.Ind[i] < b.Ind[j]:
@@ -109,7 +111,7 @@ func Dot(a, b Vector) float64 {
 func (v Vector) Norm() float64 {
 	sum := 0.0
 	for _, x := range v.Val {
-		sum += x * x
+		sum += float64(x * x)
 	}
 	return math.Sqrt(sum)
 }

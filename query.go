@@ -186,9 +186,9 @@ func (ix *Index) Query(q Vec, opts QueryOptions) ([]Match, error) {
 }
 
 // QueryContext is Query with cooperative cancellation: verification
-// polls ctx between candidates (and, for the Bayes algorithms,
-// between hash rounds), so even a query with a pathologically large
-// candidate set aborts promptly. A canceled query returns an error
+// polls ctx between candidates (for the Bayes algorithms, between hash
+// rounds and every 1,024 candidates within a round), so even a query
+// with a pathologically large candidate set aborts promptly. A canceled query returns an error
 // wrapping context.Canceled or context.DeadlineExceeded and no
 // matches. For a ctx that is never canceled the result is
 // bit-identical to Query's.
@@ -232,8 +232,8 @@ func (ix *Index) QueryBatch(queries []Vec, opts QueryOptions) ([][]Match, error)
 
 // QueryBatchContext is QueryBatch with cooperative cancellation: one
 // watcher is shared by the whole batch, queries stop being dispatched
-// once ctx is done, and the query in flight on each worker aborts
-// between candidates. A canceled batch returns an error wrapping
+// once ctx is done, and the query in flight on each worker aborts as
+// its verification next polls (see QueryContext). A canceled batch returns an error wrapping
 // context.Canceled or context.DeadlineExceeded and no results — a
 // batch is one request, so partial delivery would be
 // indistinguishable from empty result sets.
@@ -418,8 +418,9 @@ func (c cut) run(q Vec, t float64, topK bool, stop *shard.Stopper) ([]Match, err
 
 // verify runs the built algorithm's verification over one segment's
 // candidate ids at the built threshold and appends the hits to out in
-// candidate order, through add. stop is polled between candidates; a
-// stopped verification returns the context's error.
+// candidate order, through add. stop is polled between candidates (by
+// the Bayes verifiers, between rounds and every 1,024 candidates
+// within one); a stopped verification returns the context's error.
 func (c cut) verify(out []Match, seg *segment, qs *querySigs, ids []int32, t float64, stop *shard.Stopper) ([]Match, error) {
 	o := c.ix.opts
 	m := c.ix.engine().measure

@@ -122,7 +122,9 @@ func (e *Engine) stream(ctx context.Context, o Options, out *Output, emit func(s
 
 // rowsFunc verifies one batch of candidate rows, returning the
 // accepted pairs in row order and the batch's counters; stop is polled
-// between pairs, and a stopped batch returns (nil, core.Stats{}).
+// as the verifier's round loop runs (between rounds and every 1,024
+// partners within one), and a stopped batch returns
+// (nil, core.Stats{}).
 type rowsFunc func(rows pair.Rows, stop *shard.Stopper) ([]pair.Result, core.Stats)
 
 // verifiedBatch is one verified batch on its way to emit.
