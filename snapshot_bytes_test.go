@@ -29,6 +29,17 @@ const (
 	cosLSHV3Digest = "dc4d6117ab39a6ab09033651dc26ad4a"
 )
 
+// Digests of a Jaccard LSHBayesLSH index (minhash band tables) and a
+// cosine LSHBayesLSH index with multi-probe (band section flags bit 0),
+// recorded while band tables were still per-band Go maps, so the run
+// layout that replaced them must encode both exactly as the maps did.
+const (
+	jacLSHV1Digest   = "ee1fa3c0b298feffbfb0f74330ff0a47"
+	jacLSHV3Digest   = "40aa464833c4c6bc5a03c9e5415b857c"
+	cosMPLSHV1Digest = "12925738f9821e388441f2a34963cb78"
+	cosMPLSHV3Digest = "ecb9d467def8a156d954ed812ee40f51"
+)
+
 func TestAllPairsSnapshotBytesPinned(t *testing.T) {
 	checkSnapshotDigests(t, smallDataset(t, 300).Binarize(), Jaccard, EngineConfig{Seed: 8},
 		Options{Algorithm: AllPairsBayesLSHLite, Threshold: 0.4}, apLiteV1Digest, apLiteV3Digest)
@@ -37,6 +48,16 @@ func TestAllPairsSnapshotBytesPinned(t *testing.T) {
 func TestCosineLSHSnapshotBytesPinned(t *testing.T) {
 	checkSnapshotDigests(t, smallDataset(t, 300), Cosine, EngineConfig{Seed: 8},
 		Options{Algorithm: LSHBayesLSH, Threshold: 0.7}, cosLSHV1Digest, cosLSHV3Digest)
+}
+
+func TestJaccardLSHSnapshotBytesPinned(t *testing.T) {
+	checkSnapshotDigests(t, smallDataset(t, 300).Binarize(), Jaccard, EngineConfig{Seed: 8},
+		Options{Algorithm: LSHBayesLSH, Threshold: 0.5}, jacLSHV1Digest, jacLSHV3Digest)
+}
+
+func TestCosineMultiProbeSnapshotBytesPinned(t *testing.T) {
+	checkSnapshotDigests(t, smallDataset(t, 300), Cosine, EngineConfig{Seed: 8},
+		Options{Algorithm: LSHBayesLSH, Threshold: 0.7, MultiProbe: true}, cosMPLSHV1Digest, cosMPLSHV3Digest)
 }
 
 // checkSnapshotDigests builds an index and compares the md5 of its
