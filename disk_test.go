@@ -732,6 +732,19 @@ func FuzzOpenIndexFile(f *testing.F) {
 	f.Add(good[:len(good)/2])
 	f.Add(good[:4100])
 	f.Add([]byte(diskidx.Magic))
+	// A multi-probe LSH index seeds the band-table view.
+	lsh, err := NewIndex(ds, Cosine, EngineConfig{Seed: 1, SignatureBits: 128},
+		Options{Algorithm: LSHBayesLSH, Threshold: 0.6, MultiProbe: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := lsh.SaveFileV3(seedPath); err != nil {
+		f.Fatal(err)
+	}
+	if good, err = os.ReadFile(seedPath); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
 
 	serve := func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -250,8 +250,6 @@ func (ix *Index) SaveFileV3(path string) error {
 			return err
 		}
 	}
-	bits, _ := ix.bits.(*lshindex.BitsTables)
-	mins, _ := ix.mins.(*lshindex.MinhashTables)
 	ap, _ := ix.ap.(*allpairs.Index)
 
 	f, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
@@ -282,11 +280,11 @@ func (ix *Index) SaveFileV3(path string) error {
 				e.minSigStore().WriteFixedSection(sw, minFill)
 			})
 		}
-		if bits != nil {
-			fw.Section(sectBitTables, bits.WriteFixedSection)
+		if ix.bits != nil {
+			fw.Section(sectBitTables, ix.bits.WriteFixedSection)
 		}
-		if mins != nil {
-			fw.Section(sectMinhashTables, mins.WriteFixedSection)
+		if ix.mins != nil {
+			fw.Section(sectMinhashTables, ix.mins.WriteFixedSection)
 		}
 		if ap != nil {
 			fw.Section(sectAllPairs, ap.WriteFixedSection)

@@ -50,14 +50,15 @@ type Index struct {
 	eng  atomic.Pointer[Engine]
 	opts Options // resolved search options the index was built with
 
-	// The candidate structures are interface-typed so one query path
-	// serves both residencies: heap tables/index built by BuildIndex or
-	// decoded from a v1/v2 snapshot, and read-only views laid over a
-	// mapped v3 snapshot by OpenIndexFile.
-	bits lshindex.BitsSource    // LSH tables, cosine measures
-	mins lshindex.MinhashSource // LSH tables, Jaccard
-	ap   allpairs.Source        // AllPairs inverted index
-	vq   core.QueryVerifier     // Bayes / Lite verification
+	// The candidate structures serve both residencies: built by
+	// BuildIndex or decoded from a v1/v2 snapshot into the heap, or laid
+	// over a mapped v3 snapshot by OpenIndexFile. Band tables have one
+	// form for both; the AllPairs source is interface-typed over the
+	// heap index and the mapped view.
+	bits *lshindex.BitsTables    // LSH tables, cosine measures
+	mins *lshindex.MinhashTables // LSH tables, Jaccard
+	ap   allpairs.Source         // AllPairs inverted index
+	vq   core.QueryVerifier      // Bayes / Lite verification
 
 	// disk is non-nil for an index served in place from a v3 snapshot
 	// (OpenIndexFile): it owns the mapping and the per-section

@@ -35,6 +35,7 @@
 package lshindex
 
 import (
+	"cmp"
 	"context"
 	"slices"
 
@@ -64,10 +65,16 @@ func BandBitsCtx(ctx context.Context, sigs [][]uint64, k, l int, multiProbe bool
 	if multiProbe {
 		probeBits = k
 	}
-	return band(ctx, len(sigs), l, probeBits, workers, func(band int) func(id int) uint64 {
+	return band(ctx, len(sigs), l, probeBits, workers, bitsKeys(sigs, k))
+}
+
+// bitsKeys returns the band key functions of packed bit signatures:
+// band j's key is the raw k-bit value at bits [j*k, (j+1)*k).
+func bitsKeys(sigs [][]uint64, k int) func(band int) func(id int) uint64 {
+	return func(band int) func(id int) uint64 {
 		from := band * k
 		return func(id int) uint64 { return bitsBand(sigs[id], from, k) }
-	})
+	}
 }
 
 // BandMinhashCtx runs the band phase over minhash signatures, sharded
@@ -78,10 +85,16 @@ func BandMinhashCtx(ctx context.Context, sigs [][]uint32, k, l, workers int) (*B
 	if err := validateMinhash(sigs, k, l); err != nil {
 		return nil, err
 	}
-	return band(ctx, len(sigs), l, 0, workers, func(band int) func(id int) uint64 {
+	return band(ctx, len(sigs), l, 0, workers, minhashKeys(sigs, k))
+}
+
+// minhashKeys returns the band key functions of minhash signatures,
+// each with its own key scratch.
+func minhashKeys(sigs [][]uint32, k int) func(band int) func(id int) uint64 {
+	return func(band int) func(id int) uint64 {
 		scratch := make([]uint64, (k+1)/2)
 		return func(id int) uint64 { return minhashBandKey(sigs[id], band, k, scratch) }
-	})
+	}
 }
 
 // CandidatesBitsCtx generates candidate pairs from packed bit
@@ -131,8 +144,9 @@ func collect(ctx context.Context, b *Banding, workers int) ([]pair.Pair, error) 
 
 // bandRuns is one band's buckets as sorted runs: bucket b's members,
 // ascending, are members[start[b]:start[b+1]], and id i sits in bucket
-// bucket[i] at members[pos[i]]. With multi-probe, keys[b] is bucket b's
-// band key and index maps a key back to its bucket.
+// bucket[i] at members[pos[i]]. When keyed (multi-probe, or a build that
+// encodes the runs), keys[b] is bucket b's band key and index maps a
+// key back to its bucket.
 type bandRuns struct {
 	start, members, bucket, pos []int32
 	keys                        []uint64
@@ -142,7 +156,7 @@ type bandRuns struct {
 // newBandRuns buckets ids 0..n-1 by key and counting-sorts them into
 // runs. Buckets are numbered in first-seen order; the numbering never
 // reaches the output, which is ordered by id.
-func newBandRuns(n int, key func(id int) uint64, probe bool) bandRuns {
+func newBandRuns(n int, key func(id int) uint64, keyed bool) bandRuns {
 	r := bandRuns{members: make([]int32, n), bucket: make([]int32, n), pos: make([]int32, n)}
 	index := make(map[uint64]int32)
 	var counts []int32
@@ -153,7 +167,7 @@ func newBandRuns(n int, key func(id int) uint64, probe bool) bandRuns {
 			b = int32(len(counts))
 			index[k] = b
 			counts = append(counts, 0)
-			if probe {
+			if keyed {
 				r.keys = append(r.keys, k)
 			}
 		}
@@ -173,10 +187,26 @@ func newBandRuns(n int, key func(id int) uint64, probe bool) bandRuns {
 		r.pos[id] = r.start[b]
 		r.members[r.start[b]] = int32(id)
 	}
-	if probe {
+	if keyed {
 		r.index = index
 	}
 	return r
+}
+
+// encode lays the runs out as one sorted bucket run, buckets in
+// ascending key order. The runs must be keyed.
+func (r *bandRuns) encode() bandRun {
+	order := make([]int32, len(r.keys))
+	for b := range order {
+		order[b] = int32(b)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(r.keys[a], r.keys[b]) })
+	run := bandRun{keys: make([]uint64, 0, len(order)), ends: make([]uint64, 0, len(order))}
+	for _, b := range order {
+		run.add(r.keys[b], r.members[r.start[b]:r.start[b+1]])
+	}
+	run.blob = slices.Clone(run.blob) // drop append's spare capacity: the run stays resident
+	return run
 }
 
 // addPartners adds to ids every id b > a that collides with a in this
@@ -215,6 +245,20 @@ func band(ctx context.Context, n, l, probeBits, workers int, bandKey func(band i
 		return nil, err
 	}
 	return b, nil
+}
+
+// buildRuns runs the band phase for point-probe tables over n ids:
+// each band is bucketed into runs and encoded, on the worker that
+// built it, into its sorted bucket run, so only the encoding outlives
+// the band. Table builds are not cancelable, hence the background
+// context, which never errs.
+func buildRuns(n, k, l, workers int, bandKey func(band int) func(id int) uint64) runTables {
+	t := runTables{k: k, l: l, n: n, bands: make([]bandRun, l)}
+	_ = shard.RunCtx(context.Background(), l, workers, 1, func(_, _, band int) {
+		r := newBandRuns(n, bandKey(band), true)
+		t.bands[band] = r.encode()
+	})
+	return t
 }
 
 // StreamRows runs the row phase of a banding on workers goroutines, in

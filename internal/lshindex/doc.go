@@ -36,12 +36,15 @@
 //
 // # Point probes
 //
-// BitsTables and MinhashTables (heap), BitsView and MinhashView
-// (mapped v3 sections) and BitsDelta and MinhashDelta (the live
-// index's memtable) answer one query signature with the ids sharing a
-// bucket with it, ascending and deduplicated. Every probe draws its
-// id-set and decode scratch from one package pool, adds each probed
-// bucket to the set, and reads the set out into its one exact-size
-// result — no map and no comparison sort per candidate — so a probe
-// costs about its buckets' length and allocates once.
+// BitsTables and MinhashTables and BitsDelta and MinhashDelta (the
+// live index's memtable) answer one query signature with the ids
+// sharing a bucket with it, ascending and deduplicated. The tables
+// have one form, each band a sorted bucket run: built in memory by the
+// band phase above, decoded from a v1/v2 stream into the same runs, or
+// laid over a mapped v3 section (BitsView and MinhashView are the same
+// types). Every probe draws its id-set from one package pool, decodes
+// each probed bucket straight into the set, and reads the set out into
+// its one exact-size result — no map and no comparison sort per
+// candidate — so a probe costs about its buckets' length and allocates
+// once.
 package lshindex

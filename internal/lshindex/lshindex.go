@@ -81,24 +81,6 @@ func bitsBand(sig []uint64, from, k int) uint64 {
 	return v
 }
 
-// fillBitsBuckets buckets band band of every packed bit signature by
-// its raw k-bit band value.
-func fillBitsBuckets(buckets map[uint64][]int32, sigs [][]uint64, band, k int) {
-	from := band * k
-	for id, sig := range sigs {
-		key := bitsBand(sig, from, k)
-		buckets[key] = append(buckets[key], int32(id))
-	}
-}
-
-// fillMinhashBuckets hashes band band of every signature into buckets.
-func fillMinhashBuckets(buckets map[uint64][]int32, sigs [][]uint32, band, k int, scratch []uint64) {
-	for id, sig := range sigs {
-		key := minhashBandKey(sig, band, k, scratch)
-		buckets[key] = append(buckets[key], int32(id))
-	}
-}
-
 // validateBits checks packed bit signatures against l bands of k bits.
 func validateBits(sigs [][]uint64, k, l int) error {
 	if k < 1 || k > 64 {

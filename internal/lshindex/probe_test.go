@@ -143,8 +143,8 @@ func minhashView(t *testing.T, tables *MinhashTables, n int) *MinhashView {
 	return v
 }
 
-// TestBitsProbesMatchReference checks BitsTables, BitsView and
-// BitsDelta probes against the brute-force map+sort reference, with
+// TestBitsProbesMatchReference checks built, stream-decoded and
+// section-opened BitsTables and BitsDelta probes against the brute-force map+sort reference, with
 // and without multi-probe, at a band width whose buckets hold most of
 // the corpus (the id-set's word scan) and at one whose buckets hold
 // a few ids (its sort). Queries are fresh random signatures and corpus
@@ -165,6 +165,7 @@ func TestBitsProbesMatchReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				view := bitsView(t, tables, n)
+				streamed := streamBits(t, tables, n)
 				delta := NewBitsDelta(k, l, mp)
 				for id, sig := range corpus {
 					delta.Add(int32(id), sig)
@@ -179,6 +180,7 @@ func TestBitsProbesMatchReference(t *testing.T) {
 				requireProbes(t, len(queries), shape.dense, []probeCase{
 					{"BitsTables", all, func(q, _ int) []int32 { return tables.Probe(queries[q]) }, want},
 					{"BitsView", all, func(q, _ int) []int32 { return view.Probe(queries[q]) }, want},
+					{"BitsStream", all, func(q, _ int) []int32 { return streamed.Probe(queries[q]) }, want},
 					{"BitsDelta", visibilities(n), func(q, vis int) []int32 { return delta.Probe(queries[q], int32(vis)) }, want},
 				})
 			})
@@ -186,8 +188,9 @@ func TestBitsProbesMatchReference(t *testing.T) {
 	}
 }
 
-// TestMinhashProbesMatchReference is the minhash twin: MinhashTables,
-// MinhashView and MinhashDelta against the reference over a
+// TestMinhashProbesMatchReference is the minhash twin: built,
+// stream-decoded and section-opened MinhashTables and MinhashDelta
+// against the reference over a
 // four-value alphabet, where one-hash bands put a quarter of the
 // corpus in each bucket and six-hash bands a few ids.
 func TestMinhashProbesMatchReference(t *testing.T) {
@@ -205,6 +208,7 @@ func TestMinhashProbesMatchReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			view := minhashView(t, tables, n)
+			streamed := streamMinhash(t, tables, n)
 			delta := NewMinhashDelta(k, l)
 			for id, sig := range corpus {
 				delta.Add(int32(id), sig)
@@ -218,6 +222,7 @@ func TestMinhashProbesMatchReference(t *testing.T) {
 			requireProbes(t, len(queries), shape.dense, []probeCase{
 				{"MinhashTables", all, func(q, _ int) []int32 { return tables.Probe(queries[q]) }, want},
 				{"MinhashView", all, func(q, _ int) []int32 { return view.Probe(queries[q]) }, want},
+				{"MinhashStream", all, func(q, _ int) []int32 { return streamed.Probe(queries[q]) }, want},
 				{"MinhashDelta", visibilities(n), func(q, vis int) []int32 { return delta.Probe(queries[q], int32(vis)) }, want},
 			})
 		})

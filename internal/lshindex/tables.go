@@ -7,8 +7,15 @@
 // computed exactly as the corpus keys were, so a query equal to corpus
 // vector i collides with precisely the vectors i collides with in the
 // batch scan — the property the engine's query-vs-batch consistency
-// guarantee rests on. Tables are immutable after Build and safe for
-// any number of concurrent Probe calls.
+// guarantee rests on.
+//
+// Every table has one in-memory form, the sorted bucket run of the v3
+// band section (view.go): Build runs the batch join's band phase and
+// encodes each band on the worker that built it, the v1 stream codec
+// (snapshot.go) decodes into the same runs, and OpenBitsView /
+// OpenMinhashView lay them over mapped section bytes. Tables are
+// immutable once built or opened and safe for any number of concurrent
+// Probe calls.
 
 package lshindex
 
@@ -17,16 +24,46 @@ import (
 	"sync"
 
 	"bayeslsh/internal/pair"
-	"bayeslsh/internal/shard"
 )
 
-// BitsTables is a built set of l banded hash tables over packed bit
+// runTables is the state both table kinds share: l bands of k hashes
+// over a corpus of n ids, each band one sorted bucket run.
+type runTables struct {
+	k, l  int
+	n     int
+	bands []bandRun
+}
+
+// Bands returns the number of tables l.
+func (t *runTables) Bands() int { return t.l }
+
+// BandK returns the number of hashes (bits or minhashes) per band.
+func (t *runTables) BandK() int { return t.k }
+
+// Validate walks every bucket run — strictly ascending keys, every run
+// decodable, non-empty and inside the corpus — so probes can decode
+// without error paths. A mapped section is validated on first touch;
+// built and stream-decoded tables pass by construction.
+func (t *runTables) Validate() error {
+	for bi := range t.bands {
+		if err := t.bands[bi].validate(bi, t.n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// BitsTables is a set of l banded hash tables over packed bit
 // signatures (cosine hyperplane hashes), serving point probes.
 type BitsTables struct {
-	k, l       int
+	runTables
 	multiProbe bool
-	tables     []map[uint64][]int32
 }
+
+// BitsView is BitsTables: tables opened over a mapped v3 section and
+// tables built in memory are one type. The alias keeps the view's name
+// for callers that still spell it.
+type BitsView = BitsTables
 
 // BuildBits builds l banded tables of k bits per band over the corpus
 // signatures, sharding table construction over workers goroutines.
@@ -37,46 +74,37 @@ func BuildBits(sigs [][]uint64, k, l, workers int, multiProbe bool) (*BitsTables
 	if err := validateBits(sigs, k, l); err != nil {
 		return nil, err
 	}
-	t := &BitsTables{k: k, l: l, multiProbe: multiProbe, tables: make([]map[uint64][]int32, l)}
-	shard.Run(l, workers, 1, func(_, _, band int) {
-		buckets := make(map[uint64][]int32)
-		fillBitsBuckets(buckets, sigs, band, k)
-		t.tables[band] = buckets
-	})
-	return t, nil
+	return &BitsTables{runTables: buildRuns(len(sigs), k, l, workers, bitsKeys(sigs, k)), multiProbe: multiProbe}, nil
 }
-
-// Bands returns the number of tables l.
-func (t *BitsTables) Bands() int { return t.l }
-
-// BandK returns the number of bits per band.
-func (t *BitsTables) BandK() int { return t.k }
 
 // Probe returns the ids of corpus vectors sharing a bucket with sig in
 // any band (plus, with multi-probe, any bucket at Hamming distance one
 // from sig's band key), deduplicated and in ascending id order. sig
-// must cover at least k*l bits. The buckets are deduplicated in a
-// pooled id-set; the result is the probe's one allocation.
+// must cover at least k*l bits. Each probed bucket is decoded straight
+// into the pooled probe id-set, so the result is the probe's one
+// allocation.
 func (t *BitsTables) Probe(sig []uint64) []int32 {
 	s := probePool.Get().(*probeScratch)
 	for band := 0; band < t.l; band++ {
 		key := bitsBand(sig, band*t.k, t.k)
-		s.ids.AddAll(t.tables[band][key])
+		t.bands[band].addBucket(&s.ids, key, t.n)
 		if t.multiProbe {
 			for b := 0; b < t.k; b++ {
-				s.ids.AddAll(t.tables[band][key^(1<<b)])
+				t.bands[band].addBucket(&s.ids, key^(1<<b), t.n)
 			}
 		}
 	}
 	return s.release()
 }
 
-// MinhashTables is a built set of l banded hash tables over minhash
+// MinhashTables is a set of l banded hash tables over minhash
 // signatures, serving point probes.
 type MinhashTables struct {
-	k, l   int
-	tables []map[uint64][]int32
+	runTables
 }
+
+// MinhashView is MinhashTables, as BitsView is BitsTables.
+type MinhashView = MinhashTables
 
 // BuildMinhash builds l banded tables of k minhashes per band over the
 // corpus signatures, sharding table construction over workers
@@ -85,21 +113,8 @@ func BuildMinhash(sigs [][]uint32, k, l, workers int) (*MinhashTables, error) {
 	if err := validateMinhash(sigs, k, l); err != nil {
 		return nil, err
 	}
-	t := &MinhashTables{k: k, l: l, tables: make([]map[uint64][]int32, l)}
-	shard.Run(l, workers, 1, func(_, _, band int) {
-		buckets := make(map[uint64][]int32)
-		scratch := make([]uint64, (k+1)/2)
-		fillMinhashBuckets(buckets, sigs, band, k, scratch)
-		t.tables[band] = buckets
-	})
-	return t, nil
+	return &MinhashTables{buildRuns(len(sigs), k, l, workers, minhashKeys(sigs, k))}, nil
 }
-
-// Bands returns the number of tables l.
-func (t *MinhashTables) Bands() int { return t.l }
-
-// BandK returns the number of minhashes per band.
-func (t *MinhashTables) BandK() int { return t.k }
 
 // Probe returns the ids of corpus vectors sharing a bucket with sig in
 // any band, deduplicated and in ascending id order. sig must cover at
@@ -108,14 +123,14 @@ func (t *MinhashTables) Probe(sig []uint32) []int32 {
 	s := probePool.Get().(*probeScratch)
 	words := s.keyWords(t.k)
 	for band := 0; band < t.l; band++ {
-		s.ids.AddAll(t.tables[band][minhashBandKey(sig, band, t.k, words)])
+		t.bands[band].addBucket(&s.ids, minhashBandKey(sig, band, t.k, words), t.n)
 	}
 	return s.release()
 }
 
 // minhashBandKey computes the band key of hash positions
-// [band*k, (band+1)*k) of sig — the same key fillMinhashBuckets
-// assigns, factored out so table fills and probes cannot drift apart.
+// [band*k, (band+1)*k) of sig — the one key function of banding,
+// table builds and probes, so they cannot drift apart.
 func minhashBandKey(sig []uint32, band, k int, scratch []uint64) uint64 {
 	for i := range scratch {
 		scratch[i] = 0
@@ -128,14 +143,12 @@ func minhashBandKey(sig []uint32, band, k int, scratch []uint64) uint64 {
 }
 
 // probeScratch is one point probe's working state, drawn from
-// probePool: the id-set that deduplicates the probed buckets, a buffer
-// the mapped views decode bucket runs into, and the minhash band-key
-// words. Sets grow to the largest id any probe has added and are
-// always returned empty, so probes of any table, view or delta share
-// the pool.
+// probePool: the id-set that deduplicates the probed buckets and the
+// minhash band-key words.
+// Sets grow to the largest id any probe has added and are always
+// returned empty, so probes of any table or delta share the pool.
 type probeScratch struct {
 	ids pair.IDSet
-	buf []int32
 	key []uint64
 }
 

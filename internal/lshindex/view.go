@@ -1,11 +1,11 @@
-// Disk-servable (v3) band tables. The v1 stream codec decodes buckets
-// into per-band Go maps; the v3 section instead persists each band as
-// a sorted bucket run — a sorted key array, a cumulative-end
-// directory, and one delta+varint-compressed id blob — and BitsView /
-// MinhashView probe it in place by binary search over the mapped
-// bytes. A probe decodes each probed run into pooled scratch and
-// deduplicates the runs in the same pooled id-set as the heap tables,
-// so the two serve bit-identical candidates, ascending.
+// The one layout of the band tables, in memory and on disk: each band
+// is a sorted bucket run — a sorted key array, a cumulative-end
+// directory, and one delta+varint-compressed id blob — probed by binary
+// search over the keys. The v3 band section is these runs verbatim,
+// so OpenBitsView / OpenMinhashView serve straight from the mapped
+// bytes, and tables built in memory or decoded from a v1/v2 stream
+// hold the same runs in heap slices. A probe decodes each probed run
+// into pooled scratch and deduplicates the runs in a pooled id-set.
 //
 // Section layout (offsets relative to the section start, which is
 // page- and therefore 8-aligned):
@@ -21,51 +21,91 @@
 package lshindex
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
+	"bayeslsh/internal/pair"
 	"bayeslsh/internal/snapshot"
 )
 
-// BitsSource generates candidates from a probed bit signature: the
-// heap BitsTables and the mapped BitsView implement it identically.
-type BitsSource interface {
-	Bands() int
-	BandK() int
-	Probe(sig []uint64) []int32
-}
-
-// MinhashSource is BitsSource for minhash signatures.
-type MinhashSource interface {
-	Bands() int
-	BandK() int
-	Probe(sig []uint32) []int32
-}
-
 const viewHeader = 16
 
-// bandRun is one band's sorted bucket run, viewed in place.
+// bandRun is one band's sorted bucket run: keys ascending, bucket i's
+// ids delta+varint-encoded at blob[ends[i-1]:ends[i]]. The slices view
+// mapped section bytes or own heap memory; either way they are never
+// written after the run is built.
 type bandRun struct {
 	keys []uint64
 	ends []uint64
 	blob []byte
 }
 
-// lookup appends bucket key's ids (if present) to dst.
-func (b *bandRun) lookup(key uint64, dst []int32, n int) []int32 {
+// add appends bucket key, holding ids (ascending and non-empty), after
+// the run's last bucket; keys must be added in ascending order.
+func (b *bandRun) add(key uint64, ids []int32) {
+	b.keys = append(b.keys, key)
+	b.blob = snapshot.AppendDeltaI32s(b.blob, ids)
+	b.ends = append(b.ends, uint64(len(b.blob)))
+}
+
+// addBucket adds the ids of bucket key, if present, to set. The run
+// must be valid (Validate, or built in memory), so it decodes without
+// error paths; ids are still bounds-checked against the corpus of n,
+// so a mapping changed underneath us panics instead of growing the set
+// without bound.
+func (b *bandRun) addBucket(set *pair.IDSet, key uint64, n int) {
 	i, found := slices.BinarySearch(b.keys, key)
 	if !found {
-		return dst
+		return
 	}
-	start := uint64(0)
-	if i > 0 {
-		start = b.ends[i-1]
+	run := b.blob[b.start(i):b.ends[i]]
+	// The run's extent bounds its ids, so the leading count is skipped.
+	// The first id is coded from 0, every later one from its
+	// predecessor, so one running sum decodes them all.
+	_, off := binary.Uvarint(run)
+	if off <= 0 {
+		badRun(i, off)
 	}
-	dst, _, err := snapshot.DecodeDeltaI32s(dst, b.blob[start:b.ends[i]], int32(n))
+	for id := uint64(0); off < len(run); {
+		d := uint64(run[off])
+		if d < 0x80 {
+			off++
+		} else {
+			var k int
+			if d, k = binary.Uvarint(run[off:]); k <= 0 {
+				badRun(i, off)
+			}
+			off += k
+		}
+		if id += d; id >= uint64(n) {
+			badRun(i, off)
+		}
+		set.Add(int32(id))
+	}
+}
+
+// badRun reports a bucket run that failed to decode after validation.
+// Validate walked every run on first touch, so the mapping changed
+// underneath us.
+func badRun(i, off int) {
+	panic(fmt.Sprintf("lshindex: validated bucket run %d failed to decode at byte %d", i, off))
+}
+
+// start returns the byte offset of bucket i's run.
+func (b *bandRun) start(i int) uint64 {
+	if i == 0 {
+		return 0
+	}
+	return b.ends[i-1]
+}
+
+// bucket appends bucket i's ids to dst.
+func (b *bandRun) bucket(i int, dst []int32, n int) []int32 {
+	dst, _, err := snapshot.DecodeDeltaI32s(dst, b.blob[b.start(i):b.ends[i]], int32(n))
 	if err != nil {
-		// Validate walked every run on first touch; a failure here means
-		// the mapping changed underneath us.
-		panic(fmt.Sprintf("lshindex: validated bucket run failed to decode: %v", err))
+		panic(fmt.Sprintf("lshindex: validated bucket run %d failed to decode: %v", i, err))
 	}
 	return dst
 }
@@ -87,6 +127,7 @@ func (b *bandRun) validate(band, n int) error {
 			return fmt.Errorf("%w: band %d: run end %d after %d (blob %d)", snapshot.ErrCorrupt, band, end, prevEnd, len(b.blob))
 		}
 		ids, used, err := snapshot.DecodeDeltaI32s(scratch[:0], b.blob[prevEnd:end], int32(n))
+		scratch = ids
 		if err != nil {
 			return fmt.Errorf("band %d bucket %d: %w", band, i, err)
 		}
@@ -104,36 +145,19 @@ func (b *bandRun) validate(band, n int) error {
 	return nil
 }
 
-// writeFixedBuckets serializes per-band sorted bucket runs.
-func writeFixedBuckets(w *snapshot.Writer, k, l int, flags uint32, tables []map[uint64][]int32) {
-	w.U32(uint32(k))
-	w.U32(uint32(l))
+// writeFixed serializes the runs as a band section.
+func (t *runTables) writeFixed(w *snapshot.Writer, flags uint32) {
+	w.U32(uint32(t.k))
+	w.U32(uint32(t.l))
 	w.U32(flags)
 	w.U32(0)
-	type band struct {
-		keys []uint64
-		ends []uint64
-		blob []byte
-	}
-	bands := make([]band, len(tables))
-	off := uint64(viewHeader + 8*len(tables))
-	for bi, buckets := range tables {
-		b := band{keys: make([]uint64, 0, len(buckets))}
-		for key := range buckets {
-			//apsslint:allow mapiter keys are sorted below; map order never reaches the stream
-			b.keys = append(b.keys, key)
-		}
-		slices.Sort(b.keys)
-		for _, key := range b.keys {
-			b.blob = snapshot.AppendDeltaI32s(b.blob, buckets[key])
-			b.ends = append(b.ends, uint64(len(b.blob)))
-		}
-		bands[bi] = b
+	off := uint64(viewHeader + 8*len(t.bands))
+	for _, b := range t.bands {
 		w.U64(off)
 		size := uint64(8 + 16*len(b.keys) + len(b.blob))
 		off += (size + 7) / 8 * 8
 	}
-	for _, b := range bands {
+	for _, b := range t.bands {
 		w.U64(uint64(len(b.keys)))
 		for _, key := range b.keys {
 			w.U64(key)
@@ -146,12 +170,22 @@ func writeFixedBuckets(w *snapshot.Writer, k, l int, flags uint32, tables []map[
 	}
 }
 
-// openFixedBuckets lays band views over a writeFixedBuckets payload.
-// Bounds are validated here (directory offsets, array extents); the
-// full run walk is validate, run on first touch with the checksum.
-func openFixedBuckets(buf []byte, l, n int) ([]bandRun, error) {
+// openRuns lays tables over a band section for a corpus of n vectors,
+// accepting band widths k in [1, maxK], and returns them with the
+// section's flags. Shape and extents (directory offsets, array bounds)
+// are checked here; Validate walks the runs, on first touch with the
+// checksum.
+func openRuns(buf []byte, n, maxK int) (runTables, uint32, error) {
+	if len(buf) < viewHeader {
+		return runTables{}, 0, fmt.Errorf("%w: band section %d bytes", snapshot.ErrCorrupt, len(buf))
+	}
+	r := snapshot.NewReader(buf)
+	k, l, flags := int(r.U32()), int(r.U32()), r.U32()
+	if k < 1 || k > maxK || l < 1 {
+		return runTables{}, 0, fmt.Errorf("%w: band shape k=%d l=%d", snapshot.ErrCorrupt, k, l)
+	}
 	if uint64(len(buf)) < uint64(viewHeader)+8*uint64(l) {
-		return nil, fmt.Errorf("%w: band section %d bytes for %d bands", snapshot.ErrCorrupt, len(buf), l)
+		return runTables{}, 0, fmt.Errorf("%w: band section %d bytes for %d bands", snapshot.ErrCorrupt, len(buf), l)
 	}
 	dir := snapshot.ViewU64s(buf[viewHeader : viewHeader+8*l])
 	bands := make([]bandRun, l)
@@ -162,12 +196,12 @@ func openFixedBuckets(buf []byte, l, n int) ([]bandRun, error) {
 			end = dir[bi+1]
 		}
 		if off%8 != 0 || off < uint64(viewHeader+8*l) || off+8 > end || end > uint64(len(buf)) {
-			return nil, fmt.Errorf("%w: band %d block [%d, %d) out of place", snapshot.ErrCorrupt, bi, off, end)
+			return runTables{}, 0, fmt.Errorf("%w: band %d block [%d, %d) out of place", snapshot.ErrCorrupt, bi, off, end)
 		}
 		nb := snapshot.ViewU64s(buf[off : off+8])[0]
 		span := end - off - 8
 		if nb > span/16 {
-			return nil, fmt.Errorf("%w: band %d: %d buckets in %d bytes", snapshot.ErrCorrupt, bi, nb, span)
+			return runTables{}, 0, fmt.Errorf("%w: band %d: %d buckets in %d bytes", snapshot.ErrCorrupt, bi, nb, span)
 		}
 		keysOff := off + 8
 		endsOff := keysOff + 8*nb
@@ -181,139 +215,44 @@ func openFixedBuckets(buf []byte, l, n int) ([]bandRun, error) {
 			blobLen = b.ends[nb-1]
 		}
 		if blobLen > end-blobOff {
-			return nil, fmt.Errorf("%w: band %d: id blob %d bytes, %d available", snapshot.ErrCorrupt, bi, blobLen, end-blobOff)
+			return runTables{}, 0, fmt.Errorf("%w: band %d: id blob %d bytes, %d available", snapshot.ErrCorrupt, bi, blobLen, end-blobOff)
 		}
 		b.blob = buf[blobOff : blobOff+blobLen : blobOff+blobLen]
 		bands[bi] = b
 	}
-	return bands, nil
+	return runTables{k: k, l: l, n: n, bands: bands}, flags, nil
 }
 
-// BitsView serves probes straight from a mapped v3 band section,
-// answering identically to the BitsTables that wrote it.
-type BitsView struct {
-	k, l       int
-	multiProbe bool
-	n          int
-	bands      []bandRun
-}
-
-// WriteFixedSection serializes the tables as sorted bucket runs.
+// WriteFixedSection serializes the tables as a v3 band section.
 func (t *BitsTables) WriteFixedSection(w *snapshot.Writer) {
 	flags := uint32(0)
 	if t.multiProbe {
 		flags = 1
 	}
-	writeFixedBuckets(w, t.k, t.l, flags, t.tables)
+	t.writeFixed(w, flags)
 }
 
-// OpenBitsView lays a view over a WriteFixedSection payload for a
+// OpenBitsView lays tables over a WriteFixedSection payload for a
 // corpus of n vectors.
 func OpenBitsView(buf []byte, n int) (*BitsView, error) {
-	if len(buf) < viewHeader {
-		return nil, fmt.Errorf("%w: band section %d bytes", snapshot.ErrCorrupt, len(buf))
-	}
-	r := snapshot.NewReader(buf)
-	t := &BitsView{k: int(r.U32()), l: int(r.U32()), multiProbe: r.U32()&1 != 0, n: n}
-	if t.k < 1 || t.k > 64 || t.l < 1 {
-		return nil, fmt.Errorf("%w: band shape k=%d l=%d", snapshot.ErrCorrupt, t.k, t.l)
-	}
-	var err error
-	if t.bands, err = openFixedBuckets(buf, t.l, n); err != nil {
+	t, flags, err := openRuns(buf, n, 64)
+	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &BitsTables{runTables: t, multiProbe: flags&1 != 0}, nil
 }
 
-// Bands returns the number of tables l.
-func (t *BitsView) Bands() int { return t.l }
-
-// BandK returns the number of bits per band.
-func (t *BitsView) BandK() int { return t.k }
-
-// Validate walks every bucket run (first-touch deep check).
-func (t *BitsView) Validate() error {
-	for bi := range t.bands {
-		if err := t.bands[bi].validate(bi, t.n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Probe mirrors BitsTables.Probe over the mapped runs: same band
-// keys, same multi-probe neighborhood, same dedup'd ascending result.
-// Each band's runs are decoded into the pooled probe scratch and
-// deduplicated in its id-set, so the result is the one allocation.
-func (t *BitsView) Probe(sig []uint64) []int32 {
-	s := probePool.Get().(*probeScratch)
-	for band := 0; band < t.l; band++ {
-		key := bitsBand(sig, band*t.k, t.k)
-		s.buf = t.bands[band].lookup(key, s.buf[:0], t.n)
-		if t.multiProbe {
-			for b := 0; b < t.k; b++ {
-				s.buf = t.bands[band].lookup(key^(1<<b), s.buf, t.n)
-			}
-		}
-		s.ids.AddAll(s.buf)
-	}
-	return s.release()
-}
-
-// MinhashView is BitsView for minhash band tables.
-type MinhashView struct {
-	k, l  int
-	n     int
-	bands []bandRun
-}
-
-// WriteFixedSection serializes the tables as sorted bucket runs.
+// WriteFixedSection serializes the tables as a v3 band section.
 func (t *MinhashTables) WriteFixedSection(w *snapshot.Writer) {
-	writeFixedBuckets(w, t.k, t.l, 0, t.tables)
+	t.writeFixed(w, 0)
 }
 
-// OpenMinhashView lays a view over a WriteFixedSection payload for a
-// corpus of n vectors.
+// OpenMinhashView lays tables over a WriteFixedSection payload for a
+// corpus of n vectors, as OpenBitsView does.
 func OpenMinhashView(buf []byte, n int) (*MinhashView, error) {
-	if len(buf) < viewHeader {
-		return nil, fmt.Errorf("%w: band section %d bytes", snapshot.ErrCorrupt, len(buf))
-	}
-	r := snapshot.NewReader(buf)
-	t := &MinhashView{k: int(r.U32()), l: int(r.U32()), n: n}
-	if t.k < 1 || t.l < 1 {
-		return nil, fmt.Errorf("%w: band shape k=%d l=%d", snapshot.ErrCorrupt, t.k, t.l)
-	}
-	var err error
-	if t.bands, err = openFixedBuckets(buf, t.l, n); err != nil {
+	t, _, err := openRuns(buf, n, math.MaxInt)
+	if err != nil {
 		return nil, err
 	}
-	return t, nil
-}
-
-// Bands returns the number of tables l.
-func (t *MinhashView) Bands() int { return t.l }
-
-// BandK returns the number of minhashes per band.
-func (t *MinhashView) BandK() int { return t.k }
-
-// Validate walks every bucket run (first-touch deep check).
-func (t *MinhashView) Validate() error {
-	for bi := range t.bands {
-		if err := t.bands[bi].validate(bi, t.n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Probe mirrors MinhashTables.Probe over the mapped runs, with
-// BitsView.Probe's pooled scratch.
-func (t *MinhashView) Probe(sig []uint32) []int32 {
-	s := probePool.Get().(*probeScratch)
-	words := s.keyWords(t.k)
-	for band := 0; band < t.l; band++ {
-		s.buf = t.bands[band].lookup(minhashBandKey(sig, band, t.k, words), s.buf[:0], t.n)
-		s.ids.AddAll(s.buf)
-	}
-	return s.release()
+	return &MinhashTables{t}, nil
 }

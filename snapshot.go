@@ -98,12 +98,10 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 // (version 2, which appends a live section after these).
 func (ix *Index) writeSections(sw *snapshot.Writer) {
 	e := ix.engine()
-	// The candidate fields are interface-typed since the disk-serving
-	// views arrived; the v1 stream codecs write the heap structures.
-	// WriteTo guards the disk-backed case with ErrDiskBacked, so these
-	// assertions see heap structures (or nothing) here.
-	bits, _ := ix.bits.(*lshindex.BitsTables)
-	mins, _ := ix.mins.(*lshindex.MinhashTables)
+	// The AllPairs source is interface-typed since the disk-serving view
+	// arrived; the v1 stream codec writes the heap index. WriteTo guards
+	// the disk-backed case with ErrDiskBacked, so this assertion sees a
+	// heap index (or nothing) here.
 	ap, _ := ix.ap.(*allpairs.Index)
 	sw.Section(sectMeta, ix.writeMeta)
 	sw.Section(sectVectors, e.ds.c.WriteSnapshot)
@@ -120,15 +118,15 @@ func (ix *Index) writeSections(sw *snapshot.Writer) {
 		}
 	})
 	sw.Section(sectBitTables, func(s *snapshot.Writer) {
-		s.Bool(bits != nil)
-		if bits != nil {
-			bits.WriteSnapshot(s)
+		s.Bool(ix.bits != nil)
+		if ix.bits != nil {
+			ix.bits.WriteSnapshot(s)
 		}
 	})
 	sw.Section(sectMinhashTables, func(s *snapshot.Writer) {
-		s.Bool(mins != nil)
-		if mins != nil {
-			mins.WriteSnapshot(s)
+		s.Bool(ix.mins != nil)
+		if ix.mins != nil {
+			ix.mins.WriteSnapshot(s)
 		}
 	})
 	sw.Section(sectAllPairs, func(s *snapshot.Writer) {

@@ -467,6 +467,17 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:len(buf.Bytes())/2])
 	f.Add([]byte(snapshotMagic))
+	// A multi-probe LSH index seeds the band-table decoder.
+	lsh, err := NewIndex(ds, Cosine, EngineConfig{Seed: 1, SignatureBits: 128},
+		Options{Algorithm: LSHBayesLSH, Threshold: 0.6, MultiProbe: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	buf.Reset()
+	if _, err := lsh.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	serve := func(t *testing.T, data []byte) {
 		ix, err := ReadIndex(bytes.NewReader(data))
 		if err != nil {
@@ -553,4 +564,117 @@ func goldenDataset() *Dataset {
 		ds.Add(v)
 	}
 	return ds.TfIdf().Normalize()
+}
+
+// withSection returns a copy of a version-1 or version-2 snapshot
+// whose section tag carries payload instead, re-sealed with a valid
+// checksum the way a deliberate forger would.
+func withSection(t *testing.T, snap []byte, tag uint32, payload []byte) []byte {
+	t.Helper()
+	body := snap[len(snapshotMagic)+4 : len(snap)-4]
+	out := append([]byte{}, snap[:len(snapshotMagic)+4]...)
+	found := false
+	for len(body) > 0 {
+		got := binary.LittleEndian.Uint32(body)
+		n := binary.LittleEndian.Uint64(body[4:])
+		frame := body[:12+n]
+		body = body[12+n:]
+		if got == tag {
+			found = true
+			frame = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, tag), uint64(len(payload)))
+			frame = append(frame, payload...)
+		}
+		out = append(out, frame...)
+	}
+	if !found {
+		t.Fatalf("snapshot has no section %d", tag)
+	}
+	return binary.LittleEndian.AppendUint32(out, snapshot.Checksum(out))
+}
+
+// TestHostileBandTables forges the band-table section of version-1 and
+// version-2 snapshots with buckets no writer emits. Each must fail as
+// ErrSnapshotFormat and never panic; the forgery of a valid section
+// must still load.
+func TestHostileBandTables(t *testing.T) {
+	ds := smallDataset(t, 80).TfIdf().Normalize()
+	cfg := EngineConfig{Seed: 3, SignatureBits: 512}
+	opts := Options{Algorithm: LSHBayesLSH, Threshold: 0.7}
+	ix, err := NewIndex(ds, Cosine, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	li, err := NewLiveIndex(ds, Cosine, cfg, opts, LiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer li.Close()
+	var v1, v2 bytes.Buffer
+	if _, err := ix.WriteTo(&v1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := li.WriteTo(&v2); err != nil {
+		t.Fatal(err)
+	}
+	k, l, n := ix.Stats().BandK, ix.Stats().Tables, int32(ds.Len())
+	// tables streams a bit-table section whose band 0 holds the given
+	// buckets and every other band one bucket of the whole corpus.
+	type bucket struct {
+		key uint64
+		ids []int32
+	}
+	tables := func(band0 ...bucket) []byte {
+		var buf bytes.Buffer
+		w := snapshot.NewWriter(&buf)
+		w.Bool(true)
+		w.U32(uint32(k))
+		w.U32(uint32(l))
+		w.Bool(false)
+		w.U64(uint64(len(band0)))
+		for _, b := range band0 {
+			w.U64(b.key)
+			w.I32s(b.ids)
+		}
+		all := make([]int32, n)
+		for i := range all {
+			all[i] = int32(i)
+		}
+		for range l - 1 {
+			w.U64(1)
+			w.U64(7)
+			w.I32s(all)
+		}
+		return buf.Bytes()
+	}
+	read := map[string]func([]byte) error{
+		"v1": func(b []byte) error { _, err := ReadIndex(bytes.NewReader(b)); return err },
+		"v2": func(b []byte) error {
+			li, err := ReadLiveIndex(bytes.NewReader(b), LiveConfig{})
+			if err == nil {
+				li.Close()
+			}
+			return err
+		},
+	}
+	snaps := map[string][]byte{"v1": v1.Bytes(), "v2": v2.Bytes()}
+	for _, v := range []string{"v1", "v2"} {
+		if err := read[v](withSection(t, snaps[v], sectBitTables, tables(bucket{0, []int32{0, 2}}, bucket{1, []int32{1}}))); err != nil {
+			t.Fatalf("%s: valid forged tables: %v", v, err)
+		}
+		for _, c := range []struct {
+			name string
+			bad  []bucket
+		}{
+			{"ids out of order", []bucket{{0, []int32{2, 1}}}},
+			{"repeated id", []bucket{{0, []int32{1, 1}}}},
+			{"empty bucket", []bucket{{0, []int32{0}}, {1, nil}}},
+			{"id at n", []bucket{{0, []int32{0, n}}}},
+			{"duplicate key", []bucket{{0, []int32{0}}, {0, []int32{1}}}},
+			{"keys out of order", []bucket{{1, []int32{0}}, {0, []int32{1}}}},
+		} {
+			if err := read[v](withSection(t, snaps[v], sectBitTables, tables(c.bad...))); !errors.Is(err, ErrSnapshotFormat) {
+				t.Errorf("%s %s: %v, want ErrSnapshotFormat", v, c.name, err)
+			}
+		}
+	}
 }
