@@ -28,8 +28,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "gohygiene",
 	Doc: "goroutines only via internal/shard pools (leak accounting); raw go statements elsewhere need //apsslint:allow\n" +
 		"Raw go statements outside internal/shard escape the pool's cancellation and\n" +
-		"goroutine-leak accounting that the serving harnesses verify. Use shard.Run/\n" +
-		"RunCtx/StreamCtx or shard.NewCoalescer, or justify the\n" +
+		"goroutine-leak accounting that the serving harnesses verify. Use shard.RunCtx/\n" +
+		"StreamCtx or shard.NewCoalescer, or justify the\n" +
 		"exception with //apsslint:allow gohygiene <reason>. _test.go files are exempt:\n" +
 		"test harnesses drive concurrency on purpose.",
 	Run: run,

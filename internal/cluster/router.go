@@ -549,7 +549,7 @@ func (r *Router) locate(gid int) (sh, local int, ok bool) {
 func (r *Router) Compact() error {
 	bs := r.backends
 	errs := make([]error, len(bs))
-	shard.Run(len(bs), r.workers(), 1, func(lo, hi, _ int) {
+	_ = shard.RunCtx(context.Background(), len(bs), r.workers(), 1, func(lo, hi, _ int) { // Background never errs
 		for i := lo; i < hi; i++ {
 			errs[i] = bs[i].Compact()
 		}

@@ -39,17 +39,6 @@ func TestRunCtxPreCanceled(t *testing.T) {
 	}
 }
 
-func TestRunCtxBackgroundMatchesRun(t *testing.T) {
-	var a, b atomic.Int64
-	Run(100, 3, 7, func(lo, hi, slot int) { a.Add(int64(hi - lo)) })
-	if err := RunCtx(context.Background(), 100, 3, 7, func(lo, hi, slot int) { b.Add(int64(hi - lo)) }); err != nil {
-		t.Fatal(err)
-	}
-	if a.Load() != 100 || b.Load() != 100 {
-		t.Fatalf("covered %d vs %d items, want 100", a.Load(), b.Load())
-	}
-}
-
 func TestSlotsCollect(t *testing.T) {
 	var sink Slots[int]
 	err := StreamCtx(context.Background(), 10, 2, 3, func(lo, hi int) []int {

@@ -1,7 +1,5 @@
 package shard
 
-import "context"
-
 // Count returns the number of batches of size batch needed for n
 // items. It is 0 when n <= 0 and batch is clamped to at least 1.
 func Count(n, batch int) int {
@@ -12,13 +10,6 @@ func Count(n, batch int) int {
 		batch = 1
 	}
 	return (n + batch - 1) / batch
-}
-
-// Run is RunCtx under context.Background(), for callers with no
-// context to honor: it cannot be canceled and returns when every batch
-// has completed.
-func Run(n, workers, batch int, f func(lo, hi, slot int)) {
-	_ = RunCtx(context.Background(), n, workers, batch, f) // Background never errors
 }
 
 // Chunk returns a batch size that divides n items into roughly

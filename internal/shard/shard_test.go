@@ -24,14 +24,16 @@ func TestCount(t *testing.T) {
 func coverage(t *testing.T, n, workers, batch int) {
 	t.Helper()
 	visits := make([]int32, n)
-	Run(n, workers, batch, func(lo, hi, slot int) {
+	if err := RunCtx(context.Background(), n, workers, batch, func(lo, hi, slot int) {
 		if lo != slot*max(batch, 1) {
 			t.Errorf("slot %d starts at %d", slot, lo)
 		}
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&visits[i], 1)
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range visits {
 		if v != 1 {
 			t.Fatalf("n=%d workers=%d batch=%d: item %d visited %d times", n, workers, batch, i, v)
@@ -51,7 +53,9 @@ func TestRunCoversAllItemsOnce(t *testing.T) {
 
 func TestRunSequentialOrder(t *testing.T) {
 	var seen []int
-	Run(10, 1, 3, func(lo, hi, slot int) { seen = append(seen, slot) })
+	if err := RunCtx(context.Background(), 10, 1, 3, func(lo, hi, slot int) { seen = append(seen, slot) }); err != nil {
+		t.Fatal(err)
+	}
 	want := []int{0, 1, 2, 3}
 	if len(seen) != len(want) {
 		t.Fatalf("slots = %v", seen)
