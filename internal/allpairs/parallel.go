@@ -61,7 +61,7 @@ func (s *searcher) probe(x vector.Vector, xpos int32, ps *probeState, stop *shar
 			aborted = true
 			break
 		}
-		if int(f) >= len(s.lists) {
+		if uint64(f) >= uint64(len(s.lists)) {
 			continue // feature outside the corpus dimensionality
 		}
 		w := x.Val[j]

@@ -190,7 +190,7 @@ func (v *View) Probe(q vector.Vector) []int32 {
 	minsize := minSize(v.t, qmax)
 	touched := ps.touched[:0]
 	for j, f := range q.Ind {
-		if int(f) >= v.dim {
+		if uint64(f) >= uint64(v.dim) {
 			continue // feature outside the corpus dimensionality
 		}
 		w := q.Val[j]

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -148,6 +149,7 @@ func TestHostileRequests(t *testing.T) {
 		{"add empty vec", "POST", "/v1/add", `{"vec":""}`, 400},
 		{"add NaN", "POST", "/v1/add", `{"vec":"1:nan"}`, 400},
 		{"add out-of-range feature", "POST", "/v1/add", `{"vec":"400000:1"}`, 400},
+		{"add largest feature index", "POST", "/v1/add", `{"vec":"4294967295:1e308"}`, 400},
 		{"delete missing id", "POST", "/v1/delete", `{}`, 400},
 		{"delete string id", "POST", "/v1/delete", `{"id":"seven"}`, 400},
 		{"delete float id", "POST", "/v1/delete", `{"id":1.5}`, 400},
@@ -176,6 +178,26 @@ func TestHostileRequests(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLargestFeatureIndex pins the answer to a feature index that does
+// not fit a 32-bit int: no corpus vector has it, so a query matches
+// nothing and an add is out of range, on every architecture.
+func TestLargestFeatureIndex(t *testing.T) {
+	srv, li := hostileServer(t)
+	defer li.Close()
+	req := httptest.NewRequest("POST", "/v1/query", strings.NewReader(`{"vec":"4294967295:1e308"}`))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != 200 {
+		t.Fatalf("query status %d: %s", rec.Code, rec.Body)
+	}
+	if lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n"); len(lines) != 1 || !strings.Contains(lines[0], `"done":true`) {
+		t.Fatalf("query answered %q, want only the done marker", rec.Body)
+	}
+	if _, err := li.Add(bayeslsh.NewVec(map[uint32]float64{4294967295: 1})); !errors.Is(err, bayeslsh.ErrVecOutOfRange) {
+		t.Fatalf("Add: %v, want ErrVecOutOfRange", err)
 	}
 }
 

@@ -286,9 +286,9 @@ type QuerySig struct {
 // carries them, so they add nothing to any dot product the signature
 // stands for (exact verification still sees the full vector).
 func (f *BlockFamily) NewQuerySig(v vector.Vector) QuerySig {
-	if v.Len() > 0 && int(v.Ind[v.Len()-1]) >= f.dim {
+	if v.Len() > 0 && uint64(v.Ind[v.Len()-1]) >= uint64(f.dim) {
 		// Indices strictly increase, so the restriction is a prefix.
-		k := sort.Search(v.Len(), func(i int) bool { return int(v.Ind[i]) >= f.dim })
+		k := sort.Search(v.Len(), func(i int) bool { return uint64(v.Ind[i]) >= uint64(f.dim) })
 		v = vector.Vector{Ind: v.Ind[:k], Val: v.Val[:k]}
 	}
 	return QuerySig{fam: f, v: v, sig: make([]uint64, f.maxBits/64)}

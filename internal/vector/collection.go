@@ -50,7 +50,7 @@ func (c *Collection) Validate() error {
 		if err := v.Validate(); err != nil {
 			return fmt.Errorf("vector %d: %w", i, err)
 		}
-		if v.Len() > 0 && int(v.Ind[v.Len()-1]) >= c.Dim {
+		if v.Len() > 0 && uint64(v.Ind[v.Len()-1]) >= uint64(c.Dim) {
 			return fmt.Errorf("vector %d: index %d outside dimension %d",
 				i, v.Ind[v.Len()-1], c.Dim)
 		}

@@ -2,6 +2,7 @@ package vector
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -45,9 +46,12 @@ func TestCollectionSnapshotRoundTrip(t *testing.T) {
 // would drive multi-gigabyte per-feature allocations) must both fail
 // cleanly at decode.
 func TestCollectionSnapshotRejectsBadDim(t *testing.T) {
-	for _, dim := range []int{0, MaxSnapshotDim + 1, 1 << 31} {
-		c := &Collection{Dim: dim, Vecs: []Vector{{}}}
-		_, err := ReadCollectionSnapshot(snapshot.NewReader(encodeCollection(c)))
+	// Dim is the collection's leading u32. It is written into the
+	// encoded bytes directly, since 1<<31 overflows a 32-bit int.
+	for _, dim := range []uint32{0, MaxSnapshotDim + 1, 1 << 31} {
+		b := encodeCollection(&Collection{Dim: 1, Vecs: []Vector{{}}})
+		binary.LittleEndian.PutUint32(b, dim)
+		_, err := ReadCollectionSnapshot(snapshot.NewReader(b))
 		if !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("dim %d: %v, want ErrCorrupt", dim, err)
 		}

@@ -373,7 +373,7 @@ func (li *LiveIndex) Add(q Vec) (int, error) {
 	if li.closed {
 		return 0, ErrLiveClosed
 	}
-	if q.Len() > 0 && int(q.v.Ind[q.Len()-1]) >= li.dim {
+	if q.Len() > 0 && uint64(q.v.Ind[q.Len()-1]) >= uint64(li.dim) {
 		return 0, fmt.Errorf("%w: feature %d, feature space [0, %d)",
 			ErrVecOutOfRange, q.v.Ind[q.Len()-1], li.dim)
 	}

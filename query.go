@@ -390,7 +390,7 @@ func (c cut) run(q Vec, t float64, topK bool, stop *shard.Stopper) ([]Match, err
 	if err := c.ix.ready(topK); err != nil {
 		return nil, err
 	}
-	if int(q.v.Ind[0]) >= c.ix.Dim() {
+	if uint64(q.v.Ind[0]) >= uint64(c.ix.Dim()) {
 		// Every corpus and delta vector lies below Dim, so a query with no
 		// feature there shares nothing with any of them and nothing
 		// matches. Under the cosine measures it would also hash as the
