@@ -201,11 +201,14 @@ func (r *bandRuns) encode() bandRun {
 		order[b] = int32(b)
 	}
 	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(r.keys[a], r.keys[b]) })
-	run := bandRun{keys: make([]uint64, 0, len(order)), ends: make([]uint64, 0, len(order))}
+	run := bandRun{
+		keys: make([]uint64, 0, len(order)),
+		ends: make([]uint64, 0, len(order)),
+		blob: make([]byte, 0, len(r.members)+len(order)), // a byte per id and per count at least
+	}
 	for _, b := range order {
 		run.add(r.keys[b], r.members[r.start[b]:r.start[b+1]])
 	}
-	run.blob = slices.Clone(run.blob) // drop append's spare capacity: the run stays resident
 	return run
 }
 

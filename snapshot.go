@@ -98,10 +98,8 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 // (version 2, which appends a live section after these).
 func (ix *Index) writeSections(sw *snapshot.Writer) {
 	e := ix.engine()
-	// The AllPairs source is interface-typed since the disk-serving view
-	// arrived; the v1 stream codec writes the heap index. WriteTo guards
-	// the disk-backed case with ErrDiskBacked, so this assertion sees a
-	// heap index (or nothing) here.
+	// WriteTo guards the disk-backed case with ErrDiskBacked, so the
+	// AllPairs source is the heap index (or nothing) here.
 	ap, _ := ix.ap.(*allpairs.Index)
 	sw.Section(sectMeta, ix.writeMeta)
 	sw.Section(sectVectors, e.ds.c.WriteSnapshot)
