@@ -5,7 +5,7 @@
 // so OpenBitsView / OpenMinhashView serve straight from the mapped
 // bytes, and tables built in memory or decoded from a v1/v2 stream
 // hold the same runs in heap slices. A probe decodes each probed run
-// into pooled scratch and deduplicates the runs in a pooled id-set.
+// straight into a pooled id-set, which deduplicates across runs.
 //
 // Section layout (offsets relative to the section start, which is
 // page- and therefore 8-aligned):
@@ -127,7 +127,6 @@ func (b *bandRun) validate(band, n int) error {
 			return fmt.Errorf("%w: band %d: run end %d after %d (blob %d)", snapshot.ErrCorrupt, band, end, prevEnd, len(b.blob))
 		}
 		ids, used, err := snapshot.DecodeDeltaI32s(scratch[:0], b.blob[prevEnd:end], int32(n))
-		scratch = ids
 		if err != nil {
 			return fmt.Errorf("band %d bucket %d: %w", band, i, err)
 		}
