@@ -130,3 +130,23 @@ func TestStreamRejectsWhatARunCannotHold(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeOfCorruptRunPanics pins what a probe does with a run that
+// Validate would have rejected — as when a mapping changes underneath
+// a validated view: it panics rather than adding an id outside the
+// corpus or reading past the run.
+func TestProbeOfCorruptRunPanics(t *testing.T) {
+	const n = 10
+	for name, blob := range map[string][]byte{
+		"id at n":         snapshot.AppendDeltaI32s(nil, []int32{0, n}),
+		"truncated delta": append(snapshot.AppendDeltaI32s(nil, []int32{3}), 0x80),
+	} {
+		tables := &BitsTables{runTables: runTables{k: 4, l: 1, n: n, bands: []bandRun{
+			{keys: []uint64{5}, ends: []uint64{uint64(len(blob))}, blob: blob},
+		}}}
+		if err := tables.Validate(); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: Validate = %v, want ErrCorrupt", name, err)
+		}
+		requirePanics(t, name+" probe", func() { tables.Probe([]uint64{5}) })
+	}
+}

@@ -66,31 +66,32 @@ func (b *bandRun) addBucket(set *pair.IDSet, key uint64, n int) {
 	// predecessor, so one running sum decodes them all.
 	_, off := binary.Uvarint(run)
 	if off <= 0 {
-		badRun(i, off)
+		badRun(i)
 	}
-	for id := uint64(0); off < len(run); {
-		d := uint64(run[off])
-		if d < 0x80 {
-			off++
-		} else {
-			var k int
-			if d, k = binary.Uvarint(run[off:]); k <= 0 {
-				badRun(i, off)
-			}
-			off += k
+	var id, d uint64
+	var shift uint
+	for _, c := range run[off:] {
+		d |= uint64(c&0x7f) << shift
+		if c >= 0x80 {
+			shift += 7
+			continue
 		}
 		if id += d; id >= uint64(n) {
-			badRun(i, off)
+			badRun(i)
 		}
 		set.Add(int32(id))
+		d, shift = 0, 0
+	}
+	if shift != 0 {
+		badRun(i)
 	}
 }
 
 // badRun reports a bucket run that failed to decode after validation.
 // Validate walked every run on first touch, so the mapping changed
 // underneath us.
-func badRun(i, off int) {
-	panic(fmt.Sprintf("lshindex: validated bucket run %d failed to decode at byte %d", i, off))
+func badRun(i int) {
+	panic(fmt.Sprintf("lshindex: validated bucket run %d failed to decode", i))
 }
 
 // start returns the byte offset of bucket i's run.
