@@ -7,15 +7,9 @@
 // computed exactly as the corpus keys were, so a query equal to corpus
 // vector i collides with precisely the vectors i collides with in the
 // batch scan — the property the engine's query-vs-batch consistency
-// guarantee rests on.
-//
-// Every table has one in-memory form, the sorted bucket run of the v3
-// band section (view.go): Build runs the batch join's band phase and
-// encodes each band on the worker that built it, the v1 stream codec
-// (snapshot.go) decodes into the same runs, and OpenBitsView /
-// OpenMinhashView lay them over mapped section bytes. Tables are
-// immutable once built or opened and safe for any number of concurrent
-// Probe calls.
+// guarantee rests on. Built, stream-decoded (snapshot.go) and mapped
+// tables share one layout (view.go), are immutable and are safe for
+// any number of concurrent Probe calls.
 
 package lshindex
 
