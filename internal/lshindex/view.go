@@ -68,21 +68,22 @@ func (b *bandRun) addBucket(set *pair.IDSet, key uint64, n int) {
 	if off <= 0 {
 		badRun(i)
 	}
-	for id := uint64(0); off < len(run); {
-		d := uint64(run[off])
-		if d < 0x80 {
-			off++
-		} else {
-			var k int
-			if d, k = binary.Uvarint(run[off:]); k <= 0 {
-				badRun(i)
-			}
-			off += k
+	var id, d uint64
+	var shift uint
+	for _, c := range run[off:] {
+		d |= uint64(c&0x7f) << shift
+		if c >= 0x80 {
+			shift += 7
+			continue
 		}
 		if id += d; id >= uint64(n) {
 			badRun(i)
 		}
 		set.Add(int32(id))
+		d, shift = 0, 0
+	}
+	if shift != 0 {
+		badRun(i)
 	}
 }
 
