@@ -49,6 +49,8 @@ func TestDiskSnapshotRoundTrip(t *testing.T) {
 				ds, cold := buildTestIndex(t, tc, alg, n)
 				heap := roundTrip(t, cold)
 				disk := openV3(t, cold)
+				requireSameWiring(t, heap, cold)
+				requireSameWiring(t, disk, cold)
 
 				if disk.Measure() != cold.Measure() || disk.Threshold() != cold.Threshold() ||
 					disk.Len() != cold.Len() || disk.Options() != cold.Options() {
@@ -133,6 +135,7 @@ func TestDiskSnapshotVariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			disk := openV3(t, ix)
+			requireSameWiring(t, disk, ix)
 			queries := make([]Vec, ds.Len())
 			for i := range queries {
 				queries[i] = ds.Vector(i)

@@ -99,10 +99,5 @@ func Partition(ds *bayeslsh.Dataset, shards int, seed uint64) ([]*bayeslsh.Datas
 // so a new prior-coupled configuration that this predicate misses
 // fails the equivalence suite rather than serving wrong results.
 func priorCoupled(m bayeslsh.Measure, o bayeslsh.Options) bool {
-	switch o.Algorithm {
-	case bayeslsh.AllPairsBayesLSH, bayeslsh.AllPairsBayesLSHLite,
-		bayeslsh.LSHBayesLSH, bayeslsh.LSHBayesLSHLite:
-		return m == bayeslsh.Jaccard && !o.OneBitMinhash
-	}
-	return false
+	return m == bayeslsh.Jaccard && !o.OneBitMinhash && o.Algorithm.UsesBayes()
 }

@@ -142,11 +142,14 @@ func parseHeader(hdr []byte, size int64) ([]Section, error) {
 	if v := binary.LittleEndian.Uint32(hdr[len(Magic):]); v != Version {
 		return nil, &VersionError{Found: v}
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[len(Magic)+4:]))
-	if n > maxSections {
-		return nil, fmt.Errorf("%w: %d sections exceeds header page capacity %d", snapshot.ErrCorrupt, n, maxSections)
+	// Bound the count before converting it: int(0xFFFFFFFF) is -1 where
+	// int is 32 bits wide.
+	count := binary.LittleEndian.Uint32(hdr[len(Magic)+4:])
+	if count > uint32(maxSections) {
+		return nil, fmt.Errorf("%w: %d sections exceeds header page capacity %d", snapshot.ErrCorrupt, count, maxSections)
 	}
-	end := headerFixed + int(n)*sectionEntrySize
+	n := int(count)
+	end := headerFixed + n*sectionEntrySize
 	if len(hdr) < end+4 {
 		return nil, fmt.Errorf("%w: truncated header (%d bytes for %d sections)", snapshot.ErrCorrupt, len(hdr), n)
 	}

@@ -145,6 +145,9 @@ func TestHostileHeaders(t *testing.T) {
 		"huge section count": mutate(data, func(b []byte) {
 			binary.LittleEndian.PutUint32(b[len(Magic)+4:], 1<<30)
 		}),
+		"max section count": mutate(data, func(b []byte) {
+			binary.LittleEndian.PutUint32(b[len(Magic)+4:], 0xFFFFFFFF)
+		}),
 		"zero tag": mutate(data, func(b []byte) {
 			binary.LittleEndian.PutUint32(entry(b, 0), 0)
 			rechecksum(b)

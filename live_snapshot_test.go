@@ -2,6 +2,7 @@ package bayeslsh
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -147,6 +148,48 @@ func TestLiveSnapshotVersionErrors(t *testing.T) {
 	mangled[len(mangled)/2] ^= 0x40
 	if _, err := ReadLiveIndex(bytes.NewReader(mangled), LiveConfig{}); !errors.Is(err, ErrSnapshotChecksum) {
 		t.Fatalf("corrupted live snapshot = %v, want ErrSnapshotChecksum", err)
+	}
+}
+
+// TestHostileLiveSection forges the live section's id-space header
+// with values beyond 32 bits. Each must fail as ErrSnapshotFormat on
+// every architecture: a decoder that narrowed them to int first would
+// read 2^32 + 60 as 60 where int is 32 bits wide, and accept the file.
+func TestHostileLiveSection(t *testing.T) {
+	ds := smallDataset(t, 60).TfIdf().Normalize()
+	ix, err := NewIndex(ds, Cosine, EngineConfig{Seed: 5, SignatureBits: 512},
+		Options{Algorithm: LSH, Threshold: 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	li, err := LiveFrom(ix, LiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer li.Close()
+	var v2 bytes.Buffer
+	if _, err := li.WriteTo(&v2); err != nil {
+		t.Fatal(err)
+	}
+	// The section opens with start (60 here) and memN (0), as u64s.
+	highWord := func(at int) func([]byte) []byte {
+		return func(p []byte) []byte {
+			binary.LittleEndian.PutUint32(p[at+4:], 1)
+			return p
+		}
+	}
+	for name, edit := range map[string]func([]byte) []byte{
+		"start 2^32+60": highWord(0),
+		"memN 2^32":     highWord(8),
+	} {
+		forged := editSection(t, v2.Bytes(), sectLive, edit)
+		got, err := ReadLiveIndex(bytes.NewReader(forged), LiveConfig{})
+		if err == nil {
+			got.Close()
+		}
+		if !errors.Is(err, ErrSnapshotFormat) {
+			t.Errorf("%s: %v, want ErrSnapshotFormat", name, err)
+		}
 	}
 }
 

@@ -742,17 +742,19 @@ func decodeLive(sr *snapshot.Reader, lc LiveConfig) (*LiveIndex, error) {
 		return nil, err
 	}
 	lr := sr.Section(sectLive)
-	start := int(lr.U64())
-	memN := int(lr.U64())
+	rawStart, rawMemN := lr.U64(), lr.U64()
 	// maxLiveIDs caps the external-id space a snapshot may declare:
 	// the tombstone bitset and the id map scale with it, so a corrupt
 	// (but checksum-passing) file must not be able to demand absurd
 	// allocations. 2^27 ids matches vector.MaxSnapshotDim's scale and
-	// is far beyond what the in-memory index serves.
+	// is far beyond what the in-memory index serves. The bound is
+	// checked on the raw values: converting first would drop their high
+	// word where int is 32 bits wide.
 	const maxLiveIDs = 1 << 27
-	if lr.Err() == nil && (start < 0 || memN < 0 || start+memN > maxLiveIDs) {
-		return nil, snapshot.Failf(lr, "live section id space start=%d memN=%d out of range", start, memN)
+	if lr.Err() == nil && (rawStart > maxLiveIDs || rawMemN > maxLiveIDs-rawStart) {
+		return nil, snapshot.Failf(lr, "live section id space start=%d memN=%d out of range", rawStart, rawMemN)
 	}
+	start, memN := int(rawStart), int(rawMemN)
 	rawBase := lr.U64s() // length validated against remaining bytes
 	if lr.Err() == nil && len(rawBase) != ix.Len() {
 		return nil, snapshot.Failf(lr, "live id map covers %d vectors, base has %d", len(rawBase), ix.Len())

@@ -7,9 +7,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
+	"bayeslsh/internal/core"
 	"bayeslsh/internal/snapshot"
 )
 
@@ -51,6 +53,33 @@ func roundTrip(t *testing.T, ix *Index) *Index {
 	return loaded
 }
 
+// requireSameWiring fails unless got serves with the pipeline wiring
+// of want: the same banding and verification depths, the same 1-bit
+// packing and LSHApprox hash count, and a verifier with the same
+// parameters. The verifiers' Ensure hooks are left out: each points at
+// its own index's signature store.
+func requireSameWiring(t *testing.T, got, want *Index) {
+	t.Helper()
+	type wiring struct {
+		BandBits, VerifyBits, BandMin, VerifyMin int
+		PackOneBit                               bool
+		ApproxN                                  int
+		Verifier                                 bool
+		Params                                   core.Params
+	}
+	of := func(ix *Index) wiring {
+		w := wiring{ix.bandBits, ix.verifyBits, ix.bandMin, ix.verifyMin, ix.packOneBit, ix.approxN, ix.vq != nil, core.Params{}}
+		if ix.vq != nil {
+			w.Params = ix.vq.Params()
+			w.Params.Ensure = nil
+		}
+		return w
+	}
+	if g, w := of(got), of(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%v: wiring %+v, want %+v", want.Options().Algorithm, g, w)
+	}
+}
+
 // TestSnapshotRoundTrip is the persistence guarantee: for every
 // measure and pipeline, an index loaded from a snapshot serves
 // Query, TopK and QueryBatch results bit-identical to the index that
@@ -64,6 +93,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			for _, alg := range queryAlgorithms() {
 				ds, ix := buildTestIndex(t, tc, alg, n)
 				loaded := roundTrip(t, ix)
+				requireSameWiring(t, loaded, ix)
 
 				if loaded.Measure() != ix.Measure() || loaded.Threshold() != ix.Threshold() ||
 					loaded.Len() != ix.Len() || loaded.Options() != ix.Options() {
@@ -571,6 +601,13 @@ func goldenDataset() *Dataset {
 // checksum the way a deliberate forger would.
 func withSection(t *testing.T, snap []byte, tag uint32, payload []byte) []byte {
 	t.Helper()
+	return editSection(t, snap, tag, func([]byte) []byte { return payload })
+}
+
+// editSection is withSection with the new payload computed by edit
+// from a copy of the old one.
+func editSection(t *testing.T, snap []byte, tag uint32, edit func(old []byte) []byte) []byte {
+	t.Helper()
 	body := snap[len(snapshotMagic)+4 : len(snap)-4]
 	out := append([]byte{}, snap[:len(snapshotMagic)+4]...)
 	found := false
@@ -581,6 +618,7 @@ func withSection(t *testing.T, snap []byte, tag uint32, payload []byte) []byte {
 		body = body[12+n:]
 		if got == tag {
 			found = true
+			payload := edit(append([]byte{}, frame[12:]...))
 			frame = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, tag), uint64(len(payload)))
 			frame = append(frame, payload...)
 		}
