@@ -199,29 +199,17 @@ func (li *LiveIndex) MemStats() IndexMemStats {
 }
 
 // fillDepths computes the uniform signature depths a v3 snapshot
-// persists: deep enough for banding and for the deepest verifier
-// prefix the resolved options can demand, so that a disk-served index
-// never needs to hash a corpus vector. The verifier depths use the
-// unrounded budget clamp (the verifier constructors re-derive their
-// rounded working depth from the same clamp at open, so the persisted
-// depth always covers it). Bit depths are word-aligned for the
-// fixed-stride layout.
+// persists: deep enough for banding and for what verification reads
+// (verifyDepth, the same rule openDisk checks), so that a disk-served
+// index never needs to hash a corpus vector. Bit depths are
+// word-aligned for the fixed-stride layout.
 func (ix *Index) fillDepths() (bitFill, minFill int) {
-	e, o := ix.engine(), ix.opts
+	e := ix.engine()
 	bitFill, minFill = ix.bandBits, ix.bandMin
-	switch o.Algorithm {
-	case AllPairsBayesLSH, AllPairsBayesLSHLite, LSHBayesLSH, LSHBayesLSHLite:
-		if e.measure == Jaccard {
-			minFill = max(minFill, min(o.MaxHashes, e.minSigStore().MaxHashes()))
-		} else {
-			bitFill = max(bitFill, min(o.MaxHashes, e.bitSigStore().MaxBits()))
-		}
-	case LSHApprox:
-		if e.measure == Jaccard {
-			minFill = max(minFill, ix.approxN)
-		} else {
-			bitFill = max(bitFill, ix.approxN)
-		}
+	if e.measure == Jaccard {
+		minFill = max(minFill, e.verifyDepth(ix.opts))
+	} else {
+		bitFill = max(bitFill, e.verifyDepth(ix.opts))
 	}
 	bitFill = (bitFill + 63) / 64 * 64
 	return bitFill, minFill
@@ -367,10 +355,10 @@ func mapDiskOpenErr(err error) error {
 }
 
 // openDisk assembles a servable Index over an open v3 container. It
-// mirrors decodeIndex's wiring — same engine construction, same
-// rewire — with views over the mapping in place of decoded heap
-// structures. Only the metadata is verified here; every bulk section
-// gets structural bounds checks now (so no view can index outside the
+// mirrors decodeIndex — same engine construction, same Index.wire —
+// with views over the mapping in place of decoded heap structures.
+// Only the metadata is verified here; every bulk section gets
+// structural bounds checks now (so no view can index outside the
 // mapping) and its checksum plus deep walk on first touch.
 func openDisk(f *diskidx.File) (*Index, error) {
 	formatf := func(format string, args ...any) error {
@@ -547,41 +535,25 @@ func openDisk(f *diskidx.File) (*Index, error) {
 		d.cands = bitsSect
 	}
 
-	// The verifier constructors in rewire extend signatures to their
-	// working depth via Ensure, which on a fixed store must be a no-op:
-	// reject any file whose persisted depth cannot cover the depth the
-	// resolved options demand, before rewire trips over it.
-	switch o := meta.opts; o.Algorithm {
-	case AllPairsBayesLSH, AllPairsBayesLSHLite, LSHBayesLSH, LSHBayesLSHLite:
-		if meta.measure == Jaccard {
-			if need := min(o.MaxHashes, eng.minSigStore().MaxHashes()); need > minFill {
-				return nil, formatf("verifier needs %d minhashes, snapshot persists %d", need, minFill)
-			}
-			if o.OneBitMinhash {
-				// rewire packs every mapped minhash row into the 1-bit heap
-				// copy: that read is the section's first touch.
-				if err := d.sigMin.touch(); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			if need := min(o.MaxHashes, eng.bitSigStore().MaxBits()); need > bitFill {
-				return nil, formatf("verifier needs %d signature bits, snapshot persists %d", need, bitFill)
-			}
-		}
-	case LSHApprox:
-		if meta.measure == Jaccard {
-			if need := min(o.ApproxHashes, eng.minSigStore().MaxHashes()); need > minFill {
-				return nil, formatf("estimator needs %d minhashes, snapshot persists %d", need, minFill)
-			}
-		} else {
-			if need := min(o.ApproxHashes, eng.bitSigStore().MaxBits()); need > bitFill {
-				return nil, formatf("estimator needs %d signature bits, snapshot persists %d", need, bitFill)
-			}
+	// Verification extends signatures to verifyDepth via Ensure, which
+	// on a fixed store must be a no-op: reject any file whose persisted
+	// depth cannot cover that depth before wire trips over it.
+	need, have, unit := eng.verifyDepth(meta.opts), bitFill, "signature bits"
+	if meta.measure == Jaccard {
+		have, unit = minFill, "minhashes"
+	}
+	if need > have {
+		return nil, formatf("verification needs %d %s, snapshot persists %d", need, unit, have)
+	}
+	if meta.measure == Jaccard && meta.opts.OneBitMinhash && meta.opts.Algorithm.UsesBayes() {
+		// wire packs every mapped minhash row into the 1-bit heap copy:
+		// that read is the section's first touch.
+		if err := d.sigMin.touch(); err != nil {
+			return nil, err
 		}
 	}
 
-	if err := ix.rewire(); err != nil {
+	if err := ix.wire(context.Background()); err != nil {
 		return nil, formatf("%v", err)
 	}
 	return ix, nil

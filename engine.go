@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bayeslsh/internal/core"
+	"bayeslsh/internal/live"
 	"bayeslsh/internal/lshindex"
 	"bayeslsh/internal/minhash"
 	"bayeslsh/internal/pair"
@@ -346,11 +347,35 @@ func (e *Engine) fitPrior(o Options, cands []pair.Pair) stats.Beta {
 	return core.FitJaccardPrior(e.work, cands, o.PriorSample, rng.Derive(e.cfg.Seed, 3))
 }
 
-// bayesVerifierWithPrior constructs the verifier for an
-// already-determined prior — the path shared by fresh builds (which
-// fit the prior from candidates) and snapshot loads (which restore the
-// fitted prior verbatim, so a loaded index prunes with the exact
-// table the saved one did).
+// verifyDepth is the one depth rule of verification: the number of
+// hashes o's verification reads under the engine's measure, clamped to
+// the signature budget — minhashes under Jaccard, hyperplane bits
+// otherwise. The Bayes verifiers read up to MaxHashes (rounded down to
+// whole rounds by their constructors), the §3 estimator of LSHApprox
+// exactly ApproxHashes, and the exact pipelines none. A v3 snapshot
+// persists at least this depth, and opening one checks it does.
+func (e *Engine) verifyDepth(o Options) int {
+	var n int
+	switch {
+	case o.Algorithm.UsesBayes():
+		n = o.MaxHashes
+	case o.Algorithm == LSHApprox:
+		n = o.ApproxHashes
+	default:
+		return 0
+	}
+	if e.measure == Jaccard {
+		return min(n, e.minSigStore().MaxHashes())
+	}
+	return min(n, e.bitSigStore().MaxBits())
+}
+
+// bayesVerifierWithPrior constructs the verifier over the engine's
+// corpus for an already-determined prior — the path shared by fresh
+// builds (which fit the prior from candidates), snapshot loads (which
+// restore the fitted prior verbatim, so a loaded index prunes with the
+// exact table the saved one did), live prior refits and the batch
+// join.
 func (e *Engine) bayesVerifierWithPrior(ctx context.Context, o Options, prior stats.Beta) (core.QueryVerifier, error) {
 	params := core.Params{
 		Threshold: o.Threshold,
@@ -358,29 +383,41 @@ func (e *Engine) bayesVerifierWithPrior(ctx context.Context, o Options, prior st
 		Delta:     o.Delta,
 		Gamma:     o.Gamma,
 		K:         o.K,
-		MaxHashes: o.MaxHashes,
+		MaxHashes: e.verifyDepth(o),
 	}
-	if e.measure == Jaccard {
+	var sigs live.View
+	switch {
+	case e.measure != Jaccard:
+		st := e.bitSigStore()
+		params.Ensure, sigs.Bits = st.Ensure, st.Sigs()
+	case o.OneBitMinhash:
+		// 1-bit signatures are packed eagerly from the minhash store
+		// (they are 32× smaller, so the packing is cheap).
 		st := e.minSigStore()
-		if params.MaxHashes > st.MaxHashes() {
-			params.MaxHashes = st.MaxHashes()
+		if err := st.EnsureAllCtx(ctx, params.MaxHashes, e.workers()); err != nil {
+			return nil, err
 		}
-		if o.OneBitMinhash {
-			// 1-bit signatures are packed eagerly from the minhash
-			// store (they are 32× smaller, so the packing is cheap).
-			if err := st.EnsureAllCtx(ctx, params.MaxHashes, e.workers()); err != nil {
-				return nil, err
-			}
-			sigs := minhash.PackOneBitAll(st.Sigs())
-			return core.NewOneBitJaccard(sigs, params.MaxHashes, params)
-		}
-		params.Ensure = st.Ensure
-		return core.NewJaccard(st.Sigs(), prior, params)
+		sigs.One = minhash.PackOneBitAll(st.Sigs())
+	default:
+		st := e.minSigStore()
+		params.Ensure, sigs.Min = st.Ensure, st.Sigs()
 	}
-	st := e.bitSigStore()
-	if params.MaxHashes > st.MaxBits() {
-		params.MaxHashes = st.MaxBits()
+	return newVerifier(e.measure, o.OneBitMinhash, sigs, prior, params)
+}
+
+// newVerifier constructs the Bayes verifier for params over one
+// signature set — a corpus's stores or a live delta's rows: under
+// Jaccard the 1-bit packed minhashes sigs.One (oneBit) or the full
+// minhashes sigs.Min pruned under prior, under the cosine measures the
+// hyperplane bits sigs.Bits. Every row holds at least
+// params.MaxHashes hashes, or params.Ensure fills it that deep.
+func newVerifier(m Measure, oneBit bool, sigs live.View, prior stats.Beta, params core.Params) (core.QueryVerifier, error) {
+	switch {
+	case m != Jaccard:
+		return core.NewCosine(sigs.Bits, params.MaxHashes, params)
+	case oneBit:
+		return core.NewOneBitJaccard(sigs.One, params.MaxHashes, params)
+	default:
+		return core.NewJaccard(sigs.Min, prior, params)
 	}
-	params.Ensure = st.Ensure
-	return core.NewCosine(st.Sigs(), st.MaxBits(), params)
 }

@@ -9,7 +9,6 @@ import (
 	"bayeslsh/internal/allpairs"
 	"bayeslsh/internal/core"
 	"bayeslsh/internal/lshindex"
-	"bayeslsh/internal/pair"
 	"bayeslsh/internal/planner"
 	"bayeslsh/internal/stats"
 )
@@ -145,11 +144,12 @@ func (e *Engine) BuildIndexContext(ctx context.Context, opts Options) (*Index, e
 	return ix, nil
 }
 
-// buildIndexCtx is the shared index-construction path. When prior is
-// non-nil it is used verbatim in place of fitting one from the
-// candidate stream — the merge path of a LiveIndex, which already
-// maintains the corpus prior and must not pay a second enumeration
-// (the snapshot loader's rewire serves the same purpose for loads).
+// buildIndexCtx is the shared index-construction path: it builds the
+// candidate structure and fits the prior, then wires the index like a
+// load or an open does (Index.wire). When prior is non-nil it is used
+// verbatim in place of fitting one from the candidate stream — the
+// merge path of a LiveIndex, which already maintains the corpus prior
+// and must not pay a second enumeration.
 func (e *Engine) buildIndexCtx(ctx context.Context, opts Options, prior *stats.Beta) (*Index, error) {
 	o, err := opts.withDefaults(e.measure)
 	if err != nil {
@@ -187,10 +187,8 @@ func (e *Engine) buildIndexCtx(ctx context.Context, opts Options, prior *stats.B
 		}
 		ix.stats.BandK, ix.stats.Tables = k, l
 		if e.measure == Jaccard {
-			ix.bandMin = k * l
 			ix.mins, err = lshindex.BuildMinhash(e.minSigStore().Sigs(), k, l, e.workers())
 		} else {
-			ix.bandBits = k * l
 			ix.bits, err = lshindex.BuildBits(e.bitSigStore().Sigs(), k, l, e.workers(), o.MultiProbe)
 		}
 		if err != nil {
@@ -202,58 +200,24 @@ func (e *Engine) buildIndexCtx(ctx context.Context, opts Options, prior *stats.B
 		return nil, fmt.Errorf("bayeslsh: unknown algorithm %v", o.Algorithm)
 	}
 
-	// Verification.
-	switch o.Algorithm {
-	case AllPairsBayesLSH, AllPairsBayesLSHLite, LSHBayesLSH, LSHBayesLSHLite:
-		if prior != nil {
-			ix.prior = *prior
-		} else {
-			var cands []pair.Pair
-			if needsPrior(e.measure, o) {
-				// The Jaccard verifier's pruning table depends on the Beta
-				// prior, which the batch pipeline fits from its candidate
-				// stream. Reproduce that stream once at build so every
-				// query shares the batch search's exact prior.
-				cands, err = e.candidates(ctx, o)
-				if err != nil {
-					return nil, err
-				}
-				ix.stats.PriorCandidates = len(cands)
-			}
-			ix.prior = e.fitPrior(o, cands)
-		}
-		ix.vq, err = e.bayesVerifierWithPrior(ctx, o, ix.prior)
+	// The prior, fitted where the verifier prunes with one: the Jaccard
+	// verifier's pruning table depends on the Beta prior, which the batch
+	// pipeline fits from its candidate stream. Reproduce that stream once
+	// at build so every query shares the batch search's exact prior.
+	switch {
+	case prior != nil:
+		ix.prior = *prior
+	case needsPrior(e.measure, o):
+		cands, err := e.candidates(ctx, o)
 		if err != nil {
 			return nil, err
 		}
-		if e.measure == Jaccard {
-			ix.verifyMin = ix.vq.Params().MaxHashes
-			ix.packOneBit = o.OneBitMinhash
-		} else {
-			ix.verifyBits = ix.vq.Params().MaxHashes
-		}
-	case LSHApprox:
-		n := o.ApproxHashes
-		if e.measure == Jaccard {
-			if max := e.minSigStore().MaxHashes(); n > max {
-				n = max
-			}
-			if err := e.minSigStore().EnsureAllCtx(ctx, n, e.workers()); err != nil {
-				return nil, err
-			}
-			ix.verifyMin = n
-		} else {
-			if max := e.bitSigStore().MaxBits(); n > max {
-				n = max
-			}
-			if err := e.bitSigStore().EnsureAllCtx(ctx, n, e.workers()); err != nil {
-				return nil, err
-			}
-			ix.verifyBits = n
-		}
-		ix.approxN = n
+		ix.stats.PriorCandidates = len(cands)
+		ix.prior = e.fitPrior(o, cands)
 	}
-
+	if err := ix.wire(ctx); err != nil {
+		return nil, err
+	}
 	ix.stats.BuildTime = time.Since(start)
 	return ix, nil
 }

@@ -629,42 +629,40 @@ func (li *LiveIndex) applyPrior(ng *liveGen, prior stats.Beta) error {
 	if prior == ng.prior {
 		return nil
 	}
-	vq, err := ng.base.engine().bayesVerifierWithPrior(context.Background(), li.opts, prior)
+	base, err := ng.base.withPrior(context.Background(), prior)
 	if err != nil {
 		return err
 	}
-	ng.base = ng.base.withPrior(prior, vq)
+	ng.base = base
 	ng.prior = prior
 	ng.epoch++
 	return nil
 }
 
-// withPrior returns a view of the index that verifies with the given
-// prior and verifier, sharing every other field — the live index's
-// prior-refit path, which must not rebuild tables or re-hash
-// anything. The atomic engine pointer rules out a struct copy, so a
-// field added to Index must be added here too.
-func (ix *Index) withPrior(p stats.Beta, vq core.QueryVerifier) *Index {
+// withPrior returns a view of the index that verifies under prior p,
+// sharing the candidate structures, engine and signature stores — the
+// live index's prior-refit path, which must not rebuild tables or
+// re-hash anything. The view is wired afresh (Index.wire), which
+// constructs its verifier; the atomic engine pointer rules out a
+// struct copy, so a field added to Index that wire does not derive
+// must be added here too.
+func (ix *Index) withPrior(ctx context.Context, p stats.Beta) (*Index, error) {
 	n := &Index{
-		opts:       ix.opts,
-		bits:       ix.bits,
-		mins:       ix.mins,
-		ap:         ix.ap,
-		disk:       ix.disk,
-		vq:         vq,
-		prior:      p,
-		bandBits:   ix.bandBits,
-		verifyBits: ix.verifyBits,
-		bandMin:    ix.bandMin,
-		verifyMin:  ix.verifyMin,
-		packOneBit: ix.packOneBit,
-		approxN:    ix.approxN,
-		stats:      ix.stats,
-		cstats:     ix.cstats,
-		plan:       ix.plan,
+		opts:   ix.opts,
+		bits:   ix.bits,
+		mins:   ix.mins,
+		ap:     ix.ap,
+		disk:   ix.disk,
+		prior:  p,
+		stats:  ix.stats,
+		cstats: ix.cstats,
+		plan:   ix.plan,
 	}
 	n.eng.Store(ix.engine())
-	return n
+	if err := n.wire(ctx); err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
 // deltaVQCache is one constructed delta-segment verifier, valid for
@@ -693,22 +691,9 @@ func (li *LiveIndex) deltaVerifier(gen *liveGen) (core.QueryVerifier, error) {
 	if c := li.dvq.Load(); c != nil && c.mem == gen.mem && c.epoch == gen.epoch && c.n >= gen.memN {
 		return c.vq, nil
 	}
-	view := gen.mem.View(gen.memN)
 	params := gen.base.vq.Params()
 	params.Ensure = nil // delta signatures are hashed eagerly at ingest
-	var (
-		vq  core.QueryVerifier
-		err error
-	)
-	if li.measure == Jaccard {
-		if li.opts.OneBitMinhash {
-			vq, err = core.NewOneBitJaccard(view.One, params.MaxHashes, params)
-		} else {
-			vq, err = core.NewJaccard(view.Min, gen.prior, params)
-		}
-	} else {
-		vq, err = core.NewCosine(view.Bits, params.MaxHashes, params)
-	}
+	vq, err := newVerifier(li.measure, li.opts.OneBitMinhash, gen.mem.View(gen.memN), gen.prior, params)
 	if err != nil {
 		return nil, err
 	}
@@ -858,13 +843,12 @@ func (li *LiveIndex) mergeRun(ctx context.Context) {
 		// enumeration, just the pruning-table construction). Runs under
 		// the merge ctx so Close aborts the publish like any other
 		// merge stage.
-		vq, err := e2.bayesVerifierWithPrior(ctx, li.opts, cur.prior)
+		nb, err = nb.withPrior(ctx, cur.prior)
 		if err != nil {
 			li.mu.Unlock()
 			li.mergeErr.Store(&err)
 			return
 		}
-		nb = nb.withPrior(cur.prior, vq)
 	}
 	fresh := newMemtableFor(nb)
 	cv := cur.mem.View(cur.memN)

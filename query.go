@@ -405,7 +405,7 @@ func (c cut) run(q Vec, t float64, topK bool, stop *shard.Stopper) ([]Match, err
 		switch {
 		case err != nil || len(ids) == 0:
 		case topK:
-			out, err = c.exact(slices.Grow(out, len(ids)), &seg, qs, ids, t, stop)
+			out, err = c.score(slices.Grow(out, len(ids)), &seg, ids, c.exact(&seg, qs), t, stop)
 		default:
 			out, err = c.verify(out, &seg, qs, ids, t, stop)
 		}
@@ -423,86 +423,65 @@ func (c cut) run(q Vec, t float64, topK bool, stop *shard.Stopper) ([]Match, err
 // within one); a stopped verification returns the context's error.
 func (c cut) verify(out []Match, seg *segment, qs *querySigs, ids []int32, t float64, stop *shard.Stopper) ([]Match, error) {
 	o := c.ix.opts
-	m := c.ix.engine().measure
 	switch o.Algorithm {
 	case BruteForce, AllPairs, LSH:
-		return c.exact(out, seg, qs, ids, t, stop)
+		return c.score(out, seg, ids, c.exact(seg, qs), t, stop)
 
 	case LSHApprox:
-		// The classical fixed-n LSH estimator of §3, sharing the batch
-		// approxVerify formulas.
+		// The classical fixed-n LSH estimator of §3, shared with the
+		// batch join.
 		n := c.ix.approxN
-		if m == Jaccard {
+		if c.ix.engine().measure == Jaccard {
 			qs.min.Ensure(n)
-		} else {
-			qs.bits.Ensure(n)
+			q := qs.min.Hashes()
+			return c.score(out, seg, ids, func(id int32) float64 { return approxJaccard(q, seg.min[id], n) }, t, stop)
 		}
-		for _, id := range ids {
-			if stop.Stopped() {
-				return nil, stop.Err()
-			}
-			var s float64
-			if m == Jaccard {
-				s = approxJaccardEstimate(minhash.Matches(qs.min.Hashes(), seg.min[id], 0, n), n)
-			} else {
-				s = approxCosineEstimate(sighash.MatchCount(qs.bits.Bits(), seg.bits[id], 0, n), n)
-			}
-			if s >= o.Threshold {
-				out = c.add(out, seg, id, s, t)
-			}
-		}
-		return out, nil
-
-	default: // the Bayes pipelines
-		em := toExactMeasure(m)
-		sig := c.ix.verifySig(qs)
-		var (
-			hits []pair.Hit
-			err  error
-		)
-		if o.Algorithm == AllPairsBayesLSH || o.Algorithm == LSHBayesLSH {
-			hits, _, err = seg.vq.VerifyQueryStop(sig, ids, stop)
-		} else {
-			raw, qraw := seg.raw, qs.raw
-			hits, _, err = seg.vq.VerifyQueryLiteStop(sig, ids, o.LiteHashes,
-				func(id int32) float64 { return em.Sim(qraw, raw[id]) }, stop)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = slices.Grow(out, len(hits))
-		for _, h := range hits {
-			if o.Algorithm == AllPairsBayesLSH {
-				// The AllPairs probe and the batch scan evaluate the cheap
-				// candidate bound from different sides, so their candidate
-				// sets can differ on (and only on) sub-threshold pairs.
-				// Exact-verifying the accepted hits removes those from both
-				// paths — the query-side twin of Engine.dropSubThreshold —
-				// so query results equal batch results strictly. Survivors
-				// keep their estimated similarity.
-				if stop.Stopped() {
-					return nil, stop.Err()
-				}
-				if em.Sim(qs.raw, seg.raw[h.ID]) < o.Threshold {
-					continue
-				}
-			}
-			out = c.add(out, seg, h.ID, h.Sim, t)
-		}
-		return out, nil
+		qs.bits.Ensure(n)
+		q := qs.bits.Bits()
+		return c.score(out, seg, ids, func(id int32) float64 { return approxCosine(q, seg.bits[id], n) }, t, stop)
 	}
+
+	// The Bayes pipelines.
+	sig := c.ix.verifySig(qs)
+	var (
+		hits []pair.Hit
+		err  error
+	)
+	if o.Algorithm == AllPairsBayesLSH || o.Algorithm == LSHBayesLSH {
+		hits, _, err = seg.vq.VerifyQueryStop(sig, ids, stop)
+	} else {
+		hits, _, err = seg.vq.VerifyQueryLiteStop(sig, ids, o.LiteHashes, c.exact(seg, qs), stop)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if o.Algorithm == AllPairsBayesLSH {
+		exact := c.exact(seg, qs)
+		hits = dropSubThreshold(hits, o.Threshold, func(h pair.Hit) float64 { return exact(h.ID) })
+	}
+	out = slices.Grow(out, len(hits))
+	for _, h := range hits {
+		out = c.add(out, seg, h.ID, h.Sim, t)
+	}
+	return out, nil
 }
 
-// exact appends, through add, the candidates whose exact similarity to
-// the query meets the built threshold: the verification of the exact
-// pipelines and of every TopK.
-func (c cut) exact(out []Match, seg *segment, qs *querySigs, ids []int32, t float64, stop *shard.Stopper) ([]Match, error) {
-	em := toExactMeasure(c.ix.engine().measure)
+// exact returns the exact similarity of the query to each of the
+// segment's vectors.
+func (c cut) exact(seg *segment, qs *querySigs) func(id int32) float64 {
+	em, raw := toExactMeasure(c.ix.engine().measure), seg.raw
+	return func(id int32) float64 { return em.Sim(qs.raw, raw[id]) }
+}
+
+// score appends, through add, the candidates whose similarity to the
+// query as sim computes it — exact (the exact pipelines and every
+// TopK) or estimated (LSHApprox) — meets the built threshold.
+func (c cut) score(out []Match, seg *segment, ids []int32, sim func(id int32) float64, t float64, stop *shard.Stopper) ([]Match, error) {
 	for _, id := range ids {
 		if stop.Stopped() {
 			return nil, stop.Err()
 		}
-		if s := em.Sim(qs.raw, seg.raw[id]); s >= c.ix.opts.Threshold {
+		if s := sim(id); s >= c.ix.opts.Threshold {
 			out = c.add(out, seg, id, s, t)
 		}
 	}

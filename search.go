@@ -261,72 +261,69 @@ func (e *Engine) candidates(ctx context.Context, o Options) ([]pair.Pair, error)
 	}
 }
 
-// dropSubThreshold removes accepted pairs whose exact similarity is
-// below the threshold, counting each exact computation in checked. The
-// AllPairs candidate stream is the one direction-dependent stage of
-// the two-phase pipelines: the batch scan evaluates the cheap
-// candidate bound in processing order, while a query probe evaluates
-// it from the query's side, so the two candidate sets can differ — but
-// only on sub-threshold pairs, because the bound is an upper bound on
-// similarity. Exact-verifying the accepted pairs (an output-sized
-// cost, not a candidate-sized one; pruning still avoids exact
-// similarities for the overwhelming majority of candidates) removes
-// exactly those pairs from both paths, which is what makes
-// AllPairsBayesLSH query results strictly equal to batch results.
-// Accepted survivors keep their estimated similarity — acceptance,
-// not reporting, uses the exact value. See Index.verify for the
-// query-side twin of this filter, and docs/QUERYING.md.
-func (e *Engine) dropSubThreshold(rs []pair.Result, t float64, checked *int) []pair.Result {
-	kept := rs[:0]
-	for _, r := range rs {
-		*checked++
-		if e.exactSim(r.A, r.B) >= t {
-			kept = append(kept, r)
+// dropSubThreshold removes the accepted hits whose exact similarity,
+// as exact computes it, is below the threshold. The AllPairs candidate
+// stream is the one direction-dependent stage of the two-phase
+// pipelines: the batch scan evaluates the cheap candidate bound in
+// processing order, while a query probe evaluates it from the query's
+// side, so the two candidate sets can differ — but only on
+// sub-threshold pairs, because the bound is an upper bound on
+// similarity. Exact-verifying the accepted hits (an output-sized cost,
+// not a candidate-sized one; pruning still avoids exact similarities
+// for the overwhelming majority of candidates) removes exactly those
+// pairs from both paths, which is what makes AllPairsBayesLSH query
+// results strictly equal to batch results. The batch rows and the
+// query hits both pass through here. Survivors keep their estimated
+// similarity — acceptance, not reporting, uses the exact value. See
+// docs/QUERYING.md.
+func dropSubThreshold[H any](hits []H, t float64, exact func(H) float64) []H {
+	kept := hits[:0]
+	for _, h := range hits {
+		if exact(h) >= t {
+			kept = append(kept, h)
 		}
 	}
 	return kept
 }
 
-// approxEstimator prepares the classical LSH estimation of §3: it
-// clamps the requested hash count to the signature budget, fills every
-// signature that deep (cancelable between vectors), and returns the
-// per-pair estimator plus the hash count actually used. Each estimate
-// depends only on the pair's two signatures, so the LSHApprox output
-// is independent of scheduling.
+// approxEstimator prepares the classical LSH estimation of §3 over
+// the corpus: it fills every signature to the verifyDepth hash count
+// (cancelable between vectors) and returns the batch join's per-pair
+// estimator plus that count. Each estimate depends only on the pair's
+// two signatures, so the LSHApprox output is independent of
+// scheduling.
 func (e *Engine) approxEstimator(ctx context.Context, o Options) (func(a, b int32) float64, int, error) {
-	workers := e.workers()
+	n := e.verifyDepth(o)
 	if e.measure == Jaccard {
 		st := e.minSigStore()
-		n := min(o.ApproxHashes, st.MaxHashes())
-		if err := st.EnsureAllCtx(ctx, n, workers); err != nil {
+		if err := st.EnsureAllCtx(ctx, n, e.workers()); err != nil {
 			return nil, 0, err
 		}
 		sigs := st.Sigs()
-		return func(a, b int32) float64 {
-			return approxJaccardEstimate(minhash.Matches(sigs[a], sigs[b], 0, n), n)
-		}, n, nil
+		return func(a, b int32) float64 { return approxJaccard(sigs[a], sigs[b], n) }, n, nil
 	}
 	st := e.bitSigStore()
-	n := min(o.ApproxHashes, st.MaxBits())
-	if err := st.EnsureAllCtx(ctx, n, workers); err != nil {
+	if err := st.EnsureAllCtx(ctx, n, e.workers()); err != nil {
 		return nil, 0, err
 	}
 	sigs := st.Sigs()
-	return func(a, b int32) float64 {
-		return approxCosineEstimate(sighash.MatchCount(sigs[a], sigs[b], 0, n), n)
-	}, n, nil
+	return func(a, b int32) float64 { return approxCosine(sigs[a], sigs[b], n) }, n, nil
 }
 
-// approxJaccardEstimate is the §3 maximum-likelihood Jaccard estimate
-// after m of n minhashes matched. Shared by the batch LSHApprox
-// pipeline and the index's query path so the two cannot drift.
-func approxJaccardEstimate(m, n int) float64 { return float64(m) / float64(n) }
+// approxJaccard is the §3 maximum-likelihood Jaccard estimate: the
+// match rate of the first n minhashes of x and y. The batch LSHApprox
+// pipeline and the index's query path both estimate through it, so
+// the two cannot drift.
+func approxJaccard(x, y []uint32, n int) float64 {
+	return float64(minhash.Matches(x, y, 0, n)) / float64(n)
+}
 
-// approxCosineEstimate is the §3 estimate for cosine: the match rate
-// clamped to the collision-probability support [0.5, 1], mapped back
-// to cosine space.
-func approxCosineEstimate(m, n int) float64 {
-	return sighash.RToCosine(clamp(float64(m)/float64(n), 0.5, 1))
+// approxCosine is the §3 estimate for the cosine measures: the match
+// rate of the first n hyperplane bits of x and y, clamped to the
+// collision-probability support [0.5, 1] and mapped back to cosine
+// space. Shared like approxJaccard.
+func approxCosine(x, y []uint64, n int) float64 {
+	return sighash.RToCosine(clamp(float64(sighash.MatchCount(x, y, 0, n))/float64(n), 0.5, 1))
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -448,18 +448,20 @@ func decodeIndex(sr *snapshot.Reader) (*Index, error) {
 		return nil, err
 	}
 
-	if err := ix.rewire(); err != nil {
+	if err := ix.wire(context.Background()); err != nil {
 		return nil, err
 	}
 	return ix, nil
 }
 
-// rewire rebuilds the derived serving state of a decoded index:
-// validates that the candidate structure the algorithm probes was
-// present, recomputes the banding depths from the decoded tables, and
-// reconstructs the verifier from the restored stores and persisted
-// prior — mirroring the wiring half of Engine.BuildIndex.
-func (ix *Index) rewire() error {
+// wire derives an index's serving state from its options, candidate
+// structure, prior and engine — the one place a fresh build, a v1/v2
+// load, a v3 open and a live prior refit decide how the pipeline runs.
+// It validates that the candidate structure the algorithm probes is
+// present, records the banding depth the tables read, and prepares
+// verification: the Bayes verifier under the prior, or the §3
+// estimator's hash count with every corpus signature filled that deep.
+func (ix *Index) wire(ctx context.Context) error {
 	e, o := ix.engine(), ix.opts
 	switch o.Algorithm {
 	case BruteForce:
@@ -468,9 +470,9 @@ func (ix *Index) rewire() error {
 			return fmt.Errorf("algorithm %v without its AllPairs index section", o.Algorithm)
 		}
 	default: // the LSH pipelines
-		// The decoded banding depth must fit the signature budget the
-		// engine re-derives from the config — otherwise the first query
-		// would ask the hash family for more hashes than it has.
+		// The banding depth must fit the signature budget the engine
+		// derives from the config — otherwise the first query would ask
+		// the hash family for more hashes than it has.
 		if e.measure == Jaccard {
 			if ix.mins == nil {
 				return fmt.Errorf("algorithm %v without its minhash table section", o.Algorithm)
@@ -490,39 +492,26 @@ func (ix *Index) rewire() error {
 		}
 	}
 
-	var err error
-	switch o.Algorithm {
-	case AllPairsBayesLSH, AllPairsBayesLSHLite, LSHBayesLSH, LSHBayesLSHLite:
-		ix.vq, err = e.bayesVerifierWithPrior(context.Background(), o, ix.prior)
+	var n int
+	switch {
+	case o.Algorithm.UsesBayes():
+		vq, err := e.bayesVerifierWithPrior(ctx, o, ix.prior)
 		if err != nil {
 			return err
 		}
-		if e.measure == Jaccard {
-			ix.verifyMin = ix.vq.Params().MaxHashes
-			ix.packOneBit = o.OneBitMinhash
-		} else {
-			ix.verifyBits = ix.vq.Params().MaxHashes
+		ix.vq, n = vq, vq.Params().MaxHashes
+		ix.packOneBit = e.measure == Jaccard && o.OneBitMinhash
+	case o.Algorithm == LSHApprox:
+		_, approxN, err := e.approxEstimator(ctx, o)
+		if err != nil {
+			return err
 		}
-	case LSHApprox:
-		n := o.ApproxHashes
-		if e.measure == Jaccard {
-			if max := e.minSigStore().MaxHashes(); n > max {
-				n = max
-			}
-			if err := e.minSigStore().EnsureAllCtx(context.Background(), n, e.workers()); err != nil {
-				return err
-			}
-			ix.verifyMin = n
-		} else {
-			if max := e.bitSigStore().MaxBits(); n > max {
-				n = max
-			}
-			if err := e.bitSigStore().EnsureAllCtx(context.Background(), n, e.workers()); err != nil {
-				return err
-			}
-			ix.verifyBits = n
-		}
-		ix.approxN = n
+		ix.approxN, n = approxN, approxN
+	}
+	if e.measure == Jaccard {
+		ix.verifyMin = n
+	} else {
+		ix.verifyBits = n
 	}
 	return nil
 }

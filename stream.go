@@ -230,10 +230,8 @@ func (e *Engine) rowVerifier(ctx context.Context, o Options, prior stats.Beta) (
 	case AllPairsBayesLSH:
 		return func(rows pair.Rows, stop *shard.Stopper) ([]pair.Result, core.Stats) {
 			rs, st := v.VerifyRows(rows, stop)
-			checked := 0
-			rs = e.dropSubThreshold(rs, o.Threshold, &checked)
-			st.ExactVerified += checked
-			return rs, st
+			st.ExactVerified += len(rs)
+			return dropSubThreshold(rs, o.Threshold, func(r pair.Result) float64 { return e.exactSim(r.A, r.B) }), st
 		}, nil
 	case LSHBayesLSH:
 		return v.VerifyRows, nil
