@@ -264,7 +264,7 @@ func TestCorpusStatsSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("v1 reload plan %v != saved %v", got, ix.Plan().Pipeline)
 	}
 
-	disk, err := bayeslsh.OpenIndexFile(v3)
+	disk, err := bayeslsh.LoadFile(v3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,10 @@ import (
 // of the build-offline/serve-online split. It builds the query-serving
 // index once — paying hashing, banding and (for the Jaccard Bayes
 // pipelines) prior fitting — and saves a versioned snapshot that
-// "apss query -index" (or any process calling bayeslsh.LoadFile)
-// loads without rebuilding.
+// "apss query -index" and "apss serve -index" (any process calling
+// bayeslsh.LoadFile or bayeslsh.OpenLiveFile) load without rebuilding:
+// a v1 file decodes into the heap, a v3 file is served in place from a
+// read-only mapping.
 func buildMain(args []string) {
 	fs := flag.NewFlagSet("apss build", flag.ExitOnError)
 	datasetName := fs.String("dataset", "", "built-in synthetic dataset name")

@@ -367,7 +367,7 @@ func TestServeHTTPIntegration(t *testing.T) {
 
 	// The drain snapshot resumes to the served state: same length,
 	// and the post-add query answers match what was served.
-	loaded, err := bayeslsh.LoadLiveFile(snapPath, bayeslsh.LiveConfig{})
+	loaded, err := bayeslsh.OpenLiveFile(snapPath, bayeslsh.LiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

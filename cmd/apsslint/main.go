@@ -1,6 +1,6 @@
 // Command apsslint runs the project's contract analyzers
 // (internal/analysis/...: mapiter, detrand, ctxflow, errwrap,
-// gohygiene — see docs/ANALYSIS.md) over Go packages.
+// gohygiene, narrowing — see docs/ANALYSIS.md) over Go packages.
 //
 // It runs in two modes:
 //

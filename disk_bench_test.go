@@ -5,9 +5,9 @@
 //	go test -bench 'OpenVsLoad|MmapQuery' -benchmem
 //
 // The acceptance criterion of the disk subsystem shows up in
-// OpenVsLoad's B/op column: OpenIndexFile allocates a few row-header
-// slices over the mapping while ReadIndex materializes the whole
-// corpus — orders of magnitude apart on the same snapshot, and the gap
+// OpenVsLoad's B/op column: LoadFile of a v3 file allocates a few
+// row-header slices over the mapping while LoadFile of a v1 file
+// materializes the whole corpus — orders of magnitude apart on the same snapshot, and the gap
 // grows with corpus size.
 // docs/PERSISTENCE.md and docs/TUNING.md quote a reference run.
 package bayeslsh_test
@@ -51,7 +51,7 @@ func BenchmarkOpenVsLoad(b *testing.B) {
 	b.Run("Open", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ix, err := bayeslsh.OpenIndexFile(v3)
+			ix, err := bayeslsh.LoadFile(v3)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func BenchmarkMmapQuery(b *testing.B) {
 		}
 	}
 	b.Run("Disk", func(b *testing.B) {
-		ix, err := bayeslsh.OpenIndexFile(v3)
+		ix, err := bayeslsh.LoadFile(v3)
 		if err != nil {
 			b.Fatal(err)
 		}

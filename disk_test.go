@@ -1,11 +1,14 @@
 package bayeslsh
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,9 +30,9 @@ func saveV3(t *testing.T, ix *Index) string {
 // closing the mapping when the test ends.
 func openV3(t *testing.T, ix *Index) *Index {
 	t.Helper()
-	opened, err := OpenIndexFile(saveV3(t, ix))
+	opened, err := LoadFile(saveV3(t, ix))
 	if err != nil {
-		t.Fatalf("OpenIndexFile: %v", err)
+		t.Fatalf("LoadFile: %v", err)
 	}
 	t.Cleanup(func() { opened.Close() })
 	return opened
@@ -325,39 +328,29 @@ func TestOpenLiveFileVersions(t *testing.T) {
 	}
 }
 
-// TestDiskVersionErrors is the cross-version routing table: every
-// loader handed a file of the wrong version must return
-// ErrSnapshotVersion naming both the version it found and the entry
-// point that reads it — never a checksum or format error.
+// TestDiskVersionErrors is the routing matrix: each of the five entry
+// points that read snapshot files is handed each committed golden (v1,
+// v2, v3) and a future version. A cell either opens the file, serving
+// the golden's answers, or returns ErrSnapshotVersion naming the
+// version it found and the entry points that read it — never a
+// checksum or format error. Which cells open is read off the version
+// table (snapshotReaders); InspectFile reads every version it lists.
 func TestDiskVersionErrors(t *testing.T) {
-	ds := smallDataset(t, 100).TfIdf().Normalize()
-	ix, err := NewIndex(ds, Cosine, EngineConfig{Seed: 3, SignatureBits: 256},
-		Options{Algorithm: LSH, Threshold: 0.7})
+	ds := goldenDataset()
+	base, err := NewIndex(ds, Cosine, EngineConfig{Seed: 41, SignatureBits: 256},
+		Options{Algorithm: LSHBayesLSH, Threshold: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	v1 := filepath.Join(dir, "v1.snap")
-	if err := ix.SaveFile(v1); err != nil {
-		t.Fatal(err)
+	live := goldenLiveIndex(t)
+	defer live.Close()
+	type querier interface {
+		Query(Vec, QueryOptions) ([]Match, error)
 	}
-	v3 := filepath.Join(dir, "v3.snap")
-	if err := ix.SaveFileV3(v3); err != nil {
-		t.Fatal(err)
-	}
-	li, err := LiveFrom(ix, LiveConfig{MaxDelta: -1, MaxRatio: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := filepath.Join(dir, "v2.snap")
-	if err := li.SaveFile(v2); err != nil {
-		t.Fatal(err)
-	}
-	li.Close()
+	golden := map[uint32]querier{SnapshotVersion: base, LiveSnapshotVersion: live, DiskSnapshotVersion: base}
 
-	// A future version, sniffing-proof for every loader.
-	future := filepath.Join(dir, "v99.snap")
-	buf, err := os.ReadFile(v1)
+	future := filepath.Join(t.TempDir(), "v99.snap")
+	buf, err := os.ReadFile("testdata/v1.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,47 +358,87 @@ func TestDiskVersionErrors(t *testing.T) {
 	if err := os.WriteFile(future, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	cases := []struct {
-		name string
-		load func(string) error
-		path string
-		want []string // substrings the diagnosis must carry
-	}{
-		{"LoadFile/v2", func(p string) error { _, err := LoadFile(p); return err }, v2,
-			[]string{"version 2", "ReadLiveIndex or LoadLiveFile"}},
-		{"LoadFile/v3", func(p string) error { _, err := LoadFile(p); return err }, v3,
-			[]string{"version 3", "OpenIndexFile"}},
-		{"LoadLiveFile/v1", func(p string) error {
-			_, err := LoadLiveFile(p, LiveConfig{})
-			return err
-		}, v1, []string{"version 1"}},
-		{"LoadLiveFile/v3", func(p string) error {
-			_, err := LoadLiveFile(p, LiveConfig{})
-			return err
-		}, v3, []string{"version 3", "OpenIndexFile"}},
-		{"OpenIndexFile/v1", func(p string) error { _, err := OpenIndexFile(p); return err }, v1,
-			[]string{"version 1", "ReadIndex or LoadFile"}},
-		{"OpenIndexFile/v2", func(p string) error { _, err := OpenIndexFile(p); return err }, v2,
-			[]string{"version 2", "ReadLiveIndex or LoadLiveFile"}},
-		{"LoadFile/v99", func(p string) error { _, err := LoadFile(p); return err }, future,
-			[]string{"version 99", "OpenIndexFile", "ReadIndex", "ReadLiveIndex"}},
-		{"OpenLiveFile/v99", func(p string) error {
-			_, err := OpenLiveFile(p, LiveConfig{})
-			return err
-		}, future, []string{"version 99"}},
-		{"InspectFile/v99", func(p string) error { _, err := InspectFile(p); return err }, future,
-			[]string{"version 99"}},
+	files := map[uint32]string{
+		SnapshotVersion:     "testdata/v1.snap",
+		LiveSnapshotVersion: "testdata/v2.snap",
+		DiskSnapshotVersion: "testdata/v3.snap",
+		99:                  future,
 	}
-	for _, c := range cases {
-		err := c.load(c.path)
-		if !errors.Is(err, ErrSnapshotVersion) {
-			t.Fatalf("%s: %v, want ErrSnapshotVersion", c.name, err)
+	reader := func(path string) io.Reader {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, sub := range c.want {
-			if !strings.Contains(err.Error(), sub) {
-				t.Fatalf("%s: diagnosis %q does not name %q", c.name, err, sub)
-			}
+		return bytes.NewReader(b)
+	}
+	entries := []struct {
+		name string
+		open func(path string) (any, error)
+	}{
+		{"LoadFile", func(p string) (any, error) { return LoadFile(p) }},
+		{"ReadIndex", func(p string) (any, error) { return ReadIndex(reader(p)) }},
+		{"OpenLiveFile", func(p string) (any, error) { return OpenLiveFile(p, LiveConfig{}) }},
+		{"ReadLiveIndex", func(p string) (any, error) { return ReadLiveIndex(reader(p), LiveConfig{}) }},
+		{"InspectFile", func(p string) (any, error) { return InspectFile(p) }},
+	}
+	for _, e := range entries {
+		for _, v := range []uint32{SnapshotVersion, LiveSnapshotVersion, DiskSnapshotVersion, 99} {
+			t.Run(fmt.Sprintf("%s/v%d", e.name, v), func(t *testing.T) {
+				var readers []string
+				if v < uint32(len(snapshotReaders)) {
+					readers = snapshotReaders[v].readers
+				}
+				reads := slices.Contains(readers, e.name) || (e.name == "InspectFile" && readers != nil)
+				got, err := e.open(files[v])
+				if !reads {
+					if !errors.Is(err, ErrSnapshotVersion) {
+						t.Fatalf("%v, want ErrSnapshotVersion", err)
+					}
+					want := []string{fmt.Sprintf("found version %d", v)}
+					for _, r := range snapshotReaders[1:] {
+						if readers == nil || slices.Equal(r.readers, readers) {
+							want = append(want, strings.Join(r.readers, ", "))
+						}
+					}
+					for _, sub := range want {
+						if !strings.Contains(err.Error(), sub) {
+							t.Fatalf("diagnosis %q does not name %q", err, sub)
+						}
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("the version table says %s reads version %d: %v", e.name, v, err)
+				}
+				switch got := got.(type) {
+				case *SnapshotInfo:
+					n := ds.Len()
+					if v == LiveSnapshotVersion {
+						n = live.Stats().Base
+					}
+					if uint32(got.Version) != v || got.Vectors != n {
+						t.Fatalf("info reports version %d over %d vectors, want %d over %d",
+							got.Version, got.Vectors, v, n)
+					}
+					return
+				case *Index:
+					defer got.Close()
+				case *LiveIndex:
+					defer got.Close()
+				}
+				served := got.(querier)
+				for i := 0; i < ds.Len(); i++ {
+					want, err := golden[v].Query(ds.Vector(i), QueryOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					have, err := served.Query(ds.Vector(i), QueryOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameMatches(t, [][]Match{have}, [][]Match{want})
+				}
+			})
 		}
 	}
 }
@@ -454,12 +487,12 @@ func TestDiskCorruption(t *testing.T) {
 	}
 
 	// Header page damage: refused at open, as corruption (not version).
-	if _, err := OpenIndexFile(corruptFileAt(t, path, int64(len(snapshotMagic)+5))); !errors.Is(err, ErrSnapshotFormat) {
+	if _, err := LoadFile(corruptFileAt(t, path, int64(len(snapshotMagic)+5))); !errors.Is(err, ErrSnapshotFormat) {
 		t.Fatalf("corrupt header: %v, want ErrSnapshotFormat", err)
 	}
 	// Metadata damage: the meta section is the one section verified
 	// eagerly, so the open itself reports the checksum.
-	if _, err := OpenIndexFile(corruptFileAt(t, path, byTag[sectMeta].Off+10)); !errors.Is(err, ErrSnapshotChecksum) {
+	if _, err := LoadFile(corruptFileAt(t, path, byTag[sectMeta].Off+10)); !errors.Is(err, ErrSnapshotChecksum) {
 		t.Fatalf("corrupt meta: %v, want ErrSnapshotChecksum", err)
 	}
 
@@ -469,7 +502,7 @@ func TestDiskCorruption(t *testing.T) {
 		if !ok {
 			t.Fatalf("section %d missing from %v", tag, sects)
 		}
-		opened, err := OpenIndexFile(corruptFileAt(t, path, s.Off+s.Len/2))
+		opened, err := LoadFile(corruptFileAt(t, path, s.Off+s.Len/2))
 		if err != nil {
 			t.Fatalf("open with corrupt section %d: %v", tag, err)
 		}
@@ -492,7 +525,7 @@ func TestDiskCorruption(t *testing.T) {
 	}
 
 	// The same damage surfaces through a live wrapper's queries.
-	opened, err := OpenIndexFile(corruptFileAt(t, path, byTag[sectBitTables].Off+byTag[sectBitTables].Len/2))
+	opened, err := LoadFile(corruptFileAt(t, path, byTag[sectBitTables].Off+byTag[sectBitTables].Len/2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +567,7 @@ func TestDiskMemStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := OpenIndexFile(path)
+	disk, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,7 +685,7 @@ func TestGoldenDiskSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix, err := OpenIndexFile(path)
+	ix, err := LoadFile(path)
 	if err != nil {
 		t.Fatalf("HEAD cannot open the committed v3 snapshot: %v", err)
 	}
@@ -707,7 +740,8 @@ func resealV3(data []byte) []byte {
 	return sealed
 }
 
-// FuzzOpenIndexFile fuzzes the disk-snapshot open path: any byte
+// FuzzOpenIndexFile fuzzes LoadFile's disk-snapshot open path (the
+// target keeps the name its stored corpus is filed under): any byte
 // string may fail to open but must never panic, and whatever does
 // open must serve queries — or fail them with a typed error — without
 // panicking. Mutations are additionally resealed with valid checksums
@@ -755,7 +789,7 @@ func FuzzOpenIndexFile(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		opened, err := OpenIndexFile(path)
+		opened, err := LoadFile(path)
 		if err != nil {
 			return
 		}

@@ -2,12 +2,9 @@ package bayeslsh
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"bayeslsh/internal/allpairs"
@@ -26,7 +23,7 @@ import (
 // (internal/diskidx) whose sections are laid out exactly the way
 // queries read them — the corpus as flat columns, signatures as
 // fixed-stride matrices, band tables as sorted bucket runs, AllPairs
-// postings delta+varint compressed — so OpenIndexFile maps the file,
+// postings delta+varint compressed — so LoadFile maps the file,
 // lays read-only views over the mapping, and answers
 // Query/TopK/QueryBatch bit-identically to the index that wrote it
 // while the OS pages corpus bytes in on demand. Opening allocates
@@ -37,7 +34,7 @@ import (
 // heap-vs-mmap trade-off.
 
 // DiskSnapshotVersion is the format version SaveFileV3 writes and
-// OpenIndexFile reads — the disk-servable container of
+// LoadFile serves in place — the disk-servable container of
 // internal/diskidx.
 const DiskSnapshotVersion = diskidx.Version
 
@@ -165,8 +162,8 @@ func (ix *Index) Close() error {
 // IndexMemStats reports an index's relationship to its backing
 // snapshot file.
 type IndexMemStats struct {
-	// DiskBacked is true for an index opened with OpenIndexFile; the
-	// byte counts below are zero otherwise.
+	// DiskBacked is true for an index LoadFile serves from a v3 file;
+	// the byte counts below are zero otherwise.
 	DiskBacked bool
 	// MappedBytes is the size of the mapped snapshot file.
 	MappedBytes int64
@@ -240,17 +237,7 @@ func (ix *Index) SaveFileV3(path string) error {
 	}
 	ap, _ := ix.ap.(*allpairs.Index)
 
-	f, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	mode := os.FileMode(0o644)
-	if fi, err := os.Stat(path); err == nil {
-		mode = fi.Mode().Perm()
-	}
-	werr := f.Chmod(mode)
-	if werr == nil {
+	return snapshot.WriteFile(path, func(f *os.File) error {
 		fw := diskidx.NewFileWriter(f)
 		fw.Section(sectMeta, func(sw *snapshot.Writer) {
 			ix.writeMeta(sw)
@@ -277,58 +264,8 @@ func (ix *Index) SaveFileV3(path string) error {
 		if ap != nil {
 			fw.Section(sectAllPairs, ap.WriteFixedSection)
 		}
-		werr = fw.Finish()
-	}
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// OpenIndexFile opens a disk-servable (version 3) snapshot written by
-// SaveFileV3 and returns a read-only Index serving from the mapping
-// (or, under the apss_nommap build tag and on platforms without mmap,
-// from once-per-section preads). Opening reads the section directory
-// and the scalar metadata; corpus bytes, signatures and postings stay
-// on disk until queries touch them, and each section is
-// checksum-verified and structurally validated exactly once, at that
-// first touch — a failure surfaces on the query as
-// ErrSnapshotChecksum or ErrSnapshotFormat. Results are bit-identical
-// to the saving index and to a heap load of the same corpus and
-// options.
-//
-// The returned index serves queries and LiveFrom but cannot be
-// re-saved (ErrDiskBacked) — its file is the snapshot. Call Close when
-// no query or derived live index needs it anymore.
-//
-// Errors follow ReadIndex: ErrSnapshotFormat, ErrSnapshotVersion
-// (naming the loader for v1/v2 files), ErrSnapshotChecksum.
-func OpenIndexFile(path string) (*Index, error) {
-	f, err := diskidx.Open(path)
-	if err != nil {
-		return nil, mapDiskOpenErr(err)
-	}
-	ix, err := openDisk(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return ix, nil
+		return fw.Finish()
+	})
 }
 
 // mapDiskOpenErr translates container-open failures to the root
@@ -336,17 +273,7 @@ func OpenIndexFile(path string) (*Index, error) {
 func mapDiskOpenErr(err error) error {
 	var ve *diskidx.VersionError
 	if errors.As(err, &ve) {
-		switch ve.Found {
-		case SnapshotVersion:
-			return fmt.Errorf("%w: found version %d (a base-index snapshot); load it with ReadIndex or LoadFile",
-				ErrSnapshotVersion, ve.Found)
-		case LiveSnapshotVersion:
-			return fmt.Errorf("%w: found version %d (a live-index snapshot); load it with ReadLiveIndex or LoadLiveFile",
-				ErrSnapshotVersion, ve.Found)
-		default:
-			return fmt.Errorf("%w: found version %d; this build reads versions %d (ReadIndex/LoadFile), %d (ReadLiveIndex/LoadLiveFile) and %d (OpenIndexFile)",
-				ErrSnapshotVersion, ve.Found, SnapshotVersion, LiveSnapshotVersion, DiskSnapshotVersion)
-		}
+		return versionError(ve.Found)
 	}
 	if errors.Is(err, snapshot.ErrCorrupt) {
 		return fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
@@ -560,42 +487,28 @@ func openDisk(f *diskidx.File) (*Index, error) {
 }
 
 // OpenLiveFile opens any snapshot version as a live index: a version-2
-// file loads exactly like LoadLiveFile, a version-1 file loads as a
-// heap base with an empty delta (LoadFile + LiveFrom), and a version-3
-// file serves its base from the mapping (OpenIndexFile + LiveFrom) —
-// the serving layer's one entry point for restoring a shard from
-// whatever snapshot the builder produced. For a version-3 base the
-// mapping stays open for the life of the process: merged generations
-// alias the mapped corpus bytes, so there is no safe point to unmap
-// while the live index exists.
+// file loads its saved generation (as ReadLiveIndex does), and a
+// version-1 or version-3 file opens as a base with an empty delta
+// (LoadFile, then LiveFrom) — the serving layer's one entry point for
+// restoring a shard from whatever snapshot the builder produced. For a
+// version-3 base the mapping stays open for the life of the process:
+// merged generations alias the mapped corpus bytes, so there is no
+// safe point to unmap while the live index exists.
 func OpenLiveFile(path string, lc LiveConfig) (*LiveIndex, error) {
-	pf, err := os.Open(path)
+	v, err := fileVersion(path)
 	if err != nil {
 		return nil, err
 	}
-	var pro [len(snapshotMagic) + 4]byte
-	_, rerr := io.ReadFull(pf, pro[:])
-	pf.Close()
-	if rerr != nil || string(pro[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("%w: missing magic", ErrSnapshotFormat)
-	}
-	switch v := binary.LittleEndian.Uint32(pro[len(snapshotMagic):]); v {
-	case SnapshotVersion:
+	if v != LiveSnapshotVersion {
 		ix, err := LoadFile(path)
 		if err != nil {
 			return nil, err
 		}
 		return LiveFrom(ix, lc)
-	case LiveSnapshotVersion:
-		return LoadLiveFile(path, lc)
-	case DiskSnapshotVersion:
-		ix, err := OpenIndexFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return LiveFrom(ix, lc)
-	default:
-		return nil, fmt.Errorf("%w: found version %d; this build reads versions %d (ReadIndex/LoadFile), %d (ReadLiveIndex/LoadLiveFile) and %d (OpenIndexFile)",
-			ErrSnapshotVersion, v, SnapshotVersion, LiveSnapshotVersion, DiskSnapshotVersion)
 	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return readStream(buf, LiveSnapshotVersion, lc.decodeLive)
 }

@@ -57,19 +57,24 @@
 //
 // # Persistence (build offline, serve online)
 //
-// A built Index snapshots to a versioned, checksummed binary stream
-// and loads back without rebuilding — the offline-build/online-serve
-// split of production systems, where one builder writes a snapshot
-// and a fleet of serving processes load it at startup:
+// A built Index snapshots to a versioned, checksummed file and loads
+// back without rebuilding — the offline-build/online-serve split of
+// production systems, where one builder writes a snapshot and a fleet
+// of serving processes load it at startup:
 //
-//	err := ix.SaveFile("index.snap")     // offline (atomic replace)
+//	err := ix.SaveFile("index.snap")           // offline (atomic replace)
 //	ix, err := bayeslsh.LoadFile("index.snap") // online, milliseconds
 //
-// A loaded index serves Query, TopK and QueryBatch results
-// bit-identical to the index that wrote the snapshot, at any
-// Parallelism and BatchSize (set per process with Index.SetRuntime).
-// WriteTo and ReadIndex are the io.Writer/io.Reader forms;
-// docs/PERSISTENCE.md documents the format and versioning policy.
+// SaveFile writes the heap stream (version 1); SaveFileV3 writes the
+// page-aligned version-3 file, which LoadFile serves in place from a
+// read-only mapping instead of decoding it. A loaded index serves
+// Query, TopK and QueryBatch results bit-identical to the index that
+// wrote the snapshot, at any Parallelism and BatchSize (set per process
+// with Index.SetRuntime). Four constructors read snapshots: LoadFile
+// (a base-index file of either version), OpenLiveFile (any file, as a
+// LiveIndex), and ReadIndex and ReadLiveIndex, the io.Reader forms of
+// the two WriteTo streams. docs/PERSISTENCE.md documents the formats
+// and versioning policy.
 //
 // # Live serving (ingest while querying)
 //
@@ -88,7 +93,8 @@
 // Determinism extends to mutation: after any interleaving of adds,
 // deletes and merges, results are bit-identical to a cold Index built
 // over the equivalent corpus. Live state snapshots as a version-2
-// stream (LiveIndex.WriteTo, ReadLiveIndex, LoadLiveFile); see
+// stream (LiveIndex.WriteTo or SaveFile; ReadLiveIndex or
+// OpenLiveFile); see
 // docs/LIVE.md for the segment model and merge policy.
 //
 // # Cancellation and streaming

@@ -51,7 +51,7 @@ type Index struct {
 
 	// The candidate structures serve both residencies: built by
 	// BuildIndex or decoded from a v1/v2 snapshot into the heap, or laid
-	// over a mapped v3 snapshot by OpenIndexFile. Band tables have one
+	// over a mapped v3 snapshot by LoadFile. Band tables have one
 	// form for both; the AllPairs source is interface-typed over the
 	// heap index and the mapped view.
 	bits *lshindex.BitsTables    // LSH tables, cosine measures
@@ -60,7 +60,7 @@ type Index struct {
 	vq   core.QueryVerifier      // Bayes / Lite verification
 
 	// disk is non-nil for an index served in place from a v3 snapshot
-	// (OpenIndexFile): it owns the mapping and the per-section
+	// (LoadFile): it owns the mapping and the per-section
 	// first-touch verification state. nil for heap-resident indexes.
 	disk *diskState
 

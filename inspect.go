@@ -69,40 +69,32 @@ func InspectFile(path string) (*SnapshotInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pro [len(snapshotMagic) + 4]byte
-	pf, err := os.Open(path)
+	v, err := fileVersion(path)
 	if err != nil {
 		return nil, err
 	}
-	_, rerr := pf.ReadAt(pro[:], 0)
-	pf.Close()
-	if rerr != nil || string(pro[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("%w: missing magic", ErrSnapshotFormat)
-	}
-	switch v := binary.LittleEndian.Uint32(pro[len(snapshotMagic):]); v {
+	switch v {
 	case SnapshotVersion, LiveSnapshotVersion:
 		buf, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		return inspectStream(buf, int(v), fi.Size())
+		return inspectStream(buf, v, fi.Size())
 	case DiskSnapshotVersion:
 		return inspectDisk(path, fi.Size())
-	default:
-		return nil, fmt.Errorf("%w: found version %d; this build reads versions %d (ReadIndex/LoadFile), %d (ReadLiveIndex/LoadLiveFile) and %d (OpenIndexFile)",
-			ErrSnapshotVersion, v, SnapshotVersion, LiveSnapshotVersion, DiskSnapshotVersion)
 	}
+	return nil, versionError(v)
 }
 
 // inspectStream walks a v1/v2 stream snapshot's section framing (u32
 // tag, u64 length, payload) after verifying the trailing whole-file
 // checksum, decoding only the metadata and the vector section's
 // dim/count header.
-func inspectStream(buf []byte, version int, size int64) (*SnapshotInfo, error) {
-	if _, err := checksummedBody(buf); err != nil {
+func inspectStream(buf []byte, version uint32, size int64) (*SnapshotInfo, error) {
+	if _, err := checksummedBody(buf, version); err != nil {
 		return nil, err
 	}
-	info := &SnapshotInfo{Version: version, Size: size}
+	info := &SnapshotInfo{Version: int(version), Size: size}
 	body := buf[:len(buf)-4]
 	pos := len(snapshotMagic) + 4
 	for pos < len(body) {
@@ -119,23 +111,8 @@ func inspectStream(buf []byte, version int, size int64) (*SnapshotInfo, error) {
 		info.Sections = append(info.Sections, SnapshotSection{
 			Tag: tag, Name: sectionName(tag), Off: int64(pos), Len: int64(ln),
 		})
-		switch tag {
-		case sectMeta:
-			meta, err := readMeta(snapshot.NewReader(payload))
-			if err != nil {
-				return nil, fmt.Errorf("%w: meta: %v", ErrSnapshotFormat, err)
-			}
-			info.Measure, info.Algorithm, info.Threshold = meta.measure, meta.opts.Algorithm, meta.opts.Threshold
-			info.Stats = meta.cstats
-		case sectVectors:
-			// Collection header: u32 dim, u64 count; the vectors
-			// themselves are not decoded.
-			r := snapshot.NewReader(payload)
-			dim, n := r.U32(), r.U64()
-			if err := r.Err(); err != nil {
-				return nil, fmt.Errorf("%w: vectors: %v", ErrSnapshotFormat, err)
-			}
-			info.Dim, info.Vectors = int(dim), int(n)
+		if err := info.decode(tag, payload, false); err != nil {
+			return nil, err
 		}
 		pos += int(ln)
 	}
@@ -161,23 +138,37 @@ func inspectDisk(path string, size int64) (*SnapshotInfo, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotChecksum, err)
 		}
-		switch s.Tag {
-		case sectMeta:
-			meta, err := readMeta(snapshot.NewReader(b))
-			if err != nil {
-				return nil, fmt.Errorf("%w: meta: %v", ErrSnapshotFormat, err)
-			}
-			info.Measure, info.Algorithm, info.Threshold = meta.measure, meta.opts.Algorithm, meta.opts.Threshold
-			info.Stats = meta.cstats
-		case sectVectors:
-			// Flat-collection header: u32 dim, u32 pad, u64 count.
-			r := snapshot.NewReader(b)
-			dim, _, n := r.U32(), r.U32(), r.U64()
-			if err := r.Err(); err != nil {
-				return nil, fmt.Errorf("%w: vectors: %v", ErrSnapshotFormat, err)
-			}
-			info.Dim, info.Vectors = int(dim), int(n)
+		if err := info.decode(s.Tag, b, true); err != nil {
+			return nil, err
 		}
 	}
 	return info, nil
+}
+
+// decode fills info's metadata and corpus shape from a meta or vectors
+// section payload (other sections are left undecoded). Of the vectors
+// section only the header is read: u32 dim, u64 count in a stream
+// file; u32 dim, u32 pad, u64 count in a v3 file's flat columns.
+func (info *SnapshotInfo) decode(tag uint32, b []byte, flat bool) error {
+	r := snapshot.NewReader(b)
+	switch tag {
+	case sectMeta:
+		meta, err := readMeta(r)
+		if err != nil {
+			return fmt.Errorf("%w: meta: %v", ErrSnapshotFormat, err)
+		}
+		info.Measure, info.Algorithm, info.Threshold = meta.measure, meta.opts.Algorithm, meta.opts.Threshold
+		info.Stats = meta.cstats
+	case sectVectors:
+		dim := r.U32()
+		if flat {
+			r.U32()
+		}
+		n := r.U64()
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("%w: vectors: %v", ErrSnapshotFormat, err)
+		}
+		info.Dim, info.Vectors = int(dim), int(n)
+	}
+	return nil
 }

@@ -82,11 +82,11 @@ func TestCandidatesRandomCorporaParallelMatchesSequential(t *testing.T) {
 }
 
 func uint32Max(vecs []vector.Vector) int {
-	m := 0
+	var m uint32
 	for _, v := range vecs {
-		if v.Len() > 0 && int(v.Ind[v.Len()-1]) > m {
-			m = int(v.Ind[v.Len()-1])
+		if v.Len() > 0 && v.Ind[v.Len()-1] > m {
+			m = v.Ind[v.Len()-1]
 		}
 	}
-	return m
+	return int(m)
 }

@@ -11,6 +11,7 @@ import (
 	"bayeslsh/internal/analysis/errwrap"
 	"bayeslsh/internal/analysis/gohygiene"
 	"bayeslsh/internal/analysis/mapiter"
+	"bayeslsh/internal/analysis/narrowing"
 )
 
 // Analyzers returns the full apsslint suite.
@@ -21,5 +22,6 @@ func Analyzers() []*analysis.Analyzer {
 		ctxflow.Analyzer,
 		errwrap.Analyzer,
 		gohygiene.Analyzer,
+		narrowing.Analyzer,
 	}
 }

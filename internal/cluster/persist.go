@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"bayeslsh"
+	"bayeslsh/internal/snapshot"
 )
 
 // manifest is the JSON cluster-snapshot descriptor SaveFile writes at
@@ -29,8 +30,9 @@ func shardPath(path string, i int) string { return fmt.Sprintf("%s.%d", path, i)
 
 // SaveFile writes a consistent cluster snapshot: one live snapshot
 // per shard at "<path>.<i>" plus a JSON manifest at path recording
-// the plan and id state, written via a temp file and rename so a
-// crash never leaves a half-written manifest pointing at shard files.
+// the plan and id state, written atomically (snapshot.WriteFile: a
+// synced temp file renamed into place) so a crash never leaves a
+// half-written manifest pointing at shard files.
 // Mutations are blocked for the duration (queries keep serving), so
 // the cut is mutation-consistent across shards. LoadLocal restores
 // it. With HTTP backends the shard snapshots are written on each
@@ -49,13 +51,12 @@ func (r *Router) SaveFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("cluster: encode manifest: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	err = snapshot.WriteFile(path, func(f *os.File) error {
+		_, err := f.Write(append(data, '\n'))
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("cluster: write manifest: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("cluster: publish manifest: %w", err)
 	}
 	return nil
 }

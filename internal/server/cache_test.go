@@ -145,7 +145,7 @@ func TestServedCacheInvalidation(t *testing.T) {
 	ds, maps := corpus(t, bayeslsh.Cosine, 40)
 	li := newLive(t, ds, bayeslsh.Cosine, bayeslsh.LSH, 0.6)
 	srv := New(li, Config{CacheSize: 32, Loader: func(path string) (Serveable, error) {
-		return bayeslsh.LoadLiveFile(path, harness.LiveConfig())
+		return bayeslsh.OpenLiveFile(path, harness.LiveConfig())
 	}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

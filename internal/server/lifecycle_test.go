@@ -429,7 +429,7 @@ func TestServerGracefulDrain(t *testing.T) {
 		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
 	}
 	// The final snapshot exists and reloads.
-	loaded, err := bayeslsh.LoadLiveFile(snap, bayeslsh.LiveConfig{})
+	loaded, err := bayeslsh.OpenLiveFile(snap, bayeslsh.LiveConfig{})
 	if err != nil {
 		t.Fatalf("drain snapshot unreadable: %v", err)
 	}

@@ -325,7 +325,7 @@ func TestServedHotReload(t *testing.T) {
 	donor.Close()
 
 	srv := New(old, Config{Loader: func(path string) (Serveable, error) {
-		return bayeslsh.LoadLiveFile(path, harness.LiveConfig())
+		return bayeslsh.OpenLiveFile(path, harness.LiveConfig())
 	}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -406,7 +406,7 @@ func TestServedSaveRoundTrip(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	loaded, err := bayeslsh.LoadLiveFile(path, harness.LiveConfig())
+	loaded, err := bayeslsh.OpenLiveFile(path, harness.LiveConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,9 @@
 // contains is decided by its users — each storage layer serializes its
 // own state with a WriteSnapshot/ReadSnapshot pair built from these
 // primitives, and the root bayeslsh package composes the sections and
-// owns the magic, version and checksum policy. No reflection and no
+// owns the magic, version and checksum policy. WriteFile is the one
+// atomic write-temp, sync and rename step every snapshot and cluster
+// manifest file goes through. No reflection and no
 // gob: every byte is written and read by explicit code, so the format
 // is stable across Go versions and releases, and decoding hostile
 // input can fail but never panic or over-allocate (every length is

@@ -373,23 +373,9 @@ func (li *LiveIndex) Add(q Vec) (int, error) {
 	if li.closed {
 		return 0, ErrLiveClosed
 	}
-	if q.Len() > 0 && uint64(q.v.Ind[q.Len()-1]) >= uint64(li.dim) {
-		return 0, fmt.Errorf("%w: feature %d, feature space [0, %d)",
-			ErrVecOutOfRange, q.v.Ind[q.Len()-1], li.dim)
-	}
 	gen := li.gen.Load()
-	if li.measure == Cosine && gen.base.ap != nil && q.Len() > 0 {
-		// Mirror the AllPairs build validation (its pruning bounds
-		// assume unit-norm, non-negative vectors): rejecting here keeps
-		// every ingested vector mergeable.
-		if n := q.v.Norm(); math.Abs(n-1) > 1e-6 {
-			return 0, fmt.Errorf("%w (norm %v)", ErrVecNotNormalized, n)
-		}
-		for _, w := range q.v.Val {
-			if w < 0 {
-				return 0, fmt.Errorf("%w (negative weight)", ErrVecNotNormalized)
-			}
-		}
+	if err := gen.base.admit(q); err != nil {
+		return 0, err
 	}
 	ent := li.prepareEntry(gen.base, q)
 
@@ -467,6 +453,35 @@ func (li *LiveIndex) Delete(id int) bool {
 	li.liveCount--
 	li.maybeMerge(gen)
 	return true
+}
+
+// admit checks that q may join the corpus of a live index over ix —
+// the one admission rule of Add and of a version-2 load's delta
+// vectors. Features must lie inside the feature space
+// (ErrVecOutOfRange); under a cosine AllPairs index, whose pruning
+// bounds assume unit-norm, non-negative vectors, q must be one
+// (ErrVecNotNormalized), which keeps every ingested vector mergeable.
+func (ix *Index) admit(q Vec) error {
+	if q.Len() == 0 {
+		return nil
+	}
+	e := ix.engine()
+	if dim := e.ds.c.Dim; uint64(q.v.Ind[q.Len()-1]) >= uint64(dim) {
+		return fmt.Errorf("%w: feature %d, feature space [0, %d)",
+			ErrVecOutOfRange, q.v.Ind[q.Len()-1], dim)
+	}
+	if e.measure != Cosine || ix.ap == nil {
+		return nil
+	}
+	if n := q.v.Norm(); math.Abs(n-1) > 1e-6 {
+		return fmt.Errorf("%w (norm %v)", ErrVecNotNormalized, n)
+	}
+	for _, w := range q.v.Val {
+		if w < 0 {
+			return fmt.Errorf("%w (negative weight)", ErrVecNotNormalized)
+		}
+	}
+	return nil
 }
 
 // maybeMerge schedules a background merge when the policy says the

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"bayeslsh/internal/snapshot"
 	"bayeslsh/internal/vector"
 )
 
@@ -152,9 +154,10 @@ func TestLiveSnapshotVersionErrors(t *testing.T) {
 }
 
 // TestHostileLiveSection forges the live section's id-space header
-// with values beyond 32 bits. Each must fail as ErrSnapshotFormat on
-// every architecture: a decoder that narrowed them to int first would
-// read 2^32 + 60 as 60 where int is 32 bits wide, and accept the file.
+// with values beyond 32 bits, and a delta vector Add refuses. Each
+// must fail as ErrSnapshotFormat on every architecture: a decoder that
+// narrowed the header to int first would read 2^32 + 60 as 60 where
+// int is 32 bits wide, and accept the file.
 func TestHostileLiveSection(t *testing.T) {
 	ds := smallDataset(t, 60).TfIdf().Normalize()
 	ix, err := NewIndex(ds, Cosine, EngineConfig{Seed: 5, SignatureBits: 512},
@@ -178,12 +181,62 @@ func TestHostileLiveSection(t *testing.T) {
 			return p
 		}
 	}
-	for name, edit := range map[string]func([]byte) []byte{
-		"start 2^32+60": highWord(0),
-		"memN 2^32":     highWord(8),
-	} {
-		forged := editSection(t, v2.Bytes(), sectLive, edit)
-		got, err := ReadLiveIndex(bytes.NewReader(forged), LiveConfig{})
+	forged := map[string][]byte{
+		"start 2^32+60": editSection(t, v2.Bytes(), sectLive, highWord(0)),
+		"memN 2^32":     editSection(t, v2.Bytes(), sectLive, highWord(8)),
+	}
+
+	// A delta vector Add would refuse: a cosine AllPairs index admits
+	// only unit-norm vectors, so this forgery scales the one delta
+	// vector to norm 1.71. Loading it would leave a delta no merge can
+	// fold.
+	apIx, err := NewIndex(ds, Cosine, EngineConfig{Seed: 5, SignatureBits: 512},
+		Options{Algorithm: AllPairsBayesLSHLite, Threshold: 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apLive, err := LiveFrom(apIx, LiveConfig{MaxDelta: -1, MaxRatio: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer apLive.Close()
+	if _, err := apLive.Add(ds.Vector(0)); err != nil {
+		t.Fatal(err)
+	}
+	var apV2 bytes.Buffer
+	if _, err := apLive.WriteTo(&apV2); err != nil {
+		t.Fatal(err)
+	}
+	forged["delta norm 1.71"] = editSection(t, apV2.Bytes(), sectLive, func(p []byte) []byte {
+		r := snapshot.NewReader(p)
+		r.U64()
+		r.U64()
+		r.U64s()
+		r.U64s()
+		head := p[:len(p)-r.Remaining()]
+		mc, err := vector.ReadCollectionSnapshot(r)
+		if err != nil || len(mc.Vecs) != 1 {
+			t.Fatalf("delta collection: %v (%d vectors)", err, len(mc.Vecs))
+		}
+		for i := range mc.Vecs[0].Val {
+			mc.Vecs[0].Val[i] *= 1.71
+		}
+		var tail bytes.Buffer
+		w := snapshot.NewWriter(&tail)
+		mc.WriteSnapshot(w)
+		return append(head, tail.Bytes()...)
+	})
+
+	// An empty section frame after the live section, re-sealed: the
+	// refusal must come before the live index (and its merge
+	// goroutine) exists.
+	trailing := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(
+		append([]byte{}, v2.Bytes()[:v2.Len()-4]...), sectLive+1), 0)
+	forged["trailing section"] = binary.LittleEndian.AppendUint32(trailing, snapshot.Checksum(trailing))
+
+	base := runtime.NumGoroutine()
+	for name, snap := range forged {
+		got, err := ReadLiveIndex(bytes.NewReader(snap), LiveConfig{})
 		if err == nil {
 			got.Close()
 		}
@@ -191,9 +244,10 @@ func TestHostileLiveSection(t *testing.T) {
 			t.Errorf("%s: %v, want ErrSnapshotFormat", name, err)
 		}
 	}
+	requireNoGoroutineLeak(t, base)
 }
 
-// TestLiveSnapshotFileHelpers covers the SaveFile/LoadLiveFile pair,
+// TestLiveSnapshotFileHelpers covers the SaveFile/OpenLiveFile pair,
 // including atomic replacement of an existing snapshot.
 func TestLiveSnapshotFileHelpers(t *testing.T) {
 	ds := smallDataset(t, 40).Binarize()
@@ -214,7 +268,7 @@ func TestLiveSnapshotFileHelpers(t *testing.T) {
 	if err := li.SaveFile(path); err != nil { // atomic overwrite
 		t.Fatal(err)
 	}
-	loaded, err := LoadLiveFile(path, LiveConfig{})
+	loaded, err := OpenLiveFile(path, LiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +305,7 @@ func TestGoldenLiveSnapshot(t *testing.T) {
 		}
 		li.Close()
 	}
-	loaded, err := LoadLiveFile(path, LiveConfig{})
+	loaded, err := OpenLiveFile(path, LiveConfig{})
 	if err != nil {
 		t.Fatalf("HEAD cannot read the committed v2 snapshot: %v", err)
 	}

@@ -2,16 +2,18 @@ package bayeslsh
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+	"strings"
 	"time"
 
 	"bayeslsh/internal/allpairs"
+	"bayeslsh/internal/diskidx"
 	"bayeslsh/internal/lshindex"
 	"bayeslsh/internal/planner"
 	"bayeslsh/internal/snapshot"
@@ -49,7 +51,8 @@ const SnapshotVersion = 1
 // the version-1 section sequence over the base segment, followed by
 // one live section carrying the generation state (id map, tombstones,
 // delta vectors). A version-2 file is not a valid version-1 file and
-// vice versa — each loader names the other when handed the wrong one.
+// vice versa — a loader handed a version it does not read names the
+// entry points that do (versionError).
 const LiveSnapshotVersion = 2
 
 // Section tags of the version-1 layout, in file order. Version 2
@@ -80,8 +83,8 @@ var (
 
 // WriteTo serializes the index as a snapshot. It implements
 // io.WriterTo. The writer is not buffered internally; wrap files in a
-// bufio.Writer (SaveFile does). A disk-backed index (OpenIndexFile)
-// returns ErrDiskBacked: its v3 file is already the snapshot.
+// bufio.Writer (SaveFile does). An index LoadFile serves from a mapped
+// v3 file returns ErrDiskBacked: that file is already the snapshot.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	if ix.disk != nil {
 		return 0, ErrDiskBacked
@@ -291,61 +294,106 @@ func readMeta(r *snapshot.Reader) (snapMeta, error) {
 	return m, nil
 }
 
-// ReadIndex loads an index snapshot written by WriteTo and returns a
-// ready-to-serve Index. The runtime knobs EngineConfig.Parallelism and
-// BatchSize are not part of a snapshot; the loaded index uses their
-// defaults (all CPUs, default batch). Results served by the loaded
-// index are bit-identical to the index that wrote the snapshot.
+// ReadIndex loads a version-1 index snapshot written by WriteTo and
+// returns a ready-to-serve Index. The runtime knobs
+// EngineConfig.Parallelism and BatchSize are not part of a snapshot;
+// the loaded index uses their defaults (all CPUs, default batch).
+// Results served by the loaded index are bit-identical to the index
+// that wrote the snapshot.
 //
 // Errors distinguish the failure: ErrSnapshotFormat for input that is
-// not a snapshot or is structurally broken, ErrSnapshotVersion for an
-// unknown format version, ErrSnapshotChecksum for corruption.
+// not a snapshot or is structurally broken, ErrSnapshotVersion for a
+// format version ReadIndex does not read (naming the entry points that
+// do), ErrSnapshotChecksum for corruption.
 func ReadIndex(r io.Reader) (*Index, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("bayeslsh: reading snapshot: %w", err)
 	}
-	return readIndexBytes(buf)
+	return readStream(buf, SnapshotVersion, decodeIndex)
 }
 
-// readIndexBytes decodes a whole snapshot held in memory — the shared
-// back end of ReadIndex and LoadFile (which reads the file in one
-// stat-sized allocation instead of growing through io.ReadAll).
-func readIndexBytes(buf []byte) (*Index, error) {
-	// Fixed prologue first: magic, then version, so mismatches report
-	// cleanly regardless of what follows.
-	if len(buf) < len(snapshotMagic)+4 || string(buf[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("%w: missing magic", ErrSnapshotFormat)
+// snapshotReaders is the version table: for each format version this
+// build reads, what a file of that version holds and the entry points
+// that read it. InspectFile reads every version listed. Every
+// ErrSnapshotVersion message is built from this table by versionError.
+var snapshotReaders = [...]struct {
+	holds   string
+	readers []string
+}{
+	SnapshotVersion:     {"a base index", []string{"LoadFile", "ReadIndex", "OpenLiveFile"}},
+	LiveSnapshotVersion: {"a live index", []string{"OpenLiveFile", "ReadLiveIndex"}},
+	DiskSnapshotVersion: {"a disk-servable base index", []string{"LoadFile", "OpenLiveFile"}},
+}
+
+// versionError reports a snapshot of format version found handed to an
+// entry point that does not read it, naming the entry points that do.
+func versionError(found uint32) error {
+	if found > 0 && found < uint32(len(snapshotReaders)) {
+		r := snapshotReaders[found]
+		return fmt.Errorf("%w: found version %d (%s); read it with %s",
+			ErrSnapshotVersion, found, r.holds, strings.Join(r.readers, ", "))
 	}
-	switch v := binary.LittleEndian.Uint32(buf[len(snapshotMagic):]); v {
-	case SnapshotVersion:
-	case LiveSnapshotVersion:
-		return nil, fmt.Errorf("%w: found version %d (a live-index snapshot); load it with ReadLiveIndex or LoadLiveFile",
-			ErrSnapshotVersion, v)
-	case DiskSnapshotVersion:
-		return nil, fmt.Errorf("%w: found version %d (a disk-servable snapshot); open it with OpenIndexFile",
-			ErrSnapshotVersion, v)
-	default:
-		return nil, fmt.Errorf("%w: found version %d; this build reads versions %d (ReadIndex/LoadFile), %d (ReadLiveIndex/LoadLiveFile) and %d (OpenIndexFile)",
-			ErrSnapshotVersion, v, SnapshotVersion, LiveSnapshotVersion, DiskSnapshotVersion)
+	var known []string
+	for v, r := range snapshotReaders[1:] {
+		known = append(known, fmt.Sprintf("%d (%s)", v+1, strings.Join(r.readers, ", ")))
 	}
-	sr, err := checksummedBody(buf)
+	return fmt.Errorf("%w: found version %d; this build reads versions %s",
+		ErrSnapshotVersion, found, strings.Join(known, ", "))
+}
+
+// snapshotVersion reads the prologue every format shares — the magic,
+// then the u32 format version — from the head of a snapshot buffer or
+// file.
+func snapshotVersion(r io.ReaderAt) (uint32, error) {
+	var pro [len(snapshotMagic) + 4]byte
+	if _, err := r.ReadAt(pro[:], 0); err != nil || string(pro[:len(snapshotMagic)]) != snapshotMagic {
+		return 0, fmt.Errorf("%w: missing magic", ErrSnapshotFormat)
+	}
+	return binary.LittleEndian.Uint32(pro[len(snapshotMagic):]), nil
+}
+
+// fileVersion is snapshotVersion of the file at path.
+func fileVersion(path string) (uint32, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	ix, err := decodeIndex(sr)
+	defer f.Close()
+	return snapshotVersion(f)
+}
+
+// readStream decodes a whole stream snapshot (version 1 or 2) held in
+// memory — the prologue ReadIndex, ReadLiveIndex, LoadFile and
+// OpenLiveFile share: the version must be want, the trailing CRC-32C
+// must match, and decode must consume every section.
+func readStream[T any](buf []byte, want uint32, decode func(*snapshot.Reader) (T, error)) (T, error) {
+	var zero T
+	sr, err := checksummedBody(buf, want)
+	if err != nil {
+		return zero, err
+	}
+	x, err := decode(sr)
 	if err == nil && sr.Remaining() != 0 {
 		err = fmt.Errorf("%d trailing bytes after sections", sr.Remaining())
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
+		return zero, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
 	}
-	return ix, nil
+	return x, nil
 }
 
-// checksummedBody verifies the trailing CRC-32C and returns a reader
-// positioned after the magic and version prologue.
-func checksummedBody(buf []byte) (*snapshot.Reader, error) {
+// checksummedBody checks a stream snapshot's prologue against format
+// version want, verifies the trailing CRC-32C, and returns a reader
+// positioned after the prologue.
+func checksummedBody(buf []byte, want uint32) (*snapshot.Reader, error) {
+	v, err := snapshotVersion(bytes.NewReader(buf))
+	if err != nil {
+		return nil, err
+	}
+	if v != want {
+		return nil, versionError(v)
+	}
 	if len(buf) < len(snapshotMagic)+8 {
 		return nil, fmt.Errorf("%w: truncated before checksum", ErrSnapshotFormat)
 	}
@@ -543,69 +591,67 @@ func (ix *Index) SetRuntime(parallelism, batchSize int) {
 	ix.eng.Store(&own)
 }
 
-// SaveFile writes the index snapshot to path atomically: the bytes go
-// to a temporary file in the same directory, which replaces path only
-// after a successful write — a serving fleet never observes a
-// half-written snapshot. The snapshot keeps the permissions of the
-// file it replaces (0644 for a fresh one), not the 0600 of the
-// temporary file, so builder and serving processes can run as
-// different users.
+// SaveFile writes the index as a version-1 snapshot to path
+// atomically: the bytes go to a temporary file in the same directory,
+// which replaces path only after a successful, synced write — a
+// serving fleet never observes a half-written snapshot. The snapshot
+// keeps the permissions of the file it replaces (0644 for a fresh
+// one), so builder and serving processes can run as different users.
 func (ix *Index) SaveFile(path string) error {
-	return saveAtomic(path, ix)
+	return snapshot.WriteFile(path, writeBuffered(ix))
 }
 
-// saveAtomic is the shared write-to-temp-then-rename implementation
-// behind Index.SaveFile and LiveIndex.SaveFile.
-func saveAtomic(path string, wt io.WriterTo) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
-	if err != nil {
-		return err
+// writeBuffered is the snapshot.WriteFile body of both SaveFiles: wt's
+// stream through a 1 MiB buffer.
+func writeBuffered(wt io.WriterTo) func(*os.File) error {
+	return func(f *os.File) error {
+		bw := bufio.NewWriterSize(f, 1<<20)
+		if _, err := wt.WriteTo(bw); err != nil {
+			return err
+		}
+		return bw.Flush()
 	}
-	tmp := f.Name()
-	mode := os.FileMode(0o644)
-	if fi, err := os.Stat(path); err == nil {
-		mode = fi.Mode().Perm()
-	}
-	werr := f.Chmod(mode)
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if werr == nil {
-		_, werr = wt.WriteTo(bw)
-	}
-	if werr == nil {
-		werr = bw.Flush()
-	}
-	if werr == nil {
-		// Data must be durable before the rename publishes it —
-		// otherwise a crash can leave the rename on disk ahead of the
-		// bytes, replacing a good snapshot with a truncated one.
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Best-effort directory sync makes the rename itself durable.
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }
 
-// LoadFile loads an index snapshot from a file written by SaveFile.
+// LoadFile opens a base-index snapshot file of either format. A
+// version-1 file (SaveFile) decodes into the heap. A version-3 file
+// (SaveFileV3) is served in place: the index maps the file (or, under
+// the apss_nommap build tag and on platforms without mmap, reads each
+// section once with pread) and lays read-only views over it. Opening
+// it reads the section directory and the scalar metadata; corpus
+// bytes, signatures and postings stay on disk until queries touch
+// them, and each section is checksum-verified and structurally
+// validated exactly once, at that first touch — a failure surfaces on
+// the query as ErrSnapshotChecksum or ErrSnapshotFormat. A mapped
+// index serves queries and LiveFrom but cannot be re-saved
+// (ErrDiskBacked): its file is the snapshot. Call Close when no query
+// or derived live index needs it anymore.
+//
+// Either way results are bit-identical to the saving index. Errors
+// follow ReadIndex; a live (version-2) snapshot reports
+// ErrSnapshotVersion naming OpenLiveFile.
 func LoadFile(path string) (*Index, error) {
+	v, err := fileVersion(path)
+	if err != nil {
+		return nil, err
+	}
+	if v == DiskSnapshotVersion {
+		f, err := diskidx.Open(path)
+		if err != nil {
+			return nil, mapDiskOpenErr(err)
+		}
+		ix, err := openDisk(f)
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+		return ix, nil
+	}
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return readIndexBytes(buf)
+	return readStream(buf, SnapshotVersion, decodeIndex)
 }
 
 // WriteTo serializes the live index as a version-2 snapshot: the base
@@ -657,7 +703,7 @@ func (li *LiveIndex) WriteTo(w io.Writer) (int64, error) {
 // crash-consistent durability: a loader always sees some complete
 // generation.
 func (li *LiveIndex) SaveFile(path string) error {
-	return saveAtomic(path, li)
+	return snapshot.WriteFile(path, writeBuffered(li))
 }
 
 // ReadLiveIndex loads a live-index snapshot written by
@@ -675,57 +721,16 @@ func ReadLiveIndex(r io.Reader, lc LiveConfig) (*LiveIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bayeslsh: reading snapshot: %w", err)
 	}
-	return readLiveBytes(buf, lc)
+	return readStream(buf, LiveSnapshotVersion, lc.decodeLive)
 }
 
-// LoadLiveFile loads a live-index snapshot from a file written by
-// LiveIndex.SaveFile.
-func LoadLiveFile(path string, lc LiveConfig) (*LiveIndex, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return readLiveBytes(buf, lc)
-}
-
-// readLiveBytes decodes a version-2 snapshot: the shared base-index
-// decode, then the live section, replayed through the same ingest
-// code path Add uses so the loaded delta segment is bit-identical to
-// the saved one.
-func readLiveBytes(buf []byte, lc LiveConfig) (*LiveIndex, error) {
-	if len(buf) < len(snapshotMagic)+4 || string(buf[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("%w: missing magic", ErrSnapshotFormat)
-	}
-	switch v := binary.LittleEndian.Uint32(buf[len(snapshotMagic):]); v {
-	case LiveSnapshotVersion:
-	case SnapshotVersion:
-		return nil, fmt.Errorf("%w: found version %d (a base-index snapshot); load it with ReadIndex or LoadFile (then LiveFrom)",
-			ErrSnapshotVersion, v)
-	case DiskSnapshotVersion:
-		return nil, fmt.Errorf("%w: found version %d (a disk-servable snapshot); open it with OpenIndexFile (then LiveFrom), or OpenLiveFile",
-			ErrSnapshotVersion, v)
-	default:
-		return nil, fmt.Errorf("%w: found version %d; this build reads versions %d (ReadIndex/LoadFile), %d (ReadLiveIndex/LoadLiveFile) and %d (OpenIndexFile)",
-			ErrSnapshotVersion, v, SnapshotVersion, LiveSnapshotVersion, DiskSnapshotVersion)
-	}
-	sr, err := checksummedBody(buf)
-	if err != nil {
-		return nil, err
-	}
-	li, err := decodeLive(sr, lc)
-	if err == nil && sr.Remaining() != 0 {
-		err = fmt.Errorf("%d trailing bytes after sections", sr.Remaining())
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
-	}
-	return li, nil
-}
-
-// decodeLive decodes the base sections then the live section,
-// validating the generation state against the decoded base before
-// rebuilding the serving wiring.
-func decodeLive(sr *snapshot.Reader, lc LiveConfig) (*LiveIndex, error) {
+// decodeLive decodes a version-2 section sequence into a live index
+// under the merge policy lc: the shared base-index decode, then the
+// live section, whose generation state is validated against the
+// decoded base and whose delta vectors pass Add's admission checks and
+// replay through Add's ingest path, so the loaded delta segment is
+// bit-identical to the saved one.
+func (lc LiveConfig) decodeLive(sr *snapshot.Reader) (*LiveIndex, error) {
 	ix, err := decodeIndex(sr)
 	if err != nil {
 		return nil, err
@@ -779,11 +784,22 @@ func decodeLive(sr *snapshot.Reader, lc LiveConfig) (*LiveIndex, error) {
 	if err := sr.Err(); err != nil {
 		return nil, err
 	}
+	if sr.Remaining() != 0 {
+		// readStream checks this too, but only after decode returns: the
+		// live index built below owns a merge goroutine that a late
+		// error would leak.
+		return nil, fmt.Errorf("%d trailing bytes after sections", sr.Remaining())
+	}
 	if mc.Dim != ix.engine().ds.c.Dim {
 		return nil, fmt.Errorf("delta dimensionality %d, base is %d", mc.Dim, ix.engine().ds.c.Dim)
 	}
 	if len(mc.Vecs) != memN {
 		return nil, fmt.Errorf("live section declares %d delta vectors, carries %d", memN, len(mc.Vecs))
+	}
+	for i, v := range mc.Vecs {
+		if err := ix.admit(Vec{v: v}); err != nil {
+			return nil, fmt.Errorf("delta vector %d: %w", i, err)
+		}
 	}
 
 	li := newLiveOver(ix, lc, baseIDs, start)
