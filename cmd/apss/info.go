@@ -33,6 +33,9 @@ func infoMain(args []string) {
 	fmt.Printf("%s: format v%d, %d bytes\n", path, info.Version, info.Size)
 	fmt.Printf("  %v index, %v measure, t=%.2f\n", info.Algorithm, info.Measure, info.Threshold)
 	fmt.Printf("  corpus: %d vectors, dim %d\n", info.Vectors, info.Dim)
+	if l := info.Live; l != nil {
+		fmt.Printf("  live: %d vectors (base %d + delta %d, %d tombstones)\n", l.Vectors, info.Vectors, l.Delta, l.Tombstones)
+	}
 	if st := info.Stats; !st.Zero() {
 		fmt.Printf("  stats: avg len %.1f, median %d, p90 %d, max %d, cv %.2f\n",
 			st.AvgLen, st.MedianLen, st.P90Len, st.MaxLen, st.LenCV)

@@ -607,7 +607,28 @@ func TestInspectFile(t *testing.T) {
 	if err := li.SaveFile(v2); err != nil {
 		t.Fatal(err)
 	}
+	// A second live snapshot with two adds and two deletes, one of each
+	// segment: the live section must count both.
+	for i := range 2 {
+		if _, err := li.Add(ds.Vector(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	li.Delete(5)
+	li.Delete(ds.Len() + 1)
+	churned := filepath.Join(dir, "v2-churned.snap")
+	if err := li.SaveFile(churned); err != nil {
+		t.Fatal(err)
+	}
+	wantLive := li.Len()
 	li.Close()
+	info, err := InspectFile(churned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (LiveSnapshotInfo{Delta: 2, Tombstones: 2, Vectors: wantLive}); info.Vectors != ds.Len() || info.Live == nil || *info.Live != want {
+		t.Fatalf("churned live snapshot: base %d, live %+v; want base %d, live %+v", info.Vectors, info.Live, ds.Len(), want)
+	}
 
 	for _, c := range []struct {
 		path    string
@@ -625,6 +646,9 @@ func TestInspectFile(t *testing.T) {
 		}
 		if info.Measure != Cosine || info.Algorithm != LSHBayesLSH || info.Threshold != 0.7 {
 			t.Fatalf("%s: metadata %v/%v/t=%v", c.path, info.Measure, info.Algorithm, info.Threshold)
+		}
+		if (info.Live != nil) != (c.version == 2) || (info.Live != nil && *info.Live != LiveSnapshotInfo{Vectors: ds.Len()}) {
+			t.Fatalf("%s: live %+v", c.path, info.Live)
 		}
 		if fi, _ := os.Stat(c.path); info.Size != fi.Size() {
 			t.Fatalf("%s: size %d, want %d", c.path, info.Size, fi.Size())

@@ -375,7 +375,9 @@ func (e *Engine) verifyDepth(o Options) int {
 // builds (which fit the prior from candidates), snapshot loads (which
 // restore the fitted prior verbatim, so a loaded index prunes with the
 // exact table the saved one did), live prior refits and the batch
-// join.
+// join. Verification skips Ensure for rounds no deeper than the
+// store's watermark: the depth banding (lshPlan) or a snapshot filled
+// every signature to.
 func (e *Engine) bayesVerifierWithPrior(ctx context.Context, o Options, prior stats.Beta) (core.QueryVerifier, error) {
 	params := core.Params{
 		Threshold: o.Threshold,
@@ -389,7 +391,7 @@ func (e *Engine) bayesVerifierWithPrior(ctx context.Context, o Options, prior st
 	switch {
 	case e.measure != Jaccard:
 		st := e.bitSigStore()
-		params.Ensure, sigs.Bits = st.Ensure, st.Sigs()
+		params.Ensure, params.Watermark, sigs.Bits = st.Ensure, st.Watermark(), st.Sigs()
 	case o.OneBitMinhash:
 		// 1-bit signatures are packed eagerly from the minhash store
 		// (they are 32× smaller, so the packing is cheap).
@@ -400,7 +402,7 @@ func (e *Engine) bayesVerifierWithPrior(ctx context.Context, o Options, prior st
 		sigs.One = minhash.PackOneBitAll(st.Sigs())
 	default:
 		st := e.minSigStore()
-		params.Ensure, sigs.Min = st.Ensure, st.Sigs()
+		params.Ensure, params.Watermark, sigs.Min = st.Ensure, st.Watermark(), st.Sigs()
 	}
 	return newVerifier(e.measure, o.OneBitMinhash, sigs, prior, params)
 }

@@ -23,8 +23,8 @@ import (
 // verification exactly as they do for Engine.Search: LSH algorithms
 // keep the banded hash tables resident, AllPairs algorithms keep the
 // inverted index resident, and the Bayes variants share the batch
-// pipeline's verifier (pruning table, concentration cache, Jaccard
-// prior). PPJoin has no query-serving form and is rejected.
+// pipeline's verifier (pruning and accept tables, Jaccard prior).
+// PPJoin has no query-serving form and is rejected.
 //
 // An Index is immutable after construction and safe for concurrent
 // use: signature stores fill lazily under their own synchronization,

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 
 	"bayeslsh/internal/diskidx"
 	"bayeslsh/internal/snapshot"
@@ -37,6 +38,18 @@ type SnapshotInfo struct {
 	// snapshots (the planner's input); Stats.Zero() reports true for
 	// files written before stats persistence.
 	Stats CorpusStats
+
+	// Live describes a live (v2) snapshot's generation, whose base
+	// segment Vectors counts; nil for v1 and v3 files.
+	Live *LiveSnapshotInfo
+}
+
+// LiveSnapshotInfo is the generation state of a live snapshot, decoded
+// from its live section.
+type LiveSnapshotInfo struct {
+	Delta      int // vectors in the delta segment
+	Tombstones int // deleted ids on record
+	Vectors    int // vectors a query can return: base and delta, less the deleted
 }
 
 // sectionNames maps the shared v1/v2/v3 section tags to display names.
@@ -145,10 +158,12 @@ func inspectDisk(path string, size int64) (*SnapshotInfo, error) {
 	return info, nil
 }
 
-// decode fills info's metadata and corpus shape from a meta or vectors
-// section payload (other sections are left undecoded). Of the vectors
-// section only the header is read: u32 dim, u64 count in a stream
-// file; u32 dim, u32 pad, u64 count in a v3 file's flat columns.
+// decode fills info's metadata and corpus shape from a meta, vectors
+// or live section payload (other sections are left undecoded). Of the
+// vectors section only the header is read: u32 dim, u64 count in a
+// stream file; u32 dim, u32 pad, u64 count in a v3 file's flat
+// columns. Of the live section the id state is read, not the delta
+// vectors.
 func (info *SnapshotInfo) decode(tag uint32, b []byte, flat bool) error {
 	r := snapshot.NewReader(b)
 	switch tag {
@@ -169,6 +184,25 @@ func (info *SnapshotInfo) decode(tag uint32, b []byte, flat bool) error {
 			return fmt.Errorf("%w: vectors: %v", ErrSnapshotFormat, err)
 		}
 		info.Dim, info.Vectors = int(dim), int(n)
+	case sectLive:
+		start, memN := r.U64(), r.U64()
+		base, tombs := r.U64s(), r.U64s()
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("%w: live: %v", ErrSnapshotFormat, err)
+		}
+		if start > maxLiveIDs || memN > maxLiveIDs-start {
+			return fmt.Errorf("%w: live section id space start=%d memN=%d out of range", ErrSnapshotFormat, start, memN)
+		}
+		live := &LiveSnapshotInfo{Delta: int(memN), Tombstones: len(tombs), Vectors: len(base) + int(memN)}
+		for _, id := range tombs {
+			// A tombstone takes a vector away if it names a delta
+			// vector or a base vector still in the id map (the ids of
+			// vectors a merge dropped are kept on record too).
+			if _, inBase := slices.BinarySearch(base, id); inBase || id >= start {
+				live.Vectors--
+			}
+		}
+		info.Live = live
 	}
 	return nil
 }

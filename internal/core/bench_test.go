@@ -76,30 +76,28 @@ func BenchmarkAblationPriorLearnedVsUniform(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationConcCache measures the value of the (m, n)
-// concentration cache by comparing a cold first pass (inference
-// performed) with warm passes (cache hits only).
-func BenchmarkAblationConcCache(b *testing.B) {
-	sigs, cands := benchFixture(512)
-	params := Params{Threshold: 0.7, Epsilon: 0.03, Delta: 0.05, Gamma: 0.05}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			v, err := NewJaccard(sigs, stats.Beta{Alpha: 1, Beta: 1}, params)
-			if err != nil {
-				b.Fatal(err)
+// BenchmarkAblationTableBuild measures what a verifier's first use of a
+// new key costs — its prune table, and its accept table — and what
+// every later verifier over the key costs: a registry lookup.
+func BenchmarkAblationTableBuild(b *testing.B) {
+	p := Params{Threshold: 0.7, Epsilon: 0.03, Delta: 0.05, Gamma: 0.03, K: 32, MaxHashes: 2048}
+	for _, kind := range []string{"cosine", "jaccard"} {
+		b.Run(kind+"/cold", func(b *testing.B) {
+			calls := 0
+			for range b.N {
+				forgetTables()
+				var st Stats
+				tableVerifier(b, kind, uniform, p).acceptTable(&st)
+				calls = st.InferenceCalls
 			}
-			verifySeq(b, v, cands)
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		v, err := NewJaccard(sigs, stats.Beta{Alpha: 1, Beta: 1}, params)
-		if err != nil {
-			b.Fatal(err)
-		}
-		verifySeq(b, v, cands) // populate the cache
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			verifySeq(b, v, cands)
-		}
-	})
+			b.ReportMetric(float64(calls), "accept-calls/op")
+		})
+		b.Run(kind+"/interned", func(b *testing.B) {
+			tableVerifier(b, kind, uniform, p).acceptTable(&Stats{})
+			b.ResetTimer()
+			for range b.N {
+				tableVerifier(b, kind, uniform, p).acceptTable(&Stats{})
+			}
+		})
+	}
 }

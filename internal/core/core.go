@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"bayeslsh/internal/pair"
 	"bayeslsh/internal/shard"
@@ -33,6 +32,10 @@ type Params struct {
 	// stores can fill them on demand (the paper's "each point is only
 	// hashed as many times as is necessary").
 	Ensure func(id int32, n int)
+	// Watermark is a depth every corpus signature is known to hold
+	// already (the depth banding filled, or the store's own minimum):
+	// rounds that read no deeper skip Ensure.
+	Watermark int
 }
 
 // withDefaults validates p against a signature of length sigLen and
@@ -86,10 +89,12 @@ type Stats struct {
 	// after (i+1)*K hashes were examined (accepted pairs count as
 	// survivors; this is Figure 4's y-axis).
 	SurvivorsByRound []int
-	// InferenceCalls counts posterior computations actually performed;
-	// CacheHits counts concentration decisions served from the cache.
+	// InferenceCalls counts the posterior evaluations of the accept
+	// table build this run triggered: zero unless it was the first
+	// verification in the process to need that table.
 	InferenceCalls int
-	// CacheHits counts concentration queries answered by the cache.
+	// CacheHits counts concentration tests, each decided by the accept
+	// table.
 	CacheHits int
 }
 
@@ -109,57 +114,9 @@ func rounds(p Params) []int {
 func minMatchesTable(ns []int, survive func(m, n int) bool) []int {
 	table := make([]int, len(ns))
 	for i, n := range ns {
-		lo, hi := 0, n+1 // invariant: lo-1 fails (or lo==0), hi survives or hi==n+1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if survive(mid, n) {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		table[i] = lo
+		table[i] = firstTrue(0, n+1, func(m int) bool { return survive(m, n) })
 	}
 	return table
-}
-
-// concCache memoizes the concentration decision per (round, m). Cells
-// hold 0 unknown, 1 concentrated, 2 not concentrated, and are accessed
-// atomically so one cache can be shared by concurrent verification
-// workers: the decision is a pure function of (round, m), so racing
-// writers store the same value and a lost update only costs a
-// recomputation.
-type concCache struct {
-	perRound [][]uint32
-	k        int
-}
-
-func newConcCache(ns []int, k int) *concCache {
-	c := &concCache{perRound: make([][]uint32, len(ns)), k: k}
-	for i, n := range ns {
-		c.perRound[i] = make([]uint32, n+1)
-	}
-	return c
-}
-
-// lookup returns the cached decision and whether it was present.
-func (c *concCache) lookup(round, m int) (bool, bool) {
-	switch atomic.LoadUint32(&c.perRound[round][m]) {
-	case 1:
-		return true, true
-	case 2:
-		return false, true
-	default:
-		return false, false
-	}
-}
-
-func (c *concCache) store(round, m int, v bool) {
-	if v {
-		atomic.StoreUint32(&c.perRound[round][m], 1)
-	} else {
-		atomic.StoreUint32(&c.perRound[round][m], 2)
-	}
 }
 
 // ExactSimFunc computes the exact similarity of a candidate pair; it
@@ -181,10 +138,9 @@ type ExactSimFunc func(a, b int32) float64
 // send each batch's accepted results to emit, with the batch's slot,
 // as soon as the batch finishes (the shard.StreamCtx contract).
 // Collected in slot order (as VerifyParallelCtx and
-// VerifyLiteParallelCtx do) the results, and all returned Stats except
-// the CacheHits/InferenceCalls split, are identical for any worker
-// count, batch size and row cut. An emit error or a canceled ctx stops
-// the run and is returned with Stats{}.
+// VerifyLiteParallelCtx do) the results and the returned Stats are
+// identical for any worker count, batch size and row cut. An emit
+// error or a canceled ctx stops the run and is returned with Stats{}.
 type Verifier interface {
 	// VerifyRows runs BayesLSH (Algorithm 1), prune and estimate, over
 	// one batch of rows, returning accepted pairs in row order. stop

@@ -10,47 +10,57 @@ import (
 // CosineVerifier is the §4.2 instantiation of BayesLSH: packed
 // random-hyperplane bit signatures and a uniform prior over the
 // collision probability r = 1 − θ/π ∈ [0.5, 1]. All inference happens
-// in r-space — the posterior after M(m, n) is proportional to
-// r^m (1−r)^(n−m) truncated to [0.5, 1] — and results are transformed
-// back to cosine space with r2c(r) = cos(π(1−r)).
-type CosineVerifier struct {
-	kernel
-	tr float64 // threshold mapped to r-space
-}
+// in r-space (bitsVerifier), and results are transformed back to
+// cosine space with r2c(r) = cos(π(1−r)).
+type CosineVerifier struct{ bitsVerifier }
 
 // NewCosine builds a verifier over packed bit signatures of at least
 // p.MaxHashes bits (sigBits is the usable signature length in bits).
 func NewCosine(sigs [][]uint64, sigBits int, p Params) (*CosineVerifier, error) {
-	if len(sigs) == 0 {
-		return nil, fmt.Errorf("core: no signatures")
-	}
-	params, err := p.withDefaults(sigBits)
-	if err != nil {
+	v := new(CosineVerifier)
+	if err := v.setup(sigs, sigBits, p, "cosine", sighash.CosineToR, sighash.RToCosine); err != nil {
 		return nil, err
 	}
-	for i, s := range sigs {
-		if len(s)*64 < params.MaxHashes {
-			return nil, fmt.Errorf("core: signature %d has %d bits, need %d", i, len(s)*64, params.MaxHashes)
-		}
-	}
-	v := &CosineVerifier{tr: sighash.CosineToR(params.Threshold)}
-	v.kernel = bitsKernel(sigs, v.Estimate, v.concentrated)
-	v.init(params, v.probAboveThreshold)
 	return v, nil
 }
 
-// bitsKernel returns a kernel with the hooks of a verifier over packed
-// bit signatures (cosine hyperplane bits, 1-bit minhashes): hashes are
-// compared by XOR + popcount.
-func bitsKernel(sigs [][]uint64, estimate func(m, n int) float64, concentrated func(m, n int) bool) kernel {
-	return kernel{
+// bitsVerifier is the inference of the verifiers over packed bit
+// signatures (cosine hyperplane bits, 1-bit minhashes), whose hashes
+// collide with a probability r ∈ [0.5, 1] under a uniform prior: the
+// posterior after M(m, n) is proportional to r^m (1−r)^(n−m)
+// truncated to [0.5, 1], and hashes are compared by XOR + popcount.
+// toR maps a similarity to r-space and fromR maps back.
+type bitsVerifier struct {
+	kernel
+	tr         float64 // threshold mapped to r-space
+	toR, fromR func(float64) float64
+}
+
+// setup validates p against the signatures and builds the kernel.
+func (v *bitsVerifier) setup(sigs [][]uint64, sigBits int, p Params, kind string, toR, fromR func(float64) float64) error {
+	if len(sigs) == 0 {
+		return fmt.Errorf("core: no signatures")
+	}
+	params, err := p.withDefaults(sigBits)
+	if err != nil {
+		return err
+	}
+	for i, s := range sigs {
+		if len(s)*64 < params.MaxHashes {
+			return fmt.Errorf("core: signature %d has %d bits, need %d", i, len(s)*64, params.MaxHashes)
+		}
+	}
+	v.tr, v.toR, v.fromR = toR(params.Threshold), toR, fromR
+	v.kernel = kernel{
 		stored: func(id int32) QuerySig { return QuerySig{Bits: sigs[id]} },
 		qmatchAll: func(q *QuerySig, ids []int32, from, to int, m []int32) {
 			sighash.MatchCounts(q.Bits, sigs, ids, from, to, m)
 		},
-		estimate:     estimate,
-		concentrated: concentrated,
+		estimate:     v.Estimate,
+		concentrated: v.concentrated,
 	}
+	v.init(params, kind, uniform, v.probAboveThreshold)
+	return nil
 }
 
 // upperTail returns Pr[R >= x] under the untruncated Beta(m+1, n−m+1)
@@ -61,13 +71,13 @@ func upperTail(x float64, m, n int) float64 {
 }
 
 // probAboveThreshold computes Pr[S >= t | M(m, n)] (Equation 3 for the
-// cosine instantiation):
+// bit instantiations):
 //
 //	(B₁ − B_tr) / (B₁ − B_0.5)  with B_x = B_x(m+1, n−m+1),
 //
 // i.e. the ratio of upper tails at tr and at 0.5 of the truncated
 // posterior.
-func (v *CosineVerifier) probAboveThreshold(m, n int) float64 {
+func (v *bitsVerifier) probAboveThreshold(m, n int) float64 {
 	den := upperTail(0.5, m, n)
 	if den <= 0 {
 		// The posterior mass on [0.5, 1] has underflowed entirely;
@@ -77,30 +87,24 @@ func (v *CosineVerifier) probAboveThreshold(m, n int) float64 {
 	return upperTail(v.tr, m, n) / den
 }
 
-// Estimate returns the MAP cosine estimate after M(m, n) (Equation 4):
-// R̂ = m/n clamped to the support [0.5, 1], transformed by r2c.
-func (v *CosineVerifier) Estimate(m, n int) float64 {
-	r := float64(m) / float64(n)
-	if r < 0.5 {
-		r = 0.5
-	}
-	if r > 1 {
-		r = 1
-	}
-	return sighash.RToCosine(r)
+// Estimate returns the MAP similarity estimate after M(m, n)
+// (Equation 4): R̂ = m/n clamped to the support [0.5, 1], mapped back
+// from r-space.
+func (v *bitsVerifier) Estimate(m, n int) float64 {
+	return v.fromR(min(max(float64(m)/float64(n), 0.5), 1))
 }
 
 // concentrated reports whether Pr[|S − Ŝ| < δ | M(m, n)] >= 1 − γ
-// (Equation 6 for the cosine instantiation), evaluated in r-space as
-// (B_{c2r(Ŝ+δ)} − B_{c2r(Ŝ−δ)}) / (B₁ − B_0.5).
-func (v *CosineVerifier) concentrated(m, n int) bool {
+// (Equation 6 for the bit instantiations), evaluated in r-space as
+// (B_{toR(Ŝ+δ)} − B_{toR(Ŝ−δ)}) / (B₁ − B_0.5).
+func (v *bitsVerifier) concentrated(m, n int) bool {
 	den := upperTail(0.5, m, n)
 	if den <= 0 {
 		return true // degenerate; the pair will have been pruned
 	}
 	est := v.Estimate(m, n)
-	lo := sighash.CosineToR(est - v.params.Delta)
-	hi := sighash.CosineToR(est + v.params.Delta)
+	lo := v.toR(est - v.params.Delta)
+	hi := v.toR(est + v.params.Delta)
 	if lo < 0.5 {
 		lo = 0.5
 	}

@@ -7,16 +7,11 @@ import (
 	"bayeslsh/internal/shard"
 )
 
-// The pair-slice verification driver, for candidate sets that are
-// materialized (AllPairs, and banded LSH where a Jaccard prior must be
-// fitted from the whole set first). The round loop polls a
-// shard.Stopper between rounds (see kernel.run), the batch dispatch
-// stops at the first done check (shard.StreamCtx), and partial work is
-// discarded once cancellation is observed — so a canceled run returns
-// (Stats{}, ctx.Err()), never something in between. Only the
-// CacheHits/InferenceCalls split depends on scheduling: a decision
-// another worker has not yet cached is recomputed — harmlessly, to the
-// same value.
+// The pair-slice verification driver, for materialized candidate sets.
+// The round loop polls a shard.Stopper between rounds (see kernel.run),
+// the batch dispatch stops at the first done check (shard.StreamCtx),
+// and partial work is discarded once cancellation is observed — so a
+// canceled run returns (Stats{}, ctx.Err()), never something between.
 
 // streamBatches runs body over the candidates in batches of batch
 // pairs on workers goroutines, each batch cut into rows at every change

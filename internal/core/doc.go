@@ -30,9 +30,8 @@
 // XOR and popcount per candidate (sighash.MatchCounts), with the loads
 // of different candidates independent of each other — and later rounds
 // pass over the few survivors. Accepted pairs are reported in
-// candidate order, and every decision, signature depth and counter
-// (but the scheduling-dependent CacheHits/InferenceCalls split) is the
-// one a pair-by-pair loop would produce. The loop's working set
+// candidate order, and every decision, signature depth and counter is
+// the one a pair-by-pair loop would produce. The loop's working set
 // (alive ids, their positions and match counts, the accepted pairs)
 // comes from a per-verifier sync.Pool, so a warm call allocates only
 // its results.
@@ -44,10 +43,12 @@
 // signatures from random hyperplanes, uniform prior over the collision
 // probability r ∈ [0.5, 1], §4.2), and 1-bit minwise Jaccard (the §6
 // extension direction, following Li and König's b-bit minhash with
-// b = 1). All three share one measure-independent round-loop kernel
-// and implement the §4.3 optimizations: a precomputed minMatches(n)
-// table replacing the pruning inference, and an (m, n)-indexed cache
-// for the concentration inference.
+// b = 1). All three share one round-loop kernel and implement §4.3's
+// precomputation for both posterior tests: pruning compares m with a
+// minMatches(n) table and acceptance with per-round accept cutoffs, so
+// the loop evaluates no posterior. The tables are interned per process
+// by what they depend on, so the thresholds of a sweep share one
+// accept table. Rounds no deeper than Params.Watermark skip Ensure.
 //
 // # Rows
 //
@@ -72,9 +73,9 @@
 // accumulates its own results and statistics, results leave batch by
 // batch tagged with their slot, and statistics are summed as batches
 // complete. Because the per-pair decision is a pure function of the
-// pair's hash matches (the concentration cache is idempotent and
-// accessed atomically), results collected in slot order are identical
-// for any worker count, batch size and row cut — the property that
+// pair's hash matches (the decision tables are immutable once built),
+// results collected in slot order are identical for any worker count,
+// batch size and row cut — the property that
 // makes the engine's sharded pipeline deterministic under a fixed
 // seed. Cancellation is polled between hash rounds and every 1,024
 // candidates within a round (and within Lite's exact verification).

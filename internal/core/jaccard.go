@@ -50,7 +50,7 @@ func NewJaccard(sigs [][]uint32, prior stats.Beta, p Params) (*JaccardVerifier, 
 		estimate:     v.Estimate,
 		concentrated: v.concentrated,
 	}
-	v.init(params, v.probAboveThreshold)
+	v.init(params, "jaccard", prior, v.probAboveThreshold)
 	return v, nil
 }
 
@@ -85,14 +85,7 @@ func liteRounds(h, k, maxRounds int) int {
 	if h <= 0 {
 		return maxRounds
 	}
-	r := (h + k - 1) / k
-	if r < 1 {
-		r = 1
-	}
-	if r > maxRounds {
-		r = maxRounds
-	}
-	return r
+	return min(max((h+k-1)/k, 1), maxRounds)
 }
 
 // FitJaccardPrior learns a Beta prior by method-of-moments from the

@@ -7,35 +7,28 @@ import (
 
 	"bayeslsh/internal/pair"
 	"bayeslsh/internal/shard"
+	"bayeslsh/internal/stats"
 )
 
 // kernel is the measure-independent engine of BayesLSH verification:
-// the round loop of Algorithms 1 and 2 with the §4.3 optimizations
-// (minMatches pruning table, concentration cache), and every
-// verification entry point built on it. The loop is one-sided: it
-// compares a query signature against corpus vectors, and a candidate
-// row (a, partners) is verified with a's stored signature as the
-// query. The three verifier instantiations (Jaccard, Cosine, 1-bit
-// Jaccard) embed a kernel and differ only in how signatures are read
-// and compared and how the posterior is evaluated, which they supply
-// as the stored/qmatchAll/estimate/concentrated hooks; the kernel's
-// exported methods are their whole verification API (see Verifier and
-// QueryVerifier, plus the collecting VerifyParallelCtx and
-// VerifyLiteParallelCtx).
+// the round loop of Algorithms 1 and 2, whose prune and accept tests
+// are integer compares against interned decision tables (tables.go),
+// and every verification entry point built on it. The loop is
+// one-sided: it compares a query signature against corpus vectors, and
+// a candidate row (a, partners) is verified with a's stored signature
+// as the query. The verifier instantiations embed a kernel and supply
+// how signatures are read and compared and how the posterior is
+// evaluated as the stored/qmatchAll/estimate/concentrated hooks.
 //
-// A kernel is safe for concurrent use: minM and ns are immutable after
-// construction, each call draws its own round scratch from the pool,
-// the concentration cache uses atomic cells (decisions are pure
-// functions of (m, n), so racing writers store the same value), and
-// the hooks must be pure (they are — they read only
-// immutable verifier state and signature prefixes guarded by
-// params.Ensure, plus the calling query's own signature prefix guarded
-// by QuerySig.Ensure).
+// A kernel is safe for concurrent use: ns and the tables are immutable
+// once built (the accept table under its sync.Once), each call draws
+// its own round scratch from the pool, and the hooks are pure.
 type kernel struct {
 	params Params
 	ns     []int
 	minM   []int
-	conc   *concCache
+	accept *table // built by the first verification that can accept
+	prior  stats.Beta
 	// scratch pools *roundScratch for the round loop.
 	scratch *sync.Pool
 
@@ -53,15 +46,35 @@ type kernel struct {
 	concentrated func(m, n int) bool
 }
 
-// init builds the round schedule, pruning table and concentration
-// cache for params, once the hooks are set. probAbove(m, n) must return
-// Pr[S >= t | M(m, n)] and be monotone non-decreasing in m for fixed n.
-func (kr *kernel) init(params Params, probAbove func(m, n int) float64) {
-	kr.params = params
+// init builds the round schedule and looks up the decision tables of a
+// verifier of kind under prior, once the hooks are set: the prune table
+// is built now if the process has none for its key, the accept table
+// on first use. probAbove(m, n) must return Pr[S >= t | M(m, n)],
+// monotone non-decreasing in m for fixed n.
+func (kr *kernel) init(params Params, kind string, prior stats.Beta, probAbove func(m, n int) float64) {
+	kr.params, kr.prior = params, prior
 	kr.ns = rounds(params)
-	kr.minM = minMatchesTable(kr.ns, func(m, n int) bool { return probAbove(m, n) >= params.Epsilon })
-	kr.conc = newConcCache(kr.ns, params.K)
+	key := tableKey{kind: kind, prior: prior, t: params.Threshold, eps: params.Epsilon, k: params.K, maxHashes: params.MaxHashes}
+	prune := intern(key)
+	prune.once.Do(func() {
+		prune.minM = minMatchesTable(kr.ns, func(m, n int) bool { return probAbove(m, n) >= params.Epsilon })
+	})
+	kr.minM = prune.minM
+	key.t, key.eps, key.delta, key.gamma = 0, 0, params.Delta, params.Gamma
+	kr.accept = intern(key)
 	kr.scratch = &sync.Pool{New: func() any { return new(roundScratch) }}
+}
+
+// acceptTable returns the accept table, building it if this is the
+// process's first verification to need it and charging the build's
+// posterior evaluations to st.
+func (kr *kernel) acceptTable(st *Stats) []cutoffs {
+	kr.accept.once.Do(func() {
+		var calls int
+		kr.accept.acc, calls = kr.acceptCutoffs()
+		st.InferenceCalls += calls
+	})
+	return kr.accept.acc
 }
 
 // Params returns the validated parameters in effect.
@@ -107,7 +120,7 @@ func (s *roundScratch) reserve(n int) {
 // then does round r+1 run. Before a round reads hashes [n−K, n), the
 // query is extended through q.Ensure, only when the round goes deeper
 // than any earlier round of this query did, and each alive partner
-// through params.Ensure.
+// through params.Ensure, only when n exceeds params.Watermark.
 //
 // With lite false, run executes every round with the concentration
 // test, leaves the accepted pairs in s.acc in candidate order, and
@@ -121,6 +134,10 @@ func (s *roundScratch) reserve(n int) {
 func (kr *kernel) run(q *QuerySig, ids []int32, nRounds int, lite bool, s *roundScratch, stop *shard.Stopper, st *Stats) ([]int32, bool) {
 	k := kr.params.K
 	ensure := kr.params.Ensure
+	var acc []cutoffs // Lite accepts nothing
+	if !lite {
+		acc = kr.acceptTable(st)
+	}
 	s.reserve(len(ids))
 	alive, pos, m := ids, []int32(nil), s.m[:len(ids)]
 	clear(m)
@@ -144,7 +161,7 @@ func (kr *kernel) run(q *QuerySig, ids []int32, nRounds int, lite bool, s *round
 				return nil, false
 			}
 			hi := min(lo+partnerChunk, len(alive))
-			if ensure != nil {
+			if ensure != nil && n > kr.params.Watermark {
 				for _, id := range alive[lo:hi] {
 					ensure(id, n)
 				}
@@ -160,13 +177,16 @@ func (kr *kernel) run(q *QuerySig, ids []int32, nRounds int, lite bool, s *round
 				if pos != nil {
 					p = pos[i]
 				}
-				if !lite && kr.accepts(round, int(mi), n, st) {
+				if !lite && acc[round].accepts(mi) {
 					s.acc = append(s.acc, acceptance{p, kr.estimate(int(mi), n)})
 					continue
 				}
 				s.ids[kept], s.pos[kept], m[kept] = alive[i], p, mi
 				kept++
 			}
+		}
+		if !lite {
+			st.CacheHits += survived
 		}
 		st.HashesCompared += int64(k) * int64(len(alive))
 		st.Pruned += len(alive) - survived
@@ -185,25 +205,10 @@ func (kr *kernel) run(q *QuerySig, ids []int32, nRounds int, lite bool, s *round
 	return nil, true
 }
 
-// accepts reports whether the posterior after M(m, n) in round round
-// is concentrated enough to accept (Equation 6), through the
-// concentration cache.
-func (kr *kernel) accepts(round, m, n int, st *Stats) bool {
-	accepted, ok := kr.conc.lookup(round, m)
-	if ok {
-		st.CacheHits++
-		return accepted
-	}
-	st.InferenceCalls++
-	accepted = kr.concentrated(m, n)
-	kr.conc.store(round, m, accepted)
-	return accepted
-}
-
 // rowQuery returns the query form of a row's left vector a, for one
 // batch of rows: a's stored signature, deepened through
-// params.Ensure(a, ·). Each call reuses one QuerySig, so a batch
-// allocates its query state once, not once per row.
+// params.Ensure(a, ·) beyond params.Watermark. Each call reuses one
+// QuerySig, so a batch allocates its query state once, not per row.
 func (kr *kernel) rowQuery() func(a int32) *QuerySig {
 	var q QuerySig
 	var left int32
@@ -213,7 +218,7 @@ func (kr *kernel) rowQuery() func(a int32) *QuerySig {
 	}
 	return func(a int32) *QuerySig {
 		q, left = kr.stored(a), a
-		q.Ensure = deepen
+		q.Ensure, q.depth = deepen, kr.params.Watermark
 		return &q
 	}
 }

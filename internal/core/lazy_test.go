@@ -123,3 +123,42 @@ func TestVerifyWithAndWithoutEnsureAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestWatermarkSkipsEnsure: with the store filled to a watermark, the
+// round loop calls Ensure only for rounds deeper than it, on both sides
+// of a row, and verifies exactly as with no watermark.
+func TestWatermarkSkipsEnsure(t *testing.T) {
+	c, cands := plantedCorpus(12, 23)
+	c = c.Normalize()
+	run := func(watermark int) ([]pair.Result, Stats, int) {
+		store := sighash.NewStore(c, sighash.NewBlockFamily(c.Dim, 512, 64, 9))
+		if err := store.EnsureAllCtx(context.Background(), watermark, 2); err != nil {
+			t.Fatal(err)
+		}
+		if got := store.Watermark(); got != watermark {
+			t.Fatalf("store watermark %d after filling to %d", got, watermark)
+		}
+		shallow := 0
+		v, err := NewCosine(store.Sigs(), store.MaxBits(), Params{
+			Threshold: 0.6, Epsilon: 0.03, Delta: 0.05, Gamma: 0.03, Watermark: store.Watermark(),
+			Ensure: func(id int32, n int) {
+				if n <= watermark {
+					shallow++
+				}
+				store.Ensure(id, n)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.acceptTable(&Stats{})
+		out, st := verifySeq(t, v, cands)
+		return out, st, shallow
+	}
+	want, wantSt, _ := run(0)
+	got, gotSt, shallow := run(128)
+	if shallow != 0 {
+		t.Errorf("%d Ensure calls at or below the watermark", shallow)
+	}
+	requireSameVerification(t, want, got, wantSt, gotSt)
+}

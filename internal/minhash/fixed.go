@@ -24,6 +24,7 @@ func NewFixedStore(fam *Family, sigs [][]uint32, n int) *Store {
 	for id := range sigs {
 		s.fill.Restore(int32(id), n)
 	}
+	s.fill.Raise(n)
 	return s
 }
 

@@ -30,6 +30,7 @@ func (s *Store) ReadSnapshot(r *snapshot.Reader) error {
 	if r.Err() == nil && n != len(s.sigs) {
 		return snapshot.Failf(r, "store has %d vectors, snapshot %d", len(s.sigs), n)
 	}
+	low := s.fam.Size()
 	for id := 0; id < n; id++ {
 		fill := int(r.U32())
 		hashes := r.U32s()
@@ -41,6 +42,10 @@ func (s *Store) ReadSnapshot(r *snapshot.Reader) error {
 		}
 		copy(s.sigs[id], hashes)
 		s.fill.Restore(int32(id), fill)
+		low = min(low, fill)
+	}
+	if r.Err() == nil && n > 0 {
+		s.fill.Raise(low)
 	}
 	return r.Err()
 }

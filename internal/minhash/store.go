@@ -61,6 +61,11 @@ func (s *Store) Family() *Family { return s.fam }
 // FilledHashes returns how many hashes of vector id are computed.
 func (s *Store) FilledHashes(id int32) int { return s.fill.Filled(id) }
 
+// Watermark returns a depth in hashes every vector's signature is
+// known to hold: the deepest completed EnsureAllCtx, or the depth a
+// snapshot restored to every vector.
+func (s *Store) Watermark() int { return s.fill.Watermark() }
+
 // Elapsed returns the cumulative wall-clock time spent hashing. Under
 // concurrent fills it sums per-goroutine fill time, which can exceed
 // the wall-clock time of the enclosing phase.
@@ -117,7 +122,7 @@ func (s *Store) Adopt(id int32, sig []uint32, n int) {
 func (s *Store) EnsureAllCtx(ctx context.Context, n, workers int) error {
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
-	return shard.RunCtx(ctx, len(s.sigs), workers, shard.Chunk(len(s.sigs), workers, 16), func(lo, hi, _ int) {
+	err := shard.RunCtx(ctx, len(s.sigs), workers, shard.Chunk(len(s.sigs), workers, 16), func(lo, hi, _ int) {
 		for id := lo; id < hi; id++ {
 			if stop.Stopped() {
 				return
@@ -125,4 +130,8 @@ func (s *Store) EnsureAllCtx(ctx context.Context, n, workers int) error {
 			s.Ensure(int32(id), n)
 		}
 	})
+	if err == nil {
+		s.fill.Raise(n)
+	}
+	return err
 }

@@ -20,6 +20,7 @@ type Fill struct {
 	filled []int32
 	locks  [fillStripes]sync.Mutex
 	nanos  atomic.Int64
+	floor  atomic.Int32 // a fill count every item is known to have reached
 }
 
 // NewFill tracks n items, all initially at fill count 0.
@@ -27,6 +28,23 @@ func NewFill(n int) *Fill { return &Fill{filled: make([]int32, n)} }
 
 // Filled returns item id's current fill count.
 func (f *Fill) Filled(id int32) int { return int(atomic.LoadInt32(&f.filled[id])) }
+
+// Watermark returns a fill count every item is known to have reached
+// (raised by Raise), so a reader that needs no more than that may skip
+// Ensure altogether.
+func (f *Fill) Watermark() int { return int(f.floor.Load()) }
+
+// Raise records that every item is filled to at least n units. The
+// watermark only grows; the caller must have completed every fill it
+// vouches for before calling Raise.
+func (f *Fill) Raise(n int) {
+	for {
+		cur := f.floor.Load()
+		if int(cur) >= n || f.floor.CompareAndSwap(cur, int32(n)) {
+			return
+		}
+	}
+}
 
 // Elapsed returns the cumulative time spent inside fill callbacks.
 // Under concurrent fills it sums per-goroutine time and can exceed

@@ -31,6 +31,7 @@ func NewFixedStore(fam *BlockFamily, sigs [][]uint64, nbits int) *Store {
 	for id := range sigs {
 		s.fill.Restore(int32(id), nbits)
 	}
+	s.fill.Raise(nbits)
 	return s
 }
 

@@ -32,6 +32,7 @@ func (s *Store) ReadSnapshot(r *snapshot.Reader) error {
 	if r.Err() == nil && n != len(s.sigs) {
 		return snapshot.Failf(r, "store has %d vectors, snapshot %d", len(s.sigs), n)
 	}
+	low := s.fam.maxBits
 	for id := 0; id < n; id++ {
 		fill := int(r.U32())
 		words := r.U64s()
@@ -43,6 +44,10 @@ func (s *Store) ReadSnapshot(r *snapshot.Reader) error {
 		}
 		copy(s.sigs[id], words)
 		s.fill.Restore(int32(id), fill)
+		low = min(low, fill)
+	}
+	if r.Err() == nil && n > 0 {
+		s.fill.Raise(low)
 	}
 	return r.Err()
 }

@@ -373,6 +373,11 @@ func (s *Store) Family() *BlockFamily { return s.fam }
 // FilledBits returns how many hash bits of vector id are computed.
 func (s *Store) FilledBits(id int32) int { return s.fill.Filled(id) }
 
+// Watermark returns a depth in bits every vector's signature is known
+// to hold: the deepest completed EnsureAllCtx, or the depth a snapshot
+// restored to every vector.
+func (s *Store) Watermark() int { return s.fill.Watermark() }
+
 // Elapsed returns the cumulative wall-clock time spent hashing. Under
 // concurrent fills it sums per-goroutine fill time, which can exceed
 // the wall-clock time of the enclosing phase.
@@ -429,7 +434,7 @@ func (s *Store) Adopt(id int32, sig []uint64, nbits int) {
 func (s *Store) EnsureAllCtx(ctx context.Context, nbits, workers int) error {
 	stop := shard.NewStopper(ctx)
 	defer stop.Close()
-	return shard.RunCtx(ctx, len(s.sigs), workers, shard.Chunk(len(s.sigs), workers, 16), func(lo, hi, _ int) {
+	err := shard.RunCtx(ctx, len(s.sigs), workers, shard.Chunk(len(s.sigs), workers, 16), func(lo, hi, _ int) {
 		for id := lo; id < hi; id++ {
 			if stop.Stopped() {
 				return
@@ -437,4 +442,8 @@ func (s *Store) EnsureAllCtx(ctx context.Context, nbits, workers int) error {
 			s.Ensure(int32(id), nbits)
 		}
 	})
+	if err == nil {
+		s.fill.Raise(nbits)
+	}
+	return err
 }

@@ -695,10 +695,11 @@ type deltaVQCache struct {
 // deltaVerifier returns the Bayes verifier for the generation's delta
 // segment (nil when the pipeline verifies without one or the delta is
 // empty), constructing it on first use per (memtable, epoch) and
-// growing it as the visible prefix advances. Construction is cheap —
-// a pruning-table computation over the already-known params and
-// prior — and racing constructions build identical verifiers, so the
-// cache is a plain atomic publish.
+// growing it as the visible prefix advances. Construction is cheap:
+// the verifier takes the base verifier's params and prior, so its
+// decision tables are the base's own, interned — a registry lookup,
+// not a posterior computation. Racing constructions build identical
+// verifiers, so the cache is a plain atomic publish.
 func (li *LiveIndex) deltaVerifier(gen *liveGen) (core.QueryVerifier, error) {
 	if gen.base.vq == nil || gen.memN == 0 {
 		return nil, nil

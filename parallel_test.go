@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"bayeslsh/internal/vector"
 )
 
 // parallelTestDataset prepares a trimmed corpus for the measure, as
@@ -236,4 +238,121 @@ func TestCandidatesCanonicalOrder(t *testing.T) {
 // settings share the reference engine's signatures.
 func TestParallelBatchSizeInvariance(t *testing.T) {
 	requireInvariant(t, []int{1, 2, 4}, []int{1, 7, 64}, false)
+}
+
+// TestConcurrentSweep runs the four-threshold sweep on one warm engine
+// from four goroutines at once, each in its own order, so the searches
+// race to build and read the interned decision tables (one accept table
+// for all four thresholds); every Output must equal the sequential run
+// of the same threshold on a fresh engine. A live index then interleaves
+// queries with Adds: each delta verifier reuses the base's tables, and
+// each concurrent query must return the sequential final answer
+// restricted to the vectors it could see.
+func TestConcurrentSweep(t *testing.T) {
+	thresholds := []float64{0.9, 0.8, 0.7, 0.6}
+	// δ and γ no other test uses, so the concurrent searches are the
+	// first in the process to need these tables.
+	opts := func(th float64) Options {
+		return Options{Algorithm: LSHBayesLSH, Threshold: th, Delta: 0.045, Gamma: 0.035}
+	}
+	eng := newParallelEngine(t, Cosine, 2, 0)
+	if _, err := eng.Search(Options{Algorithm: LSH, Threshold: 0.6}); err != nil { // warms the signatures only
+		t.Fatal(err)
+	}
+	got := make([][]*Output, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]*Output, len(thresholds))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range thresholds {
+				j := (i + g) % len(thresholds)
+				out, err := eng.Search(opts(thresholds[j]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][j] = out
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for j, th := range thresholds {
+		want := searchWith(t, Cosine, opts(th), 1, 0)
+		for g := range got {
+			requireIdentical(t, want, got[g][j])
+		}
+	}
+
+	const seedN, poolN = 300, 400
+	pool := parallelTestDataset(t, Cosine)
+	seed := &Dataset{c: &vector.Collection{Dim: pool.Dim(), Vecs: pool.c.Vecs[:seedN]}}
+	li, err := NewLiveIndex(seed, Cosine, EngineConfig{Seed: 42, Parallelism: 2}, opts(0.7), LiveConfig{MaxDelta: -1, MaxRatio: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer li.Close()
+	type seen struct {
+		q       int
+		matches []Match
+	}
+	var mu sync.Mutex
+	var log []seen
+	done := make(chan struct{})
+	for g := range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				q := seedN + (g*37+i)%(poolN-seedN)
+				ms, err := li.Query(pool.Vector(q), QueryOptions{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				log = append(log, seen{q, ms})
+				mu.Unlock()
+			}
+		}()
+	}
+	for i := seedN; i < poolN; i++ {
+		if _, err := li.Add(pool.Vector(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	for _, s := range log {
+		final, err := li.Query(pool.Vector(s.q), QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Delta ids are assigned in Add order, so a query that saw k
+		// Adds returns the final matches with ids below seedN+k: those
+		// at most its own largest id.
+		last := seedN - 1
+		for _, m := range s.matches {
+			last = max(last, m.ID)
+		}
+		var want []Match
+		for _, m := range final {
+			if m.ID <= last {
+				want = append(want, m)
+			}
+		}
+		requireSameMatchList(t, s.matches, want)
+	}
+	if len(log) == 0 {
+		t.Fatal("no query ran beside the Adds")
+	}
 }

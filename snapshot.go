@@ -724,6 +724,13 @@ func ReadLiveIndex(r io.Reader, lc LiveConfig) (*LiveIndex, error) {
 	return readStream(buf, LiveSnapshotVersion, lc.decodeLive)
 }
 
+// maxLiveIDs caps the external-id space a live snapshot may declare:
+// the tombstone bitset and the id map scale with it, so a corrupt (but
+// checksum-passing) file must not be able to demand absurd
+// allocations. 2^27 ids matches vector.MaxSnapshotDim's scale and is
+// far beyond what the in-memory index serves.
+const maxLiveIDs = 1 << 27
+
 // decodeLive decodes a version-2 section sequence into a live index
 // under the merge policy lc: the shared base-index decode, then the
 // live section, whose generation state is validated against the
@@ -737,14 +744,8 @@ func (lc LiveConfig) decodeLive(sr *snapshot.Reader) (*LiveIndex, error) {
 	}
 	lr := sr.Section(sectLive)
 	rawStart, rawMemN := lr.U64(), lr.U64()
-	// maxLiveIDs caps the external-id space a snapshot may declare:
-	// the tombstone bitset and the id map scale with it, so a corrupt
-	// (but checksum-passing) file must not be able to demand absurd
-	// allocations. 2^27 ids matches vector.MaxSnapshotDim's scale and
-	// is far beyond what the in-memory index serves. The bound is
-	// checked on the raw values: converting first would drop their high
-	// word where int is 32 bits wide.
-	const maxLiveIDs = 1 << 27
+	// The bound is checked on the raw values: converting first would
+	// drop their high word where int is 32 bits wide.
 	if lr.Err() == nil && (rawStart > maxLiveIDs || rawMemN > maxLiveIDs-rawStart) {
 		return nil, snapshot.Failf(lr, "live section id space start=%d memN=%d out of range", rawStart, rawMemN)
 	}

@@ -56,8 +56,9 @@ func roundTrip(t *testing.T, ix *Index) *Index {
 // requireSameWiring fails unless got serves with the pipeline wiring
 // of want: the same banding and verification depths, the same 1-bit
 // packing and LSHApprox hash count, and a verifier with the same
-// parameters. The verifiers' Ensure hooks are left out: each points at
-// its own index's signature store.
+// parameters. The verifiers' Ensure hooks and watermarks are left out:
+// each describes its own index's signature store (a built store is
+// filled to the banding depth, a loaded one to what the file holds).
 func requireSameWiring(t *testing.T, got, want *Index) {
 	t.Helper()
 	type wiring struct {
@@ -71,7 +72,7 @@ func requireSameWiring(t *testing.T, got, want *Index) {
 		w := wiring{ix.bandBits, ix.verifyBits, ix.bandMin, ix.verifyMin, ix.packOneBit, ix.approxN, ix.vq != nil, core.Params{}}
 		if ix.vq != nil {
 			w.Params = ix.vq.Params()
-			w.Params.Ensure = nil
+			w.Params.Ensure, w.Params.Watermark = nil, 0
 		}
 		return w
 	}
