@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"slices"
 
 	"bayeslsh/internal/diskidx"
 	"bayeslsh/internal/snapshot"
@@ -185,24 +184,14 @@ func (info *SnapshotInfo) decode(tag uint32, b []byte, flat bool) error {
 		}
 		info.Dim, info.Vectors = int(dim), int(n)
 	case sectLive:
-		start, memN := r.U64(), r.U64()
-		base, tombs := r.U64s(), r.U64s()
-		if err := r.Err(); err != nil {
+		ids, err := readLiveIDs(r, info.Vectors)
+		if err == nil {
+			err = r.Err()
+		}
+		if err != nil {
 			return fmt.Errorf("%w: live: %v", ErrSnapshotFormat, err)
 		}
-		if start > maxLiveIDs || memN > maxLiveIDs-start {
-			return fmt.Errorf("%w: live section id space start=%d memN=%d out of range", ErrSnapshotFormat, start, memN)
-		}
-		live := &LiveSnapshotInfo{Delta: int(memN), Tombstones: len(tombs), Vectors: len(base) + int(memN)}
-		for _, id := range tombs {
-			// A tombstone takes a vector away if it names a delta
-			// vector or a base vector still in the id map (the ids of
-			// vectors a merge dropped are kept on record too).
-			if _, inBase := slices.BinarySearch(base, id); inBase || id >= start {
-				live.Vectors--
-			}
-		}
-		info.Live = live
+		info.Live = &LiveSnapshotInfo{Delta: ids.memN, Tombstones: len(ids.tombs), Vectors: ids.vectors()}
 	}
 	return nil
 }

@@ -15,7 +15,15 @@ package core
 type OneBitJaccardVerifier struct{ bitsVerifier }
 
 // jToR maps a Jaccard similarity to the 1-bit collision probability.
-func jToR(j float64) float64 { return (1 + min(max(j, 0), 1)) / 2 }
+func jToR(j float64) float64 {
+	if j < 0 {
+		j = 0
+	}
+	if j > 1 {
+		j = 1
+	}
+	return (1 + j) / 2
+}
 
 // rToJ inverts jToR.
 func rToJ(r float64) float64 { return 2*r - 1 }

@@ -34,7 +34,8 @@ type Params struct {
 	Ensure func(id int32, n int)
 	// Watermark is a depth every corpus signature is known to hold
 	// already (the depth banding filled, or the store's own minimum):
-	// rounds that read no deeper skip Ensure.
+	// rounds that read no deeper skip Ensure. A store's fill only
+	// grows, so a value read when the verifier was built stays true.
 	Watermark int
 }
 
@@ -90,8 +91,8 @@ type Stats struct {
 	// survivors; this is Figure 4's y-axis).
 	SurvivorsByRound []int
 	// InferenceCalls counts the posterior evaluations of the accept
-	// table build this run triggered: zero unless it was the first
-	// verification in the process to need that table.
+	// table rounds this run built: zero unless it was the first
+	// verification in the process to test acceptance in those rounds.
 	InferenceCalls int
 	// CacheHits counts concentration tests, each decided by the accept
 	// table.

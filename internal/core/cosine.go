@@ -91,7 +91,14 @@ func (v *bitsVerifier) probAboveThreshold(m, n int) float64 {
 // (Equation 4): R̂ = m/n clamped to the support [0.5, 1], mapped back
 // from r-space.
 func (v *bitsVerifier) Estimate(m, n int) float64 {
-	return v.fromR(min(max(float64(m)/float64(n), 0.5), 1))
+	r := float64(m) / float64(n)
+	if r < 0.5 {
+		r = 0.5
+	}
+	if r > 1 {
+		r = 1
+	}
+	return v.fromR(r)
 }
 
 // concentrated reports whether Pr[|S − Ŝ| < δ | M(m, n)] >= 1 − γ

@@ -48,7 +48,8 @@
 // minMatches(n) table and acceptance with per-round accept cutoffs, so
 // the loop evaluates no posterior. The tables are interned per process
 // by what they depend on, so the thresholds of a sweep share one
-// accept table. Rounds no deeper than Params.Watermark skip Ensure.
+// accept table, whose rounds are built as verification first reaches
+// them. Rounds no deeper than Params.Watermark skip Ensure.
 //
 // # Rows
 //

@@ -85,7 +85,14 @@ func liteRounds(h, k, maxRounds int) int {
 	if h <= 0 {
 		return maxRounds
 	}
-	return min(max((h+k-1)/k, 1), maxRounds)
+	r := (h + k - 1) / k
+	if r < 1 {
+		r = 1
+	}
+	if r > maxRounds {
+		r = maxRounds
+	}
+	return r
 }
 
 // FitJaccardPrior learns a Beta prior by method-of-moments from the

@@ -21,13 +21,13 @@ import (
 // evaluated as the stored/qmatchAll/estimate/concentrated hooks.
 //
 // A kernel is safe for concurrent use: ns and the tables are immutable
-// once built (the accept table under its sync.Once), each call draws
-// its own round scratch from the pool, and the hooks are pure.
+// once built (each accept round under its own sync.Once), each call
+// draws its own round scratch from the pool, and the hooks are pure.
 type kernel struct {
 	params Params
 	ns     []int
 	minM   []int
-	accept *table // built by the first verification that can accept
+	accept *table // each round built by the first verification to reach it
 	prior  stats.Beta
 	// scratch pools *roundScratch for the round loop.
 	scratch *sync.Pool
@@ -48,9 +48,9 @@ type kernel struct {
 
 // init builds the round schedule and looks up the decision tables of a
 // verifier of kind under prior, once the hooks are set: the prune table
-// is built now if the process has none for its key, the accept table
-// on first use. probAbove(m, n) must return Pr[S >= t | M(m, n)],
-// monotone non-decreasing in m for fixed n.
+// is built now if the process has none for its key, each round of the
+// accept table on first use. probAbove(m, n) must return
+// Pr[S >= t | M(m, n)], monotone non-decreasing in m for fixed n.
 func (kr *kernel) init(params Params, kind string, prior stats.Beta, probAbove func(m, n int) float64) {
 	kr.params, kr.prior = params, prior
 	kr.ns = rounds(params)
@@ -62,19 +62,21 @@ func (kr *kernel) init(params Params, kind string, prior stats.Beta, probAbove f
 	kr.minM = prune.minM
 	key.t, key.eps, key.delta, key.gamma = 0, 0, params.Delta, params.Gamma
 	kr.accept = intern(key)
+	kr.accept.once.Do(func() { kr.accept.acc = make([]acceptRound, len(kr.ns)) })
 	kr.scratch = &sync.Pool{New: func() any { return new(roundScratch) }}
 }
 
-// acceptTable returns the accept table, building it if this is the
-// process's first verification to need it and charging the build's
-// posterior evaluations to st.
-func (kr *kernel) acceptTable(st *Stats) []cutoffs {
-	kr.accept.once.Do(func() {
+// cutoffsAt returns round r's accept cutoffs, building them if this is
+// the process's first verification to test acceptance in round r and
+// charging the build's posterior evaluations to st.
+func (kr *kernel) cutoffsAt(r int, st *Stats) *cutoffs {
+	ar := &kr.accept.acc[r]
+	ar.once.Do(func() {
 		var calls int
-		kr.accept.acc, calls = kr.acceptCutoffs()
+		ar.cutoffs, calls = kr.roundCutoffs(kr.ns[r])
 		st.InferenceCalls += calls
 	})
-	return kr.accept.acc
+	return &ar.cutoffs
 }
 
 // Params returns the validated parameters in effect.
@@ -134,10 +136,6 @@ func (s *roundScratch) reserve(n int) {
 func (kr *kernel) run(q *QuerySig, ids []int32, nRounds int, lite bool, s *roundScratch, stop *shard.Stopper, st *Stats) ([]int32, bool) {
 	k := kr.params.K
 	ensure := kr.params.Ensure
-	var acc []cutoffs // Lite accepts nothing
-	if !lite {
-		acc = kr.acceptTable(st)
-	}
 	s.reserve(len(ids))
 	alive, pos, m := ids, []int32(nil), s.m[:len(ids)]
 	clear(m)
@@ -155,6 +153,7 @@ func (kr *kernel) run(q *QuerySig, ids []int32, nRounds int, lite bool, s *round
 			q.depth = n
 		}
 		minM := int32(kr.minM[round])
+		var acc *cutoffs // fetched at the round's first survivor; Lite accepts nothing
 		survived, kept := 0, 0
 		for lo := 0; lo < len(alive); lo += partnerChunk {
 			if stop.Stopped() {
@@ -177,9 +176,14 @@ func (kr *kernel) run(q *QuerySig, ids []int32, nRounds int, lite bool, s *round
 				if pos != nil {
 					p = pos[i]
 				}
-				if !lite && acc[round].accepts(mi) {
-					s.acc = append(s.acc, acceptance{p, kr.estimate(int(mi), n)})
-					continue
+				if !lite {
+					if acc == nil {
+						acc = kr.cutoffsAt(round, st)
+					}
+					if acc.accepts(mi) {
+						s.acc = append(s.acc, acceptance{p, kr.estimate(int(mi), n)})
+						continue
+					}
 				}
 				s.ids[kept], s.pos[kept], m[kept] = alive[i], p, mi
 				kept++

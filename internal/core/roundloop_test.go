@@ -29,14 +29,14 @@ type oracle struct {
 
 // ensure extends both sides of a comparison to n hashes before a round
 // reads [n−K, n): the query only when the round goes deeper than any
-// earlier round of this query did, the partner only beyond the
-// watermark.
+// earlier round of this query did. It ignores the watermark: Ensure at
+// a depth the store holds changes nothing.
 func (o oracle) ensure(q *QuerySig, id int32, n int) {
 	if q.Ensure != nil && n > q.depth {
 		q.Ensure(n)
 		q.depth = n
 	}
-	if ensure := o.kr.params.Ensure; ensure != nil && n > o.kr.params.Watermark {
+	if ensure := o.kr.params.Ensure; ensure != nil {
 		ensure(id, n)
 	}
 }

@@ -5,7 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"bayeslsh/internal/allpairs"
+	"bayeslsh/internal/exact"
 	"bayeslsh/internal/stats"
+	"bayeslsh/internal/testutil"
 )
 
 // tableVerifier is a verifier of one kind with the given parameters,
@@ -38,6 +41,32 @@ func tableVerifier(t testing.TB, kind string, prior stats.Beta, p Params) *kerne
 	return kr
 }
 
+// acceptTable builds every round of kr's accept table, charging the
+// posterior evaluations to st, and returns its rounds.
+func (kr *kernel) acceptTable(st *Stats) []*cutoffs {
+	tb := make([]*cutoffs, len(kr.ns))
+	for r := range tb {
+		tb[r] = kr.cutoffsAt(r, st)
+	}
+	return tb
+}
+
+// fittedPriors are Jaccard priors as FitJaccardPrior fits them from the
+// candidates of the package's test corpora.
+func fittedPriors(t *testing.T) []stats.Beta {
+	var priors []stats.Beta
+	for _, th := range []float64{0.3, 0.5, 0.7} {
+		c := testutil.SmallBinaryCorpus(t, 400, 31)
+		cands, err := allpairs.CandidatesMeasure(c, exact.Jaccard, th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		priors = append(priors, FitJaccardPrior(c, cands, 100, 2031))
+	}
+	c, cands := plantedCorpus(12, 23)
+	return append(priors, FitJaccardPrior(c, cands, 200, 23))
+}
+
 // forgetTables empties the table registry, so the next verifier of
 // every key builds its tables again.
 func forgetTables() {
@@ -47,8 +76,9 @@ func forgetTables() {
 }
 
 // TestAcceptTablesMatchPredicate is the exhaustive check of the accept
-// cutoffs: for every kind, prior, K and MaxHashes of the grid (and
-// two more settings of δ and γ), every
+// cutoffs (see roundCutoffs for why they take the form they do): for
+// every kind, prior, K and MaxHashes of the grid (and two more
+// settings of δ and γ), every
 // round and every m in [0, n] — a superset of the [minM[r], n] any
 // threshold's loop tests — the table decides as the concentration
 // predicate does. The thresholds of the grid share one accept table
@@ -65,7 +95,11 @@ func TestAcceptTablesMatchPredicate(t *testing.T) {
 		{"jaccard", uniform},
 		{"jaccard", stats.Beta{Alpha: 0.8, Beta: 12}}, // skewed low: most candidates dissimilar
 		{"jaccard", stats.Beta{Alpha: 0.3, Beta: 2.5}},
-		{"jaccard", stats.Beta{Alpha: 6, Beta: 0.7}}, // skewed high: near-duplicates
+		{"jaccard", stats.Beta{Alpha: 6, Beta: 0.7}},   // skewed high: near-duplicates
+		{"jaccard", stats.Beta{Alpha: 0.5, Beta: 0.5}}, // U-shaped: bimodal candidate sets
+	}
+	for _, prior := range fittedPriors(t) {
+		kinds = append(kinds, kindPrior{"jaccard", prior})
 	}
 	for _, kp := range kinds {
 		for _, acc := range [][2]float64{{0.05, 0.03}, {0.1, 0.05}, {0.02, 0.1}} {
@@ -75,14 +109,14 @@ func TestAcceptTablesMatchPredicate(t *testing.T) {
 						continue // K=16 to 2,048 hashes already has every n of the rest
 					}
 					name := fmt.Sprintf("%s %v δ=%v γ=%v K=%d max=%d", kp.kind, kp.prior, acc[0], acc[1], k, maxHashes)
-					var shared []cutoffs
+					var shared []*cutoffs
 					for _, th := range []float64{0.3, 0.5, 0.7, 0.9} {
 						p := Params{Threshold: th, Epsilon: 0.03, Delta: acc[0], Gamma: acc[1], K: k, MaxHashes: maxHashes}
 						kr := tableVerifier(t, kp.kind, kp.prior, p)
 						tb := kr.acceptTable(&Stats{})
 						if shared == nil {
 							shared = tb
-						} else if &tb[0] != &shared[0] {
+						} else if tb[0] != shared[0] {
 							t.Fatalf("%s: t=%v built its own accept table", name, th)
 						}
 						if th != 0.3 {
@@ -92,7 +126,7 @@ func TestAcceptTablesMatchPredicate(t *testing.T) {
 							for m := 0; m <= n; m++ {
 								if table, want := tb[r].accepts(int32(m)), kr.concentrated(m, n); table != want {
 									t.Fatalf("%s: round %d (n=%d), m=%d: table says %v, predicate %v (cutoffs %+v)",
-										name, r, n, m, table, want, tb[r])
+										name, r, n, m, table, want, *tb[r])
 								}
 							}
 						}
@@ -168,14 +202,14 @@ func TestRegistryBounded(t *testing.T) {
 }
 
 // TestTablesConcurrentBuild races verifiers over one new key: they all
-// read one prune and one accept table, and exactly one is charged the
-// accept build.
+// read one prune and one accept table, and each accept round is
+// charged to exactly one of them.
 func TestTablesConcurrentBuild(t *testing.T) {
 	forgetTables()
 	p := Params{Threshold: 0.7, Epsilon: 0.03, Delta: 0.05, Gamma: 0.03, K: 32, MaxHashes: 512}
 	const workers = 8
 	krs := make([]*kernel, workers)
-	tables := make([][]cutoffs, workers)
+	tables := make([][]*cutoffs, workers)
 	charged := make([]int, workers)
 	var wg sync.WaitGroup
 	for g := range workers {
@@ -189,16 +223,21 @@ func TestTablesConcurrentBuild(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	builds := 0
+	total := 0
 	for g := range workers {
-		if &krs[g].minM[0] != &krs[0].minM[0] || &tables[g][0] != &tables[0][0] {
-			t.Fatalf("verifier %d built its own tables", g)
+		for r := range tables[g] {
+			if &krs[g].minM[0] != &krs[0].minM[0] || tables[g][r] != tables[0][r] {
+				t.Fatalf("verifier %d built its own tables", g)
+			}
 		}
-		if charged[g] > 0 {
-			builds++
-		}
+		total += charged[g]
 	}
-	if builds != 1 {
-		t.Fatalf("%d verifiers charged for the accept build, want 1", builds)
+	want := 0
+	for _, n := range krs[0].ns {
+		_, calls := krs[0].roundCutoffs(n)
+		want += calls
+	}
+	if total != want {
+		t.Fatalf("verifiers were charged %d posterior calls, one build costs %d", total, want)
 	}
 }

@@ -5,8 +5,10 @@
 //
 // BenchmarkLiveAdd is steady-state ingest throughput (adds/s, merges
 // disabled), BenchmarkLiveMerge is the cost of folding a full delta
-// into the base, and BenchmarkLiveQueryUnderIngest is query latency —
-// p50 reported — while a writer goroutine ingests continuously.
+// into the base, BenchmarkLiveQueryUnderIngest is query latency —
+// p50 reported — while a writer goroutine ingests continuously, and
+// BenchmarkLiveJaccardAddQuery is query latency on the Jaccard
+// full-BayesLSH pipeline right after an Add refits the prior.
 // docs/LIVE.md quotes the numbers from a reference run.
 package bayeslsh_test
 
@@ -130,4 +132,35 @@ func BenchmarkLiveQueryUnderIngest(b *testing.B) {
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds()), "p50-ns/query")
 	b.ReportMetric(float64(lat[len(lat)*99/100].Nanoseconds()), "p99-ns/query")
+}
+
+// BenchmarkLiveJaccardAddQuery alternates Add and Query on a Jaccard
+// LSH+BayesLSH live index, merges disabled, and times the queries.
+// Every Add refits the corpus-wide prior, so each Query verifies under
+// a prior no earlier one used and pays the decision tables' cold cost.
+func BenchmarkLiveJaccardAddQuery(b *testing.B) {
+	ds, err := bayeslsh.Synthetic("RCV1-sim")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds = ds.Binarize().Slice(0, 1000)
+	li, err := bayeslsh.NewLiveIndex(ds, bayeslsh.Jaccard,
+		bayeslsh.EngineConfig{Seed: 42, Parallelism: 1},
+		bayeslsh.Options{Algorithm: bayeslsh.LSHBayesLSH, Threshold: 0.5},
+		bayeslsh.LiveConfig{MaxDelta: -1, MaxRatio: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer li.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := li.Add(ds.Vector(i % ds.Len())); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := li.Query(ds.Vector((7*i+3)%ds.Len()), bayeslsh.QueryOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"bayeslsh/internal/snapshot"
@@ -184,6 +185,39 @@ func TestHostileLiveSection(t *testing.T) {
 	forged := map[string][]byte{
 		"start 2^32+60": editSection(t, v2.Bytes(), sectLive, highWord(0)),
 		"memN 2^32":     editSection(t, v2.Bytes(), sectLive, highWord(8)),
+	}
+
+	// Malformed id state, which InspectFile reads too to count live
+	// vectors: it must refuse what the loader refuses. The id map of
+	// the 60 base vectors follows start and memN as a u64 count and
+	// values, then comes the tombstone count.
+	idState := func(edit func(p []byte) []byte) []byte {
+		return editSection(t, v2.Bytes(), sectLive, func(p []byte) []byte {
+			if n := binary.LittleEndian.Uint64(p[16:]); n != 60 {
+				t.Fatalf("id map holds %d ids, want 60", n)
+			}
+			return edit(p)
+		})
+	}
+	const tombCount = 24 + 8*60
+	for name, snap := range map[string][]byte{
+		"id map not increasing": idState(func(p []byte) []byte {
+			binary.LittleEndian.PutUint64(p[32:], 0)
+			return p
+		}),
+		"tombstone past the delta": idState(func(p []byte) []byte {
+			binary.LittleEndian.PutUint64(p[tombCount:], 1)
+			return slices.Concat(p[:tombCount+8], binary.LittleEndian.AppendUint64(nil, 1000), p[tombCount+8:])
+		}),
+	} {
+		path := filepath.Join(t.TempDir(), "forged.snap")
+		if err := os.WriteFile(path, snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := InspectFile(path); !errors.Is(err, ErrSnapshotFormat) {
+			t.Errorf("%s: InspectFile: %v, want ErrSnapshotFormat", name, err)
+		}
+		forged[name] = snap
 	}
 
 	// A delta vector Add would refuse: a cosine AllPairs index admits

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -731,6 +732,76 @@ func ReadLiveIndex(r io.Reader, lc LiveConfig) (*LiveIndex, error) {
 // far beyond what the in-memory index serves.
 const maxLiveIDs = 1 << 27
 
+// liveIDs is the id state a live section records: the first id of
+// the delta segment, the delta's length, the base vectors' external
+// ids and the deleted ids, both ascending.
+type liveIDs struct {
+	start, memN int
+	base, tombs []int
+}
+
+// readLiveIDs reads the id state at the head of a live section and
+// checks it: an id space within maxLiveIDs, an id map of baseLen
+// increasing ids below start, and tombstones increasing below
+// start+memN. A read error stays on lr for the caller to find.
+func readLiveIDs(lr *snapshot.Reader, baseLen int) (liveIDs, error) {
+	rawStart, rawMemN := lr.U64(), lr.U64()
+	// The bound is checked on the raw values: converting first would
+	// drop their high word where int is 32 bits wide.
+	if lr.Err() == nil && (rawStart > maxLiveIDs || rawMemN > maxLiveIDs-rawStart) {
+		return liveIDs{}, snapshot.Failf(lr, "live section id space start=%d memN=%d out of range", rawStart, rawMemN)
+	}
+	ids := liveIDs{start: int(rawStart), memN: int(rawMemN)}
+	rawBase := lr.U64s() // length validated against remaining bytes
+	if lr.Err() == nil && len(rawBase) != baseLen {
+		return liveIDs{}, snapshot.Failf(lr, "live id map covers %d vectors, base has %d", len(rawBase), baseLen)
+	}
+	var err error
+	if ids.base, err = increasingIDs(lr, rawBase, ids.start, "live id map"); err != nil {
+		return liveIDs{}, err
+	}
+	if ids.tombs, err = increasingIDs(lr, lr.U64s(), ids.start+ids.memN, "tombstone ids"); err != nil {
+		return liveIDs{}, err
+	}
+	return ids, nil
+}
+
+// increasingIDs converts raw to ids, failing lr unless they increase
+// strictly and stay below limit.
+func increasingIDs(lr *snapshot.Reader, raw []uint64, limit int, what string) ([]int, error) {
+	ids := make([]int, 0, len(raw))
+	prev := -1
+	for i, v := range raw {
+		id := int(v)
+		if v > maxLiveIDs || id <= prev || id >= limit {
+			return nil, snapshot.Failf(lr, "%s not increasing below %d at entry %d", what, limit, i)
+		}
+		ids = append(ids, id)
+		prev = id
+	}
+	return ids, nil
+}
+
+// masks reports whether tombstone id takes a vector away: it names a
+// delta vector or a base vector still in the id map (the ids of
+// vectors a merge dropped stay on record too).
+func (ids *liveIDs) masks(id int) bool {
+	_, inBase := slices.BinarySearch(ids.base, id)
+	return inBase || id >= ids.start
+}
+
+// vectors counts the vectors a query can return: base and delta, less
+// the deleted.
+func (ids *liveIDs) vectors() int {
+	n := len(ids.base) + ids.memN
+	for _, id := range ids.tombs {
+		if ids.masks(id) {
+			n--
+		}
+	}
+	return n
+}
+
 // decodeLive decodes a version-2 section sequence into a live index
 // under the merge policy lc: the shared base-index decode, then the
 // live section, whose generation state is validated against the
@@ -743,37 +814,9 @@ func (lc LiveConfig) decodeLive(sr *snapshot.Reader) (*LiveIndex, error) {
 		return nil, err
 	}
 	lr := sr.Section(sectLive)
-	rawStart, rawMemN := lr.U64(), lr.U64()
-	// The bound is checked on the raw values: converting first would
-	// drop their high word where int is 32 bits wide.
-	if lr.Err() == nil && (rawStart > maxLiveIDs || rawMemN > maxLiveIDs-rawStart) {
-		return nil, snapshot.Failf(lr, "live section id space start=%d memN=%d out of range", rawStart, rawMemN)
-	}
-	start, memN := int(rawStart), int(rawMemN)
-	rawBase := lr.U64s() // length validated against remaining bytes
-	if lr.Err() == nil && len(rawBase) != ix.Len() {
-		return nil, snapshot.Failf(lr, "live id map covers %d vectors, base has %d", len(rawBase), ix.Len())
-	}
-	baseIDs := make([]int, 0, len(rawBase))
-	prev := -1
-	for i, v := range rawBase {
-		ext := int(v)
-		if v > maxLiveIDs || ext <= prev || ext >= start {
-			return nil, snapshot.Failf(lr, "live id map not increasing below %d at entry %d", start, i)
-		}
-		baseIDs = append(baseIDs, ext)
-		prev = ext
-	}
-	rawTombs := lr.U64s()
-	tombIDs := make([]int, 0, len(rawTombs))
-	prev = -1
-	for i, v := range rawTombs {
-		id := int(v)
-		if v > maxLiveIDs || id <= prev || id >= start+memN {
-			return nil, snapshot.Failf(lr, "tombstone ids not increasing below %d at entry %d", start+memN, i)
-		}
-		tombIDs = append(tombIDs, id)
-		prev = id
+	ids, err := readLiveIDs(lr, ix.Len())
+	if err != nil {
+		return nil, err
 	}
 	mc, err := vector.ReadCollectionSnapshot(lr)
 	if err != nil {
@@ -794,8 +837,8 @@ func (lc LiveConfig) decodeLive(sr *snapshot.Reader) (*LiveIndex, error) {
 	if mc.Dim != ix.engine().ds.c.Dim {
 		return nil, fmt.Errorf("delta dimensionality %d, base is %d", mc.Dim, ix.engine().ds.c.Dim)
 	}
-	if len(mc.Vecs) != memN {
-		return nil, fmt.Errorf("live section declares %d delta vectors, carries %d", memN, len(mc.Vecs))
+	if len(mc.Vecs) != ids.memN {
+		return nil, fmt.Errorf("live section declares %d delta vectors, carries %d", ids.memN, len(mc.Vecs))
 	}
 	for i, v := range mc.Vecs {
 		if err := ix.admit(Vec{v: v}); err != nil {
@@ -803,7 +846,7 @@ func (lc LiveConfig) decodeLive(sr *snapshot.Reader) (*LiveIndex, error) {
 		}
 	}
 
-	li := newLiveOver(ix, lc, baseIDs, start)
+	li := newLiveOver(ix, lc, ids.base, ids.start)
 	gen := li.gen.Load()
 	for _, v := range mc.Vecs {
 		// Replaying through the ingest path recomputes the delta
@@ -812,19 +855,14 @@ func (lc LiveConfig) decodeLive(sr *snapshot.Reader) (*LiveIndex, error) {
 		// bounded) delta.
 		gen.mem.Append(li.prepareEntry(ix, Vec{v: v}))
 	}
-	present := make(map[int]bool, len(baseIDs))
-	for _, ext := range baseIDs {
-		present[ext] = true
-	}
 	ng := *gen
-	ng.memN = memN
+	ng.memN = ids.memN
 	li.gen.Store(&ng)
-	li.liveCount = len(baseIDs) + memN
-	for _, id := range tombIDs {
+	li.liveCount = ids.vectors()
+	for _, id := range ids.tombs {
 		li.tombs.Set(id)
-		if present[id] || id >= start {
+		if ids.masks(id) {
 			li.dead++
-			li.liveCount--
 			if gen.dead != nil {
 				// Prior-bearing pipelines read the generation-pinned
 				// mask; rebuild it from the present tombstones.
