@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"bayeslsh/internal/core"
@@ -88,6 +89,17 @@ func (c EngineConfig) withDefaults() EngineConfig {
 
 // Engine runs search pipelines over one dataset and one measure,
 // computing and caching hash signatures on first use.
+//
+// An engine keeps what its searches would otherwise rebuild: the hash
+// signatures, each filled only as deep as some search read it (8
+// bytes per 64 cosine bits, 4 per minhash, per vector), and the band
+// tables of banded LSH. Band j's table depends only on the signatures
+// and j, never on the threshold, so for each (BandK, MultiProbe) the
+// engine keeps the widest banding a search has built and serves every
+// narrower request from its first bands. That is at most one banding
+// per key, of at most SignatureBits/BandK bands (MinHashes/BandK
+// under Jaccard), about 12 bytes per vector per band — 2.7 MB for 56
+// bands over 4,000 vectors — held until the engine is freed.
 type Engine struct {
 	ds      *Dataset
 	work    *vector.Collection // measure-appropriate view of the data
@@ -98,6 +110,45 @@ type Engine struct {
 	bitStore *sighash.Store
 	minStore *minhash.Store
 	pln      *planner.Planner
+	// bands is shared by the engine's shallow copies, which band the
+	// same signatures.
+	bands *bandCache
+}
+
+// bandKey identifies the bandings that share band tables: the same
+// band width and the same probing. Jaccard banding never probes.
+type bandKey struct {
+	k          int
+	multiProbe bool
+}
+
+// bandCache keeps the widest banding built per bandKey. The lock
+// guards only the map: bandings are built outside it, so concurrent
+// searches may build the same one, and the wider result is kept.
+type bandCache struct {
+	mu   sync.Mutex
+	kept map[bandKey]*lshindex.Banding
+}
+
+// get returns the kept banding's first l bands, or nil when the kept
+// banding for key is narrower than l or there is none.
+func (c *bandCache) get(key bandKey, l int) *lshindex.Banding {
+	c.mu.Lock()
+	b := c.kept[key]
+	c.mu.Unlock()
+	if b == nil || b.Tables() < l {
+		return nil
+	}
+	return b.Prefix(l)
+}
+
+// put keeps b for key unless the kept banding is at least as wide.
+func (c *bandCache) put(key bandKey, b *lshindex.Banding) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur := c.kept[key]; cur == nil || cur.Tables() < b.Tables() {
+		c.kept[key] = b
+	}
 }
 
 // ErrEmptyDataset reports an engine or index built over a nil or
@@ -113,7 +164,7 @@ func NewEngine(ds *Dataset, m Measure, cfg EngineConfig) (*Engine, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, ErrEmptyDataset
 	}
-	e := &Engine{ds: ds, measure: m, cfg: cfg.withDefaults()}
+	e := &Engine{ds: ds, measure: m, cfg: cfg.withDefaults(), bands: &bandCache{kept: map[bandKey]*lshindex.Banding{}}}
 	switch m {
 	case Cosine:
 		e.work = ds.c
@@ -216,70 +267,91 @@ func (e *Engine) collisionProb(t float64) float64 {
 	}
 }
 
-// lshPlan computes the banding shape for the options' threshold — l
+// lshShape computes the banding shape for the options' threshold — l
 // tables of BandK hashes each, following l = ⌈log ε / log(1−p^k)⌉
 // (its multi-probe variant when enabled), clamped to the signature
-// budget — and fills every corpus signature deep enough to band it,
-// with cancellation polled between vectors (hashing dominates a cold
-// engine's cost, so a canceled search must be able to escape it).
-// Batch candidate generation and index building share this one plan,
-// so a query-serving index probes exactly the tables the batch scan
-// would have enumerated.
-func (e *Engine) lshPlan(ctx context.Context, o Options) (bandK, l int, err error) {
+// budget — and the per-pair miss probability at the threshold that
+// those l tables give: at most FalseNegativeRate unless the budget
+// cut l.
+func (e *Engine) lshShape(o Options) (bandK, l int, miss float64) {
 	p := e.collisionProb(o.Threshold)
-	l = lshindex.NumTables(p, o.BandK, o.FalseNegativeRate)
-	w := e.workers()
 	if e.measure == Jaccard {
-		st := e.minSigStore()
-		if max := st.MaxHashes() / o.BandK; l > max {
-			l = max
-		}
-		if err := st.EnsureAllCtx(ctx, o.BandK*l, w); err != nil {
-			return 0, 0, err
-		}
-		return o.BandK, l, nil
+		l = min(lshindex.NumTables(p, o.BandK, o.FalseNegativeRate), e.minSigStore().MaxHashes()/o.BandK)
+		return o.BandK, l, lshindex.MissRate(p, o.BandK, l)
 	}
-	st := e.bitSigStore()
+	budget := e.bitSigStore().MaxBits() / o.BandK
 	if o.MultiProbe {
-		l = lshindex.NumTablesMultiProbe(p, o.BandK, o.FalseNegativeRate)
+		l = min(lshindex.NumTablesMultiProbe(p, o.BandK, o.FalseNegativeRate), budget)
+		return o.BandK, l, lshindex.MissRateMultiProbe(p, o.BandK, l)
 	}
-	if max := st.MaxBits() / o.BandK; l > max {
-		l = max
+	l = min(lshindex.NumTables(p, o.BandK, o.FalseNegativeRate), budget)
+	return o.BandK, l, lshindex.MissRate(p, o.BandK, l)
+}
+
+// lshPlan computes the banding shape (lshShape) and fills every corpus
+// signature deep enough to band it, with cancellation polled between
+// vectors (hashing dominates a cold engine's cost, so a canceled
+// search must be able to escape it). Batch candidate generation and
+// index building share this one plan, so a query-serving index probes
+// exactly the tables the batch scan would have enumerated.
+func (e *Engine) lshPlan(ctx context.Context, o Options) (bandK, l int, err error) {
+	k, l, _ := e.lshShape(o)
+	if e.measure == Jaccard {
+		err = e.minSigStore().EnsureAllCtx(ctx, k*l, e.workers())
+	} else {
+		err = e.bitSigStore().EnsureAllCtx(ctx, k*l, e.workers())
 	}
-	if err := st.EnsureAllCtx(ctx, o.BandK*l, w); err != nil {
+	if err != nil {
 		return 0, 0, err
 	}
-	return o.BandK, l, nil
+	return k, l, nil
 }
 
 // lshBanding runs banded LSH's band phase at the options' threshold,
-// with the table count from lshPlan. Cancellation is polled
-// throughout: between per-vector signature fills inside lshPlan, then
-// between bands.
-func (e *Engine) lshBanding(ctx context.Context, o Options) (*lshindex.Banding, error) {
+// with the table count from lshPlan, or serves it from the engine's
+// kept banding (see Engine) when that is wide enough; then only the
+// signature fill check runs. With keep, a banding built here is kept
+// if it is the widest for its key. Cancellation is polled throughout:
+// between per-vector signature fills inside lshPlan, then between
+// bands; a canceled band phase keeps nothing.
+func (e *Engine) lshBanding(ctx context.Context, o Options, keep bool) (*lshindex.Banding, error) {
 	k, l, err := e.lshPlan(ctx, o)
 	if err != nil {
 		return nil, err
 	}
-	if e.measure == Jaccard {
-		return lshindex.BandMinhashCtx(ctx, e.minSigStore().Sigs(), k, l, e.workers())
+	key := bandKey{k: k, multiProbe: o.MultiProbe && e.measure != Jaccard}
+	if b := e.bands.get(key, l); b != nil {
+		return b, nil
 	}
-	return lshindex.BandBitsCtx(ctx, e.bitSigStore().Sigs(), k, l, o.MultiProbe, e.workers())
+	var b *lshindex.Banding
+	if e.measure == Jaccard {
+		b, err = lshindex.BandMinhashCtx(ctx, e.minSigStore().Sigs(), k, l, e.workers())
+	} else {
+		b, err = lshindex.BandBitsCtx(ctx, e.bitSigStore().Sigs(), k, l, key.multiProbe, e.workers())
+	}
+	if err != nil {
+		return nil, err
+	}
+	if keep {
+		e.bands.put(key, b)
+	}
+	return b, nil
 }
 
 // lshCandidates materializes the banded-LSH candidates at the options'
 // threshold, empty vectors dropped (nonEmpty), in canonical (A, B)
-// order: the band phase, then a row phase that collects the pairs.
-// Cancellation is also polled within the row enumeration.
-func (e *Engine) lshCandidates(ctx context.Context, o Options) ([]pair.Pair, error) {
-	b, err := e.lshBanding(ctx, o)
+// order: the band phase (keeping its banding with keep), then a row
+// phase that collects the pairs. Cancellation is also polled within
+// the row enumeration.
+func (e *Engine) lshCandidates(ctx context.Context, o Options, keep bool) ([]pair.Pair, error) {
+	b, err := e.lshBanding(ctx, o, keep)
 	if err != nil {
 		return nil, err
 	}
-	keep := e.nonEmpty()
+	keepRows := e.nonEmpty()
 	var sink shard.Slots[pair.Pair]
 	err = lshindex.StreamRows(ctx, b, e.workers(), func(rows pair.Rows, _ *shard.Stopper) []pair.Pair {
-		return pair.AppendRows(nil, keep(rows))
+		return pair.AppendRows(nil, keepRows(rows))
 	}, sink.Put)
 	if err != nil {
 		return nil, err
@@ -400,6 +472,7 @@ func (e *Engine) bayesVerifierWithPrior(ctx context.Context, o Options, prior st
 			return nil, err
 		}
 		sigs.One = minhash.PackOneBitAll(st.Sigs())
+		params.Watermark = params.MaxHashes
 	default:
 		st := e.minSigStore()
 		params.Ensure, params.Watermark, sigs.Min = st.Ensure, st.Watermark(), st.Sigs()

@@ -208,7 +208,7 @@ func (e *Engine) buildIndexCtx(ctx context.Context, opts Options, prior *stats.B
 	case prior != nil:
 		ix.prior = *prior
 	case needsPrior(e.measure, o):
-		cands, err := e.candidates(ctx, o)
+		cands, err := e.candidates(ctx, o, false)
 		if err != nil {
 			return nil, err
 		}

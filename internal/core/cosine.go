@@ -53,11 +53,25 @@ func (v *bitsVerifier) setup(sigs [][]uint64, sigBits int, p Params, kind string
 	v.tr, v.toR, v.fromR = toR(params.Threshold), toR, fromR
 	v.kernel = kernel{
 		stored: func(id int32) QuerySig { return QuerySig{Bits: sigs[id]} },
+		// A round inside word 0 (rounds 1–2 at K = 32) reads the
+		// partners' first words from the column when the query carries
+		// one; every other round reads the rows.
 		qmatchAll: func(q *QuerySig, ids []int32, from, to int, m []int32) {
+			if q.col != nil && to <= 64 {
+				sighash.MatchCountsColumn(q.Bits[0], q.col, ids, from, to, m)
+				return
+			}
 			sighash.MatchCounts(q.Bits, sigs, ids, from, to, m)
 		},
 		estimate:     v.Estimate,
 		concentrated: v.concentrated,
+	}
+	// Word 0 of every signature is filled once the watermark covers
+	// it, and a filled word never changes, so the column can be copied
+	// once, by the first rows verification. Query verification never
+	// builds it, so serving touches signature rows only on demand.
+	if params.Watermark >= 64 {
+		v.firstWords = func() []uint64 { return sighash.Column(sigs) }
 	}
 	v.init(params, kind, uniform, v.probAboveThreshold)
 	return nil

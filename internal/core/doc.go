@@ -49,7 +49,13 @@
 // the loop evaluates no posterior. The tables are interned per process
 // by what they depend on, so the thresholds of a sweep share one
 // accept table, whose rounds are built as verification first reaches
-// them. Rounds no deeper than Params.Watermark skip Ensure.
+// them. Rounds no deeper than Params.Watermark skip Ensure. A bit
+// verifier whose watermark covers word 0 copies word 0 of every
+// signature into a column (8 bytes per vector) on its first rows
+// verification, and the rounds inside word 0 — rounds 1 and 2 at
+// K = 32, where most candidates die — count matches from that dense
+// column instead of each partner's row. Query verification never
+// builds it.
 //
 // # Rows
 //

@@ -20,9 +20,10 @@ import (
 // how signatures are read and compared and how the posterior is
 // evaluated as the stored/qmatchAll/estimate/concentrated hooks.
 //
-// A kernel is safe for concurrent use: ns and the tables are immutable
-// once built (each accept round under its own sync.Once), each call
-// draws its own round scratch from the pool, and the hooks are pure.
+// A kernel is safe for concurrent use: ns, the tables and the
+// first-word column are immutable once built (each accept round and
+// the column under its own sync.Once), each call draws its own round
+// scratch from the pool, and the hooks are pure.
 type kernel struct {
 	params Params
 	ns     []int
@@ -35,6 +36,13 @@ type kernel struct {
 	// stored returns corpus vector id's signature in query form, with
 	// no Ensure: the query of the row whose left vector is id.
 	stored func(id int32) QuerySig
+	// firstWords, when non-nil, copies word 0 of every corpus
+	// signature: the first-word column, which rowQuery builds into col
+	// once, on the verifier's first rows call, and hands to qmatchAll
+	// through each row's query. The query entry points never build it.
+	firstWords func() []uint64
+	colOnce    sync.Once
+	col        []uint64
 	// qmatchAll adds to m[i] the number of matching hashes of the query
 	// q and corpus vector ids[i] over hash positions [from, to), for
 	// every i.
@@ -115,6 +123,39 @@ func (s *roundScratch) reserve(n int) {
 	}
 }
 
+// prune compacts the partners alive[lo:hi] that survive a round —
+// m >= minM — to the alive lists from kept on, in candidate order, and
+// returns the new kept. Every partner is written and only a survivor
+// advances kept, so the loop takes no branch on the data. Compaction
+// never overtakes the read (kept <= i), so alive, pos and m may be the
+// scratch lists themselves. pos nil means a partner's candidate
+// position is its index.
+func (s *roundScratch) prune(alive, pos, m []int32, lo, hi int, minM int32, kept int) int {
+	ids, ps := s.ids, s.pos
+	if pos == nil {
+		for i := lo; i < hi; i++ {
+			mi := m[i]
+			ids[kept], ps[kept], m[kept] = alive[i], int32(i), mi
+			kept += b2i(mi >= minM)
+		}
+		return kept
+	}
+	for i := lo; i < hi; i++ {
+		mi := m[i]
+		ids[kept], ps[kept], m[kept] = alive[i], pos[i], mi
+		kept += b2i(mi >= minM)
+	}
+	return kept
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // run is the round loop of BayesLSH (Algorithm 1) and BayesLSH-Lite
 // (Algorithm 2) for the query q against the candidate corpus ids,
 // updating st. It runs round-major: round r compares every partner
@@ -122,7 +163,11 @@ func (s *roundScratch) reserve(n int) {
 // then does round r+1 run. Before a round reads hashes [n−K, n), the
 // query is extended through q.Ensure, only when the round goes deeper
 // than any earlier round of this query did, and each alive partner
-// through params.Ensure, only when n exceeds params.Watermark.
+// through params.Ensure, only when n exceeds params.Watermark. A round
+// counts matches through qmatchAll, which reads the partners' hashes
+// from the first-word column instead of their rows when q carries one
+// and the round lies inside word 0 (rows verification of the bit
+// verifiers; see rowQuery).
 //
 // With lite false, run executes every round with the concentration
 // test, leaves the accepted pairs in s.acc in candidate order, and
@@ -152,9 +197,13 @@ func (kr *kernel) run(q *QuerySig, ids []int32, nRounds int, lite bool, s *round
 			q.Ensure(n)
 			q.depth = n
 		}
+		// Prune first, then test the survivors for acceptance. Whether a
+		// partner survives round one is close to a coin flip at low
+		// thresholds (a third survive at t = 0.6 on RCV1-shaped data),
+		// a branch no predictor learns, so prune compacts without one;
+		// the accept test, rarely true, then runs over the survivors.
 		minM := int32(kr.minM[round])
-		var acc *cutoffs // fetched at the round's first survivor; Lite accepts nothing
-		survived, kept := 0, 0
+		kept := 0
 		for lo := 0; lo < len(alive); lo += partnerChunk {
 			if stop.Stopped() {
 				return nil, false
@@ -166,26 +215,18 @@ func (kr *kernel) run(q *QuerySig, ids []int32, nRounds int, lite bool, s *round
 				}
 			}
 			kr.qmatchAll(q, alive[lo:hi], n-k, n, m[lo:hi])
-			for i := lo; i < hi; i++ {
-				mi := m[i]
-				if mi < minM {
+			kept = s.prune(alive, pos, m, lo, hi, minM, kept)
+		}
+		survived := kept
+		if !lite && kept > 0 {
+			acc := kr.cutoffsAt(round, st)
+			kept = 0
+			for i, mi := range m[:survived] {
+				if acc.accepts(mi) {
+					s.acc = append(s.acc, acceptance{s.pos[i], kr.estimate(int(mi), n)})
 					continue
 				}
-				survived++
-				p := int32(i)
-				if pos != nil {
-					p = pos[i]
-				}
-				if !lite {
-					if acc == nil {
-						acc = kr.cutoffsAt(round, st)
-					}
-					if acc.accepts(mi) {
-						s.acc = append(s.acc, acceptance{p, kr.estimate(int(mi), n)})
-						continue
-					}
-				}
-				s.ids[kept], s.pos[kept], m[kept] = alive[i], p, mi
+				s.ids[kept], s.pos[kept], m[kept] = s.ids[i], s.pos[i], mi
 				kept++
 			}
 		}
@@ -211,8 +252,10 @@ func (kr *kernel) run(q *QuerySig, ids []int32, nRounds int, lite bool, s *round
 
 // rowQuery returns the query form of a row's left vector a, for one
 // batch of rows: a's stored signature, deepened through
-// params.Ensure(a, ·) beyond params.Watermark. Each call reuses one
-// QuerySig, so a batch allocates its query state once, not per row.
+// params.Ensure(a, ·) beyond params.Watermark, and carrying the
+// first-word column when the verifier has one (building it on the
+// verifier's first rows call). Each call reuses one QuerySig, so a
+// batch allocates its query state once, not per row.
 func (kr *kernel) rowQuery() func(a int32) *QuerySig {
 	var q QuerySig
 	var left int32
@@ -220,9 +263,12 @@ func (kr *kernel) rowQuery() func(a int32) *QuerySig {
 	if ensure := kr.params.Ensure; ensure != nil {
 		deepen = func(n int) { ensure(left, n) }
 	}
+	if kr.firstWords != nil {
+		kr.colOnce.Do(func() { kr.col = kr.firstWords() })
+	}
 	return func(a int32) *QuerySig {
 		q, left = kr.stored(a), a
-		q.Ensure, q.depth = deepen, kr.params.Watermark
+		q.Ensure, q.depth, q.col = deepen, kr.params.Watermark, kr.col
 		return &q
 	}
 }

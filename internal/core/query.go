@@ -31,7 +31,8 @@ type QuerySig struct {
 	Min    []uint32
 	Ensure func(n int)
 
-	depth int // deepest n Ensure was called with by this verification
+	depth int      // deepest n Ensure was called with by this verification
+	col   []uint64 // the corpus's first-word column, for rows verification only
 }
 
 // QuerySimFunc computes the exact similarity of the query to corpus

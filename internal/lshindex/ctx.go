@@ -22,9 +22,13 @@
 // collects pairs. Band keys depend only on the signatures and the band
 // index, and row batches are numbered in row order, so outputs
 // collected by slot are identical for any worker count. Peak memory is
-// the runs (three int32s per id per band), per worker one id-set (a
-// bit per id, n/8 bytes) and two row-long id buffers, and whatever the
-// bodies keep — the candidate pairs only for the collecting form.
+// the runs (three int32s per id per band, plus the keys and their
+// index under multi-probe), per worker one id-set (a bit per id and a
+// summary bit per 64 ids, about n/8 bytes) and one row-long id
+// buffer, and whatever the bodies keep — the candidate pairs only for
+// the collecting form. A Banding is immutable and its first bands are
+// a banding in their own right (Prefix), so a caller may keep one and
+// serve any narrower request from it.
 //
 // Cancellation is polled between bands by the band dispatch, between
 // row batches by the row dispatch, and between bands within a row — a
@@ -49,6 +53,20 @@ import (
 type Banding struct {
 	n, probeBits int
 	runs         []bandRuns
+}
+
+// Tables returns the banding's band count l.
+func (b *Banding) Tables() int { return len(b.runs) }
+
+// Prefix returns the banding of its first l bands, sharing their runs:
+// band j's runs depend only on the signatures and j, so it is the
+// banding the band phase builds for l bands. l must be in
+// [1, Tables()].
+func (b *Banding) Prefix(l int) *Banding {
+	if l < 1 || l > len(b.runs) {
+		panic("lshindex: Banding.Prefix out of range")
+	}
+	return &Banding{n: b.n, probeBits: b.probeBits, runs: b.runs[:l:l]}
 }
 
 // BandBitsCtx runs the band phase over packed bit signatures (cosine
@@ -303,10 +321,10 @@ func StreamRows[T any](ctx context.Context, b *Banding, workers int, body func(r
 					}
 					b.runs[j].addPartners(&s.ids, a, b.probeBits)
 				}
-				if s.ids.Len() == 0 {
+				s.row = s.ids.AppendAscending(s.row[:0])
+				if len(s.row) == 0 {
 					continue
 				}
-				s.row = s.ids.AppendAscending(s.row[:0])
 				if !yield(a, s.row) {
 					return
 				}

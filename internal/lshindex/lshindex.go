@@ -32,6 +32,14 @@ func NumTables(p float64, k int, eps float64) int {
 // holds is cut to the signature budget by the caller, never wrapped.
 const maxTables = math.MaxInt32
 
+// MissRate returns (1 − p^k)^l, the probability that banding over l
+// tables of k hashes misses a pair with per-hash collision probability
+// p: the false negative rate NumTables inverts, at or below eps
+// whenever l is the count it returned.
+func MissRate(p float64, k, l int) float64 {
+	return math.Pow(1-math.Pow(p, float64(k)), float64(l))
+}
+
 // tablesFor returns ⌈log ε / log(1 − q)⌉ for a per-band collision
 // probability q in [0, 1), saturated at maxTables. Below q ≈ 2⁻⁵³,
 // 1 − q rounds to 1 and no finite table count is enough, so the count

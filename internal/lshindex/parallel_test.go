@@ -89,6 +89,37 @@ func TestCandidatesMinhashParallelMatchesSequential(t *testing.T) {
 	})
 }
 
+// TestBandingPrefix: the first l bands of a wider banding are the
+// banding of l bands — the row phase over Prefix(l) enumerates exactly
+// the l-band oracle's candidates, with and without multi-probe.
+func TestBandingPrefix(t *testing.T) {
+	c := testutil.SmallTextCorpus(t, 300, 24)
+	sigs := sighash.NewFamily(c.Dim, 256, 80).SignatureAll(c)
+	const k, wide = 8, 16
+	for _, multiProbe := range []bool{false, true} {
+		b, err := BandBitsCtx(context.Background(), sigs, k, wide, multiProbe, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Tables() != wide {
+			t.Fatalf("Tables() = %d, want %d", b.Tables(), wide)
+		}
+		for _, l := range []int{1, 5, wide} {
+			p := b.Prefix(l)
+			if p.Tables() != l {
+				t.Fatalf("Prefix(%d).Tables() = %d", l, p.Tables())
+			}
+			want := bandCollisions(len(sigs), l, func(i, j, band int) bool {
+				d := bits.OnesCount64(bitsBand(sigs[i], band*k, k) ^ bitsBand(sigs[j], band*k, k))
+				return d == 0 || multiProbe && d == 1
+			})
+			requireBandingInvariant(t, want, func(ctx context.Context, workers int) ([]pair.Pair, error) {
+				return collect(ctx, p, workers)
+			})
+		}
+	}
+}
+
 func TestParallelValidation(t *testing.T) {
 	ctx := context.Background()
 	sigs := [][]uint64{{0}, {1}}

@@ -12,10 +12,12 @@
 // vector. Rows groups a candidate stream by its left id — the form
 // banded LSH enumerates and verification reads — and RowsOf and
 // AppendRows convert between pairs and rows. IDSet deduplicates ids
-// and reads them out ascending: a bitset plus the list of ids added,
-// sorted when sparse and scanned word by word when dense, left empty
-// for reuse. Every point probe and the banding row phase collect their
-// candidate ids in one.
+// and reads them out ascending: a bit per id and a summary bit per
+// non-zero word, so adding is branch-free and a read-out walks the
+// summary to the words it marks, costing the summary span, the
+// non-zero words and the ids, never the set's capacity, and leaving
+// the set empty for reuse. Every point probe and the banding row phase
+// collect their candidate ids in one.
 //
 // # Ordering
 //

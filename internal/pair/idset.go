@@ -1,20 +1,34 @@
 package pair
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 )
 
-// IDSet deduplicates non-negative ids: a bitset, grown to the largest
-// id added, plus the list of distinct ids in the order they were first
-// added. AppendAscending reads the set out in ascending order and
-// leaves it empty, so one set serves any number of fills; emptying it
-// touches only the words the fill used. The zero value is an empty
-// set. An IDSet is not safe for concurrent use.
+// IDSet deduplicates non-negative ids in two levels: a bit per id
+// (words, grown to the largest id added) and a summary bit per word
+// that may be non-zero, plus the span of summary words a fill touched.
+// Adding sets two bits, whether or not the id is already present, so
+// Add and AddAll take no branch on the data. AppendAscending reads the
+// set out in ascending order by walking the summary bits of that span
+// to their words and the words to their ids, clearing both as it goes:
+// its cost is the summary span, the non-zero words and the ids, never
+// the set's capacity, so a sparse row over a large corpus stays cheap.
+// A read-out leaves the set empty, so one set serves any number of
+// fills. The zero value is an empty set. An IDSet is not safe for
+// concurrent use.
 type IDSet struct {
-	words []uint64
-	ids   []int32
+	words   []uint64 // bit id&63 of words[id>>6] is set when id is present
+	summary []uint64 // bit w&63 of summary[w>>6] is set when words[w] may be non-zero
+	// lo and end bound the summary words that may be non-zero:
+	// [lo, end), empty when lo >= end.
+	lo, end int
 }
+
+// summaryShift converts an id to its summary word: 64 ids per word,
+// 64 words per summary word.
+const summaryShift = 12
 
 // Add adds id to the set.
 func (s *IDSet) Add(id int32) {
@@ -22,73 +36,87 @@ func (s *IDSet) Add(id int32) {
 	if w >= len(s.words) {
 		s.grow(w)
 	}
-	if bit := uint64(1) << (id & 63); s.words[w]&bit == 0 {
-		s.words[w] |= bit
-		s.ids = append(s.ids, id)
-	}
+	s.words[w] |= 1 << (id & 63)
+	s.summary[w>>6] |= 1 << (w & 63)
+	s.lo, s.end = min(s.lo, int(id>>summaryShift)), max(s.end, int(id>>summaryShift)+1)
 }
 
 // AddAll adds every id of ids to the set.
 func (s *IDSet) AddAll(ids []int32) {
+	if len(ids) == 0 {
+		return
+	}
+	// Every id agrees with the first outside the bits of diff, so all
+	// lie in [first &^ diff, first | diff]: bounds for growing the set
+	// and for the summary span, from one OR per id.
+	first, diff := ids[0], int32(0)
 	for _, id := range ids {
-		s.Add(id)
+		diff |= id ^ first
 	}
+	lo, hi := first&^diff, first|diff
+	if int(hi>>6) >= len(s.words) {
+		s.grow(int(hi >> 6))
+	}
+	words, summary := s.words, s.summary
+	if diff>>summaryShift == 0 {
+		// One summary word: gather its bits in a register, so the
+		// loop carries no load-store chain through memory.
+		var sum uint64
+		for _, id := range ids {
+			words[id>>6] |= 1 << (id & 63)
+			sum |= 1 << ((id >> 6) & 63)
+		}
+		summary[first>>summaryShift] |= sum
+	} else {
+		for _, id := range ids {
+			w := id >> 6
+			words[w] |= 1 << (id & 63)
+			summary[w>>6] |= 1 << (w & 63)
+		}
+	}
+	s.lo, s.end = min(s.lo, int(lo>>summaryShift)), max(s.end, int(hi>>summaryShift)+1)
 }
 
-// grow extends the bitset to cover word w, at least doubling it so a
-// set filled in ascending id order grows in amortized constant time.
+// grow extends the set to cover word w, at least doubling it so a set
+// filled in ascending id order grows in amortized constant time. A set
+// that has never held an id starts with an empty summary span.
 func (s *IDSet) grow(w int) {
-	s.words = append(s.words, make([]uint64, max(w+1, 2*len(s.words))-len(s.words))...)
-}
-
-// Len returns the number of distinct ids in the set.
-func (s *IDSet) Len() int { return len(s.ids) }
-
-// wordRange returns the indices of the lowest and highest words the
-// set's ids fall in. The set must not be empty.
-func (s *IDSet) wordRange() (lo, hi int) {
-	l, h := s.ids[0], s.ids[0]
-	for _, id := range s.ids[1:] {
-		l, h = min(l, id), max(h, id)
+	if len(s.words) == 0 {
+		s.lo, s.end = math.MaxInt, 0
 	}
-	return int(l >> 6), int(h >> 6)
+	n := max(w+1, 2*len(s.words))
+	s.words = append(s.words, make([]uint64, n-len(s.words))...)
+	s.summary = append(s.summary, make([]uint64, (n+63)/64-len(s.summary))...)
 }
 
-// sparse reports whether sorting m ids is cheaper than scanning the
-// span of ids their words cover: m·bits.Len(m) < span/8.
-func sparse(m, span int) bool { return m*bits.Len(uint(m)) < span/8 }
+// Len returns the number of distinct ids in the set, counting the
+// non-zero words of the summary span.
+func (s *IDSet) Len() int {
+	n := 0
+	for sw := s.lo; sw < s.end; sw++ {
+		for sum := s.summary[sw]; sum != 0; sum &= sum - 1 {
+			n += bits.OnesCount64(s.words[sw<<6|bits.TrailingZeros64(sum)])
+		}
+	}
+	return n
+}
 
 // AppendAscending appends the set's ids to dst in ascending order and
-// empties the set. A sparse set sorts its id list and clears the words
-// by it; a denser one scans the words from its lowest id's to its
-// highest's with TrailingZeros64, one pass over the span instead of a
-// sort, clearing each.
+// empties the set.
 func (s *IDSet) AppendAscending(dst []int32) []int32 {
-	m := len(s.ids)
-	if m == 0 {
-		return dst
-	}
-	lo, hi := s.wordRange()
-	if sparse(m, 64*(hi-lo+1)) {
-		slices.Sort(s.ids)
-		for _, id := range s.ids {
-			s.words[id>>6] = 0
-		}
-		dst = append(dst, s.ids...)
-	} else {
-		dst = slices.Grow(dst, m)
-		out := dst[len(dst) : len(dst)+m]
-		j := 0
-		for w := lo; w <= hi; w++ {
-			for word := s.words[w]; word != 0; word &= word - 1 {
-				out[j] = int32(w<<6 | bits.TrailingZeros64(word))
-				j++
-			}
+	for sw := s.lo; sw < s.end; sw++ {
+		for sum := s.summary[sw]; sum != 0; sum &= sum - 1 {
+			w := sw<<6 | bits.TrailingZeros64(sum)
+			word := s.words[w]
 			s.words[w] = 0
+			dst = slices.Grow(dst, bits.OnesCount64(word))
+			for ; word != 0; word &= word - 1 {
+				dst = append(dst, int32(w<<6|bits.TrailingZeros64(word)))
+			}
 		}
-		dst = dst[:len(dst)+m]
+		s.summary[sw] = 0
 	}
-	s.ids = s.ids[:0]
+	s.lo, s.end = math.MaxInt, 0
 	return dst
 }
 
@@ -96,8 +124,9 @@ func (s *IDSet) AppendAscending(dst []int32) []int32 {
 // exactly their number — nil when the set is empty — and empties the
 // set.
 func (s *IDSet) Ascending() []int32 {
-	if len(s.ids) == 0 {
+	n := s.Len()
+	if n == 0 {
 		return nil
 	}
-	return s.AppendAscending(make([]int32, 0, len(s.ids)))
+	return s.AppendAscending(make([]int32, 0, n))
 }

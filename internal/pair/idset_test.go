@@ -23,20 +23,15 @@ func referenceAscending(ids []int32) []int32 {
 }
 
 // fillAndRead adds ids to s and reads the set back after prefix,
-// checking the sparse/dense branch when wantSparse is non-nil.
-func fillAndRead(t *testing.T, s *IDSet, ids []int32, wantSparse *bool) {
+// checking it against the map+sort reference and that the read-out
+// left both levels of the set empty.
+func fillAndRead(t *testing.T, s *IDSet, ids []int32) {
 	t.Helper()
 	prefix := []int32{-7, -8}
 	s.AddAll(ids)
 	want := referenceAscending(ids)
 	if s.Len() != len(want) {
 		t.Fatalf("Len() = %d after adding %v, want %d", s.Len(), ids, len(want))
-	}
-	if wantSparse != nil && len(ids) > 0 {
-		lo, hi := s.wordRange()
-		if got := sparse(s.Len(), 64*(hi-lo+1)); got != *wantSparse {
-			t.Fatalf("%d ids over words [%d, %d]: sparse = %v, want %v", s.Len(), lo, hi, got, *wantSparse)
-		}
 	}
 	got := s.AppendAscending(slices.Clone(prefix))
 	if !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], want) {
@@ -48,6 +43,11 @@ func fillAndRead(t *testing.T, s *IDSet, ids []int32, wantSparse *bool) {
 	for w, word := range s.words {
 		if word != 0 {
 			t.Fatalf("word %d = %#x after AppendAscending", w, word)
+		}
+	}
+	for w, word := range s.summary {
+		if word != 0 {
+			t.Fatalf("summary word %d = %#x after AppendAscending", w, word)
 		}
 	}
 }
@@ -65,15 +65,14 @@ func TestIDSetMatchesMapSort(t *testing.T) {
 		{64, 63, 0, 64, 0},
 		{4095, 0, 64, 63, 4095},
 	} {
-		fillAndRead(t, &s, ids, nil)
+		fillAndRead(t, &s, ids)
 	}
 	if got := s.AppendAscending(nil); got != nil {
 		t.Fatalf("empty set appended %v", got)
 	}
 	// Random multisets over spans of 1..64 words, from nearly empty to
-	// every id present, so both branches run many times.
-	branches := map[bool]int{}
-	for trial := range 2000 {
+	// every id present.
+	for range 2000 {
 		span := 64 * (1 + r.IntN(64))
 		base := int32(64 * r.IntN(8))
 		m := 1 + r.IntN(1<<r.IntN(bits.Len(uint(2*span)))) // log-uniform size
@@ -81,44 +80,7 @@ func TestIDSetMatchesMapSort(t *testing.T) {
 		for i := range ids {
 			ids[i] = base + int32(r.IntN(span))
 		}
-		if trial%2 == 1 {
-			fillAndRead(t, &s, ids, nil)
-			continue
-		}
-		// Pin the span, so the branch follows from the distinct count.
-		ids = append(ids, base, base+int32(span)-1)
-		d := len(referenceAscending(ids))
-		sparse := d*bits.Len(uint(d)) < span/8
-		branches[sparse]++
-		fillAndRead(t, &s, ids, &sparse)
-	}
-	if branches[true] < 100 || branches[false] < 100 {
-		t.Fatalf("branches taken %v: both need exercising", branches)
-	}
-}
-
-func TestIDSetCrossover(t *testing.T) {
-	// Over four words, span/8 = 32, and m·bits.Len(m) = 32 at m = 8:
-	// seven ids sort, eight (exactly at the rule) and nine scan.
-	n := int32(256)
-	for _, c := range []struct {
-		m      int
-		sparse bool
-	}{{7, true}, {8, false}, {9, false}} {
-		m, sparse := c.m, c.sparse
-		if m*bits.Len(uint(m)) < int(n)/8 != sparse {
-			t.Fatalf("crossover arithmetic wrong at m = %d", m)
-		}
-		ids := []int32{0, n - 1}
-		for id := int32(1); len(ids) < m; id += 37 {
-			ids = append(ids, id)
-		}
-		reversed := slices.Clone(ids)
-		slices.Reverse(reversed)
-		for _, order := range [][]int32{ids, reversed} {
-			var s IDSet
-			fillAndRead(t, &s, order, &sparse)
-		}
+		fillAndRead(t, &s, ids)
 	}
 }
 
@@ -133,11 +95,103 @@ func TestIDSetReuse(t *testing.T) {
 			dense = append(dense, id)
 		}
 	}
-	sparse, dense2 := true, false
-	fillAndRead(t, &s, dense, &dense2)
-	fillAndRead(t, &s, []int32{9000, 3, 4999}, &sparse)
-	fillAndRead(t, &s, []int32{100}, nil)
-	fillAndRead(t, &s, dense[:2000], &dense2)
-	fillAndRead(t, &s, nil, nil)
-	fillAndRead(t, &s, []int32{0, 9000}, &sparse)
+	fillAndRead(t, &s, dense)
+	fillAndRead(t, &s, []int32{9000, 3, 4999})
+	fillAndRead(t, &s, []int32{100})
+	fillAndRead(t, &s, dense[:2000])
+	fillAndRead(t, &s, nil)
+	fillAndRead(t, &s, []int32{0, 9000})
+}
+
+// encodeFills is the fuzz input encoding decodeFills reads: each id as
+// three bytes, little endian, and each fill ended by a marker id.
+func encodeFills(fills ...[]int32) []byte {
+	var b []byte
+	put := func(v uint32) { b = append(b, byte(v), byte(v>>8), byte(v>>16)) }
+	for _, ids := range fills {
+		for _, id := range ids {
+			put(uint32(id))
+		}
+		put(fillEnd)
+	}
+	return b
+}
+
+// fillEnd is the smallest three-byte value decodeFills reads as the end
+// of a fill rather than an id; ids stay below 2^20 (16,384 words, 256
+// summary words).
+const fillEnd = 1 << 20
+
+// decodeFills cuts fuzz input into fills of ids, three bytes each; a
+// trailing partial id is dropped and a trailing open fill kept.
+func decodeFills(data []byte) [][]int32 {
+	fills := [][]int32{nil}
+	for ; len(data) >= 3; data = data[3:] {
+		v := uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16
+		if v >= fillEnd {
+			fills = append(fills, nil)
+			continue
+		}
+		last := &fills[len(fills)-1]
+		*last = append(*last, int32(v))
+	}
+	return fills
+}
+
+// FuzzIDSet checks one reused set against the map+sort reference over
+// a sequence of fills: each fill is added one id at a time or all at
+// once, and read out through AppendAscending onto a non-empty dst or
+// through Ascending, in turns, so every fill starts from the state the
+// previous read-out left.
+func FuzzIDSet(f *testing.F) {
+	f.Add(encodeFills([]int32{63, 64, 4095, 4096}, []int32{4096, 0, 4096}, nil, []int32{fillEnd - 1, 4095, 64}))
+	f.Add(encodeFills([]int32{0}, []int32{1<<12 - 1, 1 << 12, 1<<18 + 63}, []int32{63, 63, 63}))
+	f.Add(encodeFills(nil, nil, []int32{262143, 5, 262144}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s IDSet
+		prefix := []int32{-1, -2, -3}
+		for i, ids := range decodeFills(data) {
+			if i%2 == 0 {
+				s.AddAll(ids)
+			} else {
+				for _, id := range ids {
+					s.Add(id)
+				}
+			}
+			want := referenceAscending(ids)
+			if s.Len() != len(want) {
+				t.Fatalf("fill %d: Len() = %d, want %d", i, s.Len(), len(want))
+			}
+			var got []int32
+			if i%3 == 2 {
+				got = s.Ascending()
+				if len(want) == 0 && got != nil {
+					t.Fatalf("fill %d: Ascending of an empty set = %v, want nil", i, got)
+				}
+			} else {
+				dst := prefix[:i%4]
+				got = s.AppendAscending(slices.Clip(dst))
+				if !slices.Equal(got[:len(dst)], dst) {
+					t.Fatalf("fill %d: AppendAscending overwrote dst %v: %v", i, dst, got)
+				}
+				got = got[len(dst):]
+			}
+			if !slices.Equal(got, want) && len(got)+len(want) > 0 {
+				t.Fatalf("fill %d: read %v, want %v", i, got, want)
+			}
+			if s.Len() != 0 {
+				t.Fatalf("fill %d: %d ids left after the read-out", i, s.Len())
+			}
+		}
+		for w, word := range s.words {
+			if word != 0 {
+				t.Fatalf("word %d = %#x after the last read-out", w, word)
+			}
+		}
+		for w, word := range s.summary {
+			if word != 0 {
+				t.Fatalf("summary word %d = %#x after the last read-out", w, word)
+			}
+		}
+	})
 }

@@ -208,6 +208,36 @@ func MatchCounts(q []uint64, sigs [][]uint64, ids []int32, from, to int, counts 
 	}
 }
 
+// Column returns word 0 of every signature, in id order: the
+// column-major copy of the first 64 bits that MatchCountsColumn reads.
+// Every signature must hold at least one word.
+func Column(sigs [][]uint64) []uint64 {
+	col := make([]uint64, len(sigs))
+	for id, s := range sigs {
+		col[id] = s[0]
+	}
+	return col
+}
+
+// MatchCountsColumn is MatchCounts for a bit range inside word 0, with
+// the signatures' first words read from col (Column) and the query's
+// from qw: each id costs one 8-byte load from a dense array, where the
+// rows cost a slice header and a load from a separate row. It panics
+// unless 0 <= from <= to <= 64.
+func MatchCountsColumn(qw uint64, col []uint64, ids []int32, from, to int, counts []int32) {
+	if from < 0 || from > to || to > 64 {
+		panic("sighash: MatchCountsColumn range outside word 0")
+	}
+	if from == to {
+		return
+	}
+	counts = counts[:len(ids)]
+	shift, keep, width := uint(from), uint(64-(to-from)), int32(to-from)
+	for i, id := range ids {
+		counts[i] += width - int32(bits.OnesCount64((qw^col[id])>>shift<<keep))
+	}
+}
+
 // Bit returns bit i of signature sig.
 func Bit(sig []uint64, i int) uint64 { return (sig[i/64] >> (i % 64)) & 1 }
 

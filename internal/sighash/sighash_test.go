@@ -248,6 +248,35 @@ func TestMatchCountsEveryRangeAgainstMatchCount(t *testing.T) {
 	}
 }
 
+// TestMatchCountsColumnEveryRange checks MatchCountsColumn, which reads
+// the signatures' first words from a Column, against MatchCounts for
+// every range inside word 0, under the same conditions.
+func TestMatchCountsColumnEveryRange(t *testing.T) {
+	src := rng.New(83)
+	zeros, ones := make([]uint64, 2), []uint64{^uint64(0), ^uint64(0)}
+	random := func() []uint64 { return []uint64{src.Uint64(), src.Uint64()} }
+	sigs := [][]uint64{random(), zeros, ones, random(), random()}
+	col := Column(sigs)
+	ids := []int32{3, 0, 2, 2, 1, 4, 0, 3, 1}
+	got, want := make([]int32, len(ids)), make([]int32, len(ids))
+	for qi, q := range [][]uint64{random(), zeros, ones} {
+		for from := 0; from <= 64; from++ {
+			for to := from; to <= 64; to++ {
+				for i := range got {
+					got[i], want[i] = int32(i), int32(i)
+				}
+				MatchCountsColumn(q[0], col, ids, from, to, got)
+				MatchCounts(q, sigs, ids, from, to, want)
+				for i, id := range ids {
+					if got[i] != want[i] {
+						t.Fatalf("query %d, id %d at %d: MatchCountsColumn(%d, %d) added up to %d, MatchCounts %d", qi, id, i, from, to, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMatchCountPropertyAgainstNaive(t *testing.T) {
 	f := func(aw, bw [4]uint64, fromRaw, toRaw uint8) bool {
 		a, b := aw[:], bw[:]

@@ -629,7 +629,7 @@ func (li *LiveIndex) coldPrior(gen *liveGen, src compactSrc, view live.View, ext
 	if err != nil {
 		return stats.Beta{}, err
 	}
-	cands, err := e2.candidates(context.Background(), li.opts)
+	cands, err := e2.candidates(context.Background(), li.opts, false)
 	if err != nil {
 		return stats.Beta{}, err
 	}

@@ -207,7 +207,7 @@ func TestCandidatesCanonicalOrder(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := seq.candidates(ctx, o)
+					want, err := seq.candidates(ctx, o, false)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -219,7 +219,7 @@ func TestCandidatesCanonicalOrder(t *testing.T) {
 							t.Fatalf("candidate %d = %+v after %+v: not strictly ascending", i, p, want[max(i-1, 0)])
 						}
 					}
-					got, err := par.candidates(ctx, o)
+					got, err := par.candidates(ctx, o, false)
 					if err != nil {
 						t.Fatal(err)
 					}

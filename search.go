@@ -146,6 +146,15 @@ type Output struct {
 	// SurvivorsByRound[i] is the number of candidates still alive
 	// after (i+1)*K hashes (Bayes pipelines only) — Figure 4's series.
 	SurvivorsByRound []int
+	// FalseNegativeBound is the probability that banded LSH candidate
+	// generation misses a pair whose similarity is exactly the
+	// threshold, given the tables it banded: (1 − p^k)^l, or its
+	// multi-probe form, for per-hash collision probability p at the
+	// threshold — the rate that sizing l inverts. It is at most
+	// FalseNegativeRate unless the signature budget capped l (low
+	// thresholds; see docs/TUNING.md), and 0 for the pipelines that do
+	// not band.
+	FalseNegativeBound float64
 
 	// CandGenTime and VerifyTime are the wall-clock costs of the two
 	// phases; Total is their sum (the paper's "full execution time").
@@ -153,8 +162,11 @@ type Output struct {
 	// LSH pipeline but Jaccard BayesLSH over full minhashes, which
 	// materializes its candidates to fit a prior), CandGenTime covers
 	// the banding runs — hashing to the band depth and bucketing every
-	// band — and VerifyTime the verifier's construction plus the fused
-	// row phase, which enumerates and verifies each row together.
+	// band, or, when the engine kept a wide enough banding from an
+	// earlier search, only the check that every signature is filled to
+	// the band depth — and VerifyTime the verifier's construction plus
+	// the fused row phase, which enumerates and verifies each row
+	// together.
 	// HashTime is the portion of those phases spent computing hash
 	// signatures (lazy signature blocks are materialized inside the
 	// phase that first needs them, so HashTime is part of Total, not
@@ -167,8 +179,9 @@ type Output struct {
 	Total       time.Duration
 }
 
-// Search runs one pipeline. Engines cache hash signatures, so
-// repeated searches (e.g. threshold sweeps) only pay hashing once;
+// Search runs one pipeline. Engines cache hash signatures and band
+// tables (see Engine), so repeated searches (e.g. threshold sweeps)
+// only pay hashing once, and banding once per widest table count;
 // HashTime reports the hashing cost incurred by this call. Search is
 // SearchContext with context.Background() — it cannot be canceled.
 func (e *Engine) Search(opts Options) (*Output, error) {
@@ -249,15 +262,19 @@ func ctxWrap(err error) error {
 // (Engine.streamTwoPhase), BuildIndex and the live prior refit so the
 // candidate stream cannot drift between them; the fused banded-LSH
 // pipelines enumerate the same rows through the same lshBanding and
-// nonEmpty, without collecting them.
-func (e *Engine) candidates(ctx context.Context, o Options) ([]pair.Pair, error) {
+// nonEmpty, without collecting them. With keep, a banding the LSH
+// candidates are enumerated from stays on the engine for later
+// searches (lshBanding). Index builds and the live prior refit pass
+// false: an index holds its engine for as long as it serves, and a
+// banding kept there would only hold memory.
+func (e *Engine) candidates(ctx context.Context, o Options, keep bool) ([]pair.Pair, error) {
 	switch o.Algorithm {
 	case AllPairsBayesLSH, AllPairsBayesLSHLite:
 		cands, err := allpairs.CandidatesMeasureCtx(ctx, e.workInput(), toExactMeasure(e.measure), o.Threshold, e.workers())
 		pair.SortPairs(cands)
 		return cands, err
 	default:
-		return e.lshCandidates(ctx, o)
+		return e.lshCandidates(ctx, o, keep)
 	}
 }
 

@@ -157,8 +157,11 @@ func (e *Engine) streamTwoPhase(ctx context.Context, o Options, out *Output, emi
 	var run func(verify rowsFunc, sink func(int, verifiedBatch) error) error
 	prior := stats.Beta{Alpha: 1, Beta: 1} // fitted below where the verifier takes one
 	allPairs := o.Algorithm == AllPairsBayesLSH || o.Algorithm == AllPairsBayesLSHLite
+	if !allPairs {
+		_, _, out.FalseNegativeBound = e.lshShape(o)
+	}
 	if !allPairs && !needsPrior(e.measure, o) {
-		b, err := e.lshBanding(ctx, o)
+		b, err := e.lshBanding(ctx, o, true)
 		if err != nil {
 			return err
 		}
@@ -170,7 +173,7 @@ func (e *Engine) streamTwoPhase(ctx context.Context, o Options, out *Output, emi
 			}, sink)
 		}
 	} else {
-		cands, err := e.candidates(ctx, o)
+		cands, err := e.candidates(ctx, o, true)
 		if err != nil {
 			return err
 		}
