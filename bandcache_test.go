@@ -30,13 +30,13 @@ var bandCacheCases = []struct {
 func keptBanding(t *testing.T, e *Engine, o Options) *lshindex.Banding {
 	t.Helper()
 	o.Threshold = 0.5 // the key does not depend on it
-	o, err := o.withDefaults(e.measure)
+	o, err := o.withDefaults(e.sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.bands.mu.Lock()
 	defer e.bands.mu.Unlock()
-	return e.bands.kept[bandKey{k: o.BandK, multiProbe: o.MultiProbe && e.measure != Jaccard}]
+	return e.bands.kept[bandKey{k: o.BandK, multiProbe: e.sigs.multiProbe(o)}]
 }
 
 // tablesAt returns the band count a search with o at threshold th
@@ -44,7 +44,7 @@ func keptBanding(t *testing.T, e *Engine, o Options) *lshindex.Banding {
 func tablesAt(t *testing.T, e *Engine, o Options, th float64) int {
 	t.Helper()
 	o.Threshold = th
-	o, err := o.withDefaults(e.measure)
+	o, err := o.withDefaults(e.sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ type filledCtx struct {
 }
 
 func (c filledCtx) Err() error {
-	if c.e.bitSigStore().Watermark() >= c.depth {
+	if bitStore(c.e).Watermark() >= c.depth {
 		return context.Canceled
 	}
 	return nil
@@ -137,7 +137,7 @@ func TestCanceledBandPhaseKeepsBanding(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("search returned %v, want a cancellation", err)
 	}
-	if got := e.bitSigStore().Watermark(); got < k*l {
+	if got := bitStore(e).Watermark(); got < k*l {
 		t.Fatalf("canceled before the band phase: signatures filled to %d bits, banding needs %d", got, k*l)
 	}
 	if got := keptBanding(t, e, opts); got != kept {
@@ -160,7 +160,7 @@ func TestConcurrentFirstBuilds(t *testing.T) {
 	thresholds := []float64{0.6, 0.7, 0.6, 0.8}
 	opts := func(th float64) Options { return Options{Algorithm: LSHBayesLSH, Threshold: th} }
 	e := newParallelEngine(t, Cosine, 2, 0)
-	e.bitSigStore() // the store is built once; its fills are safe to race
+	bitStore(e) // the store is built once; its fills are safe to race
 	got := make([]*Output, len(thresholds))
 	var wg sync.WaitGroup
 	for i, th := range thresholds {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -547,6 +548,80 @@ func TestDiskCorruption(t *testing.T) {
 	}
 	li.Close()
 	opened.Close()
+
+	// A section the index's signature kind or generator does not read
+	// is refused at open, as a format error, so no query ever reaches it.
+	for _, c := range forgedSnapshots(t) {
+		if ix, err := LoadFile(c.v3); !errors.Is(err, ErrSnapshotFormat) {
+			t.Errorf("v3 %s: LoadFile %v, want ErrSnapshotFormat", c.name, err)
+			if ix != nil {
+				ix.Close()
+			}
+		}
+		if li, err := OpenLiveFile(c.v3, LiveConfig{}); !errors.Is(err, ErrSnapshotFormat) {
+			t.Errorf("v3 %s: OpenLiveFile %v, want ErrSnapshotFormat", c.name, err)
+			if li != nil {
+				li.Close()
+			}
+		}
+	}
+}
+
+// diskSectionOf returns a copy of the payload of section tag of the v3
+// file at path.
+func diskSectionOf(t testing.TB, path string, tag uint32) []byte {
+	t.Helper()
+	f, err := diskidx.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	l, ok := f.Section(tag)
+	if !ok {
+		t.Fatalf("%s has no section %d", path, tag)
+	}
+	b, err := l.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte{}, b...)
+}
+
+// withDiskSection writes a copy of the v3 file at path whose section
+// tag carries payload instead (added if the file has none), its meta
+// section passed through editMeta when that is non-nil, and returns
+// the copy's path. Sections are laid out in tag order, every checksum
+// valid.
+func withDiskSection(t testing.TB, path string, tag uint32, payload []byte, editMeta func([]byte) []byte) string {
+	t.Helper()
+	f, err := diskidx.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sects := map[uint32][]byte{tag: payload}
+	for _, s := range f.Sections() {
+		if s.Tag != tag {
+			sects[s.Tag] = diskSectionOf(t, path, s.Tag)
+		}
+	}
+	f.Close()
+	if editMeta != nil {
+		sects[sectMeta] = editMeta(sects[sectMeta])
+	}
+	out := filepath.Join(t.TempDir(), "forged.v3.snap")
+	w, err := os.Create(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	fw := diskidx.NewFileWriter(w)
+	for _, tag := range slices.Sorted(maps.Keys(sects)) {
+		fw.Section(tag, func(sw *snapshot.Writer) { sw.Raw(sects[tag]) })
+	}
+	if err := fw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestDiskMemStats pins the observability surface: a heap index
@@ -771,21 +846,7 @@ func resealV3(data []byte) []byte {
 // panicking. Mutations are additionally resealed with valid checksums
 // so the structural validators behind the CRC gates stay fuzzed.
 func FuzzOpenIndexFile(f *testing.F) {
-	ds := NewDataset(16)
-	ds.Add(map[uint32]float64{1: 0.8, 3: 0.6})
-	ds.Add(map[uint32]float64{1: 0.6, 3: 0.8})
-	ds.Add(map[uint32]float64{2: 1})
-	ds.Normalize()
-	ix, err := NewIndex(ds, Cosine, EngineConfig{Seed: 1, SignatureBits: 128},
-		Options{Algorithm: AllPairsBayesLSH, Threshold: 0.6})
-	if err != nil {
-		f.Fatal(err)
-	}
-	seedPath := filepath.Join(f.TempDir(), "seed.v3.snap")
-	if err := ix.SaveFileV3(seedPath); err != nil {
-		f.Fatal(err)
-	}
-	good, err := os.ReadFile(seedPath)
+	good, err := os.ReadFile(v3File(f, fuzzIndex(f, Cosine, Options{Algorithm: AllPairsBayesLSH, Threshold: 0.6})))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -793,19 +854,23 @@ func FuzzOpenIndexFile(f *testing.F) {
 	f.Add(good[:len(good)/2])
 	f.Add(good[:4100])
 	f.Add([]byte(diskidx.Magic))
-	// A multi-probe LSH index seeds the band-table view.
-	lsh, err := NewIndex(ds, Cosine, EngineConfig{Seed: 1, SignatureBits: 128},
-		Options{Algorithm: LSHBayesLSH, Threshold: 0.6, MultiProbe: true})
-	if err != nil {
-		f.Fatal(err)
+	// A multi-probe LSH index seeds the band-table view; the other
+	// signature kinds and generators, and the forged files that once
+	// opened and then panicked, seed the rest.
+	paths := []string{v3File(f, fuzzIndex(f, Cosine, Options{Algorithm: LSHBayesLSH, Threshold: 0.6, MultiProbe: true}))}
+	for _, ix := range fuzzSeedIndexes(f) {
+		paths = append(paths, v3File(f, ix))
 	}
-	if err := lsh.SaveFileV3(seedPath); err != nil {
-		f.Fatal(err)
+	for _, c := range forgedSnapshots(f) {
+		paths = append(paths, c.v3)
 	}
-	if good, err = os.ReadFile(seedPath); err != nil {
-		f.Fatal(err)
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
-	f.Add(good)
 
 	serve := func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -818,9 +883,7 @@ func FuzzOpenIndexFile(f *testing.F) {
 			return
 		}
 		defer opened.Close()
-		if _, err := opened.Query(ds.Vector(0), QueryOptions{}); err != nil {
-			t.Logf("query on opened index: %v", err)
-		}
+		serveFuzzed(t, opened.Query, opened.TopK)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		serve(t, data)

@@ -9,10 +9,6 @@ import (
 
 	"bayeslsh/internal/allpairs"
 	"bayeslsh/internal/diskidx"
-	"bayeslsh/internal/lshindex"
-	"bayeslsh/internal/minhash"
-	"bayeslsh/internal/planner"
-	"bayeslsh/internal/sighash"
 	"bayeslsh/internal/snapshot"
 	"bayeslsh/internal/vector"
 )
@@ -51,8 +47,7 @@ type diskState struct {
 	f *diskidx.File
 
 	vectors *diskSection
-	sigBits *diskSection
-	sigMin  *diskSection
+	sigs    *diskSection // the signature store of the engine's kind
 	cands   *diskSection // band tables or AllPairs postings; nil for BruteForce
 	all     []*diskSection
 
@@ -95,10 +90,8 @@ func (d *diskState) add(l *diskidx.Lazy, deep func() error) *diskSection {
 }
 
 // ready verifies the sections a query of the given shape is about to
-// read — the corpus, the candidate structure, and (for threshold
-// queries, which verify with signatures) the signature matrices the
-// verifier compares against. Heap-resident indexes return nil
-// immediately.
+// read: the corpus, the candidate structure, and for threshold
+// queries the signature matrix. nil for heap-resident indexes.
 func (ix *Index) ready(topK bool) error {
 	d := ix.disk
 	if d == nil {
@@ -113,25 +106,17 @@ func (ix *Index) ready(topK bool) error {
 	if topK {
 		return nil // exact similarities only; corpus signatures unread
 	}
-	if ix.verifyBits > 0 {
-		if err := d.sigBits.touch(); err != nil {
-			return err
-		}
-	}
 	// The 1-bit pipeline verifies against a heap-packed copy built at
-	// open (the section was verified then); only the plain minhash
-	// verifiers read the mapped rows.
-	if ix.verifyMin > 0 && !ix.packOneBit {
-		if err := d.sigMin.touch(); err != nil {
-			return err
-		}
+	// open (the section was verified then); every other verifier reads
+	// the mapped rows.
+	if ix.verify > 0 && !ix.packOneBit {
+		return d.sigs.touch()
 	}
 	return nil
 }
 
-// readyAll verifies every section — the merge path's contract, which
-// adopts signature prefixes and aliases corpus bytes wholesale rather
-// than reading along one query shape.
+// readyAll verifies every section, for the merge path, which adopts
+// signatures and aliases corpus bytes wholesale.
 func (ix *Index) readyAll() error {
 	d := ix.disk
 	if d == nil {
@@ -195,21 +180,12 @@ func (li *LiveIndex) MemStats() IndexMemStats {
 	return li.gen.Load().base.MemStats()
 }
 
-// fillDepths computes the uniform signature depths a v3 snapshot
-// persists: deep enough for banding and for what verification reads
-// (verifyDepth, the same rule openDisk checks), so that a disk-served
-// index never needs to hash a corpus vector. Bit depths are
-// word-aligned for the fixed-stride layout.
-func (ix *Index) fillDepths() (bitFill, minFill int) {
+// fillDepth is the uniform signature depth a v3 snapshot persists,
+// deep enough for banding and verification (verifyDepth, the rule
+// openDisk checks) that a disk-served index never hashes the corpus.
+func (ix *Index) fillDepth() int {
 	e := ix.engine()
-	bitFill, minFill = ix.bandBits, ix.bandMin
-	if e.measure == Jaccard {
-		minFill = max(minFill, e.verifyDepth(ix.opts))
-	} else {
-		bitFill = max(bitFill, e.verifyDepth(ix.opts))
-	}
-	bitFill = (bitFill + 63) / 64 * 64
-	return bitFill, minFill
+	return e.sigs.align(max(ix.band, e.verifyDepth(ix.opts)))
 }
 
 // SaveFileV3 writes the index as a disk-servable (version 3) snapshot
@@ -224,42 +200,35 @@ func (ix *Index) SaveFileV3(path string) error {
 		return ErrDiskBacked
 	}
 	e := ix.engine()
-	bitFill, minFill := ix.fillDepths()
-	if bitFill > 0 {
-		if err := e.bitSigStore().EnsureAllCtx(context.Background(), bitFill, e.workers()); err != nil {
-			return err
-		}
-	}
-	if minFill > 0 {
-		if err := e.minSigStore().EnsureAllCtx(context.Background(), minFill, e.workers()); err != nil {
+	fill := ix.fillDepth()
+	if fill > 0 {
+		if err := e.sigs.sigStore().EnsureAllCtx(context.Background(), fill, e.workers()); err != nil {
 			return err
 		}
 	}
 	ap, _ := ix.ap.(*allpairs.Index)
+	storeTag, tableTag := e.sigs.tags()
 
 	return snapshot.WriteFile(path, func(f *os.File) error {
 		fw := diskidx.NewFileWriter(f)
 		fw.Section(sectMeta, func(sw *snapshot.Writer) {
 			ix.writeMeta(sw)
-			sw.U32(uint32(bitFill))
-			sw.U32(uint32(minFill))
+			// The fill depths of the bit and the minhash store, in that
+			// order: the other kind's is 0.
+			for _, tag := range sigSections[:2] {
+				if tag == storeTag {
+					sw.U32(uint32(fill))
+				} else {
+					sw.U32(0)
+				}
+			}
 		})
 		fw.Section(sectVectors, e.ds.c.WriteFlat)
-		if bitFill > 0 {
-			fw.Section(sectBitStore, func(sw *snapshot.Writer) {
-				e.bitSigStore().WriteFixedSection(sw, bitFill)
-			})
+		if fill > 0 {
+			fw.Section(storeTag, func(sw *snapshot.Writer) { e.sigs.sigStore().WriteFixedSection(sw, fill) })
 		}
-		if minFill > 0 {
-			fw.Section(sectMinStore, func(sw *snapshot.Writer) {
-				e.minSigStore().WriteFixedSection(sw, minFill)
-			})
-		}
-		if ix.bits != nil {
-			fw.Section(sectBitTables, ix.bits.WriteFixedSection)
-		}
-		if ix.mins != nil {
-			fw.Section(sectMinhashTables, ix.mins.WriteFixedSection)
+		if ix.tables != nil {
+			fw.Section(tableTag, ix.tables.WriteFixedSection)
 		}
 		if ap != nil {
 			fw.Section(sectAllPairs, ap.WriteFixedSection)
@@ -281,12 +250,11 @@ func mapDiskOpenErr(err error) error {
 	return err
 }
 
-// openDisk assembles a servable Index over an open v3 container. It
-// mirrors decodeIndex — same engine construction, same Index.wire —
-// with views over the mapping in place of decoded heap structures.
-// Only the metadata is verified here; every bulk section gets
-// structural bounds checks now (so no view can index outside the
-// mapping) and its checksum plus deep walk on first touch.
+// openDisk assembles a servable Index over an open v3 container, as
+// decodeIndex does, with views over the mapping in place of heap
+// structures. Only the metadata is verified here; every bulk section
+// gets bounds checks now and its checksum plus deep walk on first
+// touch.
 func openDisk(f *diskidx.File) (*Index, error) {
 	formatf := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrSnapshotFormat, fmt.Sprintf(format, args...))
@@ -297,8 +265,7 @@ func openDisk(f *diskidx.File) (*Index, error) {
 		}
 	}
 
-	// Metadata: the one eagerly-verified section, and the only one the
-	// open path trusts byte-for-byte.
+	// Metadata: the one eagerly-verified section.
 	ml, ok := f.Section(sectMeta)
 	if !ok {
 		return nil, formatf("no meta section")
@@ -315,15 +282,12 @@ func openDisk(f *diskidx.File) (*Index, error) {
 	if err != nil {
 		return nil, formatf("meta: %v", err)
 	}
-	bitFill, minFill := int(mr.U32()), int(mr.U32())
+	fills := [2]int{int(mr.U32()), int(mr.U32())} // bits, then minhashes
 	if err := mr.Err(); err != nil {
 		return nil, formatf("meta: %v", err)
 	}
 	if mr.Remaining() != 0 {
 		return nil, formatf("meta: %d trailing bytes", mr.Remaining())
-	}
-	if bitFill > maxSnapshotHashes || bitFill%64 != 0 || minFill > maxSnapshotHashes {
-		return nil, formatf("signature fill depths %d/%d out of range", bitFill, minFill)
 	}
 
 	// Corpus: slice headers over the mapped columns. The set measures
@@ -346,7 +310,7 @@ func openDisk(f *diskidx.File) (*Index, error) {
 
 	d := &diskState{f: f}
 	d.vectors = d.add(vl, coll.Validate)
-	if meta.measure != Cosine {
+	if _, binary, _ := newSigKind(meta.measure, nil); binary { // readMeta checked the measure
 		if err := d.vectors.touch(); err != nil {
 			return nil, err
 		}
@@ -358,84 +322,59 @@ func openDisk(f *diskidx.File) (*Index, error) {
 
 	// cstats stays zero for pre-stats v3 files: recomputing would scan
 	// (and fault in) the whole mapped corpus, defeating lazy serving.
-	ix := &Index{opts: meta.opts, stats: meta.stats, prior: meta.prior, cstats: meta.cstats, disk: d}
-	ix.plan = Plan{Pipeline: planner.Pipeline(meta.opts.Algorithm)}
-	ix.eng.Store(eng)
+	ix := meta.index(eng)
+	ix.disk = d
 
-	// Signature matrices: fixed stores whose rows alias the mapping,
-	// pre-marked filled to the persisted depth — the depth checks below
-	// guarantee no serving configuration ever asks deeper (a fixed
-	// store has nothing to hash with).
-	if l, ok := f.Section(sectBitStore); ok {
-		if bitFill == 0 {
-			return nil, formatf("bit store section without a declared fill depth")
+	// A store or table section of the other kind, or a fill depth
+	// declared for its store, is refused.
+	storeTag, tableTag := eng.sigs.tags()
+	var fill int
+	for i, tag := range sigSections {
+		_, ok := f.Section(tag)
+		switch {
+		case tag == storeTag:
+			fill = fills[i]
+		case tag == tableTag:
+		case ok:
+			return nil, formatf("%s section in a %v index", sectionName(tag), meta.measure)
+		case i < len(fills) && fills[i] != 0:
+			return nil, formatf("meta declares a %d-deep %s section in a %v index", fills[i], sectionName(tag), meta.measure)
 		}
-		b, err := l.Raw()
-		if err != nil {
-			return nil, formatf("bit store: %v", err)
-		}
-		sigs, nbits, err := sighash.OpenFixedSection(b)
-		if err != nil {
-			return nil, formatf("%v", err)
-		}
-		fam := eng.bitFamily()
-		if nbits != bitFill || len(sigs) != n || nbits > fam.MaxBits() {
-			return nil, formatf("bit store holds %d vectors × %d bits; meta declares %d × %d (family max %d)",
-				len(sigs), nbits, n, bitFill, fam.MaxBits())
-		}
-		eng.bitStore = sighash.NewFixedStore(fam, sigs, nbits)
-		d.sigBits = d.add(l, nil)
-	} else if bitFill != 0 {
-		return nil, formatf("meta declares %d-bit signatures, no bit store section", bitFill)
 	}
-	if l, ok := f.Section(sectMinStore); ok {
-		if minFill == 0 {
-			return nil, formatf("minhash store section without a declared fill depth")
+	if fill > maxSnapshotHashes || eng.sigs.align(fill) != fill {
+		return nil, formatf("signature fill depth %d out of range", fill)
+	}
+
+	// Signature matrix: a fixed store whose rows alias the mapping,
+	// filled to the persisted depth; the checks below guarantee nothing
+	// asks deeper (a fixed store cannot hash).
+	if l, ok := f.Section(storeTag); ok {
+		if fill == 0 {
+			return nil, formatf("%s section without a declared fill depth", sectionName(storeTag))
 		}
 		b, err := l.Raw()
 		if err != nil {
-			return nil, formatf("minhash store: %v", err)
+			return nil, formatf("%s: %v", sectionName(storeTag), err)
 		}
-		sigs, depth, err := minhash.OpenFixedSection(b)
-		if err != nil {
+		if err := eng.sigs.openFixed(b, n, fill); err != nil {
 			return nil, formatf("%v", err)
 		}
-		fam := eng.minFamily()
-		if depth != minFill || len(sigs) != n || depth > fam.Size() {
-			return nil, formatf("minhash store holds %d vectors × %d hashes; meta declares %d × %d (family max %d)",
-				len(sigs), depth, n, minFill, fam.Size())
-		}
-		eng.minStore = minhash.NewFixedStore(fam, sigs, depth)
-		d.sigMin = d.add(l, nil)
-	} else if minFill != 0 {
-		return nil, formatf("meta declares %d minhashes, no minhash store section", minFill)
+		d.sigs = d.add(l, nil)
+	} else if fill != 0 {
+		return nil, formatf("meta declares %d %s, no %s section", fill, eng.sigs.unit(), sectionName(storeTag))
 	}
 
 	// Candidate structures: views probing the mapped bytes in place.
-	var bitsSect, minsSect, apSect *diskSection
-	if l, ok := f.Section(sectBitTables); ok {
+	var tablesSect, apSect *diskSection
+	if l, ok := f.Section(tableTag); ok {
 		b, err := l.Raw()
 		if err != nil {
 			return nil, formatf("band tables: %v", err)
 		}
-		v, err := lshindex.OpenBitsView(b, n)
-		if err != nil {
+		if ix.tables, err = eng.sigs.openTables(b, n); err != nil {
 			return nil, formatf("%v", err)
 		}
-		ix.bits = v
-		bitsSect = d.add(l, v.Validate)
-	}
-	if l, ok := f.Section(sectMinhashTables); ok {
-		b, err := l.Raw()
-		if err != nil {
-			return nil, formatf("band tables: %v", err)
-		}
-		v, err := lshindex.OpenMinhashView(b, n)
-		if err != nil {
-			return nil, formatf("%v", err)
-		}
-		ix.mins = v
-		minsSect = d.add(l, v.Validate)
+		tablesSect = d.add(l, ix.tables.Validate)
 	}
 	if l, ok := f.Section(sectAllPairs); ok {
 		b, err := l.Raw()
@@ -452,30 +391,25 @@ func openDisk(f *diskidx.File) (*Index, error) {
 		ix.ap = v
 		apSect = d.add(l, v.Validate)
 	}
-	// cands follows Index.candidates' source priority.
-	switch {
-	case apSect != nil:
+	// The generator decides what a query probes (Index.candidates), and
+	// wire refuses the structure it does not read.
+	p, _ := meta.opts.Algorithm.pipeline()
+	switch p.gen {
+	case genAllPairs:
 		d.cands = apSect
-	case minsSect != nil:
-		d.cands = minsSect
-	default:
-		d.cands = bitsSect
+	case genLSH:
+		d.cands = tablesSect
 	}
 
-	// Verification extends signatures to verifyDepth via Ensure, which
-	// on a fixed store must be a no-op: reject any file whose persisted
-	// depth cannot cover that depth before wire trips over it.
-	need, have, unit := eng.verifyDepth(meta.opts), bitFill, "signature bits"
-	if meta.measure == Jaccard {
-		have, unit = minFill, "minhashes"
+	// Verification reads verifyDepth hashes, which a fixed store must
+	// already hold.
+	if need := eng.verifyDepth(meta.opts); need > fill {
+		return nil, formatf("verification needs %d %s, snapshot persists %d", need, eng.sigs.unit(), fill)
 	}
-	if need > have {
-		return nil, formatf("verification needs %d %s, snapshot persists %d", need, unit, have)
-	}
-	if meta.measure == Jaccard && meta.opts.OneBitMinhash && meta.opts.Algorithm.UsesBayes() {
+	if p.ver.bayes() && eng.sigs.oneBit(meta.opts) {
 		// wire packs every mapped minhash row into the 1-bit heap copy:
 		// that read is the section's first touch.
-		if err := d.sigMin.touch(); err != nil {
+		if err := d.sigs.touch(); err != nil {
 			return nil, err
 		}
 	}

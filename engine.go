@@ -3,21 +3,17 @@ package bayeslsh
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
 	"time"
 
 	"bayeslsh/internal/core"
-	"bayeslsh/internal/live"
 	"bayeslsh/internal/lshindex"
-	"bayeslsh/internal/minhash"
 	"bayeslsh/internal/pair"
 	"bayeslsh/internal/planner"
 	"bayeslsh/internal/rng"
 	"bayeslsh/internal/shard"
-	"bayeslsh/internal/sighash"
 	"bayeslsh/internal/stats"
 	"bayeslsh/internal/vector"
 )
@@ -60,11 +56,9 @@ type EngineConfig struct {
 	BatchSize int
 }
 
-// withDefaults normalizes the runtime knobs under one rule (zero =
-// adaptive default, negative = clamp to the minimum of 1) and fills
-// the hashing defaults. Engine construction and Index.SetRuntime both
-// go through it, so a loaded snapshot normalizes exactly like a fresh
-// engine.
+// withDefaults normalizes the runtime knobs and fills the hashing
+// defaults. Engine construction and Index.SetRuntime both go through
+// it, so a loaded snapshot normalizes exactly like a fresh engine.
 func (c EngineConfig) withDefaults() EngineConfig {
 	if c.SignatureBits == 0 {
 		c.SignatureBits = 2048
@@ -90,6 +84,11 @@ func (c EngineConfig) withDefaults() EngineConfig {
 // Engine runs search pipelines over one dataset and one measure,
 // computing and caching hash signatures on first use.
 //
+// An engine has one signature kind, picked from its measure
+// (sigKind): hyperplane bits under Cosine and BinaryCosine, minhashes
+// under Jaccard. Each search runs one pipeline, an Algorithm taken
+// apart into a candidate generator and a verifier (pipeline).
+//
 // An engine keeps what its searches would otherwise rebuild: the hash
 // signatures, each filled only as deep as some search read it (8
 // bytes per 64 cosine bits, 4 per minhash, per vector), and the band
@@ -102,21 +101,20 @@ func (c EngineConfig) withDefaults() EngineConfig {
 // bands over 4,000 vectors — held until the engine is freed.
 type Engine struct {
 	ds      *Dataset
-	work    *vector.Collection // measure-appropriate view of the data
+	work    *vector.Collection // the dataset, binarized and normalized under a binary measure
 	measure Measure
+	binary  bool // the measure ignores weights (see newSigKind)
 	cfg     EngineConfig
 
-	bitFam   *sighash.BlockFamily
-	bitStore *sighash.Store
-	minStore *minhash.Store
-	pln      *planner.Planner
+	sigs sigKind // the measure's signature kind and its store
+	pln  *planner.Planner
 	// bands is shared by the engine's shallow copies, which band the
 	// same signatures.
 	bands *bandCache
 }
 
 // bandKey identifies the bandings that share band tables: the same
-// band width and the same probing. Jaccard banding never probes.
+// band width and the same probing.
 type bandKey struct {
 	k          int
 	multiProbe bool
@@ -164,14 +162,13 @@ func NewEngine(ds *Dataset, m Measure, cfg EngineConfig) (*Engine, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, ErrEmptyDataset
 	}
-	e := &Engine{ds: ds, measure: m, cfg: cfg.withDefaults(), bands: &bandCache{kept: map[bandKey]*lshindex.Banding{}}}
-	switch m {
-	case Cosine:
-		e.work = ds.c
-	case Jaccard, BinaryCosine:
+	e := &Engine{ds: ds, work: ds.c, measure: m, cfg: cfg.withDefaults(), bands: &bandCache{kept: map[bandKey]*lshindex.Banding{}}}
+	var err error
+	if e.sigs, e.binary, err = newSigKind(m, e); err != nil {
+		return nil, err
+	}
+	if e.binary {
 		e.work = ds.c.Binarize().Normalize()
-	default:
-		return nil, fmt.Errorf("bayeslsh: unknown measure %v", m)
 	}
 	return e, nil
 }
@@ -183,104 +180,19 @@ func (e *Engine) Measure() Measure { return e.measure }
 // (1 means fully sequential).
 func (e *Engine) workers() int { return e.cfg.Parallelism }
 
-// bitFamily returns the engine's seeded hyperplane family, constructing
-// it on first use. Factored out of bitSigStore so the disk-open path
-// (which wires a fixed store over mapped signatures) derives its family
-// from exactly the same parameters as a heap build — the construction
-// the determinism contract hangs off.
-func (e *Engine) bitFamily() *sighash.BlockFamily {
-	if e.bitFam == nil {
-		var opts []sighash.Option
-		if e.cfg.ExactProjections {
-			opts = append(opts, sighash.Exact())
-		}
-		e.bitFam = sighash.NewBlockFamily(e.work.Dim, e.cfg.SignatureBits, 128, rng.Derive(e.cfg.Seed, 1), opts...)
-	}
-	return e.bitFam
-}
-
-// keepBitFamily makes e hash with prev's hyperplane family — and so
-// with every projection row prev's lifetime already materialized —
-// when e would construct an identical one: a family is a pure function
-// of (dim, SignatureBits, Seed, ExactProjections). Must run before e's
-// first bitFamily call.
-func (e *Engine) keepBitFamily(prev *Engine) {
-	if prev.bitFam != nil && prev.work.Dim == e.work.Dim &&
-		prev.cfg.SignatureBits == e.cfg.SignatureBits &&
-		prev.cfg.Seed == e.cfg.Seed &&
-		prev.cfg.ExactProjections == e.cfg.ExactProjections {
-		e.bitFam = prev.bitFam
-	}
-}
-
-// minFamily constructs the engine's seeded minwise family; see
-// bitFamily for why it is factored out.
-func (e *Engine) minFamily() *minhash.Family {
-	return minhash.NewFamily(e.cfg.MinHashes, rng.Derive(e.cfg.Seed, 2))
-}
-
-// bitSigStore lazily constructs the cosine bit-signature store. The
-// store extends each vector's signature only as deep as verification
-// demands — the paper's "each point is only hashed as many times
-// as is necessary".
-func (e *Engine) bitSigStore() *sighash.Store {
-	if e.bitStore == nil {
-		e.bitStore = sighash.NewStore(e.work, e.bitFamily())
-	}
-	return e.bitStore
-}
-
-// minSigStore lazily constructs the minhash signature store.
-func (e *Engine) minSigStore() *minhash.Store {
-	if e.minStore == nil {
-		e.minStore = minhash.NewStore(e.work, e.minFamily(), 32)
-	}
-	return e.minStore
-}
-
-// hashElapsed sums the hashing time accumulated by the stores so far.
-func (e *Engine) hashElapsed() time.Duration {
-	var d time.Duration
-	if e.bitStore != nil {
-		d += e.bitStore.Elapsed()
-	}
-	if e.minStore != nil {
-		d += e.minStore.Elapsed()
-	}
-	return d
-}
-
 // exactSim returns the exact similarity of a pair under the engine's
 // measure, evaluated on the original dataset.
 func (e *Engine) exactSim(a, b int32) float64 {
 	return toExactMeasure(e.measure).Sim(e.ds.c.Vecs[a], e.ds.c.Vecs[b])
 }
 
-// collisionProb returns the per-hash collision probability of a pair
-// at exactly the threshold similarity.
-func (e *Engine) collisionProb(t float64) float64 {
-	switch e.measure {
-	case Jaccard:
-		return t
-	default:
-		return sighash.CosineToR(t)
-	}
-}
-
 // lshShape computes the banding shape for the options' threshold — l
-// tables of BandK hashes each, following l = ⌈log ε / log(1−p^k)⌉
-// (its multi-probe variant when enabled), clamped to the signature
-// budget — and the per-pair miss probability at the threshold that
-// those l tables give: at most FalseNegativeRate unless the budget
-// cut l.
+// tables of BandK hashes, l = ⌈log ε / log(1−p^k)⌉ or its multi-probe
+// variant, clamped to the signature budget — and the miss probability
+// at the threshold those l tables give.
 func (e *Engine) lshShape(o Options) (bandK, l int, miss float64) {
-	p := e.collisionProb(o.Threshold)
-	if e.measure == Jaccard {
-		l = min(lshindex.NumTables(p, o.BandK, o.FalseNegativeRate), e.minSigStore().MaxHashes()/o.BandK)
-		return o.BandK, l, lshindex.MissRate(p, o.BandK, l)
-	}
-	budget := e.bitSigStore().MaxBits() / o.BandK
-	if o.MultiProbe {
+	p, budget := e.sigs.collisionProb(o.Threshold), e.sigs.budget()/o.BandK
+	if e.sigs.multiProbe(o) {
 		l = min(lshindex.NumTablesMultiProbe(p, o.BandK, o.FalseNegativeRate), budget)
 		return o.BandK, l, lshindex.MissRateMultiProbe(p, o.BandK, l)
 	}
@@ -289,46 +201,31 @@ func (e *Engine) lshShape(o Options) (bandK, l int, miss float64) {
 }
 
 // lshPlan computes the banding shape (lshShape) and fills every corpus
-// signature deep enough to band it, with cancellation polled between
-// vectors (hashing dominates a cold engine's cost, so a canceled
-// search must be able to escape it). Batch candidate generation and
-// index building share this one plan, so a query-serving index probes
-// exactly the tables the batch scan would have enumerated.
+// signature deep enough to band it, polling ctx between vectors. Batch
+// candidate generation and index building share this one plan, so an
+// index probes exactly the tables the batch scan enumerates.
 func (e *Engine) lshPlan(ctx context.Context, o Options) (bandK, l int, err error) {
 	k, l, _ := e.lshShape(o)
-	if e.measure == Jaccard {
-		err = e.minSigStore().EnsureAllCtx(ctx, k*l, e.workers())
-	} else {
-		err = e.bitSigStore().EnsureAllCtx(ctx, k*l, e.workers())
-	}
-	if err != nil {
+	if err := e.sigs.sigStore().EnsureAllCtx(ctx, k*l, e.workers()); err != nil {
 		return 0, 0, err
 	}
 	return k, l, nil
 }
 
-// lshBanding runs banded LSH's band phase at the options' threshold,
-// with the table count from lshPlan, or serves it from the engine's
-// kept banding (see Engine) when that is wide enough; then only the
-// signature fill check runs. With keep, a banding built here is kept
-// if it is the widest for its key. Cancellation is polled throughout:
-// between per-vector signature fills inside lshPlan, then between
-// bands; a canceled band phase keeps nothing.
+// lshBanding runs banded LSH's band phase at the options' threshold
+// (lshPlan), or serves it from the engine's kept banding (see Engine)
+// when that is wide enough. With keep, a banding built here is kept if
+// it is the widest for its key; a canceled band phase keeps nothing.
 func (e *Engine) lshBanding(ctx context.Context, o Options, keep bool) (*lshindex.Banding, error) {
 	k, l, err := e.lshPlan(ctx, o)
 	if err != nil {
 		return nil, err
 	}
-	key := bandKey{k: k, multiProbe: o.MultiProbe && e.measure != Jaccard}
+	key := bandKey{k: k, multiProbe: e.sigs.multiProbe(o)}
 	if b := e.bands.get(key, l); b != nil {
 		return b, nil
 	}
-	var b *lshindex.Banding
-	if e.measure == Jaccard {
-		b, err = lshindex.BandMinhashCtx(ctx, e.minSigStore().Sigs(), k, l, e.workers())
-	} else {
-		b, err = lshindex.BandBitsCtx(ctx, e.bitSigStore().Sigs(), k, l, key.multiProbe, e.workers())
-	}
+	b, err := e.sigs.band(ctx, k, l, key.multiProbe, e.workers())
 	if err != nil {
 		return nil, err
 	}
@@ -340,9 +237,8 @@ func (e *Engine) lshBanding(ctx context.Context, o Options, keep bool) (*lshinde
 
 // lshCandidates materializes the banded-LSH candidates at the options'
 // threshold, empty vectors dropped (nonEmpty), in canonical (A, B)
-// order: the band phase (keeping its banding with keep), then a row
-// phase that collects the pairs. Cancellation is also polled within
-// the row enumeration.
+// order: the band phase (lshBanding), then a row phase that collects
+// the pairs.
 func (e *Engine) lshCandidates(ctx context.Context, o Options, keep bool) ([]pair.Pair, error) {
 	b, err := e.lshBanding(ctx, o, keep)
 	if err != nil {
@@ -362,12 +258,10 @@ func (e *Engine) lshCandidates(ctx context.Context, o Options, keep bool) ([]pai
 // nonEmpty returns the filter that drops, from candidate rows, every
 // pair touching a vector with no features. Such a vector's exact
 // similarity to anything is 0, but its signature is a constant — every
-// hyperplane bit set, every minhash Empty — so two of them collide on
-// every hash and an estimating pipeline would report them as a
-// similarity-1 pair. The query path drops them the same way (cut.mask).
-// Corpora without empty vectors pay one scan of the vector headers and
-// get their rows back untouched; otherwise partners are filtered in
-// place and rows left with none are skipped.
+// hyperplane bit set, every minhash Empty — so an estimating pipeline
+// would report two of them as a similarity-1 pair. The query path
+// drops them the same way (cut.mask). Corpora without empty vectors
+// get their rows back untouched.
 func (e *Engine) nonEmpty() func(pair.Rows) pair.Rows {
 	vecs := e.work.Vecs
 	if !slices.ContainsFunc(vecs, func(v vector.Vector) bool { return v.Len() == 0 }) {
@@ -393,106 +287,50 @@ func (e *Engine) nonEmpty() func(pair.Rows) pair.Rows {
 	}
 }
 
-// workInput returns the collection in the representation AllPairs and
-// PPJoin expect for the engine's measure: the raw dataset for Cosine
-// (already normalized by the caller) and the raw dataset for binary
-// measures (they binarize internally).
-func (e *Engine) workInput() *vector.Collection {
-	return e.ds.c
+// hashElapsed is the hashing time the engine's store has spent so far.
+func (e *Engine) hashElapsed() time.Duration {
+	if !e.sigs.built() {
+		return 0
+	}
+	return e.sigs.sigStore().Elapsed()
 }
 
-// needsPrior reports whether o's verifier under measure m prunes with
-// a Jaccard Beta prior fitted from the candidate set (§4.1): BayesLSH
-// under Jaccard over full minhashes. Such a pipeline must materialize
-// its candidates before verifying any.
-func needsPrior(m Measure, o Options) bool {
-	return m == Jaccard && !o.OneBitMinhash && o.Algorithm.UsesBayes()
+// needsPrior reports whether o's verifier prunes with a Jaccard Beta
+// prior fitted from the candidate set (§4.1), so that its pipeline
+// must materialize its candidates before verifying any.
+func (e *Engine) needsPrior(o Options) bool {
+	p, _ := o.Algorithm.pipeline()
+	return p.ver.bayes() && e.sigs.prior(o)
 }
 
-// fitPrior learns the Jaccard Beta prior from the candidate stream,
-// exactly as §4.1 prescribes. Configurations whose verifier takes no
-// prior (cosine measures, 1-bit minhash) get the uniform placeholder.
+// fitPrior learns the Jaccard Beta prior from the candidates, as §4.1
+// prescribes; a verifier that takes none gets the uniform placeholder.
 func (e *Engine) fitPrior(o Options, cands []pair.Pair) stats.Beta {
-	if !needsPrior(e.measure, o) {
+	if !e.needsPrior(o) {
 		return stats.Beta{Alpha: 1, Beta: 1}
 	}
 	return core.FitJaccardPrior(e.work, cands, o.PriorSample, rng.Derive(e.cfg.Seed, 3))
 }
 
 // verifyDepth is the one depth rule of verification: the number of
-// hashes o's verification reads under the engine's measure, clamped to
-// the signature budget — minhashes under Jaccard, hyperplane bits
-// otherwise. The Bayes verifiers read up to MaxHashes (rounded down to
-// whole rounds by their constructors), the §3 estimator of LSHApprox
-// exactly ApproxHashes, and the exact pipelines none. A v3 snapshot
+// hashes o's verifier reads (verifier.hashes), in the engine's
+// signature kind, clamped to the signature budget. A v3 snapshot
 // persists at least this depth, and opening one checks it does.
 func (e *Engine) verifyDepth(o Options) int {
-	var n int
-	switch {
-	case o.Algorithm.UsesBayes():
-		n = o.MaxHashes
-	case o.Algorithm == LSHApprox:
-		n = o.ApproxHashes
-	default:
-		return 0
+	p, _ := o.Algorithm.pipeline()
+	if n := p.ver.hashes(o); n > 0 {
+		return min(n, e.sigs.budget())
 	}
-	if e.measure == Jaccard {
-		return min(n, e.minSigStore().MaxHashes())
-	}
-	return min(n, e.bitSigStore().MaxBits())
+	return 0
 }
 
-// bayesVerifierWithPrior constructs the verifier over the engine's
-// corpus for an already-determined prior — the path shared by fresh
-// builds (which fit the prior from candidates), snapshot loads (which
-// restore the fitted prior verbatim, so a loaded index prunes with the
-// exact table the saved one did), live prior refits and the batch
-// join. Verification skips Ensure for rounds no deeper than the
-// store's watermark: the depth banding (lshPlan) or a snapshot filled
-// every signature to.
-func (e *Engine) bayesVerifierWithPrior(ctx context.Context, o Options, prior stats.Beta) (core.QueryVerifier, error) {
-	params := core.Params{
-		Threshold: o.Threshold,
-		Epsilon:   o.Epsilon,
-		Delta:     o.Delta,
-		Gamma:     o.Gamma,
-		K:         o.K,
+// bayesVerifier constructs the verifier over the engine's corpus for
+// an already-determined prior — shared by fresh builds (which fit the
+// prior), snapshot loads (which restore it verbatim), live prior
+// refits and the batch join.
+func (e *Engine) bayesVerifier(ctx context.Context, o Options, prior stats.Beta) (core.QueryVerifier, error) {
+	return e.sigs.corpusVerifier(ctx, o, prior, core.Params{
+		Threshold: o.Threshold, Epsilon: o.Epsilon, Delta: o.Delta, Gamma: o.Gamma, K: o.K,
 		MaxHashes: e.verifyDepth(o),
-	}
-	var sigs live.View
-	switch {
-	case e.measure != Jaccard:
-		st := e.bitSigStore()
-		params.Ensure, params.Watermark, sigs.Bits = st.Ensure, st.Watermark(), st.Sigs()
-	case o.OneBitMinhash:
-		// 1-bit signatures are packed eagerly from the minhash store
-		// (they are 32× smaller, so the packing is cheap).
-		st := e.minSigStore()
-		if err := st.EnsureAllCtx(ctx, params.MaxHashes, e.workers()); err != nil {
-			return nil, err
-		}
-		sigs.One = minhash.PackOneBitAll(st.Sigs())
-		params.Watermark = params.MaxHashes
-	default:
-		st := e.minSigStore()
-		params.Ensure, params.Watermark, sigs.Min = st.Ensure, st.Watermark(), st.Sigs()
-	}
-	return newVerifier(e.measure, o.OneBitMinhash, sigs, prior, params)
-}
-
-// newVerifier constructs the Bayes verifier for params over one
-// signature set — a corpus's stores or a live delta's rows: under
-// Jaccard the 1-bit packed minhashes sigs.One (oneBit) or the full
-// minhashes sigs.Min pruned under prior, under the cosine measures the
-// hyperplane bits sigs.Bits. Every row holds at least
-// params.MaxHashes hashes, or params.Ensure fills it that deep.
-func newVerifier(m Measure, oneBit bool, sigs live.View, prior stats.Beta, params core.Params) (core.QueryVerifier, error) {
-	switch {
-	case m != Jaccard:
-		return core.NewCosine(sigs.Bits, params.MaxHashes, params)
-	case oneBit:
-		return core.NewOneBitJaccard(sigs.One, params.MaxHashes, params)
-	default:
-		return core.NewJaccard(sigs.Min, prior, params)
-	}
+	}, e.workers())
 }

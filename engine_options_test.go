@@ -1,9 +1,28 @@
 package bayeslsh
 
-import "testing"
+import (
+	"testing"
+
+	"bayeslsh/internal/sighash"
+)
+
+// kindOf returns the signature kind measure m picks, with no engine
+// behind it: enough for its option defaults.
+func kindOf(t testing.TB, m Measure) sigKind {
+	t.Helper()
+	k, _, err := newSigKind(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// bitStore returns the hyperplane signature store of a cosine-measure
+// engine, building it on first use.
+func bitStore(e *Engine) *sighash.Store { return e.sigs.(*bitKind).store() }
 
 func TestOptionsDefaultsPerMeasure(t *testing.T) {
-	oc, err := Options{Threshold: 0.7}.withDefaults(Cosine)
+	oc, err := Options{Threshold: 0.7}.withDefaults(kindOf(t, Cosine))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +36,7 @@ func TestOptionsDefaultsPerMeasure(t *testing.T) {
 	if oc.FalseNegativeRate != oc.Epsilon {
 		t.Errorf("fn rate should default to epsilon: %+v", oc)
 	}
-	oj, err := Options{Threshold: 0.5}.withDefaults(Jaccard)
+	oj, err := Options{Threshold: 0.5}.withDefaults(kindOf(t, Jaccard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +50,7 @@ func TestOptionsExplicitValuesKept(t *testing.T) {
 		Threshold: 0.6, Epsilon: 0.01, Delta: 0.02, Gamma: 0.04,
 		K: 64, LiteHashes: 256, MaxHashes: 1024, BandK: 16,
 		FalseNegativeRate: 0.1, ApproxHashes: 100, PriorSample: 5,
-	}.withDefaults(Cosine)
+	}.withDefaults(kindOf(t, Cosine))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"bayeslsh/internal/allpairs"
 	"bayeslsh/internal/core"
-	"bayeslsh/internal/lshindex"
 	"bayeslsh/internal/planner"
 	"bayeslsh/internal/stats"
 )
@@ -40,51 +39,39 @@ import (
 // Queries run one loop shared with LiveIndex (query.go): an Index is
 // the one-segment cut of it, with identity ids and nothing masked.
 type Index struct {
-	// eng is the engine view serving this index's queries. It is an
-	// atomic pointer so SetRuntime can swap in a detached view (with
-	// different runtime knobs) while queries are in flight: a query
-	// loads the pointer once per engine access and every view shares
-	// the same dataset and signature stores, so any interleaving is
-	// valid.
+	// eng is the engine view serving this index's queries, atomic so
+	// SetRuntime can swap in a view with other runtime knobs while
+	// queries are in flight (every view shares the dataset and store).
 	eng  atomic.Pointer[Engine]
 	opts Options // resolved search options the index was built with
 
-	// The candidate structures serve both residencies: built by
-	// BuildIndex or decoded from a v1/v2 snapshot into the heap, or laid
-	// over a mapped v3 snapshot by LoadFile. Band tables have one
-	// form for both; the AllPairs source is interface-typed over the
-	// heap index and the mapped view.
-	bits *lshindex.BitsTables    // LSH tables, cosine measures
-	mins *lshindex.MinhashTables // LSH tables, Jaccard
-	ap   allpairs.Source         // AllPairs inverted index
-	vq   core.QueryVerifier      // Bayes / Lite verification
+	// The candidate structures, built or decoded into the heap or laid
+	// over a mapped v3 snapshot. The pipeline's generator decides which
+	// one the index has and probes (Index.wire).
+	tables bandTables         // LSH tables, of the engine's signature kind
+	ap     allpairs.Source    // AllPairs inverted index
+	vq     core.QueryVerifier // Bayes / Lite verification
+	pipe   pipeline           // opts.Algorithm taken apart, set by wire
 
 	// disk is non-nil for an index served in place from a v3 snapshot
-	// (LoadFile): it owns the mapping and the per-section
-	// first-touch verification state. nil for heap-resident indexes.
+	// (LoadFile): the mapping and its first-touch verification state.
 	disk *diskState
 
 	// prior is the fitted Jaccard Beta prior behind vq (the uniform
-	// placeholder when the verifier takes none), kept so snapshots can
-	// persist it and a loaded index can rebuild the identical verifier
-	// without re-enumerating the candidate stream.
+	// placeholder when the verifier takes none), kept for snapshots.
 	prior stats.Beta
 
-	// Query-signature depths, split by representation and use: every
-	// query is hashed to the banding depth for the table probes, and
-	// verification may deepen it up to the verification depth, only
-	// as far as its candidates' rounds read (TopK never does). 0 means
-	// unused.
-	bandBits, verifyBits int  // packed-bit depths (cosine measures)
-	bandMin, verifyMin   int  // minhash depths (Jaccard)
-	packOneBit           bool // queries additionally pack minhashes to 1-bit
-	approxN              int  // fixed hash count of the LSHApprox estimator
+	// Query-signature depths in the kind's unit: every query is hashed
+	// to the banding depth, and verification may deepen it up to the
+	// verification depth (TopK never does). 0 means unused.
+	band, verify int
+	packOneBit   bool // queries additionally pack minhashes to 1-bit
+	approxN      int  // fixed hash count of the LSHApprox estimator
 
 	stats IndexStats
 
-	// cstats are the planner's corpus statistics, collected at build
-	// time and persisted in snapshot meta; plan records the pipeline
-	// decision (with fired rules when AutoPipeline chose it).
+	// cstats are the planner's corpus statistics, persisted in snapshot
+	// meta; plan records the pipeline decision.
 	cstats CorpusStats
 	plan   Plan
 }
@@ -144,70 +131,53 @@ func (e *Engine) BuildIndexContext(ctx context.Context, opts Options) (*Index, e
 	return ix, nil
 }
 
-// buildIndexCtx is the shared index-construction path: it builds the
-// candidate structure and fits the prior, then wires the index like a
-// load or an open does (Index.wire). When prior is non-nil it is used
-// verbatim in place of fitting one from the candidate stream — the
-// merge path of a LiveIndex, which already maintains the corpus prior
-// and must not pay a second enumeration.
+// buildIndexCtx builds the candidate structure and fits the prior,
+// then wires the index like a load does (Index.wire). A non-nil prior
+// is used verbatim instead of fitting one — the LiveIndex merge, which
+// already maintains the corpus prior.
 func (e *Engine) buildIndexCtx(ctx context.Context, opts Options, prior *stats.Beta) (*Index, error) {
-	o, err := opts.withDefaults(e.measure)
+	o, err := opts.withDefaults(e.sigs)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	// Resolve AutoPipeline before anything is built, clearing the flag
-	// so downstream rebuilds over these Options — a LiveIndex merge, a
-	// snapshot load — reproduce the chosen pipeline instead of
-	// re-planning over a drifted corpus.
+	// so rebuilds over these Options reproduce the chosen pipeline.
 	plan := Plan{Pipeline: planner.Pipeline(o.Algorithm)}
 	if o.AutoPipeline {
 		o, plan = e.resolveAuto(o, true)
 	}
-	// The prior defaults to the uniform placeholder so every index —
-	// including the non-Bayes pipelines — snapshots a valid one.
-	ix := &Index{opts: o, prior: stats.Beta{Alpha: 1, Beta: 1}}
-	ix.plan = plan
-	ix.cstats = e.corpusPlanner().Stats()
+	// The uniform placeholder prior keeps every snapshot's valid.
+	ix := &Index{opts: o, prior: stats.Beta{Alpha: 1, Beta: 1}, plan: plan, cstats: e.corpusPlanner().Stats()}
 	ix.eng.Store(e)
-
-	// Candidate source.
-	switch o.Algorithm {
-	case BruteForce:
-		// Exhaustive scan per query; nothing to build.
-	case AllPairs, AllPairsBayesLSH, AllPairsBayesLSHLite:
-		ix.ap, err = allpairs.BuildIndexMeasure(e.workInput(), toExactMeasure(e.measure), o.Threshold)
-		if err != nil {
+	p, err := o.Algorithm.pipeline()
+	if err != nil {
+		return nil, err
+	}
+	switch p.gen {
+	case genAllPairs:
+		if ix.ap, err = allpairs.BuildIndexMeasure(e.ds.c, toExactMeasure(e.measure), o.Threshold); err != nil {
 			return nil, err
 		}
-	case LSH, LSHApprox, LSHBayesLSH, LSHBayesLSHLite:
+	case genLSH:
 		k, l, err := e.lshPlan(ctx, o)
 		if err != nil {
 			return nil, err
 		}
 		ix.stats.BandK, ix.stats.Tables = k, l
-		if e.measure == Jaccard {
-			ix.mins, err = lshindex.BuildMinhash(e.minSigStore().Sigs(), k, l, e.workers())
-		} else {
-			ix.bits, err = lshindex.BuildBits(e.bitSigStore().Sigs(), k, l, e.workers(), o.MultiProbe)
-		}
-		if err != nil {
+		if ix.tables, err = e.sigs.buildTables(k, l, o.MultiProbe, e.workers()); err != nil {
 			return nil, err
 		}
-	case PPJoin:
+	case genPPJoin:
 		return nil, fmt.Errorf("bayeslsh: PPJoin has no query-serving index (its prefix filter is join-order dependent); use an LSH or AllPairs algorithm")
-	default:
-		return nil, fmt.Errorf("bayeslsh: unknown algorithm %v", o.Algorithm)
 	}
 
-	// The prior, fitted where the verifier prunes with one: the Jaccard
-	// verifier's pruning table depends on the Beta prior, which the batch
-	// pipeline fits from its candidate stream. Reproduce that stream once
-	// at build so every query shares the batch search's exact prior.
+	// Fit the prior from the batch candidate stream, where the verifier
+	// prunes with one, so every query shares the batch search's prior.
 	switch {
 	case prior != nil:
 		ix.prior = *prior
-	case needsPrior(e.measure, o):
+	case e.needsPrior(o):
 		cands, err := e.candidates(ctx, o, false)
 		if err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bayeslsh/internal/core"
+	"bayeslsh/internal/lshindex"
 )
 
 // TestEmptyVectorsNeverMatch covers vectors with no hashed features.
@@ -106,14 +107,14 @@ func TestQueryHashesOnlyWhatItReads(t *testing.T) {
 	// nothing to the count).
 	rowsFor := func(ix *Index, q Vec, query func(Vec) error) (int, []int32, core.Stats) {
 		t.Helper()
-		fam := ix.engine().bitSigStore().Family()
+		fam := bitStore(ix.engine()).Family()
 		before := fam.Rows()
 		if err := query(q); err != nil {
 			t.Fatal(err)
 		}
 		grown := fam.Rows() - before
 		work := q.v.Clone().Normalize()
-		ids := ix.bits.Probe(fam.SignatureN(work, ix.Stats().BandK*ix.Stats().Tables))
+		ids := ix.tables.(*lshindex.BitsTables).Probe(fam.SignatureN(work, ix.Stats().BandK*ix.Stats().Tables))
 		var st core.Stats
 		if ix.vq != nil && len(ids) > 0 {
 			_, st = ix.vq.VerifyQuery(core.QuerySig{Bits: fam.SignatureN(work, fam.MaxBits())}, ids)

@@ -12,8 +12,6 @@ import (
 	"bayeslsh/internal/allpairs"
 	"bayeslsh/internal/core"
 	"bayeslsh/internal/live"
-	"bayeslsh/internal/lshindex"
-	"bayeslsh/internal/minhash"
 	"bayeslsh/internal/shard"
 	"bayeslsh/internal/stats"
 	"bayeslsh/internal/vector"
@@ -62,15 +60,17 @@ type LiveIndex struct {
 	opts    Options // resolved
 	policy  live.Policy
 	dim     int // declared feature-space dimensionality, fixed for life
+	// priorBearing reports whether the built pipeline's verification
+	// depends on the corpus-fitted Jaccard Beta prior — the one
+	// corpus-global quantity mutations must keep in sync (see Add).
+	priorBearing bool
 
 	// gen is the current generation; queries pin it with one atomic
 	// load. tombs is shared by all generations: bits are only ever set
-	// and ids are never reused, so for the pipelines without a
-	// corpus-global prior, reading it live is a valid linearization
-	// for any pinned generation (a delete is visible to every query
-	// that starts after it, immediately). The prior-bearing pipelines
-	// instead read the generation-pinned liveGen.dead set, so a
-	// delete's mask and its refit prior publish atomically.
+	// and ids never reused, so reading it live is a valid linearization
+	// for any pinned generation. The prior-bearing pipelines instead
+	// read the generation-pinned liveGen.dead set, so a delete's mask
+	// and its refit prior publish atomically.
 	gen   atomic.Pointer[liveGen]
 	tombs *live.Tombstones
 
@@ -108,10 +108,8 @@ type liveGen struct {
 	prior   stats.Beta
 
 	// dead is the generation-pinned deletion mask of the prior-bearing
-	// pipelines (nil otherwise; those read the shared tombstone set
-	// live). It is copy-on-write: Delete publishes a new map together
-	// with the refit prior, so a pinned query can never see a masked
-	// corpus verified under the wrong prior.
+	// pipelines (nil otherwise). It is copy-on-write: Delete publishes a
+	// new map together with the refit prior.
 	dead map[int]struct{}
 }
 
@@ -204,6 +202,7 @@ func newLiveOver(ix *Index, lc LiveConfig, baseIDs []int, start int) *LiveIndex 
 		tombs:     live.NewTombstones(),
 		liveCount: len(baseIDs),
 	}
+	li.priorBearing = e.needsPrior(li.opts)
 	gen := &liveGen{
 		base:    ix,
 		baseIDs: baseIDs,
@@ -211,7 +210,7 @@ func newLiveOver(ix *Index, lc LiveConfig, baseIDs []int, start int) *LiveIndex 
 		start:   start,
 		prior:   ix.prior,
 	}
-	if li.priorBearing() {
+	if li.priorBearing {
 		gen.dead = map[int]struct{}{}
 	}
 	li.gen.Store(gen)
@@ -219,20 +218,17 @@ func newLiveOver(ix *Index, lc LiveConfig, baseIDs []int, start int) *LiveIndex 
 	return li
 }
 
-// newMemtableFor creates a delta segment matching the base's candidate
-// structure: banded delta tables under the base tables' plan, an
-// unfiltered delta posting index, or nothing (BruteForce).
+// newMemtableFor creates a delta segment matching the base's generator:
+// banded delta tables under the base tables' plan, an unfiltered delta
+// posting index, or nothing (BruteForce).
 func newMemtableFor(ix *Index) *live.Memtable {
-	switch {
-	case ix.ap != nil:
+	switch ix.pipe.gen {
+	case genAllPairs:
 		return live.NewMemtable(nil, nil, allpairs.NewDelta())
-	case ix.mins != nil:
-		return live.NewMemtable(nil, lshindex.NewMinhashDelta(ix.mins.BandK(), ix.mins.Bands()), nil)
-	case ix.bits != nil:
-		return live.NewMemtable(lshindex.NewBitsDelta(ix.bits.BandK(), ix.bits.Bands(), ix.opts.MultiProbe), nil, nil)
-	default:
-		return live.NewMemtable(nil, nil, nil)
+	case genLSH:
+		return ix.engine().sigs.newDelta(ix.tables, ix.opts.MultiProbe)
 	}
+	return live.NewMemtable(nil, nil, nil)
 }
 
 // Measure returns the index's similarity measure.
@@ -381,7 +377,7 @@ func (li *LiveIndex) Add(q Vec) (int, error) {
 
 	ng := *gen
 	ng.memN = gen.memN + 1
-	if li.priorBearing() {
+	if li.priorBearing {
 		// Refit before appending so a (theoretical) failure leaves the
 		// index exactly as it was.
 		view := gen.mem.View(gen.memN)
@@ -418,48 +414,41 @@ func (li *LiveIndex) Delete(id int) bool {
 	if id < 0 || id >= gen.nextID() || li.tombs.Has(id) {
 		return false
 	}
-	if li.priorBearing() {
+	ng := gen
+	if li.priorBearing {
 		// The mask and the refit prior must become visible as one
 		// generation: a query pinning either side of the swap sees a
 		// consistent (corpus, prior) pair — before-delete or
 		// after-delete, never a mix.
-		ng := *gen
-		nd := make(map[int]struct{}, len(gen.dead)+1)
+		cp := *gen
+		cp.dead = make(map[int]struct{}, len(gen.dead)+1)
 		for k := range gen.dead {
-			nd[k] = struct{}{}
+			cp.dead[k] = struct{}{}
 		}
-		nd[id] = struct{}{}
-		ng.dead = nd
+		cp.dead[id] = struct{}{}
 		if li.liveCount > 1 {
 			view := gen.mem.View(gen.memN)
-			src := li.collect(gen, id, view)
-			prior, err := li.coldPrior(gen, src, view, nil)
-			if err != nil {
-				return false
-			}
-			if err := li.applyPrior(&ng, prior); err != nil {
+			prior, err := li.coldPrior(gen, li.collect(gen, id, view), view, nil)
+			if err != nil || li.applyPrior(&cp, prior) != nil {
 				return false
 			}
 		}
-		li.tombs.Set(id)
-		li.dead++
-		li.liveCount--
-		li.gen.Store(&ng)
-		li.maybeMerge(&ng)
-		return true
+		ng = &cp
 	}
 	li.tombs.Set(id)
 	li.dead++
 	li.liveCount--
-	li.maybeMerge(gen)
+	if ng != gen {
+		li.gen.Store(ng)
+	}
+	li.maybeMerge(ng)
 	return true
 }
 
 // admit checks that q may join the corpus of a live index over ix —
-// the one admission rule of Add and of a version-2 load's delta
-// vectors. Features must lie inside the feature space
-// (ErrVecOutOfRange); under a cosine AllPairs index, whose pruning
-// bounds assume unit-norm, non-negative vectors, q must be one
+// the admission rule of Add and of a version-2 load's delta vectors:
+// features inside the feature space (ErrVecOutOfRange) and, under a
+// cosine AllPairs index, unit norm and non-negative weights
 // (ErrVecNotNormalized), which keeps every ingested vector mergeable.
 func (ix *Index) admit(q Vec) error {
 	if q.Len() == 0 {
@@ -470,7 +459,7 @@ func (ix *Index) admit(q Vec) error {
 		return fmt.Errorf("%w: feature %d, feature space [0, %d)",
 			ErrVecOutOfRange, q.v.Ind[q.Len()-1], dim)
 	}
-	if e.measure != Cosine || ix.ap == nil {
+	if e.binary || ix.ap == nil {
 		return nil
 	}
 	if n := q.v.Norm(); math.Abs(n-1) > 1e-6 {
@@ -493,32 +482,17 @@ func (li *LiveIndex) maybeMerge(gen *liveGen) {
 	}
 }
 
-// priorBearing reports whether the built pipeline's verification
-// depends on the corpus-fitted Jaccard Beta prior — the one
-// corpus-global quantity mutations must keep in sync (see Add).
-func (li *LiveIndex) priorBearing() bool { return needsPrior(li.measure, li.opts) }
-
 // prepareEntry builds a memtable entry for q: the work representation
-// the measure indexes and the signature prefixes the built pipeline
-// compares, hashed by the base engine's seeded families to exactly
-// the depths the base corpus is hashed to — the ingest-side half of
-// the determinism contract.
+// the measure indexes and the signature prefix the built pipeline
+// compares, hashed like the base corpus.
 func (li *LiveIndex) prepareEntry(ix *Index, q Vec) live.Entry {
 	e := ix.engine()
-	ent := live.Entry{Raw: q.v}
-	if e.measure == Cosine {
-		ent.Work = q.v
-	} else {
+	ent := live.Entry{Raw: q.v, Work: q.v}
+	if e.binary {
 		ent.Work = q.v.Binarize().Normalize()
 	}
-	if minD := max(ix.bandMin, ix.verifyMin); minD > 0 {
-		ent.Min = e.minSigStore().Family().SignatureN(ent.Work, minD)
-	}
-	if ix.packOneBit {
-		ent.One = minhash.PackOneBit(ent.Min)
-	}
-	if bitsD := max(ix.bandBits, ix.verifyBits); bitsD > 0 {
-		ent.Bits = e.bitSigStore().Family().SignatureN(ent.Work, bitsD)
+	if n := max(ix.band, ix.verify); n > 0 {
+		e.sigs.entry(&ent, n, ix.packOneBit)
 	}
 	return ent
 }
@@ -559,70 +533,32 @@ func (li *LiveIndex) collect(gen *liveGen, skip int, view live.View) compactSrc 
 	return src
 }
 
-// compactEngine builds an engine over the compacted corpus and adopts
-// every already-computed signature prefix from the base stores and
-// the memtable, so nothing is hashed twice, and keeps hashing with the
-// base engine's hyperplane family, so no projection row is generated
-// twice either. The engine answers exactly as a cold NewEngine over
-// the equivalent corpus would — adopted prefixes are bit-identical to
-// what its lazy fills would compute, deeper demand resumes hashing
-// where the prefix ends.
+// compactEngine builds an engine over the compacted corpus that
+// adopts every signature prefix the base store and the memtable
+// already hold (sigKind.adopt), so nothing is hashed twice. It answers
+// exactly as a cold NewEngine over the equivalent corpus would.
 func (li *LiveIndex) compactEngine(cfg EngineConfig, gen *liveGen, src compactSrc, view live.View, extra *live.Entry) (*Engine, error) {
-	// A disk-backed base's mapped bytes are dereferenced below (the
-	// compacted collection aliases them; signature prefixes are adopted
-	// from the mapped stores), so every persisted section must be
-	// verified before the rebuild trusts a byte of it.
+	// A disk-backed base's mapped bytes are aliased and adopted below,
+	// so every persisted section must be verified first.
 	if err := gen.base.readyAll(); err != nil {
 		return nil, err
 	}
-	vecs := src.vecs
+	vecs, ex := src.vecs, live.Entry{}
 	if extra != nil {
-		vecs = append(vecs[:len(vecs):len(vecs)], extra.Raw)
+		vecs, ex = append(vecs[:len(vecs):len(vecs)], extra.Raw), *extra
 	}
 	ds := &Dataset{c: &vector.Collection{Dim: li.dim, Vecs: vecs}}
 	e2, err := NewEngine(ds, li.measure, cfg)
 	if err != nil {
 		return nil, err
 	}
-	be := gen.base.engine()
-	e2.keepBitFamily(be)
-	if be.minStore != nil {
-		st := e2.minSigStore()
-		for i := range src.vecs {
-			if r := src.baseRows[i]; r >= 0 {
-				// Filled is monotone and the filled prefix immutable, so
-				// reading it concurrently with query-driven fills is safe.
-				st.Adopt(int32(i), be.minStore.Sigs()[r], be.minStore.FilledHashes(r))
-			} else if s := src.memSlots[i]; len(view.Min[s]) > 0 {
-				st.Adopt(int32(i), view.Min[s], len(view.Min[s]))
-			}
-		}
-		if extra != nil && len(extra.Min) > 0 {
-			st.Adopt(int32(len(vecs)-1), extra.Min, len(extra.Min))
-		}
-	}
-	if be.bitStore != nil {
-		st := e2.bitSigStore()
-		for i := range src.vecs {
-			if r := src.baseRows[i]; r >= 0 {
-				st.Adopt(int32(i), be.bitStore.Sigs()[r], be.bitStore.FilledBits(r))
-			} else if s := src.memSlots[i]; len(view.Bits[s]) > 0 {
-				st.Adopt(int32(i), view.Bits[s], len(view.Bits[s])*64)
-			}
-		}
-		if extra != nil && len(extra.Bits) > 0 {
-			st.Adopt(int32(len(vecs)-1), extra.Bits, len(extra.Bits)*64)
-		}
-	}
+	e2.sigs.adopt(gen.base.engine().sigs, src, view, ex)
 	return e2, nil
 }
 
 // coldPrior computes the Jaccard Beta prior a cold build over the
 // generation's live corpus (plus extra, the vector an Add is about to
-// ingest) would fit: the same candidate enumeration in the same
-// canonical order, the same sampling stream — so live verification
-// prunes with exactly the prior a cold index over the equivalent corpus
-// would use.
+// ingest) would fit, through the same candidate enumeration.
 func (li *LiveIndex) coldPrior(gen *liveGen, src compactSrc, view live.View, extra *live.Entry) (stats.Beta, error) {
 	// Called under mu, so reading li.cfg here is race-free.
 	e2, err := li.compactEngine(li.cfg, gen, src, view, extra)
@@ -636,10 +572,9 @@ func (li *LiveIndex) coldPrior(gen *liveGen, src compactSrc, view live.View, ext
 	return e2.fitPrior(li.opts, cands), nil
 }
 
-// applyPrior installs a refit prior into the pending generation: a
-// fresh base view whose verifier prunes with it, and a bumped epoch
-// so the delta verifier is rebuilt to match. No-op when the prior is
-// unchanged.
+// applyPrior installs a changed refit prior into the pending
+// generation: a base view that prunes with it, and a bumped epoch so
+// the delta verifier is rebuilt to match.
 func (li *LiveIndex) applyPrior(ng *liveGen, prior stats.Beta) error {
 	if prior == ng.prior {
 		return nil
@@ -655,17 +590,13 @@ func (li *LiveIndex) applyPrior(ng *liveGen, prior stats.Beta) error {
 }
 
 // withPrior returns a view of the index that verifies under prior p,
-// sharing the candidate structures, engine and signature stores — the
-// live index's prior-refit path, which must not rebuild tables or
-// re-hash anything. The view is wired afresh (Index.wire), which
-// constructs its verifier; the atomic engine pointer rules out a
-// struct copy, so a field added to Index that wire does not derive
-// must be added here too.
+// sharing everything else, wired afresh (Index.wire). The atomic
+// engine pointer rules out a struct copy, so a field added to Index
+// that wire does not derive must be added here too.
 func (ix *Index) withPrior(ctx context.Context, p stats.Beta) (*Index, error) {
 	n := &Index{
 		opts:   ix.opts,
-		bits:   ix.bits,
-		mins:   ix.mins,
+		tables: ix.tables,
 		ap:     ix.ap,
 		disk:   ix.disk,
 		prior:  p,
@@ -695,11 +626,9 @@ type deltaVQCache struct {
 // deltaVerifier returns the Bayes verifier for the generation's delta
 // segment (nil when the pipeline verifies without one or the delta is
 // empty), constructing it on first use per (memtable, epoch) and
-// growing it as the visible prefix advances. Construction is cheap:
-// the verifier takes the base verifier's params and prior, so its
-// decision tables are the base's own, interned — a registry lookup,
-// not a posterior computation. Racing constructions build identical
-// verifiers, so the cache is a plain atomic publish.
+// growing it as the visible prefix advances. It takes the base
+// verifier's params and prior, so its decision tables are the base's
+// own, interned; racing constructions build identical verifiers.
 func (li *LiveIndex) deltaVerifier(gen *liveGen) (core.QueryVerifier, error) {
 	if gen.base.vq == nil || gen.memN == 0 {
 		return nil, nil
@@ -709,7 +638,7 @@ func (li *LiveIndex) deltaVerifier(gen *liveGen) (core.QueryVerifier, error) {
 	}
 	params := gen.base.vq.Params()
 	params.Ensure = nil // delta signatures are hashed eagerly at ingest
-	vq, err := newVerifier(li.measure, li.opts.OneBitMinhash, gen.mem.View(gen.memN), gen.prior, params)
+	vq, err := gen.base.engine().sigs.verifier(gen.mem.View(gen.memN), li.opts, gen.prior, params)
 	if err != nil {
 		return nil, err
 	}
@@ -779,11 +708,9 @@ func (li *LiveIndex) QueryBatchContext(ctx context.Context, queries []Vec, opts 
 }
 
 // mergeRun is the background merge: cut the current generation, build
-// a fresh base over the compacted corpus through the offline
-// BuildIndex code path (signatures adopted, prior carried over), and
-// publish it as a new generation by atomic swap. Queries never block;
-// mutations block only during the brief publish step. ctx is canceled
-// by Close, aborting the build between pipeline stages.
+// a fresh base over the compacted corpus through BuildIndex's path
+// (signatures adopted, prior carried over), and publish it by atomic
+// swap. Mutations block only during the publish. Close cancels ctx.
 func (li *LiveIndex) mergeRun(ctx context.Context) {
 	start := time.Now()
 
@@ -822,7 +749,7 @@ func (li *LiveIndex) mergeRun(ctx context.Context) {
 		return
 	}
 	var pb *stats.Beta
-	if li.priorBearing() {
+	if li.priorBearing {
 		// The maintained prior is, by the mutation-time refit, exactly
 		// the cold prior of the cut corpus; passing it skips the
 		// build's candidate re-enumeration.
@@ -839,7 +766,7 @@ func (li *LiveIndex) mergeRun(ctx context.Context) {
 		return
 	}
 	var present map[int]struct{}
-	if li.priorBearing() {
+	if li.priorBearing {
 		// Prebuilt outside the publish lock for the dead-mask rebuild.
 		present = make(map[int]struct{}, len(src.extIDs))
 		for _, ext := range src.extIDs {
@@ -853,7 +780,7 @@ func (li *LiveIndex) mergeRun(ctx context.Context) {
 		return
 	}
 	cur := li.gen.Load()
-	if li.priorBearing() && cur.prior != cutPrior {
+	if li.priorBearing && cur.prior != cutPrior {
 		// Mutations during the build moved the corpus prior; re-arm the
 		// new base's verifier with the current one (cheap — no
 		// enumeration, just the pruning-table construction). Runs under

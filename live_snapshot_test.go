@@ -390,3 +390,57 @@ func goldenLiveIndex(t *testing.T) *LiveIndex {
 	li.Delete(5)
 	return li
 }
+
+// FuzzReadLiveIndex fuzzes the version-2 decoder as FuzzReadIndex does
+// version 1: any input may fail but must never panic, and whatever
+// decodes must answer Query and TopK. It is seeded with live snapshots
+// of every measure holding delta vectors and tombstones, and with the
+// forged files that once loaded and then panicked.
+func FuzzReadLiveIndex(f *testing.F) {
+	noMerge := LiveConfig{MaxDelta: -1, MaxRatio: -1}
+	for _, c := range []struct {
+		m Measure
+		o Options
+	}{
+		{Cosine, Options{Algorithm: LSHBayesLSH, Threshold: 0.6}},
+		{Jaccard, Options{Algorithm: LSHBayesLSH, Threshold: 0.5}},
+		{BinaryCosine, Options{Algorithm: AllPairsBayesLSHLite, Threshold: 0.6}},
+	} {
+		li, err := LiveFrom(fuzzIndex(f, c.m, c.o), noMerge)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, q := range []Vec{fuzzDataset().Vector(1), NewVec(map[uint32]float64{2: 0.6, 5: 0.8})} {
+			if _, err := li.Add(q); err != nil {
+				f.Fatal(err)
+			}
+		}
+		li.Delete(0)
+		li.Delete(3)
+		var buf bytes.Buffer
+		if _, err := li.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		li.Close()
+		f.Add(buf.Bytes())
+	}
+	for _, c := range forgedSnapshots(f) {
+		f.Add(c.v2)
+	}
+	serve := func(t *testing.T, data []byte) {
+		li, err := ReadLiveIndex(bytes.NewReader(data), noMerge)
+		if err != nil {
+			return
+		}
+		defer li.Close()
+		serveFuzzed(t, li.Query, li.TopK)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		serve(t, data)
+		// Re-sealed like FuzzReadIndex's inputs, so the section decoders
+		// behind the checksum stay fuzzed.
+		if len(data) >= len(snapshotMagic)+8 {
+			serve(t, resealStream(data, LiveSnapshotVersion))
+		}
+	})
+}

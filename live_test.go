@@ -256,7 +256,7 @@ func TestLivePriorRefitKeepsBaseMetadata(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer li.Close()
-			if !li.priorBearing() {
+			if !li.priorBearing {
 				t.Fatalf("%v over Jaccard is not prior-bearing", alg)
 			}
 			plan, cstats, prior := li.Plan(), li.CorpusStats(), li.gen.Load().prior
@@ -355,7 +355,7 @@ func TestLiveMergeKeepsHashFamily(t *testing.T) {
 		s.ids = append(s.ids, i)
 		s.vecs = append(s.vecs, seed.c.Vecs[i])
 	}
-	family := func() *sighash.BlockFamily { return li.gen.Load().base.engine().bitSigStore().Family() }
+	family := func() *sighash.BlockFamily { return bitStore(li.gen.Load().base.engine()).Family() }
 	fam, rows := family(), family().Rows()
 	if rows == 0 {
 		t.Fatal("the build hashed the seed corpus without materializing a row")
@@ -402,7 +402,7 @@ func TestKeepBitFamilyNeedsIdenticalParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fam := prev.bitSigStore().Family()
+	fam := bitStore(prev).Family()
 	wider := &Dataset{c: &vector.Collection{Dim: ds.Dim() + 1, Vecs: ds.c.Vecs}}
 	for _, c := range []struct {
 		name string
@@ -421,8 +421,8 @@ func TestKeepBitFamilyNeedsIdenticalParameters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.keepBitFamily(prev)
-		if got := e.bitSigStore().Family(); (got == fam) != c.keep {
+		e.sigs.(*bitKind).keepFamily(prev.sigs.(*bitKind))
+		if got := bitStore(e).Family(); (got == fam) != c.keep {
 			t.Errorf("%s: kept the previous family = %v, want %v", c.name, got == fam, c.keep)
 		}
 	}

@@ -203,7 +203,7 @@ func TestCandidatesCanonicalOrder(t *testing.T) {
 			for _, v := range variants {
 				v.Algorithm, v.Threshold = alg, tc.t
 				t.Run(fmt.Sprintf("%v/%v/multiprobe=%v/onebit=%v", tc.measure, alg, v.MultiProbe, v.OneBitMinhash), func(t *testing.T) {
-					o, err := v.withDefaults(tc.measure)
+					o, err := v.withDefaults(kindOf(t, tc.measure))
 					if err != nil {
 						t.Fatal(err)
 					}

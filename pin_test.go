@@ -90,8 +90,7 @@ func TestSearchOutputPinned(t *testing.T) {
 			// Build the stores up front so the per-BatchSize copies below
 			// share one set of signatures per worker count.
 			e := newParallelEngine(t, tc.measure, w, 0)
-			e.bitSigStore()
-			e.minSigStore()
+			e.sigs.sigStore()
 			engines[w] = e
 		}
 		for _, alg := range twoPhase {

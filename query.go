@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"bayeslsh/internal/core"
+	"bayeslsh/internal/live"
 	"bayeslsh/internal/minhash"
 	"bayeslsh/internal/pair"
 	"bayeslsh/internal/shard"
@@ -92,86 +93,55 @@ type QueryOptions struct {
 
 // querySigs carries one query's preprocessed forms: the raw vector
 // (exact similarity), the measure-transformed vector (AllPairs
-// probing), and whichever hash signatures the index compares, each
-// hashed only as deep as something has read it. A querySigs belongs to
-// one query call, which probes and verifies every segment of its cut
-// on one goroutine, so the lazily-extended signatures take no locks.
+// probing), and the signature of the engine's kind, hashed only as
+// deep as something has read it. It belongs to one query call, on one
+// goroutine, so the lazily-extended signatures take no locks.
 type querySigs struct {
 	raw  vector.Vector
 	work vector.Vector
-	bits sighash.QuerySig // cosine measures; zero when unused
-	min  minhash.QuerySig // Jaccard; zero when unused
+	bits sighash.QuerySig // the bit kind's signature; zero otherwise
+	min  minhash.QuerySig // the minhash kind's signature; zero otherwise
 	one  []uint64         // 1-bit packed minhashes, packed on first verification
 }
 
-// prepare transforms and hashes the query the way the corpus was
-// transformed and hashed at build: for Cosine the query is normalized
-// (idempotent if already unit-norm), for the binary measures it is
-// binarized and normalized; signatures derive from the engine's
-// seeded families, so a query equal to corpus vector i hashes to
-// exactly i's stored signature prefix. prepare hashes the banding
-// depth only — all a probe, and so all a TopK, reads. Verification
-// deepens the signatures as its rounds read them (see verifySig);
-// LSHApprox ensures its fixed depth before its loop.
+// prepare transforms and hashes the query the way the corpus was at
+// build, so a query equal to corpus vector i hashes to exactly i's
+// stored signature prefix. It hashes the banding depth only — all a
+// probe, and so all a TopK, reads; verification deepens the signature
+// as its rounds or estimates read it.
 func (ix *Index) prepare(q Vec) *querySigs {
 	e := ix.engine()
 	qs := &querySigs{raw: q.v}
-	if e.measure == Cosine {
-		qs.work = q.v.Clone().Normalize()
-	} else {
+	if e.binary {
 		qs.work = q.v.Binarize().Normalize()
+	} else {
+		qs.work = q.v.Clone().Normalize()
 	}
-	if max(ix.bandMin, ix.verifyMin) > 0 {
-		qs.min = e.minSigStore().Family().NewQuerySig(qs.work)
-		qs.min.Ensure(ix.bandMin)
-	}
-	if max(ix.bandBits, ix.verifyBits) > 0 {
-		qs.bits = e.bitSigStore().Family().NewQuerySig(qs.work)
-		qs.bits.Ensure(ix.bandBits)
+	if max(ix.band, ix.verify) > 0 {
+		e.sigs.hashQuery(qs, ix.band)
 	}
 	return qs
 }
 
-// verifySig returns the query's signature in the Bayes verifier's
-// representation. Minhashes and hyperplane bits come with the ensure
-// hook, so the rounds hash the query only as deep as the deepest one
-// any candidate reaches; the 1-bit packing has no such hook and is
-// hashed and packed to verification depth once, on first use.
-func (ix *Index) verifySig(qs *querySigs) core.QuerySig {
-	switch {
-	case ix.packOneBit:
-		if qs.one == nil {
-			qs.min.Ensure(ix.verifyMin)
-			qs.one = minhash.PackOneBit(qs.min.Hashes()[:qs.min.Filled()])
-		}
-		return core.QuerySig{Bits: qs.one}
-	case ix.engine().measure == Jaccard:
-		return core.QuerySig{Min: qs.min.Hashes(), Ensure: qs.min.Ensure}
-	default:
-		return core.QuerySig{Bits: qs.bits.Bits(), Ensure: qs.bits.Ensure}
-	}
-}
-
 // candidates generates the query's candidate corpus ids from the
-// prebuilt structure, in ascending id order.
+// prebuilt structure of the pipeline's generator, in ascending id
+// order.
 func (ix *Index) candidates(qs *querySigs) []int32 {
-	switch {
-	case ix.ap != nil:
+	switch ix.pipe.gen {
+	case genAllPairs:
 		return ix.ap.Probe(qs.work)
-	case ix.mins != nil:
-		return ix.mins.Probe(qs.min.Hashes())
-	case ix.bits != nil:
-		return ix.bits.Probe(qs.bits.Bits())
-	default: // BruteForce: every non-empty corpus vector
-		vecs := ix.engine().ds.c.Vecs
-		ids := make([]int32, 0, len(vecs))
-		for id, v := range vecs {
-			if v.Len() > 0 {
-				ids = append(ids, int32(id))
-			}
-		}
-		return ids
+	case genLSH:
+		return ix.engine().sigs.probe(ix.tables, qs)
 	}
+	// BruteForce: every non-empty corpus vector.
+	vecs := ix.engine().ds.c.Vecs
+	ids := make([]int32, 0, len(vecs))
+	for id, v := range vecs {
+		if v.Len() > 0 {
+			ids = append(ids, int32(id))
+		}
+	}
+	return ids
 }
 
 // Query returns the corpus vectors similar to q at the index's
@@ -242,29 +212,23 @@ func (ix *Index) QueryBatchContext(ctx context.Context, queries []Vec, opts Quer
 }
 
 // cut is the consistent corpus one query call runs over: a base Index
-// plus, for a LiveIndex, the generation the call pinned, which
-// supplies the delta memtable, the base-row → external-id map and the
-// deletion mask. A plain Index is the cut with no generation — one
-// segment, identity ids, nothing masked. Every query entry point of
-// both types runs the methods below, so per-candidate decisions, the
-// raised-threshold filter, the TopK order and the batch contract are
-// one code path.
+// plus, for a LiveIndex, the generation the call pinned (the delta
+// memtable, the base-row → external-id map and the deletion mask). A
+// plain Index is the cut with no generation. Every query entry point
+// of both types runs the methods below.
 type cut struct {
 	ix  *Index
 	li  *LiveIndex // gen's owner (tombstones, delta verifier cache); nil without gen
 	gen *liveGen
 }
 
-// segment is one verifiable part of a cut. It carries data, not
-// per-query closures: the raw vectors exact similarity reads, the
-// signature rows the LSHApprox estimator reads (min under Jaccard,
-// bits under the cosine measures), the Bayes verifier over the
-// segment's signatures (nil for the pipelines that verify without
-// one), and the map from segment id to external id.
+// segment is one verifiable part of a cut: the raw vectors exact
+// similarity reads, the signature rows the §3 estimator reads, the
+// Bayes verifier over the segment (nil for the other verifiers), and
+// the map from segment id to external id.
 type segment struct {
 	raw  []vector.Vector
-	min  [][]uint32
-	bits [][]uint64
+	sigs live.View
 	vq   core.QueryVerifier
 
 	ext   []int // segment id -> external id; nil maps id to start+id
@@ -288,22 +252,16 @@ func (c cut) segments() int {
 	return 2
 }
 
-// segment returns segment i of the cut (0 the base corpus, 1 a live
-// generation's delta) and the query's candidates in it, in ascending
-// id order with masked ids dropped. verifier asks for the segment's
-// Bayes verifier; TopK verifies exactly and skips building the
-// delta's.
+// segment returns segment i of the cut (0 the base, 1 a live delta)
+// and the query's candidates in it, ascending, masked ids dropped.
+// verifier asks for the delta's Bayes verifier; TopK skips it.
 func (c cut) segment(i int, qs *querySigs, verifier bool) (segment, []int32, error) {
 	if i == 0 {
 		ix := c.ix
 		e := ix.engine()
 		seg := segment{raw: e.ds.c.Vecs, vq: ix.vq}
-		if ix.opts.Algorithm == LSHApprox {
-			if e.measure == Jaccard {
-				seg.min = e.minSigStore().Sigs()
-			} else {
-				seg.bits = e.bitSigStore().Sigs()
-			}
+		if ix.pipe.ver == verApprox {
+			seg.sigs = e.sigs.rows()
 		}
 		if c.gen != nil {
 			seg.ext = c.gen.baseIDs
@@ -317,7 +275,7 @@ func (c cut) segment(i int, qs *querySigs, verifier bool) (segment, []int32, err
 		return seg, ids, nil
 	}
 	view := gen.mem.View(gen.memN)
-	seg.raw, seg.min, seg.bits = view.Raw, view.Min, view.Bits
+	seg.raw, seg.sigs = view.Raw, view
 	if ids = c.mask(&seg, ids); len(ids) == 0 {
 		return seg, ids, nil
 	}
@@ -330,12 +288,8 @@ func (c cut) segment(i int, qs *querySigs, verifier bool) (segment, []int32, err
 	return seg, ids, nil
 }
 
-// mask drops, in place, the candidates deleted in the cut and those
-// with no features. An empty vector's exact similarity to anything is
-// 0, but its signature is a constant (all hyperplane bits set, every
-// minhash Empty), which the estimating pipelines would read as a
-// match — so, as in the batch join (Engine.nonEmpty), it is never a
-// candidate.
+// mask drops, in place, the candidates deleted in the cut and, as
+// the batch join does (Engine.nonEmpty), those with no features.
 func (c cut) mask(seg *segment, ids []int32) []int32 {
 	kept := ids[:0]
 	for _, id := range ids {
@@ -372,14 +326,12 @@ func (c cut) query(ctx context.Context, q Vec, opts QueryOptions) ([]Match, erro
 	return c.run(q, t, false, stop)
 }
 
-// run is the one query loop. It answers q over every segment of the
-// cut — probe, mask, verify, map to external ids — appending hits in
-// segment order, which is ascending external id (a live delta's ids
-// all follow its base's). A threshold query verifies with the built
-// algorithm and filters at the resolved threshold t; a TopK query
-// (topK, t the built threshold) verifies exactly and leaves ordering
-// to its caller. stop is a watcher owned by the caller (one per call,
-// or shared across a batch).
+// run is the one query loop: over every segment of the cut it probes,
+// masks, verifies and maps to external ids, appending hits in
+// ascending external id. A threshold query verifies with the built
+// algorithm and filters at t; a TopK query (t the built threshold)
+// verifies exactly and leaves ordering to its caller. stop is owned
+// by the caller.
 func (c cut) run(q Vec, t float64, topK bool, stop *shard.Stopper) ([]Match, error) {
 	if q.Len() == 0 {
 		return nil, nil
@@ -391,11 +343,8 @@ func (c cut) run(q Vec, t float64, topK bool, stop *shard.Stopper) ([]Match, err
 		return nil, err
 	}
 	if uint64(q.v.Ind[0]) >= uint64(c.ix.Dim()) {
-		// Every corpus and delta vector lies below Dim, so a query with no
-		// feature there shares nothing with any of them and nothing
-		// matches. Under the cosine measures it would also hash as the
-		// empty vector (features at or above Dim are dropped), whose
-		// constant signature the estimating pipelines would misread.
+		// Every corpus and delta vector lies below Dim, so nothing
+		// matches; hashed, the query would read as the empty vector.
 		return nil, nil
 	}
 	qs := c.ix.prepare(q)
@@ -418,46 +367,37 @@ func (c cut) run(q Vec, t float64, topK bool, stop *shard.Stopper) ([]Match, err
 
 // verify runs the built algorithm's verification over one segment's
 // candidate ids at the built threshold and appends the hits to out in
-// candidate order, through add. stop is polled between candidates (by
-// the Bayes verifiers, between rounds and every 1,024 candidates
-// within one); a stopped verification returns the context's error.
+// candidate order, through add.
 func (c cut) verify(out []Match, seg *segment, qs *querySigs, ids []int32, t float64, stop *shard.Stopper) ([]Match, error) {
-	o := c.ix.opts
-	switch o.Algorithm {
-	case BruteForce, AllPairs, LSH:
+	ix := c.ix
+	k := ix.engine().sigs
+	switch ix.pipe.ver {
+	case verExact:
 		return c.score(out, seg, ids, c.exact(seg, qs), t, stop)
-
-	case LSHApprox:
+	case verApprox:
 		// The classical fixed-n LSH estimator of §3, shared with the
 		// batch join.
-		n := c.ix.approxN
-		if c.ix.engine().measure == Jaccard {
-			qs.min.Ensure(n)
-			q := qs.min.Hashes()
-			return c.score(out, seg, ids, func(id int32) float64 { return approxJaccard(q, seg.min[id], n) }, t, stop)
-		}
-		qs.bits.Ensure(n)
-		q := qs.bits.Bits()
-		return c.score(out, seg, ids, func(id int32) float64 { return approxCosine(q, seg.bits[id], n) }, t, stop)
+		n := ix.approxN
+		return c.score(out, seg, ids, func(id int32) float64 { return k.approxQuery(qs, seg.sigs, id, n) }, t, stop)
 	}
 
 	// The Bayes pipelines.
-	sig := c.ix.verifySig(qs)
+	sig := k.querySig(qs, ix.packOneBit, ix.verify)
 	var (
 		hits []pair.Hit
 		err  error
 	)
-	if o.Algorithm == AllPairsBayesLSH || o.Algorithm == LSHBayesLSH {
+	if ix.pipe.ver == verBayes {
 		hits, _, err = seg.vq.VerifyQueryStop(sig, ids, stop)
 	} else {
-		hits, _, err = seg.vq.VerifyQueryLiteStop(sig, ids, o.LiteHashes, c.exact(seg, qs), stop)
+		hits, _, err = seg.vq.VerifyQueryLiteStop(sig, ids, ix.opts.LiteHashes, c.exact(seg, qs), stop)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if o.Algorithm == AllPairsBayesLSH {
+	if ix.pipe.checksAccepted() {
 		exact := c.exact(seg, qs)
-		hits = dropSubThreshold(hits, o.Threshold, func(h pair.Hit) float64 { return exact(h.ID) })
+		hits = dropSubThreshold(hits, ix.opts.Threshold, func(h pair.Hit) float64 { return exact(h.ID) })
 	}
 	out = slices.Grow(out, len(hits))
 	for _, h := range hits {
@@ -474,8 +414,7 @@ func (c cut) exact(seg *segment, qs *querySigs) func(id int32) float64 {
 }
 
 // score appends, through add, the candidates whose similarity to the
-// query as sim computes it — exact (the exact pipelines and every
-// TopK) or estimated (LSHApprox) — meets the built threshold.
+// query as sim computes it meets the built threshold.
 func (c cut) score(out []Match, seg *segment, ids []int32, sim func(id int32) float64, t float64, stop *shard.Stopper) ([]Match, error) {
 	for _, id := range ids {
 		if stop.Stopped() {
@@ -489,9 +428,7 @@ func (c cut) score(out []Match, seg *segment, ids []int32, sim func(id int32) fl
 }
 
 // add appends a hit of segment id id to out under its external id,
-// unless a per-query threshold t above the built one filters it — the
-// one raised-threshold filter of every entry point. For the
-// estimate-reporting pipelines it filters the estimates.
+// unless a per-query threshold t above the built one filters it.
 func (c cut) add(out []Match, seg *segment, id int32, sim, t float64) []Match {
 	if t > c.ix.opts.Threshold && sim < t {
 		return out

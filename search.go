@@ -1,16 +1,15 @@
 package bayeslsh
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"bayeslsh/internal/allpairs"
-	"bayeslsh/internal/minhash"
 	"bayeslsh/internal/pair"
 	"bayeslsh/internal/shard"
-	"bayeslsh/internal/sighash"
 )
 
 // Options configures one search. Zero-valued fields take the paper's
@@ -71,56 +70,23 @@ type Options struct {
 	ApproxHashes int
 }
 
-func (o Options) withDefaults(m Measure) (Options, error) {
+// withDefaults checks the threshold and fills o's zero fields: the
+// paper's settings, with the hash counts of the signature kind k.
+func (o Options) withDefaults(k sigKind) (Options, error) {
 	if o.Threshold <= 0 || o.Threshold > 1 {
 		return o, fmt.Errorf("bayeslsh: threshold %v outside (0, 1]", o.Threshold)
 	}
-	if o.Epsilon == 0 {
-		o.Epsilon = 0.03
-	}
-	if o.Delta == 0 {
-		o.Delta = 0.05
-	}
-	if o.Gamma == 0 {
-		o.Gamma = 0.03
-	}
-	if o.K == 0 {
-		o.K = 32
-	}
-	if o.LiteHashes == 0 {
-		if m == Jaccard {
-			o.LiteHashes = 64
-		} else {
-			o.LiteHashes = 128
-		}
-	}
-	if o.MaxHashes == 0 {
-		if m == Jaccard {
-			o.MaxHashes = 512
-		} else {
-			o.MaxHashes = 2048
-		}
-	}
-	if o.PriorSample == 0 {
-		o.PriorSample = 1000
-	}
-	if o.BandK == 0 {
-		if m == Jaccard {
-			o.BandK = 3
-		} else {
-			o.BandK = 8
-		}
-	}
-	if o.FalseNegativeRate == 0 {
-		o.FalseNegativeRate = o.Epsilon
-	}
-	if o.ApproxHashes == 0 {
-		if m == Jaccard {
-			o.ApproxHashes = 360
-		} else {
-			o.ApproxHashes = 2048
-		}
-	}
+	d := k.defaults()
+	o.Epsilon = cmp.Or(o.Epsilon, 0.03)
+	o.Delta = cmp.Or(o.Delta, 0.05)
+	o.Gamma = cmp.Or(o.Gamma, 0.03)
+	o.K = cmp.Or(o.K, 32)
+	o.LiteHashes = cmp.Or(o.LiteHashes, d.LiteHashes)
+	o.MaxHashes = cmp.Or(o.MaxHashes, d.MaxHashes)
+	o.PriorSample = cmp.Or(o.PriorSample, 1000)
+	o.BandK = cmp.Or(o.BandK, d.BandK)
+	o.FalseNegativeRate = cmp.Or(o.FalseNegativeRate, o.Epsilon)
+	o.ApproxHashes = cmp.Or(o.ApproxHashes, d.ApproxHashes)
 	return o, nil
 }
 
@@ -226,7 +192,7 @@ func (e *Engine) SearchContext(ctx context.Context, opts Options) (*Output, erro
 // collects corpus statistics — and resolves AutoPipeline to a concrete
 // Algorithm.
 func (e *Engine) prepare(ctx context.Context, opts Options) (Options, error) {
-	o, err := opts.withDefaults(e.measure)
+	o, err := opts.withDefaults(e.sigs)
 	if err != nil {
 		return o, err
 	}
@@ -249,50 +215,31 @@ func ctxWrap(err error) error {
 	return err
 }
 
-// candidates runs the two-phase pipelines' candidate-generation phase
-// for the options' algorithm — the AllPairs scan for the AP pipelines
-// (its probe phase sharded over the engine's workers), banded LSH
-// otherwise — and returns the candidates in ascending (A, B) order,
-// the canonical order that makes everything downstream of generation
-// (prior sampling, verification order, output order) deterministic
-// for a fixed Seed at any worker count. Banded LSH emits that order
-// directly; the AllPairs scan emits in its own scan order, which the
-// AllPairs pipeline streams in, so its candidates are sorted here.
-// Shared by the pipelines that materialize their candidates
-// (Engine.streamTwoPhase), BuildIndex and the live prior refit so the
-// candidate stream cannot drift between them; the fused banded-LSH
-// pipelines enumerate the same rows through the same lshBanding and
-// nonEmpty, without collecting them. With keep, a banding the LSH
-// candidates are enumerated from stays on the engine for later
-// searches (lshBanding). Index builds and the live prior refit pass
-// false: an index holds its engine for as long as it serves, and a
-// banding kept there would only hold memory.
+// candidates materializes the candidates of o's generator — the
+// AllPairs scan, sorted here, or banded LSH — in ascending (A, B)
+// order, the canonical order that makes prior sampling, verification
+// and output deterministic for a fixed Seed at any worker count.
+// Shared by the materializing pipelines (streamTwoPhase), BuildIndex
+// and the live prior refit, so the candidate stream cannot drift
+// between them. keep is lshBanding's; index builds and refits pass
+// false, since an index's engine lives as long as it serves.
 func (e *Engine) candidates(ctx context.Context, o Options, keep bool) ([]pair.Pair, error) {
-	switch o.Algorithm {
-	case AllPairsBayesLSH, AllPairsBayesLSHLite:
-		cands, err := allpairs.CandidatesMeasureCtx(ctx, e.workInput(), toExactMeasure(e.measure), o.Threshold, e.workers())
+	if p, _ := o.Algorithm.pipeline(); p.gen == genAllPairs {
+		cands, err := allpairs.CandidatesMeasureCtx(ctx, e.ds.c, toExactMeasure(e.measure), o.Threshold, e.workers())
 		pair.SortPairs(cands)
 		return cands, err
-	default:
-		return e.lshCandidates(ctx, o, keep)
 	}
+	return e.lshCandidates(ctx, o, keep)
 }
 
 // dropSubThreshold removes the accepted hits whose exact similarity,
 // as exact computes it, is below the threshold. The AllPairs candidate
-// stream is the one direction-dependent stage of the two-phase
-// pipelines: the batch scan evaluates the cheap candidate bound in
-// processing order, while a query probe evaluates it from the query's
-// side, so the two candidate sets can differ — but only on
-// sub-threshold pairs, because the bound is an upper bound on
-// similarity. Exact-verifying the accepted hits (an output-sized cost,
-// not a candidate-sized one; pruning still avoids exact similarities
-// for the overwhelming majority of candidates) removes exactly those
-// pairs from both paths, which is what makes AllPairsBayesLSH query
-// results strictly equal to batch results. The batch rows and the
-// query hits both pass through here. Survivors keep their estimated
-// similarity — acceptance, not reporting, uses the exact value. See
-// docs/QUERYING.md.
+// bound is evaluated in scan order by the batch join and from the
+// query's side by a probe, so the two candidate sets can differ, but
+// only on sub-threshold pairs. Exact-verifying the accepted hits (an
+// output-sized cost) removes exactly those pairs from both paths, so
+// AllPairsBayesLSH query results equal batch results. Survivors keep
+// their estimated similarity. See docs/QUERYING.md.
 func dropSubThreshold[H any](hits []H, t float64, exact func(H) float64) []H {
 	kept := hits[:0]
 	for _, h := range hits {
@@ -303,54 +250,15 @@ func dropSubThreshold[H any](hits []H, t float64, exact func(H) float64) []H {
 	return kept
 }
 
-// approxEstimator prepares the classical LSH estimation of §3 over
-// the corpus: it fills every signature to the verifyDepth hash count
-// (cancelable between vectors) and returns the batch join's per-pair
-// estimator plus that count. Each estimate depends only on the pair's
-// two signatures, so the LSHApprox output is independent of
-// scheduling.
+// approxEstimator prepares the classical LSH estimation of §3: it
+// fills every corpus signature to verifyDepth and returns the batch
+// join's per-pair estimator plus that hash count.
 func (e *Engine) approxEstimator(ctx context.Context, o Options) (func(a, b int32) float64, int, error) {
 	n := e.verifyDepth(o)
-	if e.measure == Jaccard {
-		st := e.minSigStore()
-		if err := st.EnsureAllCtx(ctx, n, e.workers()); err != nil {
-			return nil, 0, err
-		}
-		sigs := st.Sigs()
-		return func(a, b int32) float64 { return approxJaccard(sigs[a], sigs[b], n) }, n, nil
-	}
-	st := e.bitSigStore()
-	if err := st.EnsureAllCtx(ctx, n, e.workers()); err != nil {
+	if err := e.sigs.sigStore().EnsureAllCtx(ctx, n, e.workers()); err != nil {
 		return nil, 0, err
 	}
-	sigs := st.Sigs()
-	return func(a, b int32) float64 { return approxCosine(sigs[a], sigs[b], n) }, n, nil
-}
-
-// approxJaccard is the §3 maximum-likelihood Jaccard estimate: the
-// match rate of the first n minhashes of x and y. The batch LSHApprox
-// pipeline and the index's query path both estimate through it, so
-// the two cannot drift.
-func approxJaccard(x, y []uint32, n int) float64 {
-	return float64(minhash.Matches(x, y, 0, n)) / float64(n)
-}
-
-// approxCosine is the §3 estimate for the cosine measures: the match
-// rate of the first n hyperplane bits of x and y, clamped to the
-// collision-probability support [0.5, 1] and mapped back to cosine
-// space. Shared like approxJaccard.
-func approxCosine(x, y []uint64, n int) float64 {
-	return sighash.RToCosine(clamp(float64(sighash.MatchCount(x, y, 0, n))/float64(n), 0.5, 1))
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
+	return e.sigs.approxPairs(n), n, nil
 }
 
 func fromResults(rs []pair.Result) []Result {

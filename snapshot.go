@@ -15,7 +15,6 @@ import (
 
 	"bayeslsh/internal/allpairs"
 	"bayeslsh/internal/diskidx"
-	"bayeslsh/internal/lshindex"
 	"bayeslsh/internal/planner"
 	"bayeslsh/internal/snapshot"
 	"bayeslsh/internal/stats"
@@ -69,6 +68,11 @@ const (
 	sectLive
 )
 
+// sigSections are the signature store and band table sections of both
+// signature kinds, in file order: an index writes its own kind's two
+// (sigKind.tags), and no reader accepts the other kind's.
+var sigSections = [...]uint32{sectBitStore, sectMinStore, sectBitTables, sectMinhashTables}
+
 var (
 	// ErrSnapshotFormat reports input that is not a readable index
 	// snapshot: wrong magic, a malformed or truncated section, or
@@ -107,30 +111,23 @@ func (ix *Index) writeSections(sw *snapshot.Writer) {
 	ap, _ := ix.ap.(*allpairs.Index)
 	sw.Section(sectMeta, ix.writeMeta)
 	sw.Section(sectVectors, e.ds.c.WriteSnapshot)
-	sw.Section(sectBitStore, func(s *snapshot.Writer) {
-		s.Bool(e.bitStore != nil)
-		if e.bitStore != nil {
-			e.bitStore.WriteSnapshot(s)
-		}
-	})
-	sw.Section(sectMinStore, func(s *snapshot.Writer) {
-		s.Bool(e.minStore != nil)
-		if e.minStore != nil {
-			e.minStore.WriteSnapshot(s)
-		}
-	})
-	sw.Section(sectBitTables, func(s *snapshot.Writer) {
-		s.Bool(ix.bits != nil)
-		if ix.bits != nil {
-			ix.bits.WriteSnapshot(s)
-		}
-	})
-	sw.Section(sectMinhashTables, func(s *snapshot.Writer) {
-		s.Bool(ix.mins != nil)
-		if ix.mins != nil {
-			ix.mins.WriteSnapshot(s)
-		}
-	})
+	storeTag, tableTag := e.sigs.tags()
+	for _, tag := range sigSections {
+		sw.Section(tag, func(s *snapshot.Writer) {
+			switch {
+			case tag == storeTag:
+				s.Bool(e.sigs.built())
+				if e.sigs.built() {
+					e.sigs.sigStore().WriteSnapshot(s)
+				}
+			case tag == tableTag && ix.tables != nil:
+				s.Bool(true)
+				ix.tables.WriteSnapshot(s)
+			default:
+				s.Bool(false)
+			}
+		})
+	}
 	sw.Section(sectAllPairs, func(s *snapshot.Writer) {
 		s.Bool(ap != nil)
 		if ap != nil {
@@ -173,15 +170,11 @@ func (ix *Index) writeMeta(w *snapshot.Writer) {
 	w.I64(int64(st.BuildTime))
 	w.F64(ix.prior.Alpha)
 	w.F64(ix.prior.Beta)
-	// Corpus statistics, appended as a fixed-size 88-byte block (11
-	// fields × 8 bytes) so readMeta can detect its presence by size
-	// alone. The size matters: the v3 disk format writes two U32 fill
-	// depths after this meta block inside the same section, so a
-	// pre-stats v3 file leaves exactly 8 bytes after the prior and a
-	// stats-bearing one exactly 96 — readMeta reads the block only when
-	// ≥ 88 bytes remain, which disambiguates every (version, vintage)
-	// combination. Any future meta field must keep the same discipline:
-	// fixed size, appended after this block.
+	// Corpus statistics, a fixed-size 88-byte block that readMeta
+	// detects by size alone: a v3 file writes 8 bytes of fill depths
+	// after the meta, so a pre-stats v3 file leaves exactly 8 bytes
+	// after the prior and a stats-bearing one 96. A future meta field
+	// must keep the discipline: fixed size, appended after this block.
 	cs := ix.cstats
 	w.I64(int64(cs.Vectors))
 	w.I64(int64(cs.Dim))
@@ -207,6 +200,15 @@ type snapMeta struct {
 	stats   IndexStats
 	prior   stats.Beta
 	cstats  CorpusStats
+}
+
+// index returns the unwired index the metadata describes, served by
+// eng: the shared start of decodeIndex and openDisk.
+func (m snapMeta) index(eng *Engine) *Index {
+	ix := &Index{opts: m.opts, stats: m.stats, prior: m.prior, cstats: m.cstats}
+	ix.plan = Plan{Pipeline: planner.Pipeline(m.opts.Algorithm)}
+	ix.eng.Store(eng)
+	return ix
 }
 
 // maxSnapshotHashes caps the deserialized signature budgets so a
@@ -270,15 +272,11 @@ func readMeta(r *snapshot.Reader) (snapMeta, error) {
 	if err := r.Err(); err != nil {
 		return m, err
 	}
-	switch m.measure {
-	case Cosine, Jaccard, BinaryCosine:
-	default:
+	kind, _, err := newSigKind(m.measure, nil)
+	if err != nil {
 		return m, snapshot.Failf(r, "unknown measure %d", int(m.measure))
 	}
-	switch m.opts.Algorithm {
-	case BruteForce, AllPairs, AllPairsBayesLSH, AllPairsBayesLSHLite,
-		LSH, LSHApprox, LSHBayesLSH, LSHBayesLSHLite:
-	default:
+	if p, err := m.opts.Algorithm.pipeline(); err != nil || p.gen == genPPJoin {
 		return m, snapshot.Failf(r, "algorithm %d has no query-serving index", int(m.opts.Algorithm))
 	}
 	if m.cfg.SignatureBits <= 0 || m.cfg.SignatureBits > maxSnapshotHashes ||
@@ -286,7 +284,7 @@ func readMeta(r *snapshot.Reader) (snapMeta, error) {
 		return m, snapshot.Failf(r, "signature budgets %d/%d out of range",
 			m.cfg.SignatureBits, m.cfg.MinHashes)
 	}
-	if _, err := m.opts.withDefaults(m.measure); err != nil {
+	if _, err := m.opts.withDefaults(kind); err != nil {
 		return m, snapshot.Failf(r, "options: %v", err)
 	}
 	if !m.prior.Valid() {
@@ -405,13 +403,10 @@ func checksummedBody(buf []byte, want uint32) (*snapshot.Reader, error) {
 	return snapshot.NewReader(body[len(snapshotMagic)+4:]), nil
 }
 
-// decodeIndex decodes the version-1 section sequence and rebuilds the
-// serving wiring the way Engine.BuildIndex wires a fresh build — same
-// store accessors, same verifier constructor (with the persisted prior
-// in place of refitting), same depth bookkeeping — so the two paths
-// cannot drift apart. It leaves any bytes after the known sections
-// unread (the live section of a version-2 snapshot); callers check
-// Remaining.
+// decodeIndex decodes the version-1 section sequence and wires the
+// index as a fresh build is (Index.wire), with the persisted prior. It
+// leaves any bytes after the known sections (a version-2 live section)
+// unread; callers check Remaining.
 func decodeIndex(sr *snapshot.Reader) (*Index, error) {
 	mr := sr.Section(sectMeta)
 	meta, err := readMeta(mr)
@@ -435,56 +430,37 @@ func decodeIndex(sr *snapshot.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{opts: meta.opts, stats: meta.stats, prior: meta.prior, cstats: meta.cstats}
-	ix.plan = Plan{Pipeline: planner.Pipeline(meta.opts.Algorithm)}
+	ix := meta.index(eng)
 	if ix.cstats.Zero() {
 		// A snapshot written before stats persistence: the corpus is
 		// already resident, so collecting now is the same O(nnz) pass a
 		// fresh build pays, and keeps old goldens fully featured.
 		ix.cstats = eng.corpusPlanner().Stats()
 	}
-	ix.eng.Store(eng)
 
-	br := sr.Section(sectBitStore)
-	if br.Bool() {
-		if err := eng.bitSigStore().ReadSnapshot(br); err != nil {
+	storeTag, tableTag := eng.sigs.tags()
+	for _, tag := range sigSections {
+		r := sr.Section(tag)
+		if r.Bool() {
+			switch tag {
+			case storeTag:
+				err = eng.sigs.sigStore().ReadSnapshot(r)
+			case tableTag:
+				ix.tables, err = eng.sigs.readTables(r, len(coll.Vecs))
+			default:
+				err = fmt.Errorf("%s section in a %v index", sectionName(tag), meta.measure)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		if err := r.Close(); err != nil {
 			return nil, err
 		}
-	}
-	if err := br.Close(); err != nil {
-		return nil, err
-	}
-	nr := sr.Section(sectMinStore)
-	if nr.Bool() {
-		if err := eng.minSigStore().ReadSnapshot(nr); err != nil {
-			return nil, err
-		}
-	}
-	if err := nr.Close(); err != nil {
-		return nil, err
-	}
-
-	tr := sr.Section(sectBitTables)
-	if tr.Bool() {
-		if ix.bits, err = lshindex.ReadBitsTablesSnapshot(tr, len(coll.Vecs)); err != nil {
-			return nil, err
-		}
-	}
-	if err := tr.Close(); err != nil {
-		return nil, err
-	}
-	hr := sr.Section(sectMinhashTables)
-	if hr.Bool() {
-		if ix.mins, err = lshindex.ReadMinhashTablesSnapshot(hr, len(coll.Vecs)); err != nil {
-			return nil, err
-		}
-	}
-	if err := hr.Close(); err != nil {
-		return nil, err
 	}
 	ar := sr.Section(sectAllPairs)
 	if ar.Bool() {
-		ix.ap, err = allpairs.ReadIndexSnapshot(ar, eng.workInput(),
+		ix.ap, err = allpairs.ReadIndexSnapshot(ar, coll,
 			toExactMeasure(meta.measure), meta.opts.Threshold)
 		if err != nil {
 			return nil, err
@@ -504,63 +480,45 @@ func decodeIndex(sr *snapshot.Reader) (*Index, error) {
 }
 
 // wire derives an index's serving state from its options, candidate
-// structure, prior and engine — the one place a fresh build, a v1/v2
-// load, a v3 open and a live prior refit decide how the pipeline runs.
-// It validates that the candidate structure the algorithm probes is
-// present, records the banding depth the tables read, and prepares
-// verification: the Bayes verifier under the prior, or the §3
-// estimator's hash count with every corpus signature filled that deep.
+// structure, prior and engine — the one place a build, a load, an open
+// and a prior refit decide how the pipeline runs. It checks that the
+// index holds the candidate structure its generator probes and no
+// other, records the banding depth, and prepares verification.
 func (ix *Index) wire(ctx context.Context) error {
 	e, o := ix.engine(), ix.opts
-	switch o.Algorithm {
-	case BruteForce:
-	case AllPairs, AllPairsBayesLSH, AllPairsBayesLSHLite:
-		if ix.ap == nil {
-			return fmt.Errorf("algorithm %v without its AllPairs index section", o.Algorithm)
-		}
-	default: // the LSH pipelines
-		// The banding depth must fit the signature budget the engine
-		// derives from the config — otherwise the first query would ask
-		// the hash family for more hashes than it has.
-		if e.measure == Jaccard {
-			if ix.mins == nil {
-				return fmt.Errorf("algorithm %v without its minhash table section", o.Algorithm)
-			}
-			ix.bandMin = ix.mins.BandK() * ix.mins.Bands()
-			if max := e.minSigStore().MaxHashes(); ix.bandMin > max {
-				return fmt.Errorf("band tables need %d minhashes, signature budget is %d", ix.bandMin, max)
-			}
-		} else {
-			if ix.bits == nil {
-				return fmt.Errorf("algorithm %v without its band table section", o.Algorithm)
-			}
-			ix.bandBits = ix.bits.BandK() * ix.bits.Bands()
-			if max := e.bitSigStore().MaxBits(); ix.bandBits > max {
-				return fmt.Errorf("band tables need %d bits, signature budget is %d", ix.bandBits, max)
-			}
+	p, err := o.Algorithm.pipeline()
+	if err != nil {
+		return err
+	}
+	ix.pipe = p
+	if has, reads := ix.ap != nil, p.gen == genAllPairs; has != reads {
+		return fmt.Errorf("algorithm %v reads an AllPairs index section: %v, has one: %v", o.Algorithm, reads, has)
+	}
+	if has, reads := ix.tables != nil, p.gen == genLSH; has != reads {
+		return fmt.Errorf("algorithm %v reads a band table section: %v, has one: %v", o.Algorithm, reads, has)
+	}
+	if ix.tables != nil {
+		// The banding depth must fit the signature budget, or the first
+		// query would ask the family for more hashes than it has.
+		ix.band = ix.tables.BandK() * ix.tables.Bands()
+		if max := e.sigs.budget(); ix.band > max {
+			return fmt.Errorf("band tables need %d %s, signature budget is %d", ix.band, e.sigs.unit(), max)
 		}
 	}
-
-	var n int
-	switch {
-	case o.Algorithm.UsesBayes():
-		vq, err := e.bayesVerifierWithPrior(ctx, o, ix.prior)
+	switch p.ver {
+	case verBayes, verLite:
+		vq, err := e.bayesVerifier(ctx, o, ix.prior)
 		if err != nil {
 			return err
 		}
-		ix.vq, n = vq, vq.Params().MaxHashes
-		ix.packOneBit = e.measure == Jaccard && o.OneBitMinhash
-	case o.Algorithm == LSHApprox:
-		_, approxN, err := e.approxEstimator(ctx, o)
+		ix.vq, ix.verify = vq, vq.Params().MaxHashes
+		ix.packOneBit = e.sigs.oneBit(o)
+	case verApprox:
+		_, n, err := e.approxEstimator(ctx, o)
 		if err != nil {
 			return err
 		}
-		ix.approxN, n = approxN, approxN
-	}
-	if e.measure == Jaccard {
-		ix.verifyMin = n
-	} else {
-		ix.verifyBits = n
+		ix.approxN, ix.verify = n, n
 	}
 	return nil
 }
@@ -803,11 +761,9 @@ func (ids *liveIDs) vectors() int {
 }
 
 // decodeLive decodes a version-2 section sequence into a live index
-// under the merge policy lc: the shared base-index decode, then the
-// live section, whose generation state is validated against the
-// decoded base and whose delta vectors pass Add's admission checks and
-// replay through Add's ingest path, so the loaded delta segment is
-// bit-identical to the saved one.
+// under the merge policy lc: the base index, then the live section,
+// whose delta vectors pass Add's admission checks and replay through
+// Add's ingest path, bit-identical to the saved delta.
 func (lc LiveConfig) decodeLive(sr *snapshot.Reader) (*LiveIndex, error) {
 	ix, err := decodeIndex(sr)
 	if err != nil {
@@ -849,10 +805,6 @@ func (lc LiveConfig) decodeLive(sr *snapshot.Reader) (*LiveIndex, error) {
 	li := newLiveOver(ix, lc, ids.base, ids.start)
 	gen := li.gen.Load()
 	for _, v := range mc.Vecs {
-		// Replaying through the ingest path recomputes the delta
-		// signatures from the persisted seed — bit-identical to the
-		// saved ones, at the cost of re-hashing only the (policy-
-		// bounded) delta.
 		gen.mem.Append(li.prepareEntry(ix, Vec{v: v}))
 	}
 	ng := *gen

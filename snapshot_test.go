@@ -54,22 +54,23 @@ func roundTrip(t *testing.T, ix *Index) *Index {
 }
 
 // requireSameWiring fails unless got serves with the pipeline wiring
-// of want: the same banding and verification depths, the same 1-bit
-// packing and LSHApprox hash count, and a verifier with the same
-// parameters. The verifiers' Ensure hooks and watermarks are left out:
+// of want: the same signature kind, the same banding and verification
+// depths in its unit, the same 1-bit packing and LSHApprox hash count,
+// and a verifier with the same parameters. The verifiers' Ensure hooks and watermarks are left out:
 // each describes its own index's signature store (a built store is
 // filled to the banding depth, a loaded one to what the file holds).
 func requireSameWiring(t *testing.T, got, want *Index) {
 	t.Helper()
 	type wiring struct {
-		BandBits, VerifyBits, BandMin, VerifyMin int
-		PackOneBit                               bool
-		ApproxN                                  int
-		Verifier                                 bool
-		Params                                   core.Params
+		Unit         string
+		Band, Verify int
+		PackOneBit   bool
+		ApproxN      int
+		Verifier     bool
+		Params       core.Params
 	}
 	of := func(ix *Index) wiring {
-		w := wiring{ix.bandBits, ix.verifyBits, ix.bandMin, ix.verifyMin, ix.packOneBit, ix.approxN, ix.vq != nil, core.Params{}}
+		w := wiring{ix.engine().sigs.unit(), ix.band, ix.verify, ix.packOneBit, ix.approxN, ix.vq != nil, core.Params{}}
 		if ix.vq != nil {
 			w.Params = ix.vq.Params()
 			w.Params.Ensure, w.Params.Watermark = nil, 0
@@ -338,7 +339,7 @@ func TestSetRuntimeDoesNotTouchSharedEngine(t *testing.T) {
 	}
 	requireSameMatches(t, [][]Match{got}, [][]Match{want})
 	// The detached view shares the stores — no re-hashing happened.
-	if ix.engine().bitStore != eng.bitStore {
+	if bitStore(ix.engine()) != bitStore(eng) {
 		t.Fatal("SetRuntime cloned the signature store")
 	}
 }
@@ -476,47 +477,191 @@ func TestSnapshotErrors(t *testing.T) {
 			t.Fatalf("truncation at %d bytes succeeded", cut)
 		}
 	}
+
+	// A section the index's signature kind or generator does not read
+	// is refused at load, in v1 and v2 alike, so no query ever reaches
+	// it (TestDiskCorruption covers v3).
+	for _, c := range forgedSnapshots(t) {
+		if _, err := ReadIndex(bytes.NewReader(c.v1)); !errors.Is(err, ErrSnapshotFormat) {
+			t.Errorf("v1 %s: %v, want ErrSnapshotFormat", c.name, err)
+		}
+		li, err := ReadLiveIndex(bytes.NewReader(c.v2), LiveConfig{})
+		if !errors.Is(err, ErrSnapshotFormat) {
+			t.Errorf("v2 %s: ReadLiveIndex %v, want ErrSnapshotFormat", c.name, err)
+		}
+		path := filepath.Join(t.TempDir(), "forged.v2.snap")
+		if err := os.WriteFile(path, c.v2, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if li, err = OpenLiveFile(path, LiveConfig{}); !errors.Is(err, ErrSnapshotFormat) {
+			t.Errorf("v2 %s: OpenLiveFile %v, want ErrSnapshotFormat", c.name, err)
+		}
+		if li != nil {
+			li.Close()
+		}
+	}
 }
 
-// FuzzReadIndex fuzzes the snapshot decoder: any input may fail but
-// must never panic, and a pristine snapshot must load.
-func FuzzReadIndex(f *testing.F) {
+// fuzzDataset is the three-vector corpus the snapshot fuzzers and the
+// forged snapshots are built over.
+func fuzzDataset() *Dataset {
 	ds := NewDataset(16)
 	ds.Add(map[uint32]float64{1: 0.8, 3: 0.6})
 	ds.Add(map[uint32]float64{1: 0.6, 3: 0.8})
 	ds.Add(map[uint32]float64{2: 1})
-	ds.Normalize()
-	ix, err := NewIndex(ds, Cosine, EngineConfig{Seed: 1, SignatureBits: 128},
-		Options{Algorithm: AllPairsBayesLSH, Threshold: 0.6})
+	return ds.Normalize()
+}
+
+// fuzzIndex builds an index over fuzzDataset.
+func fuzzIndex(t testing.TB, m Measure, o Options) *Index {
+	t.Helper()
+	ix, err := NewIndex(fuzzDataset(), m, EngineConfig{Seed: 1, SignatureBits: 128, MinHashes: 64}, o)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
+	return ix
+}
+
+// v1Bytes, v2Bytes and v3File write ix in each snapshot format: v2 as
+// a live index over ix with an empty delta, v3 into a temp file.
+func v1Bytes(t testing.TB, ix *Index) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:len(buf.Bytes())/2])
+	return buf.Bytes()
+}
+
+func v2Bytes(t testing.TB, ix *Index) []byte {
+	t.Helper()
+	li, err := LiveFrom(ix, LiveConfig{MaxDelta: -1, MaxRatio: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer li.Close()
+	var buf bytes.Buffer
+	if _, err := li.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func v3File(t testing.TB, ix *Index) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "index.v3.snap")
+	if err := ix.SaveFileV3(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// forgedSnapshot is one index in all three formats, each file
+// checksum-valid but carrying a section the index does not read.
+type forgedSnapshot struct {
+	name   string
+	v1, v2 []byte
+	v3     string // file path
+}
+
+// forgedSnapshots builds the three such files that once loaded cleanly:
+// a cosine LSH index carrying a minhash band-table section and a
+// BruteForce index carrying a band-table section, both of which then
+// panicked on their first query, and a Jaccard index carrying a
+// bit-store section. The BruteForce file is written with the foreign
+// field set on the built index; the other two, whose foreign section
+// belongs to the other signature kind, get it spliced in from an index
+// of that kind over the same corpus (with its fill depth, in v3).
+func forgedSnapshots(t testing.TB) []forgedSnapshot {
+	t.Helper()
+	cos := fuzzIndex(t, Cosine, Options{Algorithm: LSHBayesLSH, Threshold: 0.6})
+	jac := fuzzIndex(t, Jaccard, Options{Algorithm: LSHBayesLSH, Threshold: 0.5})
+	bf := fuzzIndex(t, Cosine, Options{Algorithm: BruteForce, Threshold: 0.6})
+	bf.tables = cos.tables
+	cosV3, jacV3 := v3File(t, cos), v3File(t, jac)
+	splice := func(into, from []byte, tag uint32) []byte {
+		return withSection(t, into, tag, sectionOf(t, from, tag))
+	}
+	withBitFill := func(meta []byte) []byte {
+		// The v3 meta ends in the bit and the minhash fill depths.
+		cosMeta := diskSectionOf(t, cosV3, sectMeta)
+		copy(meta[len(meta)-8:], cosMeta[len(cosMeta)-8:len(cosMeta)-4])
+		return meta
+	}
+	return []forgedSnapshot{
+		{
+			"cosine LSH with minhash tables",
+			splice(v1Bytes(t, cos), v1Bytes(t, jac), sectMinhashTables),
+			splice(v2Bytes(t, cos), v1Bytes(t, jac), sectMinhashTables),
+			withDiskSection(t, cosV3, sectMinhashTables, diskSectionOf(t, jacV3, sectMinhashTables), nil),
+		},
+		{"BruteForce with band tables", v1Bytes(t, bf), v2Bytes(t, bf), v3File(t, bf)},
+		{
+			"Jaccard with a bit store",
+			splice(v1Bytes(t, jac), v1Bytes(t, cos), sectBitStore),
+			splice(v2Bytes(t, jac), v1Bytes(t, cos), sectBitStore),
+			withDiskSection(t, jacV3, sectBitStore, diskSectionOf(t, cosV3, sectBitStore), withBitFill),
+		},
+	}
+}
+
+// resealStream stamps data with the magic, format version and trailing
+// checksum of a stream snapshot, the way a deliberate forger would.
+func resealStream(data []byte, version uint32) []byte {
+	sealed := append([]byte{}, data...)
+	copy(sealed, snapshotMagic)
+	binary.LittleEndian.PutUint32(sealed[len(snapshotMagic):], version)
+	binary.LittleEndian.PutUint32(sealed[len(sealed)-4:], snapshot.Checksum(sealed[:len(sealed)-4]))
+	return sealed
+}
+
+// serveFuzzed runs the queries every decoded index must answer without
+// panicking: a threshold query and a TopK. Errors are fine.
+func serveFuzzed(t *testing.T, query func(Vec, QueryOptions) ([]Match, error), topK func(Vec, int) ([]Match, error)) {
+	q := fuzzDataset().Vector(0)
+	if _, err := query(q, QueryOptions{}); err != nil {
+		t.Logf("query on decoded index: %v", err)
+	}
+	if _, err := topK(q, 2); err != nil {
+		t.Logf("topk on decoded index: %v", err)
+	}
+}
+
+// fuzzSeedIndexes are the indexes beyond the cosine ones every snapshot
+// fuzzer seeds with: each signature kind and verifier variant, and the
+// generators without band tables.
+func fuzzSeedIndexes(t testing.TB) []*Index {
+	t.Helper()
+	return []*Index{
+		fuzzIndex(t, Jaccard, Options{Algorithm: LSHBayesLSH, Threshold: 0.5}),
+		fuzzIndex(t, Jaccard, Options{Algorithm: LSHBayesLSH, Threshold: 0.5, OneBitMinhash: true}),
+		fuzzIndex(t, BinaryCosine, Options{Algorithm: LSHBayesLSHLite, Threshold: 0.6}),
+		fuzzIndex(t, Cosine, Options{Algorithm: BruteForce, Threshold: 0.6}),
+		fuzzIndex(t, Jaccard, Options{Algorithm: AllPairsBayesLSH, Threshold: 0.5}),
+	}
+}
+
+// FuzzReadIndex fuzzes the snapshot decoder: any input may fail but
+// must never panic, a pristine snapshot must load, and whatever loads
+// must answer queries. It is seeded with every signature kind, and
+// with the forged files that once loaded and then panicked.
+func FuzzReadIndex(f *testing.F) {
+	ix := fuzzIndex(f, Cosine, Options{Algorithm: AllPairsBayesLSH, Threshold: 0.6})
+	good := v1Bytes(f, ix)
+	f.Add(good)
+	f.Add(good[:len(good)/2])
 	f.Add([]byte(snapshotMagic))
 	// A multi-probe LSH index seeds the band-table decoder.
-	lsh, err := NewIndex(ds, Cosine, EngineConfig{Seed: 1, SignatureBits: 128},
-		Options{Algorithm: LSHBayesLSH, Threshold: 0.6, MultiProbe: true})
-	if err != nil {
-		f.Fatal(err)
+	f.Add(v1Bytes(f, fuzzIndex(f, Cosine, Options{Algorithm: LSHBayesLSH, Threshold: 0.6, MultiProbe: true})))
+	for _, ix := range fuzzSeedIndexes(f) {
+		f.Add(v1Bytes(f, ix))
 	}
-	buf.Reset()
-	if _, err := lsh.WriteTo(&buf); err != nil {
-		f.Fatal(err)
+	for _, c := range forgedSnapshots(f) {
+		f.Add(c.v1)
 	}
-	f.Add(buf.Bytes())
 	serve := func(t *testing.T, data []byte) {
-		ix, err := ReadIndex(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Whatever decoded must be servable without panicking.
-		if _, err := ix.Query(ds.Vector(0), QueryOptions{}); err != nil {
-			t.Logf("query on decoded index: %v", err)
+		if ix, err := ReadIndex(bytes.NewReader(data)); err == nil {
+			serveFuzzed(t, ix.Query, ix.TopK)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -526,15 +671,9 @@ func FuzzReadIndex(f *testing.F) {
 		// mutated bytes with a valid prologue and checksum, the way a
 		// deliberate forger would, and require the decoders themselves
 		// to hold the never-panic line.
-		if len(data) < len(snapshotMagic)+8 {
-			return
+		if len(data) >= len(snapshotMagic)+8 {
+			serve(t, resealStream(data, SnapshotVersion))
 		}
-		sealed := append([]byte{}, data...)
-		copy(sealed, snapshotMagic)
-		binary.LittleEndian.PutUint32(sealed[len(snapshotMagic):], SnapshotVersion)
-		binary.LittleEndian.PutUint32(sealed[len(sealed)-4:],
-			snapshot.Checksum(sealed[:len(sealed)-4]))
-		serve(t, sealed)
 	})
 }
 
@@ -600,14 +739,23 @@ func goldenDataset() *Dataset {
 // withSection returns a copy of a version-1 or version-2 snapshot
 // whose section tag carries payload instead, re-sealed with a valid
 // checksum the way a deliberate forger would.
-func withSection(t *testing.T, snap []byte, tag uint32, payload []byte) []byte {
+func withSection(t testing.TB, snap []byte, tag uint32, payload []byte) []byte {
 	t.Helper()
 	return editSection(t, snap, tag, func([]byte) []byte { return payload })
 }
 
+// sectionOf returns a copy of the payload of section tag of a
+// version-1 or version-2 snapshot.
+func sectionOf(t testing.TB, snap []byte, tag uint32) []byte {
+	t.Helper()
+	var payload []byte
+	editSection(t, snap, tag, func(old []byte) []byte { payload = old; return old })
+	return payload
+}
+
 // editSection is withSection with the new payload computed by edit
 // from a copy of the old one.
-func editSection(t *testing.T, snap []byte, tag uint32, edit func(old []byte) []byte) []byte {
+func editSection(t testing.TB, snap []byte, tag uint32, edit func(old []byte) []byte) []byte {
 	t.Helper()
 	body := snap[len(snapshotMagic)+4 : len(snap)-4]
 	out := append([]byte{}, snap[:len(snapshotMagic)+4]...)

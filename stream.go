@@ -3,7 +3,6 @@ package bayeslsh
 import (
 	"context"
 	"errors"
-	"fmt"
 	"iter"
 	"time"
 
@@ -87,44 +86,36 @@ var errStreamBreak = errors.New("bayeslsh: stream consumer stopped")
 // stream runs one search pipeline for resolved options — the one
 // execution path behind SearchContext and Stream. emit receives the
 // verified results batch by batch on the calling goroutine, each with
-// its slot: the batch's index within the pipeline's one emitting stage
-// (the shard.StreamCtx contract), so batches concatenated in slot
-// order are the pipeline's canonical result order. stream fills out's
-// stage times and counters (everything but Results, HashTime and
-// Total). Errors are raw ctx errors, emit's own, or the pipeline's.
+// its slot (the shard.StreamCtx contract), so batches concatenated in
+// slot order are the pipeline's canonical result order. stream fills
+// out's stage times and counters, all but Results, HashTime and Total.
 func (e *Engine) stream(ctx context.Context, o Options, out *Output, emit func(slot int, rs []pair.Result) error) error {
-	in, m := e.workInput(), toExactMeasure(e.measure)
+	p, err := o.Algorithm.pipeline()
+	if err != nil {
+		return err
+	}
+	if p.gen == genLSH || p.ver != verExact {
+		return e.streamTwoPhase(ctx, o, p, out, emit)
+	}
+	in, m := e.ds.c, toExactMeasure(e.measure)
 	start := time.Now()
-	var err error
-	switch o.Algorithm {
-	case BruteForce:
+	switch p.gen {
+	case genBruteForce:
 		err = exact.SearchStream(ctx, in, m, o.Threshold, e.workers(), emit)
 		out.ExactVerified = e.ds.Len() * (e.ds.Len() - 1) / 2
-
-	case AllPairs:
+	case genAllPairs:
 		err = allpairs.SearchMeasureStream(ctx, in, m, o.Threshold, e.workers(), e.cfg.BatchSize, emit)
-
-	case PPJoin:
-		if e.measure == Cosine {
-			return fmt.Errorf("bayeslsh: PPJoin supports binary measures only")
-		}
+	case genPPJoin:
+		// Binary measures only: ppjoin refuses weighted cosine.
 		err = ppjoin.SearchStream(ctx, in, m, o.Threshold, emit)
-
-	case LSH, LSHApprox, AllPairsBayesLSH, AllPairsBayesLSHLite, LSHBayesLSH, LSHBayesLSHLite:
-		return e.streamTwoPhase(ctx, o, out, emit)
-
-	default:
-		return fmt.Errorf("bayeslsh: unknown algorithm %v", o.Algorithm)
 	}
 	out.VerifyTime = time.Since(start)
 	return err
 }
 
 // rowsFunc verifies one batch of candidate rows, returning the
-// accepted pairs in row order and the batch's counters; stop is polled
-// as the verifier's round loop runs (between rounds and every 1,024
-// partners within one), and a stopped batch returns
-// (nil, core.Stats{}).
+// accepted pairs in row order and the batch's counters; a batch
+// stopped through stop returns (nil, core.Stats{}).
 type rowsFunc func(rows pair.Rows, stop *shard.Stopper) ([]pair.Result, core.Stats)
 
 // verifiedBatch is one verified batch on its way to emit.
@@ -134,33 +125,27 @@ type verifiedBatch struct {
 }
 
 // streamTwoPhase runs the candidate-generation + verification
-// pipelines, both phases sharded over the engine's worker pool when
-// EngineConfig.Parallelism exceeds one. Verification is one call per
-// batch of candidate rows (rowVerifier), fed one of two ways:
+// pipelines, both phases sharded over the engine's workers.
+// Verification is one call per batch of candidate rows (rowVerifier),
+// fed one of two ways:
 //
 //   - fused: a banded-LSH pipeline whose verifier needs no fitted prior
 //     verifies each row batch inside the row phase, on the worker that
 //     enumerated it, and no candidate slice is ever built;
-//   - materialized: the AllPairs pipelines, and Jaccard BayesLSH over
-//     full minhashes (its prior is fitted from the whole candidate
-//     set), collect their candidates in canonical (A, B) order first
-//     (Engine.candidates) and verify them in batches of BatchSize
-//     pairs, each cut into rows.
+//   - materialized: the other pipelines collect their candidates first
+//     (Engine.candidates) and verify them in batches of BatchSize pairs.
 //
-// Either way the batch slots follow canonical (A, B) order, so
-// everything downstream of generation (prior sampling, verification
-// order, output order) is deterministic for a fixed Seed regardless of
-// worker count, and both ways give the same results and counters.
-func (e *Engine) streamTwoPhase(ctx context.Context, o Options, out *Output, emit func(slot int, rs []pair.Result) error) error {
+// Either way the batch slots follow canonical (A, B) order, so the
+// output is deterministic for a fixed Seed at any worker count.
+func (e *Engine) streamTwoPhase(ctx context.Context, o Options, p pipeline, out *Output, emit func(slot int, rs []pair.Result) error) error {
 	start := time.Now()
 	workers := e.workers()
 	var run func(verify rowsFunc, sink func(int, verifiedBatch) error) error
 	prior := stats.Beta{Alpha: 1, Beta: 1} // fitted below where the verifier takes one
-	allPairs := o.Algorithm == AllPairsBayesLSH || o.Algorithm == AllPairsBayesLSHLite
-	if !allPairs {
+	if p.gen == genLSH {
 		_, _, out.FalseNegativeBound = e.lshShape(o)
 	}
-	if !allPairs && !needsPrior(e.measure, o) {
+	if p.gen == genLSH && !e.needsPrior(o) {
 		b, err := e.lshBanding(ctx, o, true)
 		if err != nil {
 			return err
@@ -191,7 +176,7 @@ func (e *Engine) streamTwoPhase(ctx context.Context, o Options, out *Output, emi
 
 	verifyStart := time.Now()
 	defer func() { out.VerifyTime = time.Since(verifyStart) }()
-	verify, err := e.rowVerifier(ctx, o, prior)
+	verify, err := e.rowVerifier(ctx, o, p, prior)
 	if err != nil {
 		return err
 	}
@@ -208,16 +193,13 @@ func (e *Engine) streamTwoPhase(ctx context.Context, o Options, out *Output, emi
 	return err
 }
 
-// rowVerifier returns the verification stage of o's two-phase pipeline
-// as one call per batch of candidate rows: exact similarity (LSH), the
-// fixed-hash estimate (LSHApprox), or BayesLSH / BayesLSH-Lite under
-// prior (ignored by verifiers that take none).
-func (e *Engine) rowVerifier(ctx context.Context, o Options, prior stats.Beta) (rowsFunc, error) {
-	switch o.Algorithm {
-	case LSH:
+// rowVerifier returns p's verifier as one call per batch of candidate
+// rows; prior is ignored by verifiers that take none.
+func (e *Engine) rowVerifier(ctx context.Context, o Options, p pipeline, prior stats.Beta) (rowsFunc, error) {
+	switch p.ver {
+	case verExact:
 		return scoreRows(o.Threshold, e.exactSim, core.Stats{ExactVerified: 1}), nil
-
-	case LSHApprox:
+	case verApprox:
 		est, used, err := e.approxEstimator(ctx, o)
 		if err != nil {
 			return nil, err
@@ -225,30 +207,28 @@ func (e *Engine) rowVerifier(ctx context.Context, o Options, prior stats.Beta) (
 		return scoreRows(o.Threshold, est, core.Stats{HashesCompared: int64(used)}), nil
 	}
 
-	v, err := e.bayesVerifierWithPrior(ctx, o, prior)
+	v, err := e.bayesVerifier(ctx, o, prior)
 	if err != nil {
 		return nil, err
 	}
-	switch o.Algorithm {
-	case AllPairsBayesLSH:
+	switch {
+	case p.ver == verLite:
+		return func(rows pair.Rows, stop *shard.Stopper) ([]pair.Result, core.Stats) {
+			return v.VerifyRowsLite(rows, o.LiteHashes, e.exactSim, stop)
+		}, nil
+	case p.checksAccepted():
 		return func(rows pair.Rows, stop *shard.Stopper) ([]pair.Result, core.Stats) {
 			rs, st := v.VerifyRows(rows, stop)
 			st.ExactVerified += len(rs)
 			return dropSubThreshold(rs, o.Threshold, func(r pair.Result) float64 { return e.exactSim(r.A, r.B) }), st
 		}, nil
-	case LSHBayesLSH:
-		return v.VerifyRows, nil
-	default: // AllPairsBayesLSHLite, LSHBayesLSHLite
-		return func(rows pair.Rows, stop *shard.Stopper) ([]pair.Result, core.Stats) {
-			return v.VerifyRowsLite(rows, o.LiteHashes, e.exactSim, stop)
-		}, nil
 	}
+	return v.VerifyRows, nil
 }
 
-// scoreRows is the verification of the estimate-free pipelines: every
-// candidate pair is scored by sim — its exact similarity (LSH) or its
-// fixed-hash estimate (LSHApprox) — and kept at or above t. perPair is
-// one pair's share of the cost counters.
+// scoreRows scores every candidate pair by sim — exact or the §3
+// estimate — and keeps it at or above t. perPair is one pair's share
+// of the cost counters.
 func scoreRows(t float64, sim func(a, b int32) float64, perPair core.Stats) rowsFunc {
 	return func(rows pair.Rows, stop *shard.Stopper) ([]pair.Result, core.Stats) {
 		var rs []pair.Result
