@@ -2,7 +2,10 @@ package bayeslsh
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -356,26 +359,49 @@ func TestOneBitMinhashOption(t *testing.T) {
 	}
 }
 
+// TestExactProjectionsOption: exact (float64) projections are no longer
+// an option, and the meta byte that recorded them is reserved. Every
+// writer clears it, and InspectFile ("apss info") refuses a file that
+// sets it in every format, as the loaders do (TestSnapshotErrors,
+// TestDiskCorruption): such a file's rows cannot be regenerated.
 func TestExactProjectionsOption(t *testing.T) {
 	ds := smallDataset(t, 200).TfIdf().Normalize()
-	q, err := NewEngine(ds, Cosine, EngineConfig{Seed: 13, SignatureBits: 512})
+	ix, err := NewIndex(ds, Cosine, EngineConfig{Seed: 13, SignatureBits: 512},
+		Options{Algorithm: LSHBayesLSH, Threshold: 0.7, MaxHashes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(ds, Cosine, EngineConfig{Seed: 13, SignatureBits: 512, ExactProjections: true})
-	if err != nil {
-		t.Fatal(err)
+	metas := map[string][]byte{
+		"v1": sectionOf(t, v1Bytes(t, ix), sectMeta),
+		"v2": sectionOf(t, v2Bytes(t, ix), sectMeta),
+		"v3": diskSectionOf(t, v3File(t, ix), sectMeta),
 	}
-	oq, err := q.Search(Options{Algorithm: LSHBayesLSH, Threshold: 0.7, MaxHashes: 512})
-	if err != nil {
-		t.Fatal(err)
+	for v, meta := range metas {
+		if meta[metaExactFlag] != 0 {
+			t.Errorf("%s writer sets meta byte %d to %d, want 0", v, metaExactFlag, meta[metaExactFlag])
+		}
 	}
-	oe, err := e.Search(Options{Algorithm: LSHBayesLSH, Threshold: 0.7, MaxHashes: 512})
-	if err != nil {
-		t.Fatal(err)
+
+	found := false
+	for _, c := range forgedSnapshots(t) {
+		if c.name != forgedExactFlag {
+			continue
+		}
+		found = true
+		dir := t.TempDir()
+		files := map[string]string{"v1": filepath.Join(dir, "v1.snap"), "v2": filepath.Join(dir, "v2.snap"), "v3": c.v3}
+		for v, data := range map[string][]byte{"v1": c.v1, "v2": c.v2} {
+			if err := os.WriteFile(files[v], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for v, path := range files {
+			if _, err := InspectFile(path); !errors.Is(err, ErrSnapshotFormat) {
+				t.Errorf("%s %s: InspectFile %v, want ErrSnapshotFormat", v, c.name, err)
+			}
+		}
 	}
-	// The 2-byte quantization must not change results materially.
-	if rec := recallOf(oq.Results, oe.Results); rec < 0.95 {
-		t.Errorf("quantized vs exact projections recall %v", rec)
+	if !found {
+		t.Fatalf("forgedSnapshots has no %q case", forgedExactFlag)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -109,9 +110,9 @@ func TestDiskSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestDiskSnapshotVariants covers the option-dependent disk paths the
-// main matrix skips: multi-probe banding, 1-bit minhash verification
-// (whose packed words are rebuilt from the mapped rows at open), and
-// exact projections.
+// main matrix skips: multi-probe banding and 1-bit minhash
+// verification (whose packed words are rebuilt from the mapped rows at
+// open).
 func TestDiskSnapshotVariants(t *testing.T) {
 	cases := []struct {
 		name string
@@ -126,9 +127,6 @@ func TestDiskSnapshotVariants(t *testing.T) {
 		{"onebit", Jaccard, EngineConfig{Seed: 8},
 			func(d *Dataset) *Dataset { return d.Binarize() },
 			Options{Algorithm: LSHBayesLSH, Threshold: 0.4, OneBitMinhash: true}},
-		{"exactproj", Cosine, EngineConfig{Seed: 9, SignatureBits: 1024, ExactProjections: true},
-			func(d *Dataset) *Dataset { return d.TfIdf().Normalize() },
-			Options{Algorithm: LSHBayesLSH, Threshold: 0.7}},
 	}
 	for _, c := range cases {
 		c := c
@@ -549,8 +547,9 @@ func TestDiskCorruption(t *testing.T) {
 	li.Close()
 	opened.Close()
 
-	// A section the index's signature kind or generator does not read
-	// is refused at open, as a format error, so no query ever reaches it.
+	// A section the index's signature kind or generator does not read,
+	// or a set exact-projection flag, is refused at open, as a format
+	// error, so no query ever reaches it.
 	for _, c := range forgedSnapshots(t) {
 		if ix, err := LoadFile(c.v3); !errors.Is(err, ErrSnapshotFormat) {
 			t.Errorf("v3 %s: LoadFile %v, want ErrSnapshotFormat", c.name, err)
@@ -891,4 +890,104 @@ func FuzzOpenIndexFile(f *testing.F) {
 			serve(t, resealV3(data))
 		}
 	})
+}
+
+// FuzzInspectFile fuzzes InspectFile, the reader behind "apss info":
+// any bytes may fail but must never panic, and whatever LoadFile or
+// OpenLiveFile accepts, InspectFile must accept too and report alike —
+// the same measure, algorithm and vector count (a live file's count of
+// live vectors). The one exception is by design: a v3 open verifies
+// bulk sections on first touch, so it accepts a damaged section that
+// InspectFile, which verifies every checksum, refuses; the first touch
+// must then report the same ErrSnapshotChecksum. It is seeded with the
+// committed v1, v2 and v3 goldens and every committed input of the
+// snapshot fuzzers; mutations are also resealed, as a stream or a v3
+// file by the version they carry, so the agreement is checked past the
+// checksum gates.
+func FuzzInspectFile(f *testing.F) {
+	seeds, err := filepath.Glob("testdata/fuzz/*/*")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range append([]string{"testdata/v1.snap", "testdata/v2.snap", "testdata/v3.snap"}, seeds...) {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if filepath.Ext(p) != ".snap" {
+			b = corpusBytes(f, p, b)
+		}
+		f.Add(b)
+	}
+	check := func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.snap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		info, ierr := InspectFile(path)
+		agree := func(loader string, ix *Index, m Measure, alg Algorithm, n int) {
+			if ierr != nil {
+				if !errors.Is(ierr, ErrSnapshotChecksum) || !firstTouchDamaged(ix) {
+					t.Fatalf("%s accepts the file, InspectFile refuses it: %v", loader, ierr)
+				}
+				return
+			}
+			want := info.Vectors
+			if info.Live != nil {
+				want = info.Live.Vectors
+			}
+			if info.Measure != m || info.Algorithm != alg || want != n {
+				t.Fatalf("%s reads %v %v over %d vectors, InspectFile %v %v over %d",
+					loader, m, alg, n, info.Measure, info.Algorithm, want)
+			}
+		}
+		if ix, err := LoadFile(path); err == nil {
+			agree("LoadFile", ix, ix.Measure(), ix.Options().Algorithm, ix.Len())
+			ix.Close()
+		}
+		if li, err := OpenLiveFile(path, LiveConfig{MaxDelta: -1, MaxRatio: -1}); err == nil {
+			agree("OpenLiveFile", li.gen.Load().base, li.Measure(), li.Options().Algorithm, li.Len())
+			li.Close()
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check(t, data)
+		if len(data) < len(snapshotMagic)+8 {
+			return
+		}
+		switch v := binary.LittleEndian.Uint32(data[len(snapshotMagic):]); {
+		case v == SnapshotVersion || v == LiveSnapshotVersion:
+			check(t, resealStream(data, v))
+		case len(data) >= 4096:
+			check(t, resealV3(data))
+		}
+	})
+}
+
+// firstTouchDamaged reports whether the first touch of some section of
+// a disk-backed index fails its checksum.
+func firstTouchDamaged(ix *Index) bool {
+	if ix.disk == nil {
+		return false
+	}
+	for _, s := range ix.disk.all {
+		if errors.Is(s.touch(), ErrSnapshotChecksum) {
+			return true
+		}
+	}
+	return false
+}
+
+// corpusBytes decodes the one []byte value of a committed fuzz input
+// (the "go test fuzz v1" file format) read from path.
+func corpusBytes(t testing.TB, path string, raw []byte) []byte {
+	t.Helper()
+	header, value, _ := strings.Cut(string(raw), "\n")
+	lit, ok := strings.CutPrefix(strings.TrimSpace(value), "[]byte(")
+	lit, ok2 := strings.CutSuffix(lit, ")")
+	s, err := strconv.Unquote(lit)
+	if header != "go test fuzz v1" || !ok || !ok2 || err != nil {
+		t.Fatalf("%s: not a one-[]byte fuzz input (%v)", path, err)
+	}
+	return []byte(s)
 }

@@ -3,6 +3,7 @@ package bayeslsh
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -28,10 +29,10 @@ type EngineConfig struct {
 	SignatureBits int
 	// MinHashes is the length of Jaccard minhash signatures
 	// (default 512; the paper's LSH Approx uses the first 360).
+	// NewEngine refuses either budget outside [1, 2²⁴] after defaults,
+	// under every measure: every engine it builds writes a snapshot
+	// its loaders accept.
 	MinHashes int
-	// ExactProjections disables the paper's 2-byte quantized storage
-	// of Gaussian projections (§4.3) in favour of float64 storage.
-	ExactProjections bool
 	// Parallelism is the worker count of the sharded search pipeline:
 	// signature hashing, candidate generation (LSH banding and the
 	// AllPairs probe phase) and verification are divided over this
@@ -79,6 +80,18 @@ func (c EngineConfig) withDefaults() EngineConfig {
 		c.BatchSize = 1
 	}
 	return c
+}
+
+// checkBudgets refuses a signature budget outside [1,
+// maxSnapshotHashes]. NewEngine and readMeta share it, so an engine
+// exists for exactly the budgets a snapshot may carry.
+func (c EngineConfig) checkBudgets() error {
+	if c.SignatureBits < 1 || c.SignatureBits > maxSnapshotHashes ||
+		c.MinHashes < 1 || c.MinHashes > maxSnapshotHashes {
+		return fmt.Errorf("signature budgets %d/%d out of range [1, %d]",
+			c.SignatureBits, c.MinHashes, maxSnapshotHashes)
+	}
+	return nil
 }
 
 // Engine runs search pipelines over one dataset and one measure,
@@ -157,12 +170,16 @@ var ErrEmptyDataset = errors.New("bayeslsh: empty dataset")
 // NewEngine creates an engine for the dataset under the measure. For
 // Cosine the dataset should already be normalized (Dataset.Normalize);
 // for Jaccard and BinaryCosine weights are ignored or binarized
-// internally. A nil or empty dataset returns ErrEmptyDataset.
+// internally. A nil or empty dataset returns ErrEmptyDataset, and a
+// signature budget outside [1, 2²⁴] an error.
 func NewEngine(ds *Dataset, m Measure, cfg EngineConfig) (*Engine, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, ErrEmptyDataset
 	}
 	e := &Engine{ds: ds, work: ds.c, measure: m, cfg: cfg.withDefaults(), bands: &bandCache{kept: map[bandKey]*lshindex.Banding{}}}
+	if err := e.cfg.checkBudgets(); err != nil {
+		return nil, fmt.Errorf("bayeslsh: %w", err)
+	}
 	var err error
 	if e.sigs, e.binary, err = newSigKind(m, e); err != nil {
 		return nil, err

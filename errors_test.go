@@ -1,6 +1,7 @@
 package bayeslsh
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -27,6 +28,57 @@ func TestDegenerateDatasets(t *testing.T) {
 				t.Fatalf("NewIndex: %v, want ErrEmptyDataset", err)
 			}
 		})
+	}
+}
+
+// TestSignatureBudgets covers NewEngine's budget check: a signature
+// budget outside [1, maxSnapshotHashes] after defaults, under any
+// measure and whether or not the measure hashes with it, fails
+// construction of an engine, an index and a live index with an error,
+// where it used to panic on first use (a negative budget) or build an
+// index whose snapshot no loader reads. Budgets at the bounds' inner
+// edge build an index whose snapshot loads.
+func TestSignatureBudgets(t *testing.T) {
+	ds := smallDataset(t, 40).TfIdf().Normalize()
+	opts := Options{Algorithm: LSHBayesLSH, Threshold: 0.7}
+	for _, c := range []struct {
+		name string
+		m    Measure
+		cfg  EngineConfig
+	}{
+		{"cosine negative bits", Cosine, EngineConfig{Seed: 1, SignatureBits: -64}},
+		{"cosine negative minhashes", Cosine, EngineConfig{Seed: 1, MinHashes: -3}},
+		{"jaccard negative minhashes", Jaccard, EngineConfig{Seed: 1, MinHashes: -3}},
+		{"jaccard negative bits", Jaccard, EngineConfig{Seed: 1, SignatureBits: -64}},
+		{"cosine bits above cap", Cosine, EngineConfig{Seed: 1, SignatureBits: maxSnapshotHashes + 1}},
+		{"jaccard minhashes above cap", Jaccard, EngineConfig{Seed: 1, MinHashes: maxSnapshotHashes + 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := NewEngine(ds, c.m, c.cfg); err == nil {
+				t.Fatalf("NewEngine accepted %+v", c.cfg)
+			}
+			if _, err := NewIndex(ds, c.m, c.cfg, opts); err == nil {
+				t.Fatalf("NewIndex accepted %+v", c.cfg)
+			}
+			if li, err := NewLiveIndex(ds, c.m, c.cfg, opts, LiveConfig{}); err == nil {
+				li.Close()
+				t.Fatalf("NewLiveIndex accepted %+v", c.cfg)
+			}
+		})
+	}
+	for _, m := range []Measure{Cosine, Jaccard} {
+		ix, err := NewIndex(ds, m, EngineConfig{Seed: 1, SignatureBits: 1, MinHashes: 1},
+			Options{Algorithm: BruteForce, Threshold: 0.7})
+		if err != nil {
+			t.Fatalf("%v at budgets 1/1: %v", m, err)
+		}
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadIndex(&buf); err != nil {
+			t.Fatalf("%v at budgets 1/1: snapshot refused: %v", m, err)
+		}
 	}
 }
 

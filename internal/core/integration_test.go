@@ -14,6 +14,18 @@ import (
 	"bayeslsh/internal/vector"
 )
 
+// bitSigs hashes every vector of c to nbits hyperplane bits through a
+// block family of 128-bit blocks seeded with seed: the signatures an
+// engine's store holds.
+func bitSigs(c *vector.Collection, nbits int, seed uint64) [][]uint64 {
+	fam := sighash.NewBlockFamily(c.Dim, nbits, 128, seed)
+	sigs := make([][]uint64, len(c.Vecs))
+	for i, v := range c.Vecs {
+		sigs[i] = fam.SignatureN(v, nbits)
+	}
+	return sigs
+}
+
 // jaccardSetup builds candidates and a verifier for a binary corpus.
 func jaccardSetup(t *testing.T, n int, seed uint64, th float64) (*vector.Collection, []pair.Pair, *JaccardVerifier) {
 	t.Helper()
@@ -157,9 +169,7 @@ func cosineSetup(t *testing.T, n int, seed uint64, th float64) (*vector.Collecti
 	if err != nil {
 		t.Fatal(err)
 	}
-	fam := sighash.NewFamily(c.Dim, 2048, seed+1000)
-	sigs := fam.SignatureAll(c)
-	v, err := NewCosine(sigs, 2048, Params{
+	v, err := NewCosine(bitSigs(c, 2048, seed+1000), 2048, Params{
 		Threshold: th, Epsilon: 0.03, Delta: 0.05, Gamma: 0.05,
 	})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"bayeslsh/internal/minhash"
 	"bayeslsh/internal/pair"
-	"bayeslsh/internal/sighash"
 	"bayeslsh/internal/stats"
 	"bayeslsh/internal/testutil"
 )
@@ -15,7 +14,7 @@ func queryTestSigs(t *testing.T) ([][]uint32, [][]uint64) {
 	t.Helper()
 	c := testutil.SmallBinaryCorpus(t, 80, 3)
 	min := minhash.NewFamily(256, 7).SignatureAll(c)
-	bits := sighash.NewFamily(c.Dim, 256, 9).SignatureAll(c.Normalize())
+	bits := bitSigs(c.Normalize(), 256, 9)
 	return min, bits
 }
 

@@ -224,7 +224,7 @@ func oracleCases(c *vector.Collection, depth []int) []oracleCase {
 				store := sighash.NewStore(normalized, sighash.NewBlockFamily(c.Dim, maxHashes, 64, 9))
 				sigs, ensure, filled = store.Sigs(), store.Ensure, store.FilledBits
 			} else {
-				sigs = sighash.NewFamily(c.Dim, maxHashes, 9).SignatureAll(normalized)
+				sigs = bitSigs(normalized, maxHashes, 9)
 			}
 			v, err := NewCosine(sigs, maxHashes, params(0.6, ensure))
 			if err != nil {
@@ -384,7 +384,7 @@ func TestRoundLoopMatchesPairMajorOracle(t *testing.T) {
 func TestRoundLoopCancelBetweenRounds(t *testing.T) {
 	c, cands := plantedCorpus(12, 23)
 	exactSim := func(a, b int32) float64 { return vector.Jaccard(c.Vecs[a], c.Vecs[b]) }
-	sigs := sighash.NewFamily(c.Dim, 512, 9).SignatureAll(c.Normalize())
+	sigs := bitSigs(c.Normalize(), 512, 9)
 	var trip func(n int)
 	v, err := NewCosine(sigs, 512, Params{
 		Threshold: 0.6, Epsilon: 0.03, Delta: 0.05, Gamma: 0.03,

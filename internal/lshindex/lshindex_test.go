@@ -9,7 +9,20 @@ import (
 	"bayeslsh/internal/minhash"
 	"bayeslsh/internal/sighash"
 	"bayeslsh/internal/testutil"
+	"bayeslsh/internal/vector"
 )
+
+// bitSigs hashes every vector of c to nbits hyperplane bits through a
+// block family of 128-bit blocks seeded with seed: the signatures an
+// engine's store holds.
+func bitSigs(c *vector.Collection, nbits int, seed uint64) [][]uint64 {
+	fam := sighash.NewBlockFamily(c.Dim, nbits, 128, seed)
+	sigs := make([][]uint64, len(c.Vecs))
+	for i, v := range c.Vecs {
+		sigs[i] = fam.SignatureN(v, nbits)
+	}
+	return sigs
+}
 
 func TestNumTablesFormula(t *testing.T) {
 	// l = ceil(log eps / log(1 - p^k))
@@ -93,8 +106,7 @@ func TestCandidatesBitsRecall(t *testing.T) {
 	k := 8
 	p := sighash.CosineToR(th)
 	l := NumTables(p, k, 0.03)
-	fam := sighash.NewFamily(c.Dim, k*l, 77)
-	sigs := fam.SignatureAll(c)
+	sigs := bitSigs(c, k*l, 77)
 	cands, err := CandidatesBitsCtx(context.Background(), sigs, k, l, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +182,7 @@ func TestCandidatesErrorsOnShortSignatures(t *testing.T) {
 
 func TestCandidatesBitsNoDuplicatesNoSelf(t *testing.T) {
 	c := testutil.SmallTextCorpus(t, 150, 23)
-	fam := sighash.NewFamily(c.Dim, 64, 5)
-	sigs := fam.SignatureAll(c)
+	sigs := bitSigs(c, 64, 5)
 	cands, err := CandidatesBitsCtx(context.Background(), sigs, 8, 8, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -50,8 +50,7 @@ func TestMultiProbeSupersetOfPlainBands(t *testing.T) {
 	// With identical k and l, multi-probe candidates must be a
 	// superset of plain banding candidates.
 	c := testutil.SmallTextCorpus(t, 200, 41)
-	fam := sighash.NewFamily(c.Dim, 128, 3)
-	sigs := fam.SignatureAll(c)
+	sigs := bitSigs(c, 128, 3)
 	plain, err := CandidatesBitsCtx(context.Background(), sigs, 8, 16, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -82,8 +81,7 @@ func TestMultiProbeRecallWithFewerTables(t *testing.T) {
 	if plain := NumTables(p, k, 0.03); l >= plain {
 		t.Fatalf("multiprobe tables %d not smaller than plain %d", l, plain)
 	}
-	fam := sighash.NewFamily(c.Dim, k*l, 43)
-	sigs := fam.SignatureAll(c)
+	sigs := bitSigs(c, k*l, 43)
 	cands, err := CandidatesBitsMultiProbeCtx(context.Background(), sigs, k, l, 1)
 	if err != nil {
 		t.Fatal(err)

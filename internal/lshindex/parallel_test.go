@@ -11,7 +11,6 @@ import (
 
 	"bayeslsh/internal/minhash"
 	"bayeslsh/internal/pair"
-	"bayeslsh/internal/sighash"
 	"bayeslsh/internal/testutil"
 )
 
@@ -54,7 +53,7 @@ func requireBandingInvariant(t *testing.T, want []pair.Pair, gen func(ctx contex
 
 func TestCandidatesBitsParallelMatchesSequential(t *testing.T) {
 	c := testutil.SmallTextCorpus(t, 300, 21)
-	sigs := sighash.NewFamily(c.Dim, 256, 77).SignatureAll(c)
+	sigs := bitSigs(c, 256, 77)
 	const k, l = 8, 16
 	want := bandCollisions(len(sigs), l, func(i, j, band int) bool {
 		return bitsBand(sigs[i], band*k, k) == bitsBand(sigs[j], band*k, k)
@@ -66,7 +65,7 @@ func TestCandidatesBitsParallelMatchesSequential(t *testing.T) {
 
 func TestCandidatesBitsMultiProbeParallelMatchesSequential(t *testing.T) {
 	c := testutil.SmallTextCorpus(t, 300, 22)
-	sigs := sighash.NewFamily(c.Dim, 256, 78).SignatureAll(c)
+	sigs := bitSigs(c, 256, 78)
 	const k, l = 8, 8
 	want := bandCollisions(len(sigs), l, func(i, j, band int) bool {
 		return bits.OnesCount64(bitsBand(sigs[i], band*k, k)^bitsBand(sigs[j], band*k, k)) <= 1
@@ -94,7 +93,7 @@ func TestCandidatesMinhashParallelMatchesSequential(t *testing.T) {
 // the l-band oracle's candidates, with and without multi-probe.
 func TestBandingPrefix(t *testing.T) {
 	c := testutil.SmallTextCorpus(t, 300, 24)
-	sigs := sighash.NewFamily(c.Dim, 256, 80).SignatureAll(c)
+	sigs := bitSigs(c, 256, 80)
 	const k, wide = 8, 16
 	for _, multiProbe := range []bool{false, true} {
 		b, err := BandBitsCtx(context.Background(), sigs, k, wide, multiProbe, 2)

@@ -15,8 +15,10 @@
 // XOR + popcount (MatchCount). The package also implements the paper's
 // §4.3 storage optimization: Gaussian projection entries are quantized
 // to two bytes each, x' = ⌊(x+8)·2¹⁶/16⌋, exploiting that standard
-// normal samples essentially never leave (−8, 8); the Exact option
-// switches back to float64 projections for ablations.
+// normal samples essentially never leave (−8, 8). It is the only
+// layout; the exact float64 draws of the same streams survive as a
+// test oracle, whose signatures differ from the quantized ones in at
+// most a few bits of 512.
 //
 // The quantized rows stay two bytes per coefficient in memory, not
 // just on the wire: float32 rows dequantized up front would be exact
@@ -44,15 +46,14 @@
 //
 // # Lazy, deterministic hashing
 //
-// Two family types serve the two access patterns. Family materializes
-// all projections up front. BlockFamily groups hash functions in
-// blocks (rounded to 64-bit words) and materializes projections by
-// row, not by block: the row of feature f in block b — f's coefficient
-// for each hash function of b — is generated when the first vector
-// containing f is hashed through b. A feature no vector uses, or a
-// deep block only a few vectors reach, costs nothing: the paper's
-// "each point is only hashed as many times as is necessary", applied
-// to the hash functions as well as the points. Store caches per-vector
+// BlockFamily groups hash functions in blocks (rounded to 64-bit
+// words) and materializes projections by row, not by block: the row
+// of feature f in block b — f's coefficient for each hash function of
+// b — is generated when the first vector containing f is hashed
+// through b. A feature no vector uses, or a deep block only a few
+// vectors reach, costs nothing: the paper's "each point is only
+// hashed as many times as is necessary", applied to the hash
+// functions as well as the points. Store caches per-vector
 // signatures over a BlockFamily, extending them block-by-block as
 // verification demands deeper prefixes. Every row derives from an
 // independent stream keyed by (seed, feature, block), so signatures

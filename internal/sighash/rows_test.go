@@ -13,8 +13,10 @@ import (
 // oracleSums returns v's projections onto the bb hyperplanes of block
 // b without a family: every coefficient is regenerated straight from
 // its (seed, feature, block) stream at the moment it is multiplied, and
-// the features are added one at a time — the definition the row-lazy,
-// register-blocked kernel must reproduce bit for bit.
+// the features are added one at a time — with quantized coefficients,
+// the definition the row-lazy, register-blocked kernel must reproduce
+// bit for bit; with the exact Gaussian draws, the hyperplanes the
+// quantized ones approximate (§4.3).
 func oracleSums(seed uint64, v vector.Vector, b, bb int, quantized bool) []float64 {
 	acc := make([]float64, bb)
 	for i, feat := range v.Ind {
@@ -91,13 +93,18 @@ func signInOrder(fam *BlockFamily, c *vector.Collection, items []signItem, worke
 // TestRowLazyMatchesStreamOracle is the lazy ≡ dense gate: whatever
 // order rows are first touched in — ascending, descending, shuffled,
 // or the deepest block before block 0 — and however many workers
-// touch them, in both coefficient layouts, every signature equals the
-// one computed directly from the streams.
+// touch them, every signature equals the one computed directly from
+// the quantized streams (quantized=true). Against the exact Gaussian
+// draws of the same streams (quantized=false) every signature agrees
+// on all but at most 8 of its bits: quantization moves each
+// coefficient by less than 2⁻¹², which can flip only a bit whose
+// projection is nearly zero.
 func TestRowLazyMatchesStreamOracle(t *testing.T) {
 	const (
 		dim    = 600
 		bb     = 128
 		blocks = 4
+		nbits  = blocks * bb
 		seed   = 77
 	)
 	c := storeCorpus(240, dim, 31)
@@ -130,9 +137,9 @@ func TestRowLazyMatchesStreamOracle(t *testing.T) {
 	}{{"ascending", asc}, {"descending", desc}, {"shuffled", shuffled}, {"deep-block-first", deepFirst}}
 
 	for _, quantized := range []bool{true, false} {
-		var opts []Option
+		slack := 0
 		if !quantized {
-			opts = append(opts, Exact())
+			slack = 8
 		}
 		want := make([][]uint64, n)
 		for id, v := range c.Vecs {
@@ -141,13 +148,12 @@ func TestRowLazyMatchesStreamOracle(t *testing.T) {
 		for _, o := range orders {
 			for _, workers := range []int{1, 2, 4, 7} {
 				t.Run(fmt.Sprintf("quantized=%v/%s/workers=%d", quantized, o.name, workers), func(t *testing.T) {
-					fam := NewBlockFamily(dim, blocks*bb, bb, seed, opts...)
+					fam := NewBlockFamily(dim, nbits, bb, seed)
 					got := signInOrder(fam, c, o.items, workers)
 					for id := range want {
-						for w := range want[id] {
-							if got[id][w] != want[id][w] {
-								t.Fatalf("vector %d word %d: family %x, stream oracle %x", id, w, got[id][w], want[id][w])
-							}
+						if agree := MatchCount(got[id], want[id], 0, nbits); agree < nbits-slack {
+							t.Fatalf("vector %d: family and stream oracle agree on %d/%d bits, want at least %d",
+								id, agree, nbits, nbits-slack)
 						}
 					}
 				})
@@ -168,22 +174,16 @@ func TestKernelSumsMatchStreamOracle(t *testing.T) {
 		seed   = 59
 	)
 	vs := append(edgeVectors(dim, 19), storeCorpus(200, dim, 37).Vecs...)
-	for _, quantized := range []bool{true, false} {
-		var opts []Option
-		if !quantized {
-			opts = append(opts, Exact())
-		}
-		fam := NewBlockFamily(dim, blocks*bb, bb, seed, opts...)
-		sig := make([]uint64, blocks*bb/64)
-		acc := make([]float64, bb)
-		for _, v := range vs {
-			for b := 0; b < blocks; b++ {
-				fam.signBlock(v, b, sig, acc)
-				for j, want := range oracleSums(seed, v, b, bb, quantized) {
-					if math.Float64bits(acc[j]) != math.Float64bits(want) {
-						t.Fatalf("quantized=%v: vector of %d features, block %d, hyperplane %d: sum %v, stream oracle %v",
-							quantized, v.Len(), b, j, acc[j], want)
-					}
+	fam := NewBlockFamily(dim, blocks*bb, bb, seed)
+	sig := make([]uint64, blocks*bb/64)
+	acc := make([]float64, bb)
+	for _, v := range vs {
+		for b := 0; b < blocks; b++ {
+			fam.signBlock(v, b, sig, acc)
+			for j, want := range oracleSums(seed, v, b, bb, true) {
+				if math.Float64bits(acc[j]) != math.Float64bits(want) {
+					t.Fatalf("vector of %d features, block %d, hyperplane %d: sum %v, stream oracle %v",
+						v.Len(), b, j, acc[j], want)
 				}
 			}
 		}
@@ -193,8 +193,8 @@ func TestKernelSumsMatchStreamOracle(t *testing.T) {
 // TestEveryHashingPathMatchesStreamOracle checks the three callers of
 // the hashing kernel — a Store fill, a one-shot SignatureN and a
 // QuerySig deepened one block at a time — against the stream oracle on
-// the edge lengths, in both coefficient layouts, each on a fresh
-// family so every path also materializes the rows it reads.
+// the edge lengths, each on a fresh family so every path also
+// materializes the rows it reads.
 func TestEveryHashingPathMatchesStreamOracle(t *testing.T) {
 	const (
 		dim    = 1000
@@ -203,30 +203,24 @@ func TestEveryHashingPathMatchesStreamOracle(t *testing.T) {
 		seed   = 61
 	)
 	c := &vector.Collection{Dim: dim, Vecs: edgeVectors(dim, 17)}
-	for _, quantized := range []bool{true, false} {
-		var opts []Option
-		if !quantized {
-			opts = append(opts, Exact())
+	fam := func() *BlockFamily { return NewBlockFamily(dim, blocks*bb, bb, seed) }
+	st := NewStore(c, fam())
+	ensureAll(t, st, blocks*bb)
+	one, lazy := fam(), fam()
+	for id, v := range c.Vecs {
+		want := oracleSignature(seed, v, blocks, bb, true)
+		q := lazy.NewQuerySig(v)
+		for b := 1; b <= blocks; b++ {
+			q.Ensure(b*bb - bb/2)
 		}
-		fam := func() *BlockFamily { return NewBlockFamily(dim, blocks*bb, bb, seed, opts...) }
-		st := NewStore(c, fam())
-		ensureAll(t, st, blocks*bb)
-		one, lazy := fam(), fam()
-		for id, v := range c.Vecs {
-			want := oracleSignature(seed, v, blocks, bb, quantized)
-			q := lazy.NewQuerySig(v)
-			for b := 1; b <= blocks; b++ {
-				q.Ensure(b*bb - bb/2)
-			}
-			for _, p := range []struct {
-				name string
-				sig  []uint64
-			}{{"Store.Ensure", st.Sigs()[id]}, {"SignatureN", one.SignatureN(v, blocks*bb)}, {"QuerySig.Ensure", q.Bits()}} {
-				for w := range want {
-					if p.sig[w] != want[w] {
-						t.Fatalf("quantized=%v %s: vector of %d features, word %d: %x, stream oracle %x",
-							quantized, p.name, v.Len(), w, p.sig[w], want[w])
-					}
+		for _, p := range []struct {
+			name string
+			sig  []uint64
+		}{{"Store.Ensure", st.Sigs()[id]}, {"SignatureN", one.SignatureN(v, blocks*bb)}, {"QuerySig.Ensure", q.Bits()}} {
+			for w := range want {
+				if p.sig[w] != want[w] {
+					t.Fatalf("%s: vector of %d features, word %d: %x, stream oracle %x",
+						p.name, v.Len(), w, p.sig[w], want[w])
 				}
 			}
 		}
@@ -299,57 +293,46 @@ func TestRowsGeneratedOncePerBlockFeature(t *testing.T) {
 // and nothing at all — no slot index, no chunk — in deeper blocks.
 func TestFamilyFootprintFollowsTouchedRows(t *testing.T) {
 	const dim, bb, depth = 5000, 128, 3
-	for _, quantized := range []bool{true, false} {
-		var opts []Option
-		if !quantized {
-			opts = append(opts, Exact())
+	// 40 short vectors over a 5000-feature space: k ≪ dim.
+	c := storeCorpus(40, dim, 23)
+	used := map[uint32]bool{}
+	for _, v := range c.Vecs {
+		for _, f := range v.Ind {
+			used[f] = true
 		}
-		// 40 short vectors over a 5000-feature space: k ≪ dim.
-		c := storeCorpus(40, dim, 23)
-		used := map[uint32]bool{}
-		for _, v := range c.Vecs {
-			for _, f := range v.Ind {
-				used[f] = true
+	}
+	k := len(used)
+	fam := NewBlockFamily(dim, 8*bb, bb, 9)
+	if fam.Rows() != 0 {
+		t.Fatalf("fresh family holds %d rows", fam.Rows())
+	}
+	s := NewStore(c, fam)
+	ensureAll(t, s, depth*bb)
+	for b := range fam.blocks {
+		tab := fam.blocks[b].Load()
+		if b >= depth {
+			if tab != nil {
+				t.Errorf("untouched block %d holds a table (%d rows)", b, tab.n)
 			}
+			continue
 		}
-		k := len(used)
-		fam := NewBlockFamily(dim, 8*bb, bb, 9, opts...)
-		if fam.Rows() != 0 {
-			t.Fatalf("fresh family holds %d rows", fam.Rows())
+		if tab == nil {
+			t.Fatalf("block %d below the fill depth has no table", b)
 		}
-		s := NewStore(c, fam)
-		ensureAll(t, s, depth*bb)
-		for b := range fam.blocks {
-			tab := fam.blocks[b].Load()
-			if b >= depth {
-				if tab != nil {
-					t.Errorf("quantized=%v: untouched block %d holds a table (%d rows)", quantized, b, tab.n)
-				}
-				continue
-			}
-			if tab == nil {
-				t.Fatalf("quantized=%v: block %d below the fill depth has no table", quantized, b)
-			}
-			if tab.n != k {
-				t.Errorf("quantized=%v: block %d holds %d rows, corpus uses %d features", quantized, b, tab.n, k)
-			}
-			chunks := 0
-			for i := range tab.q {
-				if tab.q[i] != nil {
-					chunks++
-				}
-			}
-			for i := range tab.x {
-				if tab.x[i] != nil {
-					chunks++
-				}
-			}
-			if max := (k + chunkRows - 1) / chunkRows; chunks != max {
-				t.Errorf("quantized=%v: block %d allocated %d chunks for %d rows, want %d", quantized, b, chunks, k, max)
+		if tab.n != k {
+			t.Errorf("block %d holds %d rows, corpus uses %d features", b, tab.n, k)
+		}
+		chunks := 0
+		for i := range tab.q {
+			if tab.q[i] != nil {
+				chunks++
 			}
 		}
-		if got := fam.Rows(); got != depth*k {
-			t.Errorf("quantized=%v: Rows() = %d, want %d blocks × %d features", quantized, got, depth, k)
+		if max := (k + chunkRows - 1) / chunkRows; chunks != max {
+			t.Errorf("block %d allocated %d chunks for %d rows, want %d", b, chunks, k, max)
 		}
+	}
+	if got := fam.Rows(); got != depth*k {
+		t.Errorf("Rows() = %d, want %d blocks × %d features", got, depth, k)
 	}
 }

@@ -3,9 +3,6 @@ package sighash
 import (
 	"math"
 	"math/bits"
-
-	"bayeslsh/internal/rng"
-	"bayeslsh/internal/vector"
 )
 
 // Quantize maps a float in (−8, 8) to the paper's 2-byte fixed-point
@@ -37,114 +34,6 @@ func init() {
 	for q := range dequant {
 		dequant[q] = Dequantize(uint16(q))
 	}
-}
-
-// Family is a set of random-hyperplane hash functions over a fixed
-// feature space. It is safe for concurrent use after construction.
-type Family struct {
-	dim, nbits int
-	quantized  bool
-	// rows[feature] holds that feature's projection coefficient for
-	// every hash function, in hash order — either quantized or exact.
-	qrows [][]uint16
-	frows [][]float64
-}
-
-// Option configures a Family.
-type Option func(*Family)
-
-// Exact stores projections as float64 instead of the default 2-byte
-// quantized form. It exists to measure the accuracy/space trade-off of
-// the paper's quantization scheme (see the ablation benchmarks).
-func Exact() Option { return func(f *Family) { f.quantized = false } }
-
-// NewFamily creates nbits random-hyperplane hash functions over a
-// dim-dimensional feature space, derived deterministically from seed.
-func NewFamily(dim, nbits int, seed uint64, opts ...Option) *Family {
-	if dim <= 0 || nbits <= 0 {
-		panic("sighash: NewFamily needs dim > 0 and nbits > 0")
-	}
-	f := &Family{dim: dim, nbits: nbits, quantized: true}
-	for _, o := range opts {
-		o(f)
-	}
-	// Per-feature generator streams keep generation deterministic and
-	// independent of the order in which features are touched.
-	if f.quantized {
-		f.qrows = make([][]uint16, dim)
-		for feat := 0; feat < dim; feat++ {
-			src := rng.New(rng.Mix64(seed ^ uint64(feat+1)))
-			row := make([]uint16, nbits)
-			for b := range row {
-				row[b] = Quantize(src.NormFloat64())
-			}
-			f.qrows[feat] = row
-		}
-		return f
-	}
-	f.frows = make([][]float64, dim)
-	for feat := 0; feat < dim; feat++ {
-		src := rng.New(rng.Mix64(seed ^ uint64(feat+1)))
-		row := make([]float64, nbits)
-		for b := range row {
-			row[b] = src.NormFloat64()
-		}
-		f.frows[feat] = row
-	}
-	return f
-}
-
-// Bits returns the number of hash functions (signature length in bits).
-func (f *Family) Bits() int { return f.nbits }
-
-// Dim returns the feature-space dimensionality.
-func (f *Family) Dim() int { return f.dim }
-
-// Words returns the length in uint64 words of a packed signature.
-func (f *Family) Words() int { return (f.nbits + 63) / 64 }
-
-// Signature returns the packed bit signature of v. Bit i is hash
-// function i's output (1 iff the projection onto hyperplane i is
-// non-negative). The empty vector's projections are all zero, which by
-// the >= 0 convention yields an all-ones signature; callers should
-// drop empty vectors before indexing.
-func (f *Family) Signature(v vector.Vector) []uint64 {
-	acc := make([]float64, f.nbits)
-	// float64(w*g) rounds each product before the add, so no
-	// architecture fuses the two (see the package doc).
-	if f.quantized {
-		for i, ind := range v.Ind {
-			w := v.Val[i]
-			row := f.qrows[ind]
-			for b, q := range row {
-				acc[b] += float64(w * dequant[q])
-			}
-		}
-	} else {
-		for i, ind := range v.Ind {
-			w := v.Val[i]
-			row := f.frows[ind]
-			for b, g := range row {
-				acc[b] += float64(w * g)
-			}
-		}
-	}
-	sig := make([]uint64, f.Words())
-	for b, a := range acc {
-		if a >= 0 {
-			sig[b/64] |= 1 << (b % 64)
-		}
-	}
-	return sig
-}
-
-// SignatureAll computes signatures for every vector in the collection.
-func (f *Family) SignatureAll(c *vector.Collection) [][]uint64 {
-	sigs := make([][]uint64, len(c.Vecs))
-	for i, v := range c.Vecs {
-		sigs[i] = f.Signature(v)
-	}
-	return sigs
 }
 
 // MatchCount returns the number of agreeing bits of a and b in the

@@ -81,23 +81,10 @@ func TestDequantizeTable(t *testing.T) {
 	}
 }
 
-func TestNewFamilyPanics(t *testing.T) {
-	for _, c := range []struct{ dim, bits int }{{dim: 0, bits: 8}, {dim: 8, bits: 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewFamily(%d,%d) did not panic", c.dim, c.bits)
-				}
-			}()
-			NewFamily(c.dim, c.bits, 1)
-		}()
-	}
-}
-
 func TestSignatureDeterministic(t *testing.T) {
 	v := vector.New([]vector.Entry{{Ind: 1, Val: 0.5}, {Ind: 3, Val: -1.2}, {Ind: 7, Val: 2}})
-	a := NewFamily(10, 128, 9).Signature(v)
-	b := NewFamily(10, 128, 9).Signature(v)
+	a := NewBlockFamily(10, 128, 128, 9).SignatureN(v, 128)
+	b := NewBlockFamily(10, 128, 128, 9).SignatureN(v, 128)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed diverged")
@@ -107,10 +94,10 @@ func TestSignatureDeterministic(t *testing.T) {
 
 func TestScaledVectorSameSignature(t *testing.T) {
 	// h(x) depends only on the direction of x.
-	f := NewFamily(16, 256, 3)
+	f := NewBlockFamily(16, 256, 128, 3)
 	v := vector.New([]vector.Entry{{Ind: 0, Val: 1}, {Ind: 5, Val: -2}, {Ind: 9, Val: 0.25}})
 	w := v.Clone().Scale(17)
-	a, b := f.Signature(v), f.Signature(w)
+	a, b := f.SignatureN(v, 256), f.SignatureN(w, 256)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("positive scaling changed the signature")
@@ -119,11 +106,11 @@ func TestScaledVectorSameSignature(t *testing.T) {
 }
 
 func TestOppositeVectorFlipsAllBits(t *testing.T) {
-	f := NewFamily(16, 192, 4)
+	f := NewBlockFamily(16, 192, 64, 4)
 	v := vector.New([]vector.Entry{{Ind: 2, Val: 1.5}, {Ind: 7, Val: -0.5}, {Ind: 11, Val: 3}})
 	w := v.Clone().Scale(-1)
-	a, b := f.Signature(v), f.Signature(w)
-	if got := MatchCount(a, b, 0, f.Bits()); got != 0 {
+	a, b := f.SignatureN(v, 192), f.SignatureN(w, 192)
+	if got := MatchCount(a, b, 0, f.MaxBits()); got != 0 {
 		// Projections exactly at 0 could tie, but that is measure-zero.
 		t.Errorf("antipodal vectors agree on %d bits", got)
 	}
@@ -133,7 +120,7 @@ func TestCollisionRateApproximatesAngle(t *testing.T) {
 	// Equation in §4.2: Pr[h(a)=h(b)] = 1 − θ/π. Verified over 4096
 	// independent hyperplanes for a few planted angles.
 	const nbits = 4096
-	f := NewFamily(64, nbits, 5)
+	f := NewBlockFamily(64, nbits, 128, 5)
 	src := rng.New(99)
 	dense := func() vector.Vector {
 		var es []vector.Entry
@@ -145,7 +132,7 @@ func TestCollisionRateApproximatesAngle(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		a, b := dense(), dense()
 		want := CosineToR(vector.Cosine(a, b))
-		got := float64(MatchCount(f.Signature(a), f.Signature(b), 0, nbits)) / nbits
+		got := float64(MatchCount(f.SignatureN(a, nbits), f.SignatureN(b, nbits), 0, nbits)) / nbits
 		tol := 4 * math.Sqrt(want*(1-want)/nbits)
 		if math.Abs(got-want) > tol {
 			t.Errorf("trial %d: collision rate %v, want %v ± %v", trial, got, want, tol)
@@ -156,18 +143,22 @@ func TestCollisionRateApproximatesAngle(t *testing.T) {
 func TestQuantizedMatchesExactFamily(t *testing.T) {
 	// The 2-byte storage scheme must agree with exact float projections
 	// on essentially every bit (disagreement only when a projection is
-	// within quantization error of zero).
-	const nbits = 1024
-	q := NewFamily(32, nbits, 6)
-	e := NewFamily(32, nbits, 6, Exact())
+	// within quantization error of zero). The exact family is the
+	// float64 stream oracle: the Gaussian draws the quantized
+	// coefficients approximate.
+	const (
+		nbits = 1024
+		bb    = 128
+	)
 	src := rng.New(123)
 	var es []vector.Entry
 	for i := 0; i < 32; i++ {
 		es = append(es, vector.Entry{Ind: uint32(i), Val: src.NormFloat64()})
 	}
 	v := vector.New(es)
-	agree := MatchCount(q.Signature(v), e.Signature(v), 0, nbits)
-	if agree < nbits-8 {
+	q := NewBlockFamily(32, nbits, bb, 6).SignatureN(v, nbits)
+	e := oracleSignature(6, v, nbits/bb, bb, false)
+	if agree := MatchCount(q, e, 0, nbits); agree < nbits-8 {
 		t.Errorf("quantized and exact families agree on only %d/%d bits", agree, nbits)
 	}
 }
@@ -325,20 +316,5 @@ func TestRCosineTransformsInverse(t *testing.T) {
 	}
 	if got := CosineToR(5); math.Abs(got-1) > 1e-12 {
 		t.Errorf("c2r clamps above: %v", got)
-	}
-}
-
-func TestSignatureAllAndWords(t *testing.T) {
-	f := NewFamily(8, 100, 2)
-	if f.Words() != 2 || f.Bits() != 100 || f.Dim() != 8 {
-		t.Fatalf("accessors wrong: words=%d bits=%d dim=%d", f.Words(), f.Bits(), f.Dim())
-	}
-	c := &vector.Collection{Dim: 8, Vecs: []vector.Vector{
-		vector.New([]vector.Entry{{Ind: 1, Val: 1}}),
-		vector.New([]vector.Entry{{Ind: 2, Val: -1}, {Ind: 3, Val: 0.5}}),
-	}}
-	sigs := f.SignatureAll(c)
-	if len(sigs) != 2 || len(sigs[0]) != 2 {
-		t.Fatalf("SignatureAll shape: %d x %d", len(sigs), len(sigs[0]))
 	}
 }

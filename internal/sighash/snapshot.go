@@ -1,6 +1,6 @@
 // Snapshot codec of the bit-signature store: the hash family is fully
-// determined by (dim, maxBits, blockBits, seed, quantization), all of
-// which the engine re-derives from its config at load, so a snapshot
+// determined by (dim, maxBits, blockBits, seed), all of which the
+// engine re-derives from its config at load, so a snapshot
 // carries only what cannot be recomputed cheaply — each vector's fill
 // depth and the filled signature words. Restoring them makes a loaded
 // store bit-identical to the one that was saved: already-filled

@@ -21,13 +21,12 @@ import (
 // (seed, f, b), so the family is identical regardless of who
 // materializes what in which order — this per-work-item stream
 // discipline is what keeps parallel hashing deterministic. A family is
-// a pure function of (dim, maxBits, blockBits, seed, quantization), so
-// engines over the same parameters may share one and with it every
-// row already paid for. BlockFamily is safe for concurrent use.
+// a pure function of (dim, maxBits, blockBits, seed), so engines over
+// the same parameters may share one and with it every row already
+// paid for. BlockFamily is safe for concurrent use.
 type BlockFamily struct {
 	dim, maxBits, blockBits int
 	seed                    uint64
-	quantized               bool
 
 	mu     sync.Mutex                  // guards creation of block tables
 	blocks []atomic.Pointer[blockRows] // nil until a block is first touched
@@ -55,9 +54,8 @@ type blockRows struct {
 	mu      sync.Mutex // guards n and chunk allocation
 	n       int        // arena rows reserved, each generated exactly once by its reserver
 	// Chunk c holds arena rows [c·chunkRows, (c+1)·chunkRows), blockBits
-	// coefficients each; q for the quantized layout, x for Exact().
+	// quantized coefficients each.
 	q [][]uint16
-	x [][]float64
 }
 
 // NewBlockFamily creates a lazily-materialized family of maxBits hash
@@ -65,7 +63,7 @@ type blockRows struct {
 // signatures are extended (it is rounded up to a multiple of 64 so
 // signature blocks align with words). Construction allocates nothing
 // proportional to dim.
-func NewBlockFamily(dim, maxBits, blockBits int, seed uint64, opts ...Option) *BlockFamily {
+func NewBlockFamily(dim, maxBits, blockBits int, seed uint64) *BlockFamily {
 	if dim <= 0 || maxBits <= 0 || blockBits <= 0 {
 		panic("sighash: NewBlockFamily needs positive dim, maxBits, blockBits")
 	}
@@ -73,13 +71,7 @@ func NewBlockFamily(dim, maxBits, blockBits int, seed uint64, opts ...Option) *B
 	if maxBits%blockBits != 0 {
 		maxBits = (maxBits/blockBits + 1) * blockBits
 	}
-	f := &BlockFamily{dim: dim, maxBits: maxBits, blockBits: blockBits, seed: seed, quantized: true}
-	// Reuse the Family option type: Exact() toggles quantization off.
-	probe := &Family{quantized: true}
-	for _, o := range opts {
-		o(probe)
-	}
-	f.quantized = probe.quantized
+	f := &BlockFamily{dim: dim, maxBits: maxBits, blockBits: blockBits, seed: seed}
 	f.blocks = make([]atomic.Pointer[blockRows], maxBits/blockBits)
 	f.acc.New = func() any {
 		acc := make([]float64, blockBits)
@@ -121,37 +113,35 @@ func (f *BlockFamily) block(b int) *blockRows {
 	defer f.mu.Unlock()
 	t := f.blocks[b].Load()
 	if t == nil {
-		t = &blockRows{slot: make([]atomic.Int32, f.dim)}
-		chunks := (f.dim + chunkRows - 1) / chunkRows
-		if f.quantized {
-			t.q = make([][]uint16, chunks)
-		} else {
-			t.x = make([][]float64, chunks)
-		}
+		t = &blockRows{slot: make([]atomic.Int32, f.dim), q: make([][]uint16, (f.dim+chunkRows-1)/chunkRows)}
 		f.blocks[b].Store(t)
 	}
 	return t
 }
 
-// row returns the arena row of feature feat in block b, materializing
-// it if this is the first time any vector reads it.
-func (f *BlockFamily) row(t *blockRows, b int, feat uint32) int {
-	if s := t.slot[feat].Load(); s != 0 {
-		return int(s) - 1
+// row returns feature feat's row in block b, materializing it if this
+// is the first time any vector reads it.
+func (f *BlockFamily) row(t *blockRows, b int, feat uint32) []uint16 {
+	s := t.slot[feat].Load()
+	if s == 0 {
+		s = f.materialize(t, b, feat)
 	}
-	return f.materialize(t, b, feat)
+	r := int(s) - 1
+	off := r % chunkRows * f.blockBits
+	return t.q[r/chunkRows][off : off+f.blockBits]
 }
 
-// materialize generates one row from its (seed, feature, block) stream.
-// Generation runs under the feature's stripe only; the block lock is
-// held just long enough to reserve an arena row, and the release store
-// of the slot publishes the finished coefficients to lock-free readers.
-func (f *BlockFamily) materialize(t *blockRows, b int, feat uint32) int {
+// materialize generates one row from its (seed, feature, block) stream
+// and returns its slot. Generation runs under the feature's stripe
+// only; the block lock is held just long enough to reserve an arena
+// row, and the release store of the slot publishes the finished
+// coefficients to lock-free readers.
+func (f *BlockFamily) materialize(t *blockRows, b int, feat uint32) int32 {
 	stripe := &t.stripes[feat%rowStripes]
 	stripe.Lock()
 	defer stripe.Unlock()
 	if s := t.slot[feat].Load(); s != 0 {
-		return int(s) - 1
+		return s
 	}
 	bb := f.blockBits
 	t.mu.Lock()
@@ -159,27 +149,16 @@ func (f *BlockFamily) materialize(t *blockRows, b int, feat uint32) int {
 	t.n++
 	c, off := r/chunkRows, r%chunkRows*bb
 	if off == 0 {
-		if f.quantized {
-			t.q[c] = make([]uint16, chunkRows*bb)
-		} else {
-			t.x[c] = make([]float64, chunkRows*bb)
-		}
+		t.q[c] = make([]uint16, chunkRows*bb)
 	}
 	t.mu.Unlock()
 	src := rng.New(rng.Mix64(f.seed ^ (uint64(feat) + 1) ^ uint64(b+1)<<40))
-	if f.quantized {
-		row := t.q[c][off : off+bb]
-		for i := range row {
-			row[i] = Quantize(src.NormFloat64())
-		}
-	} else {
-		row := t.x[c][off : off+bb]
-		for i := range row {
-			row[i] = src.NormFloat64()
-		}
+	row := t.q[c][off : off+bb]
+	for i := range row {
+		row[i] = Quantize(src.NormFloat64())
 	}
 	t.slot[feat].Store(int32(r) + 1)
-	return r
+	return int32(r) + 1
 }
 
 // signBlock computes the signature bits of block b for v and writes
@@ -189,18 +168,7 @@ func (f *BlockFamily) signBlock(v vector.Vector, b int, sig []uint64, acc []floa
 	bb := f.blockBits
 	acc = acc[:bb]
 	clear(acc)
-	if f.quantized {
-		f.accumulate(t, b, v, acc)
-	} else {
-		for i, ind := range v.Ind {
-			w := v.Val[i]
-			r := f.row(t, b, ind)
-			off := r % chunkRows * bb
-			for j, g := range t.x[r/chunkRows][off : off+bb] {
-				acc[j] += float64(w * g)
-			}
-		}
-	}
+	f.accumulate(t, b, v, acc)
 	base := b * bb
 	for j, a := range acc {
 		if a >= 0 {
@@ -219,8 +187,8 @@ func (f *BlockFamily) accumulate(t *blockRows, b int, v vector.Vector, acc []flo
 	ind, val := v.Ind, v.Val[:len(v.Ind)]
 	i := 0
 	for ; i+4 <= len(ind); i += 4 {
-		q0, q1 := f.qrow(t, b, ind[i])[:len(acc)], f.qrow(t, b, ind[i+1])[:len(acc)]
-		q2, q3 := f.qrow(t, b, ind[i+2])[:len(acc)], f.qrow(t, b, ind[i+3])[:len(acc)]
+		q0, q1 := f.row(t, b, ind[i])[:len(acc)], f.row(t, b, ind[i+1])[:len(acc)]
+		q2, q3 := f.row(t, b, ind[i+2])[:len(acc)], f.row(t, b, ind[i+3])[:len(acc)]
 		w0, w1, w2, w3 := val[i], val[i+1], val[i+2], val[i+3]
 		for j := range acc {
 			a := acc[j]
@@ -232,18 +200,11 @@ func (f *BlockFamily) accumulate(t *blockRows, b int, v vector.Vector, acc []flo
 		}
 	}
 	for ; i < len(ind); i++ {
-		q, w := f.qrow(t, b, ind[i])[:len(acc)], val[i]
+		q, w := f.row(t, b, ind[i])[:len(acc)], val[i]
 		for j := range acc {
 			acc[j] += float64(w * dequant[q[j]])
 		}
 	}
-}
-
-// qrow returns feature feat's quantized row in block b.
-func (f *BlockFamily) qrow(t *blockRows, b int, feat uint32) []uint16 {
-	r := f.row(t, b, feat)
-	off := r % chunkRows * f.blockBits
-	return t.q[r/chunkRows][off : off+f.blockBits]
 }
 
 // SignatureN computes bits [0, nbits) of v's signature in one call,

@@ -414,7 +414,6 @@ func TestKeepBitFamilyNeedsIdenticalParameters(t *testing.T) {
 		{"runtime knobs", ds, EngineConfig{Seed: 7, SignatureBits: 1024, Parallelism: 3, BatchSize: 5}, true},
 		{"seed", ds, EngineConfig{Seed: 8, SignatureBits: 1024}, false},
 		{"signature bits", ds, EngineConfig{Seed: 7, SignatureBits: 512}, false},
-		{"exact projections", ds, EngineConfig{Seed: 7, SignatureBits: 1024, ExactProjections: true}, false},
 		{"dimension", wider, base, false},
 	} {
 		e, err := NewEngine(c.ds, Cosine, c.cfg)

@@ -130,12 +130,7 @@ type bitKind struct {
 // alike.
 func (k *bitKind) family() *sighash.BlockFamily {
 	if k.fam == nil {
-		cfg := k.e.cfg
-		var opts []sighash.Option
-		if cfg.ExactProjections {
-			opts = append(opts, sighash.Exact())
-		}
-		k.fam = sighash.NewBlockFamily(k.e.work.Dim, cfg.SignatureBits, 128, rng.Derive(cfg.Seed, 1), opts...)
+		k.fam = sighash.NewBlockFamily(k.e.work.Dim, k.e.cfg.SignatureBits, 128, rng.Derive(k.e.cfg.Seed, 1))
 	}
 	return k.fam
 }
@@ -143,12 +138,10 @@ func (k *bitKind) family() *sighash.BlockFamily {
 // keepFamily makes k hash with prev's family — and so with every
 // projection row prev's lifetime already materialized — when k would
 // construct an identical one: a family is a pure function of (dim,
-// SignatureBits, Seed, ExactProjections). Must run before k's first
-// family call.
+// SignatureBits, Seed). Must run before k's first family call.
 func (k *bitKind) keepFamily(prev *bitKind) {
 	a, b := prev.e.cfg, k.e.cfg
-	if prev.fam != nil && prev.e.work.Dim == k.e.work.Dim && a.SignatureBits == b.SignatureBits &&
-		a.Seed == b.Seed && a.ExactProjections == b.ExactProjections {
+	if prev.fam != nil && prev.e.work.Dim == k.e.work.Dim && a.SignatureBits == b.SignatureBits && a.Seed == b.Seed {
 		k.fam = prev.fam
 	}
 }

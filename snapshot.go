@@ -147,7 +147,9 @@ func (ix *Index) writeMeta(w *snapshot.Writer) {
 	w.U64(cfg.Seed)
 	w.U32(uint32(cfg.SignatureBits))
 	w.U32(uint32(cfg.MinHashes))
-	w.Bool(cfg.ExactProjections)
+	// Reserved, always false: the exact-projection flag of earlier
+	// builds, which readMeta refuses when set.
+	w.Bool(false)
 	o := ix.opts
 	w.U8(uint8(o.Algorithm))
 	w.F64(o.Threshold)
@@ -211,7 +213,7 @@ func (m snapMeta) index(eng *Engine) *Index {
 	return ix
 }
 
-// maxSnapshotHashes caps the deserialized signature budgets so a
+// maxSnapshotHashes caps the signature budgets (checkBudgets), so a
 // corrupt (but checksum-passing) snapshot cannot demand absurd
 // allocations before decoding fails.
 const maxSnapshotHashes = 1 << 24
@@ -220,11 +222,11 @@ func readMeta(r *snapshot.Reader) (snapMeta, error) {
 	var m snapMeta
 	m.measure = Measure(r.U8())
 	m.cfg = EngineConfig{
-		Seed:             r.U64(),
-		SignatureBits:    int(r.U32()),
-		MinHashes:        int(r.U32()),
-		ExactProjections: r.Bool(),
+		Seed:          r.U64(),
+		SignatureBits: int(r.U32()),
+		MinHashes:     int(r.U32()),
 	}
+	exactProjections := r.Bool()
 	m.opts = Options{
 		Algorithm:         Algorithm(r.U8()),
 		Threshold:         r.F64(),
@@ -279,10 +281,14 @@ func readMeta(r *snapshot.Reader) (snapMeta, error) {
 	if p, err := m.opts.Algorithm.pipeline(); err != nil || p.gen == genPPJoin {
 		return m, snapshot.Failf(r, "algorithm %d has no query-serving index", int(m.opts.Algorithm))
 	}
-	if m.cfg.SignatureBits <= 0 || m.cfg.SignatureBits > maxSnapshotHashes ||
-		m.cfg.MinHashes <= 0 || m.cfg.MinHashes > maxSnapshotHashes {
-		return m, snapshot.Failf(r, "signature budgets %d/%d out of range",
-			m.cfg.SignatureBits, m.cfg.MinHashes)
+	if err := m.cfg.checkBudgets(); err != nil {
+		return m, snapshot.Failf(r, "%v", err)
+	}
+	// A file written with float64 projections holds signatures no
+	// family of this build regenerates; hashing its queries with the
+	// quantized rows would silently change their bits.
+	if exactProjections {
+		return m, snapshot.Failf(r, "exact projections flag set; this build hashes with quantized projections only")
 	}
 	if _, err := m.opts.withDefaults(kind); err != nil {
 		return m, snapshot.Failf(r, "options: %v", err)

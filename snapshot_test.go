@@ -166,9 +166,6 @@ func TestSnapshotRoundTripVariants(t *testing.T) {
 		{"onebit", Jaccard, EngineConfig{Seed: 8},
 			func(d *Dataset) *Dataset { return d.Binarize() },
 			Options{Algorithm: LSHBayesLSH, Threshold: 0.4, OneBitMinhash: true}},
-		{"exactproj", Cosine, EngineConfig{Seed: 9, SignatureBits: 1024, ExactProjections: true},
-			func(d *Dataset) *Dataset { return d.TfIdf().Normalize() },
-			Options{Algorithm: LSHBayesLSH, Threshold: 0.7}},
 	}
 	for _, c := range cases {
 		c := c
@@ -478,12 +475,22 @@ func TestSnapshotErrors(t *testing.T) {
 		}
 	}
 
-	// A section the index's signature kind or generator does not read
-	// is refused at load, in v1 and v2 alike, so no query ever reaches
-	// it (TestDiskCorruption covers v3).
+	// A section the index's signature kind or generator does not read,
+	// or a set exact-projection flag, is refused at load, in v1 and v2
+	// alike, so no query ever reaches it (TestDiskCorruption covers v3).
 	for _, c := range forgedSnapshots(t) {
 		if _, err := ReadIndex(bytes.NewReader(c.v1)); !errors.Is(err, ErrSnapshotFormat) {
-			t.Errorf("v1 %s: %v, want ErrSnapshotFormat", c.name, err)
+			t.Errorf("v1 %s: ReadIndex %v, want ErrSnapshotFormat", c.name, err)
+		}
+		v1Path := filepath.Join(t.TempDir(), "forged.v1.snap")
+		if err := os.WriteFile(v1Path, c.v1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if ix, err := LoadFile(v1Path); !errors.Is(err, ErrSnapshotFormat) {
+			t.Errorf("v1 %s: LoadFile %v, want ErrSnapshotFormat", c.name, err)
+			if ix != nil {
+				ix.Close()
+			}
 		}
 		li, err := ReadLiveIndex(bytes.NewReader(c.v2), LiveConfig{})
 		if !errors.Is(err, ErrSnapshotFormat) {
@@ -557,21 +564,34 @@ func v3File(t testing.TB, ix *Index) string {
 }
 
 // forgedSnapshot is one index in all three formats, each file
-// checksum-valid but carrying a section the index does not read.
+// checksum-valid but holding what no writer emits and every loader
+// refuses.
 type forgedSnapshot struct {
 	name   string
 	v1, v2 []byte
 	v3     string // file path
 }
 
-// forgedSnapshots builds the three such files that once loaded cleanly:
-// a cosine LSH index carrying a minhash band-table section and a
+// forgedExactFlag names the forged snapshot whose meta sets the
+// exact-projection flag.
+const forgedExactFlag = "exact-projection flag set"
+
+// metaExactFlag is the offset in the meta payload of its reserved
+// flag byte, the exact-projection flag of earlier builds: after the
+// measure (1 byte), Seed (8) and the two signature budgets (4 each).
+const metaExactFlag = 1 + 8 + 4 + 4
+
+// forgedSnapshots builds four such files. Three once loaded cleanly: a
+// cosine LSH index carrying a minhash band-table section and a
 // BruteForce index carrying a band-table section, both of which then
 // panicked on their first query, and a Jaccard index carrying a
 // bit-store section. The BruteForce file is written with the foreign
 // field set on the built index; the other two, whose foreign section
 // belongs to the other signature kind, get it spliced in from an index
-// of that kind over the same corpus (with its fill depth, in v3).
+// of that kind over the same corpus (with its fill depth, in v3). The
+// fourth is a cosine LSH index whose meta sets the exact-projection
+// flag: its signatures came from float64 projections no family of
+// this build regenerates.
 func forgedSnapshots(t testing.TB) []forgedSnapshot {
 	t.Helper()
 	cos := fuzzIndex(t, Cosine, Options{Algorithm: LSHBayesLSH, Threshold: 0.6})
@@ -588,6 +608,13 @@ func forgedSnapshots(t testing.TB) []forgedSnapshot {
 		copy(meta[len(meta)-8:], cosMeta[len(cosMeta)-8:len(cosMeta)-4])
 		return meta
 	}
+	setExact := func(meta []byte) []byte {
+		if meta[metaExactFlag] != 0 {
+			t.Fatalf("meta byte %d is %d, want a clear exact-projection flag", metaExactFlag, meta[metaExactFlag])
+		}
+		meta[metaExactFlag] = 1
+		return meta
+	}
 	return []forgedSnapshot{
 		{
 			"cosine LSH with minhash tables",
@@ -601,6 +628,12 @@ func forgedSnapshots(t testing.TB) []forgedSnapshot {
 			splice(v1Bytes(t, jac), v1Bytes(t, cos), sectBitStore),
 			splice(v2Bytes(t, jac), v1Bytes(t, cos), sectBitStore),
 			withDiskSection(t, jacV3, sectBitStore, diskSectionOf(t, cosV3, sectBitStore), withBitFill),
+		},
+		{
+			forgedExactFlag,
+			editSection(t, v1Bytes(t, cos), sectMeta, setExact),
+			editSection(t, v2Bytes(t, cos), sectMeta, setExact),
+			withDiskSection(t, cosV3, sectMeta, setExact(diskSectionOf(t, cosV3, sectMeta)), nil),
 		},
 	}
 }
