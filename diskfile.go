@@ -315,7 +315,7 @@ func openDisk(f *diskidx.File) (*Index, error) {
 			return nil, err
 		}
 	}
-	eng, err := NewEngine(&Dataset{c: coll}, meta.measure, meta.cfg)
+	eng, err := newIndexEngine(&Dataset{c: coll}, meta.measure, meta.cfg)
 	if err != nil {
 		return nil, formatf("%v", err)
 	}

@@ -106,9 +106,12 @@ func NewIndex(ds *Dataset, m Measure, cfg EngineConfig, opts Options) (*Index, e
 // BuildIndex builds a query-serving index from the engine's cached
 // hashing substrate. The engine remains usable for batch searches;
 // index queries and batch searches share signature stores, so hashing
-// is paid once across both. Options are resolved with the same
-// defaults as Search. BuildIndex is BuildIndexContext with
-// context.Background() — it cannot be canceled.
+// is paid once across both. The indexes of a process over the same
+// dimensionality, SignatureBits and Seed share one hyperplane family
+// and its projection rows, except one whose engine already hashed with
+// a private family (a batch search run before the first BuildIndex).
+// Options are resolved with the same defaults as Search. BuildIndex is
+// BuildIndexContext with context.Background() — it cannot be canceled.
 func (e *Engine) BuildIndex(opts Options) (*Index, error) {
 	return e.BuildIndexContext(context.Background(), opts)
 }
@@ -136,6 +139,7 @@ func (e *Engine) BuildIndexContext(ctx context.Context, opts Options) (*Index, e
 // is used verbatim instead of fitting one — the LiveIndex merge, which
 // already maintains the corpus prior.
 func (e *Engine) buildIndexCtx(ctx context.Context, opts Options, prior *stats.Beta) (*Index, error) {
+	e.sigs.shareFamily()
 	o, err := opts.withDefaults(e.sigs)
 	if err != nil {
 		return nil, err
@@ -190,6 +194,18 @@ func (e *Engine) buildIndexCtx(ctx context.Context, opts Options, prior *stats.B
 	}
 	ix.stats.BuildTime = time.Since(start)
 	return ix, nil
+}
+
+// newIndexEngine is NewEngine for an engine that will serve an index
+// it does not build — a snapshot load or a live merge: it hashes with
+// the process's shared family, as BuildIndex's engine does.
+func newIndexEngine(ds *Dataset, m Measure, cfg EngineConfig) (*Engine, error) {
+	e, err := NewEngine(ds, m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.sigs.shareFamily()
+	return e, nil
 }
 
 // engine returns the engine view currently serving the index (see the

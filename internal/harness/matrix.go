@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"bayeslsh"
+	"bayeslsh/internal/rng"
+	"bayeslsh/internal/sighash"
 )
 
 // The shared test matrix: one definition of the measures × pipelines ×
@@ -162,6 +164,22 @@ func LiveConfig() bayeslsh.LiveConfig {
 // comparable bit-for-bit.
 func EngineConfig() bayeslsh.EngineConfig {
 	return bayeslsh.EngineConfig{Seed: 7, Parallelism: 2}
+}
+
+// HashFamily returns the process's hyperplane family for a cosine
+// index over dim features under cfg (sighash.SharedBlockFamily): the
+// family every such index alive hashes with, keyed as the engine keys
+// it — SignatureBits (default 2048) in 128-bit blocks, seeded from
+// rng.Derive(cfg.Seed, 1). With no such index alive it is a fresh
+// family with no rows. The serving suites read its row count to see
+// which indexes hash through it, since no exported API reaches an
+// index's family.
+func HashFamily(dim int, cfg bayeslsh.EngineConfig) *sighash.BlockFamily {
+	bits := cfg.SignatureBits
+	if bits == 0 {
+		bits = 2048
+	}
+	return sighash.SharedBlockFamily(dim, bits, 128, rng.Derive(cfg.Seed, 1))
 }
 
 // NewLive builds a live index for one measure × pipeline cell under

@@ -66,10 +66,22 @@
 // Whoever touches a row first pays for it (blockBits Gaussian draws):
 // a cold batch join pays during its fill, a serving index during its
 // build or warm-up, and afterwards an Add or query pays only for
-// features — or depths — the process has not hashed before. A family
-// is a pure function of its parameters, so it outlives the engine
-// that created it: a live index's merged base keeps the outgoing
-// base's family instead of starting from an empty one.
+// features — or depths — the process has not hashed before.
+//
+// # One family per process
+//
+// A family is a pure function of (dim, maxBits, blockBits, seed), so
+// SharedBlockFamily keeps a process-wide registry of them under that
+// key, and every index takes its family from it: the shards of a
+// cluster, a live index's merged bases and a snapshot hot-swapped in
+// while the old index serves all hash through one family object, and
+// each row is generated and stored once per process. The registry
+// holds weak pointers only, and a cleanup removes a key once its
+// family is collected, so a family lives exactly as long as some index
+// holds it; there is no capacity bound to tune. An engine that only
+// runs batch searches builds a private family with NewBlockFamily
+// instead, so a join pays for its own rows whatever the process
+// serves, and its timing does not depend on what ran before it.
 //
 // # Query hashing
 //

@@ -21,9 +21,13 @@ import (
 // (seed, f, b), so the family is identical regardless of who
 // materializes what in which order — this per-work-item stream
 // discipline is what keeps parallel hashing deterministic. A family is
-// a pure function of (dim, maxBits, blockBits, seed), so engines over
+// a pure function of (dim, maxBits, blockBits, seed), so holders over
 // the same parameters may share one and with it every row already
-// paid for. BlockFamily is safe for concurrent use.
+// paid for: every index of a process — the shards of a cluster, a live
+// index's merged bases, a hot-swapped snapshot — takes its family from
+// SharedBlockFamily, while an engine that only runs batch searches
+// builds a private one, so a join pays for its own rows however many
+// indexes are alive. BlockFamily is safe for concurrent use.
 type BlockFamily struct {
 	dim, maxBits, blockBits int
 	seed                    uint64
@@ -62,8 +66,15 @@ type blockRows struct {
 // functions over dim features. blockBits is the granularity at which
 // signatures are extended (it is rounded up to a multiple of 64 so
 // signature blocks align with words). Construction allocates nothing
-// proportional to dim.
+// proportional to dim. The family is private to its caller; holders
+// that should share rows take theirs from SharedBlockFamily.
 func NewBlockFamily(dim, maxBits, blockBits int, seed uint64) *BlockFamily {
+	return newBlockFamily(newFamilyKey(dim, maxBits, blockBits, seed))
+}
+
+// newFamilyKey checks the parameters and rounds blockBits up to whole
+// words and maxBits up to whole blocks.
+func newFamilyKey(dim, maxBits, blockBits int, seed uint64) familyKey {
 	if dim <= 0 || maxBits <= 0 || blockBits <= 0 {
 		panic("sighash: NewBlockFamily needs positive dim, maxBits, blockBits")
 	}
@@ -71,10 +82,15 @@ func NewBlockFamily(dim, maxBits, blockBits int, seed uint64) *BlockFamily {
 	if maxBits%blockBits != 0 {
 		maxBits = (maxBits/blockBits + 1) * blockBits
 	}
-	f := &BlockFamily{dim: dim, maxBits: maxBits, blockBits: blockBits, seed: seed}
-	f.blocks = make([]atomic.Pointer[blockRows], maxBits/blockBits)
+	return familyKey{dim: dim, maxBits: maxBits, blockBits: blockBits, seed: seed}
+}
+
+// newBlockFamily creates the empty family of a checked, rounded key.
+func newBlockFamily(k familyKey) *BlockFamily {
+	f := &BlockFamily{dim: k.dim, maxBits: k.maxBits, blockBits: k.blockBits, seed: k.seed}
+	f.blocks = make([]atomic.Pointer[blockRows], k.maxBits/k.blockBits)
 	f.acc.New = func() any {
-		acc := make([]float64, blockBits)
+		acc := make([]float64, k.blockBits)
 		return &acc
 	}
 	return f

@@ -161,16 +161,22 @@ func (c *Collection) WriteTo(w io.Writer) (int64, error) {
 	return total, bw.Flush()
 }
 
-// Read parses the format written by WriteTo.
+// maxTextDim is the largest dimensionality a text header may declare:
+// every feature index is a uint32, so no feature reaches past 2³² (and
+// on a 32-bit platform, past the largest int).
+const maxTextDim = min(1<<32, math.MaxInt)
+
+// Read parses the format written by WriteTo. The header must be
+// exactly "dim N", N a decimal in [0, maxTextDim].
 func Read(r io.Reader) (*Collection, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("vector: empty input")
 	}
-	var dim int
-	if _, err := fmt.Sscanf(sc.Text(), "dim %d", &dim); err != nil {
-		return nil, fmt.Errorf("vector: bad header %q: %w", sc.Text(), err)
+	dim, err := parseHeader(sc.Text())
+	if err != nil {
+		return nil, err
 	}
 	c := &Collection{Dim: dim}
 	line := 1
@@ -203,4 +209,21 @@ func Read(r io.Reader) (*Collection, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// parseHeader reads the dimensionality off a "dim N" header line,
+// refusing anything after N and any N outside [0, maxTextDim].
+func parseHeader(line string) (int, error) {
+	f := strings.Fields(line)
+	if len(f) != 2 || f[0] != "dim" {
+		return 0, fmt.Errorf("vector: bad header %q: want \"dim N\"", line)
+	}
+	n, err := strconv.ParseInt(f[1], 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("vector: bad header %q: %w", line, err)
+	}
+	if n < 0 || n > maxTextDim {
+		return 0, fmt.Errorf("vector: header dim %d outside [0, %d]", n, int64(maxTextDim))
+	}
+	return int(n), nil
 }

@@ -136,10 +136,33 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"dim 5\nx:1\n",
 		"dim 2\n5:1\n",     // index out of declared dimension
 		"dim 5\n2:1 1:1\n", // unsorted
+		"dim -1\n",         // negative dimensionality
+		"dim 4294967297\n", // past every uint32 feature index
+		"dim 5x\n0:1\n",    // trailing header text
+		"dim 5 6\n0:1\n",
+		"dims 5\n0:1\n",
 	}
 	for i, s := range cases {
 		if _, err := Read(strings.NewReader(s)); err == nil {
 			t.Errorf("case %d: Read accepted %q", i, s)
+		}
+	}
+}
+
+// TestReadHeaderBounds: the header's dimensionality is read exactly,
+// across its whole range: 0, and 2³² (the largest any uint32 feature
+// index needs) where an int holds it, with surrounding whitespace.
+func TestReadHeaderBounds(t *testing.T) {
+	cases := map[string]int{"dim 0\n": 0, "dim 5\n0:1\n": 5, "  dim\t7 \r\n6:1\n": 7}
+	if maxTextDim == 1<<32 {
+		cases["dim 4294967296\n4294967295:1\n"] = maxTextDim
+	}
+	for s, want := range cases {
+		c, err := Read(strings.NewReader(s))
+		if err != nil {
+			t.Errorf("Read(%q): %v", s, err)
+		} else if c.Dim != want {
+			t.Errorf("Read(%q) dim %d, want %d", s, c.Dim, want)
 		}
 	}
 }

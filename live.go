@@ -535,8 +535,10 @@ func (li *LiveIndex) collect(gen *liveGen, skip int, view live.View) compactSrc 
 
 // compactEngine builds an engine over the compacted corpus that
 // adopts every signature prefix the base store and the memtable
-// already hold (sigKind.adopt), so nothing is hashed twice. It answers
-// exactly as a cold NewEngine over the equivalent corpus would.
+// already hold (sigKind.adopt), so nothing is hashed twice, and hashes
+// with the shared family the outgoing base holds too (newIndexEngine),
+// so no projection row is generated twice either. It answers exactly
+// as a cold NewEngine over the equivalent corpus would.
 func (li *LiveIndex) compactEngine(cfg EngineConfig, gen *liveGen, src compactSrc, view live.View, extra *live.Entry) (*Engine, error) {
 	// A disk-backed base's mapped bytes are aliased and adopted below,
 	// so every persisted section must be verified first.
@@ -548,7 +550,7 @@ func (li *LiveIndex) compactEngine(cfg EngineConfig, gen *liveGen, src compactSr
 		vecs, ex = append(vecs[:len(vecs):len(vecs)], extra.Raw), *extra
 	}
 	ds := &Dataset{c: &vector.Collection{Dim: li.dim, Vecs: vecs}}
-	e2, err := NewEngine(ds, li.measure, cfg)
+	e2, err := newIndexEngine(ds, li.measure, cfg)
 	if err != nil {
 		return nil, err
 	}

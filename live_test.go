@@ -391,42 +391,6 @@ func TestLiveMergeKeepsHashFamily(t *testing.T) {
 	s.checkEquivalent(cold, s.liveQueries(nil), "kept-family")
 }
 
-// TestKeepBitFamilyNeedsIdenticalParameters covers the guard on the
-// hand-over. No live path changes them today (SetRuntime moves only
-// Parallelism and BatchSize, which keep the family), but an engine
-// whose family would differ in any parameter must build its own.
-func TestKeepBitFamilyNeedsIdenticalParameters(t *testing.T) {
-	ds := smallDataset(t, 20).TfIdf().Normalize()
-	base := EngineConfig{Seed: 7, SignatureBits: 1024}
-	prev, err := NewEngine(ds, Cosine, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fam := bitStore(prev).Family()
-	wider := &Dataset{c: &vector.Collection{Dim: ds.Dim() + 1, Vecs: ds.c.Vecs}}
-	for _, c := range []struct {
-		name string
-		ds   *Dataset
-		cfg  EngineConfig
-		keep bool
-	}{
-		{"identical", ds, base, true},
-		{"runtime knobs", ds, EngineConfig{Seed: 7, SignatureBits: 1024, Parallelism: 3, BatchSize: 5}, true},
-		{"seed", ds, EngineConfig{Seed: 8, SignatureBits: 1024}, false},
-		{"signature bits", ds, EngineConfig{Seed: 7, SignatureBits: 512}, false},
-		{"dimension", wider, base, false},
-	} {
-		e, err := NewEngine(c.ds, Cosine, c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.sigs.(*bitKind).keepFamily(prev.sigs.(*bitKind))
-		if got := bitStore(e).Family(); (got == fam) != c.keep {
-			t.Errorf("%s: kept the previous family = %v, want %v", c.name, got == fam, c.keep)
-		}
-	}
-}
-
 // TestLiveConcurrent hammers a live index with concurrent queries
 // while the main goroutine adds, deletes and merges — the -race
 // acceptance criterion. Queries must never error or return a

@@ -42,7 +42,10 @@ type sigKind interface {
 	oneBit(o Options) bool
 	prior(o Options) bool
 
-	// The corpus: its store (built reports whether it has been), band
+	// The corpus: its store (built reports whether it has been; an
+	// index's engine calls shareFamily first, so that its store hashes
+	// with the family every index of the same parameters shares — a
+	// no-op for minhashes, whose family holds only seeds), band
 	// phase and band tables over the first k·l hashes, the Bayes
 	// verifier over the store (at depth p.MaxHashes) or over a live
 	// delta's rows, the rows and pairwise form of the §3 estimator, and
@@ -50,6 +53,7 @@ type sigKind interface {
 	// corpus src already has in prev, in the memtable view, or in extra.
 	sigStore() sigStore
 	built() bool
+	shareFamily()
 	band(ctx context.Context, k, l int, multiProbe bool, workers int) (*lshindex.Banding, error)
 	buildTables(k, l int, multiProbe bool, workers int) (bandTables, error)
 	corpusVerifier(ctx context.Context, o Options, prior stats.Beta, p core.Params, workers int) (core.QueryVerifier, error)
@@ -125,25 +129,24 @@ type bitKind struct {
 }
 
 // family returns the engine's seeded hyperplane family, constructing
-// it on first use. A v3 open builds its fixed store over the mapped
-// signatures from this same family, so both residencies hash queries
-// alike.
-func (k *bitKind) family() *sighash.BlockFamily {
+// a private one on first use unless shareFamily ran first. A v3 open
+// builds its fixed store over the mapped signatures from this same
+// family, so both residencies hash queries alike.
+func (k *bitKind) family() *sighash.BlockFamily { return k.familyFrom(sighash.NewBlockFamily) }
+
+// shareFamily makes the engine hash with the process's family for its
+// parameters (sighash.SharedBlockFamily) — and so with every projection
+// row another index of the same (dim, SignatureBits, Seed) has already
+// paid for — unless it already has a family.
+func (k *bitKind) shareFamily() { k.familyFrom(sighash.SharedBlockFamily) }
+
+// familyFrom returns the engine's family, obtained from mk on first
+// use: 128-bit blocks, seeded from the engine's seed.
+func (k *bitKind) familyFrom(mk func(dim, maxBits, blockBits int, seed uint64) *sighash.BlockFamily) *sighash.BlockFamily {
 	if k.fam == nil {
-		k.fam = sighash.NewBlockFamily(k.e.work.Dim, k.e.cfg.SignatureBits, 128, rng.Derive(k.e.cfg.Seed, 1))
+		k.fam = mk(k.e.work.Dim, k.e.cfg.SignatureBits, 128, rng.Derive(k.e.cfg.Seed, 1))
 	}
 	return k.fam
-}
-
-// keepFamily makes k hash with prev's family — and so with every
-// projection row prev's lifetime already materialized — when k would
-// construct an identical one: a family is a pure function of (dim,
-// SignatureBits, Seed). Must run before k's first family call.
-func (k *bitKind) keepFamily(prev *bitKind) {
-	a, b := prev.e.cfg, k.e.cfg
-	if prev.fam != nil && prev.e.work.Dim == k.e.work.Dim && a.SignatureBits == b.SignatureBits && a.Seed == b.Seed {
-		k.fam = prev.fam
-	}
 }
 
 // store returns the signature store, constructing it on first use.
@@ -195,9 +198,7 @@ func (k *bitKind) approxPairs(n int) func(a, b int32) float64 {
 }
 
 func (k *bitKind) adopt(from sigKind, src compactSrc, view live.View, extra live.Entry) {
-	prev := from.(*bitKind)
-	k.keepFamily(prev)
-	if prev.st != nil {
+	if prev := from.(*bitKind); prev.st != nil {
 		adoptRows(k.store().Adopt, src, prev.st.Sigs(), prev.st.FilledBits, view.Bits, extra.Bits, 64)
 	}
 }
@@ -284,6 +285,7 @@ func (*minKind) multiProbe(Options) bool         { return false }
 func (*minKind) oneBit(o Options) bool           { return o.OneBitMinhash }
 func (*minKind) prior(o Options) bool            { return !o.OneBitMinhash }
 
+func (*minKind) shareFamily()         {}
 func (k *minKind) sigStore() sigStore { return k.store() }
 func (k *minKind) built() bool        { return k.st != nil }
 

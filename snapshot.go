@@ -432,7 +432,7 @@ func decodeIndex(sr *snapshot.Reader) (*Index, error) {
 		return nil, err
 	}
 
-	eng, err := NewEngine(&Dataset{c: coll}, meta.measure, meta.cfg)
+	eng, err := newIndexEngine(&Dataset{c: coll}, meta.measure, meta.cfg)
 	if err != nil {
 		return nil, err
 	}
