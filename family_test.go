@@ -40,11 +40,8 @@ func TestIndexesShareHashFamily(t *testing.T) {
 		t.Fatal("the build materialized no projection row")
 	}
 	var holders []any
-	hold := func(label string, x any, got *sighash.BlockFamily, err error) {
+	check := func(label string, x any, got *sighash.BlockFamily) {
 		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
 		holders = append(holders, x)
 		if got != fam {
 			t.Errorf("%s hashes with family %p, want the shared %p", label, got, fam)
@@ -52,21 +49,19 @@ func TestIndexesShareHashFamily(t *testing.T) {
 	}
 	index := func(label string, x *Index, err error) {
 		t.Helper()
-		if err == nil {
-			t.Cleanup(func() { x.Close() })
-			hold(label, x, indexFamily(x), nil)
-			return
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
-		hold(label, x, nil, err)
+		t.Cleanup(func() { x.Close() })
+		check(label, x, indexFamily(x))
 	}
 	liveIx := func(label string, x *LiveIndex, err error) {
 		t.Helper()
-		if err == nil {
-			t.Cleanup(x.Close)
-			hold(label, x, liveFamily(x), nil)
-			return
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
-		hold(label, x, nil, err)
+		t.Cleanup(x.Close)
+		check(label, x, liveFamily(x))
 	}
 	file := func(name string, b []byte) string {
 		path := filepath.Join(t.TempDir(), name)
